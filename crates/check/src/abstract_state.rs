@@ -279,7 +279,7 @@ pub fn canonical_state(g: &Geometry, snap: &MachineSnapshot, shadow: &ShadowTrac
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wbsim_sim::{Machine, NullObserver};
+    use wbsim_sim::{Machine, NullObserver, SimMachine};
     use wbsim_types::config::MachineConfig;
     use wbsim_types::op::Op;
     use wbsim_types::testutil::a;

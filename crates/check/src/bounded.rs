@@ -5,11 +5,12 @@
 //! address universe (2 cache lines × 2 words, so every hazard, coalesce,
 //! and aliasing case is reachable) across every boundary configuration the
 //! paper's invariants could plausibly break on: all 4 load-hazard policies
-//! × depths 1–4 × every retire-at mark 1..=depth.
+//! × depths 1–4 × every retire-at mark 1..=depth on the blocking machine,
+//! and the same depths × MSHR counts 1–4 on the non-blocking one.
 //!
-//! Each run drives the cycle machine one [`wbsim_sim::Machine::step`] at a
-//! time under an observer that asserts the paper's invariants from the
-//! event stream:
+//! Each run drives the cycle machine one [`SimMachine::step`] at a time
+//! under an observer that asserts the paper's invariants from the event
+//! stream:
 //!
 //! * occupancy never exceeds depth, and the recorded high-water mark (hence
 //!   headroom = depth − high-water) matches the maximum observed occupancy;
@@ -24,18 +25,26 @@
 //! and re-run under a trace-collecting observer; the resulting
 //! [`Counterexample`] carries a JSONL event trace replayable with
 //! `wbsim trace validate`.
+//!
+//! The module also holds what every checker shares: the grids, the
+//! parallel grid driver, the odometer and the greedy minimizer.
 
 use std::time::Instant;
 use wbsim_types::sync::atomic::AtomicUsize;
 use wbsim_types::sync::{Mutex, Ordering};
 
 use wbsim_oracle::{check_conservation, ArchModel};
-use wbsim_sim::{Event, Machine, NonBlockingMachine, Observer};
+use wbsim_sim::{Event, Machine, NonBlockingMachine, Observer, SimMachine};
+use wbsim_types::addr::Geometry;
 use wbsim_types::config::MachineConfig;
 use wbsim_types::divergence::FaultInjection;
 use wbsim_types::op::Op;
 use wbsim_types::policy::{LoadHazardPolicy, RetirementOrder, RetirementPolicy};
+use wbsim_types::stall::StallKind;
 use wbsim_types::Addr;
+
+use crate::abstract_state::ShadowTracker;
+use crate::explore::Explored;
 
 /// Cycle budget per run: a liveness bound. The longest bounded sequence
 /// finishes in well under a hundred cycles; a run that is still going after
@@ -148,33 +157,149 @@ pub fn bounded_configs(fault: Option<FaultInjection>) -> Vec<MachineConfig> {
     out
 }
 
-/// Asserts the per-event invariants and records what the architectural
-/// comparison needs.
-#[derive(Debug, Default)]
-struct InvariantObserver {
+/// The non-blocking boundary configurations: depth 1..=4 × every retire-at
+/// mark × MSHR counts 1..=4 (or just `mshrs` when given), hazard forced to
+/// read-from-WB (the only policy the machine accepts), optionally with an
+/// injected fault. 40 `(config, mshrs)` pairs on the full grid, 10 at one
+/// MSHR count.
+#[must_use]
+pub fn nonblocking_configs(
+    fault: Option<FaultInjection>,
+    mshrs: Option<usize>,
+) -> Vec<(MachineConfig, usize)> {
+    let counts = mshrs.map_or(1..=4, |m| m..=m);
+    let mut out = Vec::new();
+    for depth in 1..=4usize {
+        for hw in 1..=depth {
+            for m in counts.clone() {
+                let mut cfg = MachineConfig::baseline();
+                cfg.write_buffer.depth = depth;
+                cfg.write_buffer.retirement = RetirementPolicy::RetireAt(hw);
+                cfg.write_buffer.hazard = LoadHazardPolicy::ReadFromWb;
+                cfg.check_data = false;
+                cfg.fault = fault;
+                debug_assert!(cfg.validate().is_ok());
+                out.push((cfg, m));
+            }
+        }
+    }
+    out
+}
+
+/// A grid point: a configuration and, on the non-blocking machine, its
+/// MSHR count (`None`: the blocking machine).
+pub(crate) type Point = (MachineConfig, Option<usize>);
+
+/// [`bounded_configs`] as grid points.
+pub(crate) fn blocking_grid(fault: Option<FaultInjection>) -> Vec<Point> {
+    bounded_configs(fault)
+        .into_iter()
+        .map(|c| (c, None))
+        .collect()
+}
+
+/// [`nonblocking_configs`] as grid points.
+pub(crate) fn mshr_grid(fault: Option<FaultInjection>, mshrs: Option<usize>) -> Vec<Point> {
+    nonblocking_configs(fault, mshrs)
+        .into_iter()
+        .map(|(c, m)| (c, Some(m)))
+        .collect()
+}
+
+/// `cfg` with the machine's inline freshness check off: the checkers
+/// compare against models of their own.
+pub(crate) fn unchecked(cfg: &MachineConfig) -> MachineConfig {
+    let mut cfg = cfg.clone();
+    cfg.check_data = false;
+    cfg
+}
+
+/// Builds the machine a grid point selects, unchecked.
+///
+/// # Panics
+///
+/// Panics if the machine rejects the point — the checkers explore the
+/// behavior of valid configurations; the linter owns validation.
+pub(crate) fn build<M: SimMachine>(cfg: &MachineConfig, mshrs: Option<usize>) -> M {
+    M::build(unchecked(cfg), mshrs).expect("checked configurations are valid")
+}
+
+/// The paper's per-event invariants, asserted on either machine's event
+/// stream: occupancy never exceeds depth; Table-3 stall causes are
+/// exclusive; and autonomous retirement is FIFO (under FIFO order). With
+/// `overlap` (the non-blocking machine) the taxonomy is exclusive per
+/// *cause*, not per cycle: a store can find the buffer full in the same
+/// cycle a queued read sits behind an underway write, so a cycle may carry
+/// one `BufferFull` plus one `L2ReadAccess` — and nothing else (hazards
+/// never stall that machine; they merge into the fill).
+///
+/// Loads are checked one of two ways. With a shadow map ([`Self::tracking`],
+/// the reachability checker, which carries the map and the FIFO cursor
+/// across op transitions) every resolved load is compared with the
+/// freshest store as it happens. Without one (the sequence checker) each
+/// load's terminal event is recorded in program order — `None` for a miss
+/// to an MSHR, whose fill the final-memory comparison covers instead.
+#[derive(Debug, Clone)]
+pub(crate) struct InvariantObserver {
     depth: u64,
     fifo: bool,
-    loads: Vec<(Addr, u64)>,
+    overlap: bool,
+    geometry: Geometry,
+    shadow: Option<ShadowTracker>,
+    last_retire_id: Option<u64>,
+    /// The cycle of the last stall, and the causes charged in it (one bit
+    /// per [`StallKind`]).
+    stall_now: Option<u64>,
+    stalls: u8,
+    loads: Vec<Option<(Addr, u64)>>,
     cycles_seen: u64,
     max_occupancy: u64,
-    last_stall_now: Option<u64>,
-    last_autonomous_retire_id: Option<u64>,
-    violation: Option<String>,
+    pub(crate) violation: Option<String>,
 }
 
 impl InvariantObserver {
-    fn new(cfg: &MachineConfig) -> Self {
+    /// The observer for `cfg` on the machine `mshrs` selects.
+    pub(crate) fn new(cfg: &MachineConfig, mshrs: Option<usize>) -> Self {
         InvariantObserver {
             depth: cfg.write_buffer.depth as u64,
             fifo: cfg.write_buffer.order == RetirementOrder::Fifo,
-            ..Self::default()
+            overlap: mshrs.is_some(),
+            geometry: cfg.geometry,
+            shadow: None,
+            last_retire_id: None,
+            stall_now: None,
+            stalls: 0,
+            loads: Vec::new(),
+            cycles_seen: 0,
+            max_occupancy: 0,
+            violation: None,
+        }
+    }
+
+    /// Checks loads against a shadow map fed by the stream's stores.
+    pub(crate) fn tracking(mut self) -> Self {
+        self.shadow = Some(ShadowTracker::default());
+        self
+    }
+
+    /// The shadow map of a [`Self::tracking`] observer.
+    pub(crate) fn shadow(&self) -> &ShadowTracker {
+        self.shadow.as_ref().expect("a tracking observer")
+    }
+
+    /// The observer for the next op transition from this state: the shadow
+    /// map and FIFO cursor carry over, the per-cycle state starts afresh.
+    pub(crate) fn next_transition(&self) -> Self {
+        InvariantObserver {
+            stall_now: None,
+            stalls: 0,
+            violation: None,
+            ..self.clone()
         }
     }
 
     fn fail(&mut self, msg: String) {
-        if self.violation.is_none() {
-            self.violation = Some(msg);
-        }
+        self.violation.get_or_insert(msg);
     }
 }
 
@@ -192,16 +317,36 @@ impl Observer for InvariantObserver {
                 }
             }
             Event::StallCycle { now, kind } => {
-                if self.last_stall_now == Some(now) {
-                    self.fail(format!(
-                        "cycle {now}: second stall cause ({kind:?}) in one cycle; \
-                         Table-3 causes must be mutually exclusive"
-                    ));
+                if self.stall_now != Some(now) {
+                    self.stall_now = Some(now);
+                    self.stalls = 0;
                 }
-                self.last_stall_now = Some(now);
+                let bit = 1 << kind as u8;
+                if !self.overlap {
+                    if self.stalls != 0 {
+                        self.fail(format!(
+                            "cycle {now}: second stall cause ({kind:?}) in one cycle; \
+                             Table-3 causes must be mutually exclusive"
+                        ));
+                    }
+                } else {
+                    if !matches!(kind, StallKind::BufferFull | StallKind::L2ReadAccess) {
+                        self.fail(format!(
+                            "cycle {now}: stall cause {kind:?} cannot occur on the \
+                             non-blocking machine (hazards merge into fills)"
+                        ));
+                    }
+                    if self.stalls & bit != 0 {
+                        self.fail(format!(
+                            "cycle {now}: stall cause {kind:?} charged twice in one \
+                             cycle; under overlap each cause is exclusive per cycle"
+                        ));
+                    }
+                }
+                self.stalls |= bit;
             }
             Event::RetireStart { now, id, flush } if self.fifo && !flush => {
-                if let Some(prev) = self.last_autonomous_retire_id {
+                if let Some(prev) = self.last_retire_id {
                     if id <= prev {
                         self.fail(format!(
                             "cycle {now}: autonomous retirement of entry {id} \
@@ -210,15 +355,69 @@ impl Observer for InvariantObserver {
                         ));
                     }
                 }
-                self.last_autonomous_retire_id = Some(id);
+                self.last_retire_id = Some(id);
             }
-            Event::LoadResolved { addr, value, .. } => self.loads.push((addr, value)),
+            Event::StoreAccepted { addr, .. } => {
+                if let Some(shadow) = &mut self.shadow {
+                    shadow.record_store(self.geometry.word_addr(addr));
+                }
+            }
+            Event::LoadResolved {
+                now,
+                addr,
+                value,
+                source,
+            } => match &self.shadow {
+                None => self.loads.push(Some((addr, value))),
+                Some(shadow) => {
+                    let want = shadow.expected(self.geometry.word_addr(addr));
+                    if value != want {
+                        self.fail(format!(
+                            "cycle {now}: load of {addr:?} via {source} observed \
+                             {value:#x}, freshest store is {want:#x} (stale or lost store)"
+                        ));
+                    }
+                }
+            },
+            Event::LoadMiss { .. } if self.shadow.is_none() => self.loads.push(None),
             _ => {}
         }
     }
 }
 
-/// Runs one sequence under one configuration and checks every invariant.
+/// The structural MSHR invariants, which live in machine state invisible
+/// to the event stream: at most `mshrs` outstanding misses, never two to
+/// the same line. Vacuous on the blocking machine.
+pub(crate) fn mshr_invariants(m: &impl SimMachine, mshrs: Option<usize>) -> Result<(), String> {
+    let lines = m.mshr_lines();
+    let cap = mshrs.unwrap_or(0);
+    if lines.len() > cap {
+        return Err(format!(
+            "{} outstanding misses exceed the {cap} MSHRs",
+            lines.len()
+        ));
+    }
+    for (i, line) in lines.iter().enumerate() {
+        if lines[..i].contains(line) {
+            return Err(format!(
+                "two MSHRs outstanding for line {line:?}; secondary misses must merge"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Runs one sequence under one configuration — on the non-blocking
+/// machine with `mshrs` registers, or on the blocking machine for `None` —
+/// and checks every invariant: the per-event ones of the invariant
+/// observer, the structural MSHR invariants on every cycle, the
+/// architectural comparison (resolved-load values at their program-order
+/// ordinal, one terminal event per load, and final memory — which also
+/// proves the non-blocking machine's merge-on-fill: an unmerged fill
+/// installs a stale line that the final architectural read exposes), the
+/// high-water identity, and the conservation identities (cycle accounting
+/// only on the blocking machine: the other overlaps misses with execution
+/// by design).
 ///
 /// # Errors
 ///
@@ -226,36 +425,60 @@ impl Observer for InvariantObserver {
 ///
 /// # Panics
 ///
-/// Panics if `cfg` fails [`MachineConfig::validate`] — the checker explores
+/// Panics if the machine rejects `cfg`/`mshrs` — the checker explores
 /// behavior, not configuration validation (the linter owns that).
-pub fn check_sequence(cfg: &MachineConfig, ops: &[Op]) -> Result<(), String> {
-    let mut cfg = cfg.clone();
-    cfg.check_data = false;
-    let mut machine = Machine::new(cfg.clone()).expect("bounded configs are valid");
-    let mut obs = InvariantObserver::new(&cfg);
-    let Some(stats) = machine.run_bounded(ops.iter().copied(), CYCLE_BUDGET, &mut obs) else {
-        return Err(format!(
-            "run exceeded the {CYCLE_BUDGET}-cycle liveness budget"
-        ));
-    };
+pub fn check_sequence(cfg: &MachineConfig, mshrs: Option<usize>, ops: &[Op]) -> Result<(), String> {
+    match mshrs {
+        None => sequence::<Machine>(cfg, mshrs, ops),
+        Some(_) => sequence::<NonBlockingMachine>(cfg, mshrs, ops),
+    }
+}
+
+/// [`check_sequence`] on machine `M`.
+pub(crate) fn sequence<M: SimMachine>(
+    cfg: &MachineConfig,
+    mshrs: Option<usize>,
+    ops: &[Op],
+) -> Result<(), String> {
+    let cfg = &unchecked(cfg);
+    let mut machine: M = build(cfg, mshrs);
+    let mut obs = InvariantObserver::new(cfg, mshrs);
+    let mut iter = ops.iter().copied();
+    while machine.step(&mut iter, &mut obs) {
+        mshr_invariants(&machine, mshrs).map_err(|e| format!("cycle {}: {e}", machine.now()))?;
+        if machine.now() >= CYCLE_BUDGET {
+            return Err(format!(
+                "run exceeded the {CYCLE_BUDGET}-cycle liveness budget"
+            ));
+        }
+    }
     if let Some(v) = obs.violation {
         return Err(v);
     }
+    let mut stats = *machine.stats();
+    stats.cycles = machine.now();
 
     // No store lost or staled: loads and final memory vs the untimed model.
     let mut oracle = ArchModel::new(cfg.geometry);
     let expected = oracle.run(ops);
-    for (i, (&(addr, got), &want)) in obs.loads.iter().zip(expected.iter()).enumerate() {
-        if got != want {
-            return Err(format!(
-                "load #{i} at {addr:?} observed {got:#x}, architectural model \
-                 says {want:#x} (stale or lost store)"
-            ));
+    for (i, (terminal, &want)) in obs.loads.iter().zip(&expected).enumerate() {
+        if let Some((addr, got)) = *terminal {
+            if got != want {
+                return Err(format!(
+                    "load #{i} at {addr:?} observed {got:#x}, architectural model \
+                     says {want:#x} (stale or lost store)"
+                ));
+            }
         }
     }
     if obs.loads.len() != expected.len() {
+        let terminated = if mshrs.is_some() {
+            "terminated"
+        } else {
+            "resolved"
+        };
         return Err(format!(
-            "machine resolved {} loads, stream has {}",
+            "machine {terminated} {} loads, stream has {}",
             obs.loads.len(),
             expected.len()
         ));
@@ -288,12 +511,12 @@ pub fn check_sequence(cfg: &MachineConfig, ops: &[Op]) -> Result<(), String> {
 
     // The conservation identities shared with the differential oracle.
     check_conservation(
-        &cfg,
+        cfg,
         &stats,
         machine.wb_victim_allocs(),
         machine.wb_occupancy() as u64,
         obs.cycles_seen,
-        true,
+        mshrs.is_none(),
     )
     .map_err(|d| format!("conservation identity violated: {d}"))
 }
@@ -310,39 +533,59 @@ impl Observer for TraceObserver {
     }
 }
 
-/// Greedily deletes ops while the sequence still violates, to a fixed
-/// point: the result is 1-minimal (removing any single op makes the
-/// violation disappear).
-fn minimize(cfg: &MachineConfig, ops: &[Op]) -> Vec<Op> {
-    let mut ops = ops.to_vec();
+/// The full event stream of one run of `ops`, under the sequence
+/// checker's cycle budget.
+pub(crate) fn trace_run<M: SimMachine>(
+    cfg: &MachineConfig,
+    mshrs: Option<usize>,
+    ops: &[Op],
+) -> Vec<String> {
+    let mut machine: M = build(cfg, mshrs);
+    let mut trace = TraceObserver::default();
+    let mut iter = ops.iter().copied();
+    while machine.step(&mut iter, &mut trace) && machine.now() < CYCLE_BUDGET {}
+    trace.lines
+}
+
+/// Greedily deletes single ops while `witness` still finds a violation,
+/// to a fixed point: the result is 1-minimal (removing any one op loses
+/// the violation). Returns it with the witness of the last accepted
+/// deletion — `w` when none was.
+pub(crate) fn minimize<W>(
+    mut ops: Vec<Op>,
+    mut w: W,
+    mut witness: impl FnMut(&[Op]) -> Option<W>,
+) -> (Vec<Op>, W) {
     'outer: loop {
         for i in 0..ops.len() {
             let mut candidate = ops.clone();
             candidate.remove(i);
-            if check_sequence(cfg, &candidate).is_err() {
+            if let Some(next) = witness(&candidate) {
                 ops = candidate;
+                w = next;
                 continue 'outer;
             }
         }
-        return ops;
+        return (ops, w);
     }
 }
 
-pub(crate) fn counterexample(cfg: &MachineConfig, ops: &[Op]) -> Box<Counterexample> {
-    let ops = minimize(cfg, ops);
-    let violation = check_sequence(cfg, &ops).expect_err("minimization preserves the violation");
-    let mut trace = TraceObserver::default();
-    let mut cfg_run = cfg.clone();
-    cfg_run.check_data = false;
-    let _ = Machine::new(cfg_run)
-        .expect("bounded configs are valid")
-        .run_bounded(ops.iter().copied(), CYCLE_BUDGET, &mut trace);
+/// Minimizes a sequence `violation` was seen on under the sequence
+/// checker and packages it, with its full event trace, as a replayable
+/// [`Counterexample`].
+pub(crate) fn counterexample<M: SimMachine>(
+    cfg: &MachineConfig,
+    mshrs: Option<usize>,
+    ops: Vec<Op>,
+    violation: String,
+) -> Box<Counterexample> {
+    let (ops, violation) = minimize(ops, violation, |c| sequence::<M>(cfg, mshrs, c).err());
     Box::new(Counterexample {
         config: cfg.clone(),
-        mshrs: None,
+        mshrs,
+        trace: trace_run::<M>(cfg, mshrs, &ops),
         ops,
         violation,
-        trace: trace.lines,
     })
 }
 
@@ -351,15 +594,16 @@ fn sequence_count(universe: u64, max_ops: u32) -> u64 {
     (1..=max_ops).map(|k| universe.pow(k)).sum()
 }
 
-/// Enumerates the full sequence space for one configuration in a fixed
-/// odometer order and returns the first violating sequence. `abort` is
-/// polled once per sequence; a `true` poll abandons the search (`None`).
-pub(crate) fn first_violating_sequence(
-    cfg: &MachineConfig,
+/// Enumerates every sequence of length 1..=`max_ops` over `universe` in
+/// a fixed odometer order and returns the first that `check` flags, with
+/// its witness. `abort` is polled once per sequence; a `true` poll
+/// abandons the search (`None`).
+pub(crate) fn first_violation<W>(
+    universe: &[Op],
     max_ops: u32,
     abort: &dyn Fn() -> bool,
-) -> Option<Vec<Op>> {
-    let universe = op_universe(cfg);
+    mut check: impl FnMut(&[Op]) -> Option<W>,
+) -> Option<(Vec<Op>, W)> {
     let mut ops = Vec::with_capacity(max_ops as usize);
     for len in 1..=max_ops as usize {
         let mut odometer = vec![0usize; len];
@@ -369,25 +613,15 @@ pub(crate) fn first_violating_sequence(
             }
             ops.clear();
             ops.extend(odometer.iter().map(|&i| universe[i]));
-            if check_sequence(cfg, &ops).is_err() {
-                return Some(ops);
+            if let Some(w) = check(&ops) {
+                return Some((ops, w));
             }
-            // Advance the odometer; carry out means done.
-            let mut pos = 0;
-            loop {
-                if pos == len {
-                    break;
-                }
-                odometer[pos] += 1;
-                if odometer[pos] < universe.len() {
-                    break;
-                }
-                odometer[pos] = 0;
-                pos += 1;
-            }
-            if pos == len {
+            // Advance the odometer; a carry out of the last digit means done.
+            let Some(pos) = odometer.iter().position(|&d| d + 1 < universe.len()) else {
                 break;
-            }
+            };
+            odometer[pos] += 1;
+            odometer[..pos].fill(0);
         }
     }
     None
@@ -410,9 +644,9 @@ pub fn default_jobs() -> usize {
 /// the first-failing index (and its payload, for deterministic `work`) is
 /// schedule-independent, and indices below it are never abandoned.
 ///
-/// This is the workspace's one shared cell scheduler: the bounded and
-/// reachability checkers dispatch configuration indices through it, and
-/// the experiments harness flattens its (benchmark × config × seed) sweep
+/// This is the workspace's one shared cell scheduler: every checker
+/// dispatches its grid points through it (see `check_grid`), and the
+/// experiments harness flattens its (benchmark × config × seed) sweep
 /// grids onto it (with an uninhabited error type when cells never abort
 /// each other).
 ///
@@ -465,6 +699,36 @@ where
     Ok(out)
 }
 
+/// Runs `check` on every grid point on `jobs` worker threads
+/// ([`run_indexed_earliest`]) and sums what the clean points explored. A
+/// failure is the first failing point's in grid order, whatever the thread
+/// schedule, so the result is identical for every `jobs` value (only
+/// `wall_ms` varies). `check` returns `None` only when its abort poll
+/// fired.
+pub(crate) fn check_grid<E: Send>(
+    points: &[Point],
+    jobs: usize,
+    check: impl Fn(&MachineConfig, Option<usize>, &dyn Fn() -> bool) -> Result<Option<Explored>, E>
+        + Sync,
+) -> Result<CheckReport, E> {
+    let start = Instant::now();
+    let explored = run_indexed_earliest(points.len(), jobs, |i, abort| {
+        check(&points[i].0, points[i].1, abort)
+    })
+    .map_err(|(_, e)| e)?;
+    let mut report = CheckReport {
+        configs: points.len() as u64,
+        ..CheckReport::default()
+    };
+    for e in explored.into_iter().flatten() {
+        report.states_explored += e.states;
+        report.edges += e.edges;
+        report.sccs += e.sccs;
+    }
+    report.wall_ms = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
+    Ok(report)
+}
+
 /// Enumerates every op sequence of length 1..=`max_ops` over the bounded
 /// universe, across all boundary configurations, checking every invariant
 /// on every run, with [`default_jobs`] worker threads. See
@@ -494,374 +758,12 @@ pub fn check_exhaustive_jobs(
     fault: Option<FaultInjection>,
     jobs: usize,
 ) -> Result<CheckReport, Box<Counterexample>> {
-    let start = Instant::now();
-    let configs = bounded_configs(fault);
-    let outcome =
-        run_indexed_earliest(
-            configs.len(),
-            jobs,
-            |i, abort| match first_violating_sequence(&configs[i], max_ops, abort) {
-                None => Ok(()),
-                Some(ops) => Err(ops),
-            },
-        );
-    if let Err((i, ops)) = outcome {
-        return Err(counterexample(&configs[i], &ops));
-    }
-    let sequences = sequence_count(op_universe(&configs[0]).len() as u64, max_ops);
-    Ok(CheckReport {
-        configs: configs.len() as u64,
-        sequences,
-        runs: configs.len() as u64 * sequences,
-        wall_ms: u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX),
-        ..CheckReport::default()
-    })
+    exhaustive::<Machine>(&blocking_grid(fault), max_ops, jobs)
 }
 
-/// The non-blocking boundary configurations: depth 1..=4 × every retire-at
-/// mark × MSHR counts 1..=4 (or just `mshrs` when given), hazard forced to
-/// read-from-WB (the only policy the machine accepts), optionally with an
-/// injected fault. 40 `(config, mshrs)` pairs on the full grid.
-#[must_use]
-pub fn nonblocking_configs(
-    fault: Option<FaultInjection>,
-    mshrs: Option<usize>,
-) -> Vec<(MachineConfig, usize)> {
-    let mut out = Vec::new();
-    for depth in 1..=4usize {
-        for hw in 1..=depth {
-            for m in 1..=4usize {
-                if mshrs.is_some_and(|only| only != m) {
-                    continue;
-                }
-                let mut cfg = MachineConfig::baseline();
-                cfg.write_buffer.depth = depth;
-                cfg.write_buffer.retirement = RetirementPolicy::RetireAt(hw);
-                cfg.write_buffer.hazard = LoadHazardPolicy::ReadFromWb;
-                cfg.check_data = false;
-                cfg.fault = fault;
-                debug_assert!(cfg.validate().is_ok());
-                out.push((cfg, m));
-            }
-        }
-    }
-    out
-}
-
-/// [`InvariantObserver`] for the non-blocking machine. Two invariants
-/// change under overlap:
-///
-/// * the stall taxonomy is exclusive **per cause**, not per cycle: a store
-///   can find the buffer full in the same cycle a queued read sits behind
-///   an underway write, so a cycle may carry at most one `BufferFull` plus
-///   at most one `L2ReadAccess` — and nothing else (hazards never stall
-///   this machine; they merge into the fill);
-/// * loads have two terminal events: resolved-at-issue (checked at its
-///   program-order ordinal) or miss-to-MSHR (no architecturally returned
-///   value; the fill is checked through final memory instead).
-#[derive(Debug, Default)]
-struct NbInvariantObserver {
-    depth: u64,
-    /// Program-ordered terminal events: `Some` = resolved at issue with
-    /// this (addr, value); `None` = went to an MSHR.
-    loads: Vec<Option<(Addr, u64)>>,
-    cycles_seen: u64,
-    max_occupancy: u64,
-    stall_now: Option<u64>,
-    stall_kinds: Vec<wbsim_types::stall::StallKind>,
-    last_autonomous_retire_id: Option<u64>,
-    violation: Option<String>,
-}
-
-impl NbInvariantObserver {
-    fn new(cfg: &MachineConfig) -> Self {
-        NbInvariantObserver {
-            depth: cfg.write_buffer.depth as u64,
-            ..Self::default()
-        }
-    }
-
-    fn fail(&mut self, msg: String) {
-        if self.violation.is_none() {
-            self.violation = Some(msg);
-        }
-    }
-}
-
-impl Observer for NbInvariantObserver {
-    fn event(&mut self, ev: &Event) {
-        use wbsim_types::stall::StallKind;
-        match *ev {
-            Event::CycleEnd { now, occupancy } => {
-                self.cycles_seen += 1;
-                self.max_occupancy = self.max_occupancy.max(occupancy);
-                if occupancy > self.depth {
-                    self.fail(format!(
-                        "cycle {now}: occupancy {occupancy} exceeds depth {}",
-                        self.depth
-                    ));
-                }
-            }
-            Event::StallCycle { now, kind } => {
-                if self.stall_now != Some(now) {
-                    self.stall_now = Some(now);
-                    self.stall_kinds.clear();
-                }
-                if !matches!(kind, StallKind::BufferFull | StallKind::L2ReadAccess) {
-                    self.fail(format!(
-                        "cycle {now}: stall cause {kind:?} cannot occur on the \
-                         non-blocking machine (hazards merge into fills)"
-                    ));
-                }
-                if self.stall_kinds.contains(&kind) {
-                    self.fail(format!(
-                        "cycle {now}: stall cause {kind:?} charged twice in one \
-                         cycle; under overlap each cause is exclusive per cycle"
-                    ));
-                }
-                self.stall_kinds.push(kind);
-            }
-            Event::RetireStart { now, id, flush } if !flush => {
-                if let Some(prev) = self.last_autonomous_retire_id {
-                    if id <= prev {
-                        self.fail(format!(
-                            "cycle {now}: autonomous retirement of entry {id} \
-                             after entry {prev}; FIFO order requires strictly \
-                             increasing ids"
-                        ));
-                    }
-                }
-                self.last_autonomous_retire_id = Some(id);
-            }
-            Event::LoadResolved { addr, value, .. } => self.loads.push(Some((addr, value))),
-            Event::LoadMiss { .. } => self.loads.push(None),
-            _ => {}
-        }
-    }
-}
-
-/// Runs one sequence on the non-blocking machine with `mshrs` registers
-/// and checks every invariant: the per-event ones asserted by
-/// `NbInvariantObserver`, the per-cycle structural MSHR invariants (at
-/// most `mshrs` outstanding misses, never two to the same line), the
-/// architectural comparison (resolved-load values at their program-order
-/// ordinal, terminal-event count, and final memory — which also proves
-/// merge-on-fill: an unmerged fill installs a stale line that the final
-/// architectural read exposes), the high-water identity, and the
-/// conservation identities (minus cycle accounting — overlap is the whole
-/// point).
-///
-/// # Errors
-///
-/// Returns a human-readable description of the first violated invariant.
-///
-/// # Panics
-///
-/// Panics if `cfg`/`mshrs` are rejected by
-/// [`wbsim_sim::NonBlockingMachine::new`] — the checker explores behavior,
-/// not configuration validation.
-pub fn check_sequence_nonblocking(
-    cfg: &MachineConfig,
-    mshrs: usize,
-    ops: &[Op],
-) -> Result<(), String> {
-    let mut cfg = cfg.clone();
-    cfg.check_data = false;
-    let mut machine =
-        NonBlockingMachine::new(cfg.clone(), mshrs).expect("non-blocking configs are valid");
-    let mut obs = NbInvariantObserver::new(&cfg);
-    let mut iter = ops.iter().copied();
-    while machine.step(&mut iter, &mut obs) {
-        // Structural MSHR invariants live in machine state, invisible to
-        // the event stream: check them on every cycle.
-        let lines = machine.mshr_lines();
-        if lines.len() > mshrs {
-            return Err(format!(
-                "cycle {}: {} outstanding misses exceed the {mshrs} MSHRs",
-                machine.now(),
-                lines.len()
-            ));
-        }
-        for (i, line) in lines.iter().enumerate() {
-            if lines[..i].contains(line) {
-                return Err(format!(
-                    "cycle {}: two MSHRs outstanding for line {line:?}; \
-                     secondary misses must merge",
-                    machine.now()
-                ));
-            }
-        }
-        if machine.now() >= CYCLE_BUDGET {
-            return Err(format!(
-                "run exceeded the {CYCLE_BUDGET}-cycle liveness budget"
-            ));
-        }
-    }
-    if let Some(v) = obs.violation {
-        return Err(v);
-    }
-    let mut stats = *machine.stats();
-    stats.cycles = machine.now();
-
-    // Resolved loads at their program-order ordinal, and exactly one
-    // terminal event per load.
-    let mut oracle = ArchModel::new(cfg.geometry);
-    let expected = oracle.run(ops);
-    for (i, terminal) in obs.loads.iter().enumerate() {
-        let Some((addr, got)) = *terminal else {
-            continue;
-        };
-        let Some(&want) = expected.get(i) else {
-            break; // the count check below reports the mismatch
-        };
-        if got != want {
-            return Err(format!(
-                "load #{i} at {addr:?} observed {got:#x}, architectural model \
-                 says {want:#x} (stale or lost store)"
-            ));
-        }
-    }
-    if obs.loads.len() != expected.len() {
-        return Err(format!(
-            "machine terminated {} loads, stream has {}",
-            obs.loads.len(),
-            expected.len()
-        ));
-    }
-    // Final memory — the merge-on-fill oracle: a fill that skipped the
-    // write-buffer merge leaves a stale line in L1, which the
-    // architectural read (L1-first) exposes.
-    for op in ops {
-        if let Op::Load(addr) | Op::Store(addr) = *op {
-            let got = machine.read_word_architectural(addr);
-            let want = oracle.read_word(addr);
-            if got != want {
-                return Err(format!(
-                    "final memory at {addr:?}: machine reads {got:#x}, \
-                     architectural model says {want:#x}"
-                ));
-            }
-        }
-    }
-
-    let depth = cfg.write_buffer.depth as u64;
-    let hw = stats.wb_detail.high_water;
-    if hw != obs.max_occupancy || hw > depth {
-        return Err(format!(
-            "high-water mark {hw} disagrees with the event stream's maximum \
-             occupancy {} (depth {depth})",
-            obs.max_occupancy
-        ));
-    }
-
-    check_conservation(
-        &cfg,
-        &stats,
-        machine.wb_victim_allocs(),
-        machine.wb_occupancy() as u64,
-        obs.cycles_seen,
-        false, // misses overlap execution; cycle accounting is meaningless
-    )
-    .map_err(|d| format!("conservation identity violated: {d}"))
-}
-
-/// [`minimize`] against the non-blocking checker.
-fn minimize_nonblocking(cfg: &MachineConfig, mshrs: usize, ops: &[Op]) -> Vec<Op> {
-    let mut ops = ops.to_vec();
-    'outer: loop {
-        for i in 0..ops.len() {
-            let mut candidate = ops.clone();
-            candidate.remove(i);
-            if check_sequence_nonblocking(cfg, mshrs, &candidate).is_err() {
-                ops = candidate;
-                continue 'outer;
-            }
-        }
-        return ops;
-    }
-}
-
-pub(crate) fn counterexample_nonblocking(
-    cfg: &MachineConfig,
-    mshrs: usize,
-    ops: &[Op],
-) -> Box<Counterexample> {
-    let ops = minimize_nonblocking(cfg, mshrs, ops);
-    let violation = check_sequence_nonblocking(cfg, mshrs, &ops)
-        .expect_err("minimization preserves the violation");
-    let mut trace = TraceObserver::default();
-    let mut cfg_run = cfg.clone();
-    cfg_run.check_data = false;
-    let _ = NonBlockingMachine::new(cfg_run, mshrs)
-        .expect("non-blocking configs are valid")
-        .run_bounded(ops.iter().copied(), CYCLE_BUDGET, &mut trace);
-    Box::new(Counterexample {
-        config: cfg.clone(),
-        mshrs: Some(mshrs),
-        ops,
-        violation,
-        trace: trace.lines,
-    })
-}
-
-/// [`first_violating_sequence`] against the non-blocking checker.
-pub(crate) fn first_violating_sequence_nonblocking(
-    cfg: &MachineConfig,
-    mshrs: usize,
-    max_ops: u32,
-    abort: &dyn Fn() -> bool,
-) -> Option<Vec<Op>> {
-    let universe = op_universe(cfg);
-    let mut ops = Vec::with_capacity(max_ops as usize);
-    for len in 1..=max_ops as usize {
-        let mut odometer = vec![0usize; len];
-        loop {
-            if abort() {
-                return None;
-            }
-            ops.clear();
-            ops.extend(odometer.iter().map(|&i| universe[i]));
-            if check_sequence_nonblocking(cfg, mshrs, &ops).is_err() {
-                return Some(ops);
-            }
-            let mut pos = 0;
-            loop {
-                if pos == len {
-                    break;
-                }
-                odometer[pos] += 1;
-                if odometer[pos] < universe.len() {
-                    break;
-                }
-                odometer[pos] = 0;
-                pos += 1;
-            }
-            if pos == len {
-                break;
-            }
-        }
-    }
-    None
-}
-
-/// [`check_exhaustive`] for the non-blocking machine: every op sequence of
-/// length 1..=`max_ops` across the non-blocking grid (× MSHR counts 1–4,
-/// or just `mshrs` when given), with [`default_jobs`] worker threads.
-///
-/// # Errors
-///
-/// Returns the minimized, replayable [`Counterexample`] for the violation.
-pub fn check_exhaustive_nonblocking(
-    max_ops: u32,
-    fault: Option<FaultInjection>,
-    mshrs: Option<usize>,
-) -> Result<CheckReport, Box<Counterexample>> {
-    check_exhaustive_nonblocking_jobs(max_ops, fault, mshrs, default_jobs())
-}
-
-/// [`check_exhaustive_nonblocking`] with an explicit worker-thread count;
-/// byte-identical for every `jobs` value (only `wall_ms` varies), like
-/// [`check_exhaustive_jobs`].
+/// [`check_exhaustive_jobs`] for the non-blocking machine: every op
+/// sequence of length 1..=`max_ops` across the non-blocking grid (× MSHR
+/// counts 1–4, or just `mshrs` when given).
 ///
 /// # Errors
 ///
@@ -872,27 +774,27 @@ pub fn check_exhaustive_nonblocking_jobs(
     mshrs: Option<usize>,
     jobs: usize,
 ) -> Result<CheckReport, Box<Counterexample>> {
-    let start = Instant::now();
-    let configs = nonblocking_configs(fault, mshrs);
-    let outcome = run_indexed_earliest(configs.len(), jobs, |i, abort| {
-        let (cfg, m) = &configs[i];
-        match first_violating_sequence_nonblocking(cfg, *m, max_ops, abort) {
-            None => Ok(()),
-            Some(ops) => Err(ops),
+    exhaustive::<NonBlockingMachine>(&mshr_grid(fault, mshrs), max_ops, jobs)
+}
+
+fn exhaustive<M: SimMachine>(
+    points: &[Point],
+    max_ops: u32,
+    jobs: usize,
+) -> Result<CheckReport, Box<Counterexample>> {
+    let mut report = check_grid(points, jobs, |cfg, mshrs, abort| {
+        let universe = op_universe(cfg);
+        match first_violation(&universe, max_ops, abort, |ops| {
+            sequence::<M>(cfg, mshrs, ops).err()
+        }) {
+            None => Ok(Some(Explored::default())),
+            Some((ops, violation)) => Err(counterexample::<M>(cfg, mshrs, ops, violation)),
         }
-    });
-    if let Err((i, ops)) = outcome {
-        let (cfg, m) = &configs[i];
-        return Err(counterexample_nonblocking(cfg, *m, &ops));
-    }
-    let sequences = sequence_count(op_universe(&configs[0].0).len() as u64, max_ops);
-    Ok(CheckReport {
-        configs: configs.len() as u64,
-        sequences,
-        runs: configs.len() as u64 * sequences,
-        wall_ms: u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX),
-        ..CheckReport::default()
-    })
+    })?;
+    let universe = points.first().map_or(0, |(cfg, _)| op_universe(cfg).len());
+    report.sequences = sequence_count(universe as u64, max_ops);
+    report.runs = report.configs * report.sequences;
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -955,7 +857,7 @@ mod tests {
             let mut fewer = ce.ops.clone();
             fewer.remove(i);
             assert!(
-                check_sequence(&ce.config, &fewer).is_ok(),
+                check_sequence(&ce.config, None, &fewer).is_ok(),
                 "counterexample is not minimal: op {i} is removable"
             );
         }
@@ -1002,9 +904,27 @@ mod tests {
         }
     }
 
+    /// `--mshrs N` past the grid's 1-4 sweep still selects the 10
+    /// depth × retire-at shapes, at N registers — and the exhaustive check
+    /// over them is the 2-MSHR check again: two lines miss concurrently at
+    /// most, so capacity saturates at 2 on this universe.
+    #[test]
+    fn mshrs_above_the_sweep_select_ten_shapes_and_check_clean() {
+        let points = nonblocking_configs(None, Some(5));
+        assert_eq!(points.len(), 10);
+        assert!(points.iter().all(|&(_, m)| m == 5));
+        let mut five = check_exhaustive_nonblocking_jobs(2, None, Some(5), 1).expect("clean");
+        let mut two = check_exhaustive_nonblocking_jobs(2, None, Some(2), 1).expect("clean");
+        five.wall_ms = 0;
+        two.wall_ms = 0;
+        assert_eq!(five, two);
+        assert_eq!(five.configs, 10);
+    }
+
     #[test]
     fn short_nonblocking_exhaustive_check_is_clean() {
-        let report = check_exhaustive_nonblocking(3, None, None).expect("no violations");
+        let report = check_exhaustive_nonblocking_jobs(3, None, None, default_jobs())
+            .expect("no violations");
         assert_eq!(report.configs, 40);
         assert_eq!(report.sequences, 8 + 64 + 512);
         assert_eq!(report.runs, 40 * (8 + 64 + 512));
@@ -1012,8 +932,13 @@ mod tests {
 
     #[test]
     fn nonblocking_injected_fault_yields_minimized_replayable_counterexample() {
-        let ce = check_exhaustive_nonblocking(3, Some(FaultInjection::SkipWbForwarding), None)
-            .expect_err("an unmerged fill must corrupt final memory");
+        let ce = check_exhaustive_nonblocking_jobs(
+            3,
+            Some(FaultInjection::SkipWbForwarding),
+            None,
+            default_jobs(),
+        )
+        .expect_err("an unmerged fill must corrupt final memory");
         let m = ce
             .mshrs
             .expect("non-blocking counterexamples carry the MSHR count");
@@ -1023,7 +948,7 @@ mod tests {
             let mut fewer = ce.ops.clone();
             fewer.remove(i);
             assert!(
-                check_sequence_nonblocking(&ce.config, m, &fewer).is_ok(),
+                check_sequence(&ce.config, Some(m), &fewer).is_ok(),
                 "counterexample is not minimal: op {i} is removable"
             );
         }
@@ -1060,7 +985,7 @@ mod tests {
         for (cfg, m) in nonblocking_configs(None, None) {
             let u = op_universe(&cfg);
             // Store then load of the same word (hazard → MSHR merge path).
-            check_sequence_nonblocking(&cfg, m, &[u[0], u[1]]).expect("hazard pair is clean");
+            check_sequence(&cfg, Some(m), &[u[0], u[1]]).expect("hazard pair is clean");
         }
     }
 
@@ -1094,7 +1019,7 @@ mod tests {
         let cfgs = bounded_configs(None);
         let a = Addr::new(0);
         for cfg in &cfgs {
-            check_sequence(cfg, &[Op::Store(a), Op::Load(a)]).expect("hazard pair is clean");
+            check_sequence(cfg, None, &[Op::Store(a), Op::Load(a)]).expect("hazard pair is clean");
         }
     }
 }

@@ -62,6 +62,7 @@
 
 pub mod abstract_state;
 pub mod bounded;
+mod explore;
 pub mod lint;
 pub mod prop;
 pub mod prop_automaton;
@@ -75,35 +76,32 @@ pub use abstract_state::{
     canonical_state, AbsEntry, AbsLine, AbsMshr, AbsState, ShadowTracker, WordAbs,
 };
 pub use bounded::{
-    bounded_configs, check_exhaustive, check_exhaustive_jobs, check_exhaustive_nonblocking,
-    check_exhaustive_nonblocking_jobs, check_sequence, check_sequence_nonblocking, default_jobs,
-    nonblocking_configs, run_indexed_earliest, CheckReport, Counterexample,
+    bounded_configs, check_exhaustive, check_exhaustive_jobs, check_exhaustive_nonblocking_jobs,
+    check_sequence, default_jobs, nonblocking_configs, run_indexed_earliest, CheckReport,
+    Counterexample,
 };
 pub use lint::{
     config_error_diagnostic, lint_config, lint_grid, lint_nonblocking, parse_error_diagnostic,
     Rule, RULES,
 };
 pub use prop::{
-    builtin_library, builtin_library_text, check_props_sequence, check_props_sequence_nonblocking,
-    compile as compile_props, first_prop_violation, first_prop_violation_nonblocking, PropEnv,
-    PropRunner, PropViolation, SkippedProp, PROP_LIBRARY_VERSION,
+    builtin_library, builtin_library_text, check_props_sequence, compile as compile_props,
+    first_prop_violation, PropEnv, PropRunner, PropViolation, SkippedProp, PROP_LIBRARY_VERSION,
 };
 pub use prop_automaton::Monitors;
 pub use prop_parse::{parse_props, PropSet};
 pub use prop_product::{
-    check_props_reach, check_props_reach_config, check_props_reach_config_nonblocking,
-    check_props_reach_jobs, check_props_reach_nonblocking, check_props_reach_nonblocking_jobs,
+    check_props_reach_config, check_props_reach_jobs, check_props_reach_nonblocking_jobs,
     PropConfigStats, PropReport,
 };
 pub use reach::{
-    check_liveness_sequence, check_liveness_sequence_nonblocking, check_reach, check_reach_config,
-    check_reach_config_nonblocking, check_reach_jobs, check_reach_nonblocking,
+    check_liveness_sequence, check_reach_config, check_reach_config_nonblocking, check_reach_jobs,
     check_reach_nonblocking_jobs, ReachConfigStats, ReachViolation,
 };
 pub use refine::{
-    check_refine, check_refine_config, check_refine_config_nonblocking, check_refine_jobs,
-    check_refine_nonblocking, check_refine_nonblocking_jobs, first_divergence, read_event_stream,
-    refine_universe, RefineConfigStats, RefineViolation,
+    check_refine_config, check_refine_config_nonblocking, check_refine_jobs,
+    check_refine_nonblocking_jobs, first_divergence, read_event_stream, refine_universe,
+    RefineConfigStats, RefineViolation,
 };
 pub use sched::{
     classify as classify_execution, explore, replay as replay_schedule, FnHarness, HarnessResult,

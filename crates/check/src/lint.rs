@@ -521,7 +521,10 @@ mod tests {
         let mut m = MachineConfig::baseline();
         m.icache = wbsim_types::config::IcacheConfig::MissEvery { interval: 100 };
         let ds = lint_config(&m);
-        let d = ds.iter().find(|d| d.code == "LNT007").expect("LNT007 fires");
+        let d = ds
+            .iter()
+            .find(|d| d.code == "LNT007")
+            .expect("LNT007 fires");
         assert_eq!(d.severity, Severity::Info);
         assert_eq!(d.field_path, "icache");
         assert!(d.suggestion.is_some());

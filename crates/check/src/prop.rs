@@ -13,10 +13,9 @@
 //!   streams any JSONL trace through it and asks [`PropRunner::finish`] at
 //!   end of trace (a pending liveness obligation on a finite trace is a
 //!   violation — the trace is the whole run).
-//! * [`check_props_sequence`] / [`check_props_sequence_nonblocking`] run
-//!   one op sequence on a real machine, thread the monitors through every
-//!   cycle, and settle liveness on the terminal fair-drain schedule — the
-//!   bounded cross-validation side.
+//! * [`check_props_sequence`] runs one op sequence on either machine,
+//!   threads the monitors through every cycle, and settles liveness on the
+//!   terminal fair-drain schedule — the bounded cross-validation side.
 //! * [`crate::prop_product`] takes the same bundle into the unbounded
 //!   product with the abstract state graph.
 //!
@@ -24,15 +23,16 @@
 //! the paper's claims and is the default property set for
 //! `wbsim check --prop`.
 
-use wbsim_sim::{Event, Machine, MachineSnapshot, NonBlockingMachine, Observer};
+use wbsim_sim::{Event, Machine, MachineSnapshot, NonBlockingMachine, Observer, SimMachine};
+use wbsim_types::addr::LineAddr;
 use wbsim_types::config::MachineConfig;
 use wbsim_types::diagnostics::{Diagnostic, Severity};
 use wbsim_types::op::Op;
 
-use crate::bounded::{Counterexample, TraceObserver};
+use crate::bounded::{build, first_violation, minimize, op_universe, Counterexample};
 use crate::prop_automaton::{compile_property, policy_token, MonViolation, Monitors};
 use crate::prop_parse::{parse_props, CmpOp, PropSet, ValueExpr, WhereClause};
-use crate::reach::{universe_lines, DRAIN_WALK_BOUND, OP_CYCLE_BUDGET, STALL_PROBE_WINDOW};
+use crate::reach::{probe, replay, replay_trace, universe_lines, DRAIN_WALK_BOUND};
 
 /// Version of the built-in property library. Part of the check-job cache
 /// key: bump it whenever `props/paper.wbp` changes so cached check results
@@ -98,6 +98,12 @@ impl PropEnv {
             depth: Some(cfg.write_buffer.depth as u64),
             mshrs: Some(mshrs as u64),
         }
+    }
+
+    /// The machine a grid point selects: the non-blocking one with `mshrs`
+    /// registers, or the blocking one for `None`.
+    pub(crate) fn of_point(cfg: &MachineConfig, mshrs: Option<usize>) -> Self {
+        mshrs.map_or_else(|| Self::blocking(cfg), |m| Self::nonblocking(cfg, m))
     }
 
     fn resolve_int(&self, sym: &str) -> Option<u64> {
@@ -319,11 +325,8 @@ impl Observer for PropRunner {
     }
 }
 
-/// Drain bound for the bounded drivers (the reach checker's defensive
-/// bound fits here too).
-const PROP_DRAIN_BOUND: usize = DRAIN_WALK_BOUND;
-
-/// Runs one op sequence on the blocking machine under `cfg` and checks the
+/// Runs one op sequence — on the non-blocking machine with `mshrs`
+/// registers, or on the blocking machine for `None` — and checks the
 /// property set over the full run, including the terminal fair-drain
 /// schedule: a safety violation surfaces at its event; liveness
 /// obligations must discharge by the time the drain terminates (a drain
@@ -335,118 +338,63 @@ const PROP_DRAIN_BOUND: usize = DRAIN_WALK_BOUND;
 ///
 /// # Panics
 ///
-/// Panics if `cfg` fails [`MachineConfig::validate`] — like the other
-/// checkers, this explores behavior of valid configurations only.
+/// Panics if the machine rejects `cfg`/`mshrs` — like the other checkers,
+/// this explores behavior of valid configurations only.
 pub fn check_props_sequence(
     cfg: &MachineConfig,
+    mshrs: Option<usize>,
     set: &PropSet,
     ops: &[Op],
 ) -> Result<(), PropViolation> {
-    let mut cfg = cfg.clone();
-    cfg.check_data = false;
-    let env = PropEnv::blocking(&cfg);
-    let (monitors, _) = compile(set, &env);
-    if monitors.is_empty() {
-        return Ok(());
+    match mshrs {
+        None => props_sequence::<Machine>(cfg, mshrs, set, ops),
+        Some(_) => props_sequence::<NonBlockingMachine>(cfg, mshrs, set, ops),
     }
-    let lines = universe_lines(&cfg);
-    let mut runner = PropRunner::new(monitors);
-    let mut m = Machine::new(cfg).expect("caller validates the configuration");
-    for &op in ops {
-        if m.run_op_bounded(op, OP_CYCLE_BUDGET, &mut runner).is_none() {
-            // The op wedged: give the machine a probe window, then any
-            // still-pending obligation is undischargeable.
-            for _ in 0..STALL_PROBE_WINDOW {
-                if !m.step(&mut std::iter::empty(), &mut runner) {
-                    break;
-                }
-            }
-            if let Some(v) = runner.take_violation() {
-                return Err(v);
-            }
-            return runner.pending_violation().map_or(Ok(()), Err);
-        }
-        if let Some(v) = runner.take_violation() {
-            return Err(v);
-        }
-    }
-    settle_drain(&mut runner, |obs| {
-        let s = m.snapshot(&lines);
-        (s, m.drain_step(obs))
-    })
 }
 
-/// [`check_props_sequence`] on the non-blocking machine with `mshrs`
-/// registers.
-///
-/// # Errors
-///
-/// The first [`PropViolation`].
-///
-/// # Panics
-///
-/// Panics if `cfg`/`mshrs` are rejected by
-/// [`wbsim_sim::NonBlockingMachine::new`].
-pub fn check_props_sequence_nonblocking(
+fn props_sequence<M: SimMachine>(
     cfg: &MachineConfig,
-    mshrs: usize,
+    mshrs: Option<usize>,
     set: &PropSet,
     ops: &[Op],
 ) -> Result<(), PropViolation> {
-    let mut cfg = cfg.clone();
-    cfg.check_data = false;
-    let env = PropEnv::nonblocking(&cfg, mshrs);
-    let (monitors, _) = compile(set, &env);
+    let (monitors, _) = compile(set, &PropEnv::of_point(cfg, mshrs));
     if monitors.is_empty() {
         return Ok(());
     }
-    let lines = universe_lines(&cfg);
     let mut runner = PropRunner::new(monitors);
-    let mut m = NonBlockingMachine::new(cfg, mshrs).expect("caller validates the configuration");
-    for &op in ops {
-        if m.run_op_bounded(op, OP_CYCLE_BUDGET, &mut runner).is_none() {
-            for _ in 0..STALL_PROBE_WINDOW {
-                if !m.step(&mut std::iter::empty(), &mut runner) {
-                    break;
-                }
-            }
-            if let Some(v) = runner.take_violation() {
-                return Err(v);
-            }
-            return runner.pending_violation().map_or(Ok(()), Err);
-        }
-        if let Some(v) = runner.take_violation() {
-            return Err(v);
-        }
+    let mut m: M = build(cfg, mshrs);
+    if !replay(&mut m, ops, &mut runner) {
+        // An op wedged: give the machine a probe window, then any
+        // still-pending obligation is undischargeable.
+        probe(&mut m, &mut runner);
+        return runner.finish().map_or(Ok(()), Err);
     }
-    settle_drain(&mut runner, |obs| {
-        let s = m.snapshot(&lines);
-        (s, m.drain_step(obs))
-    })
+    settle_drain(&mut runner, &mut m, &universe_lines(cfg))
 }
 
 /// Walks the terminal fair-drain schedule under the monitors. Snapshots
 /// are time-shift invariant and frozen during a drain, so a repeat is a
 /// cycle: obligations pending there never discharge.
-fn settle_drain(
+fn settle_drain<M: SimMachine>(
     runner: &mut PropRunner,
-    mut drain: impl FnMut(&mut PropRunner) -> (MachineSnapshot, bool),
+    m: &mut M,
+    lines: &[LineAddr],
 ) -> Result<(), PropViolation> {
+    if let Some(v) = runner.take_violation() {
+        return Err(v);
+    }
     let mut seen: Vec<MachineSnapshot> = Vec::new();
     loop {
+        let s = m.snapshot(lines);
+        let stepped = m.drain_step(runner);
         if let Some(v) = runner.take_violation() {
             return Err(v);
         }
-        let (s, stepped) = drain(runner);
-        if let Some(v) = runner.take_violation() {
-            return Err(v);
-        }
-        if !stepped {
-            // Drain terminated: the run is over; anything still pending is
-            // a violation on this (complete, finite) run.
-            return runner.pending_violation().map_or(Ok(()), Err);
-        }
-        if seen.contains(&s) || seen.len() > PROP_DRAIN_BOUND {
+        // A terminated drain ends the (complete, finite) run; a cycling
+        // one never discharges anything: either way, whatever is still
+        // pending is a violation.
+        if !stepped || seen.contains(&s) || seen.len() > DRAIN_WALK_BOUND {
             return runner.pending_violation().map_or(Ok(()), Err);
         }
         seen.push(s);
@@ -454,200 +402,53 @@ fn settle_drain(
 }
 
 /// Enumerates op sequences of length 1..=`max_ops` in odometer order and
-/// returns the first that violates the property set, with its violation.
+/// returns the first that violates the property set on the machine
+/// `mshrs` selects (`None`: the blocking machine), with its violation.
 /// `abort` is polled once per sequence.
 #[must_use]
 pub fn first_prop_violation(
     cfg: &MachineConfig,
-    set: &PropSet,
-    max_ops: u32,
-    abort: &dyn Fn() -> bool,
-) -> Option<(Vec<Op>, PropViolation)> {
-    first_violation_impl(cfg, max_ops, abort, |ops| {
-        check_props_sequence(cfg, set, ops).err()
-    })
-}
-
-/// [`first_prop_violation`] on the non-blocking machine.
-#[must_use]
-pub fn first_prop_violation_nonblocking(
-    cfg: &MachineConfig,
-    mshrs: usize,
-    set: &PropSet,
-    max_ops: u32,
-    abort: &dyn Fn() -> bool,
-) -> Option<(Vec<Op>, PropViolation)> {
-    first_violation_impl(cfg, max_ops, abort, |ops| {
-        check_props_sequence_nonblocking(cfg, mshrs, set, ops).err()
-    })
-}
-
-fn first_violation_impl(
-    cfg: &MachineConfig,
-    max_ops: u32,
-    abort: &dyn Fn() -> bool,
-    check: impl Fn(&[Op]) -> Option<PropViolation>,
-) -> Option<(Vec<Op>, PropViolation)> {
-    let universe = crate::bounded::op_universe(cfg);
-    let mut ops = Vec::with_capacity(max_ops as usize);
-    for len in 1..=max_ops as usize {
-        let mut odometer = vec![0usize; len];
-        loop {
-            if abort() {
-                return None;
-            }
-            ops.clear();
-            ops.extend(odometer.iter().map(|&i| universe[i]));
-            if let Some(v) = check(&ops) {
-                return Some((ops, v));
-            }
-            let mut pos = 0;
-            loop {
-                if pos == len {
-                    break;
-                }
-                odometer[pos] += 1;
-                if odometer[pos] < universe.len() {
-                    break;
-                }
-                odometer[pos] = 0;
-                pos += 1;
-            }
-            if pos == len {
-                break;
-            }
-        }
-    }
-    None
-}
-
-/// Greedy 1-minimization preserving "violates the set with the same
-/// liveness class" — a safety witness stays a safety witness, so the
-/// minimized counterexample replays the same kind of failure.
-pub(crate) fn minimize_props(
-    cfg: &MachineConfig,
     mshrs: Option<usize>,
     set: &PropSet,
-    ops: &[Op],
-    want_liveness: bool,
-) -> Vec<Op> {
-    let still_violates = |ops: &[Op]| -> bool {
-        let r = match mshrs {
-            None => check_props_sequence(cfg, set, ops),
-            Some(m) => check_props_sequence_nonblocking(cfg, m, set, ops),
-        };
-        matches!(r, Err(v) if v.liveness == want_liveness)
-    };
-    let mut ops = ops.to_vec();
-    'outer: loop {
-        for i in 0..ops.len() {
-            let mut candidate = ops.clone();
-            candidate.remove(i);
-            if still_violates(&candidate) {
-                ops = candidate;
-                continue 'outer;
-            }
-        }
-        return ops;
-    }
-}
-
-/// Replays `ops` under a trace collector: the ops, the wedged-stall probe
-/// window if an op never completes, and otherwise the terminal drain up to
-/// one full period (so a liveness counterexample's trace visibly never
-/// retires, and a safety counterexample's trace contains its bad event).
-pub(crate) fn prop_trace(cfg: &MachineConfig, mshrs: Option<usize>, ops: &[Op]) -> Vec<String> {
-    let mut cfg = cfg.clone();
-    cfg.check_data = false;
-    let lines = universe_lines(&cfg);
-    let mut trace = TraceObserver::default();
-    match mshrs {
-        None => {
-            let mut m = Machine::new(cfg).expect("caller validates the configuration");
-            for &op in ops {
-                if m.run_op_bounded(op, OP_CYCLE_BUDGET, &mut trace).is_none() {
-                    for _ in 0..STALL_PROBE_WINDOW {
-                        if !m.step(&mut std::iter::empty(), &mut trace) {
-                            break;
-                        }
-                    }
-                    return trace.lines;
-                }
-            }
-            let mut seen: Vec<MachineSnapshot> = Vec::new();
-            loop {
-                let s = m.snapshot(&lines);
-                if seen.contains(&s) || seen.len() > PROP_DRAIN_BOUND {
-                    return trace.lines;
-                }
-                seen.push(s);
-                if !m.drain_step(&mut trace) {
-                    return trace.lines;
-                }
-            }
-        }
-        Some(mshrs) => {
-            let mut m =
-                NonBlockingMachine::new(cfg, mshrs).expect("caller validates the configuration");
-            for &op in ops {
-                if m.run_op_bounded(op, OP_CYCLE_BUDGET, &mut trace).is_none() {
-                    for _ in 0..STALL_PROBE_WINDOW {
-                        if !m.step(&mut std::iter::empty(), &mut trace) {
-                            break;
-                        }
-                    }
-                    return trace.lines;
-                }
-            }
-            let mut seen: Vec<MachineSnapshot> = Vec::new();
-            loop {
-                let s = m.snapshot(&lines);
-                if seen.contains(&s) || seen.len() > PROP_DRAIN_BOUND {
-                    return trace.lines;
-                }
-                seen.push(s);
-                if !m.drain_step(&mut trace) {
-                    return trace.lines;
-                }
-            }
-        }
-    }
+    max_ops: u32,
+    abort: &dyn Fn() -> bool,
+) -> Option<(Vec<Op>, PropViolation)> {
+    first_violation(&op_universe(cfg), max_ops, abort, |ops| {
+        check_props_sequence(cfg, mshrs, set, ops).err()
+    })
 }
 
 /// Minimizes a property-violating sequence and packages it as a replayable
-/// counterexample. `fallback` covers the (unreachable in practice) case
-/// where re-checking the minimized sequence stops violating.
-pub(crate) fn prop_counterexample(
+/// counterexample. The minimization preserves "violates the set with the
+/// same liveness class" — a safety witness stays a safety witness, so the
+/// minimized counterexample replays the same kind of failure. `fallback`
+/// covers the (unreachable in practice) case where re-checking the
+/// sequence stops violating.
+pub(crate) fn prop_counterexample<M: SimMachine>(
     cfg: &MachineConfig,
     mshrs: Option<usize>,
     set: &PropSet,
     ops: &[Op],
     fallback: &PropViolation,
 ) -> (PropViolation, Box<Counterexample>) {
-    let can_minimize = {
-        let r = match mshrs {
-            None => check_props_sequence(cfg, set, ops),
-            Some(m) => check_props_sequence_nonblocking(cfg, m, set, ops),
-        };
-        matches!(&r, Err(v) if v.liveness == fallback.liveness)
+    let same_class = |ops: &[Op]| {
+        props_sequence::<M>(cfg, mshrs, set, ops)
+            .err()
+            .filter(|v| v.liveness == fallback.liveness)
     };
-    let ops = if can_minimize {
-        minimize_props(cfg, mshrs, set, ops, fallback.liveness)
-    } else {
-        ops.to_vec()
+    let (ops, violation) = match props_sequence::<M>(cfg, mshrs, set, ops) {
+        Err(v) if v.liveness == fallback.liveness => minimize(ops.to_vec(), v, same_class),
+        other => (
+            ops.to_vec(),
+            other.err().unwrap_or_else(|| fallback.clone()),
+        ),
     };
-    let violation = match mshrs {
-        None => check_props_sequence(cfg, set, &ops).err(),
-        Some(m) => check_props_sequence_nonblocking(cfg, m, set, &ops).err(),
-    }
-    .unwrap_or_else(|| fallback.clone());
-    let trace = prop_trace(cfg, mshrs, &ops);
     let ce = Box::new(Counterexample {
         config: cfg.clone(),
         mshrs,
+        trace: replay_trace::<M>(cfg, mshrs, &ops),
         ops,
         violation: violation.render(),
-        trace,
     });
     (violation, ce)
 }
@@ -725,7 +526,7 @@ mod tests {
                     Op::Load(a(1, 1)),
                 ],
             ] {
-                check_props_sequence(&cfg, &set, &ops)
+                check_props_sequence(&cfg, None, &set, &ops)
                     .unwrap_or_else(|v| panic!("{hazard:?} {ops:?}: {}", v.render()));
             }
         }
@@ -740,7 +541,7 @@ mod tests {
             LoadHazardPolicy::FlushFull,
             Some(FaultInjection::StarveRetirement),
         );
-        let v = check_props_sequence(&cfg, &set, &[Op::Store(a(0, 0))])
+        let v = check_props_sequence(&cfg, None, &set, &[Op::Store(a(0, 0))])
             .expect_err("a starved buffer never discharges eventual-drain");
         assert!(v.liveness);
         assert_eq!(v.property, "eventual-drain");
@@ -759,13 +560,14 @@ mod tests {
             Some(FaultInjection::SkipWbForwarding),
         );
         let ops = [Op::Store(a(0, 0)), Op::Load(a(0, 0))];
-        let v = check_props_sequence(&cfg, &set, &ops).expect_err("unmerged fill in the window");
+        let v =
+            check_props_sequence(&cfg, None, &set, &ops).expect_err("unmerged fill in the window");
         assert!(!v.liveness);
         assert_eq!(v.property, "no-stale-forward");
         assert_eq!(v.diagnostic().code, "PRP100");
         // The clean machine is fine on the same sequence.
         let clean = cfg_with(2, 2, LoadHazardPolicy::ReadFromWb, None);
-        check_props_sequence(&clean, &set, &ops).expect("clean forwarding");
+        check_props_sequence(&clean, None, &set, &ops).expect("clean forwarding");
     }
 
     #[test]
@@ -778,9 +580,9 @@ mod tests {
             Some(FaultInjection::StarveRetirement),
         );
         let (ops, v) =
-            first_prop_violation(&cfg, &set, 2, &|| false).expect("starvation is caught");
+            first_prop_violation(&cfg, None, &set, 2, &|| false).expect("starvation is caught");
         assert_eq!(ops.len(), 1, "odometer order finds the 1-op witness first");
-        let (v2, ce) = prop_counterexample(&cfg, None, &set, &ops, &v);
+        let (v2, ce) = prop_counterexample::<Machine>(&cfg, None, &set, &ops, &v);
         assert_eq!(v2.property, "eventual-drain");
         assert_eq!(ce.ops.len(), 1);
         assert!(
@@ -799,7 +601,7 @@ mod tests {
                 vec![Op::Store(a(0, 0)), Op::Load(a(0, 0))],
                 vec![Op::Load(a(0, 0)), Op::Store(a(0, 0)), Op::Load(a(1, 0))],
             ] {
-                check_props_sequence_nonblocking(&cfg, mshrs, &set, &ops)
+                check_props_sequence(&cfg, Some(mshrs), &set, &ops)
                     .unwrap_or_else(|v| panic!("mshrs={mshrs} {ops:?}: {}", v.render()));
             }
         }

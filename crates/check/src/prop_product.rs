@@ -23,28 +23,24 @@
 //! therefore `min` over the two paired permutations (identity, swapped) —
 //! see `abstract_state::abstract_both` and [`Monitors::key`].
 
-use std::collections::{HashMap, VecDeque};
-use std::time::Instant;
+use std::collections::HashMap;
 
-use wbsim_sim::{Event, Machine, MachineSnapshot, NonBlockingMachine, Observer};
+use wbsim_sim::{Event, Machine, MachineSnapshot, NonBlockingMachine, Observer, SimMachine};
 use wbsim_types::addr::{Geometry, LineAddr};
 use wbsim_types::config::MachineConfig;
 use wbsim_types::divergence::FaultInjection;
-use wbsim_types::json;
 use wbsim_types::op::Op;
 
 use crate::abstract_state::{abstract_both, AbsState, ShadowTracker};
-use crate::bounded::{
-    bounded_configs, default_jobs, nonblocking_configs, op_universe, run_indexed_earliest,
-};
+use crate::bounded::{blocking_grid, build, check_grid, mshr_grid, op_universe, unchecked, Point};
+use crate::explore::{explore, Edge, Explored};
 use crate::prop::{
     compile, pending_violation_of, prop_counterexample, violation_of, PropEnv, PropViolation,
 };
 use crate::prop_automaton::{MonKey, MonViolation, Monitors};
 use crate::prop_parse::PropSet;
 use crate::reach::{
-    gate, rch_diagnostic, universe_lines, GateReject, ReachViolation, DRAIN_WALK_BOUND,
-    OP_CYCLE_BUDGET, STALL_PROBE_WINDOW,
+    gate, probe, universe_lines, ReachViolation, DRAIN_WALK_BOUND, OP_CYCLE_BUDGET,
 };
 
 /// Per-configuration product statistics.
@@ -99,131 +95,49 @@ fn joint_key(
     std::cmp::min((a, ka), (b, kb))
 }
 
-/// The two machines, seen through what the product needs. `impl Observer`
-/// arguments keep the machines' generic observer plumbing monomorphized.
-trait ProductMachine: Clone {
-    fn snap(&self, lines: &[LineAddr]) -> MachineSnapshot;
-    fn run_op_obs(&mut self, op: Op, obs: &mut impl Observer) -> bool;
-    fn step_obs(&mut self, obs: &mut impl Observer) -> bool;
-    fn drain_step_obs(&mut self, obs: &mut impl Observer) -> bool;
-}
-
-impl ProductMachine for Machine {
-    fn snap(&self, lines: &[LineAddr]) -> MachineSnapshot {
-        self.snapshot(lines)
-    }
-    fn run_op_obs(&mut self, op: Op, obs: &mut impl Observer) -> bool {
-        self.run_op_bounded(op, OP_CYCLE_BUDGET, obs).is_some()
-    }
-    fn step_obs(&mut self, obs: &mut impl Observer) -> bool {
-        self.step(&mut std::iter::empty::<Op>(), obs)
-    }
-    fn drain_step_obs(&mut self, obs: &mut impl Observer) -> bool {
-        self.drain_step(obs)
-    }
-}
-
-impl ProductMachine for NonBlockingMachine {
-    fn snap(&self, lines: &[LineAddr]) -> MachineSnapshot {
-        self.snapshot(lines)
-    }
-    fn run_op_obs(&mut self, op: Op, obs: &mut impl Observer) -> bool {
-        self.run_op_bounded(op, OP_CYCLE_BUDGET, obs).is_some()
-    }
-    fn step_obs(&mut self, obs: &mut impl Observer) -> bool {
-        self.step(&mut std::iter::empty::<Op>(), obs)
-    }
-    fn drain_step_obs(&mut self, obs: &mut impl Observer) -> bool {
-        self.drain_step(obs)
-    }
-}
-
-/// Steps the monitors on every event and maintains the shadow map (the
-/// abstraction needs it; the reach checker's own invariants are *not*
-/// re-checked here — that is [`crate::check_reach`]'s job).
-struct ProductObserver<'a> {
+/// Steps the monitors on every event, latching the first violation, and
+/// maintains the shadow map when given one (the abstraction needs it; the
+/// reach checker's own invariants are *not* re-checked here — that is
+/// [`crate::check_reach_jobs`]'s job). Drain walks need no shadow map: no
+/// store can occur.
+struct MonitorObserver<'a> {
     g: Geometry,
-    shadow: &'a mut ShadowTracker,
+    shadow: Option<&'a mut ShadowTracker>,
     mons: &'a mut Monitors,
-    violation: &'a mut Option<MonViolation>,
+    violation: Option<MonViolation>,
 }
 
-impl Observer for ProductObserver<'_> {
+impl Observer for MonitorObserver<'_> {
     fn event(&mut self, ev: &Event) {
-        if let Event::StoreAccepted { addr, .. } = *ev {
-            self.shadow.record_store(self.g.word_addr(addr));
+        if let (Event::StoreAccepted { addr, .. }, Some(shadow)) = (ev, &mut self.shadow) {
+            shadow.record_store(self.g.word_addr(*addr));
         }
         if let Some(v) = self.mons.step(ev) {
-            if self.violation.is_none() {
-                *self.violation = Some(v);
-            }
+            self.violation.get_or_insert(v);
         }
     }
 }
 
-/// Monitor stepping only (drain walks: no stores can occur).
-struct MonStep<'a> {
-    mons: &'a mut Monitors,
-    violation: &'a mut Option<MonViolation>,
-}
-
-impl Observer for MonStep<'_> {
-    fn event(&mut self, ev: &Event) {
-        if let Some(v) = self.mons.step(ev) {
-            if self.violation.is_none() {
-                *self.violation = Some(v);
-            }
-        }
-    }
-}
-
-/// A BFS node: concrete representative (dropped once expanded), shadow
-/// map, and the monitor bundle as of this state.
-struct PNode<M> {
-    machine: Option<M>,
+/// A product state: the concrete representative, its shadow map, and the
+/// monitor bundle as of this state.
+#[derive(Clone)]
+struct PState<M> {
+    machine: M,
     shadow: ShadowTracker,
     mons: Monitors,
-    parent: Option<(usize, Op)>,
-}
-
-fn path_ops<M>(nodes: &[PNode<M>], idx: usize, last: Option<Op>) -> Vec<Op> {
-    let mut ops = Vec::new();
-    let mut i = idx;
-    while let Some((p, op)) = nodes[i].parent {
-        ops.push(op);
-        i = p;
-    }
-    ops.reverse();
-    ops.extend(last);
-    ops
-}
-
-fn gate_violation(reject: &GateReject) -> Box<ReachViolation> {
-    Box::new(ReachViolation {
-        diagnostic: rch_diagnostic(
-            "RCH003",
-            &reject.field,
-            format!(
-                "configuration is outside the abstractable class: {}",
-                reject.why
-            ),
-        )
-        .with_suggestion(reject.suggestion.clone()),
-        counterexample: None,
-    })
 }
 
 /// Packages a property violation witnessed by `ops` as a reach-style
 /// violation: minimized, with a replayable trace, diagnosed `PRP100` or
 /// `PRP101`.
-fn prop_reach_violation(
+fn prop_reach_violation<M: SimMachine>(
     cfg: &MachineConfig,
     mshrs: Option<usize>,
     set: &PropSet,
     ops: &[Op],
     fallback: &PropViolation,
 ) -> Box<ReachViolation> {
-    let (violation, ce) = prop_counterexample(cfg, mshrs, set, ops, fallback);
+    let (violation, ce) = prop_counterexample::<M>(cfg, mshrs, set, ops, fallback);
     Box::new(ReachViolation {
         diagnostic: violation.diagnostic(),
         counterexample: Some(ce),
@@ -237,7 +151,7 @@ fn prop_reach_violation(
 /// it). Clean and liveness verdicts are memoized by joint key; the walk
 /// is deterministic and both halves of the key are canonical under the
 /// same renaming, so the verdict is path-independent.
-fn drain_walk<M: ProductMachine>(
+fn drain_walk<M: SimMachine>(
     m: &M,
     mons: &Monitors,
     g: &Geometry,
@@ -249,7 +163,7 @@ fn drain_walk<M: ProductMachine>(
     let mut mons = mons.clone();
     let mut path: Vec<JointKey> = Vec::new();
     let verdict = loop {
-        let key = joint_key(g, &m.snap(lines.as_slice()), shadow, &mons);
+        let key = joint_key(g, &m.snapshot(lines.as_slice()), shadow, &mons);
         if let Some(v) = memo.get(&key) {
             break v.clone();
         }
@@ -257,15 +171,14 @@ fn drain_walk<M: ProductMachine>(
             break pending_violation_of(&mons);
         }
         path.push(key);
-        let mut mviol: Option<MonViolation> = None;
-        let stepped = {
-            let mut obs = MonStep {
-                mons: &mut mons,
-                violation: &mut mviol,
-            };
-            m.drain_step_obs(&mut obs)
+        let mut obs = MonitorObserver {
+            g: *g,
+            shadow: None,
+            mons: &mut mons,
+            violation: None,
         };
-        if let Some(v) = mviol {
+        let stepped = m.drain_step(&mut obs);
+        if let Some(v) = obs.violation {
             // A safety event mid-drain. Its detail is position-specific,
             // so return without memoizing the path.
             return Some(violation_of(&mons, &v));
@@ -281,175 +194,73 @@ fn drain_walk<M: ProductMachine>(
 }
 
 /// Explores the product of one configuration's abstract state graph with
-/// the monitor automata, to closure. `cfg` has passed the gate and has
-/// `check_data` already cleared; `m0` is its initial machine. Returns
-/// `Ok(None)` only when `abort` fired.
-fn explore_props<M: ProductMachine>(
+/// the monitor automata on machine `M`, to closure. Returns `Ok(None)`
+/// only when `abort` fired.
+fn explore_props<M: SimMachine>(
     cfg: &MachineConfig,
-    m0: M,
-    mons0: Monitors,
     mshrs: Option<usize>,
     set: &PropSet,
     abort: &dyn Fn() -> bool,
-) -> Result<Option<PropConfigStats>, Box<ReachViolation>> {
+) -> Result<Option<Explored>, Box<ReachViolation>> {
+    gate(cfg).map_err(ReachViolation::bare)?;
+    let cfg = &unchecked(cfg);
+    let (mons, _) = compile(set, &PropEnv::of_point(cfg, mshrs));
+    if mons.is_empty() {
+        return Ok(Some(Explored::default()));
+    }
     let g = cfg.geometry;
     let lines = universe_lines(cfg);
-    let universe = op_universe(cfg);
-    let shadow0 = ShadowTracker::default();
+    let root = PState::<M> {
+        machine: build(cfg, mshrs),
+        shadow: ShadowTracker::default(),
+        mons,
+    };
     let mut drain_memo: HashMap<JointKey, Option<PropViolation>> = HashMap::new();
-    if let Some(pv) = drain_walk(&m0, &mons0, &g, &lines, &shadow0, &mut drain_memo) {
-        return Err(prop_reach_violation(cfg, mshrs, set, &[], &pv));
-    }
-    let s0 = joint_key(&g, &m0.snap(&lines), &shadow0, &mons0);
-    let mut nodes = vec![PNode {
-        machine: Some(m0),
-        shadow: shadow0,
-        mons: mons0,
-        parent: None,
-    }];
-    let mut visited: HashMap<JointKey, usize> = HashMap::from([(s0, 0)]);
-    let mut queue: VecDeque<usize> = VecDeque::from([0]);
-    let mut edges: u64 = 0;
-
-    while let Some(idx) = queue.pop_front() {
-        if abort() {
-            return Ok(None);
-        }
-        let machine = nodes[idx].machine.take().expect("nodes expand once");
-        for &op in &universe {
-            let mut m = machine.clone();
-            let mut shadow = nodes[idx].shadow.clone();
-            let mut mons = nodes[idx].mons.clone();
-            let mut mviol: Option<MonViolation> = None;
-            let completed = {
-                let mut obs = ProductObserver {
-                    g,
-                    shadow: &mut shadow,
-                    mons: &mut mons,
-                    violation: &mut mviol,
-                };
-                m.run_op_obs(op, &mut obs)
+    explore(
+        root,
+        &op_universe(cfg),
+        abort,
+        |s| joint_key(&g, &s.machine.snapshot(&lines), &s.shadow, &s.mons),
+        |s, op| {
+            let mut next = s.clone();
+            let mut obs = MonitorObserver {
+                g,
+                shadow: Some(&mut next.shadow),
+                mons: &mut next.mons,
+                violation: None,
             };
-            if let Some(v) = mviol.take() {
-                let pv = violation_of(&mons, &v);
-                return Err(prop_reach_violation(
-                    cfg,
-                    mshrs,
-                    set,
-                    &path_ops(&nodes, idx, Some(op)),
-                    &pv,
-                ));
-            }
+            let completed = next
+                .machine
+                .run_op_bounded(op, OP_CYCLE_BUDGET, &mut obs)
+                .is_some();
             if !completed {
                 // The op wedged. Monitors keep watching through the probe
                 // window; if an obligation is still pending afterwards,
                 // this (stuck) branch can never discharge it. A wedge with
                 // no pending obligation is not a *property* failure — the
                 // reach checker diagnoses the livelock itself.
-                {
-                    let mut obs = ProductObserver {
-                        g,
-                        shadow: &mut shadow,
-                        mons: &mut mons,
-                        violation: &mut mviol,
-                    };
-                    for _ in 0..STALL_PROBE_WINDOW {
-                        if !m.step_obs(&mut obs) {
-                            break;
-                        }
-                    }
-                }
-                if let Some(v) = mviol.take() {
-                    let pv = violation_of(&mons, &v);
-                    return Err(prop_reach_violation(
-                        cfg,
-                        mshrs,
-                        set,
-                        &path_ops(&nodes, idx, Some(op)),
-                        &pv,
-                    ));
-                }
-                if let Some(pv) = pending_violation_of(&mons) {
-                    return Err(prop_reach_violation(
-                        cfg,
-                        mshrs,
-                        set,
-                        &path_ops(&nodes, idx, Some(op)),
-                        &pv,
-                    ));
-                }
-                continue;
+                probe(&mut next.machine, &mut obs);
             }
-            edges += 1;
-            let key = joint_key(&g, &m.snap(&lines), &shadow, &mons);
-            if visited.contains_key(&key) {
-                continue;
+            if let Some(v) = obs.violation {
+                return Err(violation_of(&next.mons, &v));
             }
-            if let Some(pv) = drain_walk(&m, &mons, &g, &lines, &shadow, &mut drain_memo) {
-                return Err(prop_reach_violation(
-                    cfg,
-                    mshrs,
-                    set,
-                    &path_ops(&nodes, idx, Some(op)),
-                    &pv,
-                ));
+            if completed {
+                return Ok(Edge::To(next));
             }
-            visited.insert(key, nodes.len());
-            queue.push_back(nodes.len());
-            nodes.push(PNode {
-                machine: Some(m),
-                shadow,
-                mons,
-                parent: Some((idx, op)),
-            });
-        }
-    }
-    Ok(Some(PropConfigStats {
-        states: nodes.len() as u64,
-        edges,
-    }))
+            pending_violation_of(&next.mons).map_or(Ok(Edge::Pruned), Err)
+        },
+        |s| {
+            drain_walk(&s.machine, &s.mons, &g, &lines, &s.shadow, &mut drain_memo)
+                .map_or(Ok(()), Err)
+        },
+    )
+    .map_err(|(ops, pv)| prop_reach_violation::<M>(cfg, mshrs, set, &ops, &pv))
 }
 
-fn explore_props_config(
-    cfg: &MachineConfig,
-    set: &PropSet,
-    abort: &dyn Fn() -> bool,
-) -> Result<Option<PropConfigStats>, Box<ReachViolation>> {
-    if let Err(reject) = gate(cfg) {
-        return Err(gate_violation(&reject));
-    }
-    let mut cfg = cfg.clone();
-    cfg.check_data = false;
-    let (mons, _) = compile(set, &PropEnv::blocking(&cfg));
-    if mons.is_empty() {
-        return Ok(Some(PropConfigStats::default()));
-    }
-    let m0 = Machine::new(cfg.clone()).expect("grid configs are valid");
-    explore_props(&cfg, m0, mons, None, set, abort)
-}
-
-fn explore_props_config_nonblocking(
-    cfg: &MachineConfig,
-    mshrs: usize,
-    set: &PropSet,
-    abort: &dyn Fn() -> bool,
-) -> Result<Option<PropConfigStats>, Box<ReachViolation>> {
-    if let Err(reject) = gate(cfg) {
-        return Err(gate_violation(&reject));
-    }
-    let mut cfg = cfg.clone();
-    cfg.check_data = false;
-    let (mons, _) = compile(set, &PropEnv::nonblocking(&cfg, mshrs));
-    if mons.is_empty() {
-        return Ok(Some(PropConfigStats::default()));
-    }
-    let m0 = NonBlockingMachine::new(cfg.clone(), mshrs).expect("grid configs are valid");
-    explore_props(&cfg, m0, mons, Some(mshrs), set, abort)
-}
-
-/// Verifies a property set unboundedly over one blocking configuration:
-/// every property holds on *every* op sequence, of any length, or a
-/// minimized counterexample comes back.
+/// Verifies a property set unboundedly over one configuration — on the
+/// non-blocking machine with `mshrs` registers, or on the blocking
+/// machine for `None`: every property holds on *every* op sequence, of
+/// any length, or a minimized counterexample comes back.
 ///
 /// # Errors
 ///
@@ -458,50 +269,27 @@ fn explore_props_config_nonblocking(
 ///
 /// # Panics
 ///
-/// Panics if `cfg` fails [`MachineConfig::validate`].
+/// Panics if the machine rejects `cfg`/`mshrs`.
 pub fn check_props_reach_config(
     cfg: &MachineConfig,
+    mshrs: Option<usize>,
     set: &PropSet,
 ) -> Result<PropConfigStats, Box<ReachViolation>> {
-    Ok(explore_props_config(cfg, set, &|| false)?.expect("no abort requested"))
-}
-
-/// [`check_props_reach_config`] for the non-blocking machine.
-///
-/// # Errors
-///
-/// [`ReachViolation`] as for [`check_props_reach_config`].
-///
-/// # Panics
-///
-/// Panics if `cfg`/`mshrs` are rejected by
-/// [`wbsim_sim::NonBlockingMachine::new`].
-pub fn check_props_reach_config_nonblocking(
-    cfg: &MachineConfig,
-    mshrs: usize,
-    set: &PropSet,
-) -> Result<PropConfigStats, Box<ReachViolation>> {
-    Ok(explore_props_config_nonblocking(cfg, mshrs, set, &|| false)?.expect("no abort requested"))
+    let explored = match mshrs {
+        None => explore_props::<Machine>(cfg, mshrs, set, &|| false),
+        Some(_) => explore_props::<NonBlockingMachine>(cfg, mshrs, set, &|| false),
+    }?
+    .expect("no abort requested");
+    Ok(PropConfigStats {
+        states: explored.states,
+        edges: explored.edges,
+    })
 }
 
 /// Verifies a property set over the whole bounded configuration grid
-/// (the same 40 configurations as [`crate::check_reach`]) with
-/// [`default_jobs`] worker threads.
-///
-/// # Errors
-///
-/// The first violating configuration's [`ReachViolation`], in
-/// configuration order.
-pub fn check_props_reach(
-    set: &PropSet,
-    fault: Option<FaultInjection>,
-) -> Result<PropReport, Box<ReachViolation>> {
-    check_props_reach_jobs(set, fault, default_jobs())
-}
-
-/// [`check_props_reach`] with an explicit worker-thread count; like the
-/// other grid drivers the result is identical for every `jobs` value
-/// (only `wall_ms` varies).
+/// (the same 40 configurations as [`crate::check_reach_jobs`]) with `jobs`
+/// worker threads; like the other grid drivers the result is identical
+/// for every `jobs` value (only `wall_ms` varies).
 ///
 /// # Errors
 ///
@@ -512,33 +300,11 @@ pub fn check_props_reach_jobs(
     fault: Option<FaultInjection>,
     jobs: usize,
 ) -> Result<PropReport, Box<ReachViolation>> {
-    let start = Instant::now();
-    let configs = bounded_configs(fault);
-    match run_indexed_earliest(configs.len(), jobs, |i, abort| {
-        explore_props_config(&configs[i], set, abort)
-    }) {
-        Err((_, violation)) => Err(violation),
-        Ok(results) => Ok(sum_report(set, configs.len(), results, start)),
-    }
+    props_grid::<Machine>(set, &blocking_grid(fault), jobs)
 }
 
-/// [`check_props_reach`] over the non-blocking grid
+/// [`check_props_reach_jobs`] over the non-blocking grid
 /// ([`crate::nonblocking_configs`]).
-///
-/// # Errors
-///
-/// The first violating configuration's [`ReachViolation`], in
-/// configuration order.
-pub fn check_props_reach_nonblocking(
-    set: &PropSet,
-    fault: Option<FaultInjection>,
-    mshrs: Option<usize>,
-) -> Result<PropReport, Box<ReachViolation>> {
-    check_props_reach_nonblocking_jobs(set, fault, mshrs, default_jobs())
-}
-
-/// [`check_props_reach_nonblocking`] with an explicit worker-thread
-/// count.
 ///
 /// # Errors
 ///
@@ -550,46 +316,30 @@ pub fn check_props_reach_nonblocking_jobs(
     mshrs: Option<usize>,
     jobs: usize,
 ) -> Result<PropReport, Box<ReachViolation>> {
-    let start = Instant::now();
-    let configs = nonblocking_configs(fault, mshrs);
-    match run_indexed_earliest(configs.len(), jobs, |i, abort| {
-        let (cfg, m) = &configs[i];
-        explore_props_config_nonblocking(cfg, *m, set, abort)
-    }) {
-        Err((_, violation)) => Err(violation),
-        Ok(results) => Ok(sum_report(set, configs.len(), results, start)),
-    }
+    props_grid::<NonBlockingMachine>(set, &mshr_grid(fault, mshrs), jobs)
 }
 
-fn sum_report(
+fn props_grid<M: SimMachine>(
     set: &PropSet,
-    configs: usize,
-    results: Vec<Option<PropConfigStats>>,
-    start: Instant,
-) -> PropReport {
-    let mut report = PropReport {
+    points: &[Point],
+    jobs: usize,
+) -> Result<PropReport, Box<ReachViolation>> {
+    let report = check_grid(points, jobs, |cfg, mshrs, abort| {
+        explore_props::<M>(cfg, mshrs, set, abort)
+    })?;
+    Ok(PropReport {
         properties: set.props.len() as u64,
-        configs: configs as u64,
-        ..PropReport::default()
-    };
-    for stats in results.into_iter().flatten() {
-        report.states_explored += stats.states;
-        report.edges += stats.edges;
-    }
-    report.wall_ms = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
-    report
-}
-
-/// Keeps `json` imported for the doc-visible invariant that reports use
-/// the shared escaping rules (no string fields today).
-#[allow(dead_code)]
-fn _escape_anchor(s: &str) -> String {
-    json::escape(s)
+        configs: report.configs,
+        states_explored: report.states_explored,
+        edges: report.edges,
+        wall_ms: report.wall_ms,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::default_jobs;
     use crate::prop::builtin_library;
     use wbsim_types::policy::{LoadHazardPolicy, RetirementPolicy};
 
@@ -606,7 +356,7 @@ mod tests {
     fn library_is_clean_on_a_sample_config_unboundedly() {
         let set = builtin_library();
         let cfg = grid_cfg(2, 1, LoadHazardPolicy::ReadFromWb);
-        let stats = check_props_reach_config(&cfg, &set).expect("library holds");
+        let stats = check_props_reach_config(&cfg, None, &set).expect("library holds");
         assert!(stats.states > 1);
         assert!(stats.edges >= stats.states - 1);
     }
@@ -614,11 +364,12 @@ mod tests {
     #[test]
     fn library_is_clean_on_both_grids() {
         let set = builtin_library();
-        let report = check_props_reach(&set, None).expect("library holds on the blocking grid");
+        let report = check_props_reach_jobs(&set, None, default_jobs())
+            .expect("library holds on the blocking grid");
         assert_eq!(report.configs, 40);
         assert_eq!(report.properties, 6);
         assert!(report.states_explored > 0);
-        let report = check_props_reach_nonblocking(&set, None, None)
+        let report = check_props_reach_nonblocking_jobs(&set, None, None, default_jobs())
             .expect("library holds on the non-blocking grid");
         assert_eq!(report.configs, 40);
     }
@@ -626,8 +377,9 @@ mod tests {
     #[test]
     fn starved_retirement_is_caught_by_eventual_drain() {
         let set = builtin_library();
-        let v = check_props_reach(&set, Some(FaultInjection::StarveRetirement))
-            .expect_err("a starved buffer cannot drain");
+        let v =
+            check_props_reach_jobs(&set, Some(FaultInjection::StarveRetirement), default_jobs())
+                .expect_err("a starved buffer cannot drain");
         assert_eq!(v.diagnostic.code, "PRP101");
         assert!(v.diagnostic.message.contains("eventual-drain"));
         let ce = v
@@ -640,8 +392,9 @@ mod tests {
     #[test]
     fn skipped_forwarding_is_caught_by_no_stale_forward() {
         let set = builtin_library();
-        let v = check_props_reach(&set, Some(FaultInjection::SkipWbForwarding))
-            .expect_err("stale fills violate the forwarding window");
+        let v =
+            check_props_reach_jobs(&set, Some(FaultInjection::SkipWbForwarding), default_jobs())
+                .expect_err("stale fills violate the forwarding window");
         assert_eq!(v.diagnostic.code, "PRP100");
         assert!(v.diagnostic.message.contains("no-stale-forward"));
         let ce = v.counterexample.expect("safety violations carry a witness");
@@ -655,7 +408,7 @@ mod tests {
     fn empty_property_set_is_trivially_clean() {
         let set = PropSet::default();
         let cfg = grid_cfg(1, 1, LoadHazardPolicy::FlushFull);
-        let stats = check_props_reach_config(&cfg, &set).expect("nothing to violate");
+        let stats = check_props_reach_config(&cfg, None, &set).expect("nothing to violate");
         assert_eq!(stats, PropConfigStats::default());
     }
 
@@ -664,7 +417,7 @@ mod tests {
         let set = builtin_library();
         let mut cfg = grid_cfg(2, 1, LoadHazardPolicy::ReadFromWb);
         cfg.write_buffer.order = wbsim_types::policy::RetirementOrder::Lru;
-        let v = check_props_reach_config(&cfg, &set).expect_err("LRU is outside the class");
+        let v = check_props_reach_config(&cfg, None, &set).expect_err("LRU is outside the class");
         assert_eq!(v.diagnostic.code, "RCH003");
     }
 }

@@ -4,19 +4,20 @@
 //! The bounded checker (`bounded.rs`) enumerates op *sequences* up to a
 //! small length, so its guarantees stop at short traces. This module
 //! explores the canonical abstract *state graph* instead: a visited-set
-//! BFS over `state × op-universe`, where a state is the value-blind,
-//! time-shifted, line-renamed quotient of [`crate::abstract_state`] — finite, so
-//! the closure proves every per-state invariant for op sequences of
-//! **arbitrary length** over the same universe. Safety violations are
-//! reconstructed from BFS parent pointers, minimized by greedy deletion,
-//! and rendered as `wbsim trace validate`-replayable JSONL, exactly like
-//! the bounded checker's counterexamples.
+//! BFS over `state × op-universe` ([`crate::explore`]), where a state is
+//! the value-blind, time-shifted, line-renamed quotient of
+//! [`crate::abstract_state`] — finite, so the closure proves every
+//! per-state invariant for op sequences of **arbitrary length** over the
+//! same universe. Safety violations are reconstructed from BFS parent
+//! pointers, minimized by greedy deletion, and rendered as
+//! `wbsim trace validate`-replayable JSONL, exactly like the bounded
+//! checker's counterexamples.
 //!
 //! On top of the explored graph the checker runs a liveness analysis the
 //! bounded checker cannot express at all: from every reachable state it
 //! walks the *drain graph* — the deterministic fair schedule in which
 //! retirement runs at the maximum rate and no new ops issue
-//! ([`wbsim_sim::Machine::drain_step`]). The drain graph is functional
+//! ([`SimMachine::drain_step`]). The drain graph is functional
 //! (at most one successor per state), so its strongly connected components
 //! are its simple cycles plus singletons; any cycle is, by construction, a
 //! set of states with buffered entries that never retire under even the
@@ -30,11 +31,15 @@
 //! `RCH002` (livelock), `RCH003` (configuration outside the abstractable
 //! class — the time-shift quotient is only sound when no policy consults
 //! absolute time).
+//!
+//! The module also holds the replay helpers the property and refinement
+//! checkers share: op-by-op replay, the wedged-op probe, and the drain walk.
 
-use std::collections::{HashMap, VecDeque};
-use std::time::Instant;
+use std::collections::HashMap;
 
-use wbsim_sim::{Event, Machine, MachineSnapshot, NonBlockingMachine, NullObserver, Observer};
+use wbsim_sim::{
+    Event, Machine, MachineSnapshot, NonBlockingMachine, NullObserver, Observer, SimMachine,
+};
 use wbsim_types::addr::{Addr, Geometry, LineAddr};
 use wbsim_types::config::{IcacheConfig, L2Config, MachineConfig};
 use wbsim_types::diagnostics::{Diagnostic, Severity};
@@ -44,10 +49,11 @@ use wbsim_types::policy::{L1WritePolicy, RetirementOrder, RetirementPolicy};
 
 use crate::abstract_state::{canonical_state, AbsState, ShadowTracker};
 use crate::bounded::{
-    bounded_configs, check_sequence, check_sequence_nonblocking, counterexample,
-    counterexample_nonblocking, default_jobs, nonblocking_configs, op_universe,
-    run_indexed_earliest, CheckReport, Counterexample, TraceObserver,
+    blocking_grid, build, check_grid, counterexample, minimize, mshr_grid, mshr_invariants,
+    op_universe, sequence, trace_run, unchecked, CheckReport, Counterexample, InvariantObserver,
+    TraceObserver,
 };
+use crate::explore::{explore, Edge, Explored};
 
 /// Cycle budget for one op during expansion. Every legitimate op in the
 /// gated configuration class completes in well under 100 cycles (worst
@@ -89,6 +95,16 @@ pub struct ReachViolation {
     pub counterexample: Option<Box<Counterexample>>,
 }
 
+impl ReachViolation {
+    /// A finding with no counterexample.
+    pub(crate) fn bare(diagnostic: Diagnostic) -> Box<Self> {
+        Box::new(ReachViolation {
+            diagnostic,
+            counterexample: None,
+        })
+    }
+}
+
 /// The two cache lines the bounded op universe touches.
 pub(crate) fn universe_lines(cfg: &MachineConfig) -> [LineAddr; 2] {
     let g = &cfg.geometry;
@@ -98,19 +114,13 @@ pub(crate) fn universe_lines(cfg: &MachineConfig) -> [LineAddr; 2] {
     ]
 }
 
-/// Why a configuration is outside the abstractable class.
-#[derive(Debug, Clone)]
-pub(crate) struct GateReject {
-    /// The offending configuration field.
-    pub(crate) field: String,
-    /// Why the abstraction is unsound for it.
-    pub(crate) why: String,
-    /// The nearest admissible value — rendered as the `RCH003`
-    /// suggestion.
-    pub(crate) suggestion: String,
+pub(crate) fn rch_diagnostic(code: &'static str, field_path: &str, msg: String) -> Diagnostic {
+    Diagnostic::new(code, Severity::Error, field_path.to_string()).with_message(msg)
 }
 
-/// Checks whether `cfg` is inside the abstractable class.
+/// Checks whether `cfg` is inside the abstractable class; outside it, the
+/// `RCH003` diagnostic names the offending field, why the abstraction is
+/// unsound for it, and the nearest admissible value.
 ///
 /// The state quotient stores countdowns instead of absolute cycles and
 /// renames lines; both are only sound when no policy consults absolute
@@ -119,13 +129,14 @@ pub(crate) struct GateReject {
 /// so block-tagged entries fit the shadow-map abstraction unchanged. The
 /// bounded grid satisfies all of this by construction; arbitrary
 /// configurations may not.
-pub(crate) fn gate(cfg: &MachineConfig) -> Result<(), GateReject> {
+pub(crate) fn gate(cfg: &MachineConfig) -> Result<(), Diagnostic> {
     let reject = |field: &str, why: &str, suggestion: &str| {
-        Err(GateReject {
-            field: field.into(),
-            why: why.into(),
-            suggestion: suggestion.into(),
-        })
+        Err(rch_diagnostic(
+            "RCH003",
+            field,
+            format!("configuration is outside the abstractable class: {why}"),
+        )
+        .with_suggestion(suggestion))
     };
     let wb = &cfg.write_buffer;
     if wb.order != RetirementOrder::Fifo {
@@ -180,103 +191,6 @@ pub(crate) fn gate(cfg: &MachineConfig) -> Result<(), GateReject> {
     Ok(())
 }
 
-/// Checks the per-event invariants during one transition and maintains the
-/// shadow map. Mirrors the bounded checker's `InvariantObserver`, but with
-/// the FIFO cursor carried across transitions by the caller. With
-/// `overlap` set (the non-blocking machine) the stall taxonomy is
-/// exclusive per *cause* instead of per cycle: a buffer-full store and an
-/// overlapped L2-read-access charge may share a cycle, but no cause
-/// repeats and no other cause occurs.
-struct TransObserver<'a> {
-    g: Geometry,
-    depth: u64,
-    overlap: bool,
-    shadow: &'a mut ShadowTracker,
-    last_retire_id: &'a mut Option<u64>,
-    last_stall_now: Option<u64>,
-    stall_kinds: Vec<wbsim_types::stall::StallKind>,
-    progress: bool,
-    violation: Option<String>,
-}
-
-impl TransObserver<'_> {
-    fn fail(&mut self, msg: String) {
-        if self.violation.is_none() {
-            self.violation = Some(msg);
-        }
-    }
-}
-
-impl Observer for TransObserver<'_> {
-    fn event(&mut self, ev: &Event) {
-        use wbsim_types::stall::StallKind;
-        match *ev {
-            Event::CycleEnd { now, occupancy } if occupancy > self.depth => {
-                self.fail(format!(
-                    "cycle {now}: occupancy {occupancy} exceeds depth {}",
-                    self.depth
-                ));
-            }
-            Event::StallCycle { now, kind } => {
-                if self.last_stall_now != Some(now) {
-                    self.last_stall_now = Some(now);
-                    self.stall_kinds.clear();
-                }
-                if self.overlap {
-                    if !matches!(kind, StallKind::BufferFull | StallKind::L2ReadAccess) {
-                        self.fail(format!(
-                            "cycle {now}: stall cause {kind:?} cannot occur on the \
-                             non-blocking machine (hazards merge into fills)"
-                        ));
-                    }
-                    if self.stall_kinds.contains(&kind) {
-                        self.fail(format!(
-                            "cycle {now}: stall cause {kind:?} charged twice in one \
-                             cycle; under overlap each cause is exclusive per cycle"
-                        ));
-                    }
-                } else if !self.stall_kinds.is_empty() {
-                    self.fail(format!(
-                        "cycle {now}: second stall cause ({kind:?}) in one cycle; \
-                         Table-3 causes must be mutually exclusive"
-                    ));
-                }
-                self.stall_kinds.push(kind);
-            }
-            Event::RetireStart { now, id, flush } if !flush => {
-                if let Some(prev) = *self.last_retire_id {
-                    if id <= prev {
-                        self.fail(format!(
-                            "cycle {now}: autonomous retirement of entry {id} after \
-                             entry {prev}; FIFO order requires strictly increasing ids"
-                        ));
-                    }
-                }
-                *self.last_retire_id = Some(id);
-            }
-            Event::RetireComplete { .. } => self.progress = true,
-            Event::StoreAccepted { addr, .. } => {
-                self.shadow.record_store(self.g.word_addr(addr));
-            }
-            Event::LoadResolved {
-                now,
-                addr,
-                value,
-                source,
-            } => {
-                let want = self.shadow.expected(self.g.word_addr(addr));
-                if value != want {
-                    self.fail(format!(
-                        "cycle {now}: load of {addr:?} via {source} observed \
-                         {value:#x}, freshest store is {want:#x} (stale or lost store)"
-                    ));
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
 /// Watches for retirement progress only.
 #[derive(Default)]
 struct ProgressProbe {
@@ -291,21 +205,79 @@ impl Observer for ProgressProbe {
     }
 }
 
-/// Invariants checked at every op boundary, against the node's concrete
-/// representative — shared between the blocking and non-blocking walks
-/// through the machine-agnostic pieces.
-fn boundary_checks_impl(
+/// Runs `ops` from an op boundary, one [`SimMachine::run_op_bounded`] at
+/// a time under `obs`. `false` when an op exceeds [`OP_CYCLE_BUDGET`]: it
+/// wedged, and the machine is left mid-op.
+pub(crate) fn replay<M: SimMachine>(m: &mut M, ops: &[Op], obs: &mut impl Observer) -> bool {
+    ops.iter()
+        .all(|&op| m.run_op_bounded(op, OP_CYCLE_BUDGET, obs).is_some())
+}
+
+/// Steps a wedged machine on through the [`STALL_PROBE_WINDOW`] under
+/// `obs`, to tell a livelock from a slow op.
+pub(crate) fn probe<M: SimMachine>(m: &mut M, obs: &mut impl Observer) {
+    for _ in 0..STALL_PROBE_WINDOW {
+        if !m.step(&mut std::iter::empty(), obs) {
+            break;
+        }
+    }
+}
+
+/// Walks the fair drain schedule from `m` under `obs`: `false` once it
+/// terminates, `true` when it closes a cycle (or outruns
+/// [`DRAIN_WALK_BOUND`]). Snapshots are time-shift invariant and frozen
+/// during a drain, so a repeat is exactly an abstract cycle.
+pub(crate) fn drain_cycles<M: SimMachine>(
+    m: &mut M,
+    lines: &[LineAddr],
+    obs: &mut impl Observer,
+) -> bool {
+    let mut seen: Vec<MachineSnapshot> = Vec::new();
+    loop {
+        let s = m.snapshot(lines);
+        if seen.contains(&s) || seen.len() > DRAIN_WALK_BOUND {
+            return true;
+        }
+        seen.push(s);
+        if !m.drain_step(obs) {
+            return false;
+        }
+    }
+}
+
+/// Replays `ops` under a trace collector: the ops, the probe window if
+/// one wedges, and otherwise the terminal drain up to one full period —
+/// so a livelock's trace visibly never retires, and a safety
+/// counterexample's trace contains its bad event.
+pub(crate) fn replay_trace<M: SimMachine>(
+    cfg: &MachineConfig,
+    mshrs: Option<usize>,
+    ops: &[Op],
+) -> Vec<String> {
+    let mut m: M = build(cfg, mshrs);
+    let mut trace = TraceObserver::default();
+    if replay(&mut m, ops, &mut trace) {
+        drain_cycles(&mut m, &universe_lines(cfg), &mut trace);
+    } else {
+        probe(&mut m, &mut trace);
+    }
+    trace.lines
+}
+
+/// Invariants checked at every op boundary, against the state's concrete
+/// representative: the structural MSHR invariants, architectural reads
+/// against the shadow map, entry conservation and store accounting.
+fn boundary_checks(
     g: &Geometry,
+    m: &impl SimMachine,
+    mshrs: Option<usize>,
     shadow: &ShadowTracker,
     universe: &[Op],
-    read: &dyn Fn(Addr) -> u64,
-    stats: &wbsim_types::stats::SimStats,
-    victim_allocs: u64,
-    occupancy: u64,
 ) -> Result<(), String> {
+    mshr_invariants(m, mshrs)?;
     for op in universe {
         if let Op::Load(addr) | Op::Store(addr) = *op {
-            let got = read(addr);
+            let got = m.read_word_architectural(addr);
             let want = shadow.expected(g.word_addr(addr));
             if got != want {
                 return Err(format!(
@@ -315,6 +287,9 @@ fn boundary_checks_impl(
             }
         }
     }
+    let stats = m.stats();
+    let victim_allocs = m.wb_victim_allocs();
+    let occupancy = m.wb_occupancy() as u64;
     let created = stats.wb_allocations + victim_allocs;
     let destroyed = stats.wb_retirements + stats.wb_flushes + occupancy;
     if created != destroyed {
@@ -333,89 +308,16 @@ fn boundary_checks_impl(
     Ok(())
 }
 
-fn boundary_checks(
-    cfg: &MachineConfig,
-    m: &Machine,
-    shadow: &ShadowTracker,
-    universe: &[Op],
-) -> Result<(), String> {
-    boundary_checks_impl(
-        &cfg.geometry,
-        shadow,
-        universe,
-        &|addr| m.read_word_architectural(addr),
-        m.stats(),
-        m.wb_victim_allocs(),
-        m.wb_occupancy() as u64,
-    )
-}
-
-/// [`boundary_checks`] for the non-blocking machine, plus the structural
-/// MSHR invariants the event stream cannot see: at most `max_mshrs`
-/// outstanding misses, never two to the same line.
-fn boundary_checks_nonblocking(
-    cfg: &MachineConfig,
-    m: &NonBlockingMachine,
-    shadow: &ShadowTracker,
-    universe: &[Op],
-) -> Result<(), String> {
-    let lines = m.mshr_lines();
-    if lines.len() > m.max_mshrs() {
-        return Err(format!(
-            "{} outstanding misses exceed the {} MSHRs",
-            lines.len(),
-            m.max_mshrs()
-        ));
-    }
-    for (i, line) in lines.iter().enumerate() {
-        if lines[..i].contains(line) {
-            return Err(format!(
-                "two MSHRs outstanding for line {line:?}; secondary misses must merge"
-            ));
-        }
-    }
-    boundary_checks_impl(
-        &cfg.geometry,
-        shadow,
-        universe,
-        &|addr| m.read_word_architectural(addr),
-        m.stats(),
-        m.wb_victim_allocs(),
-        m.wb_occupancy() as u64,
-    )
-}
-
-/// A BFS node (over either machine). The machine is kept only until the
-/// node is expanded (the parent pointer suffices to reconstruct paths),
-/// bounding peak memory to the frontier.
-struct Node<M> {
-    machine: Option<M>,
-    shadow: ShadowTracker,
-    last_retire_id: Option<u64>,
-    parent: Option<(usize, Op)>,
-}
-
-/// Reconstructs the op sequence leading to `idx`, optionally extended by
-/// one more op.
-fn path_ops<M>(nodes: &[Node<M>], idx: usize, last: Option<Op>) -> Vec<Op> {
-    let mut ops = Vec::new();
-    let mut i = idx;
-    while let Some((p, op)) = nodes[i].parent {
-        ops.push(op);
-        i = p;
-    }
-    ops.reverse();
-    ops.extend(last);
-    ops
-}
-
 /// Walks the drain graph from `m` until it terminates (buffer empty),
 /// revisits a memoized state, or closes a cycle. Returns `true` for
 /// livelock. Every state on the walk is memoized with the verdict: a state
 /// that reaches a livelock is itself livelocked, and the drain graph is
-/// functional so the verdict is path-independent.
-fn drain_livelocked(
-    m: &Machine,
+/// functional so the verdict is path-independent. The non-blocking drain
+/// also completes outstanding misses (a queued MSHR blocks retirement
+/// through read-bypassing, so a drain that never issued it would wedge
+/// spuriously).
+fn drain_livelocked<M: SimMachine>(
+    m: &M,
     g: &Geometry,
     lines: &[LineAddr; 2],
     shadow: &ShadowTracker,
@@ -448,279 +350,53 @@ fn drain_livelocked(
     verdict
 }
 
-/// [`drain_livelocked`] for the non-blocking machine: the drain also
-/// completes outstanding misses (a queued MSHR blocks retirement through
-/// read-bypassing, so a drain that never issues it would wedge spuriously).
-fn drain_livelocked_nonblocking(
-    m: &NonBlockingMachine,
-    g: &Geometry,
-    lines: &[LineAddr; 2],
-    shadow: &ShadowTracker,
-    memo: &mut HashMap<AbsState, bool>,
-) -> bool {
-    let mut m = m.clone();
-    let mut path: Vec<AbsState> = Vec::new();
-    let verdict = loop {
-        let s = canonical_state(g, &m.snapshot(lines.as_slice()), shadow);
-        if let Some(&v) = memo.get(&s) {
-            break v;
-        }
-        if path.contains(&s) {
-            break true;
-        }
-        path.push(s);
-        if !m.drain_step(&mut NullObserver) {
-            break false;
-        }
-        if path.len() > DRAIN_WALK_BOUND {
-            break true;
-        }
-    };
-    for s in path {
-        memo.insert(s, verdict);
-    }
-    verdict
-}
-
 /// The livelock predicate for counterexample minimization: replays `ops`
-/// op by op and reports whether the run wedges — either an op exceeds its
-/// cycle budget with no retirement progress in a further probe window, or
-/// the final state's drain walk closes a cycle. Deterministic, so greedy
-/// deletion against it is sound.
-#[must_use]
-pub fn check_liveness_sequence(cfg: &MachineConfig, ops: &[Op]) -> bool {
-    let mut cfg = cfg.clone();
-    cfg.check_data = false;
-    let lines = universe_lines(&cfg);
-    let mut m = Machine::new(cfg).expect("caller validates the configuration");
-    for &op in ops {
-        if m.run_op_bounded(op, OP_CYCLE_BUDGET, &mut NullObserver)
-            .is_none()
-        {
-            let mut probe = ProgressProbe::default();
-            for _ in 0..STALL_PROBE_WINDOW {
-                if !m.step(&mut std::iter::empty(), &mut probe) {
-                    break;
-                }
-            }
-            return !probe.progress && m.wb_occupancy() > 0;
-        }
-    }
-    // Drain-walk the final state; snapshots are time-shift invariant and
-    // frozen during a drain, so a repeat is exactly an abstract cycle.
-    let mut seen: Vec<MachineSnapshot> = Vec::new();
-    loop {
-        let s = m.snapshot(&lines);
-        if seen.contains(&s) {
-            return true;
-        }
-        seen.push(s);
-        if !m.drain_step(&mut NullObserver) {
-            return false;
-        }
-        if seen.len() > DRAIN_WALK_BOUND {
-            return true;
-        }
-    }
-}
-
-/// Greedily deletes ops while [`check_liveness_sequence`] still reports a
-/// livelock; the result is 1-minimal.
-fn minimize_liveness(cfg: &MachineConfig, ops: &[Op]) -> Vec<Op> {
-    let mut ops = ops.to_vec();
-    'outer: loop {
-        for i in 0..ops.len() {
-            let mut candidate = ops.clone();
-            candidate.remove(i);
-            if check_liveness_sequence(cfg, &candidate) {
-                ops = candidate;
-                continue 'outer;
-            }
-        }
-        return ops;
-    }
-}
-
-/// Replays a liveness counterexample under a trace collector: the ops, the
-/// wedged-stall probe window if an op never completes, and otherwise one
-/// full period of the drain cycle.
-fn liveness_trace(cfg: &MachineConfig, ops: &[Op]) -> Vec<String> {
-    let mut cfg = cfg.clone();
-    cfg.check_data = false;
-    let lines = universe_lines(&cfg);
-    let mut trace = TraceObserver::default();
-    let mut m = Machine::new(cfg).expect("caller validates the configuration");
-    for &op in ops {
-        if m.run_op_bounded(op, OP_CYCLE_BUDGET, &mut trace).is_none() {
-            for _ in 0..STALL_PROBE_WINDOW {
-                if !m.step(&mut std::iter::empty(), &mut trace) {
-                    break;
-                }
-            }
-            return trace.lines;
-        }
-    }
-    let mut seen: Vec<MachineSnapshot> = Vec::new();
-    loop {
-        let s = m.snapshot(&lines);
-        if seen.contains(&s) || seen.len() > DRAIN_WALK_BOUND {
-            return trace.lines;
-        }
-        seen.push(s);
-        if !m.drain_step(&mut trace) {
-            return trace.lines;
-        }
-    }
-}
-
-/// [`check_liveness_sequence`] for the non-blocking machine with `mshrs`
-/// registers.
+/// op by op — on the non-blocking machine with `mshrs` registers, or on
+/// the blocking machine for `None` — and reports whether the run wedges:
+/// either an op exceeds its cycle budget with no retirement progress in a
+/// further probe window, or the final state's drain walk closes a cycle.
+/// Deterministic, so greedy deletion against it is sound.
 ///
 /// # Panics
 ///
-/// Panics when `cfg`/`mshrs` are rejected by
-/// [`NonBlockingMachine::new`] — callers validate first.
+/// Panics if the machine rejects `cfg`/`mshrs` — callers validate first.
 #[must_use]
-pub fn check_liveness_sequence_nonblocking(cfg: &MachineConfig, mshrs: usize, ops: &[Op]) -> bool {
-    let mut cfg = cfg.clone();
-    cfg.check_data = false;
-    let lines = universe_lines(&cfg);
-    let mut m = NonBlockingMachine::new(cfg, mshrs).expect("caller validates the configuration");
-    for &op in ops {
-        if m.run_op_bounded(op, OP_CYCLE_BUDGET, &mut NullObserver)
-            .is_none()
-        {
-            let mut probe = ProgressProbe::default();
-            for _ in 0..STALL_PROBE_WINDOW {
-                if !m.step(&mut std::iter::empty(), &mut probe) {
-                    break;
-                }
-            }
-            return !probe.progress && m.wb_occupancy() > 0;
-        }
-    }
-    let mut seen: Vec<MachineSnapshot> = Vec::new();
-    loop {
-        let s = m.snapshot(&lines);
-        if seen.contains(&s) {
-            return true;
-        }
-        seen.push(s);
-        if !m.drain_step(&mut NullObserver) {
-            return false;
-        }
-        if seen.len() > DRAIN_WALK_BOUND {
-            return true;
-        }
+pub fn check_liveness_sequence(cfg: &MachineConfig, mshrs: Option<usize>, ops: &[Op]) -> bool {
+    match mshrs {
+        None => livelocked::<Machine>(cfg, mshrs, ops),
+        Some(_) => livelocked::<NonBlockingMachine>(cfg, mshrs, ops),
     }
 }
 
-/// Greedy 1-minimization against
-/// [`check_liveness_sequence_nonblocking`].
-fn minimize_liveness_nonblocking(cfg: &MachineConfig, mshrs: usize, ops: &[Op]) -> Vec<Op> {
-    let mut ops = ops.to_vec();
-    'outer: loop {
-        for i in 0..ops.len() {
-            let mut candidate = ops.clone();
-            candidate.remove(i);
-            if check_liveness_sequence_nonblocking(cfg, mshrs, &candidate) {
-                ops = candidate;
-                continue 'outer;
-            }
-        }
-        return ops;
+fn livelocked<M: SimMachine>(cfg: &MachineConfig, mshrs: Option<usize>, ops: &[Op]) -> bool {
+    let mut m: M = build(cfg, mshrs);
+    if !replay(&mut m, ops, &mut NullObserver) {
+        let mut progress = ProgressProbe::default();
+        probe(&mut m, &mut progress);
+        return !progress.progress && m.wb_occupancy() > 0;
     }
-}
-
-/// [`liveness_trace`] for the non-blocking machine.
-fn liveness_trace_nonblocking(cfg: &MachineConfig, mshrs: usize, ops: &[Op]) -> Vec<String> {
-    let mut cfg = cfg.clone();
-    cfg.check_data = false;
-    let lines = universe_lines(&cfg);
-    let mut trace = TraceObserver::default();
-    let mut m = NonBlockingMachine::new(cfg, mshrs).expect("caller validates the configuration");
-    for &op in ops {
-        if m.run_op_bounded(op, OP_CYCLE_BUDGET, &mut trace).is_none() {
-            for _ in 0..STALL_PROBE_WINDOW {
-                if !m.step(&mut std::iter::empty(), &mut trace) {
-                    break;
-                }
-            }
-            return trace.lines;
-        }
-    }
-    let mut seen: Vec<MachineSnapshot> = Vec::new();
-    loop {
-        let s = m.snapshot(&lines);
-        if seen.contains(&s) || seen.len() > DRAIN_WALK_BOUND {
-            return trace.lines;
-        }
-        seen.push(s);
-        if !m.drain_step(&mut trace) {
-            return trace.lines;
-        }
-    }
-}
-
-pub(crate) fn rch_diagnostic(code: &'static str, field_path: &str, msg: String) -> Diagnostic {
-    Diagnostic::new(code, Severity::Error, field_path.to_string()).with_message(msg)
+    drain_cycles(&mut m, &universe_lines(cfg), &mut NullObserver)
 }
 
 /// Builds the `RCH001` violation for a safety failure on `ops`. When the
 /// bounded sequence checker can see the same violation, its minimizer and
 /// trace collector are reused wholesale; a reach-only violation keeps the
 /// unminimized path with a fresh trace.
-fn safety_violation(cfg: &MachineConfig, ops: Vec<Op>, msg: String) -> Box<ReachViolation> {
-    let ce = if check_sequence(cfg, &ops).is_err() {
-        counterexample(cfg, &ops)
-    } else {
-        let mut run_cfg = cfg.clone();
-        run_cfg.check_data = false;
-        let mut trace = TraceObserver::default();
-        let _ = Machine::new(run_cfg)
-            .expect("caller validates the configuration")
-            .run_bounded(ops.iter().copied(), 10_000, &mut trace);
-        Box::new(Counterexample {
-            config: cfg.clone(),
-            mshrs: None,
-            ops,
-            violation: msg.clone(),
-            trace: trace.lines,
-        })
-    };
-    Box::new(ReachViolation {
-        diagnostic: rch_diagnostic(
-            "RCH001",
-            "machine",
-            format!("safety invariant violated at a reachable state: {msg}"),
-        ),
-        counterexample: Some(ce),
-    })
-}
-
-/// [`safety_violation`] for the non-blocking machine.
-fn safety_violation_nonblocking(
+fn safety_violation<M: SimMachine>(
     cfg: &MachineConfig,
-    mshrs: usize,
+    mshrs: Option<usize>,
     ops: Vec<Op>,
     msg: String,
 ) -> Box<ReachViolation> {
-    let ce = if check_sequence_nonblocking(cfg, mshrs, &ops).is_err() {
-        counterexample_nonblocking(cfg, mshrs, &ops)
-    } else {
-        let mut run_cfg = cfg.clone();
-        run_cfg.check_data = false;
-        let mut trace = TraceObserver::default();
-        let _ = NonBlockingMachine::new(run_cfg, mshrs)
-            .expect("caller validates the configuration")
-            .run_bounded(ops.iter().copied(), 10_000, &mut trace);
-        Box::new(Counterexample {
+    let ce = match sequence::<M>(cfg, mshrs, &ops) {
+        Err(violation) => counterexample::<M>(cfg, mshrs, ops, violation),
+        Ok(()) => Box::new(Counterexample {
             config: cfg.clone(),
-            mshrs: Some(mshrs),
+            mshrs,
+            trace: trace_run::<M>(cfg, mshrs, &ops),
             ops,
             violation: msg.clone(),
-            trace: trace.lines,
-        })
+        }),
     };
     Box::new(ReachViolation {
         diagnostic: rch_diagnostic(
@@ -733,38 +409,16 @@ fn safety_violation_nonblocking(
 }
 
 /// Builds the `RCH002` violation for a livelock witnessed by `ops`.
-fn liveness_violation(cfg: &MachineConfig, ops: Vec<Op>, detail: &str) -> Box<ReachViolation> {
-    debug_assert!(check_liveness_sequence(cfg, &ops));
-    let ops = minimize_liveness(cfg, &ops);
-    let violation = format!("livelock: {detail}");
-    let trace = liveness_trace(cfg, &ops);
-    Box::new(ReachViolation {
-        diagnostic: rch_diagnostic(
-            "RCH002",
-            "write_buffer",
-            format!("{violation} ({} ops reach it)", ops.len()),
-        ),
-        counterexample: Some(Box::new(Counterexample {
-            config: cfg.clone(),
-            mshrs: None,
-            ops,
-            violation,
-            trace,
-        })),
-    })
-}
-
-/// [`liveness_violation`] for the non-blocking machine.
-fn liveness_violation_nonblocking(
+fn liveness_violation<M: SimMachine>(
     cfg: &MachineConfig,
-    mshrs: usize,
+    mshrs: Option<usize>,
     ops: Vec<Op>,
     detail: &str,
 ) -> Box<ReachViolation> {
-    debug_assert!(check_liveness_sequence_nonblocking(cfg, mshrs, &ops));
-    let ops = minimize_liveness_nonblocking(cfg, mshrs, &ops);
+    debug_assert!(livelocked::<M>(cfg, mshrs, &ops));
+    let (ops, ()) = minimize(ops, (), |c| livelocked::<M>(cfg, mshrs, c).then_some(()));
     let violation = format!("livelock: {detail}");
-    let trace = liveness_trace_nonblocking(cfg, mshrs, &ops);
+    let trace = replay_trace::<M>(cfg, mshrs, &ops);
     Box::new(ReachViolation {
         diagnostic: rch_diagnostic(
             "RCH002",
@@ -773,7 +427,7 @@ fn liveness_violation_nonblocking(
         ),
         counterexample: Some(Box::new(Counterexample {
             config: cfg.clone(),
-            mshrs: Some(mshrs),
+            mshrs,
             ops,
             violation,
             trace,
@@ -781,295 +435,109 @@ fn liveness_violation_nonblocking(
     })
 }
 
-/// Explores one configuration to closure. Returns `Ok(None)` only when
-/// `abort` fired.
-fn explore_config(
-    cfg: &MachineConfig,
-    abort: &dyn Fn() -> bool,
-) -> Result<Option<ReachConfigStats>, Box<ReachViolation>> {
-    if let Err(reject) = gate(cfg) {
-        return Err(Box::new(ReachViolation {
-            diagnostic: rch_diagnostic(
-                "RCH003",
-                &reject.field,
-                format!(
-                    "configuration is outside the abstractable class: {}",
-                    reject.why
-                ),
-            )
-            .with_suggestion(reject.suggestion),
-            counterexample: None,
-        }));
-    }
-    let mut cfg = cfg.clone();
-    cfg.check_data = false;
-    let g = cfg.geometry;
-    let lines = universe_lines(&cfg);
-    let universe = op_universe(&cfg);
-    let depth = cfg.write_buffer.depth as u64;
-
-    let m0 = Machine::new(cfg.clone()).expect("bounded configs are valid");
-    let shadow0 = ShadowTracker::default();
-    let mut drain_memo: HashMap<AbsState, bool> = HashMap::new();
-    if drain_livelocked(&m0, &g, &lines, &shadow0, &mut drain_memo) {
-        return Err(liveness_violation(
-            &cfg,
-            Vec::new(),
-            "the initial state cycles under the fair drain schedule",
-        ));
-    }
-    let s0 = canonical_state(&g, &m0.snapshot(&lines), &shadow0);
-    let mut nodes = vec![Node {
-        machine: Some(m0),
-        shadow: shadow0,
-        last_retire_id: None,
-        parent: None,
-    }];
-    let mut visited: HashMap<AbsState, usize> = HashMap::from([(s0, 0)]);
-    let mut queue: VecDeque<usize> = VecDeque::from([0]);
-    let mut edges: u64 = 0;
-
-    while let Some(idx) = queue.pop_front() {
-        if abort() {
-            return Ok(None);
-        }
-        let machine = nodes[idx].machine.take().expect("nodes expand once");
-        for &op in &universe {
-            let mut m = machine.clone();
-            let mut shadow = nodes[idx].shadow.clone();
-            let mut last_retire_id = nodes[idx].last_retire_id;
-            let mut obs = TransObserver {
-                g,
-                depth,
-                overlap: false,
-                shadow: &mut shadow,
-                last_retire_id: &mut last_retire_id,
-                last_stall_now: None,
-                stall_kinds: Vec::new(),
-                progress: false,
-                violation: None,
-            };
-            let completed = m.run_op_bounded(op, OP_CYCLE_BUDGET, &mut obs);
-            let violation = obs.violation.take();
-            if let Some(msg) = violation {
-                return Err(safety_violation(&cfg, path_ops(&nodes, idx, Some(op)), msg));
-            }
-            if completed.is_none() {
-                // The op wedged. Probe for progress to tell a livelock from
-                // an undersized budget.
-                let mut probe = ProgressProbe::default();
-                for _ in 0..STALL_PROBE_WINDOW {
-                    if !m.step(&mut std::iter::empty(), &mut probe) {
-                        break;
-                    }
-                }
-                let ops = path_ops(&nodes, idx, Some(op));
-                if !probe.progress && m.wb_occupancy() > 0 {
-                    return Err(liveness_violation(
-                        &cfg,
-                        ops,
-                        "an op exceeds its cycle budget while the buffer makes no \
-                         retirement progress",
-                    ));
-                }
-                return Err(Box::new(ReachViolation {
-                    diagnostic: rch_diagnostic(
-                        "RCH001",
-                        "machine",
-                        format!(
-                            "op {op:?} after {} ops exceeded the {OP_CYCLE_BUDGET}-cycle \
-                             budget while retirement still progresses; the budget is \
-                             undersized for this configuration",
-                            ops.len() - 1
-                        ),
-                    ),
-                    counterexample: None,
-                }));
-            }
-            edges += 1;
-            if let Err(msg) = boundary_checks(&cfg, &m, &shadow, &universe) {
-                return Err(safety_violation(&cfg, path_ops(&nodes, idx, Some(op)), msg));
-            }
-            let state = canonical_state(&g, &m.snapshot(&lines), &shadow);
-            if visited.contains_key(&state) {
-                continue;
-            }
-            if drain_livelocked(&m, &g, &lines, &shadow, &mut drain_memo) {
-                return Err(liveness_violation(
-                    &cfg,
-                    path_ops(&nodes, idx, Some(op)),
-                    "a reachable state cycles under the fair drain schedule without \
-                     retiring anything",
-                ));
-            }
-            visited.insert(state, nodes.len());
-            queue.push_back(nodes.len());
-            nodes.push(Node {
-                machine: Some(m),
-                shadow,
-                last_retire_id,
-                parent: Some((idx, op)),
-            });
-        }
-    }
-    Ok(Some(ReachConfigStats {
-        states: nodes.len() as u64,
-        edges,
-        // Every memoized drain state proved acyclic, so each is its own
-        // SCC; a cycle would have returned RCH002 above.
-        sccs: drain_memo.len() as u64,
-    }))
+/// What cut an exploration short, before its op path is known.
+enum Finding {
+    /// A safety invariant failed.
+    Safety(String),
+    /// An op wedged with no retirement progress in the probe window.
+    Wedged,
+    /// A state cycles under the fair drain schedule.
+    DrainCycle,
+    /// An op outran its budget while retirement still progressed.
+    Budget,
 }
 
-/// [`explore_config`] for the non-blocking machine with `mshrs` registers:
-/// the abstract state carries the MSHR component, the stall taxonomy uses
-/// the overlapped rule, and every boundary additionally asserts the
-/// structural MSHR invariants.
-fn explore_config_nonblocking(
+/// Explores one configuration on machine `M` to closure: every safety
+/// invariant at every reachable state, and liveness on the drain graph.
+/// On the non-blocking machine the abstract state carries the MSHR
+/// component, the stall taxonomy uses the overlapped rule, and every
+/// boundary also asserts the structural MSHR invariants. Returns
+/// `Ok(None)` only when `abort` fired.
+fn explore_reach<M: SimMachine>(
     cfg: &MachineConfig,
-    mshrs: usize,
+    mshrs: Option<usize>,
     abort: &dyn Fn() -> bool,
-) -> Result<Option<ReachConfigStats>, Box<ReachViolation>> {
-    if let Err(reject) = gate(cfg) {
-        return Err(Box::new(ReachViolation {
-            diagnostic: rch_diagnostic(
-                "RCH003",
-                &reject.field,
-                format!(
-                    "configuration is outside the abstractable class: {}",
-                    reject.why
-                ),
-            )
-            .with_suggestion(reject.suggestion),
-            counterexample: None,
-        }));
-    }
-    let mut cfg = cfg.clone();
-    cfg.check_data = false;
+) -> Result<Option<Explored>, Box<ReachViolation>> {
+    gate(cfg).map_err(ReachViolation::bare)?;
+    let cfg = &unchecked(cfg);
     let g = cfg.geometry;
-    let lines = universe_lines(&cfg);
-    let universe = op_universe(&cfg);
-    let depth = cfg.write_buffer.depth as u64;
-
-    let m0 = NonBlockingMachine::new(cfg.clone(), mshrs).expect("non-blocking configs are valid");
-    let shadow0 = ShadowTracker::default();
+    let lines = universe_lines(cfg);
+    let universe = op_universe(cfg);
+    let root: (M, _) = (
+        build(cfg, mshrs),
+        InvariantObserver::new(cfg, mshrs).tracking(),
+    );
     let mut drain_memo: HashMap<AbsState, bool> = HashMap::new();
-    if drain_livelocked_nonblocking(&m0, &g, &lines, &shadow0, &mut drain_memo) {
-        return Err(liveness_violation_nonblocking(
-            &cfg,
-            mshrs,
-            Vec::new(),
-            "the initial state cycles under the fair drain schedule",
-        ));
-    }
-    let s0 = canonical_state(&g, &m0.snapshot(&lines), &shadow0);
-    let mut nodes = vec![Node {
-        machine: Some(m0),
-        shadow: shadow0,
-        last_retire_id: None,
-        parent: None,
-    }];
-    let mut visited: HashMap<AbsState, usize> = HashMap::from([(s0, 0)]);
-    let mut queue: VecDeque<usize> = VecDeque::from([0]);
-    let mut edges: u64 = 0;
-
-    while let Some(idx) = queue.pop_front() {
-        if abort() {
-            return Ok(None);
-        }
-        let machine = nodes[idx].machine.take().expect("nodes expand once");
-        for &op in &universe {
-            let mut m = machine.clone();
-            let mut shadow = nodes[idx].shadow.clone();
-            let mut last_retire_id = nodes[idx].last_retire_id;
-            let mut obs = TransObserver {
-                g,
-                depth,
-                overlap: true,
-                shadow: &mut shadow,
-                last_retire_id: &mut last_retire_id,
-                last_stall_now: None,
-                stall_kinds: Vec::new(),
-                progress: false,
-                violation: None,
-            };
+    let explored = explore(
+        root,
+        &universe,
+        abort,
+        |(m, obs)| canonical_state(&g, &m.snapshot(&lines), obs.shadow()),
+        |(m, obs), op| {
+            let (mut m, mut obs) = (m.clone(), obs.next_transition());
             let completed = m.run_op_bounded(op, OP_CYCLE_BUDGET, &mut obs);
-            let violation = obs.violation.take();
-            if let Some(msg) = violation {
-                return Err(safety_violation_nonblocking(
-                    &cfg,
-                    mshrs,
-                    path_ops(&nodes, idx, Some(op)),
-                    msg,
-                ));
+            if let Some(msg) = obs.violation.take() {
+                return Err(Finding::Safety(msg));
             }
             if completed.is_none() {
-                let mut probe = ProgressProbe::default();
-                for _ in 0..STALL_PROBE_WINDOW {
-                    if !m.step(&mut std::iter::empty(), &mut probe) {
-                        break;
-                    }
-                }
-                let ops = path_ops(&nodes, idx, Some(op));
-                if !probe.progress && m.wb_occupancy() > 0 {
-                    return Err(liveness_violation_nonblocking(
-                        &cfg,
-                        mshrs,
-                        ops,
-                        "an op exceeds its cycle budget while the buffer makes no \
-                         retirement progress",
-                    ));
-                }
-                return Err(Box::new(ReachViolation {
-                    diagnostic: rch_diagnostic(
-                        "RCH001",
-                        "machine",
-                        format!(
-                            "op {op:?} after {} ops exceeded the {OP_CYCLE_BUDGET}-cycle \
-                             budget while retirement still progresses; the budget is \
-                             undersized for this configuration",
-                            ops.len() - 1
-                        ),
-                    ),
-                    counterexample: None,
-                }));
+                // The op wedged. Probe for progress to tell a livelock
+                // from an undersized budget.
+                let mut progress = ProgressProbe::default();
+                probe(&mut m, &mut progress);
+                let wedged = !progress.progress && m.wb_occupancy() > 0;
+                return Err(if wedged {
+                    Finding::Wedged
+                } else {
+                    Finding::Budget
+                });
             }
-            edges += 1;
-            if let Err(msg) = boundary_checks_nonblocking(&cfg, &m, &shadow, &universe) {
-                return Err(safety_violation_nonblocking(
-                    &cfg,
-                    mshrs,
-                    path_ops(&nodes, idx, Some(op)),
-                    msg,
-                ));
+            boundary_checks(&g, &m, mshrs, obs.shadow(), &universe).map_err(Finding::Safety)?;
+            Ok(Edge::To((m, obs)))
+        },
+        |(m, obs)| {
+            if drain_livelocked(m, &g, &lines, obs.shadow(), &mut drain_memo) {
+                Err(Finding::DrainCycle)
+            } else {
+                Ok(())
             }
-            let state = canonical_state(&g, &m.snapshot(&lines), &shadow);
-            if visited.contains_key(&state) {
-                continue;
-            }
-            if drain_livelocked_nonblocking(&m, &g, &lines, &shadow, &mut drain_memo) {
-                return Err(liveness_violation_nonblocking(
-                    &cfg,
-                    mshrs,
-                    path_ops(&nodes, idx, Some(op)),
-                    "a reachable state cycles under the fair drain schedule without \
-                     retiring anything",
-                ));
-            }
-            visited.insert(state, nodes.len());
-            queue.push_back(nodes.len());
-            nodes.push(Node {
-                machine: Some(m),
-                shadow,
-                last_retire_id,
-                parent: Some((idx, op)),
-            });
-        }
-    }
-    Ok(Some(ReachConfigStats {
-        states: nodes.len() as u64,
-        edges,
+        },
+    );
+    let explored = explored.map_err(|(ops, finding)| match finding {
+        Finding::Safety(msg) => safety_violation::<M>(cfg, mshrs, ops, msg),
+        Finding::Wedged => liveness_violation::<M>(
+            cfg,
+            mshrs,
+            ops,
+            "an op exceeds its cycle budget while the buffer makes no retirement progress",
+        ),
+        Finding::DrainCycle if ops.is_empty() => liveness_violation::<M>(
+            cfg,
+            mshrs,
+            ops,
+            "the initial state cycles under the fair drain schedule",
+        ),
+        Finding::DrainCycle => liveness_violation::<M>(
+            cfg,
+            mshrs,
+            ops,
+            "a reachable state cycles under the fair drain schedule without retiring anything",
+        ),
+        Finding::Budget => ReachViolation::bare(rch_diagnostic(
+            "RCH001",
+            "machine",
+            format!(
+                "op {:?} after {} ops exceeded the {OP_CYCLE_BUDGET}-cycle budget while \
+                 retirement still progresses; the budget is undersized for this configuration",
+                ops[ops.len() - 1],
+                ops.len() - 1
+            ),
+        )),
+    })?;
+    // Every memoized drain state proved acyclic, so each is its own SCC; a
+    // cycle would have returned RCH002 above.
+    Ok(explored.map(|e| Explored {
         sccs: drain_memo.len() as u64,
+        ..e
     }))
 }
 
@@ -1087,56 +555,7 @@ fn explore_config_nonblocking(
 /// Panics if `cfg` fails [`MachineConfig::validate`] — like the bounded
 /// checker, this explores behavior of valid configurations only.
 pub fn check_reach_config(cfg: &MachineConfig) -> Result<ReachConfigStats, Box<ReachViolation>> {
-    Ok(explore_config(cfg, &|| false)?.expect("no abort requested"))
-}
-
-/// Runs the reachability check over the whole bounded configuration grid
-/// (the same 40 configurations as [`crate::check_exhaustive`]) with
-/// [`default_jobs`] worker threads. See [`check_reach_jobs`].
-///
-/// # Errors
-///
-/// The first violating configuration's [`ReachViolation`], in
-/// configuration order.
-pub fn check_reach(fault: Option<FaultInjection>) -> Result<CheckReport, Box<ReachViolation>> {
-    check_reach_jobs(fault, default_jobs())
-}
-
-/// [`check_reach`] with an explicit worker-thread count. Like
-/// [`crate::check_exhaustive_jobs`], the result is identical for every
-/// `jobs` value (only `wall_ms` varies): a violation is always reported
-/// for the first violating configuration in configuration order, and the
-/// clean-run statistics are order-independent sums.
-///
-/// # Errors
-///
-/// The first violating configuration's [`ReachViolation`], in
-/// configuration order.
-pub fn check_reach_jobs(
-    fault: Option<FaultInjection>,
-    jobs: usize,
-) -> Result<CheckReport, Box<ReachViolation>> {
-    let start = Instant::now();
-    let configs = bounded_configs(fault);
-    match run_indexed_earliest(configs.len(), jobs, |i, abort| {
-        explore_config(&configs[i], abort)
-    }) {
-        Err((_, violation)) => Err(violation),
-        Ok(results) => {
-            let mut report = CheckReport {
-                configs: configs.len() as u64,
-                wall_ms: 0,
-                ..CheckReport::default()
-            };
-            for stats in results.into_iter().flatten() {
-                report.states_explored += stats.states;
-                report.edges += stats.edges;
-                report.sccs += stats.sccs;
-            }
-            report.wall_ms = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
-            Ok(report)
-        }
-    }
+    reach_config::<Machine>(cfg, None)
 }
 
 /// [`check_reach_config`] for the non-blocking machine with `mshrs` miss
@@ -1160,26 +579,42 @@ pub fn check_reach_config_nonblocking(
     cfg: &MachineConfig,
     mshrs: usize,
 ) -> Result<ReachConfigStats, Box<ReachViolation>> {
-    Ok(explore_config_nonblocking(cfg, mshrs, &|| false)?.expect("no abort requested"))
+    reach_config::<NonBlockingMachine>(cfg, Some(mshrs))
 }
 
-/// Runs the non-blocking reachability check over the whole non-blocking
-/// grid ([`crate::nonblocking_configs`]) with [`default_jobs`] worker
-/// threads. See [`check_reach_nonblocking_jobs`].
+fn reach_config<M: SimMachine>(
+    cfg: &MachineConfig,
+    mshrs: Option<usize>,
+) -> Result<ReachConfigStats, Box<ReachViolation>> {
+    let e = explore_reach::<M>(cfg, mshrs, &|| false)?.expect("no abort requested");
+    Ok(ReachConfigStats {
+        states: e.states,
+        edges: e.edges,
+        sccs: e.sccs,
+    })
+}
+
+/// Runs the reachability check over the whole bounded configuration grid
+/// (the same 40 configurations as [`crate::check_exhaustive`]) with `jobs`
+/// worker threads. Like [`crate::check_exhaustive_jobs`], the result is
+/// identical for every `jobs` value (only `wall_ms` varies): a violation
+/// is always reported for the first violating configuration in
+/// configuration order, and the clean-run statistics are order-independent
+/// sums.
 ///
 /// # Errors
 ///
 /// The first violating configuration's [`ReachViolation`], in
 /// configuration order.
-pub fn check_reach_nonblocking(
+pub fn check_reach_jobs(
     fault: Option<FaultInjection>,
-    mshrs: Option<usize>,
+    jobs: usize,
 ) -> Result<CheckReport, Box<ReachViolation>> {
-    check_reach_nonblocking_jobs(fault, mshrs, default_jobs())
+    check_grid(&blocking_grid(fault), jobs, explore_reach::<Machine>)
 }
 
-/// [`check_reach_nonblocking`] with an explicit worker-thread count; the
-/// result is identical for every `jobs` value (only `wall_ms` varies).
+/// [`check_reach_jobs`] over the non-blocking grid
+/// ([`crate::nonblocking_configs`]).
 ///
 /// # Errors
 ///
@@ -1190,37 +625,29 @@ pub fn check_reach_nonblocking_jobs(
     mshrs: Option<usize>,
     jobs: usize,
 ) -> Result<CheckReport, Box<ReachViolation>> {
-    let start = Instant::now();
-    let configs = nonblocking_configs(fault, mshrs);
-    match run_indexed_earliest(configs.len(), jobs, |i, abort| {
-        let (cfg, m) = &configs[i];
-        explore_config_nonblocking(cfg, *m, abort)
-    }) {
-        Err((_, violation)) => Err(violation),
-        Ok(results) => {
-            let mut report = CheckReport {
-                configs: configs.len() as u64,
-                wall_ms: 0,
-                ..CheckReport::default()
-            };
-            for stats in results.into_iter().flatten() {
-                report.states_explored += stats.states;
-                report.edges += stats.edges;
-                report.sccs += stats.sccs;
-            }
-            report.wall_ms = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
-            Ok(report)
-        }
-    }
+    check_grid(
+        &mshr_grid(fault, mshrs),
+        jobs,
+        explore_reach::<NonBlockingMachine>,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bounded::{first_violating_sequence, first_violating_sequence_nonblocking};
+    use crate::bounded::first_violation;
+    use crate::{bounded_configs, check_sequence, default_jobs, nonblocking_configs};
     use wbsim_sim::EventParseError;
     use wbsim_types::policy::LoadHazardPolicy;
     use wbsim_types::testutil::a;
+
+    /// Whether the sequence checker finds a violation within `max_ops`.
+    fn bounded_dirty(cfg: &MachineConfig, mshrs: Option<usize>, max_ops: u32) -> bool {
+        first_violation(&op_universe(cfg), max_ops, &|| false, |ops| {
+            check_sequence(cfg, mshrs, ops).err()
+        })
+        .is_some()
+    }
 
     fn starve_config(depth: usize, hw: usize) -> MachineConfig {
         let mut cfg = MachineConfig::baseline();
@@ -1233,7 +660,8 @@ mod tests {
 
     #[test]
     fn baseline_grid_reach_is_clean() {
-        let report = check_reach(None).expect("the paper's design space is clean");
+        let report =
+            check_reach_jobs(None, default_jobs()).expect("the paper's design space is clean");
         assert_eq!(report.configs, 40);
         assert_eq!(report.sequences, 0, "reach does not enumerate sequences");
         // The closure proves the invariants for arbitrarily long op
@@ -1265,7 +693,7 @@ mod tests {
         // bug, so the verdicts must match exactly.
         for fault in [None, Some(FaultInjection::SkipWbForwarding)] {
             for cfg in bounded_configs(fault) {
-                let bounded_dirty = first_violating_sequence(&cfg, 3, &|| false).is_some();
+                let bounded_dirty = bounded_dirty(&cfg, None, 3);
                 let reach = check_reach_config(&cfg);
                 assert_eq!(
                     bounded_dirty,
@@ -1282,7 +710,7 @@ mod tests {
 
     #[test]
     fn skip_wb_forwarding_yields_minimized_replayable_safety_counterexample() {
-        let v = check_reach(Some(FaultInjection::SkipWbForwarding))
+        let v = check_reach_jobs(Some(FaultInjection::SkipWbForwarding), default_jobs())
             .expect_err("skipping WB forwarding must violate freshness");
         assert_eq!(v.diagnostic.code, "RCH001");
         let ce = v.counterexample.expect("safety violations carry one");
@@ -1297,7 +725,7 @@ mod tests {
             let mut fewer = ce.ops.clone();
             fewer.remove(i);
             assert!(
-                check_sequence(&ce.config, &fewer).is_ok(),
+                check_sequence(&ce.config, None, &fewer).is_ok(),
                 "counterexample is not minimal: op {i} is removable"
             );
         }
@@ -1313,18 +741,18 @@ mod tests {
         // With autonomous retirement starved, any non-empty buffer already
         // cycles under the fair drain schedule: one store is the minimal
         // witness, and the BFS finds it at the first non-initial state.
-        let v = check_reach(Some(FaultInjection::StarveRetirement))
+        let v = check_reach_jobs(Some(FaultInjection::StarveRetirement), default_jobs())
             .expect_err("starved retirement is a livelock");
         assert_eq!(v.diagnostic.code, "RCH002");
         let ce = v.counterexample.expect("livelocks carry a counterexample");
         assert_eq!(ce.ops.len(), 1, "one store suffices: {:?}", ce.ops);
         assert!(ce.ops.iter().all(|op| matches!(op, Op::Store(_))));
-        assert!(check_liveness_sequence(&ce.config, &ce.ops));
+        assert!(check_liveness_sequence(&ce.config, None, &ce.ops));
         for i in 0..ce.ops.len() {
             let mut fewer = ce.ops.clone();
             fewer.remove(i);
             assert!(
-                !check_liveness_sequence(&ce.config, &fewer),
+                !check_liveness_sequence(&ce.config, None, &fewer),
                 "livelock counterexample is not minimal: op {i} is removable"
             );
         }
@@ -1348,20 +776,22 @@ mod tests {
         assert_eq!(ce.ops.len(), 1, "one store suffices: {:?}", ce.ops);
         assert!(matches!(ce.ops[0], Op::Store(_)));
         // The bounded checker is blind to it: every short sequence is clean.
-        assert!(first_violating_sequence(&cfg, 3, &|| false).is_none());
+        assert!(!bounded_dirty(&cfg, None, 3));
     }
 
     #[test]
     fn liveness_predicate_is_clean_on_healthy_configs() {
         let mut cfg = MachineConfig::baseline();
         cfg.check_data = false;
-        assert!(!check_liveness_sequence(&cfg, &[Op::Store(a(0, 0))]));
+        assert!(!check_liveness_sequence(&cfg, None, &[Op::Store(a(0, 0))]));
         assert!(!check_liveness_sequence(
             &cfg,
+            None,
             &[Op::Store(a(0, 0)), Op::Store(a(1, 0)), Op::Load(a(0, 1))]
         ));
         assert!(check_liveness_sequence(
             &starve_config(2, 2),
+            None,
             &[Op::Store(a(0, 0))]
         ));
     }
@@ -1497,8 +927,8 @@ mod tests {
 
     #[test]
     fn nonblocking_grid_reach_is_clean() {
-        let report =
-            check_reach_nonblocking(None, None).expect("the non-blocking design space is clean");
+        let report = check_reach_nonblocking_jobs(None, None, default_jobs())
+            .expect("the non-blocking design space is clean");
         // 10 depth/high-water shapes (hazard pinned to read-from-WB) x
         // MSHR counts 1-4.
         assert_eq!(report.configs, 40);
@@ -1528,8 +958,7 @@ mod tests {
         // NB reachability checker must agree on whether the design is dirty.
         for fault in [None, Some(FaultInjection::SkipWbForwarding)] {
             for (cfg, m) in nonblocking_configs(fault, None) {
-                let bounded_dirty =
-                    first_violating_sequence_nonblocking(&cfg, m, 3, &|| false).is_some();
+                let bounded_dirty = bounded_dirty(&cfg, Some(m), 3);
                 let reach = check_reach_config_nonblocking(&cfg, m);
                 assert_eq!(
                     bounded_dirty,
@@ -1545,8 +974,12 @@ mod tests {
 
     #[test]
     fn nonblocking_skip_wb_fault_yields_minimized_replayable_counterexample() {
-        let v = check_reach_nonblocking(Some(FaultInjection::SkipWbForwarding), None)
-            .expect_err("skipping WB forwarding must violate freshness on the NB machine");
+        let v = check_reach_nonblocking_jobs(
+            Some(FaultInjection::SkipWbForwarding),
+            None,
+            default_jobs(),
+        )
+        .expect_err("skipping WB forwarding must violate freshness on the NB machine");
         assert_eq!(v.diagnostic.code, "RCH001");
         let ce = v.counterexample.expect("safety violations carry one");
         let mshrs = ce.mshrs.expect("NB counterexamples record the MSHR count");
@@ -1556,7 +989,7 @@ mod tests {
             let mut fewer = ce.ops.clone();
             fewer.remove(i);
             assert!(
-                check_sequence_nonblocking(&ce.config, mshrs, &fewer).is_ok(),
+                check_sequence(&ce.config, Some(mshrs), &fewer).is_ok(),
                 "counterexample is not minimal: op {i} is removable"
             );
         }
@@ -1569,21 +1002,23 @@ mod tests {
 
     #[test]
     fn nonblocking_starved_retirement_yields_livelock_counterexample() {
-        let v = check_reach_nonblocking(Some(FaultInjection::StarveRetirement), None)
-            .expect_err("starved retirement is a livelock on the NB machine too");
+        let v = check_reach_nonblocking_jobs(
+            Some(FaultInjection::StarveRetirement),
+            None,
+            default_jobs(),
+        )
+        .expect_err("starved retirement is a livelock on the NB machine too");
         assert_eq!(v.diagnostic.code, "RCH002");
         let ce = v.counterexample.expect("livelocks carry a counterexample");
         let mshrs = ce.mshrs.expect("NB counterexamples record the MSHR count");
         assert_eq!(ce.ops.len(), 1, "one store suffices: {:?}", ce.ops);
         assert!(matches!(ce.ops[0], Op::Store(_)));
-        assert!(check_liveness_sequence_nonblocking(
-            &ce.config, mshrs, &ce.ops
-        ));
+        assert!(check_liveness_sequence(&ce.config, Some(mshrs), &ce.ops));
         for i in 0..ce.ops.len() {
             let mut fewer = ce.ops.clone();
             fewer.remove(i);
             assert!(
-                !check_liveness_sequence_nonblocking(&ce.config, mshrs, &fewer),
+                !check_liveness_sequence(&ce.config, Some(mshrs), &fewer),
                 "livelock counterexample is not minimal: op {i} is removable"
             );
         }

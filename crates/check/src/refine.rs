@@ -14,7 +14,7 @@
 //! configuration — one `Engine::EventDriven` (with skip recording
 //! enabled, so the engine's claimed spans are captured), one
 //! `Engine::Reference` — and every edge runs one op on both sides:
-//! the fast side through [`Machine::run_op_skipping`] (which exercises
+//! the fast side through [`SimMachine::run_op_skipping`] (which exercises
 //! `try_skip` and the fast lane exactly as a production `run` would),
 //! the reference side through the same entry point (which, under
 //! `Engine::Reference`, degenerates to plain single-stepping). The two
@@ -34,7 +34,7 @@
 //!   semantic disagreement between the two step functions.
 //!
 //! States are canonicalized **jointly**: the line-symmetry machinery of
-//! [`abstract_both`] is applied to both snapshots under the *same*
+//! `abstract_both` is applied to both snapshots under the *same*
 //! permutation, and the lexicographically smaller `(reference,
 //! event-driven)` pair is the visited key — so a pair-state reached via
 //! swapped lines is recognized, and the closure argument of `reach`
@@ -44,7 +44,7 @@
 //! `Barrier`, which are what make the fast lane's compute batching and
 //! the barrier-drain skips reachable at all. At every newly discovered
 //! pair-state the checker also drains both machines to quiescence
-//! ([`Machine::run_to_end_bounded`]) and compares those streams too —
+//! ([`SimMachine::run_to_end_bounded`]) and compares those streams too —
 //! the non-blocking machine's end-of-stream skip arm is reachable only
 //! there.
 //!
@@ -61,10 +61,7 @@
 //! lines to `REF001` (not a JSON object) or `REF002` (not a decodable
 //! event) instead of panicking.
 
-use std::collections::{HashMap, VecDeque};
-use std::time::Instant;
-
-use wbsim_sim::{Engine, Event, Machine, NonBlockingMachine, Observer, SkipSpan};
+use wbsim_sim::{Engine, Event, Machine, NonBlockingMachine, Observer, SimMachine, SkipSpan};
 use wbsim_types::addr::{Addr, Geometry, LineAddr};
 use wbsim_types::config::MachineConfig;
 use wbsim_types::diagnostics::{Diagnostic, Severity};
@@ -73,10 +70,11 @@ use wbsim_types::op::Op;
 
 use crate::abstract_state::{abstract_both, AbsState, ShadowTracker};
 use crate::bounded::{
-    bounded_configs, default_jobs, nonblocking_configs, op_universe, run_indexed_earliest,
-    CheckReport, Counterexample,
+    blocking_grid, build, check_grid, minimize, mshr_grid, op_universe, unchecked, CheckReport,
+    Counterexample,
 };
-use crate::reach::{gate, rch_diagnostic, universe_lines, OP_CYCLE_BUDGET};
+use crate::explore::{explore, Edge, Explored};
+use crate::reach::{gate, replay, universe_lines, OP_CYCLE_BUDGET};
 
 /// Per-configuration product-exploration statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,20 +167,10 @@ pub fn read_event_stream(display: &str, text: &str) -> Result<Vec<Event>, Diagno
 /// side has there (`None` past the end of the shorter stream). Returns
 /// `None` when the streams are identical.
 #[must_use]
-pub fn first_divergence(
-    a: &[Event],
-    b: &[Event],
-) -> Option<(usize, Option<Event>, Option<Event>)> {
+pub fn first_divergence(a: &[Event], b: &[Event]) -> Option<(usize, Option<Event>, Option<Event>)> {
     let n = a.len().min(b.len());
-    for i in 0..n {
-        if a[i] != b[i] {
-            return Some((i, Some(a[i].clone()), Some(b[i].clone())));
-        }
-    }
-    if a.len() != b.len() {
-        return Some((n, a.get(n).cloned(), b.get(n).cloned()));
-    }
-    None
+    let i = (0..n).find(|&i| a[i] != b[i]).unwrap_or(n);
+    (i < a.len().max(b.len())).then(|| (i, a.get(i).copied(), b.get(i).copied()))
 }
 
 /// Records the serialized event stream and, separately, the accepted
@@ -288,7 +276,9 @@ fn verdict(
             // so equal streams with unequal ends should be impossible.
             let cycle = rf_lines.last().map_or(0, |l| line_cycle(l));
             let (code, place) = classify(spans, cycle);
-            let show = |e: Option<u64>| e.map_or_else(|| "budget exhausted".to_string(), |c| format!("cycle {c}"));
+            let show = |e: Option<u64>| {
+                e.map_or_else(|| "budget exhausted".to_string(), |c| format!("cycle {c}"))
+            };
             OpVerdict::Diverged(Div {
                 code,
                 message: format!(
@@ -302,86 +292,26 @@ fn verdict(
     }
 }
 
-/// The machine-kind abstraction the product explorer is generic over.
-/// Both sides of the pair call [`ProductMachine::run_op`] — under
-/// `Engine::Reference` it degenerates to plain single-stepping, under
-/// `Engine::EventDriven` it exercises the skip machinery exactly as a
-/// production run would.
-trait ProductMachine: Clone + Send {
-    fn build(cfg: &MachineConfig, mshrs: Option<usize>) -> Self;
-    fn set_engine(&mut self, engine: Engine);
-    fn set_record_skips(&mut self, record: bool);
-    fn take_skips(&mut self) -> Vec<SkipSpan>;
-    fn run_op(&mut self, op: Op, max_cycles: u64, obs: &mut StreamObserver) -> Option<u64>;
-    fn run_tail(&mut self, max_cycles: u64, obs: &mut StreamObserver) -> Option<u64>;
-    fn snap(&self, lines: &[LineAddr]) -> wbsim_sim::MachineSnapshot;
-}
-
-impl ProductMachine for Machine {
-    fn build(cfg: &MachineConfig, _mshrs: Option<usize>) -> Self {
-        Machine::new(cfg.clone()).expect("refine grid configs validate")
-    }
-    fn set_engine(&mut self, engine: Engine) {
-        Machine::set_engine(self, engine);
-    }
-    fn set_record_skips(&mut self, record: bool) {
-        Machine::set_record_skips(self, record);
-    }
-    fn take_skips(&mut self) -> Vec<SkipSpan> {
-        Machine::take_skips(self)
-    }
-    fn run_op(&mut self, op: Op, max_cycles: u64, obs: &mut StreamObserver) -> Option<u64> {
-        self.run_op_skipping(op, max_cycles, obs)
-    }
-    fn run_tail(&mut self, max_cycles: u64, obs: &mut StreamObserver) -> Option<u64> {
-        self.run_to_end_bounded(max_cycles, obs)
-    }
-    fn snap(&self, lines: &[LineAddr]) -> wbsim_sim::MachineSnapshot {
-        self.snapshot(lines)
-    }
-}
-
-impl ProductMachine for NonBlockingMachine {
-    fn build(cfg: &MachineConfig, mshrs: Option<usize>) -> Self {
-        NonBlockingMachine::new(cfg.clone(), mshrs.expect("non-blocking refine needs mshrs"))
-            .expect("refine grid configs validate")
-    }
-    fn set_engine(&mut self, engine: Engine) {
-        NonBlockingMachine::set_engine(self, engine);
-    }
-    fn set_record_skips(&mut self, record: bool) {
-        NonBlockingMachine::set_record_skips(self, record);
-    }
-    fn take_skips(&mut self) -> Vec<SkipSpan> {
-        NonBlockingMachine::take_skips(self)
-    }
-    fn run_op(&mut self, op: Op, max_cycles: u64, obs: &mut StreamObserver) -> Option<u64> {
-        self.run_op_skipping(op, max_cycles, obs)
-    }
-    fn run_tail(&mut self, max_cycles: u64, obs: &mut StreamObserver) -> Option<u64> {
-        self.run_to_end_bounded(max_cycles, obs)
-    }
-    fn snap(&self, lines: &[LineAddr]) -> wbsim_sim::MachineSnapshot {
-        self.snapshot(lines)
-    }
-}
-
-fn build_pair<M: ProductMachine>(cfg: &MachineConfig, mshrs: Option<usize>) -> (M, M) {
-    let mut ed = M::build(cfg, mshrs);
+fn build_pair<M: SimMachine>(cfg: &MachineConfig, mshrs: Option<usize>) -> (M, M) {
+    let mut ed: M = build(cfg, mshrs);
     ed.set_engine(Engine::EventDriven);
     ed.set_record_skips(true);
-    let mut rf = M::build(cfg, mshrs);
+    let mut rf: M = build(cfg, mshrs);
     rf.set_engine(Engine::Reference);
     (ed, rf)
 }
 
-/// Run one op on both sides and compare. Returns the verdict plus the
-/// reference side's accepted-store addresses (to feed the shadow).
-fn product_op<M: ProductMachine>(ed: &mut M, rf: &mut M, op: Op) -> (OpVerdict, Vec<Addr>) {
+/// Run one op on both sides and compare. Both sides go through
+/// [`SimMachine::run_op_skipping`]: under `Engine::Reference` it
+/// degenerates to plain single-stepping, under `Engine::EventDriven` it
+/// exercises the skip machinery exactly as a production run would.
+/// Returns the verdict plus the reference side's accepted-store addresses
+/// (to feed the shadow).
+fn product_op<M: SimMachine>(ed: &mut M, rf: &mut M, op: Op) -> (OpVerdict, Vec<Addr>) {
     let mut ed_obs = StreamObserver::default();
     let mut rf_obs = StreamObserver::default();
-    let ed_end = ed.run_op(op, OP_CYCLE_BUDGET, &mut ed_obs);
-    let rf_end = rf.run_op(op, OP_CYCLE_BUDGET, &mut rf_obs);
+    let ed_end = ed.run_op_skipping(op, OP_CYCLE_BUDGET, &mut ed_obs);
+    let rf_end = rf.run_op_skipping(op, OP_CYCLE_BUDGET, &mut rf_obs);
     let spans = ed.take_skips();
     (
         verdict(ed_end, rf_end, &ed_obs.lines, &rf_obs.lines, &spans),
@@ -391,13 +321,13 @@ fn product_op<M: ProductMachine>(ed: &mut M, rf: &mut M, op: Op) -> (OpVerdict, 
 
 /// Drain clones of both sides to quiescence and compare those streams —
 /// the only place the end-of-stream skip arms are reachable.
-fn product_tail<M: ProductMachine>(ed: &M, rf: &M) -> Option<Div> {
+fn product_tail<M: SimMachine>(ed: &M, rf: &M) -> Option<Div> {
     let mut ed = ed.clone();
     let mut rf = rf.clone();
     let mut ed_obs = StreamObserver::default();
     let mut rf_obs = StreamObserver::default();
-    let ed_end = ed.run_tail(OP_CYCLE_BUDGET, &mut ed_obs);
-    let rf_end = rf.run_tail(OP_CYCLE_BUDGET, &mut rf_obs);
+    let ed_end = ed.run_to_end_bounded(OP_CYCLE_BUDGET, &mut ed_obs);
+    let rf_end = rf.run_to_end_bounded(OP_CYCLE_BUDGET, &mut rf_obs);
     let spans = ed.take_skips();
     match verdict(ed_end, rf_end, &ed_obs.lines, &rf_obs.lines, &spans) {
         OpVerdict::Agree | OpVerdict::Wedged => None,
@@ -410,7 +340,7 @@ fn product_tail<M: ProductMachine>(ed: &M, rf: &M) -> Option<Div> {
 
 /// Does a fresh pair diverge on exactly this op sequence (including the
 /// final drain)? The minimization predicate.
-fn sequence_diverges<M: ProductMachine>(
+fn sequence_diverges<M: SimMachine>(
     cfg: &MachineConfig,
     mshrs: Option<usize>,
     ops: &[Op],
@@ -428,42 +358,26 @@ fn sequence_diverges<M: ProductMachine>(
 
 /// The reference engine's full replayable trace for an op sequence:
 /// every op run to its boundary, then the drain.
-fn reference_trace<M: ProductMachine>(
+fn reference_trace<M: SimMachine>(
     cfg: &MachineConfig,
     mshrs: Option<usize>,
     ops: &[Op],
 ) -> Vec<String> {
-    let mut rf = M::build(cfg, mshrs);
+    let mut rf: M = build(cfg, mshrs);
     rf.set_engine(Engine::Reference);
     let mut obs = StreamObserver::default();
-    for &op in ops {
-        if rf.run_op(op, OP_CYCLE_BUDGET, &mut obs).is_none() {
-            break;
-        }
-    }
-    let _ = rf.run_tail(OP_CYCLE_BUDGET, &mut obs);
+    replay(&mut rf, ops, &mut obs);
+    let _ = rf.run_to_end_bounded(OP_CYCLE_BUDGET, &mut obs);
     obs.lines
 }
 
-fn divergence_violation<M: ProductMachine>(
+fn divergence_violation<M: SimMachine>(
     cfg: &MachineConfig,
     mshrs: Option<usize>,
-    mut ops: Vec<Op>,
-    mut div: Div,
+    ops: Vec<Op>,
+    div: Div,
 ) -> Box<RefineViolation> {
-    // Greedy 1-minimization: drop any op whose removal still diverges.
-    'outer: loop {
-        for i in 0..ops.len() {
-            let mut candidate = ops.clone();
-            candidate.remove(i);
-            if let Some(d) = sequence_diverges::<M>(cfg, mshrs, &candidate) {
-                ops = candidate;
-                div = d;
-                continue 'outer;
-            }
-        }
-        break;
-    }
+    let (ops, div) = minimize(ops, div, |c| sequence_diverges::<M>(cfg, mshrs, c));
     let trace = reference_trace::<M>(cfg, mshrs, &ops);
     Box::new(RefineViolation {
         diagnostic: ref_diagnostic(div.code, "engine", div.message.clone()),
@@ -477,128 +391,60 @@ fn divergence_violation<M: ProductMachine>(
     })
 }
 
-struct PNode<M> {
-    ed: Option<M>,
-    rf: Option<M>,
-    shadow: ShadowTracker,
-    parent: Option<(usize, Op)>,
-}
+/// A product state: the event-driven and the reference machine, and the
+/// shadow map of the (shared) store stream.
+type Pair<M> = (M, M, ShadowTracker);
 
-fn pair_path_ops<M>(nodes: &[PNode<M>], mut idx: usize, last: Option<Op>) -> Vec<Op> {
-    let mut ops = Vec::new();
-    while let Some((parent, op)) = nodes[idx].parent {
-        ops.push(op);
-        idx = parent;
-    }
-    ops.reverse();
-    ops.extend(last);
-    ops
-}
-
-fn joint_key<M: ProductMachine>(
+fn joint_key<M: SimMachine>(
     g: Geometry,
-    ed: &M,
-    rf: &M,
-    shadow: &ShadowTracker,
+    (ed, rf, shadow): &Pair<M>,
     lines: &[LineAddr],
 ) -> (AbsState, AbsState) {
-    let (a_e, b_e) = abstract_both(&g, &ed.snap(lines), shadow);
-    let (a_r, b_r) = abstract_both(&g, &rf.snap(lines), shadow);
+    let (a_e, b_e) = abstract_both(&g, &ed.snapshot(lines), shadow);
+    let (a_r, b_r) = abstract_both(&g, &rf.snapshot(lines), shadow);
     // The same line permutation is applied to both halves, so the pair
     // under identity and the pair under the swap are the only two
     // representatives; take the smaller, reference half first.
     std::cmp::min((a_r, a_e), (b_r, b_e))
 }
 
-fn explore_refine<M: ProductMachine>(
+fn explore_refine<M: SimMachine>(
     cfg: &MachineConfig,
     mshrs: Option<usize>,
     abort: &dyn Fn() -> bool,
-) -> Result<Option<RefineConfigStats>, Box<RefineViolation>> {
-    if let Err(reject) = gate(cfg) {
-        return Err(Box::new(RefineViolation {
-            diagnostic: rch_diagnostic(
-                "RCH003",
-                &reject.field,
-                format!(
-                    "configuration is outside the abstractable class: {}",
-                    reject.why
-                ),
-            )
-            .with_suggestion(reject.suggestion),
+) -> Result<Option<Explored>, Box<RefineViolation>> {
+    gate(cfg).map_err(|diagnostic| {
+        Box::new(RefineViolation {
+            diagnostic,
             counterexample: None,
-        }));
-    }
-    let mut cfg = cfg.clone();
-    cfg.check_data = false;
+        })
+    })?;
+    let cfg = &unchecked(cfg);
     let g = cfg.geometry;
-    let lines = universe_lines(&cfg);
-    let universe = refine_universe(&cfg);
-
-    let (ed0, rf0) = build_pair::<M>(&cfg, mshrs);
-    let shadow0 = ShadowTracker::default();
-    if let Some(d) = product_tail(&ed0, &rf0) {
-        return Err(divergence_violation::<M>(&cfg, mshrs, Vec::new(), d));
-    }
-    let key0 = joint_key(g, &ed0, &rf0, &shadow0, &lines);
-
-    let mut nodes: Vec<PNode<M>> = vec![PNode {
-        ed: Some(ed0),
-        rf: Some(rf0),
-        shadow: shadow0,
-        parent: None,
-    }];
-    let mut visited: HashMap<(AbsState, AbsState), usize> = HashMap::new();
-    visited.insert(key0, 0);
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    queue.push_back(0);
-    let mut edges: u64 = 0;
-
-    while let Some(idx) = queue.pop_front() {
-        if abort() {
-            return Ok(None);
-        }
-        let ed_m = nodes[idx].ed.take().expect("queued node holds its pair");
-        let rf_m = nodes[idx].rf.take().expect("queued node holds its pair");
-        for &op in &universe {
-            let mut ed = ed_m.clone();
-            let mut rf = rf_m.clone();
-            let (v, stores) = product_op(&mut ed, &mut rf, op);
-            edges += 1;
-            match v {
-                OpVerdict::Diverged(d) => {
-                    let ops = pair_path_ops(&nodes, idx, Some(op));
-                    return Err(divergence_violation::<M>(&cfg, mshrs, ops, d));
+    let lines = universe_lines(cfg);
+    let (ed0, rf0) = build_pair::<M>(cfg, mshrs);
+    explore(
+        (ed0, rf0, ShadowTracker::default()),
+        &refine_universe(cfg),
+        abort,
+        |pair| joint_key(g, pair, &lines),
+        |(ed, rf, shadow), op| {
+            let (mut ed, mut rf) = (ed.clone(), rf.clone());
+            match product_op(&mut ed, &mut rf, op) {
+                (OpVerdict::Diverged(d), _) => Err(d),
+                (OpVerdict::Wedged, _) => Ok(Edge::Wedged),
+                (OpVerdict::Agree, stores) => {
+                    let mut shadow = shadow.clone();
+                    for addr in stores {
+                        shadow.record_store(g.word_addr(addr));
+                    }
+                    Ok(Edge::To((ed, rf, shadow)))
                 }
-                OpVerdict::Wedged => continue,
-                OpVerdict::Agree => {}
             }
-            let mut shadow = nodes[idx].shadow.clone();
-            for addr in stores {
-                shadow.record_store(g.word_addr(addr));
-            }
-            let key = joint_key(g, &ed, &rf, &shadow, &lines);
-            if visited.contains_key(&key) {
-                continue;
-            }
-            if let Some(d) = product_tail(&ed, &rf) {
-                let ops = pair_path_ops(&nodes, idx, Some(op));
-                return Err(divergence_violation::<M>(&cfg, mshrs, ops, d));
-            }
-            visited.insert(key, nodes.len());
-            queue.push_back(nodes.len());
-            nodes.push(PNode {
-                ed: Some(ed),
-                rf: Some(rf),
-                shadow,
-                parent: Some((idx, op)),
-            });
-        }
-    }
-    Ok(Some(RefineConfigStats {
-        states: nodes.len() as u64,
-        edges,
-    }))
+        },
+        |(ed, rf, _)| product_tail(ed, rf).map_or(Ok(()), Err),
+    )
+    .map_err(|(ops, div)| divergence_violation::<M>(cfg, mshrs, ops, div))
 }
 
 /// Prove (or refute) refinement for one blocking-machine configuration.
@@ -611,10 +457,7 @@ fn explore_refine<M: ProductMachine>(
 ///
 /// Panics if `cfg` fails [`MachineConfig::validate`].
 pub fn check_refine_config(cfg: &MachineConfig) -> Result<RefineConfigStats, Box<RefineViolation>> {
-    match explore_refine::<Machine>(cfg, None, &|| false) {
-        Ok(stats) => Ok(stats.expect("no abort in single-config mode")),
-        Err(v) => Err(v),
-    }
+    refine_config::<Machine>(cfg, None)
 }
 
 /// Prove (or refute) refinement for one non-blocking configuration.
@@ -630,44 +473,21 @@ pub fn check_refine_config_nonblocking(
     cfg: &MachineConfig,
     mshrs: usize,
 ) -> Result<RefineConfigStats, Box<RefineViolation>> {
-    match explore_refine::<NonBlockingMachine>(cfg, Some(mshrs), &|| false) {
-        Ok(stats) => Ok(stats.expect("no abort in single-config mode")),
-        Err(v) => Err(v),
-    }
+    refine_config::<NonBlockingMachine>(cfg, Some(mshrs))
 }
 
-fn collect(
-    configs: usize,
-    started: Instant,
-    results: Vec<Option<RefineConfigStats>>,
-) -> CheckReport {
-    let mut report = CheckReport {
-        configs: configs as u64,
-        sequences: 0,
-        runs: 0,
-        states_explored: 0,
-        edges: 0,
-        sccs: 0,
-        wall_ms: 0,
-    };
-    for stats in results.into_iter().flatten() {
-        report.states_explored += stats.states;
-        report.edges += stats.edges;
-    }
-    report.wall_ms = started.elapsed().as_millis() as u64;
-    report
+fn refine_config<M: SimMachine>(
+    cfg: &MachineConfig,
+    mshrs: Option<usize>,
+) -> Result<RefineConfigStats, Box<RefineViolation>> {
+    let e = explore_refine::<M>(cfg, mshrs, &|| false)?.expect("no abort in single-config mode");
+    Ok(RefineConfigStats {
+        states: e.states,
+        edges: e.edges,
+    })
 }
 
-/// Refinement-check the full 40-point blocking grid.
-///
-/// # Errors
-///
-/// Returns the earliest-config violation.
-pub fn check_refine(fault: Option<FaultInjection>) -> Result<CheckReport, Box<RefineViolation>> {
-    check_refine_jobs(fault, default_jobs())
-}
-
-/// [`check_refine`] with an explicit worker count.
+/// Refinement-check the full 40-point blocking grid with `jobs` workers.
 ///
 /// # Errors
 ///
@@ -676,29 +496,11 @@ pub fn check_refine_jobs(
     fault: Option<FaultInjection>,
     jobs: usize,
 ) -> Result<CheckReport, Box<RefineViolation>> {
-    let started = Instant::now();
-    let configs = bounded_configs(fault);
-    match run_indexed_earliest(configs.len(), jobs, |i, abort| {
-        explore_refine::<Machine>(&configs[i], None, abort)
-    }) {
-        Err((_, violation)) => Err(violation),
-        Ok(results) => Ok(collect(configs.len(), started, results)),
-    }
+    check_grid(&blocking_grid(fault), jobs, explore_refine::<Machine>)
 }
 
-/// Refinement-check the 40-point non-blocking grid (or one MSHR count).
-///
-/// # Errors
-///
-/// Returns the earliest-config violation.
-pub fn check_refine_nonblocking(
-    fault: Option<FaultInjection>,
-    mshrs: Option<usize>,
-) -> Result<CheckReport, Box<RefineViolation>> {
-    check_refine_nonblocking_jobs(fault, mshrs, default_jobs())
-}
-
-/// [`check_refine_nonblocking`] with an explicit worker count.
+/// Refinement-check the 40-point non-blocking grid (or one MSHR count)
+/// with `jobs` workers.
 ///
 /// # Errors
 ///
@@ -708,15 +510,11 @@ pub fn check_refine_nonblocking_jobs(
     mshrs: Option<usize>,
     jobs: usize,
 ) -> Result<CheckReport, Box<RefineViolation>> {
-    let started = Instant::now();
-    let points = nonblocking_configs(fault, mshrs);
-    match run_indexed_earliest(points.len(), jobs, |i, abort| {
-        let (cfg, mshrs) = &points[i];
-        explore_refine::<NonBlockingMachine>(cfg, Some(*mshrs), abort)
-    }) {
-        Err((_, violation)) => Err(violation),
-        Ok(results) => Ok(collect(points.len(), started, results)),
-    }
+    check_grid(
+        &mshr_grid(fault, mshrs),
+        jobs,
+        explore_refine::<NonBlockingMachine>,
+    )
 }
 
 #[cfg(test)]
@@ -748,7 +546,10 @@ mod tests {
         let stats = check_refine_config(&cfg).expect("engines are equivalent");
         assert!(stats.states > 1);
         // Every expanded pair-state contributes exactly one edge per op.
-        assert_eq!(stats.edges, stats.states * refine_universe(&cfg).len() as u64);
+        assert_eq!(
+            stats.edges,
+            stats.states * refine_universe(&cfg).len() as u64
+        );
     }
 
     #[test]
@@ -785,7 +586,9 @@ mod tests {
         cfg.fault = Some(FaultInjection::OvershootSkip);
         let v = check_refine_config(&cfg).expect_err("overshot horizon must diverge");
         assert_eq!(v.diagnostic.code, "REF100", "{}", v.diagnostic.message);
-        let ce = v.counterexample.expect("divergence carries a counterexample");
+        let ce = v
+            .counterexample
+            .expect("divergence carries a counterexample");
         assert!(!ce.trace.is_empty());
         // The trace replays: every line decodes as an event.
         let events = read_event_stream("ce", &ce.trace.join("\n")).expect("trace replays");
@@ -819,7 +622,9 @@ mod tests {
             v.diagnostic.code,
             v.diagnostic.message
         );
-        let ce = v.counterexample.expect("divergence carries a counterexample");
+        let ce = v
+            .counterexample
+            .expect("divergence carries a counterexample");
         assert!(read_event_stream("ce", &ce.trace.join("\n")).is_ok());
         assert!(sequence_diverges::<NonBlockingMachine>(&ce.config, Some(1), &ce.ops).is_some());
     }
@@ -849,7 +654,11 @@ mod tests {
         assert_eq!(err.field_path, "in:1");
 
         // Line numbers point at the offending line, blank lines skipped.
-        let good = Event::CycleEnd { now: 3, occupancy: 1 }.to_json();
+        let good = Event::CycleEnd {
+            now: 3,
+            occupancy: 1,
+        }
+        .to_json();
         let text = format!("{good}\n\n{{\"event\":\"bogus\"}}");
         let err = read_event_stream("f.jsonl", &text).expect_err("line 3");
         assert_eq!(err.field_path, "f.jsonl:3");
@@ -899,21 +708,33 @@ mod tests {
     #[test]
     fn first_divergence_reports_index_and_both_events() {
         let a = [
-            Event::CycleEnd { now: 0, occupancy: 0 },
-            Event::CycleEnd { now: 1, occupancy: 0 },
+            Event::CycleEnd {
+                now: 0,
+                occupancy: 0,
+            },
+            Event::CycleEnd {
+                now: 1,
+                occupancy: 0,
+            },
         ];
         let b = [
-            Event::CycleEnd { now: 0, occupancy: 0 },
-            Event::CycleEnd { now: 1, occupancy: 1 },
+            Event::CycleEnd {
+                now: 0,
+                occupancy: 0,
+            },
+            Event::CycleEnd {
+                now: 1,
+                occupancy: 1,
+            },
         ];
         assert!(first_divergence(&a, &a).is_none());
         let (i, x, y) = first_divergence(&a, &b).expect("differ at 1");
         assert_eq!(i, 1);
-        assert_eq!(x, Some(a[1].clone()));
-        assert_eq!(y, Some(b[1].clone()));
+        assert_eq!(x, Some(a[1]));
+        assert_eq!(y, Some(b[1]));
         let (i, x, y) = first_divergence(&a, &a[..1]).expect("length mismatch");
         assert_eq!(i, 1);
-        assert_eq!(x, Some(a[1].clone()));
+        assert_eq!(x, Some(a[1]));
         assert_eq!(y, None);
     }
 }

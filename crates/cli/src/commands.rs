@@ -13,6 +13,7 @@ use wbsim_check::{
 };
 use wbsim_experiments::harness::{pool_cells_jobs, Harness};
 use wbsim_experiments::{ablations, figures, render, tables};
+use wbsim_jobs::manifest::{fault_from_name, hazard_from_name, hazard_name};
 use wbsim_jobs::sched::{replay_mismatch, replay_sched, run_sched, SchedFault};
 use wbsim_jobs::{
     CheckConfig, CheckSpec, Executor, FigureFormat, JobKind, MachineSel, Manifest,
@@ -264,12 +265,11 @@ fn cmd_ablation(p: &Parsed) -> CmdResult {
 }
 
 fn hazard_from(name: &str) -> Result<LoadHazardPolicy, ArgError> {
-    Ok(match name.to_ascii_lowercase().as_str() {
-        "flush-full" => LoadHazardPolicy::FlushFull,
-        "flush-partial" => LoadHazardPolicy::FlushPartial,
-        "flush-item-only" => LoadHazardPolicy::FlushItemOnly,
-        "read-from-wb" => LoadHazardPolicy::ReadFromWb,
-        other => return Err(ArgError(format!("unknown hazard policy {other:?}"))),
+    hazard_from_name(name).ok_or_else(|| {
+        ArgError(format!(
+            "unknown hazard policy {:?}",
+            name.to_ascii_lowercase()
+        ))
     })
 }
 
@@ -737,12 +737,9 @@ impl<W: io::Write> Observer for JsonlWriter<W> {
 }
 
 fn cmd_trace(p: &Parsed) -> CmdResult {
-    let sub = p
-        .positionals
-        .get(1)
-        .ok_or_else(|| {
-            ArgError("trace: gen | synth | stats | run | events | validate | diff".into())
-        })?;
+    let sub = p.positionals.get(1).ok_or_else(|| {
+        ArgError("trace: gen | synth | stats | run | events | validate | diff".into())
+    })?;
     match sub.as_str() {
         "gen" => {
             let bench_name = p
@@ -937,14 +934,12 @@ fn cmd_trace(p: &Parsed) -> CmdResult {
             Ok(())
         }
         "diff" => {
-            let a = p
-                .positionals
-                .get(2)
-                .ok_or_else(|| ArgError("trace diff: two files required (one may be `-`)".into()))?;
-            let b = p
-                .positionals
-                .get(3)
-                .ok_or_else(|| ArgError("trace diff: two files required (one may be `-`)".into()))?;
+            let a = p.positionals.get(2).ok_or_else(|| {
+                ArgError("trace diff: two files required (one may be `-`)".into())
+            })?;
+            let b = p.positionals.get(3).ok_or_else(|| {
+                ArgError("trace diff: two files required (one may be `-`)".into())
+            })?;
             if a == "-" && b == "-" {
                 return Err(ArgError("trace diff: at most one side may be `-`".into()).into());
             }
@@ -1032,21 +1027,17 @@ fn config_for_lint(p: &Parsed) -> Result<(Option<MachineConfig>, Vec<Diagnostic>
     Ok((Some(cfg), Vec::new()))
 }
 
-/// Which machine the model checkers drive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CheckMachine {
-    Blocking,
-    NonBlocking,
-}
-
-fn check_machine_from(p: &Parsed) -> Result<CheckMachine, ArgError> {
-    match p.options.get("machine").map(String::as_str) {
-        None | Some("blocking") => Ok(CheckMachine::Blocking),
-        Some("nonblocking" | "non-blocking") => Ok(CheckMachine::NonBlocking),
-        Some(other) => Err(ArgError(format!(
-            "unknown machine {other:?} (try blocking or nonblocking)"
-        ))),
-    }
+/// Which machine the model checkers drive (`--machine`, blocking by
+/// default), by the manifest's names.
+fn check_machine_from(p: &Parsed) -> Result<MachineSel, ArgError> {
+    let Some(name) = p.options.get("machine") else {
+        return Ok(MachineSel::Blocking);
+    };
+    MachineSel::from_name(name).ok_or_else(|| {
+        ArgError(format!(
+            "unknown machine {name:?} (try blocking or nonblocking)"
+        ))
+    })
 }
 
 fn check_mshrs_from(p: &Parsed) -> Result<Option<usize>, ArgError> {
@@ -1207,8 +1198,8 @@ fn lint_diagnostics(p: &Parsed) -> Result<Vec<Diagnostic>, Box<dyn Error>> {
     let (cfg, mut diags) = config_for_lint(p)?;
     if let Some(cfg) = cfg {
         diags.extend(match machine {
-            CheckMachine::Blocking => lint_config(&cfg),
-            CheckMachine::NonBlocking => lint_nonblocking(&cfg, mshrs.unwrap_or(1)),
+            MachineSel::Blocking => lint_config(&cfg),
+            MachineSel::NonBlocking => lint_nonblocking(&cfg, mshrs.unwrap_or(1)),
         });
     }
     Ok(diags)
@@ -1329,10 +1320,7 @@ fn cmd_check_json(p: &Parsed) -> CmdResult {
         exhaustive: p.has_flag("exhaustive"),
         reach: p.has_flag("reach"),
         refine: p.has_flag("refine"),
-        machine: match machine {
-            CheckMachine::Blocking => MachineSel::Blocking,
-            CheckMachine::NonBlocking => MachineSel::NonBlocking,
-        },
+        machine,
         mshrs: check_mshrs_from(p)?,
         max_ops: p.get_or("max-ops", 5u32)?,
         fault,
@@ -1392,16 +1380,15 @@ fn cmd_check_json(p: &Parsed) -> CmdResult {
 }
 
 fn fault_from(p: &Parsed) -> Result<Option<FaultInjection>, ArgError> {
-    match p.options.get("fault").map(String::as_str) {
-        None => Ok(None),
-        Some("skip-wb-forwarding") => Ok(Some(FaultInjection::SkipWbForwarding)),
-        Some("starve-retirement") => Ok(Some(FaultInjection::StarveRetirement)),
-        Some("overshoot-skip") => Ok(Some(FaultInjection::OvershootSkip)),
-        Some(other) => Err(ArgError(format!(
-            "unknown fault {other:?} (try skip-wb-forwarding, starve-retirement, \
+    let Some(name) = p.options.get("fault") else {
+        return Ok(None);
+    };
+    fault_from_name(name).map(Some).ok_or_else(|| {
+        ArgError(format!(
+            "unknown fault {name:?} (try skip-wb-forwarding, starve-retirement, \
              or overshoot-skip)"
-        ))),
-    }
+        ))
+    })
 }
 
 /// Writes a counterexample's trace (to `--out`, default
@@ -1458,10 +1445,10 @@ fn report_counterexample(p: &Parsed, ce: &Counterexample, violation: &str) -> Cm
 }
 
 /// What a clean human-mode report labels the machine under check.
-fn machine_label(machine: CheckMachine, mshrs: Option<usize>) -> String {
+fn machine_label(machine: MachineSel, mshrs: Option<usize>) -> String {
     match machine {
-        CheckMachine::Blocking => "blocking machine".to_string(),
-        CheckMachine::NonBlocking => match mshrs {
+        MachineSel::Blocking => "blocking machine".to_string(),
+        MachineSel::NonBlocking => match mshrs {
             Some(m) => format!("non-blocking machine, {m} MSHRs"),
             None => "non-blocking machine, 1-4 MSHRs".to_string(),
         },
@@ -1475,8 +1462,8 @@ fn cmd_check_exhaustive(p: &Parsed) -> CmdResult {
     let machine = check_machine_from(p)?;
     let mshrs = check_mshrs_from(p)?;
     let result = match machine {
-        CheckMachine::Blocking => check_exhaustive_jobs(max_ops, fault, jobs),
-        CheckMachine::NonBlocking => check_exhaustive_nonblocking_jobs(max_ops, fault, mshrs, jobs),
+        MachineSel::Blocking => check_exhaustive_jobs(max_ops, fault, jobs),
+        MachineSel::NonBlocking => check_exhaustive_nonblocking_jobs(max_ops, fault, mshrs, jobs),
     };
     match result {
         Ok(report) => {
@@ -1504,8 +1491,8 @@ fn cmd_check_reach(p: &Parsed) -> CmdResult {
     let machine = check_machine_from(p)?;
     let mshrs = check_mshrs_from(p)?;
     let result = match machine {
-        CheckMachine::Blocking => check_reach_jobs(fault, jobs),
-        CheckMachine::NonBlocking => check_reach_nonblocking_jobs(fault, mshrs, jobs),
+        MachineSel::Blocking => check_reach_jobs(fault, jobs),
+        MachineSel::NonBlocking => check_reach_nonblocking_jobs(fault, mshrs, jobs),
     };
     match result {
         Ok(report) => {
@@ -1542,8 +1529,8 @@ fn cmd_check_refine(p: &Parsed) -> CmdResult {
     let machine = check_machine_from(p)?;
     let mshrs = check_mshrs_from(p)?;
     let result = match machine {
-        CheckMachine::Blocking => check_refine_jobs(fault, jobs),
-        CheckMachine::NonBlocking => check_refine_nonblocking_jobs(fault, mshrs, jobs),
+        MachineSel::Blocking => check_refine_jobs(fault, jobs),
+        MachineSel::NonBlocking => check_refine_nonblocking_jobs(fault, mshrs, jobs),
     };
     match result {
         Ok(report) => {
@@ -1605,10 +1592,7 @@ fn load_prop_set(p: &Parsed) -> Result<PropSet, Box<dyn Error>> {
 fn prop_env_from(p: &Parsed) -> Result<PropEnv, Box<dyn Error>> {
     let mut env = PropEnv::unbound();
     if p.options.contains_key("machine") {
-        env.machine = Some(match check_machine_from(p)? {
-            CheckMachine::Blocking => "blocking",
-            CheckMachine::NonBlocking => "nonblocking",
-        });
+        env.machine = Some(check_machine_from(p)?.name());
     }
     if let Some(v) = p.options.get("depth") {
         env.depth = Some(
@@ -1620,12 +1604,7 @@ fn prop_env_from(p: &Parsed) -> Result<PropEnv, Box<dyn Error>> {
         env.mshrs = Some(m as u64);
     }
     if let Some(v) = p.options.get("hazard") {
-        env.hazard = Some(match hazard_from(v)? {
-            LoadHazardPolicy::FlushFull => "flush-full",
-            LoadHazardPolicy::FlushPartial => "flush-partial",
-            LoadHazardPolicy::FlushItemOnly => "flush-item-only",
-            LoadHazardPolicy::ReadFromWb => "read-from-wb",
-        });
+        env.hazard = Some(hazard_name(hazard_from(v)?));
     }
     Ok(env)
 }
@@ -1637,8 +1616,8 @@ fn cmd_check_prop(p: &Parsed) -> CmdResult {
     let mshrs = check_mshrs_from(p)?;
     let set = load_prop_set(p)?;
     let result = match machine {
-        CheckMachine::Blocking => check_props_reach_jobs(&set, fault, jobs),
-        CheckMachine::NonBlocking => check_props_reach_nonblocking_jobs(&set, fault, mshrs, jobs),
+        MachineSel::Blocking => check_props_reach_jobs(&set, fault, jobs),
+        MachineSel::NonBlocking => check_props_reach_nonblocking_jobs(&set, fault, mshrs, jobs),
     };
     match result {
         Ok(report) => {

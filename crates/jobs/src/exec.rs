@@ -15,8 +15,7 @@ use wbsim_check::{
     builtin_library, check_exhaustive_jobs, check_exhaustive_nonblocking_jobs,
     check_props_reach_jobs, check_props_reach_nonblocking_jobs, check_reach_jobs,
     check_reach_nonblocking_jobs, check_refine_jobs, check_refine_nonblocking_jobs, default_jobs,
-    lint_config, lint_nonblocking,
-    parse_error_diagnostic, parse_props, Counterexample,
+    lint_config, lint_nonblocking, parse_error_diagnostic, parse_props, Counterexample,
 };
 use wbsim_experiments::harness::FigureResult;
 use wbsim_experiments::{figures, render, tables};
@@ -370,9 +369,7 @@ fn run_check(spec: &CheckSpec, opts: &Options) -> JobOutcome {
     let refine = if spec.refine {
         let result = match spec.machine {
             MachineSel::Blocking => check_refine_jobs(spec.fault, jobs),
-            MachineSel::NonBlocking => {
-                check_refine_nonblocking_jobs(spec.fault, spec.mshrs, jobs)
-            }
+            MachineSel::NonBlocking => check_refine_nonblocking_jobs(spec.fault, spec.mshrs, jobs),
         };
         Some(match result {
             Ok(report) => {

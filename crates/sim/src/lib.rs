@@ -15,7 +15,8 @@
 //! each machine is a thin CPU state machine over it. Everything the
 //! datapath does is reported as structured [`Event`]s to an [`Observer`]
 //! — [`NullObserver`] for plain runs (zero cost), [`HistogramObserver`]
-//! for occupancy/latency/burst distributions, or your own.
+//! for occupancy/latency/burst distributions, or your own. The model
+//! checkers drive both machines through one interface, [`SimMachine`].
 //!
 //! [`Machine::run`] simulates a reference stream against a configured
 //! machine; [`Machine::run_ideal`] simulates the paper's implicit lower
@@ -54,6 +55,7 @@ pub mod machine;
 pub mod nonblocking;
 pub mod observer;
 pub mod port;
+mod sim_machine;
 pub mod testutil;
 
 pub use event::{Event, EventParseError, PortUse};
@@ -63,3 +65,4 @@ pub use machine::{
 pub use nonblocking::NonBlockingMachine;
 pub use observer::{HistogramObserver, NullObserver, Observer, Tee};
 pub use port::{L2Port, PortOwner};
+pub use sim_machine::SimMachine;

@@ -43,9 +43,10 @@ use wbsim_types::Cycle;
 
 use crate::event::{Event, PortUse};
 use crate::hierarchy::Hierarchy;
-use crate::machine::{Engine, SkipSpan, SkipTick};
+use crate::machine::{hier_snapshot, Engine, MachineSnapshot, MshrSnapshot, SkipSpan, SkipTick};
 use crate::observer::{NullObserver, Observer};
 use crate::port::PortOwner;
+use crate::sim_machine::SimMachine;
 
 /// One miss-status-holding register.
 #[derive(Debug, Clone, Copy)]
@@ -312,29 +313,57 @@ impl NonBlockingMachine {
         }
     }
 
-    /// Advances the machine by exactly one cycle: fill completion,
-    /// retirement completion, one CPU step, read issue, autonomous
-    /// retirement, the overlapped L2-read-access charge, and the closing
-    /// [`Event::CycleEnd`]. Returns `false` once the reference stream is
-    /// exhausted and all outstanding misses and retirements have drained
-    /// — that final call consumes no cycle. Statistics accumulate as in
-    /// [`NonBlockingMachine::run_observed`], except `cycles`, which only
-    /// the `run_*` wrappers finalize.
-    pub fn step<I, O>(&mut self, iter: &mut I, obs: &mut O) -> bool
-    where
-        I: Iterator<Item = Op>,
-        O: Observer,
-    {
-        self.complete_mshrs(obs);
-        self.hier.complete_retirement(obs);
-        let advanced = self.cpu_step(iter, obs);
-        self.issue_reads(obs);
-        self.wb_try_retire(obs);
-        if !advanced && self.mshrs.is_empty() && self.hier.wb_retire.is_none() {
-            return false;
+    /// Whether the CPU sits at an op boundary: the previous op (if any)
+    /// has fully issued and no instruction occupies the front end.
+    /// Outstanding misses and retirements may still be in flight — that is
+    /// the whole point of this machine.
+    fn at_op_boundary(&self) -> bool {
+        matches!(self.cpu, CpuState::NeedOp | CpuState::Finished)
+    }
+
+    /// Runs one op from an op boundary until the front end is ready for
+    /// the next op, skipping wait spans when `skip` is set; see
+    /// [`SimMachine::run_op_bounded`]. Outstanding misses and retirements
+    /// deliberately stay in flight across the boundary.
+    fn run_op<O: Observer>(
+        &mut self,
+        op: Op,
+        max_cycles: u64,
+        skip: bool,
+        obs: &mut O,
+    ) -> Option<u64> {
+        debug_assert!(self.at_op_boundary(), "run_op mid-op");
+        if matches!(self.cpu, CpuState::Finished) {
+            self.cpu = CpuState::NeedOp;
         }
-        // A cycle in which some queued read sits behind an underway
-        // write is L2-read-access contention, overlapped or not.
+        let deadline = self.hier.now + max_cycles;
+        let mut iter = std::iter::once(op);
+        loop {
+            if skip {
+                self.try_skip(obs);
+            }
+            self.complete_mshrs(obs);
+            self.hier.complete_retirement(obs);
+            if !self.cpu_step(&mut iter, obs) {
+                // Front end idle again: stop *before* this timestamp's
+                // issue/retire phase, which belongs to the next op's first
+                // cycle (or the end-of-stream drain).
+                return Some(self.hier.now);
+            }
+            self.issue_reads(obs);
+            self.wb_try_retire(obs);
+            self.close_cycle(obs);
+            if self.hier.now >= deadline {
+                return None;
+            }
+        }
+    }
+
+    /// The end of every cycle: the overlapped L2-read-access charge (a
+    /// cycle in which some queued read sits behind an underway write is
+    /// L2-read-access contention, overlapped or not), the occupancy record
+    /// and the closing [`Event::CycleEnd`].
+    fn close_cycle<O: Observer>(&mut self, obs: &mut O) {
         if self.hier.port.busy_with_write(self.hier.now)
             && self.mshrs.iter().any(|m| m.done_at.is_none())
         {
@@ -347,167 +376,6 @@ impl NonBlockingMachine {
             occupancy: occupancy as u64,
         });
         self.hier.now += 1;
-        true
-    }
-
-    /// Like [`NonBlockingMachine::run_observed`], but gives up and returns
-    /// `None` if the run has not finished after `max_cycles` cycles — the
-    /// model checker's liveness budget. Call only on a freshly constructed
-    /// machine.
-    pub fn run_bounded<I, O>(&mut self, ops: I, max_cycles: u64, obs: &mut O) -> Option<SimStats>
-    where
-        I: IntoIterator<Item = Op>,
-        O: Observer,
-    {
-        let mut iter = ops.into_iter();
-        while self.step(&mut iter, obs) {
-            if self.hier.now >= max_cycles {
-                return None;
-            }
-        }
-        self.hier.stats.cycles = self.hier.now;
-        Some(self.hier.stats)
-    }
-
-    /// Whether the CPU sits at an op boundary: the previous op (if any)
-    /// has fully issued and no instruction occupies the front end.
-    /// Outstanding misses and retirements may still be in flight — that is
-    /// the whole point of this machine.
-    #[must_use]
-    pub fn at_op_boundary(&self) -> bool {
-        matches!(self.cpu, CpuState::NeedOp | CpuState::Finished)
-    }
-
-    /// Runs exactly one op from an op boundary until the front end is
-    /// ready for the next op, giving up after `max_cycles` additional
-    /// cycles (`None`, machine left mid-op — the reachability checker's
-    /// livelock probe). Outstanding misses and retirements deliberately
-    /// stay in flight across the boundary, so feeding ops one at a time is
-    /// equivalent to a continuous [`NonBlockingMachine::run_observed`]
-    /// over the concatenated stream: the boundary-detecting iteration
-    /// consumes no cycle and performs only the idempotent fill- and
-    /// retirement-completion work the next op's first cycle repeats at the
-    /// same timestamp.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that the machine is at an op boundary.
-    pub fn run_op_bounded<O: Observer>(
-        &mut self,
-        op: Op,
-        max_cycles: u64,
-        obs: &mut O,
-    ) -> Option<u64> {
-        debug_assert!(self.at_op_boundary(), "run_op_bounded mid-op");
-        if matches!(self.cpu, CpuState::Finished) {
-            self.cpu = CpuState::NeedOp;
-        }
-        let deadline = self.hier.now + max_cycles;
-        let mut iter = std::iter::once(op);
-        loop {
-            self.complete_mshrs(obs);
-            self.hier.complete_retirement(obs);
-            if !self.cpu_step(&mut iter, obs) {
-                // Front end idle again: stop *before* this timestamp's
-                // issue/retire phase, which belongs to the next op's first
-                // cycle (or the end-of-stream drain).
-                return Some(self.hier.now);
-            }
-            self.issue_reads(obs);
-            self.wb_try_retire(obs);
-            if self.hier.port.busy_with_write(self.hier.now)
-                && self.mshrs.iter().any(|m| m.done_at.is_none())
-            {
-                self.hier.stall(StallKind::L2ReadAccess, obs);
-            }
-            let occupancy = self.hier.wb.occupancy();
-            self.hier.stats.wb_detail.record_occupancy(occupancy);
-            obs.event(&Event::CycleEnd {
-                now: self.hier.now,
-                occupancy: occupancy as u64,
-            });
-            self.hier.now += 1;
-            if self.hier.now >= deadline {
-                return None;
-            }
-        }
-    }
-
-    /// [`NonBlockingMachine::run_op_bounded`] driven through the
-    /// *engine-selected* run loop: under [`Engine::EventDriven`] the op
-    /// executes with span-skipping exactly as a continuous
-    /// [`NonBlockingMachine::run_observed`] would execute it, while under
-    /// [`Engine::Reference`] this is identical to `run_op_bounded`. The
-    /// refinement checker drives one machine of each engine through this
-    /// pair of entry points and compares the event streams.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that the machine is at an op boundary.
-    pub fn run_op_skipping<O: Observer>(
-        &mut self,
-        op: Op,
-        max_cycles: u64,
-        obs: &mut O,
-    ) -> Option<u64> {
-        debug_assert!(self.at_op_boundary(), "run_op_skipping mid-op");
-        if matches!(self.cpu, CpuState::Finished) {
-            self.cpu = CpuState::NeedOp;
-        }
-        let deadline = self.hier.now + max_cycles;
-        let skip = self.engine == Engine::EventDriven;
-        let mut iter = std::iter::once(op);
-        loop {
-            if skip {
-                self.try_skip(obs);
-            }
-            self.complete_mshrs(obs);
-            self.hier.complete_retirement(obs);
-            if !self.cpu_step(&mut iter, obs) {
-                // Front end idle again; see `run_op_bounded`.
-                return Some(self.hier.now);
-            }
-            self.issue_reads(obs);
-            self.wb_try_retire(obs);
-            if self.hier.port.busy_with_write(self.hier.now)
-                && self.mshrs.iter().any(|m| m.done_at.is_none())
-            {
-                self.hier.stall(StallKind::L2ReadAccess, obs);
-            }
-            let occupancy = self.hier.wb.occupancy();
-            self.hier.stats.wb_detail.record_occupancy(occupancy);
-            obs.event(&Event::CycleEnd {
-                now: self.hier.now,
-                occupancy: occupancy as u64,
-            });
-            self.hier.now += 1;
-            if self.hier.now >= deadline {
-                return None;
-            }
-        }
-    }
-
-    /// Runs the end-of-stream tail from the current state under the
-    /// engine-selected loop with no further ops: outstanding fills and
-    /// retirements land (the [`Engine::EventDriven`] loop may skip across
-    /// the waits), exactly as the tail of a full
-    /// [`NonBlockingMachine::run_observed`]. Gives up (`None`) after
-    /// `max_cycles` additional cycles.
-    pub fn run_to_end_bounded<O: Observer>(&mut self, max_cycles: u64, obs: &mut O) -> Option<u64> {
-        let deadline = self.hier.now + max_cycles;
-        let skip = self.engine == Engine::EventDriven;
-        let mut iter = std::iter::empty();
-        loop {
-            if skip {
-                self.try_skip(obs);
-            }
-            if !self.step(&mut iter, obs) {
-                return Some(self.hier.now);
-            }
-            if self.hier.now >= deadline {
-                return None;
-            }
-        }
     }
 
     /// Advances one cycle of a forced drain: retirement runs at the
@@ -740,41 +608,6 @@ impl NonBlockingMachine {
         self.hier.victim_inserts
     }
 
-    /// The lines with an outstanding miss, in MSHR allocation order.
-    #[must_use]
-    pub fn mshr_lines(&self) -> Vec<LineAddr> {
-        let mut ms: Vec<_> = self.mshrs.iter().collect();
-        ms.sort_by_key(|m| m.seq);
-        ms.into_iter().map(|m| m.line).collect()
-    }
-
-    /// The configured MSHR count.
-    #[must_use]
-    pub fn max_mshrs(&self) -> usize {
-        self.max_mshrs
-    }
-
-    /// Captures a value-level structural snapshot — the blocking
-    /// [`crate::Machine::snapshot`] components plus one
-    /// [`MshrSnapshot`](crate::machine::MshrSnapshot) per outstanding miss
-    /// in allocation order. Countdowns are relative to `now`, so
-    /// time-shifted machines snapshot identically.
-    #[must_use]
-    pub fn snapshot(&self, lines: &[LineAddr]) -> crate::machine::MachineSnapshot {
-        let mut snap = crate::machine::hier_snapshot(&self.hier, lines, self.at_op_boundary());
-        let mut ms: Vec<_> = self.mshrs.iter().collect();
-        ms.sort_by_key(|m| m.seq);
-        snap.mshrs = ms
-            .into_iter()
-            .map(|m| crate::machine::MshrSnapshot {
-                line: m.line.as_u64(),
-                countdown: m.done_at.map(|d| d.saturating_sub(self.hier.now)),
-                miss: m.miss,
-            })
-            .collect();
-        snap
-    }
-
     /// Current write-buffer occupancy in entries (zero after a completed
     /// run: the end-of-trace drain empties the buffer).
     #[must_use]
@@ -787,6 +620,122 @@ impl NonBlockingMachine {
     #[must_use]
     pub fn read_word_architectural(&self, addr: Addr) -> u64 {
         self.hier.read_word_architectural(addr)
+    }
+}
+
+impl SimMachine for NonBlockingMachine {
+    /// `None` MSHRs is rejected like zero: this machine needs at least one.
+    fn build(cfg: MachineConfig, mshrs: Option<usize>) -> Result<Self, ConfigError> {
+        NonBlockingMachine::new(cfg, mshrs.unwrap_or(0))
+    }
+
+    /// Fill completion, retirement completion, one CPU step, read issue,
+    /// autonomous retirement, then the cycle close (`close_cycle`).
+    fn step<I, O>(&mut self, iter: &mut I, obs: &mut O) -> bool
+    where
+        I: Iterator<Item = Op>,
+        O: Observer,
+    {
+        self.complete_mshrs(obs);
+        self.hier.complete_retirement(obs);
+        let advanced = self.cpu_step(iter, obs);
+        self.issue_reads(obs);
+        self.wb_try_retire(obs);
+        if !advanced && self.mshrs.is_empty() && self.hier.wb_retire.is_none() {
+            return false;
+        }
+        self.close_cycle(obs);
+        true
+    }
+
+    fn run_op_bounded<O: Observer>(&mut self, op: Op, max_cycles: u64, obs: &mut O) -> Option<u64> {
+        self.run_op(op, max_cycles, false, obs)
+    }
+
+    fn run_op_skipping<O: Observer>(
+        &mut self,
+        op: Op,
+        max_cycles: u64,
+        obs: &mut O,
+    ) -> Option<u64> {
+        let skip = self.engine == Engine::EventDriven;
+        self.run_op(op, max_cycles, skip, obs)
+    }
+
+    fn run_to_end_bounded<O: Observer>(&mut self, max_cycles: u64, obs: &mut O) -> Option<u64> {
+        let deadline = self.hier.now + max_cycles;
+        let skip = self.engine == Engine::EventDriven;
+        let mut iter = std::iter::empty();
+        loop {
+            if skip {
+                self.try_skip(obs);
+            }
+            if !self.step(&mut iter, obs) {
+                return Some(self.hier.now);
+            }
+            if self.hier.now >= deadline {
+                return None;
+            }
+        }
+    }
+
+    fn drain_step<O: Observer>(&mut self, obs: &mut O) -> bool {
+        NonBlockingMachine::drain_step(self, obs)
+    }
+
+    /// The hierarchy's components plus one [`MshrSnapshot`] per
+    /// outstanding miss, in allocation order.
+    fn snapshot(&self, lines: &[LineAddr]) -> MachineSnapshot {
+        let mut snap = hier_snapshot(&self.hier, lines, self.at_op_boundary());
+        let mut ms: Vec<_> = self.mshrs.iter().collect();
+        ms.sort_by_key(|m| m.seq);
+        snap.mshrs = ms
+            .into_iter()
+            .map(|m| MshrSnapshot {
+                line: m.line.as_u64(),
+                countdown: m.done_at.map(|d| d.saturating_sub(self.hier.now)),
+                miss: m.miss,
+            })
+            .collect();
+        snap
+    }
+
+    fn mshr_lines(&self) -> Vec<LineAddr> {
+        let mut ms: Vec<_> = self.mshrs.iter().collect();
+        ms.sort_by_key(|m| m.seq);
+        ms.into_iter().map(|m| m.line).collect()
+    }
+
+    fn now(&self) -> u64 {
+        NonBlockingMachine::now(self)
+    }
+
+    fn stats(&self) -> &SimStats {
+        NonBlockingMachine::stats(self)
+    }
+
+    fn wb_occupancy(&self) -> usize {
+        NonBlockingMachine::wb_occupancy(self)
+    }
+
+    fn wb_victim_allocs(&self) -> u64 {
+        NonBlockingMachine::wb_victim_allocs(self)
+    }
+
+    fn read_word_architectural(&self, addr: Addr) -> u64 {
+        NonBlockingMachine::read_word_architectural(self, addr)
+    }
+
+    fn set_engine(&mut self, engine: Engine) {
+        NonBlockingMachine::set_engine(self, engine);
+    }
+
+    fn set_record_skips(&mut self, record: bool) {
+        NonBlockingMachine::set_record_skips(self, record);
+    }
+
+    fn take_skips(&mut self) -> Vec<SkipSpan> {
+        NonBlockingMachine::take_skips(self)
     }
 }
 

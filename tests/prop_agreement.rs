@@ -14,8 +14,7 @@
 //! the bounded side to see everything the product proves.
 
 use wbsim::check::{
-    bounded_configs, builtin_library, check_props_reach_config,
-    check_props_reach_config_nonblocking, first_prop_violation, first_prop_violation_nonblocking,
+    bounded_configs, builtin_library, check_props_reach_config, first_prop_violation,
     nonblocking_configs, PropSet, ReachViolation,
 };
 use wbsim::types::divergence::FaultInjection;
@@ -66,9 +65,9 @@ fn agree_on_blocking_grid(fault: Option<FaultInjection>) {
             "blocking depth={} hazard={:?} fault={fault:?}",
             cfg.write_buffer.depth, cfg.write_buffer.hazard
         );
-        let bounded = first_prop_violation(&cfg, &set, MAX_OPS, &|| false)
+        let bounded = first_prop_violation(&cfg, None, &set, MAX_OPS, &|| false)
             .map(|(_, v)| (v.property, v.liveness));
-        let unbounded = check_props_reach_config(&cfg, &set).map(|_| ());
+        let unbounded = check_props_reach_config(&cfg, None, &set).map(|_| ());
         assert_cell_agrees(&cell, &set, bounded, unbounded);
     }
 }
@@ -80,9 +79,9 @@ fn agree_on_nonblocking_grid(fault: Option<FaultInjection>, mshrs: Option<usize>
             "nonblocking depth={} mshrs={m} fault={fault:?}",
             cfg.write_buffer.depth
         );
-        let bounded = first_prop_violation_nonblocking(&cfg, m, &set, MAX_OPS, &|| false)
+        let bounded = first_prop_violation(&cfg, Some(m), &set, MAX_OPS, &|| false)
             .map(|(_, v)| (v.property, v.liveness));
-        let unbounded = check_props_reach_config_nonblocking(&cfg, m, &set).map(|_| ());
+        let unbounded = check_props_reach_config(&cfg, Some(m), &set).map(|_| ());
         assert_cell_agrees(&cell, &set, bounded, unbounded);
     }
 }

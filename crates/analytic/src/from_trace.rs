@@ -49,7 +49,7 @@ pub fn inputs_from_trace(ops: &[Op], machine: &MachineConfig) -> AnalyticInputs 
                     if out.miss {
                         l2_misses += 1;
                     }
-                    l1.fill(line, &out.data);
+                    l1.fill(line, out.data);
                 }
             }
             Op::Store(a) => {

@@ -135,8 +135,7 @@ fn cache_ops(c: &mut Criterion) {
                 match l1.load_word(line, (i % 4) as usize) {
                     Some(v) => sum = sum.wrapping_add(v),
                     None => {
-                        let data = mem.read_line(&g, line);
-                        l1.fill(line, &data);
+                        l1.fill(line, mem.read_line(&g, line));
                     }
                 }
             }

@@ -56,6 +56,9 @@ pub struct WriteBuffer {
     retiring: u64,
     /// Occupied slot indices in FIFO (allocation) order; front = oldest.
     order_fifo: Vec<u8>,
+    /// A line-sized buffer holding the last retired entry's words at their
+    /// line offsets, which [`WriteBuffer::take_retired`] lends out.
+    retired: Vec<u64>,
     next_id: EntryId,
     depth: usize,
     width_words: usize,
@@ -88,6 +91,7 @@ impl WriteBuffer {
             occupied: 0,
             retiring: 0,
             order_fifo: Vec::with_capacity(cfg.depth),
+            retired: vec![0; geometry.words_per_line()],
             next_id: 0,
             depth: cfg.depth,
             width_words: cfg.width_words,
@@ -256,14 +260,21 @@ impl WriteBuffer {
     }
 
     fn check_invariant(&self) -> bool {
-        // At most one non-retiring entry per block.
-        let mut blocks: Vec<u64> = self
-            .iter()
-            .filter(|e| !e.retiring)
-            .map(|e| e.block)
-            .collect();
-        blocks.sort_unstable();
-        blocks.windows(2).all(|w| w[0] != w[1])
+        // At most one non-retiring entry per block: no later non-retiring
+        // slot repeats an earlier one's block.
+        let mut m = self.occupied & !self.retiring;
+        while m != 0 {
+            let i = m.trailing_zeros() as usize;
+            m &= m - 1;
+            let mut later = m;
+            while later != 0 {
+                if self.slots[later.trailing_zeros() as usize].block == self.slots[i].block {
+                    return false;
+                }
+                later &= later - 1;
+            }
+        }
+        true
     }
 
     #[inline]
@@ -438,8 +449,9 @@ impl WriteBuffer {
     }
 
     /// Removes entry `id` (its transaction to L2 having completed) and
-    /// returns its contents in line coordinates.
-    pub fn take_retired(&mut self, id: EntryId) -> Option<RetiredBlock> {
+    /// returns its contents in line coordinates, borrowed from the buffer
+    /// until the next call.
+    pub fn take_retired(&mut self, id: EntryId) -> Option<RetiredBlock<'_>> {
         let i = self.slot_of_id(id)?;
         self.occupied &= !(1 << i);
         self.retiring &= !(1 << i);
@@ -454,16 +466,15 @@ impl WriteBuffer {
         let first_word = e.block * self.width_words as u64;
         let line = LineAddr::new(first_word / words_per_line as u64);
         let base = (first_word % words_per_line as u64) as usize;
+        self.retired[base..base + self.width_words].copy_from_slice(&e.data);
         let mut mask = WordMask::empty();
-        let mut data = vec![0; words_per_line];
         for w in e.mask.iter() {
             mask.set(base + w);
-            data[base + w] = e.data[w];
         }
         Some(RetiredBlock {
             line,
             mask,
-            data,
+            data: &self.retired,
             alloc_cycle: e.alloc_cycle,
         })
     }

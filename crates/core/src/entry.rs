@@ -40,18 +40,20 @@ pub struct Entry {
 }
 
 /// A block leaving the buffer, re-expressed in *line* coordinates so it can
-/// be handed to [`L2Cache::write_line_masked`] directly.
+/// be handed to [`L2Cache::write_line_masked`] directly. The data is
+/// borrowed from a line-sized buffer the write buffer owns, so retiring an
+/// entry never touches the heap.
 ///
 /// [`L2Cache::write_line_masked`]: https://docs.rs/wbsim-mem
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetiredBlock {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetiredBlock<'a> {
     /// The cache line this block belongs to.
     pub line: LineAddr,
     /// Valid bits in line coordinates.
     pub mask: WordMask,
     /// Data in line coordinates (length = words per line); only
     /// `mask`-valid slots are meaningful.
-    pub data: Vec<u64>,
+    pub data: &'a [u64],
     /// Cycle at which the entry was allocated (for lifetime statistics).
     pub alloc_cycle: Cycle,
 }

@@ -101,11 +101,12 @@ fn run_model(cfg: &WriteBufferConfig, cmds: &[Cmd]) -> Result<(), TestCaseError>
                 if let Some(id) = in_flight.take() {
                     let before = wb.occupancy();
                     let r = wb.take_retired(id).expect("in-flight entry exists");
+                    let (line, mask) = (r.line, r.mask);
                     prop_assert_eq!(wb.occupancy(), before - 1);
                     // Departing words move fresh → departed unless a newer
                     // (duplicate) entry still covers them.
-                    for w in r.mask.iter() {
-                        let key = (r.line.as_u64(), w as u64);
+                    for w in mask.iter() {
+                        let key = (line.as_u64(), w as u64);
                         let still_buffered = wb.read_word(addr(key.0, key.1)).is_some();
                         if !still_buffered {
                             if let Some(v) = oracle.fresh.remove(&key) {

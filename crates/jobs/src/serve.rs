@@ -24,7 +24,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
@@ -218,7 +218,11 @@ fn read_request(r: &mut impl BufRead) -> Result<Request, String> {
     Ok(Request { method, path, body })
 }
 
+/// Writes a complete response. Every response goes through one
+/// [`BufWriter`], so the socket sees a few large writes rather than one per
+/// header piece or body line.
 fn respond(w: &mut impl Write, code: u16, reason: &str, body: &[u8]) -> io::Result<()> {
+    let mut w = BufWriter::new(w);
     write!(
         w,
         "HTTP/1.1 {code} {reason}\r\nContent-Type: application/json\r\n\
@@ -230,8 +234,9 @@ fn respond(w: &mut impl Write, code: u16, reason: &str, body: &[u8]) -> io::Resu
 }
 
 /// Streams a JSONL artifact as chunked transfer, one chunk per line, so a
-/// client can validate events as they arrive.
+/// client can validate events as they arrive. Buffered like [`respond`].
 fn respond_chunked_jsonl(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
+    let mut w = BufWriter::new(w);
     write!(
         w,
         "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
@@ -673,5 +678,59 @@ mod tests {
         assert!(text.contains("Transfer-Encoding: chunked"), "{text}");
         assert!(text.ends_with("0\r\n\r\n"), "{text}");
         assert!(text.contains("8\r\n{\"a\":1}\n\r\n"), "{text}");
+    }
+
+    /// A sink that counts the writes reaching it, as a socket counts
+    /// syscalls.
+    #[derive(Default)]
+    struct CountingSink {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn responses_reach_the_socket_in_a_few_writes() {
+        let body: Vec<u8> = (0..1000)
+            .flat_map(|i| format!("{{\"event\":{i}}}\n").into_bytes())
+            .collect();
+        let mut sink = CountingSink::default();
+        respond_chunked_jsonl(&mut sink, &body).unwrap();
+        assert!(sink.writes <= 8, "{} writes for 1000 lines", sink.writes);
+        // Still one chunk per line, decoding back to the body.
+        let text = String::from_utf8(sink.bytes).unwrap();
+        let (_, mut rest) = text.split_once("\r\n\r\n").expect("header");
+        let (mut decoded, mut chunks) = (String::new(), 0);
+        loop {
+            let (size, tail) = rest.split_once("\r\n").expect("chunk size");
+            let size = usize::from_str_radix(size, 16).expect("hex size");
+            if size == 0 {
+                break;
+            }
+            decoded.push_str(&tail[..size]);
+            chunks += 1;
+            rest = tail[size..].strip_prefix("\r\n").expect("chunk end");
+        }
+        assert_eq!((decoded.as_bytes(), chunks), (&body[..], 1000));
+
+        let mut sink = CountingSink::default();
+        respond(&mut sink, 200, "OK", &body).unwrap();
+        assert!(
+            sink.writes <= 2,
+            "{} writes for header and body",
+            sink.writes
+        );
+        assert!(sink.bytes.ends_with(&body));
     }
 }

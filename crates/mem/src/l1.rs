@@ -93,9 +93,26 @@ impl L1Cache {
     #[must_use]
     pub fn peek_word(&self, line: LineAddr, word: usize) -> Option<u64> {
         debug_assert!(word < self.words_per_line);
+        self.peek_line(line).map(|data| data[word])
+    }
+
+    /// Returns the words of `line` if present, without touching LRU state.
+    #[must_use]
+    pub fn peek_line(&self, line: LineAddr) -> Option<&[u64]> {
         let (set, tag) = self.set_and_tag(line);
         let way = self.find_way(set, tag)?;
-        Some(self.data[(set * self.assoc + way) * self.words_per_line + word])
+        Some(self.line(set * self.assoc + way))
+    }
+
+    /// The data words of way slot `idx`.
+    #[inline]
+    fn line(&self, idx: usize) -> &[u64] {
+        &self.data[idx * self.words_per_line..(idx + 1) * self.words_per_line]
+    }
+
+    #[inline]
+    fn line_mut(&mut self, idx: usize) -> &mut [u64] {
+        &mut self.data[idx * self.words_per_line..(idx + 1) * self.words_per_line]
     }
 
     /// Services a load of word `word` of `line`. On a hit, returns the word
@@ -129,6 +146,7 @@ impl L1Cache {
     }
 
     /// Fills `line` with `data`, evicting the LRU way of its set if needed.
+    /// The filled line starts clean.
     ///
     /// Returns the line that was displaced, if any. (The L1 is
     /// write-through, so the victim's data never needs writing back; the
@@ -136,10 +154,20 @@ impl L1Cache {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if `data` is shorter than a line or the line
-    /// is already present (fills must be preceded by a miss).
+    /// Panics if `data` is shorter than a line, and in debug builds if the
+    /// line is already present (fills must be preceded by a miss).
     pub fn fill(&mut self, line: LineAddr, data: &[u64]) -> Option<LineAddr> {
-        debug_assert!(data.len() >= self.words_per_line);
+        let (idx, victim) = self.claim_way(line);
+        let n = self.words_per_line;
+        self.line_mut(idx).copy_from_slice(&data[..n]);
+        victim.map(|(vline, _)| vline)
+    }
+
+    /// Claims the way a fill of `line` installs into (a free way, else the
+    /// LRU one), tags it as `line`, clean and most recently used, and
+    /// returns its slot with the line it displaced and that line's dirty
+    /// bit.
+    fn claim_way(&mut self, line: LineAddr) -> (usize, Option<(LineAddr, bool)>) {
         let (set, tag) = self.set_and_tag(line);
         debug_assert!(
             self.find_way(set, tag).is_none(),
@@ -155,19 +183,17 @@ impl L1Cache {
                     .expect("assoc >= 1")
             });
         let idx = base + way;
-        let victim = if self.tags[idx] == INVALID {
-            None
-        } else {
-            Some(LineAddr::new(
-                self.tags[idx] * self.sets as u64 + set as u64,
-            ))
-        };
+        let victim = (self.tags[idx] != INVALID).then(|| {
+            (
+                LineAddr::new(self.tags[idx] * self.sets as u64 + set as u64),
+                self.dirty[idx],
+            )
+        });
         self.tags[idx] = tag;
+        self.dirty[idx] = false;
         self.stamps[idx] = self.next_stamp;
         self.next_stamp += 1;
-        self.data[idx * self.words_per_line..(idx + 1) * self.words_per_line]
-            .copy_from_slice(&data[..self.words_per_line]);
-        victim
+        (idx, victim)
     }
 
     /// Like [`L1Cache::store_word`], but also sets the line's dirty bit —
@@ -202,45 +228,27 @@ impl L1Cache {
         ))
     }
 
-    /// Fills `line` and returns the displaced victim with its data if it
-    /// was dirty (the write-back policy's eviction path). Clean victims and
-    /// free-way fills return `None`, as under write-through.
+    /// Fills `line` from `data` and, when the displaced victim was dirty
+    /// (the write-back policy's eviction path), swaps the victim's words
+    /// into `data` and returns its line. Clean victims and free-way fills
+    /// return `None` and leave `data` as it was, as under write-through.
     ///
     /// # Panics
     ///
-    /// Panics in debug builds under the same conditions as
-    /// [`L1Cache::fill`].
-    pub fn fill_with_victim(
-        &mut self,
-        line: LineAddr,
-        data: &[u64],
-    ) -> Option<(LineAddr, Vec<u64>)> {
-        let (set, _) = self.set_and_tag(line);
-        let base = set * self.assoc;
-        let victim = if (0..self.assoc).any(|w| self.tags[base + w] == INVALID) {
-            None
-        } else {
-            let way = (0..self.assoc)
-                .min_by_key(|&w| self.stamps[base + w])
-                .expect("assoc >= 1");
-            let idx = base + way;
-            if self.dirty[idx] {
-                let start = idx * self.words_per_line;
-                Some((
-                    LineAddr::new(self.tags[idx] * self.sets as u64 + set as u64),
-                    self.data[start..start + self.words_per_line].to_vec(),
-                ))
-            } else {
+    /// Panics under the same conditions as [`L1Cache::fill`].
+    pub fn fill_with_victim(&mut self, line: LineAddr, data: &mut [u64]) -> Option<LineAddr> {
+        let (idx, victim) = self.claim_way(line);
+        let n = self.words_per_line;
+        match victim {
+            Some((vline, true)) => {
+                self.line_mut(idx).swap_with_slice(&mut data[..n]);
+                Some(vline)
+            }
+            _ => {
+                self.line_mut(idx).copy_from_slice(&data[..n]);
                 None
             }
-        };
-        let displaced = self.fill(line, data);
-        // `fill` reused the same way; clear its dirty bit for the new line.
-        let (set2, tag2) = self.set_and_tag(line);
-        let way2 = self.find_way(set2, tag2).expect("fill just installed");
-        self.dirty[set2 * self.assoc + way2] = false;
-        let _ = displaced;
-        victim
+        }
     }
 
     /// Invalidates `line` if present (inclusion enforcement from L2).
@@ -387,12 +395,10 @@ mod tests {
         assert_eq!(c.peek_victim(b), Some((a, false)), "clean victim");
         assert!(c.store_word_dirty(a, 1, 20));
         assert_eq!(c.peek_victim(b), Some((a, true)), "dirtied");
-        let victim = c.fill_with_victim(b, &[9; 4]);
-        assert_eq!(
-            victim,
-            Some((a, vec![1, 20, 3, 4])),
-            "dirty data handed back"
-        );
+        let mut data = [9; 4];
+        assert_eq!(c.fill_with_victim(b, &mut data), Some(a));
+        assert_eq!(data, [1, 20, 3, 4], "dirty data handed back");
+        assert_eq!(c.peek_line(b), Some(&[9; 4][..]), "new line installed");
         // The new line starts clean.
         let d = LineAddr::new(5 + 512);
         assert_eq!(c.peek_victim(d), Some((b, false)));
@@ -404,7 +410,9 @@ mod tests {
         let a = LineAddr::new(7);
         let b = LineAddr::new(7 + 256);
         c.fill(a, &[1; 4]);
-        assert_eq!(c.fill_with_victim(b, &[2; 4]), None);
+        let mut data = [2; 4];
+        assert_eq!(c.fill_with_victim(b, &mut data), None);
+        assert_eq!(data, [2; 4], "nothing swapped out");
     }
 
     #[test]

@@ -23,10 +23,11 @@ use wbsim_types::config::{ConfigError, L2Config};
 use crate::memory::MainMemory;
 
 /// Result of an L2 read access.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct L2ReadOutcome {
-    /// The full line.
-    pub data: Vec<u64>,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct L2ReadOutcome<'a> {
+    /// The full line, borrowed from the cache (or, for a perfect L2, from
+    /// the backing memory).
+    pub data: &'a [u64],
     /// Whether the read missed in L2 (always `false` for a perfect L2).
     pub miss: bool,
     /// A line evicted to make room, which L1 must invalidate for inclusion.
@@ -77,12 +78,12 @@ impl L2Cache {
     }
 
     /// Reads a full line (an L1 fill or an I-cache fill).
-    pub fn read_line(
-        &mut self,
+    pub fn read_line<'a>(
+        &'a mut self,
         geometry: &Geometry,
         line: LineAddr,
-        mem: &mut MainMemory,
-    ) -> L2ReadOutcome {
+        mem: &'a mut MainMemory,
+    ) -> L2ReadOutcome<'a> {
         match self {
             Self::Perfect => L2ReadOutcome {
                 data: mem.read_line(geometry, line),
@@ -225,9 +226,7 @@ impl RealL2 {
         let mut wrote_back = false;
         if self.dirty[idx] {
             let full = WordMask::full(self.words_per_line);
-            let start = idx * self.words_per_line;
-            let line_data: Vec<u64> = self.data[start..start + self.words_per_line].to_vec();
-            mem.write_line_masked(geometry, victim, full, &line_data);
+            mem.write_line_masked(geometry, victim, full, self.line(idx));
             wrote_back = true;
         }
         self.tags[idx] = INVALID;
@@ -235,20 +234,30 @@ impl RealL2 {
         (way, Some(victim), wrote_back)
     }
 
+    /// The data words of way slot `idx`.
+    #[inline]
+    fn line(&self, idx: usize) -> &[u64] {
+        &self.data[idx * self.words_per_line..(idx + 1) * self.words_per_line]
+    }
+
+    #[inline]
+    fn line_mut(&mut self, idx: usize) -> &mut [u64] {
+        &mut self.data[idx * self.words_per_line..(idx + 1) * self.words_per_line]
+    }
+
     fn read_line(
         &mut self,
         geometry: &Geometry,
         line: LineAddr,
         mem: &mut MainMemory,
-    ) -> L2ReadOutcome {
+    ) -> L2ReadOutcome<'_> {
         let (set, tag) = self.set_and_tag(line);
         if let Some(way) = self.find_way(set, tag) {
             let idx = set * self.assoc + way;
             self.stamps[idx] = self.next_stamp;
             self.next_stamp += 1;
-            let start = idx * self.words_per_line;
             return L2ReadOutcome {
-                data: self.data[start..start + self.words_per_line].to_vec(),
+                data: self.line(idx),
                 miss: false,
                 evicted: None,
                 wrote_back: false,
@@ -256,15 +265,14 @@ impl RealL2 {
         }
         let (way, evicted, wrote_back) = self.allocate(geometry, set, mem);
         let idx = set * self.assoc + way;
-        let data = mem.read_line(geometry, line);
         self.tags[idx] = tag;
         self.dirty[idx] = false;
         self.stamps[idx] = self.next_stamp;
         self.next_stamp += 1;
-        self.data[idx * self.words_per_line..(idx + 1) * self.words_per_line]
-            .copy_from_slice(&data);
+        self.line_mut(idx)
+            .copy_from_slice(mem.read_line(geometry, line));
         L2ReadOutcome {
-            data,
+            data: self.line(idx),
             miss: true,
             evicted,
             wrote_back,
@@ -285,9 +293,9 @@ impl RealL2 {
             self.stamps[idx] = self.next_stamp;
             self.next_stamp += 1;
             self.dirty[idx] = true;
-            let start = idx * self.words_per_line;
+            let dst = self.line_mut(idx);
             for i in mask.iter() {
-                self.data[start + i] = data[i];
+                dst[i] = data[i];
             }
             return L2WriteOutcome {
                 evicted: None,
@@ -300,20 +308,17 @@ impl RealL2 {
         let (way, evicted, wrote_back) = self.allocate(geometry, set, mem);
         let idx = set * self.assoc + way;
         let fetched = !mask.is_full(self.words_per_line);
-        let mut merged = if fetched {
-            mem.read_line(geometry, line)
-        } else {
-            vec![0; self.words_per_line]
-        };
-        for i in mask.iter() {
-            merged[i] = data[i];
-        }
         self.tags[idx] = tag;
         self.dirty[idx] = true;
         self.stamps[idx] = self.next_stamp;
         self.next_stamp += 1;
-        self.data[idx * self.words_per_line..(idx + 1) * self.words_per_line]
-            .copy_from_slice(&merged);
+        let dst = self.line_mut(idx);
+        if fetched {
+            dst.copy_from_slice(mem.read_line(geometry, line));
+        }
+        for i in mask.iter() {
+            dst[i] = data[i];
+        }
         L2WriteOutcome {
             evicted,
             wrote_back,

@@ -11,6 +11,23 @@
 //! Timing lives in `wbsim-sim`; these models are purely structural
 //! (hits, misses, evictions, inclusion) and know nothing about cycles.
 //!
+//! # Representation
+//!
+//! The levels hand whole lines to each other, as the paper's write buffer
+//! does, without hashing a word or allocating on the way:
+//!
+//! * [`MainMemory`] keeps 64-word pages in one slab, found through an
+//!   index keyed by page number under a fixed multiplicative hash. Every
+//!   legal line fits inside one page, so a line read or masked line write
+//!   costs one lookup; never-written words read as zero from a static
+//!   zero page, and a page is allocated only when a nonzero word is first
+//!   written into it.
+//! * The caches store their data in one flat array of lines.
+//!   [`L2Cache::read_line`] lends the line it read (from its own array, or
+//!   from memory's page for a perfect L2); a write-allocate merges in
+//!   place; [`L1Cache::fill_with_victim`] swaps a dirty victim's words out
+//!   through the caller's line buffer.
+//!
 //! # Example
 //!
 //! ```
@@ -26,8 +43,7 @@
 //! let line = g.line_of(a);
 //! mem.write_word(g.word_addr(a), 99);
 //! assert!(l1.load_word(line, 0).is_none(), "cold miss");
-//! let data = mem.read_line(&g, line);
-//! l1.fill(line, &data);
+//! l1.fill(line, mem.read_line(&g, line));
 //! assert_eq!(l1.load_word(line, 0), Some(99));
 //! ```
 

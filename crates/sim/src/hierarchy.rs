@@ -12,6 +12,11 @@
 //! Every mutating step is generic over an [`Observer`] and reports what
 //! it did as [`Event`]s; under [`crate::NullObserver`] the emission
 //! compiles away.
+//!
+//! Line data moves between the levels without touching the heap: L2 and
+//! memory lend a fetched line as a borrowed slice, a fill is assembled in
+//! the one line buffer the hierarchy owns, and a retiring entry leaves the
+//! buffer as a [`wbsim_core::RetiredBlock`] borrowed from it.
 
 use std::collections::HashMap;
 
@@ -61,6 +66,12 @@ pub(crate) struct Hierarchy {
     pub(crate) victim_inserts: u64,
     /// Golden functional model: freshest value of every written word.
     pub(crate) shadow: HashMap<u64, u64>,
+    /// The hierarchy's one line buffer. It holds the line an L1 fill
+    /// installs, fetched from L2 and merged with buffered words by
+    /// [`Hierarchy::read_line_structural`] and consumed by
+    /// [`Hierarchy::install_fill`]; a write-back fill blocked on
+    /// victim-buffer space keeps it here until it installs.
+    pub(crate) line_buf: Vec<u64>,
     pub(crate) read_time: u64,
     pub(crate) write_time: u64,
     pub(crate) mm_latency: u64,
@@ -95,6 +106,7 @@ impl Hierarchy {
             store_seq: 0,
             victim_inserts: 0,
             shadow: HashMap::new(),
+            line_buf: vec![0; g.words_per_line()],
             read_time: latency,
             write_time: latency * txns,
             mm_latency,
@@ -142,7 +154,7 @@ impl Hierarchy {
             .record_writeback(lifetime, r.mask.count());
         let out = self
             .l2
-            .write_line_masked(&self.g, r.line, r.mask, &r.data, &mut self.mem);
+            .write_line_masked(&self.g, r.line, r.mask, r.data, &mut self.mem);
         self.stats.l2_writes += self.cfg.write_buffer.datapath.transactions_per_line();
         if out.fetched {
             self.stats.mm_accesses += 1;
@@ -338,17 +350,18 @@ impl Hierarchy {
         None
     }
 
-    /// The structural half of an L2 read completion: fetch the line,
-    /// apply inclusion, and merge buffered words when `merge_wb`.
-    /// `timed_miss` is the miss decision made at issue time (it charges
-    /// the main-memory access).
+    /// The structural half of an L2 read completion: fetch the line into
+    /// [`Hierarchy::line_buf`], apply inclusion, and merge buffered words
+    /// when `merge_wb`. `timed_miss` is the miss decision made at issue
+    /// time (it charges the main-memory access).
     pub(crate) fn read_line_structural(
         &mut self,
         line: LineAddr,
         merge_wb: bool,
         timed_miss: bool,
-    ) -> Vec<u64> {
+    ) {
         let out = self.l2.read_line(&self.g, line, &mut self.mem);
+        self.line_buf.copy_from_slice(out.data);
         if timed_miss {
             self.stats.mm_accesses += 1;
         }
@@ -360,14 +373,12 @@ impl Hierarchy {
                 self.stats.inclusion_invalidations += 1;
             }
         }
-        let mut data = out.data;
         if merge_wb {
             // "filling L1 must somehow retrieve those active words from the
             // write buffer; otherwise, the fill into L1 would obtain stale
             // data" (§2.2). No extra cycles are charged for the merge.
-            self.wb.merge_into_line(line, &mut data);
+            self.wb.merge_into_line(line, &mut self.line_buf);
         }
-        data
     }
 
     /// Whether a write-back fill of `line` is blocked on victim-buffer
@@ -387,27 +398,27 @@ impl Hierarchy {
         }
     }
 
-    /// Installs a completed fill into L1 (writing back a dirty victim
-    /// under the write-back policy) and finishes the load or the
-    /// write-allocate store.
+    /// Installs the completed fill in [`Hierarchy::line_buf`] into L1
+    /// (writing back a dirty victim under the write-back policy) and
+    /// finishes the load or the write-allocate store.
     pub(crate) fn install_fill<O: Observer>(
         &mut self,
         addr: Addr,
-        data: &[u64],
         for_store: bool,
         merged_wb: bool,
         obs: &mut O,
     ) {
         let line = self.g.line_of(addr);
         let word = self.g.word_index(addr);
-        let value = data[word];
+        let value = self.line_buf[word];
         if self.cfg.l1.write_policy == L1WritePolicy::WriteBack {
-            if let Some((vline, vdata)) = self.l1.fill_with_victim(line, data) {
+            // A dirty victim's words come back in `line_buf`.
+            if let Some(vline) = self.l1.fill_with_victim(line, &mut self.line_buf) {
                 // `insert_line` merges into an existing non-retiring entry
                 // for the same block when one exists; only a genuine
                 // allocation advances the conservation counter.
                 let merges = self.wb.has_nonretiring_block(vline.as_u64());
-                let ok = self.wb.insert_line(vline, &vdata, self.now);
+                let ok = self.wb.insert_line(vline, &self.line_buf, self.now);
                 assert!(ok, "victim dropped: victim_blocked() was not consulted");
                 if !merges {
                     self.victim_inserts += 1;
@@ -419,7 +430,7 @@ impl Hierarchy {
                 });
             }
         } else {
-            self.l1.fill(line, data);
+            self.l1.fill(line, &self.line_buf);
         }
         obs.event(&Event::FillInstalled {
             now: self.now,
@@ -458,9 +469,9 @@ impl Hierarchy {
         obs: &mut O,
     ) {
         let merge_wb = !self.forwarding_fault();
-        let data = self.read_line_structural(line, merge_wb, timed_miss);
+        self.read_line_structural(line, merge_wb, timed_miss);
         if !self.l1.contains(line) {
-            self.l1.fill(line, &data);
+            self.l1.fill(line, &self.line_buf);
             obs.event(&Event::FillInstalled {
                 now: self.now,
                 line: line.as_u64(),

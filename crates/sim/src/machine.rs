@@ -166,10 +166,10 @@ enum CpuState {
         miss: bool,
     },
     /// A write-back fill is blocked: its dirty victim needs a free victim-
-    /// buffer entry. Holds the already-fetched line data.
+    /// buffer entry. The already-fetched line waits in the hierarchy's
+    /// line buffer.
     VictimWait {
         addr: Addr,
-        data: Vec<u64>,
         merge_wb: bool,
         for_store: bool,
     },
@@ -289,11 +289,7 @@ pub(crate) fn hier_snapshot(
     let lines = lines
         .iter()
         .map(|&line| {
-            let l1 = hier.l1.contains(line).then(|| {
-                (0..wpl)
-                    .map(|w| hier.l1.peek_word(line, w).unwrap_or(0))
-                    .collect()
-            });
+            let l1 = hier.l1.peek_line(line).map(<[u64]>::to_vec);
             let mem = (0..wpl)
                 .map(|w| {
                     hier.l2
@@ -1015,7 +1011,7 @@ impl Machine {
                             cycles +=
                                 self.hier.read_time + if miss { self.hier.mm_latency } else { 0 };
                             self.hier.stats.l2_reads += 1;
-                            self.ideal_fill(line, miss);
+                            self.ideal_fill(line, word, miss);
                             self.hier.l1.store_word_dirty(line, word, v);
                         }
                         if check {
@@ -1030,13 +1026,12 @@ impl Machine {
                     }
                     let mut mask = WordMask::empty();
                     mask.set(word);
-                    let mut data = vec![0; self.hier.g.words_per_line()];
-                    data[word] = v;
+                    self.hier.line_buf[word] = v;
                     let out = self.hier.l2.write_line_masked(
                         &self.hier.g,
                         line,
                         mask,
-                        &data,
+                        &self.hier.line_buf,
                         &mut self.hier.mem,
                     );
                     if let Some(ev) = out.evicted {
@@ -1061,8 +1056,7 @@ impl Machine {
                         let miss = !self.hier.l2.contains(line);
                         cycles += self.hier.read_time + if miss { self.hier.mm_latency } else { 0 };
                         self.hier.stats.l2_reads += 1;
-                        let data = self.ideal_fill(line, miss);
-                        data[word]
+                        self.ideal_fill(line, word, miss)
                     };
                     if check {
                         let expect = self
@@ -1085,13 +1079,14 @@ impl Machine {
 
     /// Ideal-mode structural fill: read L2, apply inclusion, install into
     /// L1 (writing a dirty victim straight to L2 under write-back), and
-    /// return the line data.
-    fn ideal_fill(&mut self, line: wbsim_types::addr::LineAddr, timed_miss: bool) -> Vec<u64> {
+    /// return word `word` of the line.
+    fn ideal_fill(&mut self, line: LineAddr, word: usize, timed_miss: bool) -> u64 {
         use wbsim_types::addr::WordMask;
         let out = self
             .hier
             .l2
             .read_line(&self.hier.g, line, &mut self.hier.mem);
+        self.hier.line_buf.copy_from_slice(out.data);
         if out.miss {
             self.hier.stats.l2_read_misses += 1;
         }
@@ -1106,13 +1101,15 @@ impl Machine {
                 self.hier.stats.inclusion_invalidations += 1;
             }
         }
+        let value = self.hier.line_buf[word];
         if self.hier.cfg.l1.write_policy == L1WritePolicy::WriteBack {
-            if let Some((vline, vdata)) = self.hier.l1.fill_with_victim(line, &out.data) {
+            // A dirty victim's words come back in `line_buf`.
+            if let Some(vline) = self.hier.l1.fill_with_victim(line, &mut self.hier.line_buf) {
                 let w = self.hier.l2.write_line_masked(
                     &self.hier.g,
                     vline,
                     WordMask::full(self.hier.g.words_per_line()),
-                    &vdata,
+                    &self.hier.line_buf,
                     &mut self.hier.mem,
                 );
                 if w.wrote_back {
@@ -1125,9 +1122,9 @@ impl Machine {
                 }
             }
         } else {
-            self.hier.l1.fill(line, &out.data);
+            self.hier.l1.fill(line, &self.hier.line_buf);
         }
-        out.data
+        value
     }
 
     fn ifetch_cost(&mut self) -> u64 {
@@ -1405,24 +1402,21 @@ impl Machine {
                         return true;
                     }
                     let line = self.hier.g.line_of(addr);
-                    let data = self.hier.read_line_structural(line, merge_wb, miss);
+                    self.hier.read_line_structural(line, merge_wb, miss);
                     if self.hier.victim_blocked(line) {
                         self.cpu = CpuState::VictimWait {
                             addr,
-                            data,
                             merge_wb,
                             for_store,
                         };
                         continue;
                     }
-                    self.hier
-                        .install_fill(addr, &data, for_store, merge_wb, obs);
+                    self.hier.install_fill(addr, for_store, merge_wb, obs);
                     self.cpu = CpuState::NeedOp;
                     continue;
                 }
                 CpuState::VictimWait {
                     addr,
-                    data,
                     merge_wb,
                     for_store,
                 } => {
@@ -1431,14 +1425,12 @@ impl Machine {
                             .stall(wbsim_types::stall::StallKind::BufferFull, obs);
                         self.cpu = CpuState::VictimWait {
                             addr,
-                            data,
                             merge_wb,
                             for_store,
                         };
                         return true;
                     }
-                    self.hier
-                        .install_fill(addr, &data, for_store, merge_wb, obs);
+                    self.hier.install_fill(addr, for_store, merge_wb, obs);
                     self.cpu = CpuState::NeedOp;
                     continue;
                 }

@@ -561,7 +561,7 @@ impl NonBlockingMachine {
             self.hier.stats.mshr_stall_cycles += 1;
             return true;
         }
-        let merge_wb = !self.hier.forwarding_fault() && !self.hier.wb.probe_line(line).is_empty();
+        let merge_wb = !self.hier.forwarding_fault() && self.hier.wb.has_line(line);
         if merge_wb {
             self.hier.stats.load_hazards += 1;
             self.hier.stats.hazard_word_misses += 1;

@@ -185,6 +185,10 @@ impl WordMask {
     }
 }
 
+/// The most words a line can hold: a line's valid bits fit one
+/// [`WordMask`], and [`Geometry::new`] rejects anything wider.
+pub const MAX_LINE_WORDS: usize = 64;
+
 /// Address geometry: line size and word size, both powers of two.
 ///
 /// All address arithmetic in the workspace goes through a `Geometry`, which
@@ -201,13 +205,13 @@ impl Geometry {
     /// Creates a geometry with the given line and word sizes in bytes.
     ///
     /// Returns `None` unless both are powers of two, `word_bytes` divides
-    /// `line_bytes`, and the line holds at most 64 words.
+    /// `line_bytes`, and the line holds at most [`MAX_LINE_WORDS`] words.
     #[must_use]
     pub fn new(line_bytes: u32, word_bytes: u32) -> Option<Self> {
         if !line_bytes.is_power_of_two()
             || !word_bytes.is_power_of_two()
             || word_bytes > line_bytes
-            || line_bytes / word_bytes > 64
+            || (line_bytes / word_bytes) as usize > MAX_LINE_WORDS
         {
             return None;
         }

@@ -21,7 +21,6 @@
 //!   universe is closed under swapping them and the datapath treats them
 //!   identically), so the canonical state is the lexicographic minimum of
 //!   the abstraction under the identity and under the swap.
-//!
 //! * **Completion commutation.** The non-blocking machine's MSHR file is
 //!   abstracted as queued misses (in issue order — the port serves them in
 //!   that order) followed by in-flight misses sorted by countdown: once
@@ -32,14 +31,43 @@
 //! The quotient is finite: at most `depth` entries × 2 lines × 3 word
 //! classes per word × bounded countdowns × at most `mshrs` outstanding
 //! misses.
-
-use std::collections::HashMap;
+//!
+//! # The packed key
+//!
+//! A state is keyed by a byte string written straight from the
+//! [`MachineSnapshot`], once per line permutation; the canonical key is
+//! the smaller string. Lines are named by their index in the universe
+//! (0 or 1) under the permutation, and a word by its class byte: 0
+//! Invalid, 1 Fresh, 2 Stale. Counts and line indices take one byte,
+//! countdowns an unsigned LEB128 varint. In order:
+//!
+//! 1. **Write buffer.** The entry count, then per entry in FIFO order:
+//!    its line; which aligned `width_words` block of the line it covers
+//!    (0 for full-line entries); 1 if a retirement or flush transaction
+//!    for it is underway, else 0; its word count; one class per word.
+//! 2. **Retirement.** 0 when no autonomous retirement is in flight, else
+//!    1 and its countdown.
+//! 3. **Port.** The countdown until the L2 port frees.
+//! 4. **Misses.** The outstanding-miss count, then per miss a countdown
+//!    (0 while queued for the port, else 1 and the cycles until its fill)
+//!    and its line: queued misses first, in issue order, then issued
+//!    misses sorted by (countdown, line).
+//! 5. **Lines.** Per line in permuted order: 0 when it is not in L1, else
+//!    1, its word count and one class per L1 word; then its word count
+//!    and one class per word of its L2-or-memory value.
+//!
+//! Every field either has a fixed width or is preceded by its count, so
+//! the encoding is prefix-free: concatenated keys (both machines of a
+//! refinement pair, or a machine and its monitors) stay injective. Two
+//! states share a key exactly when their abstractions coincide under one
+//! of the permutations.
 
 use wbsim_sim::MachineSnapshot;
 use wbsim_types::addr::{Geometry, LineAddr};
 
-/// The value-blind classification of one word in one component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// The value-blind classification of one word in one component; the
+/// discriminant is its byte in the packed key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WordAbs {
     /// The word is absent (valid-bit clear, line not resident, …).
     Invalid,
@@ -49,88 +77,42 @@ pub enum WordAbs {
     Stale,
 }
 
-/// One write-buffer entry, abstracted.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct AbsEntry {
-    /// Index of the entry's line in the universe (0 or 1), under the
-    /// current renaming.
-    pub line: usize,
-    /// Which aligned `width_words` block of the line the entry covers
-    /// (always 0 for full-line entries). Retirement writes land at
-    /// `sub × width_words`, so entries differing only here diverge.
-    pub sub: usize,
-    /// Whether a retirement or flush transaction for the entry is underway.
-    pub retiring: bool,
-    /// Per-word classification.
-    pub words: Vec<WordAbs>,
-}
-
-/// One outstanding miss, abstracted. Ordered by countdown first so that
-/// the issued suffix of [`AbsState::mshrs`] sorts into completion order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct AbsMshr {
-    /// Cycles until the fill completes (`None` while queued for the port).
-    pub countdown: Option<u64>,
-    /// Index of the outstanding line in the universe (0 or 1), under the
-    /// current renaming.
-    pub line: usize,
-}
-
-/// The memory-side state of one universe line, abstracted.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct AbsLine {
-    /// L1 contents (`None` when not resident).
-    pub l1: Option<Vec<WordAbs>>,
-    /// The L2-or-main-memory value of each word.
-    pub mem: Vec<WordAbs>,
-}
-
-/// A canonical abstract machine state: the BFS node of the reachability
-/// checker. Two concrete machines with the same `AbsState` are
-/// behaviorally indistinguishable to every checked invariant.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct AbsState {
-    /// Write-buffer entries in FIFO (allocation) order.
-    pub wb: Vec<AbsEntry>,
-    /// Cycles until the in-flight autonomous retirement completes.
-    pub retire_countdown: Option<u64>,
-    /// Cycles until the L2 port frees.
-    pub port_countdown: u64,
-    /// Outstanding misses (non-blocking machine only): queued MSHRs first
-    /// in issue order (the port serves them in that order), then issued
-    /// MSHRs sorted by `(countdown, line)` — a partial-order reduction:
-    /// once issued, an MSHR's allocation order is never consulted again,
-    /// and in-flight completions to distinct lines commute, so states
-    /// differing only in the issued suffix's order are behaviorally
-    /// identical.
-    pub mshrs: Vec<AbsMshr>,
-    /// The universe lines, under the current renaming.
-    pub lines: Vec<AbsLine>,
-}
-
 /// The architectural "freshest value" map the word classification is
 /// relative to. Fed one `StoreAccepted` event at a time: the machine
 /// assigns the k-th accepted store the value k, so the tracker's counter
 /// mirrors the machine's value sequence exactly.
-#[derive(Debug, Clone, Default)]
+///
+/// The checkers' universe touches a handful of words, so the map is a
+/// short list searched in order: a lookup hashes nothing, and a fork
+/// into a tracker that held as many words allocates nothing.
+#[derive(Debug, Default)]
 pub struct ShadowTracker {
-    map: HashMap<u64, u64>,
+    /// `(word address, freshest value)`, one pair per written word.
+    words: Vec<(u64, u64)>,
     count: u64,
 }
+
+wbsim_types::clone_fields!(ShadowTracker { words, count });
 
 impl ShadowTracker {
     /// Records one accepted store to `word_addr` (in geometry word-address
     /// units). Must be called for every `StoreAccepted` event, in order.
     pub fn record_store(&mut self, word_addr: u64) {
         self.count += 1;
-        self.map.insert(word_addr, self.count);
+        match self.words.iter_mut().find(|(a, _)| *a == word_addr) {
+            Some((_, v)) => *v = self.count,
+            None => self.words.push((word_addr, self.count)),
+        }
     }
 
     /// The architecturally freshest value for `word_addr` (0 for a
     /// never-written word — main memory's reset value).
     #[must_use]
     pub fn expected(&self, word_addr: u64) -> u64 {
-        self.map.get(&word_addr).copied().unwrap_or(0)
+        self.words
+            .iter()
+            .find(|(a, _)| *a == word_addr)
+            .map_or(0, |&(_, v)| v)
     }
 
     /// Classifies a present concrete `value` at `word_addr`.
@@ -144,136 +126,171 @@ impl ShadowTracker {
     }
 }
 
-/// Abstracts a snapshot without renaming: entry lines are indices into
-/// `snap.lines` in snapshot order.
-fn abstract_snapshot(g: &Geometry, snap: &MachineSnapshot, shadow: &ShadowTracker) -> AbsState {
-    let classify_line = |line: u64, words: &[u64]| -> Vec<WordAbs> {
-        let la = LineAddr::new(line);
-        words
-            .iter()
-            .enumerate()
-            .map(|(w, &v)| shadow.classify(g.word_addr_in_line(la, w), v))
-            .collect()
-    };
-    let wb = snap
-        .wb
-        .iter()
-        .map(|e| {
-            // Blocks are aligned `width`-word groups: block b covers word
-            // addresses b·width .. (b+1)·width, so with sub-line entries
-            // the owning line is b / blocks_per_line.
-            let width = e.words.len();
-            let bpl = (g.words_per_line() / width) as u64;
-            let line_no = e.block / bpl;
-            let line = snap
-                .lines
-                .iter()
-                .position(|l| l.line == line_no)
-                .expect("write-buffer entry outside the bounded universe");
-            AbsEntry {
-                line,
-                sub: (e.block % bpl) as usize,
-                retiring: e.retiring,
-                words: e
-                    .words
-                    .iter()
-                    .enumerate()
-                    .map(|(w, v)| match v {
-                        None => WordAbs::Invalid,
-                        Some(v) => shadow.classify(e.block * width as u64 + w as u64, *v),
-                    })
-                    .collect(),
-            }
-        })
-        .collect();
-    let mut queued = Vec::new();
-    let mut issued = Vec::new();
-    for m in &snap.mshrs {
-        let line = snap
-            .lines
-            .iter()
-            .position(|l| l.line == m.line)
-            .expect("outstanding miss outside the bounded universe");
-        let am = AbsMshr {
-            countdown: m.countdown,
-            line,
-        };
-        if m.countdown.is_some() {
-            issued.push(am);
-        } else {
-            queued.push(am);
-        }
+/// Appends `n` as an unsigned LEB128 varint: seven bits a byte, low
+/// first, the high bit set on every byte but the last.
+pub(crate) fn put_varint(out: &mut Vec<u8>, mut n: u64) {
+    while n >= 0x80 {
+        out.push((n & 0x7f) as u8 | 0x80);
+        n >>= 7;
     }
-    issued.sort_unstable();
-    queued.extend(issued);
-    let lines = snap
-        .lines
-        .iter()
-        .map(|ls| AbsLine {
-            l1: ls.l1.as_deref().map(|ws| classify_line(ls.line, ws)),
-            mem: classify_line(ls.line, &ls.mem),
-        })
-        .collect();
-    AbsState {
-        wb,
-        retire_countdown: snap.retire_countdown,
-        port_countdown: snap.port_countdown,
-        mshrs: queued,
-        lines,
+    out.push(n as u8);
+}
+
+/// Appends a count or index that the bounded universe keeps far below 256.
+fn put_small(out: &mut Vec<u8>, n: usize) {
+    out.push(u8::try_from(n).expect("counts in the bounded universe fit a byte"));
+}
+
+fn put_countdown(out: &mut Vec<u8>, countdown: Option<u64>) {
+    match countdown {
+        None => out.push(0),
+        Some(c) => {
+            out.push(1);
+            put_varint(out, c);
+        }
     }
 }
 
-/// The abstraction of a snapshot under both line permutations: the
-/// identity, and the line swap. The product checker needs both halves so
-/// its joint (machine, monitor) visited key can take the minimum over the
-/// *paired* permutations — independently minimizing each half could glue
-/// mismatched renamings together and unsoundly merge distinct product
-/// states.
-///
-/// # Panics
-///
-/// Panics if the snapshot does not cover exactly two lines, or if a
-/// write-buffer entry's block lies outside them.
-#[must_use]
-pub(crate) fn abstract_both(
+/// The packed canonical key of a state (see the module docs), built
+/// under both line permutations side by side. The buffers are reused
+/// from key to key: once they have grown to a key's length, encoding
+/// allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct StateKey {
+    /// The encoding under the identity.
+    id: Vec<u8>,
+    /// The encoding under the line swap.
+    swap: Vec<u8>,
+    /// Scratch for sorting the issued misses: `(countdown, line)`.
+    issued: Vec<(u64, u8)>,
+}
+
+impl StateKey {
+    /// Empties both encodings for the next key.
+    pub(crate) fn clear(&mut self) {
+        self.id.clear();
+        self.swap.clear();
+    }
+
+    /// Appends the abstraction of `snap` under each permutation. The
+    /// refinement checker pushes both machines of a pair, so the one
+    /// permutation renames both halves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot does not cover exactly two lines, or if a
+    /// write-buffer entry or an outstanding miss lies outside them.
+    pub(crate) fn push(&mut self, g: &Geometry, snap: &MachineSnapshot, shadow: &ShadowTracker) {
+        assert_eq!(snap.lines.len(), 2, "the bounded universe has two lines");
+        let Self { id, swap, issued } = self;
+        encode(g, snap, shadow, false, id, issued);
+        encode(g, snap, shadow, true, swap, issued);
+    }
+
+    /// Appends `write(out, swapped)` to each encoding: a key component
+    /// that the line swap renames too (the monitors' bound addresses).
+    pub(crate) fn push_with(&mut self, mut write: impl FnMut(&mut Vec<u8>, bool)) {
+        write(&mut self.id, false);
+        write(&mut self.swap, true);
+    }
+
+    /// The canonical key: the lexicographically smaller encoding.
+    pub(crate) fn canonical(&self) -> &[u8] {
+        std::cmp::min(&self.id, &self.swap)
+    }
+
+    /// Clears, pushes `snap` and returns the canonical key.
+    pub(crate) fn of(
+        &mut self,
+        g: &Geometry,
+        snap: &MachineSnapshot,
+        shadow: &ShadowTracker,
+    ) -> &[u8] {
+        self.clear();
+        self.push(g, snap, shadow);
+        self.canonical()
+    }
+}
+
+/// Writes the abstraction of `snap` under the identity, or under the line
+/// swap when `swap` is set.
+fn encode(
     g: &Geometry,
     snap: &MachineSnapshot,
     shadow: &ShadowTracker,
-) -> (AbsState, AbsState) {
-    assert_eq!(snap.lines.len(), 2, "the bounded universe has two lines");
-    let a = abstract_snapshot(g, snap, shadow);
-    let mut b = a.clone();
-    b.lines.swap(0, 1);
-    for e in &mut b.wb {
-        e.line = 1 - e.line;
-    }
-    for m in &mut b.mshrs {
-        m.line = 1 - m.line;
-    }
-    // Renaming perturbs the issued suffix's sort key; restore its
-    // canonical (countdown, line) order. The queued prefix keeps issue
-    // order, which renaming does not touch.
-    let first_issued = b
-        .mshrs
-        .iter()
-        .position(|m| m.countdown.is_some())
-        .unwrap_or(b.mshrs.len());
-    b.mshrs[first_issued..].sort_unstable();
-    (a, b)
-}
+    swap: bool,
+    out: &mut Vec<u8>,
+    issued: &mut Vec<(u64, u8)>,
+) {
+    let line_index = |line: u64, what: &str| {
+        let i = snap
+            .lines
+            .iter()
+            .position(|l| l.line == line)
+            .unwrap_or_else(|| panic!("{what} outside the bounded universe"));
+        i as u8 ^ u8::from(swap)
+    };
+    let put_words = |out: &mut Vec<u8>, line: u64, words: &[u64]| {
+        put_small(out, words.len());
+        let la = LineAddr::new(line);
+        for (w, &v) in words.iter().enumerate() {
+            out.push(shadow.classify(g.word_addr_in_line(la, w), v) as u8);
+        }
+    };
 
-/// The canonical abstract state of a snapshot over the two universe lines:
-/// the lexicographically smaller of the abstraction under the identity and
-/// under the line swap.
-///
-/// # Panics
-///
-/// Panics if the snapshot does not cover exactly two lines, or if a
-/// write-buffer entry's block lies outside them.
-#[must_use]
-pub fn canonical_state(g: &Geometry, snap: &MachineSnapshot, shadow: &ShadowTracker) -> AbsState {
-    let (a, b) = abstract_both(g, snap, shadow);
-    a.min(b)
+    put_small(out, snap.wb.len());
+    for e in &snap.wb {
+        // Blocks are aligned `width`-word groups: block b covers word
+        // addresses b·width .. (b+1)·width, so with sub-line entries the
+        // owning line is b / blocks_per_line.
+        let width = e.words.len();
+        let bpl = (g.words_per_line() / width) as u64;
+        out.push(line_index(e.block / bpl, "write-buffer entry"));
+        put_small(out, (e.block % bpl) as usize);
+        out.push(u8::from(e.retiring));
+        put_small(out, width);
+        for (w, v) in e.words.iter().enumerate() {
+            let class = match *v {
+                None => WordAbs::Invalid,
+                Some(v) => shadow.classify(e.block * width as u64 + w as u64, v),
+            };
+            out.push(class as u8);
+        }
+    }
+    put_countdown(out, snap.retire_countdown);
+    put_varint(out, snap.port_countdown);
+
+    put_small(out, snap.mshrs.len());
+    issued.clear();
+    for m in &snap.mshrs {
+        let line = line_index(m.line, "outstanding miss");
+        match m.countdown {
+            None => {
+                put_countdown(out, None);
+                out.push(line);
+            }
+            Some(c) => issued.push((c, line)),
+        }
+    }
+    // Renaming perturbs the issued misses' sort key, so each permutation
+    // sorts its own.
+    issued.sort_unstable();
+    for &(c, line) in issued.iter() {
+        put_countdown(out, Some(c));
+        out.push(line);
+    }
+
+    let order = if swap { [1, 0] } else { [0, 1] };
+    for ls in order.map(|i| &snap.lines[i]) {
+        match &ls.l1 {
+            None => out.push(0),
+            Some(words) => {
+                out.push(1);
+                put_words(out, ls.line, words);
+            }
+        }
+        put_words(out, ls.line, &ls.mem);
+    }
 }
 
 #[cfg(test)]
@@ -288,7 +305,7 @@ mod tests {
         [LineAddr::new(0), LineAddr::new(1)]
     }
 
-    fn state_after(ops: &[Op]) -> AbsState {
+    fn state_after(ops: &[Op]) -> Vec<u8> {
         let mut cfg = MachineConfig::baseline();
         cfg.check_data = false;
         let g = cfg.geometry;
@@ -300,7 +317,9 @@ mod tests {
                 shadow.record_store(g.word_addr(addr));
             }
         }
-        canonical_state(&g, &m.snapshot(&lines()), &shadow)
+        StateKey::default()
+            .of(&g, &m.snapshot(&lines()), &shadow)
+            .to_vec()
     }
 
     #[test]
@@ -315,6 +334,38 @@ mod tests {
         s.record_store(0x40);
         assert_eq!(s.expected(0x40), 3, "values strictly increase");
         assert_eq!(s.classify(0x40, 1), WordAbs::Stale, "stale never recovers");
+    }
+
+    #[test]
+    fn varints_are_leb128() {
+        let enc = |n| {
+            let mut out = Vec::new();
+            put_varint(&mut out, n);
+            out
+        };
+        assert_eq!(enc(0), [0]);
+        assert_eq!(enc(0x7f), [0x7f]);
+        assert_eq!(enc(0x80), [0x80, 0x01]);
+        assert_eq!(enc(300), [0xac, 0x02]);
+        assert_eq!(enc(u64::MAX).len(), 10);
+    }
+
+    #[test]
+    fn the_key_spells_out_a_store_field_by_field() {
+        // One store to word 0 of line 0 on the baseline machine: the entry
+        // stays buffered below the retire-at mark, so memory's copy of the
+        // word is stale; neither line is in L1.
+        let (invalid, fresh, stale) = (0, 1, 2);
+        #[rustfmt::skip]
+        let want = [
+            1, 0, 0, 0, 4, fresh, invalid, invalid, invalid, // one entry
+            0,                                               // no retirement
+            0,                                               // port free
+            0,                                               // no misses
+            0, 4, stale, fresh, fresh, fresh,                // line 0
+            0, 4, fresh, fresh, fresh, fresh,                // line 1
+        ];
+        assert_eq!(state_after(&[Op::Store(a(0, 0))]), want);
     }
 
     #[test]

@@ -44,7 +44,7 @@ use wbsim_types::stall::StallKind;
 use wbsim_types::Addr;
 
 use crate::abstract_state::ShadowTracker;
-use crate::explore::Explored;
+use crate::explore::{fork, Explored};
 
 /// Cycle budget per run: a liveness bound. The longest bounded sequence
 /// finishes in well under a hundred cycles; a run that is still going after
@@ -239,7 +239,7 @@ pub(crate) fn build<M: SimMachine>(cfg: &MachineConfig, mshrs: Option<usize>) ->
 /// freshest store as it happens. Without one (the sequence checker) each
 /// load's terminal event is recorded in program order — `None` for a miss
 /// to an MSHR, whose fill the final-memory comparison covers instead.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct InvariantObserver {
     depth: u64,
     fifo: bool,
@@ -256,6 +256,21 @@ pub(crate) struct InvariantObserver {
     max_occupancy: u64,
     pub(crate) violation: Option<String>,
 }
+
+wbsim_types::clone_fields!(InvariantObserver {
+    depth,
+    fifo,
+    overlap,
+    geometry,
+    shadow,
+    last_retire_id,
+    stall_now,
+    stalls,
+    loads,
+    cycles_seen,
+    max_occupancy,
+    violation,
+});
 
 impl InvariantObserver {
     /// The observer for `cfg` on the machine `mshrs` selects.
@@ -287,15 +302,13 @@ impl InvariantObserver {
         self.shadow.as_ref().expect("a tracking observer")
     }
 
-    /// The observer for the next op transition from this state: the shadow
-    /// map and FIFO cursor carry over, the per-cycle state starts afresh.
-    pub(crate) fn next_transition(&self) -> Self {
-        InvariantObserver {
-            stall_now: None,
-            stalls: 0,
-            violation: None,
-            ..self.clone()
-        }
+    /// Readies the observer for the next op transition from this state:
+    /// the shadow map and FIFO cursor carry over, the per-cycle state
+    /// starts afresh.
+    pub(crate) fn begin_transition(&mut self) {
+        self.stall_now = None;
+        self.stalls = 0;
+        self.violation = None;
     }
 
     fn fail(&mut self, msg: String) {
@@ -391,14 +404,14 @@ impl Observer for InvariantObserver {
 pub(crate) fn mshr_invariants(m: &impl SimMachine, mshrs: Option<usize>) -> Result<(), String> {
     let lines = m.mshr_lines();
     let cap = mshrs.unwrap_or(0);
-    if lines.len() > cap {
+    let outstanding = lines.clone().count();
+    if outstanding > cap {
         return Err(format!(
-            "{} outstanding misses exceed the {cap} MSHRs",
-            lines.len()
+            "{outstanding} outstanding misses exceed the {cap} MSHRs"
         ));
     }
-    for (i, line) in lines.iter().enumerate() {
-        if lines[..i].contains(line) {
+    for (i, line) in lines.clone().enumerate() {
+        if lines.clone().take(i).any(|l| l == line) {
             return Err(format!(
                 "two MSHRs outstanding for line {line:?}; secondary misses must merge"
             ));
@@ -440,12 +453,22 @@ pub(crate) fn sequence<M: SimMachine>(
     mshrs: Option<usize>,
     ops: &[Op],
 ) -> Result<(), String> {
+    sequence_on(&mut build::<M>(cfg, mshrs), cfg, mshrs, ops)
+}
+
+/// [`sequence`] on `machine`: a machine as [`build`] returns it for
+/// `cfg` and `mshrs`, or a fork of one.
+fn sequence_on<M: SimMachine>(
+    machine: &mut M,
+    cfg: &MachineConfig,
+    mshrs: Option<usize>,
+    ops: &[Op],
+) -> Result<(), String> {
     let cfg = &unchecked(cfg);
-    let mut machine: M = build(cfg, mshrs);
     let mut obs = InvariantObserver::new(cfg, mshrs);
     let mut iter = ops.iter().copied();
     while machine.step(&mut iter, &mut obs) {
-        mshr_invariants(&machine, mshrs).map_err(|e| format!("cycle {}: {e}", machine.now()))?;
+        mshr_invariants(machine, mshrs).map_err(|e| format!("cycle {}: {e}", machine.now()))?;
         if machine.now() >= CYCLE_BUDGET {
             return Err(format!(
                 "run exceeded the {CYCLE_BUDGET}-cycle liveness budget"
@@ -784,8 +807,12 @@ fn exhaustive<M: SimMachine>(
 ) -> Result<CheckReport, Box<Counterexample>> {
     let mut report = check_grid(points, jobs, |cfg, mshrs, abort| {
         let universe = op_universe(cfg);
+        // Every run forks one pristine machine instead of building and
+        // validating its own; the fork reuses the last run's buffers.
+        let pristine: M = build(cfg, mshrs);
+        let mut run = None;
         match first_violation(&universe, max_ops, abort, |ops| {
-            sequence::<M>(cfg, mshrs, ops).err()
+            sequence_on(fork(&mut run, &pristine), cfg, mshrs, ops).err()
         }) {
             None => Ok(Some(Explored::default())),
             Some((ops, violation)) => Err(counterexample::<M>(cfg, mshrs, ops, violation)),

@@ -72,9 +72,7 @@ pub mod reach;
 pub mod refine;
 pub mod sched;
 
-pub use abstract_state::{
-    canonical_state, AbsEntry, AbsLine, AbsMshr, AbsState, ShadowTracker, WordAbs,
-};
+pub use abstract_state::{ShadowTracker, WordAbs};
 pub use bounded::{
     bounded_configs, check_exhaustive, check_exhaustive_jobs, check_exhaustive_nonblocking_jobs,
     check_sequence, default_jobs, nonblocking_configs, run_indexed_earliest, CheckReport,

@@ -28,6 +28,7 @@ use wbsim_types::divergence::LoadSource;
 use wbsim_types::policy::LoadHazardPolicy;
 use wbsim_types::stall::StallKind;
 
+use crate::abstract_state::put_varint;
 use crate::prop_parse::{Body, CmpOp, Property, ValueExpr};
 
 // ---------------------------------------------------------------------------
@@ -409,7 +410,7 @@ pub struct MonObligation {
 }
 
 /// One canonical-key component per monitor (see [`Monitors::key`]).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MonKeyItem {
     /// Path-local or stateless: excluded from canonicalization.
     Unit,
@@ -422,18 +423,48 @@ pub enum MonKeyItem {
 }
 
 /// Canonical summary of a monitor bundle's state, usable as (part of) a
-/// visited-set key in the product BFS.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// visited-set key in the product BFS (see [`MonKey::encode`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MonKey(pub Vec<MonKeyItem>);
 
-/// A bundle of compiled monitors plus their per-run state.
-#[derive(Debug, Clone)]
+impl MonKey {
+    /// Appends a prefix-free byte encoding of the key: the item count,
+    /// then per item a tag byte (0 unit, 1 flag, 2 set, 3 count) and its
+    /// fields, with flags as one byte and numbers as LEB128 varints. The
+    /// product checker appends it to the machine's packed key.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.0.len() as u64);
+        for item in &self.0 {
+            match item {
+                MonKeyItem::Unit => out.push(0),
+                MonKeyItem::Flag(b) => out.extend([1, u8::from(*b)]),
+                MonKeyItem::Set(addrs) => {
+                    out.push(2);
+                    put_varint(out, addrs.len() as u64);
+                    for &a in addrs {
+                        put_varint(out, a);
+                    }
+                }
+                MonKeyItem::Count(open, n) => {
+                    out.extend([3, u8::from(*open)]);
+                    put_varint(out, *n);
+                }
+            }
+        }
+    }
+}
+
+/// A bundle of compiled monitors plus their per-run state. `clone_from`
+/// shares the compiled properties and reuses the state `Vec`.
+#[derive(Debug)]
 pub struct Monitors {
     props: Rc<Vec<CompiledProp>>,
     states: Vec<MonState>,
     /// Ambient occupancy: the `occupancy` of the most recent `cycle-end`.
     occ: u64,
 }
+
+wbsim_types::clone_fields!(Monitors { props, states, occ });
 
 impl Monitors {
     /// Builds a bundle with every monitor in its initial state.
@@ -521,8 +552,8 @@ impl Monitors {
 
     /// Canonical state summary. `xor_mask` renames parameter bindings
     /// under the abstract line swap (`Some(line_bytes)`), matching the
-    /// renaming `canonical_state` applies to the machine half of a
-    /// product-BFS key.
+    /// renaming the packed abstract state applies to the machine half of
+    /// a product-BFS key.
     #[must_use]
     pub fn key(&self, xor_mask: Option<u64>) -> MonKey {
         let items = self

@@ -20,24 +20,23 @@
 //! abstract state is canonical under a line swap, and a `for_each addr`
 //! monitor's window set must be renamed by the *same* swap, or two
 //! incompatible permutations could be glued into one key. The key is
-//! therefore `min` over the two paired permutations (identity, swapped) —
-//! see `abstract_state::abstract_both` and [`Monitors::key`].
+//! therefore the packed machine key with the encoded monitor key appended
+//! under each of the two permutations (identity, swapped), and the smaller
+//! of the two — see `abstract_state::StateKey` and [`Monitors::key`].
 
-use std::collections::HashMap;
-
-use wbsim_sim::{Event, Machine, MachineSnapshot, NonBlockingMachine, Observer, SimMachine};
+use wbsim_sim::{Event, Machine, NonBlockingMachine, Observer, SimMachine};
 use wbsim_types::addr::{Geometry, LineAddr};
 use wbsim_types::config::MachineConfig;
 use wbsim_types::divergence::FaultInjection;
 use wbsim_types::op::Op;
 
-use crate::abstract_state::{abstract_both, AbsState, ShadowTracker};
+use crate::abstract_state::{ShadowTracker, StateKey};
 use crate::bounded::{blocking_grid, build, check_grid, mshr_grid, op_universe, unchecked, Point};
-use crate::explore::{explore, Edge, Explored};
+use crate::explore::{explore, fork, DrainMemo, Edge, Explored};
 use crate::prop::{
     compile, pending_violation_of, prop_counterexample, violation_of, PropEnv, PropViolation,
 };
-use crate::prop_automaton::{MonKey, MonViolation, Monitors};
+use crate::prop_automaton::{MonViolation, Monitors};
 use crate::prop_parse::PropSet;
 use crate::reach::{
     gate, probe, universe_lines, ReachViolation, DRAIN_WALK_BOUND, OP_CYCLE_BUDGET,
@@ -79,20 +78,13 @@ impl PropReport {
     }
 }
 
-/// The joint visited key: canonical abstract state paired with the
-/// monitor key under the *same* line permutation.
-type JointKey = (AbsState, MonKey);
-
-fn joint_key(
-    g: &Geometry,
-    snap: &MachineSnapshot,
-    shadow: &ShadowTracker,
-    mons: &Monitors,
-) -> JointKey {
-    let (a, b) = abstract_both(g, snap, shadow);
-    let ka = mons.key(None);
-    let kb = mons.key(Some(u64::from(g.line_bytes())));
-    std::cmp::min((a, ka), (b, kb))
+/// Writes the joint visited key of a product state into `k`: the packed
+/// abstract state followed by the monitor key under the *same* line
+/// permutation.
+fn joint_key<M: SimMachine>(g: &Geometry, lines: &[LineAddr; 2], s: &PState<M>, k: &mut StateKey) {
+    k.push(g, &s.machine.snapshot(lines), &s.shadow);
+    let swap_mask = u64::from(g.line_bytes());
+    k.push_with(|out, swapped| s.mons.key(swapped.then_some(swap_mask)).encode(out));
 }
 
 /// Steps the monitors on every event, latching the first violation, and
@@ -120,12 +112,13 @@ impl Observer for MonitorObserver<'_> {
 
 /// A product state: the concrete representative, its shadow map, and the
 /// monitor bundle as of this state.
-#[derive(Clone)]
 struct PState<M> {
     machine: M,
     shadow: ShadowTracker,
     mons: Monitors,
 }
+
+wbsim_types::clone_fields!(impl<M> PState<M> { machine, shadow, mons });
 
 /// Packages a property violation witnessed by `ops` as a reach-style
 /// violation: minimized, with a replayable trace, diagnosed `PRP100` or
@@ -152,43 +145,47 @@ fn prop_reach_violation<M: SimMachine>(
 /// is deterministic and both halves of the key are canonical under the
 /// same renaming, so the verdict is path-independent.
 fn drain_walk<M: SimMachine>(
-    m: &M,
-    mons: &Monitors,
+    s: &PState<M>,
     g: &Geometry,
     lines: &[LineAddr; 2],
-    shadow: &ShadowTracker,
-    memo: &mut HashMap<JointKey, Option<PropViolation>>,
+    memo: &mut DrainMemo<Option<PropViolation>, PState<M>>,
 ) -> Option<PropViolation> {
-    let mut m = m.clone();
-    let mut mons = mons.clone();
-    let mut path: Vec<JointKey> = Vec::new();
+    let DrainMemo {
+        verdicts,
+        walker,
+        key,
+    } = memo;
+    let w = fork(walker, s);
+    let mut path: Vec<Box<[u8]>> = Vec::new();
     let verdict = loop {
-        let key = joint_key(g, &m.snapshot(lines.as_slice()), shadow, &mons);
-        if let Some(v) = memo.get(&key) {
+        key.clear();
+        joint_key(g, lines, w, key);
+        let k = key.canonical();
+        if let Some(v) = verdicts.get(k) {
             break v.clone();
         }
-        if path.contains(&key) || path.len() > DRAIN_WALK_BOUND {
-            break pending_violation_of(&mons);
+        if path.iter().any(|p| **p == *k) || path.len() > DRAIN_WALK_BOUND {
+            break pending_violation_of(&w.mons);
         }
-        path.push(key);
+        path.push(k.into());
         let mut obs = MonitorObserver {
             g: *g,
             shadow: None,
-            mons: &mut mons,
+            mons: &mut w.mons,
             violation: None,
         };
-        let stepped = m.drain_step(&mut obs);
+        let stepped = w.machine.drain_step(&mut obs);
         if let Some(v) = obs.violation {
             // A safety event mid-drain. Its detail is position-specific,
             // so return without memoizing the path.
-            return Some(violation_of(&mons, &v));
+            return Some(violation_of(&w.mons, &v));
         }
         if !stepped {
-            break pending_violation_of(&mons);
+            break pending_violation_of(&w.mons);
         }
     };
     for k in path {
-        memo.insert(k, verdict.clone());
+        verdicts.insert(k, verdict.clone());
     }
     verdict
 }
@@ -215,21 +212,20 @@ fn explore_props<M: SimMachine>(
         shadow: ShadowTracker::default(),
         mons,
     };
-    let mut drain_memo: HashMap<JointKey, Option<PropViolation>> = HashMap::new();
+    let mut drain_memo = DrainMemo::default();
     explore(
         root,
         &op_universe(cfg),
         abort,
-        |s| joint_key(&g, &s.machine.snapshot(&lines), &s.shadow, &s.mons),
+        |s, k| joint_key(&g, &lines, s, k),
         |s, op| {
-            let mut next = s.clone();
             let mut obs = MonitorObserver {
                 g,
-                shadow: Some(&mut next.shadow),
-                mons: &mut next.mons,
+                shadow: Some(&mut s.shadow),
+                mons: &mut s.mons,
                 violation: None,
             };
-            let completed = next
+            let completed = s
                 .machine
                 .run_op_bounded(op, OP_CYCLE_BUDGET, &mut obs)
                 .is_some();
@@ -239,20 +235,17 @@ fn explore_props<M: SimMachine>(
                 // this (stuck) branch can never discharge it. A wedge with
                 // no pending obligation is not a *property* failure — the
                 // reach checker diagnoses the livelock itself.
-                probe(&mut next.machine, &mut obs);
+                probe(&mut s.machine, &mut obs);
             }
             if let Some(v) = obs.violation {
-                return Err(violation_of(&next.mons, &v));
+                return Err(violation_of(&s.mons, &v));
             }
             if completed {
-                return Ok(Edge::To(next));
+                return Ok(Edge::To);
             }
-            pending_violation_of(&next.mons).map_or(Ok(Edge::Pruned), Err)
+            pending_violation_of(&s.mons).map_or(Ok(Edge::Pruned), Err)
         },
-        |s| {
-            drain_walk(&s.machine, &s.mons, &g, &lines, &s.shadow, &mut drain_memo)
-                .map_or(Ok(()), Err)
-        },
+        |s| drain_walk(s, &g, &lines, &mut drain_memo).map_or(Ok(()), Err),
     )
     .map_err(|(ops, pv)| prop_reach_violation::<M>(cfg, mshrs, set, &ops, &pv))
 }

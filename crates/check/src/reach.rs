@@ -35,8 +35,6 @@
 //! The module also holds the replay helpers the property and refinement
 //! checkers share: op-by-op replay, the wedged-op probe, and the drain walk.
 
-use std::collections::HashMap;
-
 use wbsim_sim::{
     Event, Machine, MachineSnapshot, NonBlockingMachine, NullObserver, Observer, SimMachine,
 };
@@ -47,13 +45,13 @@ use wbsim_types::divergence::FaultInjection;
 use wbsim_types::op::Op;
 use wbsim_types::policy::{L1WritePolicy, RetirementOrder, RetirementPolicy};
 
-use crate::abstract_state::{canonical_state, AbsState, ShadowTracker};
+use crate::abstract_state::ShadowTracker;
 use crate::bounded::{
     blocking_grid, build, check_grid, counterexample, minimize, mshr_grid, mshr_invariants,
     op_universe, sequence, trace_run, unchecked, CheckReport, Counterexample, InvariantObserver,
     TraceObserver,
 };
-use crate::explore::{explore, Edge, Explored};
+use crate::explore::{explore, fork, DrainMemo, Edge, Explored};
 
 /// Cycle budget for one op during expansion. Every legitimate op in the
 /// gated configuration class completes in well under 100 cycles (worst
@@ -321,22 +319,27 @@ fn drain_livelocked<M: SimMachine>(
     g: &Geometry,
     lines: &[LineAddr; 2],
     shadow: &ShadowTracker,
-    memo: &mut HashMap<AbsState, bool>,
+    memo: &mut DrainMemo<bool, M>,
 ) -> bool {
-    let mut m = m.clone();
-    let mut path: Vec<AbsState> = Vec::new();
+    let DrainMemo {
+        verdicts,
+        walker,
+        key,
+    } = memo;
+    let m = fork(walker, m);
+    let mut path: Vec<Box<[u8]>> = Vec::new();
     let verdict = loop {
-        let s = canonical_state(g, &m.snapshot(lines.as_slice()), shadow);
-        if let Some(&v) = memo.get(&s) {
+        let s = key.of(g, &m.snapshot(lines.as_slice()), shadow);
+        if let Some(&v) = verdicts.get(s) {
             break v;
         }
-        if path.contains(&s) {
+        if path.iter().any(|p| **p == *s) {
             // A cycle under the fair drain schedule. No progress is
             // possible along it: occupancy is non-increasing during a
             // drain, so a cycle retires nothing — livelock.
             break true;
         }
-        path.push(s);
+        path.push(s.into());
         if !m.drain_step(&mut NullObserver) {
             break false;
         }
@@ -345,7 +348,7 @@ fn drain_livelocked<M: SimMachine>(
         }
     };
     for s in path {
-        memo.insert(s, verdict);
+        verdicts.insert(s, verdict);
     }
     verdict
 }
@@ -447,6 +450,15 @@ enum Finding {
     Budget,
 }
 
+/// A reach state: the concrete representative and the invariant observer
+/// that carries its shadow map and FIFO cursor across transitions.
+struct ReachState<M> {
+    machine: M,
+    obs: InvariantObserver,
+}
+
+wbsim_types::clone_fields!(impl<M> ReachState<M> { machine, obs });
+
 /// Explores one configuration on machine `M` to closure: every safety
 /// invariant at every reachable state, and liveness on the drain graph.
 /// On the non-blocking machine the abstract state carries the MSHR
@@ -463,39 +475,40 @@ fn explore_reach<M: SimMachine>(
     let g = cfg.geometry;
     let lines = universe_lines(cfg);
     let universe = op_universe(cfg);
-    let root: (M, _) = (
-        build(cfg, mshrs),
-        InvariantObserver::new(cfg, mshrs).tracking(),
-    );
-    let mut drain_memo: HashMap<AbsState, bool> = HashMap::new();
+    let root = ReachState::<M> {
+        machine: build(cfg, mshrs),
+        obs: InvariantObserver::new(cfg, mshrs).tracking(),
+    };
+    let mut drain_memo = DrainMemo::default();
     let explored = explore(
         root,
         &universe,
         abort,
-        |(m, obs)| canonical_state(&g, &m.snapshot(&lines), obs.shadow()),
-        |(m, obs), op| {
-            let (mut m, mut obs) = (m.clone(), obs.next_transition());
-            let completed = m.run_op_bounded(op, OP_CYCLE_BUDGET, &mut obs);
-            if let Some(msg) = obs.violation.take() {
+        |s, k| k.push(&g, &s.machine.snapshot(&lines), s.obs.shadow()),
+        |s, op| {
+            s.obs.begin_transition();
+            let completed = s.machine.run_op_bounded(op, OP_CYCLE_BUDGET, &mut s.obs);
+            if let Some(msg) = s.obs.violation.take() {
                 return Err(Finding::Safety(msg));
             }
             if completed.is_none() {
                 // The op wedged. Probe for progress to tell a livelock
                 // from an undersized budget.
                 let mut progress = ProgressProbe::default();
-                probe(&mut m, &mut progress);
-                let wedged = !progress.progress && m.wb_occupancy() > 0;
+                probe(&mut s.machine, &mut progress);
+                let wedged = !progress.progress && s.machine.wb_occupancy() > 0;
                 return Err(if wedged {
                     Finding::Wedged
                 } else {
                     Finding::Budget
                 });
             }
-            boundary_checks(&g, &m, mshrs, obs.shadow(), &universe).map_err(Finding::Safety)?;
-            Ok(Edge::To((m, obs)))
+            boundary_checks(&g, &s.machine, mshrs, s.obs.shadow(), &universe)
+                .map_err(Finding::Safety)?;
+            Ok(Edge::To)
         },
-        |(m, obs)| {
-            if drain_livelocked(m, &g, &lines, obs.shadow(), &mut drain_memo) {
+        |s| {
+            if drain_livelocked(&s.machine, &g, &lines, s.obs.shadow(), &mut drain_memo) {
                 Err(Finding::DrainCycle)
             } else {
                 Ok(())
@@ -536,7 +549,7 @@ fn explore_reach<M: SimMachine>(
     // Every memoized drain state proved acyclic, so each is its own SCC; a
     // cycle would have returned RCH002 above.
     Ok(explored.map(|e| Explored {
-        sccs: drain_memo.len() as u64,
+        sccs: drain_memo.verdicts.len() as u64,
         ..e
     }))
 }

@@ -44,7 +44,7 @@ pub enum StoreOutcome {
 }
 
 /// The coalescing write buffer. See the module docs.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct WriteBuffer {
     /// Fixed slab of `depth` slots; `occupied` says which hold an entry.
     /// Slot data (including each entry's word `Vec`) is allocated once and
@@ -66,6 +66,20 @@ pub struct WriteBuffer {
     order: RetirementOrder,
     geometry: Geometry,
 }
+
+wbsim_types::clone_fields!(WriteBuffer {
+    slots,
+    occupied,
+    retiring,
+    order_fifo,
+    retired,
+    next_id,
+    depth,
+    width_words,
+    blocks_per_line,
+    order,
+    geometry
+});
 
 impl WriteBuffer {
     /// Builds an empty buffer.

@@ -18,7 +18,7 @@ use wbsim_types::Cycle;
 pub type EntryId = u64;
 
 /// One occupied write-buffer entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Entry {
     /// Stable identity.
     pub id: EntryId,
@@ -57,6 +57,16 @@ pub struct RetiredBlock<'a> {
     /// Cycle at which the entry was allocated (for lifetime statistics).
     pub alloc_cycle: Cycle,
 }
+
+wbsim_types::clone_fields!(Entry {
+    id,
+    block,
+    mask,
+    data,
+    alloc_cycle,
+    last_touch,
+    retiring
+});
 
 impl Entry {
     /// Number of valid words.

@@ -14,7 +14,7 @@ use wbsim_types::config::{ConfigError, L1Config};
 /// All methods take pre-decomposed `(line, word)` coordinates; the
 /// simulator performs the address decomposition once per reference through
 /// [`Geometry`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct L1Cache {
     sets: usize,
     assoc: usize,
@@ -31,6 +31,17 @@ pub struct L1Cache {
 }
 
 const INVALID: u64 = u64::MAX;
+
+wbsim_types::clone_fields!(L1Cache {
+    sets,
+    assoc,
+    words_per_line,
+    tags,
+    stamps,
+    dirty,
+    data,
+    next_stamp
+});
 
 impl L1Cache {
     /// Builds an empty cache.

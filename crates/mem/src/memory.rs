@@ -62,12 +62,14 @@ impl Hasher for PageHasher {
 /// m.write_word(7, 42);
 /// assert_eq!(m.read_word(7), 42);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct MainMemory {
     /// Page number → slot in `pages`.
     index: HashMap<u64, u32, BuildHasherDefault<PageHasher>>,
     pages: Vec<[u64; PAGE_WORDS]>,
 }
+
+wbsim_types::clone_fields!(MainMemory { index, pages });
 
 /// Splits a global word address into its page number and offset.
 #[inline]

@@ -43,9 +43,10 @@ pub(crate) struct Pending {
 }
 
 /// The shared datapath: caches, buffer, port, memory, shadow, and stats.
-/// See the module docs. `Clone` supports the reachability checker, which
-/// forks the machine at every explored state.
-#[derive(Debug, Clone)]
+/// See the module docs. `Clone` supports the model checkers, which fork
+/// the machine at every explored state; `clone_from` reuses the caches',
+/// the write buffer's, memory's and the shadow's buffers and maps.
+#[derive(Debug)]
 pub(crate) struct Hierarchy {
     pub(crate) cfg: MachineConfig,
     pub(crate) g: Geometry,
@@ -76,6 +77,27 @@ pub(crate) struct Hierarchy {
     pub(crate) write_time: u64,
     pub(crate) mm_latency: u64,
 }
+
+wbsim_types::clone_fields!(Hierarchy {
+    cfg,
+    g,
+    mem,
+    l1,
+    l2,
+    wb,
+    port,
+    stats,
+    now,
+    wb_retire,
+    last_retire_start,
+    store_seq,
+    victim_inserts,
+    shadow,
+    line_buf,
+    read_time,
+    write_time,
+    mm_latency
+});
 
 impl Hierarchy {
     /// Builds the datapath from a validated configuration.

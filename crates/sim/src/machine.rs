@@ -189,9 +189,11 @@ enum CpuState {
 /// The simulated machine. Build one with [`Machine::new`], then drive it
 /// with [`Machine::run`] (or [`Machine::run_observed`] to receive the
 /// structured event stream). `Clone` forks the complete machine state —
-/// the reachability checker clones a machine at every explored state and
-/// steps each copy independently.
-#[derive(Debug, Clone)]
+/// the model checkers fork a machine at every explored state and step
+/// each copy independently. `clone_from` reuses the target's buffers and
+/// maps, so a fork at an op boundary over a perfect L2 into a machine of
+/// the same configuration allocates nothing.
+#[derive(Debug)]
 pub struct Machine {
     hier: Hierarchy,
     icache: Icache,
@@ -200,6 +202,15 @@ pub struct Machine {
     record_skips: bool,
     skip_log: Vec<SkipSpan>,
 }
+
+wbsim_types::clone_fields!(Machine {
+    hier,
+    icache,
+    cpu,
+    engine,
+    record_skips,
+    skip_log
+});
 
 /// One write-buffer entry in a [`MachineSnapshot`]: the block tag plus the
 /// per-word values (`None` = word invalid), in buffer order (allocation
@@ -1673,8 +1684,8 @@ impl SimMachine for Machine {
         hier_snapshot(&self.hier, lines, self.at_op_boundary())
     }
 
-    fn mshr_lines(&self) -> Vec<LineAddr> {
-        Vec::new()
+    fn mshr_lines(&self) -> impl Iterator<Item = LineAddr> + Clone + '_ {
+        std::iter::empty()
     }
 
     fn now(&self) -> u64 {

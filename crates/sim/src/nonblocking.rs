@@ -81,8 +81,9 @@ enum CpuState {
     Finished,
 }
 
-/// The non-blocking machine; see the module docs.
-#[derive(Debug, Clone)]
+/// The non-blocking machine; see the module docs. `clone_from` reuses
+/// the target's buffers and maps, as [`crate::Machine`]'s does.
+#[derive(Debug)]
 pub struct NonBlockingMachine {
     hier: Hierarchy,
     mshrs: Vec<Mshr>,
@@ -93,6 +94,17 @@ pub struct NonBlockingMachine {
     record_skips: bool,
     skip_log: Vec<SkipSpan>,
 }
+
+wbsim_types::clone_fields!(NonBlockingMachine {
+    hier,
+    mshrs,
+    max_mshrs,
+    mshr_seq,
+    cpu,
+    engine,
+    record_skips,
+    skip_log
+});
 
 impl NonBlockingMachine {
     /// Builds the machine with `mshrs` miss-status registers.
@@ -700,10 +712,8 @@ impl SimMachine for NonBlockingMachine {
         snap
     }
 
-    fn mshr_lines(&self) -> Vec<LineAddr> {
-        let mut ms: Vec<_> = self.mshrs.iter().collect();
-        ms.sort_by_key(|m| m.seq);
-        ms.into_iter().map(|m| m.line).collect()
+    fn mshr_lines(&self) -> impl Iterator<Item = LineAddr> + Clone + '_ {
+        self.mshrs.iter().map(|m| m.line)
     }
 
     fn now(&self) -> u64 {
@@ -912,7 +922,7 @@ mod tests {
         let s = m.snapshot(&[wbsim_types::addr::LineAddr::new(1)]);
         assert_eq!(s.mshrs.len(), 1);
         assert_eq!(s.mshrs[0].line, 1);
-        assert_eq!(m.mshr_lines(), vec![wbsim_types::addr::LineAddr::new(1)]);
+        assert!(m.mshr_lines().eq([wbsim_types::addr::LineAddr::new(1)]));
         // Draining completes the fill; the snapshot empties.
         while m.drain_step(&mut obs) {}
         assert!(m

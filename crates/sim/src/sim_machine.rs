@@ -87,9 +87,10 @@ pub trait SimMachine: Clone + Send {
     /// [`MachineSnapshot`].
     fn snapshot(&self, lines: &[LineAddr]) -> MachineSnapshot;
 
-    /// The lines with an outstanding miss, in allocation order — always
-    /// empty on the blocking machine.
-    fn mshr_lines(&self) -> Vec<LineAddr>;
+    /// The lines with an outstanding miss, in no particular order — always
+    /// empty on the blocking machine. Borrowed, so a per-cycle structural
+    /// check costs no allocation.
+    fn mshr_lines(&self) -> impl Iterator<Item = LineAddr> + Clone + '_;
 
     /// The current timestamp.
     fn now(&self) -> u64;

@@ -71,3 +71,59 @@ pub use stats::SimStats;
 /// A simulation timestamp, measured in processor cycles from the start of
 /// the run.
 pub type Cycle = u64;
+
+/// Implements `Clone` for a struct from its full field list, with a
+/// `clone_from` that forwards to every field's own `clone_from`.
+///
+/// A derived `Clone` never overrides `clone_from`, so on a derived type
+/// `dst.clone_from(&src)` allocates exactly as `src.clone()` does. The
+/// impls this macro writes reuse the target's buffers instead: a `Vec`
+/// keeps its allocation, a map its table, and a nested type with such an
+/// impl of its own recurses. The model checkers fork a machine at every
+/// explored state into one recycled machine of the same configuration,
+/// so the fork reuses that machine's buffers instead of allocating.
+///
+/// Both methods destructure `Self` by every listed field, with no `..`:
+/// a field added to the struct but not to the list does not compile.
+///
+/// ```
+/// #[derive(Debug, PartialEq)]
+/// struct Log {
+///     now: u64,
+///     lines: Vec<u64>,
+/// }
+/// wbsim_types::clone_fields!(Log { now, lines });
+///
+/// let src = Log { now: 3, lines: vec![1, 2] };
+/// let mut dst = Log { now: 0, lines: Vec::with_capacity(8) };
+/// dst.clone_from(&src);
+/// assert_eq!(dst, src);
+/// assert!(dst.lines.capacity() >= 8, "the target's buffer is reused");
+/// ```
+///
+/// A generic struct names its type parameters, which must be `Clone`:
+/// `clone_fields!(impl<M> Pair<M> { a, b })`.
+#[macro_export]
+macro_rules! clone_fields {
+    (@methods $($f:ident),+) => {
+        fn clone(&self) -> Self {
+            let Self { $($f),+ } = self;
+            Self { $($f: Clone::clone($f)),+ }
+        }
+
+        fn clone_from(&mut self, src: &Self) {
+            let Self { $($f),+ } = self;
+            $(Clone::clone_from($f, &src.$f);)+
+        }
+    };
+    (impl<$($g:ident),+> $ty:ty { $($f:ident),+ $(,)? }) => {
+        impl<$($g: Clone),+> Clone for $ty {
+            $crate::clone_fields!(@methods $($f),+);
+        }
+    };
+    ($ty:ty { $($f:ident),+ $(,)? }) => {
+        impl Clone for $ty {
+            $crate::clone_fields!(@methods $($f),+);
+        }
+    };
+}

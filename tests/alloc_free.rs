@@ -17,15 +17,20 @@
 //! with `check_data` off (its shadow model is a word map that grows by
 //! design). Flush-policy configurations are left out: a flush plan is a
 //! list built per hazard.
+//!
+//! Forking is allocation-free too, in the model checkers' setting: a
+//! machine at an op boundary over a perfect L2, forked with `clone_from`
+//! into a machine of the same configuration that touched as many pages.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use wbsim::sim::Machine;
+use wbsim::sim::{Machine, NonBlockingMachine, NullObserver, SimMachine};
 use wbsim::trace::bench_models::BenchmarkModel;
 use wbsim::types::config::{L2Config, MachineConfig};
 use wbsim::types::op::Op;
 use wbsim::types::policy::LoadHazardPolicy;
+use wbsim::types::Addr;
 
 /// The system allocator, counting this thread's allocations.
 struct Counting;
@@ -109,4 +114,43 @@ fn repeating_a_block_allocates_no_more_than_the_block() {
             );
         }
     }
+}
+
+/// Heap allocations of `dst.clone_from(src)`.
+fn fork_allocations<M: SimMachine>(src: &M, dst: &mut M) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    dst.clone_from(src);
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Forks a machine that ran `ops` into one that ran other ops over the
+/// same two lines, and returns the fork's allocations.
+fn fork_after<M: SimMachine>(m: M) -> u64 {
+    let word = |line: u64, w: u64| Addr::new(line * 32 + w * 8);
+    let run = |mut m: M, ops: &[Op]| {
+        for &op in ops {
+            m.run_op_bounded(op, 10_000, &mut NullObserver)
+                .expect("the op completes");
+        }
+        m
+    };
+    let src = run(
+        m.clone(),
+        &[
+            Op::Store(word(0, 0)),
+            Op::Load(word(1, 1)),
+            Op::Store(word(1, 0)),
+        ],
+    );
+    let mut dst = run(m, &[Op::Store(word(1, 1)), Op::Load(word(0, 0))]);
+    fork_allocations(&src, &mut dst)
+}
+
+#[test]
+fn forking_into_a_machine_of_the_same_configuration_allocates_nothing() {
+    let cfg = read_from_wb(L2Config::baseline());
+    let blocking = Machine::new(cfg.clone()).expect("valid configuration");
+    assert_eq!(fork_after(blocking), 0, "blocking machine");
+    let nonblocking = NonBlockingMachine::new(cfg, 2).expect("valid configuration");
+    assert_eq!(fork_after(nonblocking), 0, "non-blocking machine");
 }

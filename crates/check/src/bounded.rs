@@ -116,6 +116,26 @@ pub struct Counterexample {
     pub trace: Vec<String>,
 }
 
+impl Counterexample {
+    /// A boxed counterexample for `ops` on `cfg` (`mshrs`: the
+    /// non-blocking machine's MSHR count).
+    pub(crate) fn new(
+        cfg: &MachineConfig,
+        mshrs: Option<usize>,
+        ops: Vec<Op>,
+        violation: String,
+        trace: Vec<String>,
+    ) -> Box<Self> {
+        Box::new(Counterexample {
+            config: cfg.clone(),
+            mshrs,
+            ops,
+            violation,
+            trace,
+        })
+    }
+}
+
 /// The bounded address universe: stores and loads over 2 lines × 2 words
 /// (the paper's 32-byte lines, 8-byte words), 8 ops total. Two lines
 /// exercise inter-line FIFO order and eviction; two words per line
@@ -603,13 +623,8 @@ pub(crate) fn counterexample<M: SimMachine>(
     violation: String,
 ) -> Box<Counterexample> {
     let (ops, violation) = minimize(ops, violation, |c| sequence::<M>(cfg, mshrs, c).err());
-    Box::new(Counterexample {
-        config: cfg.clone(),
-        mshrs,
-        trace: trace_run::<M>(cfg, mshrs, &ops),
-        ops,
-        violation,
-    })
+    let trace = trace_run::<M>(cfg, mshrs, &ops);
+    Counterexample::new(cfg, mshrs, ops, violation, trace)
 }
 
 /// Sequences of length 1..=`max_ops` over a `universe`-sized alphabet.
@@ -764,7 +779,7 @@ pub fn check_exhaustive(
     max_ops: u32,
     fault: Option<FaultInjection>,
 ) -> Result<CheckReport, Box<Counterexample>> {
-    check_exhaustive_jobs(max_ops, fault, default_jobs())
+    exhaustive::<Machine>(&blocking_grid(fault), max_ops, default_jobs())
 }
 
 /// [`check_exhaustive`] with an explicit worker-thread count. The result

@@ -443,13 +443,8 @@ pub(crate) fn prop_counterexample<M: SimMachine>(
             other.err().unwrap_or_else(|| fallback.clone()),
         ),
     };
-    let ce = Box::new(Counterexample {
-        config: cfg.clone(),
-        mshrs,
-        trace: replay_trace::<M>(cfg, mshrs, &ops),
-        ops,
-        violation: violation.render(),
-    });
+    let trace = replay_trace::<M>(cfg, mshrs, &ops);
+    let ce = Counterexample::new(cfg, mshrs, ops, violation.render(), trace);
     (violation, ce)
 }
 

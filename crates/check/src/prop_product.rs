@@ -131,10 +131,7 @@ fn prop_reach_violation<M: SimMachine>(
     fallback: &PropViolation,
 ) -> Box<ReachViolation> {
     let (violation, ce) = prop_counterexample::<M>(cfg, mshrs, set, ops, fallback);
-    Box::new(ReachViolation {
-        diagnostic: violation.diagnostic(),
-        counterexample: Some(ce),
-    })
+    ReachViolation::with(violation.diagnostic(), ce)
 }
 
 /// Walks the fair drain schedule from `m` under the monitors. Returns the

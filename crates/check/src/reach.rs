@@ -82,12 +82,13 @@ pub struct ReachConfigStats {
     pub sccs: u64,
 }
 
-/// A reachability violation: a structured diagnostic, plus — for safety
-/// violations and livelocks, though not for `RCH003` configuration
-/// rejections — a minimized replayable counterexample.
+/// A violation found by an unbounded grid checker (`reach`, the property
+/// product, `refine`): a structured diagnostic, plus — for every finding
+/// but an `RCH003` configuration rejection — a minimized replayable
+/// counterexample.
 #[derive(Debug, Clone)]
 pub struct ReachViolation {
-    /// The rendered finding (`RCH001`/`RCH002`/`RCH003`).
+    /// The rendered finding (`RCH00x`, `PRP10x` or `REF10x`).
     pub diagnostic: Diagnostic,
     /// The minimized op sequence and its JSONL event trace.
     pub counterexample: Option<Box<Counterexample>>,
@@ -101,6 +102,14 @@ impl ReachViolation {
             counterexample: None,
         })
     }
+
+    /// A finding with its minimized counterexample.
+    pub(crate) fn with(diagnostic: Diagnostic, ce: Box<Counterexample>) -> Box<Self> {
+        Box::new(ReachViolation {
+            diagnostic,
+            counterexample: Some(ce),
+        })
+    }
 }
 
 /// The two cache lines the bounded op universe touches.
@@ -112,7 +121,7 @@ pub(crate) fn universe_lines(cfg: &MachineConfig) -> [LineAddr; 2] {
     ]
 }
 
-pub(crate) fn rch_diagnostic(code: &'static str, field_path: &str, msg: String) -> Diagnostic {
+pub(crate) fn error_diagnostic(code: &'static str, field_path: &str, msg: String) -> Diagnostic {
     Diagnostic::new(code, Severity::Error, field_path.to_string()).with_message(msg)
 }
 
@@ -129,7 +138,7 @@ pub(crate) fn rch_diagnostic(code: &'static str, field_path: &str, msg: String) 
 /// configurations may not.
 pub(crate) fn gate(cfg: &MachineConfig) -> Result<(), Diagnostic> {
     let reject = |field: &str, why: &str, suggestion: &str| {
-        Err(rch_diagnostic(
+        Err(error_diagnostic(
             "RCH003",
             field,
             format!("configuration is outside the abstractable class: {why}"),
@@ -393,22 +402,13 @@ fn safety_violation<M: SimMachine>(
 ) -> Box<ReachViolation> {
     let ce = match sequence::<M>(cfg, mshrs, &ops) {
         Err(violation) => counterexample::<M>(cfg, mshrs, ops, violation),
-        Ok(()) => Box::new(Counterexample {
-            config: cfg.clone(),
-            mshrs,
-            trace: trace_run::<M>(cfg, mshrs, &ops),
-            ops,
-            violation: msg.clone(),
-        }),
+        Ok(()) => {
+            let trace = trace_run::<M>(cfg, mshrs, &ops);
+            Counterexample::new(cfg, mshrs, ops, msg.clone(), trace)
+        }
     };
-    Box::new(ReachViolation {
-        diagnostic: rch_diagnostic(
-            "RCH001",
-            "machine",
-            format!("safety invariant violated at a reachable state: {msg}"),
-        ),
-        counterexample: Some(ce),
-    })
+    let msg = format!("safety invariant violated at a reachable state: {msg}");
+    ReachViolation::with(error_diagnostic("RCH001", "machine", msg), ce)
 }
 
 /// Builds the `RCH002` violation for a livelock witnessed by `ops`.
@@ -422,20 +422,9 @@ fn liveness_violation<M: SimMachine>(
     let (ops, ()) = minimize(ops, (), |c| livelocked::<M>(cfg, mshrs, c).then_some(()));
     let violation = format!("livelock: {detail}");
     let trace = replay_trace::<M>(cfg, mshrs, &ops);
-    Box::new(ReachViolation {
-        diagnostic: rch_diagnostic(
-            "RCH002",
-            "write_buffer",
-            format!("{violation} ({} ops reach it)", ops.len()),
-        ),
-        counterexample: Some(Box::new(Counterexample {
-            config: cfg.clone(),
-            mshrs,
-            ops,
-            violation,
-            trace,
-        })),
-    })
+    let msg = format!("{violation} ({} ops reach it)", ops.len());
+    let ce = Counterexample::new(cfg, mshrs, ops, violation, trace);
+    ReachViolation::with(error_diagnostic("RCH002", "write_buffer", msg), ce)
 }
 
 /// What cut an exploration short, before its op path is known.
@@ -535,7 +524,7 @@ fn explore_reach<M: SimMachine>(
             ops,
             "a reachable state cycles under the fair drain schedule without retiring anything",
         ),
-        Finding::Budget => ReachViolation::bare(rch_diagnostic(
+        Finding::Budget => ReachViolation::bare(error_diagnostic(
             "RCH001",
             "machine",
             format!(

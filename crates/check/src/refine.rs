@@ -68,7 +68,7 @@
 use wbsim_sim::{Engine, Event, Machine, NonBlockingMachine, Observer, SimMachine, SkipSpan};
 use wbsim_types::addr::{Geometry, LineAddr};
 use wbsim_types::config::MachineConfig;
-use wbsim_types::diagnostics::{Diagnostic, Severity};
+use wbsim_types::diagnostics::Diagnostic;
 use wbsim_types::divergence::FaultInjection;
 use wbsim_types::op::Op;
 
@@ -78,7 +78,9 @@ use crate::bounded::{
     Counterexample, TraceObserver,
 };
 use crate::explore::{explore, fork, Edge, Explored};
-use crate::reach::{gate, replay, universe_lines, OP_CYCLE_BUDGET};
+use crate::reach::{
+    error_diagnostic, gate, replay, universe_lines, ReachViolation, OP_CYCLE_BUDGET,
+};
 
 /// Per-configuration product-exploration statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,20 +91,10 @@ pub struct RefineConfigStats {
     pub edges: u64,
 }
 
-/// A refinement failure: the two engines disagreed, or the
-/// configuration fell outside the decidable class.
-#[derive(Debug, Clone)]
-pub struct RefineViolation {
-    /// What went wrong (`REF1xx`, or `RCH003` for gate rejections).
-    pub diagnostic: Diagnostic,
-    /// The minimized diverging op sequence with the reference engine's
-    /// replayable trace. `None` only for gate rejections.
-    pub counterexample: Option<Box<Counterexample>>,
-}
-
-fn ref_diagnostic(code: &'static str, field_path: &str, msg: String) -> Diagnostic {
-    Diagnostic::new(code, Severity::Error, field_path.to_string()).with_message(msg)
-}
+/// A refinement failure: the two engines disagreed (`REF1xx`, with the
+/// reference engine's replayable trace), or the configuration fell
+/// outside the decidable class (`RCH003`, no trace).
+pub type RefineViolation = ReachViolation;
 
 /// The refinement op universe: `reach`'s eight loads/stores plus a
 /// compute burst and a barrier. The burst is what makes the fast
@@ -137,7 +129,7 @@ pub fn read_event_stream(display: &str, text: &str) -> Result<Vec<Event>, Diagno
         match wbsim_types::json::parse(line) {
             Ok(json) if json.entries().is_some() => {}
             Ok(_) => {
-                return Err(ref_diagnostic(
+                return Err(error_diagnostic(
                     "REF001",
                     &at,
                     "line is valid JSON but not an object; every trace line must be \
@@ -146,7 +138,7 @@ pub fn read_event_stream(display: &str, text: &str) -> Result<Vec<Event>, Diagno
                 ));
             }
             Err(e) => {
-                return Err(ref_diagnostic(
+                return Err(error_diagnostic(
                     "REF001",
                     &at,
                     format!("line is not a JSON object: {e}"),
@@ -156,7 +148,7 @@ pub fn read_event_stream(display: &str, text: &str) -> Result<Vec<Event>, Diagno
         match Event::from_json(line) {
             Ok(ev) => events.push(ev),
             Err(e) => {
-                return Err(ref_diagnostic(
+                return Err(error_diagnostic(
                     "REF002",
                     &at,
                     format!("line is a JSON object but not a decodable event: {e}"),
@@ -376,16 +368,11 @@ fn divergence_violation<M: SimMachine>(
 ) -> Box<RefineViolation> {
     let (ops, div) = minimize(ops, div, |c| sequence_diverges::<M>(cfg, mshrs, c));
     let trace = reference_trace::<M>(cfg, mshrs, &ops);
-    Box::new(RefineViolation {
-        diagnostic: ref_diagnostic(div.code, "engine", div.message.clone()),
-        counterexample: Some(Box::new(Counterexample {
-            config: cfg.clone(),
-            mshrs,
-            ops,
-            violation: div.message,
-            trace,
-        })),
-    })
+    let diagnostic = error_diagnostic(div.code, "engine", div.message.clone());
+    RefineViolation::with(
+        diagnostic,
+        Counterexample::new(cfg, mshrs, ops, div.message, trace),
+    )
 }
 
 /// A product state: the event-driven and the reference machine, and the
@@ -410,12 +397,7 @@ fn explore_refine<M: SimMachine>(
     mshrs: Option<usize>,
     abort: &dyn Fn() -> bool,
 ) -> Result<Option<Explored>, Box<RefineViolation>> {
-    gate(cfg).map_err(|diagnostic| {
-        Box::new(RefineViolation {
-            diagnostic,
-            counterexample: None,
-        })
-    })?;
+    gate(cfg).map_err(RefineViolation::bare)?;
     let cfg = &unchecked(cfg);
     let g = cfg.geometry;
     let lines = universe_lines(cfg);

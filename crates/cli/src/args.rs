@@ -74,14 +74,20 @@ pub fn parse(argv: &[String]) -> Result<Parsed, ArgError> {
 }
 
 impl Parsed {
+    /// Returns option `key` parsed as `T`, or `None` when absent.
+    pub fn get<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, ArgError> {
+        self.options
+            .get(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| ArgError(format!("invalid value for --{key}: {v:?}")))
+            })
+            .transpose()
+    }
+
     /// Returns option `key` parsed as `T`, or `default` when absent.
     pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| ArgError(format!("invalid value for --{key}: {v:?}"))),
-        }
+        Ok(self.get(key)?.unwrap_or(default))
     }
 
     /// Whether the bare flag `key` was given.

@@ -5,16 +5,13 @@ use std::fs::File;
 use std::io::{self, BufRead as _, BufReader, BufWriter};
 
 use wbsim_check::{
-    builtin_library, check_exhaustive_jobs, check_exhaustive_nonblocking_jobs,
-    check_props_reach_jobs, check_props_reach_nonblocking_jobs, check_reach_jobs,
-    check_reach_nonblocking_jobs, check_refine_jobs, check_refine_nonblocking_jobs, compile_props,
-    default_jobs, first_divergence, lint_config, lint_nonblocking, parse_error_diagnostic,
-    parse_props, read_event_stream, Counterexample, PropEnv, PropRunner, PropSet, SchedOptions,
+    compile_props, first_divergence, read_event_stream, PropEnv, PropRunner, PropSet, SchedOptions,
 };
 use wbsim_experiments::harness::{pool_cells_jobs, Harness};
 use wbsim_experiments::{ablations, figures, render, tables};
 use wbsim_jobs::manifest::{fault_from_name, hazard_from_name, hazard_name};
-use wbsim_jobs::sched::{replay_mismatch, replay_sched, run_sched, SchedFault};
+use wbsim_jobs::passes::{self, Evidence};
+use wbsim_jobs::sched::{replay_mismatch, replay_sched, SchedFault};
 use wbsim_jobs::{
     CheckConfig, CheckSpec, Executor, FigureFormat, JobKind, MachineSel, Manifest,
     Options as JobOptions, Store,
@@ -24,8 +21,7 @@ use wbsim_trace::bench_models::BenchmarkModel;
 use wbsim_trace::file as trace_file;
 use wbsim_trace::stats::TraceStats;
 use wbsim_types::config::{L1Config, L2Config, MachineConfig, WriteBufferConfig};
-use wbsim_types::diagnostics::{any_errors, Diagnostic};
-use wbsim_types::divergence::FaultInjection;
+use wbsim_types::diagnostics::any_errors;
 use wbsim_types::file_config::{parse_machine_config, to_config_string};
 use wbsim_types::policy::{LoadHazardPolicy, RetirementPolicy};
 use wbsim_types::stall::StallKind;
@@ -93,41 +89,26 @@ USAGE:
          through the temporal property monitors — bare --prop uses the
          built-in library, and --machine/--depth/--mshrs/--hazard bind the
          environment symbols `where` clauses test)
-  wbsim check [--config FILE.wbcfg] [--depth N] [--retire-at N] [--hazard P] [--json]
-        (lint the configuration; exits non-zero on any error-severity finding)
-  wbsim check --exhaustive [--machine blocking|nonblocking] [--mshrs N] [--max-ops N]
-        [--fault F] [--out FILE.jsonl] [--jobs N] [--json]
-        (bounded exhaustive model check; a violation writes a replayable
-         counterexample trace for `wbsim trace validate`; `--out -` streams
-         the trace to stdout with the human report on stderr)
-  wbsim check --reach [--machine blocking|nonblocking] [--mshrs N] [--fault F]
-        [--out FILE.jsonl] [--jobs N] [--json]
-        (unbounded reachability check over the abstract state graph, with
-         livelock analysis; same counterexample plumbing as --exhaustive;
-         --machine nonblocking verifies the MSHR machine, over miss-register
-         counts 1-4 unless --mshrs pins one)
-  wbsim check --prop [FILE.wbp] [--machine blocking|nonblocking] [--mshrs N] [--fault F]
-        [--out FILE.jsonl] [--jobs N] [--json]
-        (verify temporal safety & liveness properties unboundedly over the
-         abstract-state / monitor product; bare --prop uses the built-in
-         library props/paper.wbp; same counterexample plumbing as --reach)
-  wbsim check --refine [--machine blocking|nonblocking] [--mshrs N] [--fault F]
-        [--out FILE.jsonl] [--jobs N] [--json]
-        (cross-engine refinement: product-explore event-driven vs reference
-         engine pairs over the abstract state graph, proving identical event
-         streams and clock advances for op sequences of any length; a
-         divergence writes a minimized reference-engine trace replayable
-         with `wbsim trace validate` — try --fault overshoot-skip)
-  wbsim check --sched [--fault lost-wakeup|dup-execute] [--preemptions N]
-        [--replay FILE] [--out FILE.jsonl] [--json]
-        (controlled-scheduler model check of the host serve/jobs/pool
-         concurrency: explores all interleavings of small fixed-thread
-         harnesses under a preemption bound; a violation writes a
-         minimized JSONL schedule that --replay re-executes
-         deterministically; --fault injects a known concurrency bug to
-         prove the checker catches it — see docs/static-analysis.md)
-        (--json always emits one document with
-         linter/exhaustive/reach/properties/refine/sched sections)
+  wbsim check [--config FILE.wbcfg] [--depth N] [--retire-at N] [--hazard P]
+        [--exhaustive] [--reach] [--prop [FILE.wbp]] [--refine] [--sched]
+        [--machine blocking|nonblocking] [--mshrs N] [--max-ops N] [--fault F]
+        [--preemptions N] [--out FILE.jsonl] [--jobs N] [--json]
+        (lint the configuration, then run every selected pass in this order:
+           --exhaustive  bounded exhaustive model check up to --max-ops ops
+           --reach       unbounded reachability, with livelock analysis
+           --prop        temporal properties (bare --prop: props/paper.wbp)
+           --refine      event-driven vs reference engine refinement
+           --sched       host serve/jobs/pool concurrency, all interleavings
+                         under a preemption bound
+         the four grid checkers cover 40 configurations of --machine (MSHR
+         counts 1-4 unless --mshrs pins one); --fault injects a known bug
+         into whichever selected pass takes it; the first failing pass's
+         minimized counterexample goes to --out (`-`: stdout, report on
+         stderr) for `wbsim trace validate` or `check --sched --replay`;
+         --json prints one document with linter/exhaustive/reach/
+         properties/refine/sched sections instead of the human report)
+  wbsim check --sched --replay FILE [--preemptions N]
+        (re-execute a recorded schedule deterministically)
   wbsim bench [--samples N] [--instructions N] [--warmup N] [--seed S] [--json]
         [--out FILE.json] [--check BASELINE.json] [--tolerance PCT]
         (measure cells/sec of both engines over the table-7 grid; --json/--out
@@ -142,10 +123,11 @@ USAGE:
   wbsim list
 
   Grid-running subcommands (figure, table, ablation, sweep, grid, report,
-  check --exhaustive/--reach/--refine, bench) accept --jobs N to bound the worker
-  pool; the default 0 auto-sizes to the machine.
+  check --exhaustive/--reach/--prop/--refine, bench) accept --jobs N to bound
+  the worker pool; the default 0 auto-sizes to the machine.
 
 FAULTS (--fault): skip-wb-forwarding | starve-retirement | overshoot-skip
+                  (grid checkers); lost-wakeup | dup-execute (--sched)
 
 HAZARD POLICIES: flush-full | flush-partial | flush-item-only | read-from-wb
 ABLATIONS: a1 retirement, a2 max-age, a3 coalescing, a4 write-cache,
@@ -999,34 +981,6 @@ fn load_trace(path: &str) -> Result<Vec<wbsim_types::op::Op>, Box<dyn Error>> {
     Ok(ops)
 }
 
-/// Builds the configuration to lint *without* validating it — rejecting an
-/// invalid configuration is the linter's job, with a structured diagnostic
-/// rather than a bare error.
-fn config_for_lint(p: &Parsed) -> Result<(Option<MachineConfig>, Vec<Diagnostic>), Box<dyn Error>> {
-    if let Some(path) = p.options.get("config") {
-        return match parse_machine_config(&std::fs::read_to_string(path)?) {
-            Ok(cfg) => Ok((Some(cfg), Vec::new())),
-            Err(errs) => Ok((None, errs.0.iter().map(parse_error_diagnostic).collect())),
-        };
-    }
-    let mut cfg = MachineConfig::baseline();
-    if let Some(v) = p.options.get("depth") {
-        cfg.write_buffer.depth = v
-            .parse()
-            .map_err(|_| ArgError(format!("bad --depth {v:?}")))?;
-    }
-    if let Some(v) = p.options.get("retire-at") {
-        cfg.write_buffer.retirement = RetirementPolicy::RetireAt(
-            v.parse()
-                .map_err(|_| ArgError(format!("bad --retire-at {v:?}")))?,
-        );
-    }
-    if let Some(v) = p.options.get("hazard") {
-        cfg.write_buffer.hazard = hazard_from(v)?;
-    }
-    Ok((Some(cfg), Vec::new()))
-}
-
 /// Which machine the model checkers drive (`--machine`, blocking by
 /// default), by the manifest's names.
 fn check_machine_from(p: &Parsed) -> Result<MachineSel, ArgError> {
@@ -1050,167 +1004,212 @@ fn check_mshrs_from(p: &Parsed) -> Result<Option<usize>, ArgError> {
     }
 }
 
+/// `wbsim check`: lint the configuration and run every selected pass of
+/// the [`passes::PASSES`] table in order — the same run the check job executes.
+/// `--json` prints that run's `check.json` document; human mode prints
+/// the linter's findings and each pass's summary, its diagnostics on
+/// stderr. Either way the first failing pass's counterexample (in table
+/// order) goes to `--out`, and the first failure is the command's error.
 fn cmd_check(p: &Parsed) -> CmdResult {
-    if p.has_flag("json") {
-        return cmd_check_json(p);
-    }
-    if p.has_flag("sched") {
-        return cmd_check_sched(p);
-    }
-    if p.has_flag("exhaustive") {
-        return cmd_check_exhaustive(p);
-    }
-    if p.has_flag("reach") {
-        return cmd_check_reach(p);
-    }
-    if p.has_flag("refine") {
-        return cmd_check_refine(p);
-    }
-    if p.options.contains_key("prop") {
-        return cmd_check_prop(p);
-    }
-    let diags = lint_diagnostics(p)?;
-    for d in &diags {
-        println!("{}", d.render());
-    }
-    if any_errors(&diags) {
-        return Err(ArgError("configuration has error-severity diagnostics".into()).into());
-    }
-    println!(
-        "ok: {} diagnostics, no errors",
-        if diags.is_empty() {
-            "no".to_string()
-        } else {
-            diags.len().to_string()
+    let json = p.has_flag("json");
+    if !json && p.has_flag("sched") {
+        if let Some(path) = p.options.get("replay") {
+            return cmd_check_replay(p, path);
         }
-    );
-    Ok(())
-}
-
-/// The sched pass's exploration knobs from this invocation's flags.
-fn sched_options_from(p: &Parsed) -> Result<SchedOptions, ArgError> {
-    let mut opts = SchedOptions::default();
-    if let Some(v) = p.options.get("preemptions") {
-        opts.preemption_bound = v
-            .parse()
-            .map_err(|_| ArgError(format!("bad --preemptions {v:?} (need a count)")))?;
     }
-    Ok(opts)
-}
-
-/// The injected sched fault named by `--fault`, when `--sched` is active.
-fn sched_fault_from(p: &Parsed) -> Result<Option<SchedFault>, ArgError> {
-    match p.options.get("fault") {
-        None => Ok(None),
-        Some(v) => SchedFault::from_name(v).map(Some).ok_or_else(|| {
-            ArgError(format!(
-                "bad --fault {v:?} under --sched (lost-wakeup | dup-execute)"
-            ))
-        }),
+    let out = p.options.get("out").map(String::as_str);
+    if json && out == Some("-") {
+        return Err(ArgError(
+            "--out - conflicts with --json: stdout carries the JSON document".into(),
+        )
+        .into());
     }
-}
-
-/// `wbsim check --sched`: explore the host-concurrency harnesses with the
-/// controlled scheduler, or `--replay FILE` a recorded schedule. A
-/// violating schedule is minimized and written to `--out` (default
-/// `wbsim-sched-counterexample.jsonl`; `-` streams it to stdout).
-fn cmd_check_sched(p: &Parsed) -> CmdResult {
-    use std::io::Write as _;
-    let opts = sched_options_from(p)?;
-    if let Some(path) = p.options.get("replay") {
-        let text = std::fs::read_to_string(path)?;
-        let (cex, outcome) = match replay_sched(&text, &opts) {
-            Ok(r) => r,
-            Err(d) => {
+    let run = passes::run(&check_spec_from(p)?, p.get_or("jobs", 0usize)?);
+    // Human lines go to stderr whenever stdout is spoken for — by the
+    // JSON document or by the trace (`--out -`). JSON mode prints no lint
+    // findings, summaries or pass diagnostics: the document holds them.
+    let say = |line: &str| {
+        if json || out == Some("-") {
+            eprintln!("{line}");
+        } else {
+            println!("{line}");
+        }
+    };
+    let human = |line: &str| {
+        if !json {
+            say(line);
+        }
+    };
+    for d in &run.lint {
+        human(&d.render());
+    }
+    let mut error =
+        any_errors(&run.lint).then(|| "configuration has error-severity diagnostics".to_string());
+    let mut reported = false;
+    for (pass, r) in run.ran() {
+        r.summary.iter().for_each(|line| human(line));
+        let Some(v) = &r.violation else { continue };
+        if !json {
+            for d in &v.diagnostics {
                 eprintln!("{}", d.render());
-                return Err(ArgError(format!("cannot replay {path}: {}", d.message)).into());
             }
-        };
-        if outcome.matches(&cex) {
-            println!(
-                "replay ok: {} reproduces {} on {} ({} steps, forcing prefix {})",
-                path,
-                cex.code,
-                cex.harness,
-                cex.schedule.len(),
-                cex.prefix
-            );
-            return Ok(());
         }
-        let d = replay_mismatch(&cex, &outcome);
-        eprintln!("{}", d.render());
-        return Err(ArgError("schedule did not reproduce its recorded verdict".into()).into());
-    }
-    let report = run_sched(sched_fault_from(p)?, &opts);
-    for r in &report.results {
-        println!(
-            "sched {}: {} ({} schedules, max depth {})",
-            r.stats.harness, r.stats.verdict, r.stats.schedules, r.stats.max_depth
-        );
-    }
-    if let Some(cex) = report.counterexample() {
-        let out = p
-            .options
-            .get("out")
-            .cloned()
-            .unwrap_or_else(|| "wbsim-sched-counterexample.jsonl".into());
-        if out == "-" {
-            print!("{}", cex.to_jsonl());
-        } else {
-            let mut w = BufWriter::new(File::create(&out)?);
-            w.write_all(cex.to_jsonl().as_bytes())?;
-            w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-            eprintln!(
-                "schedule: {out} ({} steps, forcing prefix {}) — replay with \
-                 `wbsim check --sched --replay {out}`",
-                cex.schedule.len(),
-                cex.prefix
-            );
+        if let Some(ev) = v.counterexample.as_ref().filter(|_| !reported) {
+            write_counterexample(out.unwrap_or(pass.default_out), ev, &say)?;
+            reported = true;
         }
-        return Err(ArgError(format!("{}: {}", cex.code, cex.detail)).into());
-    }
-    if !report.ok() {
-        let msg = match report.fault {
-            Some(f) => format!(
-                "injected fault {} was not caught (expected {})",
-                f.name(),
-                f.expected_code()
-            ),
-            None => {
-                "sched exploration exhausted its budget before covering the state space".to_string()
+        error.get_or_insert_with(|| match p.options.get("prop") {
+            // The spec carries a property file's text, not its path: name
+            // the file when its set is what failed.
+            Some(path)
+                if pass.flag == "prop" && path != "builtin" && v.counterexample.is_none() =>
+            {
+                format!("{path}: {}", v.error)
             }
-        };
-        return Err(ArgError(msg).into());
-    }
-    println!(
-        "ok: all interleavings clean (preemption bound {})",
-        opts.preemption_bound
-    );
-    Ok(())
-}
-
-/// The linter section shared by the human and JSON front ends: hard
-/// validation plus the advisory rules, with the MSHR-sizing rule layered
-/// on when the non-blocking machine is selected.
-fn lint_diagnostics(p: &Parsed) -> Result<Vec<Diagnostic>, Box<dyn Error>> {
-    let machine = check_machine_from(p)?;
-    let mshrs = check_mshrs_from(p)?;
-    let (cfg, mut diags) = config_for_lint(p)?;
-    if let Some(cfg) = cfg {
-        diags.extend(match machine {
-            MachineSel::Blocking => lint_config(&cfg),
-            MachineSel::NonBlocking => lint_nonblocking(&cfg, mshrs.unwrap_or(1)),
+            _ => v.error.clone(),
         });
     }
-    Ok(diags)
+    if json {
+        print!("{}", run.document());
+        error = run
+            .failed()
+            .then(|| "check found problems (see the JSON document)".to_string());
+    } else if error.is_none() && run.ran().next().is_none() {
+        let n = run.lint.len();
+        let count = if n == 0 {
+            "no".to_string()
+        } else {
+            n.to_string()
+        };
+        say(&format!("ok: {count} diagnostics, no errors"));
+    }
+    match error {
+        Some(e) => Err(ArgError(e).into()),
+        None => Ok(()),
+    }
+}
+
+/// Writes a counterexample to `out` (`-` streams it to stdout; a file is
+/// fsynced so `trace validate` can follow immediately) and reports it: a
+/// machine trace's report through `say`, a schedule's replay hint on
+/// stderr.
+fn write_counterexample(out: &str, ev: &Evidence, say: &dyn Fn(&str)) -> CmdResult {
+    use std::io::Write as _;
+    let bytes = ev.jsonl();
+    if out == "-" {
+        let mut w = io::stdout().lock();
+        w.write_all(bytes.as_bytes())?;
+        w.flush()?;
+    } else {
+        let mut f = File::create(out)?;
+        f.write_all(bytes.as_bytes())?;
+        f.sync_all()?;
+    }
+    match ev {
+        Evidence::Trace(ce) => {
+            say(&format!("invariant violated: {}", ce.violation));
+            say(&format!("configuration:\n{}", to_config_string(&ce.config)));
+            if let Some(m) = ce.mshrs {
+                say(&format!("machine: non-blocking, {m} MSHRs"));
+            }
+            say(&format!(
+                "minimized sequence ({} ops): {:?}",
+                ce.ops.len(),
+                ce.ops
+            ));
+            say(&format!(
+                "event trace: {out} ({} events) — replay with `wbsim trace validate {out}`",
+                ce.trace.len()
+            ));
+        }
+        Evidence::Schedule(cex) if out != "-" => eprintln!(
+            "schedule: {out} ({} steps, forcing prefix {}) — replay with \
+             `wbsim check --sched --replay {out}`",
+            cex.schedule.len(),
+            cex.prefix
+        ),
+        Evidence::Schedule(_) => {}
+    }
+    Ok(())
+}
+
+/// The [`CheckSpec`] this invocation's flags describe. The manifest
+/// carries a property file's *text* (like `--config`'s); the bare flag or
+/// `builtin` selects the built-in library.
+fn check_spec_from(p: &Parsed) -> Result<CheckSpec, Box<dyn Error>> {
+    let mut spec = CheckSpec {
+        exhaustive: p.has_flag("exhaustive"),
+        reach: p.has_flag("reach"),
+        refine: p.has_flag("refine"),
+        machine: check_machine_from(p)?,
+        mshrs: check_mshrs_from(p)?,
+        max_ops: p.get_or("max-ops", 5u32)?,
+        fault: None,
+        props: p.options.contains_key("prop"),
+        props_file: match p.options.get("prop").map(String::as_str) {
+            Some(path) if path != "builtin" => Some(std::fs::read_to_string(path)?),
+            _ => None,
+        },
+        sched: p.has_flag("sched"),
+        sched_fault: None,
+        sched_preemptions: p.get("preemptions")?,
+        config: check_config_from(p)?,
+    };
+    let Some(name) = p.options.get("fault") else {
+        return Ok(spec);
+    };
+    // `--fault` goes to whichever selected pass takes it: a host fault to
+    // `--sched`, a machine fault to the grid checkers. A name no selected
+    // pass takes is an error.
+    let grid = spec.exhaustive || spec.reach || spec.props || spec.refine;
+    match (SchedFault::from_name(name), fault_from_name(name)) {
+        (Some(f), _) if spec.sched => spec.sched_fault = Some(f),
+        (_, Some(f)) if grid => spec.fault = Some(f),
+        _ => {
+            return Err(ArgError(format!(
+                "--fault {name:?} fits no selected pass (--exhaustive, --reach, --prop and \
+                 --refine take skip-wb-forwarding, starve-retirement or overshoot-skip; \
+                 --sched takes lost-wakeup or dup-execute)"
+            ))
+            .into())
+        }
+    }
+    Ok(spec)
+}
+
+/// `wbsim check --sched --replay FILE`: re-execute a recorded schedule.
+fn cmd_check_replay(p: &Parsed, path: &str) -> CmdResult {
+    let mut opts = SchedOptions::default();
+    opts.preemption_bound = p.get_or("preemptions", opts.preemption_bound)?;
+    let text = std::fs::read_to_string(path)?;
+    let (cex, outcome) = match replay_sched(&text, &opts) {
+        Ok(r) => r,
+        Err(d) => {
+            eprintln!("{}", d.render());
+            return Err(ArgError(format!("cannot replay {path}: {}", d.message)).into());
+        }
+    };
+    if outcome.matches(&cex) {
+        println!(
+            "replay ok: {} reproduces {} on {} ({} steps, forcing prefix {})",
+            path,
+            cex.code,
+            cex.harness,
+            cex.schedule.len(),
+            cex.prefix
+        );
+        return Ok(());
+    }
+    let d = replay_mismatch(&cex, &outcome);
+    eprintln!("{}", d.render());
+    Err(ArgError("schedule did not reproduce its recorded verdict".into()).into())
 }
 
 /// The [`CheckConfig`] this invocation's flags describe. A `--config`
 /// file submits its *text* (the manifest never carries server-side
-/// paths); without one, flags override the baseline unvalidated —
-/// rejecting a bad configuration is the linter's job. When a file is
-/// given, override flags are ignored, exactly as [`config_for_lint`]
-/// always did.
+/// paths), and the override flags are then ignored; without one, flags
+/// override the baseline unvalidated — rejecting a bad configuration is
+/// the linter's job.
 fn check_config_from(p: &Parsed) -> Result<CheckConfig, Box<dyn Error>> {
     if let Some(path) = p.options.get("config") {
         return Ok(CheckConfig {
@@ -1218,345 +1217,16 @@ fn check_config_from(p: &Parsed) -> Result<CheckConfig, Box<dyn Error>> {
             ..CheckConfig::default()
         });
     }
-    let mut c = CheckConfig::default();
-    if let Some(v) = p.options.get("depth") {
-        c.depth = Some(
-            v.parse()
-                .map_err(|_| ArgError(format!("bad --depth {v:?}")))?,
-        );
-    }
-    if let Some(v) = p.options.get("retire-at") {
-        c.retire_at = Some(
-            v.parse()
-                .map_err(|_| ArgError(format!("bad --retire-at {v:?}")))?,
-        );
-    }
-    if let Some(v) = p.options.get("hazard") {
-        c.hazard = Some(hazard_from(v)?);
-    }
-    Ok(c)
-}
-
-/// Re-emits a cached-or-fresh counterexample exactly as the direct check
-/// path does: the JSONL trace to `--out` (default
-/// `wbsim-counterexample.jsonl`, fsynced so `trace validate` can follow
-/// immediately) and the human report to stderr — stdout carries the
-/// merged JSON document. The meta artifact holds everything the report
-/// needs, so a cache hit reproduces the same bytes without re-checking.
-fn emit_counterexample_artifacts(
-    p: &Parsed,
-    trace: &wbsim_jobs::Artifact,
-    meta: &str,
-) -> CmdResult {
-    use std::io::Write as _;
-    use wbsim_types::json as wjson;
-    let doc =
-        wjson::parse(meta).map_err(|e| ArgError(format!("internal: counterexample meta: {e}")))?;
-    let field = |k: &str| {
-        doc.get(k)
-            .and_then(wjson::Json::as_str)
-            .unwrap_or_default()
-            .to_string()
-    };
-    let out = p
-        .options
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "wbsim-counterexample.jsonl".into());
-    let mut w = BufWriter::new(File::create(&out)?);
-    w.write_all(&trace.bytes)?;
-    w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-    let replay = format!("`wbsim trace validate {out}`");
-    let mut human = io::stderr().lock();
-    writeln!(human, "invariant violated: {}", field("violation"))?;
-    writeln!(human, "configuration:\n{}", field("config"))?;
-    if let Some(m) = doc.get("mshrs").and_then(wjson::Json::as_u64) {
-        writeln!(human, "machine: non-blocking, {m} MSHRs")?;
-    }
-    writeln!(
-        human,
-        "minimized sequence ({} ops): {}",
-        doc.get("ops_len")
-            .and_then(wjson::Json::as_u64)
-            .unwrap_or(0),
-        field("ops")
-    )?;
-    writeln!(
-        human,
-        "event trace: {out} ({} events) — replay with {replay}",
-        doc.get("trace_len")
-            .and_then(wjson::Json::as_u64)
-            .unwrap_or(0)
-    )?;
-    Ok(())
-}
-
-/// `wbsim check --json`, routed through the job layer: every requested
-/// pass runs, and stdout carries exactly one top-level JSON document with
-/// `linter`, `exhaustive`, `reach`, `properties`, `refine`, and `sched`
-/// sections. Counterexample traces
-/// still go to `--out` (stdout with `--out -` would corrupt the document,
-/// so the trace defaults to a file) and the human report goes to stderr.
-fn cmd_check_json(p: &Parsed) -> CmdResult {
-    if p.options.get("out").is_some_and(|o| o == "-") {
-        return Err(ArgError(
-            "--out - conflicts with --json: stdout carries the JSON document".into(),
-        )
-        .into());
-    }
-    let machine = check_machine_from(p)?;
-    // Under --sched, --fault names a host-concurrency fault; otherwise it
-    // names a machine fault injection as always.
-    let sched = p.has_flag("sched");
-    let (fault, sched_fault) = if sched {
-        match sched_fault_from(p) {
-            Ok(sf) => (None, sf),
-            Err(_) => (fault_from(p)?, None),
-        }
-    } else {
-        (fault_from(p)?, None)
-    };
-    let spec = CheckSpec {
-        exhaustive: p.has_flag("exhaustive"),
-        reach: p.has_flag("reach"),
-        refine: p.has_flag("refine"),
-        machine,
-        mshrs: check_mshrs_from(p)?,
-        max_ops: p.get_or("max-ops", 5u32)?,
-        fault,
-        props: p.options.contains_key("prop"),
-        // The manifest carries the property file's *text* (like --config);
-        // the bare flag or `builtin` selects the built-in library.
-        props_file: match p.options.get("prop").map(String::as_str) {
-            Some(path) if path != "builtin" => Some(std::fs::read_to_string(path)?),
-            _ => None,
-        },
-        sched,
-        sched_fault,
-        sched_preemptions: match p.options.get("preemptions") {
-            None => None,
-            Some(v) => Some(
-                v.parse()
-                    .map_err(|_| ArgError(format!("bad --preemptions {v:?} (need a count)")))?,
-            ),
-        },
-        config: check_config_from(p)?,
-    };
-    let outcome = run_job(&Manifest {
-        kind: JobKind::Check(spec),
-        options: job_options(p)?,
-    });
-    // Counterexample side effects come first, as the direct path's did.
-    for section in ["exhaustive", "reach", "properties", "refine"] {
-        let trace = outcome.artifact(&format!("counterexample-{section}.jsonl"));
-        let meta = outcome.artifact_text(&format!("counterexample-{section}.meta.json"));
-        if let (Some(trace), Some(meta)) = (trace, meta) {
-            emit_counterexample_artifacts(p, trace, meta)?;
-        }
-    }
-    // Sched schedules have no meta pair: the JSONL header line already
-    // carries the harness/fault/code context that replay needs.
-    if let Some(trace) = outcome.artifact("counterexample-sched.jsonl") {
-        use std::io::Write as _;
-        let out = p
+    Ok(CheckConfig {
+        file: None,
+        depth: p.get("depth")?,
+        retire_at: p.get("retire-at")?,
+        hazard: p
             .options
-            .get("out")
-            .cloned()
-            .unwrap_or_else(|| "wbsim-sched-counterexample.jsonl".into());
-        let mut w = BufWriter::new(File::create(&out)?);
-        w.write_all(&trace.bytes)?;
-        w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-        let mut human = io::stderr().lock();
-        writeln!(
-            human,
-            "sched schedule: {out} — replay with `wbsim check --sched --replay {out}`"
-        )?;
-    }
-    print!("{}", outcome.artifact_text("check.json").unwrap_or(""));
-    if let Some(msg) = &outcome.failed {
-        return Err(ArgError(msg.clone()).into());
-    }
-    Ok(())
-}
-
-fn fault_from(p: &Parsed) -> Result<Option<FaultInjection>, ArgError> {
-    let Some(name) = p.options.get("fault") else {
-        return Ok(None);
-    };
-    fault_from_name(name).map(Some).ok_or_else(|| {
-        ArgError(format!(
-            "unknown fault {name:?} (try skip-wb-forwarding, starve-retirement, \
-             or overshoot-skip)"
-        ))
+            .get("hazard")
+            .map(|v| hazard_from(v))
+            .transpose()?,
     })
-}
-
-/// Writes a counterexample's trace (to `--out`, default
-/// `wbsim-counterexample.jsonl`; `-` streams JSONL to stdout) and prints
-/// the human report — to stderr when stdout carries the trace, so
-/// `--out - | wbsim trace validate -` stays a clean pipe.
-fn report_counterexample(p: &Parsed, ce: &Counterexample, violation: &str) -> CmdResult {
-    use std::io::Write as _;
-    let out = p
-        .options
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "wbsim-counterexample.jsonl".into());
-    let replay = if out == "-" {
-        let stdout = io::stdout().lock();
-        let mut w = BufWriter::new(stdout);
-        for line in &ce.trace {
-            writeln!(w, "{line}")?;
-        }
-        w.flush()?;
-        "`wbsim trace validate -`".to_string()
-    } else {
-        let mut w = BufWriter::new(File::create(&out)?);
-        for line in &ce.trace {
-            writeln!(w, "{line}")?;
-        }
-        w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-        format!("`wbsim trace validate {out}`")
-    };
-    // Stderr whenever stdout is spoken for — by the trace (`--out -`) or
-    // by the merged `--json` document.
-    let mut human: Box<dyn io::Write> = if out == "-" || p.has_flag("json") {
-        Box::new(io::stderr().lock())
-    } else {
-        Box::new(io::stdout().lock())
-    };
-    writeln!(human, "invariant violated: {violation}")?;
-    writeln!(human, "configuration:\n{}", to_config_string(&ce.config))?;
-    if let Some(m) = ce.mshrs {
-        writeln!(human, "machine: non-blocking, {m} MSHRs")?;
-    }
-    writeln!(
-        human,
-        "minimized sequence ({} ops): {:?}",
-        ce.ops.len(),
-        ce.ops
-    )?;
-    writeln!(
-        human,
-        "event trace: {out} ({} events) — replay with {replay}",
-        ce.trace.len()
-    )?;
-    Ok(())
-}
-
-/// What a clean human-mode report labels the machine under check.
-fn machine_label(machine: MachineSel, mshrs: Option<usize>) -> String {
-    match machine {
-        MachineSel::Blocking => "blocking machine".to_string(),
-        MachineSel::NonBlocking => match mshrs {
-            Some(m) => format!("non-blocking machine, {m} MSHRs"),
-            None => "non-blocking machine, 1-4 MSHRs".to_string(),
-        },
-    }
-}
-
-fn cmd_check_exhaustive(p: &Parsed) -> CmdResult {
-    let max_ops = p.get_or("max-ops", 5u32)?;
-    let fault = fault_from(p)?;
-    let jobs = p.get_or("jobs", default_jobs())?;
-    let machine = check_machine_from(p)?;
-    let mshrs = check_mshrs_from(p)?;
-    let result = match machine {
-        MachineSel::Blocking => check_exhaustive_jobs(max_ops, fault, jobs),
-        MachineSel::NonBlocking => check_exhaustive_nonblocking_jobs(max_ops, fault, mshrs, jobs),
-    };
-    match result {
-        Ok(report) => {
-            println!(
-                "bounded exhaustive check clean ({}): {} runs ({} configurations x {} op \
-                 sequences of length 1..={max_ops}) in {} ms, no invariant violations",
-                machine_label(machine, mshrs),
-                report.runs,
-                report.configs,
-                report.sequences,
-                report.wall_ms
-            );
-            Ok(())
-        }
-        Err(ce) => {
-            report_counterexample(p, &ce, &ce.violation)?;
-            Err(ArgError("bounded exhaustive check found an invariant violation".into()).into())
-        }
-    }
-}
-
-fn cmd_check_reach(p: &Parsed) -> CmdResult {
-    let fault = fault_from(p)?;
-    let jobs = p.get_or("jobs", default_jobs())?;
-    let machine = check_machine_from(p)?;
-    let mshrs = check_mshrs_from(p)?;
-    let result = match machine {
-        MachineSel::Blocking => check_reach_jobs(fault, jobs),
-        MachineSel::NonBlocking => check_reach_nonblocking_jobs(fault, mshrs, jobs),
-    };
-    match result {
-        Ok(report) => {
-            println!(
-                "reachability check clean ({}): {} configurations, {} abstract states, \
-                 {} transitions, {} drain-graph SCCs (all progressing) in {} ms; \
-                 every safety invariant holds at every reachable state and no \
-                 livelock exists",
-                machine_label(machine, mshrs),
-                report.configs,
-                report.states_explored,
-                report.edges,
-                report.sccs,
-                report.wall_ms
-            );
-            Ok(())
-        }
-        Err(v) => {
-            // The diagnostic goes to stderr so `--out -` keeps stdout as a
-            // clean trace pipe; the counterexample plumbing below handles
-            // its own stream choice.
-            eprintln!("{}", v.diagnostic.render());
-            if let Some(ce) = &v.counterexample {
-                report_counterexample(p, ce, &ce.violation)?;
-            }
-            Err(ArgError(format!("reachability check failed ({})", v.diagnostic.code)).into())
-        }
-    }
-}
-
-fn cmd_check_refine(p: &Parsed) -> CmdResult {
-    let fault = fault_from(p)?;
-    let jobs = p.get_or("jobs", default_jobs())?;
-    let machine = check_machine_from(p)?;
-    let mshrs = check_mshrs_from(p)?;
-    let result = match machine {
-        MachineSel::Blocking => check_refine_jobs(fault, jobs),
-        MachineSel::NonBlocking => check_refine_nonblocking_jobs(fault, mshrs, jobs),
-    };
-    match result {
-        Ok(report) => {
-            println!(
-                "refinement check clean ({}): {} configurations, {} abstract pair-states, \
-                 {} product transitions in {} ms; the event-driven and reference engines \
-                 produce identical event streams and clock advances at every reachable \
-                 state, for op sequences of any length",
-                machine_label(machine, mshrs),
-                report.configs,
-                report.states_explored,
-                report.edges,
-                report.wall_ms
-            );
-            Ok(())
-        }
-        Err(v) => {
-            // Stderr for the diagnostic, same as --reach: `--out -` keeps
-            // stdout as a clean trace pipe.
-            eprintln!("{}", v.diagnostic.render());
-            if let Some(ce) = &v.counterexample {
-                report_counterexample(p, ce, &ce.violation)?;
-            }
-            Err(ArgError(format!("refinement check failed ({})", v.diagnostic.code)).into())
-        }
-    }
 }
 
 /// Resolves `--prop [FILE]` to a parsed property set: the bare flag (or
@@ -1564,25 +1234,16 @@ fn cmd_check_refine(p: &Parsed) -> CmdResult {
 /// path loads and parses a `.wbp` file. Parse diagnostics render to
 /// stderr before the hard error.
 fn load_prop_set(p: &Parsed) -> Result<PropSet, Box<dyn Error>> {
-    match p.options.get("prop").map(String::as_str) {
-        None | Some("builtin") => Ok(builtin_library()),
-        Some(path) => {
-            let text = std::fs::read_to_string(path)?;
-            match parse_props(&text) {
-                Ok(set) => Ok(set),
-                Err(diags) => {
-                    for d in &diags {
-                        eprintln!("{}", d.render());
-                    }
-                    Err(ArgError(format!(
-                        "{path}: property set has {} parse diagnostic(s)",
-                        diags.len()
-                    ))
-                    .into())
-                }
-            }
+    let path = p.options.get("prop").filter(|v| *v != "builtin");
+    let text = path.map(std::fs::read_to_string).transpose()?;
+    passes::prop_set(text.as_deref()).map_err(|diags| {
+        for d in &diags {
+            eprintln!("{}", d.render());
         }
-    }
+        let path = path.map_or("", String::as_str);
+        let n = diags.len();
+        ArgError(format!("{path}: property set has {n} parse diagnostic(s)")).into()
+    })
 }
 
 /// The property environment `trace validate --prop` compiles against:
@@ -1607,43 +1268,6 @@ fn prop_env_from(p: &Parsed) -> Result<PropEnv, Box<dyn Error>> {
         env.hazard = Some(hazard_name(hazard_from(v)?));
     }
     Ok(env)
-}
-
-fn cmd_check_prop(p: &Parsed) -> CmdResult {
-    let fault = fault_from(p)?;
-    let jobs = p.get_or("jobs", default_jobs())?;
-    let machine = check_machine_from(p)?;
-    let mshrs = check_mshrs_from(p)?;
-    let set = load_prop_set(p)?;
-    let result = match machine {
-        MachineSel::Blocking => check_props_reach_jobs(&set, fault, jobs),
-        MachineSel::NonBlocking => check_props_reach_nonblocking_jobs(&set, fault, mshrs, jobs),
-    };
-    match result {
-        Ok(report) => {
-            println!(
-                "property check clean ({}): {} properties over {} configurations, \
-                 {} product states, {} transitions in {} ms; every safety property \
-                 holds at every reachable state and every liveness obligation is \
-                 discharged",
-                machine_label(machine, mshrs),
-                report.properties,
-                report.configs,
-                report.states_explored,
-                report.edges,
-                report.wall_ms
-            );
-            Ok(())
-        }
-        Err(v) => {
-            // Stderr, same as --reach: `--out -` keeps stdout a clean pipe.
-            eprintln!("{}", v.diagnostic.render());
-            if let Some(ce) = &v.counterexample {
-                report_counterexample(p, ce, &ce.violation)?;
-            }
-            Err(ArgError(format!("property check failed ({})", v.diagnostic.code)).into())
-        }
-    }
 }
 
 /// `wbsim bench`, routed through the job layer: measure both engines over
@@ -1764,6 +1388,7 @@ fn cmd_list() -> CmdResult {
 mod tests {
     use super::*;
     use wbsim_jobs::merged_check_json;
+    use wbsim_types::diagnostics::Diagnostic;
 
     fn v(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -2085,7 +1710,7 @@ wb.retirement = retire-at-8
     fn merged_check_json_schema_is_pinned() {
         // No sections run: the skeleton with nulls.
         assert_eq!(
-            merged_check_json(&[], None, None, None, None, None),
+            merged_check_json(&[], [None; 5]),
             "{\"linter\":{\"diagnostics\":[],\"errors\":false},\
              \"exhaustive\":null,\"reach\":null,\"properties\":null,\"refine\":null,\
              \"sched\":null}"
@@ -2096,11 +1721,13 @@ wb.retirement = retire-at-8
         assert_eq!(
             merged_check_json(
                 std::slice::from_ref(&d),
-                Some("{\"status\":\"clean\",\"report\":{}}"),
-                Some("{\"status\":\"violation\",\"diagnostic\":{}}"),
-                Some("{\"status\":\"invalid\",\"diagnostics\":[]}"),
-                Some("{\"status\":\"clean\",\"report\":{}}"),
-                Some("{\"harnesses\":[],\"clean\":true}"),
+                [
+                    Some("{\"status\":\"clean\",\"report\":{}}"),
+                    Some("{\"status\":\"violation\",\"diagnostic\":{}}"),
+                    Some("{\"status\":\"invalid\",\"diagnostics\":[]}"),
+                    Some("{\"status\":\"clean\",\"report\":{}}"),
+                    Some("{\"harnesses\":[],\"clean\":true}"),
+                ],
             ),
             format!(
                 "{{\"linter\":{{\"diagnostics\":[{}],\"errors\":false}},\
@@ -2115,7 +1742,7 @@ wb.retirement = retire-at-8
         // Error-severity findings flip the `errors` flag.
         let e = Diagnostic::new("CFG002", wbsim_types::diagnostics::Severity::Error, "wb")
             .with_message("m");
-        assert!(merged_check_json(&[e], None, None, None, None, None).contains("\"errors\":true"));
+        assert!(merged_check_json(&[e], [None; 5]).contains("\"errors\":true"));
         // The shared escaper keeps violation messages valid JSON.
         assert_eq!(
             wbsim_types::json::escape("a\"b\\c\nd"),

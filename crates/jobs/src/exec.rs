@@ -2,21 +2,17 @@
 //! composing its artifacts.
 //!
 //! The executor is the one place that knows how each job kind maps to the
-//! existing crates (`experiments` grids, `check` passes, `bench`
+//! existing crates (`experiments` grids, the [`PASSES`] table, `bench`
 //! measurement, observed trace runs). Artifacts hold the *exact bytes* the
-//! one-shot CLI would have written to stdout, so `wbsim table|figure|
-//! check --json|bench` can route through this layer — and `wbsim serve`
-//! can hand out cached results — without changing a single byte of
-//! output. Byte-identity is pinned by `tests/job_layer.rs`.
+//! one-shot CLI would have written to stdout, so `wbsim table|figure|bench`
+//! route through this layer — and `wbsim serve` can hand out cached
+//! results — without changing a single byte of output; `wbsim check`
+//! runs the pass table itself and prints the same `check.json`.
+//! Byte-identity is pinned by `tests/job_layer.rs`.
 
 use std::sync::Arc;
 
-use wbsim_check::{
-    builtin_library, check_exhaustive_jobs, check_exhaustive_nonblocking_jobs,
-    check_props_reach_jobs, check_props_reach_nonblocking_jobs, check_reach_jobs,
-    check_reach_nonblocking_jobs, check_refine_jobs, check_refine_nonblocking_jobs, default_jobs,
-    lint_config, lint_nonblocking, parse_error_diagnostic, parse_props, Counterexample,
-};
+use wbsim_check::Counterexample;
 use wbsim_experiments::harness::FigureResult;
 use wbsim_experiments::{figures, render, tables};
 use wbsim_sim::{Event, Machine, NonBlockingMachine, Observer};
@@ -25,10 +21,10 @@ use wbsim_types::config::MachineConfig;
 use wbsim_types::diagnostics::{any_errors, Diagnostic};
 use wbsim_types::file_config::parse_machine_config;
 use wbsim_types::json::escape;
-use wbsim_types::policy::RetirementPolicy;
 use wbsim_types::CacheKey;
 
-use crate::manifest::{CheckSpec, JobKind, MachineSel, Manifest, Options};
+use crate::manifest::{CheckSpec, JobKind, Manifest, Options};
+use crate::passes::{self, Evidence, PASSES};
 use crate::store::{Artifact, JobOutcome, Store};
 
 /// What a submission came back with.
@@ -71,30 +67,27 @@ impl<'a> Executor<'a> {
     }
 }
 
-/// Assembles the single `wbsim check --json` document. The section
-/// arguments are already-rendered JSON values; a pass that was not
-/// requested renders as `null`.
+/// Assembles the single `wbsim check --json` document: the linter
+/// section, then one section per [`PASSES`] entry, in table order. The
+/// section arguments are already-rendered JSON values; a pass that was
+/// not requested renders as `null`.
 #[must_use]
-pub fn merged_check_json(
-    linter: &[Diagnostic],
-    exhaustive: Option<&str>,
-    reach: Option<&str>,
-    properties: Option<&str>,
-    refine: Option<&str>,
-    sched: Option<&str>,
-) -> String {
+pub fn merged_check_json(linter: &[Diagnostic], sections: [Option<&str>; PASSES.len()]) -> String {
     let diags: Vec<String> = linter.iter().map(Diagnostic::to_json).collect();
-    format!(
-        "{{\"linter\":{{\"diagnostics\":[{}],\"errors\":{}}},\"exhaustive\":{},\"reach\":{},\
-         \"properties\":{},\"refine\":{},\"sched\":{}}}",
+    let mut doc = format!(
+        "{{\"linter\":{{\"diagnostics\":[{}],\"errors\":{}}}",
         diags.join(","),
-        any_errors(linter),
-        exhaustive.unwrap_or("null"),
-        reach.unwrap_or("null"),
-        properties.unwrap_or("null"),
-        refine.unwrap_or("null"),
-        sched.unwrap_or("null")
-    )
+        any_errors(linter)
+    );
+    for (pass, section) in PASSES.iter().zip(sections) {
+        doc.push_str(&format!(
+            ",\"{}\":{}",
+            pass.section,
+            section.unwrap_or("null")
+        ));
+    }
+    doc.push('}');
+    doc
 }
 
 /// Executes a manifest unconditionally (no store involved). Semantically
@@ -229,21 +222,10 @@ fn run_figure(which: &str, format: crate::manifest::FigureFormat, opts: &Options
     }
 }
 
-/// Serializes a counterexample as two artifacts: the replayable JSONL
-/// trace and a small meta document, enough for the CLI front end to
-/// regenerate its human report and `--out` file byte-for-byte — even when
-/// the outcome came from the cache.
-fn push_counterexample(artifacts: &mut Vec<Artifact>, section: &str, ce: &Counterexample) {
-    let mut trace = String::new();
-    for line in &ce.trace {
-        trace.push_str(line);
-        trace.push('\n');
-    }
-    artifacts.push(text_artifact(
-        &format!("counterexample-{section}.jsonl"),
-        trace,
-    ));
-    let meta = format!(
+/// Serializes a machine counterexample's meta document: enough for a
+/// client to print the CLI's human report without re-checking.
+fn counterexample_meta(ce: &Counterexample) -> String {
+    format!(
         "{{\"violation\":{},\"config\":{},\"mshrs\":{},\"ops\":{},\
          \"ops_len\":{},\"trace_len\":{}}}",
         escape(&ce.violation),
@@ -252,230 +234,36 @@ fn push_counterexample(artifacts: &mut Vec<Artifact>, section: &str, ce: &Counte
         escape(&format!("{:?}", ce.ops)),
         ce.ops.len(),
         ce.trace.len()
-    );
-    artifacts.push(text_artifact(
-        &format!("counterexample-{section}.meta.json"),
-        meta,
-    ));
+    )
 }
 
-/// The linter section shared with the CLI front end: hard validation plus
-/// the advisory rules, with the MSHR-sizing rule layered on when the
-/// non-blocking machine is selected.
-fn lint_section(spec: &CheckSpec) -> Vec<Diagnostic> {
-    let (cfg, mut diags) = match &spec.config.file {
-        Some(text) => match parse_machine_config(text) {
-            Ok(cfg) => (Some(cfg), Vec::new()),
-            Err(errs) => (None, errs.0.iter().map(parse_error_diagnostic).collect()),
-        },
-        None => {
-            // Overrides apply *unvalidated*: rejecting a bad configuration
-            // is the linter's job, with a structured diagnostic.
-            let mut cfg = MachineConfig::baseline();
-            if let Some(d) = spec.config.depth {
-                cfg.write_buffer.depth = d;
-            }
-            if let Some(r) = spec.config.retire_at {
-                cfg.write_buffer.retirement = RetirementPolicy::RetireAt(r);
-            }
-            if let Some(z) = spec.config.hazard {
-                cfg.write_buffer.hazard = z;
-            }
-            (Some(cfg), Vec::new())
-        }
-    };
-    if let Some(cfg) = cfg {
-        diags.extend(match spec.machine {
-            MachineSel::Blocking => lint_config(&cfg),
-            MachineSel::NonBlocking => lint_nonblocking(&cfg, spec.mshrs.unwrap_or(1)),
-        });
-    }
-    diags
-}
-
+/// The check job: `check.json`, then each failing pass's counterexample
+/// artifacts (`<stem>.jsonl`, plus `<stem>.meta.json` for a machine
+/// trace), in table order.
 fn run_check(spec: &CheckSpec, opts: &Options) -> JobOutcome {
-    let jobs = if opts.jobs == 0 {
-        default_jobs()
-    } else {
-        opts.jobs
-    };
-    let diags = lint_section(spec);
-    let mut failed = any_errors(&diags);
-    let mut cells = 0u64;
-    let mut counterexamples = Vec::new();
-
-    let exhaustive = if spec.exhaustive {
-        let result = match spec.machine {
-            MachineSel::Blocking => check_exhaustive_jobs(spec.max_ops, spec.fault, jobs),
-            MachineSel::NonBlocking => {
-                check_exhaustive_nonblocking_jobs(spec.max_ops, spec.fault, spec.mshrs, jobs)
-            }
+    let run = passes::run(spec, opts.jobs);
+    let mut artifacts = vec![text_artifact("check.json", run.document())];
+    for (pass, r) in run.ran() {
+        let Some(ev) = r.violation.as_ref().and_then(|v| v.counterexample.as_ref()) else {
+            continue;
         };
-        Some(match result {
-            Ok(report) => {
-                cells += report.runs;
-                format!("{{\"status\":\"clean\",\"report\":{}}}", report.to_json())
-            }
-            Err(ce) => {
-                failed = true;
-                push_counterexample(&mut counterexamples, "exhaustive", &ce);
-                format!(
-                    "{{\"status\":\"violation\",\"violation\":{}}}",
-                    escape(&ce.violation)
-                )
-            }
-        })
-    } else {
-        None
-    };
-
-    let reach = if spec.reach {
-        let result = match spec.machine {
-            MachineSel::Blocking => check_reach_jobs(spec.fault, jobs),
-            MachineSel::NonBlocking => check_reach_nonblocking_jobs(spec.fault, spec.mshrs, jobs),
-        };
-        Some(match result {
-            Ok(report) => {
-                cells += report.configs;
-                format!("{{\"status\":\"clean\",\"report\":{}}}", report.to_json())
-            }
-            Err(v) => {
-                failed = true;
-                if let Some(ce) = &v.counterexample {
-                    push_counterexample(&mut counterexamples, "reach", ce);
-                }
-                format!(
-                    "{{\"status\":\"violation\",\"diagnostic\":{}}}",
-                    v.diagnostic.to_json()
-                )
-            }
-        })
-    } else {
-        None
-    };
-
-    let properties = if spec.props {
-        Some(prop_section(
-            spec,
-            jobs,
-            &mut failed,
-            &mut cells,
-            &mut counterexamples,
-        ))
-    } else {
-        None
-    };
-
-    let refine = if spec.refine {
-        let result = match spec.machine {
-            MachineSel::Blocking => check_refine_jobs(spec.fault, jobs),
-            MachineSel::NonBlocking => check_refine_nonblocking_jobs(spec.fault, spec.mshrs, jobs),
-        };
-        Some(match result {
-            Ok(report) => {
-                cells += report.configs;
-                format!("{{\"status\":\"clean\",\"report\":{}}}", report.to_json())
-            }
-            Err(v) => {
-                failed = true;
-                if let Some(ce) = &v.counterexample {
-                    push_counterexample(&mut counterexamples, "refine", ce);
-                }
-                format!(
-                    "{{\"status\":\"violation\",\"diagnostic\":{}}}",
-                    v.diagnostic.to_json()
-                )
-            }
-        })
-    } else {
-        None
-    };
-
-    let sched = if spec.sched {
-        let mut sched_opts = wbsim_check::SchedOptions::default();
-        if let Some(p) = spec.sched_preemptions {
-            sched_opts.preemption_bound = p;
+        artifacts.push(text_artifact(
+            &format!("{}.jsonl", pass.artifact),
+            ev.jsonl(),
+        ));
+        if let Evidence::Trace(ce) = ev {
+            artifacts.push(text_artifact(
+                &format!("{}.meta.json", pass.artifact),
+                counterexample_meta(ce),
+            ));
         }
-        let report = crate::sched::run_sched(spec.sched_fault, &sched_opts);
-        if let Some(cex) = report.counterexample() {
-            counterexamples.push(text_artifact("counterexample-sched.jsonl", cex.to_jsonl()));
-        }
-        // A violating schedule fails the check; so does a fault run that
-        // did not catch its injected fault (the checker itself is broken).
-        if report.counterexample().is_some() || !report.ok() {
-            failed = true;
-        }
-        Some(report.to_json())
-    } else {
-        None
-    };
-
-    // The CLI prints the document with `println!`.
-    let mut doc = merged_check_json(
-        &diags,
-        exhaustive.as_deref(),
-        reach.as_deref(),
-        properties.as_deref(),
-        refine.as_deref(),
-        sched.as_deref(),
-    );
-    doc.push('\n');
-    let mut artifacts = vec![text_artifact("check.json", doc)];
-    artifacts.extend(counterexamples);
+    }
     JobOutcome {
         artifacts,
-        cells,
-        failed: failed.then(|| "check found problems (see the JSON document)".to_string()),
-    }
-}
-
-/// The properties section of the merged check document: resolves the
-/// property set (a supplied `.wbp` text or the built-in library), runs the
-/// unbounded product over the fault grid, and renders the same
-/// clean/violation shape as the reach section. A set that fails to parse
-/// renders as `"invalid"` with the parser's structured diagnostics.
-fn prop_section(
-    spec: &CheckSpec,
-    jobs: usize,
-    failed: &mut bool,
-    cells: &mut u64,
-    counterexamples: &mut Vec<Artifact>,
-) -> String {
-    let set = match &spec.props_file {
-        Some(text) => match parse_props(text) {
-            Ok(set) => set,
-            Err(diags) => {
-                *failed = true;
-                let rendered: Vec<String> = diags.iter().map(Diagnostic::to_json).collect();
-                return format!(
-                    "{{\"status\":\"invalid\",\"diagnostics\":[{}]}}",
-                    rendered.join(",")
-                );
-            }
-        },
-        None => builtin_library(),
-    };
-    let result = match spec.machine {
-        MachineSel::Blocking => check_props_reach_jobs(&set, spec.fault, jobs),
-        MachineSel::NonBlocking => {
-            check_props_reach_nonblocking_jobs(&set, spec.fault, spec.mshrs, jobs)
-        }
-    };
-    match result {
-        Ok(report) => {
-            *cells += report.configs;
-            format!("{{\"status\":\"clean\",\"report\":{}}}", report.to_json())
-        }
-        Err(v) => {
-            *failed = true;
-            if let Some(ce) = &v.counterexample {
-                push_counterexample(counterexamples, "properties", ce);
-            }
-            format!(
-                "{{\"status\":\"violation\",\"diagnostic\":{}}}",
-                v.diagnostic.to_json()
-            )
-        }
+        cells: run.ran().map(|(_, r)| r.cells).sum(),
+        failed: run
+            .failed()
+            .then(|| "check found problems (see the JSON document)".to_string()),
     }
 }
 
@@ -688,31 +476,40 @@ mod tests {
     #[test]
     fn merged_check_json_skeleton_is_pinned() {
         assert_eq!(
-            merged_check_json(&[], None, None, None, None, None),
+            merged_check_json(&[], [None; 5]),
             "{\"linter\":{\"diagnostics\":[],\"errors\":false},\
              \"exhaustive\":null,\"reach\":null,\"properties\":null,\"refine\":null,\
              \"sched\":null}"
         );
         assert_eq!(
-            merged_check_json(&[], Some("{\"status\":\"clean\"}"), None, None, None, None),
+            merged_check_json(
+                &[],
+                [Some("{\"status\":\"clean\"}"), None, None, None, None]
+            ),
             "{\"linter\":{\"diagnostics\":[],\"errors\":false},\
              \"exhaustive\":{\"status\":\"clean\"},\"reach\":null,\"properties\":null,\
              \"refine\":null,\"sched\":null}"
         );
         assert_eq!(
-            merged_check_json(&[], None, None, Some("{\"status\":\"clean\"}"), None, None),
+            merged_check_json(
+                &[],
+                [None, None, Some("{\"status\":\"clean\"}"), None, None]
+            ),
             "{\"linter\":{\"diagnostics\":[],\"errors\":false},\
              \"exhaustive\":null,\"reach\":null,\"properties\":{\"status\":\"clean\"},\
              \"refine\":null,\"sched\":null}"
         );
         assert_eq!(
-            merged_check_json(&[], None, None, None, Some("{\"status\":\"clean\"}"), None),
+            merged_check_json(
+                &[],
+                [None, None, None, Some("{\"status\":\"clean\"}"), None]
+            ),
             "{\"linter\":{\"diagnostics\":[],\"errors\":false},\
              \"exhaustive\":null,\"reach\":null,\"properties\":null,\
              \"refine\":{\"status\":\"clean\"},\"sched\":null}"
         );
         assert_eq!(
-            merged_check_json(&[], None, None, None, None, Some("{\"clean\":true}")),
+            merged_check_json(&[], [None, None, None, None, Some("{\"clean\":true}")]),
             "{\"linter\":{\"diagnostics\":[],\"errors\":false},\
              \"exhaustive\":null,\"reach\":null,\"properties\":null,\"refine\":null,\
              \"sched\":{\"clean\":true}}"

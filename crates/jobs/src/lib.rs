@@ -1,8 +1,8 @@
 //! # wbsim-jobs — the unified job layer
 //!
 //! Every way of asking wbsim for results — `wbsim table`, `wbsim figure`,
-//! `wbsim check --json`, `wbsim bench`, and the `wbsim serve` daemon —
-//! lowers to the same three pieces:
+//! `wbsim check`, `wbsim bench`, and the `wbsim serve` daemon — lowers to
+//! the same pieces:
 //!
 //! - [`manifest`]: a schema-validated [`Manifest`] (wire format
 //!   `wbsim-job/1`) describing a sweep grid, check request, bench run, or
@@ -16,6 +16,9 @@
 //!   crates and composes [`Artifact`]s holding the *exact bytes* the
 //!   one-shot CLI prints, so routing through this layer is invisible in
 //!   the output and a cache hit re-runs zero cells.
+//! - [`passes`]: the table of `wbsim check` passes. The check job and the
+//!   `wbsim check` command (both output modes) run [`passes::run`], so
+//!   `check --json` prints the check job's `check.json` byte for byte.
 //!
 //! [`mod@serve`] wraps the three in a dependency-free HTTP/1.1 daemon.
 //!
@@ -26,6 +29,7 @@
 
 pub mod exec;
 pub mod manifest;
+pub mod passes;
 pub mod sched;
 pub mod serve;
 pub mod store;

@@ -678,6 +678,27 @@ fn opt_usize(
     }
 }
 
+/// The `spec` keys a `check` manifest accepts (`docs/serving.md` lists
+/// each one).
+const CHECK_SPEC_KEYS: &[&str] = &[
+    "exhaustive",
+    "reach",
+    "refine",
+    "machine",
+    "mshrs",
+    "max_ops",
+    "fault",
+    "props",
+    "props_file",
+    "sched",
+    "sched_fault",
+    "sched_preemptions",
+    "config",
+    "depth",
+    "retire_at",
+    "hazard",
+];
+
 fn parse_spec(tag: &str, spec: Option<&Json>, errs: &mut Vec<Diagnostic>) -> Option<JobKind> {
     let empty: &[(String, Json)] = &[];
     let fields = match spec {
@@ -710,24 +731,7 @@ fn parse_spec(tag: &str, spec: Option<&Json>, errs: &mut Vec<Diagnostic>) -> Opt
     let known_keys: &[&str] = match tag {
         "table" => &["which"],
         "figure" => &["which", "format"],
-        "check" => &[
-            "exhaustive",
-            "reach",
-            "refine",
-            "machine",
-            "mshrs",
-            "max_ops",
-            "fault",
-            "props",
-            "props_file",
-            "sched",
-            "sched_fault",
-            "sched_preemptions",
-            "config",
-            "depth",
-            "retire_at",
-            "hazard",
-        ],
+        "check" => CHECK_SPEC_KEYS,
         "bench" => &["samples"],
         "trace" => &["bench", "config", "mshrs"],
         other => {
@@ -1057,6 +1061,21 @@ mod tests {
         )
         .unwrap();
         assert_eq!(m.options.warmup, 3000);
+    }
+
+    #[test]
+    fn serving_doc_lists_every_check_spec_key() {
+        let doc = include_str!("../../../docs/serving.md");
+        let row = doc
+            .lines()
+            .find(|l| l.trim_start().starts_with("| `check` |"))
+            .expect("docs/serving.md has a check row");
+        for key in CHECK_SPEC_KEYS {
+            assert!(
+                row.contains(&format!("`{key}`")),
+                "{key} missing from {row}"
+            );
+        }
     }
 
     #[test]

@@ -326,14 +326,16 @@ fn check_artifact_matches_the_merged_document_modulo_timing() {
         "{}\n",
         merged_check_json(
             &wbsim::check::lint_config(&MachineConfig::baseline()),
-            Some(&format!(
-                "{{\"status\":\"clean\",\"report\":{}}}",
-                report.to_json()
-            )),
-            None,
-            None,
-            None,
-            None,
+            [
+                Some(&format!(
+                    "{{\"status\":\"clean\",\"report\":{}}}",
+                    report.to_json()
+                )),
+                None,
+                None,
+                None,
+                None,
+            ],
         )
     );
     assert_eq!(normalize_wall_ms(doc), normalize_wall_ms(&direct));

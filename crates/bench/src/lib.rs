@@ -1,31 +1,8 @@
-//! Shared scale settings for the `wbsim` Criterion benches.
-//!
-//! Each bench target regenerates one table or figure of the paper at a
-//! reduced scale (Criterion needs many iterations). The *published*
-//! regeneration — full scale, with the rendered rows and bars — is
-//! `wbsim figure all` / `wbsim table all`; these benches track the cost of
-//! that machinery and of the simulator's hot paths, and guard against
-//! performance regressions.
-
-use wbsim_experiments::harness::Harness;
+//! `wbsim bench`: engine-throughput snapshots over the table-7 cell grid
+//! (`BENCH_*.json`) and the regression gate that compares two of them.
 
 pub mod snapshot;
 
 pub use snapshot::{
     compare, git_rev, measure, BenchSnapshot, Comparison, MeasureScale, TargetStats, SCHEMA,
 };
-
-/// Instructions per benchmark per configuration inside a bench iteration.
-pub const BENCH_INSTRUCTIONS: u64 = 8_000;
-
-/// The harness every figure/table bench runs under.
-#[must_use]
-pub fn bench_harness() -> Harness {
-    Harness {
-        instructions: BENCH_INSTRUCTIONS,
-        warmup: 2_000,
-        seed: 42,
-        check_data: false,
-        ..Harness::standard()
-    }
-}

@@ -7,8 +7,9 @@ use std::io::{self, BufRead as _, BufReader, BufWriter};
 use wbsim_check::{
     compile_props, first_divergence, read_event_stream, PropEnv, PropRunner, PropSet, SchedOptions,
 };
+use wbsim_experiments::ablations::{self, ABLATIONS};
 use wbsim_experiments::harness::{pool_cells_jobs, Harness};
-use wbsim_experiments::{ablations, figures, render, tables};
+use wbsim_experiments::{figures, render, tables};
 use wbsim_jobs::manifest::{fault_from_name, hazard_from_name, hazard_name};
 use wbsim_jobs::passes::{self, Evidence};
 use wbsim_jobs::sched::{replay_mismatch, replay_sched, SchedFault};
@@ -20,146 +21,48 @@ use wbsim_sim::{Event, Machine, Observer};
 use wbsim_trace::bench_models::BenchmarkModel;
 use wbsim_trace::file as trace_file;
 use wbsim_trace::stats::TraceStats;
-use wbsim_types::config::{L1Config, L2Config, MachineConfig, WriteBufferConfig};
+use wbsim_types::config::{L2Config, MachineConfig};
 use wbsim_types::diagnostics::any_errors;
 use wbsim_types::file_config::{parse_machine_config, to_config_string};
+use wbsim_types::op::Op;
 use wbsim_types::policy::{LoadHazardPolicy, RetirementPolicy};
-use wbsim_types::stall::StallKind;
+use wbsim_types::stall::StallKind::{self, BufferFull, L2ReadAccess, LoadHazard};
+use wbsim_types::stats::SimStats;
 
-use crate::args::{parse, ArgError, Parsed};
+use crate::args::{help, parse, sweep_keys, ArgError, Parsed};
 
-type CmdResult = Result<(), Box<dyn Error>>;
+pub type CmdResult = Result<(), Box<dyn Error>>;
 
-/// Top-level dispatch.
+/// Runs the command `argv` names.
 pub fn dispatch(argv: &[String]) -> CmdResult {
     let p = parse(argv)?;
-    match p.positionals.first().map(String::as_str) {
-        None | Some("help") | Some("--help") => {
-            print!("{}", usage());
-            Ok(())
-        }
-        Some("figure") => cmd_figure(&p),
-        Some("table") => cmd_table(&p),
-        Some("ablation") => cmd_ablation(&p),
-        Some("run") => cmd_run(&p),
-        Some("predict") => cmd_predict(&p),
-        Some("sweep") => cmd_sweep(&p),
-        Some("grid") => cmd_grid(&p),
-        Some("report") => cmd_report(&p),
-        Some("trace") => cmd_trace(&p),
-        Some("check") => cmd_check(&p),
-        Some("bench") => cmd_bench(&p),
-        Some("serve") => cmd_serve(&p),
-        Some("list") => cmd_list(),
-        Some(other) => Err(ArgError(format!("unknown command {other:?}")).into()),
+    (p.command.run)(&p)
+}
+
+pub(crate) fn cmd_help(_: &Parsed) -> CmdResult {
+    print!("{}\nablations:\n", help());
+    for a in &ABLATIONS {
+        println!("  {:<6}{}", a.id, a.alias);
     }
+    Ok(())
 }
 
-fn usage() -> String {
-    "\
-wbsim — reproduction of 'Design Issues and Tradeoffs for Write Buffers' (HPCA 1997)
-
-USAGE:
-  wbsim figure <3..13|all> [--instructions N] [--seed S] [--jobs N] [--csv] [--svg DIR]
-  wbsim table <1..7|wb|all> [--instructions N] [--seed S] [--jobs N]
-  wbsim ablation <a1..a10|all> [--instructions N] [--seed S] [--jobs N]
-  wbsim run --bench NAME [--seeds N] [--config FILE.wbcfg] [--depth N] [--retire-at N] [--hazard P]
-            [--l1-kb N] [--l2-latency N] [--l2-kb N] [--mm N] [--issue W]
-            [--mshrs N (non-blocking loads)] [--barrier-every N]
-            [--instructions N] [--warmup N] [--seed S] [--check-data] [--ideal]
-  wbsim predict --bench NAME [config flags as for run]
-  wbsim sweep --bench NAME --param KEY=V1,V2,... [--jobs N] [config flags as for run]
-  wbsim grid  --bench NAME --x KEY=V1,V2,... --y KEY=V1,V2,... [--jobs N] [config flags]
-        (KEYs: depth, retire-at, hazard, l1-kb, l2-latency, l2-kb, mm, issue)
-  wbsim report [--out FILE.md] [--instructions N] [--seed S]
-  wbsim trace gen --bench NAME --out FILE [--instructions N] [--seed S] [--binary]
-  wbsim trace synth --out FILE [--loads F] [--stores F] [--hot F] [--stream F]
-        [--seq F] [--burst N] [--revisit F] [--hazard-loads F] [--region-kb N]
-        [--instructions N] [--seed S] [--binary]
-  wbsim trace stats <FILE>
-  wbsim trace diff <A.jsonl | -> <B.jsonl | -> (at most one side may be -)
-        (compare two recorded event streams; reports the first divergent
-         event index with both events, exits non-zero on divergence)
-  wbsim trace run <FILE> [--depth N] [--retire-at N] [--hazard P] [--check-data]
-  wbsim trace events --bench NAME [--out FILE] [--mshrs N] [config flags as for run]
-        (emits the machine's structured event stream as JSON lines)
-  wbsim trace validate <FILE.jsonl | -> [--prop [FILE.wbp]] [--machine M] [--mshrs N]
-        [--depth N] [--hazard P]
-        (`-` reads JSONL from stdin; --prop additionally runs the stream
-         through the temporal property monitors — bare --prop uses the
-         built-in library, and --machine/--depth/--mshrs/--hazard bind the
-         environment symbols `where` clauses test)
-  wbsim check [--config FILE.wbcfg] [--depth N] [--retire-at N] [--hazard P]
-        [--exhaustive] [--reach] [--prop [FILE.wbp]] [--refine] [--sched]
-        [--machine blocking|nonblocking] [--mshrs N] [--max-ops N] [--fault F]
-        [--preemptions N] [--out FILE.jsonl] [--jobs N] [--json]
-        (lint the configuration, then run every selected pass in this order:
-           --exhaustive  bounded exhaustive model check up to --max-ops ops
-           --reach       unbounded reachability, with livelock analysis
-           --prop        temporal properties (bare --prop: props/paper.wbp)
-           --refine      event-driven vs reference engine refinement
-           --sched       host serve/jobs/pool concurrency, all interleavings
-                         under a preemption bound
-         the four grid checkers cover 40 configurations of --machine (MSHR
-         counts 1-4 unless --mshrs pins one); --fault injects a known bug
-         into whichever selected pass takes it; the first failing pass's
-         minimized counterexample goes to --out (`-`: stdout, report on
-         stderr) for `wbsim trace validate` or `check --sched --replay`;
-         --json prints one document with linter/exhaustive/reach/
-         properties/refine/sched sections instead of the human report)
-  wbsim check --sched --replay FILE [--preemptions N]
-        (re-execute a recorded schedule deterministically)
-  wbsim bench [--samples N] [--instructions N] [--warmup N] [--seed S] [--json]
-        [--out FILE.json] [--check BASELINE.json] [--tolerance PCT]
-        (measure cells/sec of both engines over the table-7 grid; --json/--out
-         emit the BENCH_*.json snapshot; --check gates against a committed
-         snapshot, exiting non-zero when mean or p99 regresses past the
-         tolerance, default 20%)
-  wbsim serve [--addr HOST:PORT] [--workers N]
-        (job daemon: POST wbsim-job/1 manifests to /v1/jobs, poll
-         /v1/jobs/<id>, fetch /v1/jobs/<id>/artifacts/<name>; identical
-         resubmissions are answered from the content-addressed result
-         store without re-running a cell — see docs/serving.md)
-  wbsim list
-
-  Grid-running subcommands (figure, table, ablation, sweep, grid, report,
-  check --exhaustive/--reach/--prop/--refine, bench) accept --jobs N to bound
-  the worker pool; the default 0 auto-sizes to the machine.
-
-FAULTS (--fault): skip-wb-forwarding | starve-retirement | overshoot-skip
-                  (grid checkers); lost-wakeup | dup-execute (--sched)
-
-HAZARD POLICIES: flush-full | flush-partial | flush-item-only | read-from-wb
-ABLATIONS: a1 retirement, a2 max-age, a3 coalescing, a4 write-cache,
-           a5 priority, a6 datapath, a7 icache, a8 lazy-rfwb,
-           a9 issue-width, a10 barriers, a11 non-blocking, a12 l1-write-policy
-"
-    .to_string()
+/// `--seed` and `--instructions`, the workload every stream comes from.
+fn workload(p: &Parsed) -> Result<(u64, u64), ArgError> {
+    Ok((p.get_or_default("seed")?, p.get_or_default("instructions")?))
 }
 
-fn harness(p: &Parsed) -> Result<Harness, ArgError> {
-    let instructions = p.get_or("instructions", 1_000_000u64)?;
-    Ok(Harness {
-        instructions,
-        warmup: p.get_or("warmup", instructions / 3)?,
-        seed: p.get_or("seed", 42u64)?,
-        check_data: p.has_flag("check-data"),
-        jobs: p.get_or("jobs", 0usize)?,
-        ..Harness::standard()
-    })
-}
-
-/// The job-layer [`JobOptions`] for this invocation — same flags, same
-/// defaults as [`harness`].
+/// The job-layer [`JobOptions`] the workload and measurement options
+/// describe.
 fn job_options(p: &Parsed) -> Result<JobOptions, ArgError> {
-    let h = harness(p)?;
+    let (seed, instructions) = workload(p)?;
     Ok(JobOptions {
-        instructions: h.instructions,
-        warmup: h.warmup,
-        seed: h.seed,
-        check_data: h.check_data,
-        jobs: h.jobs,
-        engine: h.engine,
+        instructions,
+        warmup: p.get("warmup")?.unwrap_or(instructions / 3),
+        seed,
+        check_data: p.has("check-data"),
+        jobs: p.get_or_default("jobs")?,
+        ..JobOptions::default()
     })
 }
 
@@ -171,35 +74,43 @@ fn run_job(manifest: &Manifest) -> std::sync::Arc<wbsim_jobs::JobOutcome> {
     Executor::new(&store).run(manifest).outcome
 }
 
-fn cmd_figure(p: &Parsed) -> CmdResult {
-    let which = p
-        .positionals
-        .get(1)
-        .ok_or_else(|| ArgError("figure: which one? (3..13 or all)".into()))?;
-    let svg_dir = p.options.get("svg").cloned();
-    let format = if svg_dir.is_some() {
-        FigureFormat::Svg
-    } else if p.has_flag("csv") {
-        FigureFormat::Csv
-    } else {
-        FigureFormat::Text
+/// The command's first positional after its name, or an error asking for it.
+fn which<'a>(p: &'a Parsed, choices: &str) -> Result<&'a str, ArgError> {
+    let ask = || ArgError(format!("{}: which one? ({choices})", p.command.name));
+    p.positionals.get(1).map(String::as_str).ok_or_else(ask)
+}
+
+/// `--bench NAME` resolved to its model.
+fn bench(p: &Parsed) -> Result<BenchmarkModel, ArgError> {
+    let name = p.required("bench")?;
+    BenchmarkModel::from_name(name).ok_or_else(|| ArgError(format!("unknown benchmark {name:?}")))
+}
+
+pub(crate) fn cmd_figure(p: &Parsed) -> CmdResult {
+    let which = which(p, "3..13 or all")?;
+    let svg_dir = p.value("svg");
+    let format = match (svg_dir, p.has("csv")) {
+        (Some(_), true) => return fail("--csv and --svg exclude each other"),
+        (Some(_), false) => FigureFormat::Svg,
+        (None, true) => FigureFormat::Csv,
+        (None, false) => FigureFormat::Text,
     };
     let outcome = run_job(&Manifest {
         kind: JobKind::Figure {
-            which: which.clone(),
+            which: which.to_string(),
             format,
         },
         options: job_options(p)?,
     });
     if let Some(msg) = &outcome.failed {
-        return Err(ArgError(msg.clone()).into());
+        return fail(msg.clone());
     }
     match format {
         FigureFormat::Svg => {
             let dir = svg_dir.expect("svg format implies --svg");
-            std::fs::create_dir_all(&dir)?;
+            std::fs::create_dir_all(dir)?;
             for a in &outcome.artifacts {
-                let path = std::path::Path::new(&dir).join(&a.name);
+                let path = std::path::Path::new(dir).join(&a.name);
                 std::fs::write(&path, &a.bytes)?;
                 println!("wrote {}", path.display());
             }
@@ -210,35 +121,28 @@ fn cmd_figure(p: &Parsed) -> CmdResult {
     Ok(())
 }
 
-fn cmd_table(p: &Parsed) -> CmdResult {
-    let which = p
-        .positionals
-        .get(1)
-        .ok_or_else(|| ArgError("table: which one? (1..7, wb, or all)".into()))?;
+pub(crate) fn cmd_table(p: &Parsed) -> CmdResult {
+    let which = which(p, "1..7, wb, or all")?.to_string();
     let outcome = run_job(&Manifest {
-        kind: JobKind::Table {
-            which: which.clone(),
-        },
+        kind: JobKind::Table { which },
         options: job_options(p)?,
     });
     if let Some(msg) = &outcome.failed {
-        return Err(ArgError(msg.clone()).into());
+        return fail(msg.clone());
     }
     print!("{}", outcome.artifact_text("tables.txt").unwrap_or(""));
     Ok(())
 }
 
-fn cmd_ablation(p: &Parsed) -> CmdResult {
-    let which = p
-        .positionals
-        .get(1)
-        .ok_or_else(|| ArgError("ablation: which one? (a1..a10 or all)".into()))?;
-    let h = harness(p)?;
+pub(crate) fn cmd_ablation(p: &Parsed) -> CmdResult {
+    let ids = format!("{}..{}", ABLATIONS[0].id, ABLATIONS[ABLATIONS.len() - 1].id);
+    let which = which(p, &format!("{ids} or all"))?;
+    let h = job_options(p)?.harness();
     let figs = if which == "all" {
         ablations::all(&h)
     } else {
         vec![ablations::by_name(&h, which)
-            .ok_or_else(|| ArgError(format!("no ablation {which:?} (a1..a10)")))?]
+            .ok_or_else(|| ArgError(format!("no ablation {which:?} ({ids})")))?]
     };
     for f in figs {
         println!("{}", render::render_figure(&f));
@@ -247,91 +151,75 @@ fn cmd_ablation(p: &Parsed) -> CmdResult {
 }
 
 fn hazard_from(name: &str) -> Result<LoadHazardPolicy, ArgError> {
-    hazard_from_name(name).ok_or_else(|| {
-        ArgError(format!(
-            "unknown hazard policy {:?}",
-            name.to_ascii_lowercase()
-        ))
-    })
+    let msg = format!("unknown hazard policy {:?}", name.to_ascii_lowercase());
+    hazard_from_name(name).ok_or(ArgError(msg))
 }
 
+/// Fails the command with `msg`.
+fn fail<T>(msg: impl Into<String>) -> Result<T, Box<dyn Error>> {
+    Err(ArgError(msg.into()).into())
+}
+
+/// The machine the configuration options describe: the `--config` file,
+/// else the baseline, with every configuration flag given applied on
+/// top. A flag that cannot apply is an error, never a no-op.
 fn machine_from(p: &Parsed) -> Result<MachineConfig, Box<dyn Error>> {
-    // A --config file provides the base; explicit flags override it.
-    let mut cfg = match p.options.get("config") {
+    let mut cfg = match p.value("config") {
         // parse_machine_config reports every bad line at once, not just
         // the first.
         Some(path) => parse_machine_config(&std::fs::read_to_string(path)?)?,
         None => MachineConfig::baseline(),
     };
-    if p.options.contains_key("config") {
-        // Flags below override file values only when given explicitly.
-        if let Some(v) = p.options.get("depth") {
-            cfg.write_buffer.depth = v
-                .parse()
-                .map_err(|_| ArgError(format!("bad --depth {v:?}")))?;
+    let wb = &mut cfg.write_buffer;
+    wb.depth = p.get("depth")?.unwrap_or(wb.depth);
+    wb.retirement = p
+        .get("retire-at")?
+        .map_or(wb.retirement, RetirementPolicy::RetireAt);
+    wb.hazard = p.value("hazard").map_or(Ok(wb.hazard), hazard_from)?;
+    cfg.issue_width = p.get("issue")?.unwrap_or(cfg.issue_width);
+    cfg.l1.size_bytes = p
+        .get("l1-kb")?
+        .map_or(cfg.l1.size_bytes, |kb: u32| kb * 1024);
+    let mut mm = p.get("mm")?;
+    if let Some(kb) = p.get::<u32>("l2-kb")? {
+        if let L2Config::Real { mm_latency, .. } = cfg.l2 {
+            mm = mm.or(Some(mm_latency));
         }
-        if let Some(v) = p.options.get("retire-at") {
-            cfg.write_buffer.retirement = RetirementPolicy::RetireAt(
-                v.parse()
-                    .map_err(|_| ArgError(format!("bad --retire-at {v:?}")))?,
-            );
-        }
-        if let Some(v) = p.options.get("hazard") {
-            cfg.write_buffer.hazard = hazard_from(v)?;
-        }
-        cfg.check_data = p.has_flag("check-data");
-        cfg.validate()?;
-        return Ok(cfg);
+        cfg.l2 = L2Config::real_with_size(kb * 1024).with_latency(cfg.l2.latency());
     }
-    cfg.write_buffer = WriteBufferConfig {
-        depth: p.get_or("depth", 4usize)?,
-        retirement: RetirementPolicy::RetireAt(p.get_or("retire-at", 2usize)?),
-        hazard: hazard_from(
-            &p.options
-                .get("hazard")
-                .cloned()
-                .unwrap_or_else(|| "flush-full".into()),
-        )?,
-        ..WriteBufferConfig::baseline()
-    };
-    cfg.issue_width = p.get_or("issue", 1u32)?;
-    cfg.l1 = L1Config::with_size(p.get_or("l1-kb", 8u32)? * 1024);
-    let latency = p.get_or("l2-latency", 6u64)?;
-    cfg.l2 = match p.options.get("l2-kb") {
-        None => L2Config::Perfect { latency },
-        Some(_) => L2Config::Real {
-            size_bytes: p.get_or("l2-kb", 1024u32)? * 1024,
-            assoc: 1,
-            latency,
-            mm_latency: p.get_or("mm", 25u64)?,
-        },
-    };
-    cfg.check_data = p.has_flag("check-data");
+    if let Some(latency) = p.get("l2-latency")? {
+        cfg.l2 = cfg.l2.with_latency(latency);
+    }
+    if let Some(mm) = mm {
+        let L2Config::Real { mm_latency, .. } = &mut cfg.l2 else {
+            return fail("--mm needs a real L2 (--l2-kb N, or l2 = real in --config)");
+        };
+        *mm_latency = mm;
+    }
+    cfg.check_data = p.has("check-data");
     cfg.validate()?;
     Ok(cfg)
 }
 
-fn print_stats(stats: &wbsim_types::stats::SimStats) {
-    println!("{stats}");
-}
-
-fn cmd_run(p: &Parsed) -> CmdResult {
-    let bench_name = p
-        .options
-        .get("bench")
-        .ok_or_else(|| ArgError("run: --bench NAME is required (see `wbsim list`)".into()))?;
-    let bench = BenchmarkModel::from_name(bench_name)
-        .ok_or_else(|| ArgError(format!("unknown benchmark {bench_name:?}")))?;
-    let h = harness(p)?;
+pub(crate) fn cmd_run(p: &Parsed) -> CmdResult {
+    let bench = bench(p)?;
+    let h = job_options(p)?.harness();
     let cfg = machine_from(p)?;
-    let n_seeds = p.get_or("seeds", 1u64)?;
+    let n_seeds = p.get_or_default("seeds")?;
+    let barrier_every = p.get_or_default("barrier-every")?;
+    let mshrs = p.get_or_default("mshrs")?;
+    // Refuse what the chosen path would ignore: --seeds runs plain streams
+    // on the blocking machine, which alone has an ideal mode.
+    if n_seeds > 1 && (mshrs > 0 || barrier_every > 0 || p.has("ideal")) {
+        return fail("--seeds excludes --mshrs, --barrier-every and --ideal");
+    }
+    if mshrs > 0 && p.has("ideal") {
+        return fail("--ideal needs the blocking machine (no --mshrs)");
+    }
     if n_seeds > 1 {
         let summary = h.run_seeds(bench, cfg, n_seeds);
-        println!(
-            "benchmark: {}  ({} seeds, mean ± sd, % of execution time)",
-            bench.name(),
-            summary.seeds
-        );
+        let (name, n) = (bench.name(), summary.seeds);
+        println!("benchmark: {name}  ({n} seeds, mean ± sd, % of execution time)");
         for (name, (m, sd)) in [
             ("L2-read-access", summary.r),
             ("buffer-full", summary.f),
@@ -343,36 +231,29 @@ fn cmd_run(p: &Parsed) -> CmdResult {
         return Ok(());
     }
     let mut ops = bench.stream(h.seed, h.instructions + h.warmup);
-    let barrier_every = p.get_or("barrier-every", 0u64)?;
     if barrier_every > 0 {
         ops = wbsim_trace::transform::with_barriers(&ops, barrier_every);
     }
-    let mshrs = p.get_or("mshrs", 0usize)?;
     let stats = if mshrs > 0 {
         wbsim_sim::NonBlockingMachine::new(cfg, mshrs)?.run(ops)
     } else {
         let mut machine = Machine::new(cfg)?;
-        if p.has_flag("ideal") {
+        if p.has("ideal") {
             machine.run_ideal_with_warmup(ops, h.warmup)
         } else {
             machine.run_with_warmup(ops, h.warmup)
         }
     };
     println!("benchmark: {}", bench.name());
-    print_stats(&stats);
+    println!("{stats}");
     Ok(())
 }
 
-fn cmd_predict(p: &Parsed) -> CmdResult {
-    let bench_name = p
-        .options
-        .get("bench")
-        .ok_or_else(|| ArgError("predict: --bench NAME is required".into()))?;
-    let bench = BenchmarkModel::from_name(bench_name)
-        .ok_or_else(|| ArgError(format!("unknown benchmark {bench_name:?}")))?;
-    let h = harness(p)?;
+pub(crate) fn cmd_predict(p: &Parsed) -> CmdResult {
+    let bench = bench(p)?;
+    let (seed, instructions) = workload(p)?;
     let cfg = machine_from(p)?;
-    let ops = bench.stream(h.seed, h.instructions);
+    let ops = bench.stream(seed, instructions);
     let inputs = wbsim_analytic::inputs_from_trace(&ops, &cfg);
     let pred = wbsim_analytic::predict(&inputs, &cfg);
     let sim = Machine::new(cfg)?.run(ops);
@@ -389,30 +270,15 @@ fn cmd_predict(p: &Parsed) -> CmdResult {
         inputs.hazard_load_frac * 100.0
     );
     println!("{:<18} {:>10} {:>10}", "", "model", "simulated");
-    println!(
-        "{:<18} {:>9.3}% {:>9.3}%",
-        "buffer-full",
-        pred.f_pct,
-        sim.stall_pct(StallKind::BufferFull)
-    );
-    println!(
-        "{:<18} {:>9.3}% {:>9.3}%",
-        "L2-read-access",
-        pred.r_pct,
-        sim.stall_pct(StallKind::L2ReadAccess)
-    );
-    println!(
-        "{:<18} {:>9.3}% {:>9.3}%",
-        "load-hazard",
-        pred.l_pct,
-        sim.stall_pct(StallKind::LoadHazard)
-    );
-    println!(
-        "{:<18} {:>9.3}% {:>9.3}%",
-        "total",
-        pred.total_pct(),
-        sim.total_stall_pct()
-    );
+    let total = ("total", pred.total_pct(), sim.total_stall_pct());
+    for (name, model, simulated) in [
+        ("buffer-full", pred.f_pct, sim.stall_pct(BufferFull)),
+        ("L2-read-access", pred.r_pct, sim.stall_pct(L2ReadAccess)),
+        ("load-hazard", pred.l_pct, sim.stall_pct(LoadHazard)),
+        total,
+    ] {
+        println!("{name:<18} {model:>9.3}% {simulated:>9.3}%");
+    }
     println!(
         "{:<18} {:>10.3} {:>10.3}",
         "mean occupancy",
@@ -422,41 +288,40 @@ fn cmd_predict(p: &Parsed) -> CmdResult {
     Ok(())
 }
 
-fn cmd_sweep(p: &Parsed) -> CmdResult {
-    let bench_name = p
-        .options
-        .get("bench")
-        .ok_or_else(|| ArgError("sweep: --bench NAME is required".into()))?;
-    let bench = BenchmarkModel::from_name(bench_name)
-        .ok_or_else(|| ArgError(format!("unknown benchmark {bench_name:?}")))?;
-    let param = p
-        .options
-        .get("param")
-        .ok_or_else(|| ArgError("sweep: --param KEY=V1,V2,... is required".into()))?;
-    let (key, values) = param
-        .split_once('=')
-        .ok_or_else(|| ArgError(format!("--param must look like KEY=V1,V2, got {param:?}")))?;
-    const KEYS: &[&str] = &[
-        "depth",
-        "retire-at",
-        "hazard",
-        "l1-kb",
-        "l2-latency",
-        "l2-kb",
-        "mm",
-        "issue",
-    ];
-    if !KEYS.contains(&key) {
-        return Err(ArgError(format!("--param key must be one of {KEYS:?}, got {key:?}")).into());
-    }
-    let h = harness(p)?;
+/// One sweep cell: `ops` through `cfg` on `h`'s engine, measured after
+/// `h.warmup` instructions.
+fn run_cell(h: &Harness, cfg: &MachineConfig, ops: &[Op]) -> Result<SimStats, String> {
+    let mut m = Machine::new(cfg.clone()).map_err(|e| e.to_string())?;
+    m.set_engine(h.engine);
+    Ok(m.run_with_warmup(ops.iter().copied(), h.warmup))
+}
+
+/// `--param`, `--x` or `--y`: a configuration option and the values it
+/// takes, one per sweep cell.
+fn sweep_param(p: &Parsed, flag: &str) -> Result<(&'static str, Vec<String>), ArgError> {
+    let arg = p.required(flag)?;
+    let shape = || {
+        ArgError(format!(
+            "--{flag} must look like KEY=V1,V2,..., got {arg:?}"
+        ))
+    };
+    let (key, values) = arg.split_once('=').ok_or_else(shape)?;
+    let keys: Vec<_> = sweep_keys().collect();
+    let unknown = || ArgError(format!("--{flag} key must be one of {keys:?}, got {key:?}"));
+    let key = sweep_keys().find(|k| *k == key).ok_or_else(unknown)?;
+    Ok((
+        key,
+        values.split(',').map(|v| v.trim().to_string()).collect(),
+    ))
+}
+
+pub(crate) fn cmd_sweep(p: &Parsed) -> CmdResult {
+    let bench = bench(p)?;
+    let (key, values) = sweep_param(p, "param")?;
+    let h = job_options(p)?.harness();
     let ops = bench.stream(h.seed, h.instructions + h.warmup);
-    println!(
-        "{} sweeping {key} over {} instructions
-",
-        bench.name(),
-        h.instructions
-    );
+    let (name, n) = (bench.name(), h.instructions);
+    println!("{name} sweeping {key} over {n} instructions\n");
     println!(
         "{:<18} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9}",
         key, "R %", "F %", "L %", "total %", "CPI", "occupancy"
@@ -466,17 +331,10 @@ fn cmd_sweep(p: &Parsed) -> CmdResult {
     // as the serial loop did), run the valid prefix on the worker pool,
     // then print rows in order — stdout is byte-identical to the old
     // one-at-a-time loop.
-    let values: Vec<&str> = values.split(',').map(str::trim).collect();
     let mut cfgs = Vec::new();
     let mut bad_value = None;
     for v in &values {
-        let mut sub = Parsed {
-            options: p.options.clone(),
-            flags: p.flags.clone(),
-            ..Parsed::default()
-        };
-        sub.options.insert(key.to_string(), (*v).to_string());
-        match machine_from(&sub) {
+        match machine_from(&p.with(key, v)) {
             Ok(cfg) => cfgs.push(cfg),
             Err(e) => {
                 bad_value = Some(e);
@@ -484,11 +342,7 @@ fn cmd_sweep(p: &Parsed) -> CmdResult {
             }
         }
     }
-    let results = pool_cells_jobs(cfgs.len(), h.jobs, |i| {
-        let mut m = Machine::new(cfgs[i].clone()).map_err(|e| e.to_string())?;
-        m.set_engine(h.engine);
-        Ok::<_, String>(m.run_with_warmup(ops.iter().copied(), h.warmup))
-    });
+    let results = pool_cells_jobs(cfgs.len(), h.jobs, |i| run_cell(&h, &cfgs[i], &ops));
     for (v, result) in values.iter().zip(&results) {
         let stats = result.as_ref().map_err(|e| ArgError(e.clone()))?;
         println!(
@@ -508,58 +362,18 @@ fn cmd_sweep(p: &Parsed) -> CmdResult {
     Ok(())
 }
 
-fn parse_param(arg: &str) -> Result<(String, Vec<String>), ArgError> {
-    let (key, values) = arg
-        .split_once('=')
-        .ok_or_else(|| ArgError(format!("expected KEY=V1,V2,..., got {arg:?}")))?;
-    const KEYS: &[&str] = &[
-        "depth",
-        "retire-at",
-        "hazard",
-        "l1-kb",
-        "l2-latency",
-        "l2-kb",
-        "mm",
-        "issue",
-    ];
-    if !KEYS.contains(&key) {
-        return Err(ArgError(format!(
-            "key must be one of {KEYS:?}, got {key:?}"
-        )));
-    }
-    Ok((
-        key.to_string(),
-        values.split(',').map(|v| v.trim().to_string()).collect(),
-    ))
-}
-
-fn cmd_grid(p: &Parsed) -> CmdResult {
-    let bench_name = p
-        .options
-        .get("bench")
-        .ok_or_else(|| ArgError("grid: --bench NAME is required".into()))?;
-    let bench = BenchmarkModel::from_name(bench_name)
-        .ok_or_else(|| ArgError(format!("unknown benchmark {bench_name:?}")))?;
-    let (xk, xs) = parse_param(
-        p.options
-            .get("x")
-            .ok_or_else(|| ArgError("grid: --x KEY=V1,V2,... is required".into()))?,
-    )?;
-    let (yk, ys) = parse_param(
-        p.options
-            .get("y")
-            .ok_or_else(|| ArgError("grid: --y KEY=V1,V2,... is required".into()))?,
-    )?;
+pub(crate) fn cmd_grid(p: &Parsed) -> CmdResult {
+    let bench = bench(p)?;
+    let (xk, xs) = sweep_param(p, "x")?;
+    let (yk, ys) = sweep_param(p, "y")?;
     if xk == yk {
-        return Err(ArgError("grid: --x and --y must differ".into()).into());
+        return fail("grid: --x and --y must differ");
     }
-    let h = harness(p)?;
+    let h = job_options(p)?.harness();
     let ops = bench.stream(h.seed, h.instructions + h.warmup);
+    let (name, n) = (bench.name(), h.instructions);
     println!(
-        "{}: total write-buffer stall %% over {} instructions ({yk} down, {xk} across)
-",
-        bench.name(),
-        h.instructions
+        "{name}: total write-buffer stall %% over {n} instructions ({yk} down, {xk} across)\n"
     );
     print!("{:<14}", format!("{yk} \\ {xk}"));
     for x in &xs {
@@ -573,25 +387,12 @@ fn cmd_grid(p: &Parsed) -> CmdResult {
     let cfg_cells: Vec<Option<MachineConfig>> = ys
         .iter()
         .flat_map(|yv| {
-            let (xk, yk) = (&xk, &yk);
-            xs.iter().map(move |xv| {
-                let mut sub = Parsed {
-                    options: p.options.clone(),
-                    flags: p.flags.clone(),
-                    ..Parsed::default()
-                };
-                sub.options.insert(xk.clone(), xv.clone());
-                sub.options.insert(yk.clone(), yv.clone());
-                machine_from(&sub).ok()
-            })
+            xs.iter()
+                .map(move |xv| machine_from(&p.with(xk, xv).with(yk, yv)).ok())
         })
         .collect();
     let cells = pool_cells_jobs(cfg_cells.len(), h.jobs, |i| {
-        cfg_cells[i].as_ref().map(|cfg| {
-            let mut m = Machine::new(cfg.clone()).map_err(|e| e.to_string())?;
-            m.set_engine(h.engine);
-            Ok::<_, String>(m.run_with_warmup(ops.iter().copied(), h.warmup))
-        })
+        cfg_cells[i].as_ref().map(|cfg| run_cell(&h, cfg, &ops))
     });
     let mut best: Option<(f64, String, String)> = None;
     for (yi, yv) in ys.iter().enumerate() {
@@ -605,7 +406,7 @@ fn cmd_grid(p: &Parsed) -> CmdResult {
                         best = Some((t, xv.clone(), yv.clone()));
                     }
                 }
-                Some(Err(e)) => return Err(ArgError(e.clone()).into()),
+                Some(Err(e)) => return fail(e.clone()),
                 None => print!("{:>9}", "-"), // invalid cell (e.g. hw > depth)
             }
         }
@@ -620,26 +421,20 @@ best: {xk}={xv}, {yk}={yv} ({t:.3}%)"
     Ok(())
 }
 
-fn cmd_report(p: &Parsed) -> CmdResult {
-    use std::fmt::Write as _;
-    let h = harness(p)?;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
+pub(crate) fn cmd_report(p: &Parsed) -> CmdResult {
+    let h = job_options(p)?.harness();
+    let mut out = format!(
         "# wbsim reproduction report
 
          Machine-generated by `wbsim report` — every table and figure of
          Skadron & Clark, *Design Issues and Tradeoffs for Write Buffers*
          (HPCA 1997), at {} measured instructions per benchmark per
          configuration (seed {}, {} warmup instructions).
+
 ",
         h.instructions, h.seed, h.warmup
     );
-    out.push_str(
-        "## Tables
-
-",
-    );
+    out.push_str("## Tables\n\n");
     let cfg = MachineConfig::baseline();
     for t in [
         tables::table1(&cfg),
@@ -653,23 +448,15 @@ fn cmd_report(p: &Parsed) -> CmdResult {
     ] {
         out.push_str(&render::table_markdown(&t));
     }
-    out.push_str(
-        "## Figures
-
-",
-    );
+    out.push_str("## Figures\n\n");
     for f in figures::all(&h) {
         out.push_str(&render::figure_markdown(&f));
     }
-    out.push_str(
-        "## Ablations
-
-",
-    );
+    out.push_str("## Ablations\n\n");
     for f in ablations::all(&h) {
         out.push_str(&render::figure_markdown(&f));
     }
-    match p.options.get("out") {
+    match p.value("out") {
         Some(path) => {
             std::fs::write(path, &out)?;
             println!("wrote {path} ({} bytes)", out.len());
@@ -689,14 +476,6 @@ struct JsonlWriter<W: io::Write> {
 }
 
 impl<W: io::Write> JsonlWriter<W> {
-    fn new(w: W) -> Self {
-        Self {
-            w,
-            count: 0,
-            err: None,
-        }
-    }
-
     fn finish(mut self) -> Result<u64, io::Error> {
         if let Some(e) = self.err.take() {
             return Err(e);
@@ -718,59 +497,47 @@ impl<W: io::Write> Observer for JsonlWriter<W> {
     }
 }
 
-fn cmd_trace(p: &Parsed) -> CmdResult {
-    let sub = p.positionals.get(1).ok_or_else(|| {
-        ArgError("trace: gen | synth | stats | run | events | validate | diff".into())
-    })?;
-    match sub.as_str() {
-        "gen" => {
-            let bench_name = p
-                .options
-                .get("bench")
-                .ok_or_else(|| ArgError("trace gen: --bench NAME required".into()))?;
-            let bench = BenchmarkModel::from_name(bench_name)
-                .ok_or_else(|| ArgError(format!("unknown benchmark {bench_name:?}")))?;
-            let out = p
-                .options
-                .get("out")
-                .ok_or_else(|| ArgError("trace gen: --out FILE required".into()))?;
-            let h = harness(p)?;
-            let ops = bench.stream(h.seed, h.instructions);
-            let f = BufWriter::new(File::create(out)?);
-            if p.has_flag("binary") {
-                trace_file::write_binary(f, &ops)?;
-            } else {
-                trace_file::write_text(f, &ops)?;
-            }
+/// Writes `ops` to `--out` in the codec `--binary` picks.
+fn write_trace(p: &Parsed, ops: &[Op]) -> Result<String, Box<dyn Error>> {
+    let out = p.required("out")?;
+    let f = BufWriter::new(File::create(out)?);
+    if p.has("binary") {
+        trace_file::write_binary(f, ops)?;
+    } else {
+        trace_file::write_text(f, ops)?;
+    }
+    Ok(out.to_string())
+}
+
+pub(crate) fn cmd_trace(p: &Parsed) -> CmdResult {
+    let missing = || ArgError(format!("{}: FILE required", p.command.name));
+    let file = || p.positionals.get(2).ok_or_else(missing);
+    match p.command.name {
+        "trace gen" => {
+            let bench = bench(p)?;
+            let (seed, instructions) = workload(p)?;
+            let ops = bench.stream(seed, instructions);
+            let out = write_trace(p, &ops)?;
             println!("wrote {} events to {out}", ops.len());
             Ok(())
         }
-        "synth" => {
-            let out = p
-                .options
-                .get("out")
-                .ok_or_else(|| ArgError("trace synth: --out FILE required".into()))?;
+        "trace synth" => {
             let w = wbsim_trace::stream::MixedWorkload {
-                pct_loads: p.get_or("loads", 0.25f64)?,
-                pct_stores: p.get_or("stores", 0.10f64)?,
-                hazard_load_frac: p.get_or("hazard-loads", 0.01f64)?,
-                hot_load_frac: p.get_or("hot", 0.80f64)?,
-                stream_load_frac: p.get_or("stream", 0.10f64)?,
-                seq_store_frac: p.get_or("seq", 0.50f64)?,
-                seq_run_words: p.get_or("run-words", 8u32)?,
-                store_burst: p.get_or("burst", 1u32)?,
-                revisit_store_frac: p.get_or("revisit", 0.40f64)?,
+                pct_loads: p.get_or_default("loads")?,
+                pct_stores: p.get_or_default("stores")?,
+                hazard_load_frac: p.get_or_default("hazard-loads")?,
+                hot_load_frac: p.get_or_default("hot")?,
+                stream_load_frac: p.get_or_default("stream")?,
+                seq_store_frac: p.get_or_default("seq")?,
+                seq_run_words: p.get_or_default("run-words")?,
+                store_burst: p.get_or_default("burst")?,
+                revisit_store_frac: p.get_or_default("revisit")?,
                 hot_bytes: 2 * 1024,
-                region_bytes: p.get_or("region-kb", 64u64)? * 1024,
+                region_bytes: p.get_or_default::<u64>("region-kb")? * 1024,
             };
-            let h = harness(p)?;
-            let ops = w.generate(h.seed, h.instructions);
-            let f = BufWriter::new(File::create(out)?);
-            if p.has_flag("binary") {
-                trace_file::write_binary(f, &ops)?;
-            } else {
-                trace_file::write_text(f, &ops)?;
-            }
+            let (seed, instructions) = workload(p)?;
+            let ops = w.generate(seed, instructions);
+            let out = write_trace(p, &ops)?;
             let t = TraceStats::measure(&ops);
             println!(
                 "wrote {} events to {out}  (loads {:.1}%, stores {:.1}%, mean store group {:.2})",
@@ -781,52 +548,42 @@ fn cmd_trace(p: &Parsed) -> CmdResult {
             );
             Ok(())
         }
-        "stats" => {
-            let path = p
-                .positionals
-                .get(2)
-                .ok_or_else(|| ArgError("trace stats: FILE required".into()))?;
-            let ops = load_trace(path)?;
+        "trace stats" => {
+            let ops = load_trace(file()?)?;
             let t = TraceStats::measure(&ops);
             println!("instructions        {:>14}", t.instructions);
             println!("loads               {:>14}  ({:.2}%)", t.loads, t.pct_loads);
-            println!(
-                "stores              {:>14}  ({:.2}%)",
-                t.stores, t.pct_stores
-            );
+            let (stores, pct) = (t.stores, t.pct_stores);
+            println!("stores              {stores:>14}  ({pct:.2}%)");
             println!("distinct lines      {:>14}", t.distinct_lines);
             println!("distinct store lines{:>14}", t.distinct_store_lines);
             println!("mean seq store run  {:>14.2}", t.mean_seq_store_run);
             println!("same-line stores    {:>13.2}%", t.pct_store_same_line);
             Ok(())
         }
-        "run" => {
-            let path = p
-                .positionals
-                .get(2)
-                .ok_or_else(|| ArgError("trace run: FILE required".into()))?;
-            let ops = load_trace(path)?;
+        "trace run" => {
+            let ops = load_trace(file()?)?;
             let cfg = machine_from(p)?;
             let stats = Machine::new(cfg)?.run(ops);
-            print_stats(&stats);
+            println!("{stats}");
             Ok(())
         }
-        "events" => {
-            let bench_name = p
-                .options
-                .get("bench")
-                .ok_or_else(|| ArgError("trace events: --bench NAME required".into()))?;
-            let bench = BenchmarkModel::from_name(bench_name)
-                .ok_or_else(|| ArgError(format!("unknown benchmark {bench_name:?}")))?;
-            let h = harness(p)?;
+        "trace events" => {
+            let bench = bench(p)?;
+            let (seed, instructions) = workload(p)?;
             let cfg = machine_from(p)?;
-            let ops = bench.stream(h.seed, h.instructions);
-            let mshrs = p.get_or("mshrs", 0usize)?;
-            let sink: Box<dyn io::Write> = match p.options.get("out") {
+            let ops = bench.stream(seed, instructions);
+            let mshrs = p.get_or_default("mshrs")?;
+            let sink: Box<dyn io::Write> = match p.value("out") {
                 Some(path) => Box::new(BufWriter::new(File::create(path)?)),
                 None => Box::new(io::stdout().lock()),
             };
-            let mut w = JsonlWriter::new(sink);
+            let (count, err) = (0, None);
+            let mut w = JsonlWriter {
+                w: sink,
+                count,
+                err,
+            };
             // Drain the buffer after the stream ends so the capture is a
             // *complete* execution — every accepted store's retirement is
             // on the record, which the liveness monitors of
@@ -840,20 +597,21 @@ fn cmd_trace(p: &Parsed) -> CmdResult {
                 m.run_observed(ops, &mut w);
                 while m.drain_step(&mut w) {}
             }
-            let count = w.finish()?;
-            if let Some(path) = p.options.get("out") {
-                println!("wrote {count} events to {path}");
+            match (w.finish(), p.value("out")) {
+                (Ok(count), Some(path)) => println!("wrote {count} events to {path}"),
+                // A reader that closed stdout early wanted no more events.
+                (Err(e), None) if e.kind() == io::ErrorKind::BrokenPipe => {}
+                (Err(e), _) => return Err(e.into()),
+                (Ok(_), None) => {}
             }
             Ok(())
         }
-        "validate" => {
-            let path = p.positionals.get(2).ok_or_else(|| {
-                ArgError("trace validate: FILE (or `-` for stdin) required".into())
-            })?;
+        "trace validate" => {
+            let path = file()?;
             // `--prop [FILE]` additionally runs the stream through the
             // compiled property monitors: the same runtime semantics the
             // model checkers use, applied to one concrete trace.
-            let mut runner = if p.options.contains_key("prop") {
+            let mut runner = if p.has("prop") {
                 let set = load_prop_set(p)?;
                 let (monitors, skipped) = compile_props(&set, &prop_env_from(p)?);
                 for s in &skipped {
@@ -869,8 +627,7 @@ fn cmd_trace(p: &Parsed) -> CmdResult {
             } else {
                 (Box::new(BufReader::new(File::open(path)?)), path)
             };
-            let mut count = 0u64;
-            let mut cycles = 0u64;
+            let (mut count, mut cycles) = (0u64, 0u64);
             for (i, line) in reader.lines().enumerate() {
                 let line = line?;
                 if line.trim().is_empty() {
@@ -887,43 +644,33 @@ fn cmd_trace(p: &Parsed) -> CmdResult {
                 }
             }
             if count == 0 {
-                return Err(ArgError(format!("{display}: no events")).into());
+                return fail(format!("{display}: no events"));
             }
             if let Some(r) = &runner {
                 // End-of-stream verdict: a latched safety violation, else
                 // a liveness obligation the stream never discharged.
                 if let Some(v) = r.finish() {
                     eprintln!("{}", v.diagnostic().render());
-                    return Err(ArgError(format!(
+                    return fail(format!(
                         "{display}: trace violates property {:?}",
                         v.property
-                    ))
-                    .into());
+                    ));
                 }
-                println!(
-                    "{display}: {count} events over {cycles} cycles, all valid; \
-                     {} propert{} satisfied",
-                    r.monitors().props().len(),
-                    if r.monitors().props().len() == 1 {
-                        "y"
-                    } else {
-                        "ies"
-                    }
-                );
+                let n = r.monitors().props().len();
+                let noun = if n == 1 { "property" } else { "properties" };
+                let valid = format!("{display}: {count} events over {cycles} cycles, all valid");
+                println!("{valid}; {n} {noun} satisfied");
             } else {
                 println!("{display}: {count} events over {cycles} cycles, all valid");
             }
             Ok(())
         }
-        "diff" => {
-            let a = p.positionals.get(2).ok_or_else(|| {
-                ArgError("trace diff: two files required (one may be `-`)".into())
-            })?;
-            let b = p.positionals.get(3).ok_or_else(|| {
-                ArgError("trace diff: two files required (one may be `-`)".into())
-            })?;
+        _ => {
+            let [a, b] = &p.positionals[2..] else {
+                return fail("trace diff: two files required (one may be `-`)");
+            };
             if a == "-" && b == "-" {
-                return Err(ArgError("trace diff: at most one side may be `-`".into()).into());
+                return fail("trace diff: at most one side may be `-`");
             }
             let read_side = |path: &str| -> Result<(Vec<Event>, String), Box<dyn Error>> {
                 let (text, display) = if path == "-" {
@@ -940,7 +687,7 @@ fn cmd_trace(p: &Parsed) -> CmdResult {
                     Ok(events) => Ok((events, display)),
                     Err(d) => {
                         eprintln!("{}", d.render());
-                        Err(ArgError(format!("{display}: undecodable event stream")).into())
+                        fail(format!("{display}: undecodable event stream"))
                     }
                 }
             };
@@ -958,25 +705,20 @@ fn cmd_trace(p: &Parsed) -> CmdResult {
                     println!("streams diverge at event #{i}:");
                     println!("  {da}: {}", show(x));
                     println!("  {db}: {}", show(y));
-                    Err(ArgError(format!("event streams diverge at event #{i}")).into())
+                    fail(format!("event streams diverge at event #{i}"))
                 }
             }
         }
-        other => Err(ArgError(format!("trace: unknown subcommand {other:?}")).into()),
     }
 }
 
-fn load_trace(path: &str) -> Result<Vec<wbsim_types::op::Op>, Box<dyn Error>> {
+fn load_trace(path: &str) -> Result<Vec<Op>, Box<dyn Error>> {
     // Sniff the magic to pick the codec.
-    let mut head = [0u8; 4];
-    use std::io::Read as _;
-    let mut f = File::open(path)?;
-    let n = f.read(&mut head)?;
-    drop(f);
-    let ops = if n == 4 && &head == trace_file::BINARY_MAGIC {
-        trace_file::read_binary(BufReader::new(File::open(path)?))?
+    let bytes = std::fs::read(path)?;
+    let ops = if bytes.starts_with(trace_file::BINARY_MAGIC) {
+        trace_file::read_binary(&bytes[..])?
     } else {
-        trace_file::read_text(BufReader::new(File::open(path)?))?
+        trace_file::read_text(&bytes[..])?
     };
     Ok(ops)
 }
@@ -984,23 +726,17 @@ fn load_trace(path: &str) -> Result<Vec<wbsim_types::op::Op>, Box<dyn Error>> {
 /// Which machine the model checkers drive (`--machine`, blocking by
 /// default), by the manifest's names.
 fn check_machine_from(p: &Parsed) -> Result<MachineSel, ArgError> {
-    let Some(name) = p.options.get("machine") else {
-        return Ok(MachineSel::Blocking);
-    };
-    MachineSel::from_name(name).ok_or_else(|| {
-        ArgError(format!(
-            "unknown machine {name:?} (try blocking or nonblocking)"
-        ))
-    })
+    let name: String = p.get_or_default("machine")?;
+    let msg = format!("unknown machine {name:?} (try blocking or nonblocking)");
+    MachineSel::from_name(&name).ok_or(ArgError(msg))
 }
 
+/// `--mshrs`, which the checkers need to be a count of at least one.
 fn check_mshrs_from(p: &Parsed) -> Result<Option<usize>, ArgError> {
-    match p.options.get("mshrs") {
-        None => Ok(None),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(Some(n)),
-            _ => Err(ArgError(format!("bad --mshrs {v:?} (need a count >= 1)"))),
-        },
+    let v = p.value("mshrs").unwrap_or_default();
+    match p.get::<usize>("mshrs") {
+        Ok(Some(0)) | Err(_) => Err(ArgError(format!("bad --mshrs {v:?} (need a count >= 1)"))),
+        mshrs => mshrs,
     }
 }
 
@@ -1010,21 +746,15 @@ fn check_mshrs_from(p: &Parsed) -> Result<Option<usize>, ArgError> {
 /// the linter's findings and each pass's summary, its diagnostics on
 /// stderr. Either way the first failing pass's counterexample (in table
 /// order) goes to `--out`, and the first failure is the command's error.
-fn cmd_check(p: &Parsed) -> CmdResult {
-    let json = p.has_flag("json");
-    if !json && p.has_flag("sched") {
-        if let Some(path) = p.options.get("replay") {
-            return cmd_check_replay(p, path);
-        }
+pub(crate) fn cmd_check(p: &Parsed) -> CmdResult {
+    if let Some(path) = p.value("replay") {
+        return cmd_check_replay(p, path);
     }
-    let out = p.options.get("out").map(String::as_str);
+    let (json, out) = (p.has("json"), p.value("out"));
     if json && out == Some("-") {
-        return Err(ArgError(
-            "--out - conflicts with --json: stdout carries the JSON document".into(),
-        )
-        .into());
+        return fail("--out - conflicts with --json: stdout carries the JSON document");
     }
-    let run = passes::run(&check_spec_from(p)?, p.get_or("jobs", 0usize)?);
+    let run = passes::run(&check_spec_from(p)?, p.get_or_default("jobs")?);
     // Human lines go to stderr whenever stdout is spoken for — by the
     // JSON document or by the trace (`--out -`). JSON mode prints no lint
     // findings, summaries or pass diagnostics: the document holds them.
@@ -1058,7 +788,7 @@ fn cmd_check(p: &Parsed) -> CmdResult {
             write_counterexample(out.unwrap_or(pass.default_out), ev, &say)?;
             reported = true;
         }
-        error.get_or_insert_with(|| match p.options.get("prop") {
+        error.get_or_insert_with(|| match p.value("prop") {
             // The spec carries a property file's text, not its path: name
             // the file when its set is what failed.
             Some(path)
@@ -1071,22 +801,14 @@ fn cmd_check(p: &Parsed) -> CmdResult {
     }
     if json {
         print!("{}", run.document());
-        error = run
-            .failed()
-            .then(|| "check found problems (see the JSON document)".to_string());
+        let problems = "check found problems (see the JSON document)";
+        error = run.failed().then(|| problems.to_string());
     } else if error.is_none() && run.ran().next().is_none() {
         let n = run.lint.len();
-        let count = if n == 0 {
-            "no".to_string()
-        } else {
-            n.to_string()
-        };
+        let count = if n == 0 { "no".into() } else { n.to_string() };
         say(&format!("ok: {count} diagnostics, no errors"));
     }
-    match error {
-        Some(e) => Err(ArgError(e).into()),
-        None => Ok(()),
-    }
+    error.map_or(Ok(()), fail)
 }
 
 /// Writes a counterexample to `out` (`-` streams it to stdout; a file is
@@ -1112,15 +834,10 @@ fn write_counterexample(out: &str, ev: &Evidence, say: &dyn Fn(&str)) -> CmdResu
             if let Some(m) = ce.mshrs {
                 say(&format!("machine: non-blocking, {m} MSHRs"));
             }
-            say(&format!(
-                "minimized sequence ({} ops): {:?}",
-                ce.ops.len(),
-                ce.ops
-            ));
-            say(&format!(
-                "event trace: {out} ({} events) — replay with `wbsim trace validate {out}`",
-                ce.trace.len()
-            ));
+            let (ops, events) = (&ce.ops, ce.trace.len());
+            say(&format!("minimized sequence ({} ops): {ops:?}", ops.len()));
+            let replay = format!("replay with `wbsim trace validate {out}`");
+            say(&format!("event trace: {out} ({events} events) — {replay}"));
         }
         Evidence::Schedule(cex) if out != "-" => eprintln!(
             "schedule: {out} ({} steps, forcing prefix {}) — replay with \
@@ -1138,24 +855,24 @@ fn write_counterexample(out: &str, ev: &Evidence, say: &dyn Fn(&str)) -> CmdResu
 /// `builtin` selects the built-in library.
 fn check_spec_from(p: &Parsed) -> Result<CheckSpec, Box<dyn Error>> {
     let mut spec = CheckSpec {
-        exhaustive: p.has_flag("exhaustive"),
-        reach: p.has_flag("reach"),
-        refine: p.has_flag("refine"),
+        exhaustive: p.has("exhaustive"),
+        reach: p.has("reach"),
+        refine: p.has("refine"),
         machine: check_machine_from(p)?,
         mshrs: check_mshrs_from(p)?,
-        max_ops: p.get_or("max-ops", 5u32)?,
+        max_ops: p.get_or_default("max-ops")?,
         fault: None,
-        props: p.options.contains_key("prop"),
-        props_file: match p.options.get("prop").map(String::as_str) {
+        props: p.has("prop"),
+        props_file: match p.value("prop") {
             Some(path) if path != "builtin" => Some(std::fs::read_to_string(path)?),
             _ => None,
         },
-        sched: p.has_flag("sched"),
+        sched: p.has("sched"),
         sched_fault: None,
         sched_preemptions: p.get("preemptions")?,
         config: check_config_from(p)?,
     };
-    let Some(name) = p.options.get("fault") else {
+    let Some(name) = p.value("fault") else {
         return Ok(spec);
     };
     // `--fault` goes to whichever selected pass takes it: a host fault to
@@ -1166,66 +883,69 @@ fn check_spec_from(p: &Parsed) -> Result<CheckSpec, Box<dyn Error>> {
         (Some(f), _) if spec.sched => spec.sched_fault = Some(f),
         (_, Some(f)) if grid => spec.fault = Some(f),
         _ => {
-            return Err(ArgError(format!(
+            return fail(format!(
                 "--fault {name:?} fits no selected pass (--exhaustive, --reach, --prop and \
                  --refine take skip-wb-forwarding, starve-retirement or overshoot-skip; \
                  --sched takes lost-wakeup or dup-execute)"
             ))
-            .into())
         }
     }
     Ok(spec)
 }
 
 /// `wbsim check --sched --replay FILE`: re-execute a recorded schedule.
+/// A replay runs nothing else, so the other passes, `--json`, `--fault`
+/// and `--out` are refused rather than ignored.
 fn cmd_check_replay(p: &Parsed, path: &str) -> CmdResult {
+    if !p.has("sched") {
+        return fail("--replay needs --sched");
+    }
+    let passes = passes::PASSES.iter().map(|pass| pass.flag);
+    for f in passes.chain(["json", "fault", "out"]) {
+        if f != "sched" && p.has(f) {
+            let why = "a replay re-executes the recorded schedule and nothing else";
+            return fail(format!("--replay conflicts with --{f}: {why}"));
+        }
+    }
     let mut opts = SchedOptions::default();
-    opts.preemption_bound = p.get_or("preemptions", opts.preemption_bound)?;
+    opts.preemption_bound = p.get("preemptions")?.unwrap_or(opts.preemption_bound);
     let text = std::fs::read_to_string(path)?;
     let (cex, outcome) = match replay_sched(&text, &opts) {
         Ok(r) => r,
         Err(d) => {
             eprintln!("{}", d.render());
-            return Err(ArgError(format!("cannot replay {path}: {}", d.message)).into());
+            return fail(format!("cannot replay {path}: {}", d.message));
         }
     };
     if outcome.matches(&cex) {
-        println!(
-            "replay ok: {} reproduces {} on {} ({} steps, forcing prefix {})",
-            path,
-            cex.code,
-            cex.harness,
-            cex.schedule.len(),
-            cex.prefix
-        );
+        let (code, harness, steps) = (&cex.code, &cex.harness, cex.schedule.len());
+        let forcing = format!("{steps} steps, forcing prefix {}", cex.prefix);
+        println!("replay ok: {path} reproduces {code} on {harness} ({forcing})");
         return Ok(());
     }
     let d = replay_mismatch(&cex, &outcome);
     eprintln!("{}", d.render());
-    Err(ArgError("schedule did not reproduce its recorded verdict".into()).into())
+    fail("schedule did not reproduce its recorded verdict")
 }
 
 /// The [`CheckConfig`] this invocation's flags describe. A `--config`
 /// file submits its *text* (the manifest never carries server-side
-/// paths), and the override flags are then ignored; without one, flags
-/// override the baseline unvalidated — rejecting a bad configuration is
-/// the linter's job.
+/// paths), so the override flags cannot apply to it and are refused;
+/// without one, flags override the baseline unvalidated — rejecting a
+/// bad configuration is the linter's job.
 fn check_config_from(p: &Parsed) -> Result<CheckConfig, Box<dyn Error>> {
-    if let Some(path) = p.options.get("config") {
-        return Ok(CheckConfig {
-            file: Some(std::fs::read_to_string(path)?),
-            ..CheckConfig::default()
-        });
+    for f in ["depth", "retire-at", "hazard"] {
+        if p.has(f) && p.has("config") {
+            return fail(format!(
+                "--{f} conflicts with --config: the file is linted as written"
+            ));
+        }
     }
     Ok(CheckConfig {
-        file: None,
+        file: p.value("config").map(std::fs::read_to_string).transpose()?,
         depth: p.get("depth")?,
         retire_at: p.get("retire-at")?,
-        hazard: p
-            .options
-            .get("hazard")
-            .map(|v| hazard_from(v))
-            .transpose()?,
+        hazard: p.value("hazard").map(hazard_from).transpose()?,
     })
 }
 
@@ -1234,13 +954,13 @@ fn check_config_from(p: &Parsed) -> Result<CheckConfig, Box<dyn Error>> {
 /// path loads and parses a `.wbp` file. Parse diagnostics render to
 /// stderr before the hard error.
 fn load_prop_set(p: &Parsed) -> Result<PropSet, Box<dyn Error>> {
-    let path = p.options.get("prop").filter(|v| *v != "builtin");
+    let path = p.value("prop").filter(|v| *v != "builtin");
     let text = path.map(std::fs::read_to_string).transpose()?;
     passes::prop_set(text.as_deref()).map_err(|diags| {
         for d in &diags {
             eprintln!("{}", d.render());
         }
-        let path = path.map_or("", String::as_str);
+        let path = path.unwrap_or_default();
         let n = diags.len();
         ArgError(format!("{path}: property set has {n} parse diagnostic(s)")).into()
     })
@@ -1252,19 +972,12 @@ fn load_prop_set(p: &Parsed) -> Result<PropSet, Box<dyn Error>> {
 /// `--mshrs`, and `--hazard` binding symbols when given.
 fn prop_env_from(p: &Parsed) -> Result<PropEnv, Box<dyn Error>> {
     let mut env = PropEnv::unbound();
-    if p.options.contains_key("machine") {
+    if p.has("machine") {
         env.machine = Some(check_machine_from(p)?.name());
     }
-    if let Some(v) = p.options.get("depth") {
-        env.depth = Some(
-            v.parse()
-                .map_err(|_| ArgError(format!("bad --depth {v:?}")))?,
-        );
-    }
-    if let Some(m) = check_mshrs_from(p)? {
-        env.mshrs = Some(m as u64);
-    }
-    if let Some(v) = p.options.get("hazard") {
+    env.depth = p.get("depth")?;
+    env.mshrs = check_mshrs_from(p)?.map(|m| m as u64);
+    if let Some(v) = p.value("hazard") {
         env.hazard = Some(hazard_name(hazard_from(v)?));
     }
     Ok(env)
@@ -1275,45 +988,44 @@ fn prop_env_from(p: &Parsed) -> Result<PropEnv, Box<dyn Error>> {
 /// optionally gate against a committed baseline. Measurement cells stay
 /// serial inside the job (parallel samples would contend for cores and
 /// wreck the numbers).
-fn cmd_bench(p: &Parsed) -> CmdResult {
-    let defaults = wbsim_bench::MeasureScale::table7();
-    let instructions = p.get_or("instructions", defaults.instructions)?;
-    let samples = p.get_or("samples", defaults.samples)?;
+pub(crate) fn cmd_bench(p: &Parsed) -> CmdResult {
+    let (seed, instructions) = workload(p)?;
+    let samples = p.get_or_default("samples")?;
     let options = JobOptions {
         instructions,
-        warmup: p.get_or("warmup", instructions * 3 / 10)?,
-        seed: p.get_or("seed", defaults.seed)?,
-        check_data: false,
-        jobs: p.get_or("jobs", 0usize)?,
-        engine: wbsim_sim::Engine::default(),
+        warmup: p.get("warmup")?.unwrap_or(instructions * 3 / 10),
+        seed,
+        ..JobOptions::default()
     };
-    eprintln!(
-        "measuring {} cells × {} samples × 2 engines at {} instructions (+{} warmup)…",
-        51, samples, options.instructions, options.warmup
-    );
+    if p.has("json") && p.has("out") {
+        return fail("--json prints the snapshot, --out writes it: pick one");
+    }
+    let (n, warmup) = (options.instructions, options.warmup);
+    let scale = format!("{n} instructions (+{warmup} warmup)");
+    eprintln!("measuring 51 cells × {samples} samples × 2 engines at {scale}…");
     let outcome = run_job(&Manifest {
         kind: JobKind::Bench { samples },
         options,
     });
     if let Some(msg) = &outcome.failed {
-        return Err(ArgError(msg.clone()).into());
+        return fail(msg.clone());
     }
     let snap_json = outcome.artifact_text("bench.json").unwrap_or("");
     let snap = wbsim_bench::BenchSnapshot::from_json(snap_json)
         .map_err(|e| ArgError(format!("bench: internal snapshot: {e}")))?;
-    let json_only = p.has_flag("json") && !p.options.contains_key("out");
-    if json_only {
+    if p.has("json") {
         // Clean JSON pipe: the snapshot on stdout, nothing else.
         print!("{snap_json}");
     } else {
         for t in &snap.targets {
-            println!(
-                "{:24} mean {:8.2} cells/s  stddev {:6.2}  p99 {:8.2}  ({} samples)",
-                t.name,
+            let (mean, sd, p99) = (
                 t.mean_cells_per_sec,
                 t.stddev_cells_per_sec,
                 t.p99_cells_per_sec,
-                t.samples
+            );
+            let (name, n) = (t.name.as_str(), t.samples);
+            println!(
+                "{name:24} mean {mean:8.2} cells/s  stddev {sd:6.2}  p99 {p99:8.2}  ({n} samples)"
             );
         }
         if let [fast, reference] = snap.targets.as_slice() {
@@ -1323,16 +1035,16 @@ fn cmd_bench(p: &Parsed) -> CmdResult {
             );
         }
     }
-    if let Some(out) = p.options.get("out") {
+    if let Some(out) = p.value("out") {
         std::fs::write(out, snap_json)?;
         println!("wrote snapshot to {out}");
     }
-    if let Some(baseline_path) = p.options.get("check") {
+    if let Some(baseline_path) = p.value("check") {
         let text = std::fs::read_to_string(baseline_path)
             .map_err(|e| ArgError(format!("bench: cannot read {baseline_path}: {e}")))?;
         let baseline = wbsim_bench::BenchSnapshot::from_json(&text)
             .map_err(|e| ArgError(format!("bench: {baseline_path}: {e}")))?;
-        let tolerance = p.get_or("tolerance", 20.0f64)?;
+        let tolerance: f64 = p.get_or_default("tolerance")?;
         let cmp = wbsim_bench::compare(&baseline, &snap, tolerance);
         for line in &cmp.lines {
             println!("{line}");
@@ -1341,11 +1053,10 @@ fn cmd_bench(p: &Parsed) -> CmdResult {
             eprintln!("REGRESSION: {f}");
         }
         if !cmp.failures.is_empty() {
-            return Err(ArgError(format!(
-                "bench: {} regression(s) vs {baseline_path} (tolerance {tolerance}%)",
-                cmp.failures.len()
-            ))
-            .into());
+            let n = cmp.failures.len();
+            return fail(format!(
+                "bench: {n} regression(s) vs {baseline_path} (tolerance {tolerance}%)"
+            ));
         }
         println!(
             "bench gate passed vs {baseline_path} (rev {}, tolerance {tolerance}%)",
@@ -1357,27 +1068,18 @@ fn cmd_bench(p: &Parsed) -> CmdResult {
 
 /// `wbsim serve`: the job daemon. Runs until `POST /v1/shutdown` (or the
 /// process is killed).
-fn cmd_serve(p: &Parsed) -> CmdResult {
-    let addr = p
-        .options
-        .get("addr")
-        .cloned()
-        .unwrap_or_else(|| wbsim_jobs::DEFAULT_ADDR.to_string());
-    let workers = p.get_or("workers", wbsim_jobs::DEFAULT_WORKERS)?;
-    wbsim_jobs::serve(&addr, workers)
+pub(crate) fn cmd_serve(p: &Parsed) -> CmdResult {
+    let addr: String = p.get_or_default("addr")?;
+    wbsim_jobs::serve(&addr, p.get_or_default("workers")?)
 }
 
-fn cmd_list() -> CmdResult {
+pub(crate) fn cmd_list(_: &Parsed) -> CmdResult {
     println!("benchmark models (paper Table 4):");
     for m in BenchmarkModel::ALL {
-        let p = m.paper();
+        let (name, p) = (m.name(), m.paper());
+        let (loads, stores, l1, wb) = (p.pct_loads, p.pct_stores, p.l1_hit, p.wb_hit);
         println!(
-            "  {:<12} loads {:>5.1}%  stores {:>5.1}%  L1 {:>6.2}%  WB {:>6.2}%",
-            m.name(),
-            p.pct_loads,
-            p.pct_stores,
-            p.l1_hit,
-            p.wb_hit
+            "  {name:<12} loads {loads:>5.1}%  stores {stores:>5.1}%  L1 {l1:>6.2}%  WB {wb:>6.2}%"
         );
     }
     println!("transformed kernels (paper Table 6): cholsky-T, gmtry-T");
@@ -2084,5 +1786,108 @@ wb.retirement = retire-at-8
         ]))
         .is_ok());
         assert!(dispatch(&v(&["trace", "run", bin_s, "--check-data"])).is_ok());
+    }
+
+    fn parsed(args: &[&str]) -> Parsed {
+        parse(&v(args)).unwrap()
+    }
+
+    /// The configuration rows' defaults are the baseline machine: giving
+    /// each explicitly changes nothing.
+    #[test]
+    fn configuration_defaults_are_the_baseline() {
+        let run = parsed(&["run"]);
+        let mut argv = v(&["run"]);
+        for key in sweep_keys() {
+            let row = run.command.all_opts().find(|o| o.name == key).unwrap();
+            if let (Some(default), false) = (row.default, key == "mm") {
+                argv.extend([format!("--{key}"), default.to_string()]);
+            }
+        }
+        let baseline = MachineConfig {
+            check_data: false,
+            ..MachineConfig::baseline()
+        };
+        assert_eq!(machine_from(&run).unwrap(), baseline);
+        assert_eq!(machine_from(&parse(&argv).unwrap()).unwrap(), baseline);
+    }
+
+    /// Table defaults that only describe a library default agree with it.
+    #[test]
+    fn table_defaults_match_the_library() {
+        let default = |argv: &[&str], key: &str| {
+            let p = parsed(argv);
+            let row = p.command.all_opts().find(|o| o.name == key).unwrap();
+            row.default.unwrap().to_string()
+        };
+        assert_eq!(default(&["serve"], "addr"), wbsim_jobs::DEFAULT_ADDR);
+        let workers = wbsim_jobs::DEFAULT_WORKERS.to_string();
+        assert_eq!(default(&["serve"], "workers"), workers);
+        let scale = wbsim_bench::MeasureScale::table7();
+        assert_eq!(default(&["bench"], "samples"), scale.samples.to_string());
+        assert_eq!(
+            default(&["bench"], "instructions"),
+            scale.instructions.to_string()
+        );
+        assert_eq!(default(&["bench"], "seed"), scale.seed.to_string());
+        assert_eq!(scale.instructions * 3 / 10, scale.warmup);
+        let bound = SchedOptions::default().preemption_bound.to_string();
+        assert_eq!(default(&["check"], "preemptions"), bound);
+        assert_eq!(default(&["check"], "machine"), MachineSel::Blocking.name());
+        let L2Config::Real { mm_latency, .. } = L2Config::real_with_size(1024) else {
+            unreachable!()
+        };
+        assert_eq!(default(&["run"], "mm"), mm_latency.to_string());
+    }
+
+    /// A `--config` file is the base; every configuration flag applies on
+    /// top of it, as on top of the baseline.
+    #[test]
+    fn configuration_flags_apply_on_top_of_a_config_file() {
+        let file = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs/baseline.wbcfg");
+        for flags in [
+            &["--l2-kb", "128", "--mm", "200"][..],
+            &["--l1-kb", "32"],
+            &["--issue", "4"],
+            &[
+                "--depth",
+                "12",
+                "--retire-at",
+                "8",
+                "--hazard",
+                "read-from-wb",
+            ],
+            &["--l2-kb", "512", "--l2-latency", "10"],
+        ] {
+            let bare = machine_from(&parsed(&[&["run"], flags].concat())).unwrap();
+            let based = machine_from(&parsed(&[&["run", "--config", file], flags].concat()));
+            assert_eq!(based.unwrap(), bare, "{flags:?}");
+        }
+    }
+
+    /// A flag that cannot apply is an error, never silently dropped.
+    #[test]
+    fn a_flag_that_cannot_apply_is_refused() {
+        let err = machine_from(&parsed(&["run", "--mm", "50"])).unwrap_err();
+        assert!(err.to_string().contains("--mm needs a real L2"), "{err}");
+        let file = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs/baseline.wbcfg");
+        for flag in ["--depth", "--retire-at"] {
+            let err = dispatch(&v(&["check", "--config", file, flag, "4"])).unwrap_err();
+            assert!(err.to_string().contains("conflicts with --config"), "{err}");
+        }
+        let small = ["--bench", "li", "--instructions", "1000"];
+        for extra in [
+            &["--seeds", "2", "--mshrs", "2"][..],
+            &["--seeds", "2", "--ideal"],
+            &["--seeds", "2", "--barrier-every", "4"],
+            &["--mshrs", "2", "--ideal"],
+        ] {
+            assert!(
+                dispatch(&v(&[&["run"], &small[..], extra].concat())).is_err(),
+                "{extra:?}"
+            );
+        }
+        assert!(dispatch(&v(&["figure", "3", "--csv", "--svg", "d"])).is_err());
+        assert!(dispatch(&v(&["bench", "--json", "--out", "b.json"])).is_err());
     }
 }

@@ -1,15 +1,5 @@
-//! `wbsim` — command-line front end for the write-buffer study.
-//!
-//! ```text
-//! wbsim figure <3..13|all>      regenerate a paper figure
-//! wbsim table <1..7|all>        regenerate a paper table
-//! wbsim ablation <a1..a8|all>   run an ablation experiment
-//! wbsim run --bench NAME ...    run one benchmark / configuration
-//! wbsim trace ...               generate, inspect, or replay trace files
-//! wbsim list                    list benchmark models
-//! ```
-//!
-//! Run `wbsim help` for the full option reference.
+//! `wbsim` — the write-buffer study's command line. `wbsim help` lists every
+//! command and option; each is declared once, in `args.rs`.
 
 use std::process::ExitCode;
 
@@ -17,6 +7,16 @@ mod args;
 mod commands;
 
 fn main() -> ExitCode {
+    // A reader that closes stdout early (`wbsim run … | head`) makes the next
+    // `println!` panic with EPIPE. Nobody wants the rest: exit 0, quietly.
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info.payload_as_str().unwrap_or_default();
+        if msg.starts_with("failed printing to stdout") && msg.contains("Broken pipe") {
+            std::process::exit(0);
+        }
+        default_hook(info);
+    }));
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match commands::dispatch(&argv) {
         Ok(()) => ExitCode::SUCCESS,

@@ -4,12 +4,18 @@
 //! apply, and which counterexample `--out` holds.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
+/// Runs `wbsim`; `check` also gets `--jobs 2`, which only it declares.
 fn wbsim(args: &[&str]) -> Output {
+    let jobs: &[&str] = if args[0] == "check" {
+        &["--jobs", "2"]
+    } else {
+        &[]
+    };
     Command::new(env!("CARGO_BIN_EXE_wbsim"))
         .args(args)
-        .args(["--jobs", "2"])
+        .args(jobs)
         .output()
         .expect("spawn wbsim")
 }
@@ -143,4 +149,82 @@ fn out_dash_keeps_stdout_a_clean_trace_pipe() {
         trace.lines().all(|l| l.starts_with("{\"event\":")),
         "{trace}"
     );
+}
+
+/// `--replay` re-executes one recorded schedule and nothing else: it needs
+/// `--sched`, and every option another mode reads is refused, never
+/// ignored. The file is never opened, so it need not exist.
+#[test]
+fn replay_is_honoured_or_refused_never_ignored() {
+    let missing = scratch("replay").join("no-such-schedule.jsonl");
+    let file = missing.to_str().unwrap();
+    let refused = |extra: &[&str], why: &str| {
+        let run = wbsim(&[&["check", "--replay", file], extra].concat());
+        assert!(!run.status.success(), "{extra:?} was accepted");
+        assert!(run.stdout.is_empty(), "{extra:?}: {}", text(&run.stdout));
+        let err = text(&run.stderr);
+        assert!(err.contains(why), "{extra:?}: {err}");
+    };
+    refused(&[], "--replay needs --sched");
+    for other in ["--json", "--exhaustive", "--reach", "--prop", "--refine"] {
+        refused(&["--sched", other], &format!("conflicts with {other}"));
+    }
+    refused(
+        &["--sched", "--fault", "lost-wakeup"],
+        "conflicts with --fault",
+    );
+    refused(&["--sched", "--out", "x.jsonl"], "conflicts with --out");
+    // Alone with --sched it replays: a missing file is an I/O error.
+    let run = wbsim(&["check", "--sched", "--replay", file]);
+    assert!(!run.status.success());
+    assert!(!text(&run.stderr).contains("conflicts"));
+}
+
+/// A recorded fault schedule replays through `--sched --replay`.
+#[test]
+fn a_recorded_schedule_replays() {
+    let path = scratch("replay-ok").join("lost-wakeup.jsonl");
+    let path_s = path.to_str().unwrap();
+    let record = wbsim(&[
+        "check",
+        "--sched",
+        "--fault",
+        "lost-wakeup",
+        "--out",
+        path_s,
+    ]);
+    assert!(!record.status.success(), "{}", text(&record.stderr));
+    let replay = wbsim(&["check", "--sched", "--replay", path_s]);
+    assert!(replay.status.success(), "{}", text(&replay.stderr));
+    assert!(text(&replay.stdout).contains("replay ok"));
+}
+
+/// A reader that closes stdout early ends the run cleanly: exit 0 and
+/// nothing on stderr, not a broken-pipe panic or error.
+#[test]
+fn a_closed_stdout_is_a_clean_exit() {
+    for args in [
+        &["run", "--bench", "compress", "--instructions", "20000"][..],
+        &[
+            "trace",
+            "events",
+            "--bench",
+            "compress",
+            "--instructions",
+            "2000",
+        ],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_wbsim"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn wbsim");
+        // Close the read end before the command prints its first line.
+        drop(child.stdout.take());
+        let run = child.wait_with_output().expect("wait for wbsim");
+        let err = text(&run.stderr);
+        assert!(run.status.success(), "{args:?}: {:?}: {err}", run.status);
+        assert!(err.is_empty(), "{args:?}: {err}");
+    }
 }

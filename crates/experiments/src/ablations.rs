@@ -13,7 +13,7 @@ use wbsim_types::policy::{
     DatapathWidth, L1WritePolicy, L2Priority, LoadHazardPolicy, RetirementPolicy,
 };
 
-use crate::harness::{FigureResult, Harness};
+use crate::harness::{pool_cells_jobs, FigureResult, Harness};
 
 fn with_wb(wb: WriteBufferConfig) -> MachineConfig {
     MachineConfig {
@@ -315,37 +315,26 @@ pub fn non_blocking(h: &Harness) -> FigureResult {
         ..MachineConfig::baseline()
     };
     let configs = ["blocking", "nb-2-mshr", "nb-8-mshr"];
-    let cells: Vec<Vec<crate::harness::StallCell>> = std::thread::scope(|sc| {
-        let handles: Vec<_> = BenchmarkModel::ALL
-            .iter()
-            .map(|bench| {
-                let cfg = cfg.clone();
-                sc.spawn(move || {
-                    let ops = bench.stream(h.seed, h.instructions + h.warmup);
-                    let mut cfg = cfg;
-                    cfg.check_data = h.check_data;
-                    let mut row = Vec::new();
-                    let blocking = Machine::new(cfg.clone())
-                        .expect("valid")
-                        .run_with_warmup(ops.iter().copied(), h.warmup);
-                    row.push(crate::harness::StallCell::from_stats(&blocking));
-                    for mshrs in [2usize, 8] {
-                        // The non-blocking engine has no warmup hook; it is
-                        // compared on the full stream for both machines'
-                        // absolute cycle counts in `stats`.
-                        let stats = NonBlockingMachine::new(cfg.clone(), mshrs)
-                            .expect("valid")
-                            .run(ops.iter().copied());
-                        row.push(crate::harness::StallCell::from_stats(&stats));
-                    }
-                    row
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|j| j.join().expect("ablation thread panicked"))
-            .collect()
+    let cells = pool_cells_jobs(BenchmarkModel::ALL.len(), h.jobs, |i| {
+        let ops = BenchmarkModel::ALL[i].stream(h.seed, h.instructions + h.warmup);
+        let cfg = MachineConfig {
+            check_data: h.check_data,
+            ..cfg.clone()
+        };
+        let blocking = Machine::new(cfg.clone())
+            .expect("valid")
+            .run_with_warmup(ops.iter().copied(), h.warmup);
+        let mut row = vec![crate::harness::StallCell::from_stats(&blocking)];
+        for mshrs in [2usize, 8] {
+            // The non-blocking engine has no warmup hook; it is
+            // compared on the full stream for both machines'
+            // absolute cycle counts in `stats`.
+            let stats = NonBlockingMachine::new(cfg.clone(), mshrs)
+                .expect("valid")
+                .run(ops.iter().copied());
+            row.push(crate::harness::StallCell::from_stats(&stats));
+        }
+        row
     });
     FigureResult {
         id: "Ablation A11",
@@ -397,43 +386,46 @@ pub fn l1_write_policy(h: &Harness) -> FigureResult {
     )
 }
 
+/// One ablation: its id, its alias, and the experiment.
+#[derive(Debug)]
+pub struct Ablation {
+    /// `a1` … `a12`, in figure order.
+    pub id: &'static str,
+    /// The name `by_name` also accepts.
+    pub alias: &'static str,
+    /// Runs the ablation.
+    pub run: fn(&Harness) -> FigureResult,
+}
+
+/// Every ablation, in figure order.
+#[rustfmt::skip]
+pub static ABLATIONS: [Ablation; 12] = [
+    Ablation { id: "a1", alias: "retirement", run: retirement_mechanism },
+    Ablation { id: "a2", alias: "max-age", run: max_age },
+    Ablation { id: "a3", alias: "coalescing", run: coalescing },
+    Ablation { id: "a4", alias: "write-cache", run: write_cache },
+    Ablation { id: "a5", alias: "priority", run: l2_priority },
+    Ablation { id: "a6", alias: "datapath", run: datapath },
+    Ablation { id: "a7", alias: "icache", run: icache },
+    Ablation { id: "a8", alias: "lazy-rfwb", run: lazy_read_from_wb },
+    Ablation { id: "a9", alias: "issue-width", run: issue_width },
+    Ablation { id: "a10", alias: "barriers", run: barriers },
+    Ablation { id: "a11", alias: "non-blocking", run: non_blocking },
+    Ablation { id: "a12", alias: "l1-write-policy", run: l1_write_policy },
+];
+
 /// Every ablation, for `wbsim ablation all`.
 #[must_use]
 pub fn all(h: &Harness) -> Vec<FigureResult> {
-    vec![
-        retirement_mechanism(h),
-        max_age(h),
-        coalescing(h),
-        write_cache(h),
-        l2_priority(h),
-        datapath(h),
-        icache(h),
-        lazy_read_from_wb(h),
-        issue_width(h),
-        barriers(h),
-        non_blocking(h),
-        l1_write_policy(h),
-    ]
+    ABLATIONS.iter().map(|a| (a.run)(h)).collect()
 }
 
-/// Looks an ablation up by short name (`a1`–`a8`).
+/// Looks an ablation up by id or alias, in any case ([`ABLATIONS`]).
 #[must_use]
 pub fn by_name(h: &Harness, name: &str) -> Option<FigureResult> {
-    match name.to_ascii_lowercase().as_str() {
-        "a1" | "retirement" => Some(retirement_mechanism(h)),
-        "a2" | "max-age" => Some(max_age(h)),
-        "a3" | "coalescing" => Some(coalescing(h)),
-        "a4" | "write-cache" => Some(write_cache(h)),
-        "a5" | "priority" => Some(l2_priority(h)),
-        "a6" | "datapath" => Some(datapath(h)),
-        "a7" | "icache" => Some(icache(h)),
-        "a8" | "lazy-rfwb" => Some(lazy_read_from_wb(h)),
-        "a9" | "issue-width" => Some(issue_width(h)),
-        "a10" | "barriers" => Some(barriers(h)),
-        "a11" | "non-blocking" => Some(non_blocking(h)),
-        "a12" | "l1-write-policy" => Some(l1_write_policy(h)),
-        _ => None,
-    }
+    let name = name.to_ascii_lowercase();
+    let a = ABLATIONS.iter().find(|a| a.id == name || a.alias == name)?;
+    Some((a.run)(h))
 }
 
 #[cfg(test)]
@@ -459,6 +451,15 @@ mod tests {
             assert!(by_name(&h, n).is_some(), "{n} must resolve");
         }
         assert!(by_name(&h, "nope").is_none());
+    }
+
+    /// The table runs `a1`, `a2`, … in figure order, so `a1..a12` in help
+    /// and in errors is derived from its ends.
+    #[test]
+    fn ablation_ids_count_up_in_figure_order() {
+        for (i, a) in ABLATIONS.iter().enumerate() {
+            assert_eq!(a.id, format!("a{}", i + 1));
+        }
     }
 
     #[test]

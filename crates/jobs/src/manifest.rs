@@ -679,8 +679,8 @@ fn opt_usize(
 }
 
 /// The `spec` keys a `check` manifest accepts (`docs/serving.md` lists
-/// each one).
-const CHECK_SPEC_KEYS: &[&str] = &[
+/// each one, and each `wbsim check` option names the keys it sets).
+pub const CHECK_SPEC_KEYS: &[&str] = &[
     "exhaustive",
     "reach",
     "refine",

@@ -146,7 +146,11 @@ fn refine_per_config_pair_state_counts_are_pinned() {
 #[test]
 fn refine_nonblocking_pair_state_counts_are_pinned() {
     let nb = cfg(LoadHazardPolicy::ReadFromWb, 2, 1);
-    for (mshrs, expect) in [(1usize, (897u64, 8970u64)), (2, (1109, 11090)), (4, (1109, 11090))] {
+    for (mshrs, expect) in [
+        (1usize, (897u64, 8970u64)),
+        (2, (1109, 11090)),
+        (4, (1109, 11090)),
+    ] {
         let s = check_refine_config_nonblocking(&nb, mshrs)
             .unwrap_or_else(|v| panic!("clean nb config diverged: {}", v.diagnostic.render()));
         assert_eq!(

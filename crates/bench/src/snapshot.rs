@@ -36,7 +36,7 @@ pub const SCHEMA: &str = "wbsim-bench-snapshot/1";
 pub struct TargetStats {
     /// Target name, e.g. `"table7/event-driven"`.
     pub name: String,
-    /// Engine label: `"event-driven"` or `"reference"`.
+    /// The engine's wire name ([`Engine::name`]).
     pub engine: String,
     /// Full passes over the cell grid.
     pub samples: u64,
@@ -266,13 +266,6 @@ pub fn git_rev() -> String {
 
 const L2_SIZES_KB: [u32; 3] = [128, 512, 1024];
 
-fn engine_label(e: Engine) -> &'static str {
-    match e {
-        Engine::EventDriven => "event-driven",
-        Engine::Reference => "reference",
-    }
-}
-
 /// Measures both engines over the table-7 cell grid and assembles a
 /// snapshot.
 ///
@@ -334,8 +327,8 @@ pub fn measure(scale: &MeasureScale) -> BenchSnapshot {
             let p99 = 1.0 / all_cells[rank - 1];
             let (mean, stddev) = mean_stddev(&rates);
             TargetStats {
-                name: format!("table7/{}", engine_label(engine)),
-                engine: engine_label(engine).into(),
+                name: format!("table7/{}", engine.name()),
+                engine: engine.name().into(),
                 samples: samples as u64,
                 mean_cells_per_sec: mean,
                 stddev_cells_per_sec: stddev,

@@ -30,7 +30,7 @@ use wbsim_types::diagnostics::{Diagnostic, Severity};
 use wbsim_types::op::Op;
 
 use crate::bounded::{build, first_violation, minimize, op_universe, Counterexample};
-use crate::prop_automaton::{compile_property, policy_token, MonViolation, Monitors};
+use crate::prop_automaton::{compile_property, MonViolation, Monitors};
 use crate::prop_parse::{parse_props, CmpOp, PropSet, ValueExpr, WhereClause};
 use crate::reach::{probe, replay, replay_trace, universe_lines, DRAIN_WALK_BOUND};
 
@@ -83,7 +83,7 @@ impl PropEnv {
     pub fn blocking(cfg: &MachineConfig) -> Self {
         PropEnv {
             machine: Some("blocking"),
-            hazard: Some(policy_token(cfg.write_buffer.hazard)),
+            hazard: Some(cfg.write_buffer.hazard.name()),
             depth: Some(cfg.write_buffer.depth as u64),
             mshrs: None,
         }
@@ -94,9 +94,8 @@ impl PropEnv {
     pub fn nonblocking(cfg: &MachineConfig, mshrs: usize) -> Self {
         PropEnv {
             machine: Some("nonblocking"),
-            hazard: Some(policy_token(cfg.write_buffer.hazard)),
-            depth: Some(cfg.write_buffer.depth as u64),
             mshrs: Some(mshrs as u64),
+            ..Self::blocking(cfg)
         }
     }
 

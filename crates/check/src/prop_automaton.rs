@@ -23,132 +23,11 @@
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use wbsim_sim::{Event, PortUse};
-use wbsim_types::divergence::LoadSource;
-use wbsim_types::policy::LoadHazardPolicy;
-use wbsim_types::stall::StallKind;
+use wbsim_sim::event::{FieldVal, NOW, SCHEMA};
+use wbsim_sim::Event;
 
 use crate::abstract_state::put_varint;
-use crate::prop_parse::{Body, CmpOp, Property, ValueExpr};
-
-// ---------------------------------------------------------------------------
-// Event field access (mirrors the private token helpers in event.rs; pinned
-// against the codec by test).
-
-/// The JSON tag of an event, as properties name it.
-#[must_use]
-pub fn event_tag(ev: &Event) -> &'static str {
-    match ev {
-        Event::StoreAccepted { .. } => "store-accepted",
-        Event::RetireStart { .. } => "retire-start",
-        Event::RetireComplete { .. } => "retire-complete",
-        Event::HazardTriggered { .. } => "hazard-triggered",
-        Event::StallCycle { .. } => "stall-cycle",
-        Event::FillInstalled { .. } => "fill-installed",
-        Event::VictimWriteback { .. } => "victim-writeback",
-        Event::PortGranted { .. } => "port-granted",
-        Event::LoadResolved { .. } => "load-resolved",
-        Event::LoadMiss { .. } => "load-miss",
-        Event::CycleEnd { .. } => "cycle-end",
-    }
-}
-
-fn stall_token(kind: StallKind) -> &'static str {
-    match kind {
-        StallKind::BufferFull => "buffer-full",
-        StallKind::L2ReadAccess => "l2-read-access",
-        StallKind::LoadHazard => "load-hazard",
-    }
-}
-
-pub(crate) fn policy_token(policy: LoadHazardPolicy) -> &'static str {
-    match policy {
-        LoadHazardPolicy::FlushFull => "flush-full",
-        LoadHazardPolicy::FlushPartial => "flush-partial",
-        LoadHazardPolicy::FlushItemOnly => "flush-item-only",
-        LoadHazardPolicy::ReadFromWb => "read-from-wb",
-    }
-}
-
-fn source_token(source: LoadSource) -> &'static str {
-    match source {
-        LoadSource::L1 => "l1",
-        LoadSource::WriteBuffer => "write-buffer",
-        LoadSource::L2Fill => "l2-fill",
-    }
-}
-
-fn port_token(owner: PortUse) -> &'static str {
-    match owner {
-        PortUse::WbWrite => "wb-write",
-        PortUse::CpuRead => "cpu-read",
-        PortUse::IFetch => "ifetch",
-    }
-}
-
-/// A field's value as the property layer sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FieldVal {
-    /// Unsigned integer.
-    U64(u64),
-    /// Boolean.
-    Bool(bool),
-    /// Closed-set token.
-    Token(&'static str),
-}
-
-/// Reads a named field off an event (`now` works on every tag; the ambient
-/// `wb_occupancy` is supplied by [`Monitors`], not here).
-#[must_use]
-pub fn event_field(ev: &Event, field: &str) -> Option<FieldVal> {
-    use FieldVal::{Bool, Token, U64};
-    match (ev, field) {
-        (
-            Event::StoreAccepted { now, .. }
-            | Event::RetireStart { now, .. }
-            | Event::RetireComplete { now, .. }
-            | Event::HazardTriggered { now, .. }
-            | Event::StallCycle { now, .. }
-            | Event::FillInstalled { now, .. }
-            | Event::VictimWriteback { now, .. }
-            | Event::PortGranted { now, .. }
-            | Event::LoadResolved { now, .. }
-            | Event::LoadMiss { now, .. }
-            | Event::CycleEnd { now, .. },
-            "now",
-        ) => Some(U64(*now)),
-        (Event::StoreAccepted { addr, .. }, "addr") => Some(U64(addr.as_u64())),
-        (Event::StoreAccepted { merged, .. }, "merged") => Some(Bool(*merged)),
-        (Event::RetireStart { id, .. }, "id") => Some(U64(*id)),
-        (Event::RetireStart { flush, .. }, "flush") => Some(Bool(*flush)),
-        (Event::RetireComplete { id, .. }, "id") => Some(U64(*id)),
-        (Event::RetireComplete { line, .. }, "line") => Some(U64(*line)),
-        (Event::RetireComplete { lifetime, .. }, "lifetime") => Some(U64(*lifetime)),
-        (Event::RetireComplete { valid_words, .. }, "valid_words") => {
-            Some(U64(u64::from(*valid_words)))
-        }
-        (Event::RetireComplete { flush, .. }, "flush") => Some(Bool(*flush)),
-        (Event::HazardTriggered { addr, .. }, "addr") => Some(U64(addr.as_u64())),
-        (Event::HazardTriggered { policy, .. }, "policy") => Some(Token(policy_token(*policy))),
-        (Event::HazardTriggered { flush_entries, .. }, "flush_entries") => {
-            Some(U64(*flush_entries))
-        }
-        (Event::StallCycle { kind, .. }, "kind") => Some(Token(stall_token(*kind))),
-        (Event::FillInstalled { line, .. }, "line") => Some(U64(*line)),
-        (Event::FillInstalled { for_store, .. }, "for_store") => Some(Bool(*for_store)),
-        (Event::FillInstalled { merged_wb, .. }, "merged_wb") => Some(Bool(*merged_wb)),
-        (Event::VictimWriteback { line, .. }, "line") => Some(U64(*line)),
-        (Event::VictimWriteback { merged, .. }, "merged") => Some(Bool(*merged)),
-        (Event::PortGranted { owner, .. }, "owner") => Some(Token(port_token(*owner))),
-        (Event::PortGranted { until, .. }, "until") => Some(U64(*until)),
-        (Event::LoadResolved { addr, .. }, "addr") => Some(U64(addr.as_u64())),
-        (Event::LoadResolved { value, .. }, "value") => Some(U64(*value)),
-        (Event::LoadResolved { source, .. }, "source") => Some(Token(source_token(*source))),
-        (Event::LoadMiss { addr, .. }, "addr") => Some(U64(addr.as_u64())),
-        (Event::CycleEnd { occupancy, .. }, "occupancy") => Some(U64(*occupancy)),
-        _ => None,
-    }
-}
+use crate::prop_parse::{Body, CmpOp, EventMatch, Property, ValueExpr};
 
 // ---------------------------------------------------------------------------
 // Compiled matchers
@@ -163,36 +42,77 @@ enum CVal {
     Param,
 }
 
+/// Where a field's value comes from: the event's cycle stamp, the ambient
+/// write-buffer occupancy, or field `i` of the tag's [`SCHEMA`] row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FieldRef {
+    Now,
+    Occupancy,
+    Own(usize),
+}
+
+impl FieldRef {
+    /// Resolves a field name against the tag in [`SCHEMA`] row `tag`;
+    /// `Err` names an unknown field.
+    fn resolve(tag: usize, name: &str) -> Result<Self, String> {
+        let own = SCHEMA[tag].fields.iter().position(|(n, _)| *n == name);
+        match name {
+            n if n == NOW.0 => Ok(FieldRef::Now),
+            "wb_occupancy" => Ok(FieldRef::Occupancy),
+            _ => own.map(FieldRef::Own).ok_or_else(|| name.to_string()),
+        }
+    }
+
+    /// The field's value on `ev`, where `occ` supplies the ambient
+    /// occupancy (`None`: the field reads as absent).
+    fn read(self, ev: &Event, occ: Option<u64>) -> Option<FieldVal> {
+        match self {
+            FieldRef::Now => Some(FieldVal::U64(ev.now())),
+            FieldRef::Occupancy => occ.map(FieldVal::U64),
+            FieldRef::Own(i) => Some(ev.field(i)),
+        }
+    }
+
+    /// The field's integer value on `ev` (the ambient occupancy excluded).
+    fn u64_on(self, ev: &Event) -> Option<u64> {
+        match self.read(ev, None) {
+            Some(FieldVal::U64(v)) => Some(v),
+            _ => None,
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct CompiledConstraint {
-    field: String,
+    field: FieldRef,
     op: CmpOp,
     value: CVal,
 }
 
-/// An event pattern with symbols resolved, ready to evaluate.
+/// An event pattern with symbols and field names resolved, ready to
+/// evaluate.
 #[derive(Debug, Clone)]
 pub struct CompiledMatch {
-    tag: String,
+    /// The tag's row in [`SCHEMA`].
+    tag: usize,
     constraints: Vec<CompiledConstraint>,
     /// The field a `$addr` constraint binds/tests, if any.
-    param_field: Option<String>,
+    param_field: Option<FieldRef>,
 }
 
 impl CompiledMatch {
+    fn tag(&self) -> &'static str {
+        SCHEMA[self.tag].tag
+    }
+
     /// Tag plus every non-`$addr` constraint holds.
     fn matches_nonparam(&self, ev: &Event, occ: u64) -> bool {
-        if event_tag(ev) != self.tag {
+        if ev.tag_index() != self.tag {
             return false;
         }
         self.constraints.iter().all(|c| {
-            let actual = if c.field == "wb_occupancy" {
-                FieldVal::U64(occ)
-            } else {
-                match event_field(ev, &c.field) {
-                    Some(v) => v,
-                    None => return false,
-                }
+            let Some(actual) = c.field.read(ev, Some(occ)) else {
+                return false;
             };
             match (&c.value, actual) {
                 (CVal::Param, _) => true, // handled by the monitor
@@ -214,19 +134,7 @@ impl CompiledMatch {
 
     /// The event's value of the `$addr`-bound field.
     fn param_value(&self, ev: &Event) -> Option<u64> {
-        let field = self.param_field.as_deref()?;
-        match event_field(ev, field) {
-            Some(FieldVal::U64(v)) => Some(v),
-            _ => None,
-        }
-    }
-
-    fn u64_field(&self, ev: &Event, field: &str) -> Option<u64> {
-        let _ = self;
-        match event_field(ev, field) {
-            Some(FieldVal::U64(v)) => Some(v),
-            _ => None,
-        }
+        self.param_field?.u64_on(ev)
     }
 }
 
@@ -254,6 +162,7 @@ enum CompiledKind {
     Increasing {
         of: CompiledMatch,
         field: String,
+        at: FieldRef,
     },
 }
 
@@ -282,24 +191,29 @@ fn compile_value(v: &ValueExpr, resolve: &dyn Fn(&str) -> Option<u64>) -> Result
 }
 
 fn compile_match(
-    m: &crate::prop_parse::EventMatch,
+    m: &EventMatch,
     resolve: &dyn Fn(&str) -> Option<u64>,
 ) -> Result<CompiledMatch, String> {
+    let tag = SCHEMA
+        .iter()
+        .position(|t| t.tag == m.tag)
+        .ok_or_else(|| m.tag.clone())?;
     let mut constraints = Vec::with_capacity(m.constraints.len());
     let mut param_field = None;
     for c in &m.constraints {
         let value = compile_value(&c.value, resolve)?;
+        let field = FieldRef::resolve(tag, &c.field)?;
         if value == CVal::Param {
-            param_field = Some(c.field.clone());
+            param_field = Some(field);
         }
         constraints.push(CompiledConstraint {
-            field: c.field.clone(),
+            field,
             op: c.op,
             value,
         });
     }
     Ok(CompiledMatch {
-        tag: m.tag.clone(),
+        tag,
         constraints,
         param_field,
     })
@@ -311,6 +225,8 @@ fn compile_match(
 ///
 /// The name of the first unresolvable symbol — the caller skips the
 /// property for this environment (e.g. `mshrs` on the blocking machine).
+/// A tag or field name the event schema lacks (in a property that
+/// skipped validation) is unresolvable too.
 pub fn compile_property(
     p: &Property,
     resolve: &dyn Fn(&str) -> Option<u64>,
@@ -339,10 +255,15 @@ pub fn compile_property(
             open: compile_match(open, resolve)?,
             close: compile_match(close, resolve)?,
         },
-        Body::Increasing { of, field } => CompiledKind::Increasing {
-            of: compile_match(of, resolve)?,
-            field: field.clone(),
-        },
+        Body::Increasing { of, field } => {
+            let of = compile_match(of, resolve)?;
+            let at = FieldRef::resolve(of.tag, field)?;
+            CompiledKind::Increasing {
+                of,
+                field: field.clone(),
+                at,
+            }
+        }
     };
     Ok(CompiledProp {
         name: p.name.clone(),
@@ -529,7 +450,7 @@ impl Monitors {
             match (st, &p.kind) {
                 (MonState::Done(false), CompiledKind::Eventually(m)) => out.push(MonObligation {
                     prop: i,
-                    detail: format!("no {} event ever occurred", m.tag),
+                    detail: format!("no {} event ever occurred", m.tag()),
                 }),
                 (MonState::Pending(sc), CompiledKind::Leads { goal, .. }) if sc.any_open() => {
                     let what = match sc {
@@ -541,7 +462,7 @@ impl Monitors {
                     };
                     out.push(MonObligation {
                         prop: i,
-                        detail: format!("{what} still awaiting a {} event", goal.tag),
+                        detail: format!("{what} still awaiting a {} event", goal.tag()),
                     });
                 }
                 _ => {}
@@ -582,7 +503,7 @@ impl Monitors {
 fn step_one(p: &CompiledProp, st: &mut MonState, ev: &Event, occ: u64) -> Option<String> {
     match (&p.kind, st) {
         (CompiledKind::Always(m), MonState::Stateless) => {
-            if event_tag(ev) == m.tag && !m.matches_nonparam(ev, occ) {
+            if ev.tag_index() == m.tag && !m.matches_nonparam(ev, occ) {
                 return Some(format!(
                     "event {} fails the `always` constraints",
                     ev.to_json()
@@ -610,7 +531,7 @@ fn step_one(p: &CompiledProp, st: &mut MonState, ev: &Event, occ: u64) -> Option
                     hit = Some(format!(
                         "banned event {} occurred inside an open {} window",
                         ev.to_json(),
-                        open.tag
+                        open.tag()
                     ));
                 }
             }
@@ -693,9 +614,9 @@ fn step_one(p: &CompiledProp, st: &mut MonState, ev: &Event, occ: u64) -> Option
             }
             hit
         }
-        (CompiledKind::Increasing { of, field }, MonState::Last(last)) => {
+        (CompiledKind::Increasing { of, field, at }, MonState::Last(last)) => {
             if of.matches_nonparam(ev, occ) {
-                if let Some(v) = of.u64_field(ev, field) {
+                if let Some(v) = at.u64_on(ev) {
                     if let Some(prev) = *last {
                         if v <= prev {
                             return Some(format!(
@@ -718,6 +639,8 @@ mod tests {
     use super::*;
     use crate::prop_parse::parse_props;
     use wbsim_types::addr::Addr;
+    use wbsim_types::divergence::LoadSource;
+    use wbsim_types::stall::StallKind;
 
     fn compiled(text: &str, depth: u64) -> Monitors {
         let set = parse_props(text).expect("parse");

@@ -26,16 +26,18 @@
 //! ```
 //!
 //! `#` starts a comment running to end of line. Event tags, field names,
-//! and token values are validated at parse time against the static [`TAGS`]
-//! table (the single in-crate mirror of [`wbsim_sim::Event`]'s JSON
-//! encoding), so a property can never silently watch a misspelled field.
+//! and token values are validated at parse time against the event
+//! [`SCHEMA`] the JSON codec derives from, so a property can never
+//! silently watch a misspelled field.
 //! Errors are structured [`Diagnostic`]s under the `PRP00x` family; the
 //! parser recovers at the next `prop` keyword, so one bad property does not
 //! mask diagnostics in the rest of the file.
 
 use std::fmt;
 
+use wbsim_sim::event::{FieldKind, TagSpec, NOW, SCHEMA};
 use wbsim_types::diagnostics::{Diagnostic, Severity};
+use wbsim_types::policy::LoadHazardPolicy;
 
 /// Comparison operator in a field constraint or `where` clause.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,126 +235,25 @@ pub struct PropSet {
     pub props: Vec<Property>,
 }
 
-/// How a field's values compare: the type side of the [`TAGS`] table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FieldKind {
-    /// Unsigned integer.
-    U64,
-    /// Boolean.
-    Bool,
-    /// One of a closed set of string tokens.
-    Token(&'static [&'static str]),
-}
-
-/// One event tag and its fields, mirroring the JSON encoding in
-/// `wbsim_sim::Event` (pinned against it by test).
-#[derive(Debug, Clone, Copy)]
-pub struct TagSpec {
-    /// The tag string.
-    pub tag: &'static str,
-    /// The tag's own fields (`now` and the ambient fields are implicit).
-    pub fields: &'static [(&'static str, FieldKind)],
-}
-
-const HAZARD_TOKENS: &[&str] = &[
-    "flush-full",
-    "flush-partial",
-    "flush-item-only",
-    "read-from-wb",
-];
-const STALL_TOKENS: &[&str] = &["buffer-full", "l2-read-access", "load-hazard"];
-const SOURCE_TOKENS: &[&str] = &["l1", "write-buffer", "l2-fill"];
-const PORT_TOKENS: &[&str] = &["wb-write", "cpu-read", "ifetch"];
-
-/// The event alphabet: every tag and typed field a property may reference.
-pub static TAGS: &[TagSpec] = &[
-    TagSpec {
-        tag: "store-accepted",
-        fields: &[("addr", FieldKind::U64), ("merged", FieldKind::Bool)],
-    },
-    TagSpec {
-        tag: "retire-start",
-        fields: &[("id", FieldKind::U64), ("flush", FieldKind::Bool)],
-    },
-    TagSpec {
-        tag: "retire-complete",
-        fields: &[
-            ("id", FieldKind::U64),
-            ("line", FieldKind::U64),
-            ("lifetime", FieldKind::U64),
-            ("valid_words", FieldKind::U64),
-            ("flush", FieldKind::Bool),
-        ],
-    },
-    TagSpec {
-        tag: "hazard-triggered",
-        fields: &[
-            ("addr", FieldKind::U64),
-            ("policy", FieldKind::Token(HAZARD_TOKENS)),
-            ("flush_entries", FieldKind::U64),
-        ],
-    },
-    TagSpec {
-        tag: "stall-cycle",
-        fields: &[("kind", FieldKind::Token(STALL_TOKENS))],
-    },
-    TagSpec {
-        tag: "fill-installed",
-        fields: &[
-            ("line", FieldKind::U64),
-            ("for_store", FieldKind::Bool),
-            ("merged_wb", FieldKind::Bool),
-        ],
-    },
-    TagSpec {
-        tag: "victim-writeback",
-        fields: &[("line", FieldKind::U64), ("merged", FieldKind::Bool)],
-    },
-    TagSpec {
-        tag: "port-granted",
-        fields: &[
-            ("owner", FieldKind::Token(PORT_TOKENS)),
-            ("until", FieldKind::U64),
-        ],
-    },
-    TagSpec {
-        tag: "load-resolved",
-        fields: &[
-            ("addr", FieldKind::U64),
-            ("value", FieldKind::U64),
-            ("source", FieldKind::Token(SOURCE_TOKENS)),
-        ],
-    },
-    TagSpec {
-        tag: "load-miss",
-        fields: &[("addr", FieldKind::U64)],
-    },
-    TagSpec {
-        tag: "cycle-end",
-        fields: &[("occupancy", FieldKind::U64)],
-    },
-];
-
 /// Fields available on every tag: the event's cycle stamp, plus the
 /// ambient write-buffer occupancy (occupancy at the most recent
 /// `cycle-end`, 0 before the first).
-pub static AMBIENT_FIELDS: &[(&str, FieldKind)] =
-    &[("now", FieldKind::U64), ("wb_occupancy", FieldKind::U64)];
+pub static AMBIENT_FIELDS: &[(&str, FieldKind)] = &[NOW, ("wb_occupancy", FieldKind::U64)];
 
 /// Environment symbols a `where` clause or `Sym` value may reference, with
 /// their kinds. `machine` is `blocking`/`nonblocking`; `hazard` is a
 /// load-hazard policy token.
 pub static ENV_SYMBOLS: &[(&str, FieldKind)] = &[
     ("machine", FieldKind::Token(&["blocking", "nonblocking"])),
-    ("hazard", FieldKind::Token(HAZARD_TOKENS)),
+    ("hazard", FieldKind::Token(LoadHazardPolicy::NAMES)),
     ("depth", FieldKind::U64),
     ("mshrs", FieldKind::U64),
 ];
 
-/// Looks up a tag in [`TAGS`].
+/// Looks up a tag in the event [`SCHEMA`].
 #[must_use]
 pub fn tag_spec(tag: &str) -> Option<&'static TagSpec> {
-    TAGS.iter().find(|t| t.tag == tag)
+    SCHEMA.iter().find(|t| t.tag == tag)
 }
 
 /// Looks up a field's kind for a tag, including the ambient fields.
@@ -805,7 +706,7 @@ fn validate_match(m: &EventMatch, per_addr: bool, path: &str, diags: &mut Vec<Di
         diags.push(
             prp("PRP002", path, format!("unknown event tag {:?}", m.tag)).with_suggestion(format!(
                 "known tags: {}",
-                TAGS.iter().map(|t| t.tag).collect::<Vec<_>>().join(", ")
+                SCHEMA.iter().map(|t| t.tag).collect::<Vec<_>>().join(", ")
             )),
         );
         return;
@@ -1091,11 +992,6 @@ pub fn parse_props(text: &str) -> Result<PropSet, Vec<Diagnostic>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wbsim_sim::Event;
-    use wbsim_types::addr::Addr;
-    use wbsim_types::divergence::LoadSource;
-    use wbsim_types::policy::LoadHazardPolicy;
-    use wbsim_types::stall::StallKind;
 
     fn codes(diags: &[Diagnostic]) -> Vec<&str> {
         diags.iter().map(|d| d.code).collect()
@@ -1189,89 +1085,6 @@ mod tests {
         ] {
             let diags = parse_props(text).expect_err(text);
             assert!(codes(&diags).contains(&"PRP004"), "{text:?}: {diags:?}");
-        }
-    }
-
-    /// The TAGS table is the parser's mirror of the event codec: every tag
-    /// round-trips through a synthesized JSON object, and every declared
-    /// field name appears in that tag's JSON.
-    #[test]
-    fn tags_table_matches_the_event_codec() {
-        let samples: Vec<Event> = vec![
-            Event::StoreAccepted {
-                now: 1,
-                addr: Addr::new(0),
-                merged: false,
-            },
-            Event::RetireStart {
-                now: 1,
-                id: 0,
-                flush: false,
-            },
-            Event::RetireComplete {
-                now: 1,
-                id: 0,
-                line: 0,
-                lifetime: 1,
-                valid_words: 1,
-                flush: false,
-            },
-            Event::HazardTriggered {
-                now: 1,
-                addr: Addr::new(0),
-                policy: LoadHazardPolicy::ReadFromWb,
-                flush_entries: 0,
-            },
-            Event::StallCycle {
-                now: 1,
-                kind: StallKind::BufferFull,
-            },
-            Event::FillInstalled {
-                now: 1,
-                line: 0,
-                for_store: false,
-                merged_wb: false,
-            },
-            Event::VictimWriteback {
-                now: 1,
-                line: 0,
-                merged: false,
-            },
-            Event::PortGranted {
-                now: 1,
-                owner: wbsim_sim::PortUse::WbWrite,
-                until: 2,
-            },
-            Event::LoadResolved {
-                now: 1,
-                addr: Addr::new(0),
-                value: 0,
-                source: LoadSource::L1,
-            },
-            Event::LoadMiss {
-                now: 1,
-                addr: Addr::new(0),
-            },
-            Event::CycleEnd {
-                now: 1,
-                occupancy: 0,
-            },
-        ];
-        assert_eq!(samples.len(), TAGS.len(), "one sample per tag");
-        for (ev, spec) in samples.iter().zip(TAGS) {
-            let json = ev.to_json();
-            assert!(
-                json.contains(&format!("\"event\":\"{}\"", spec.tag)),
-                "tag {} not in {json}",
-                spec.tag
-            );
-            for (field, _) in spec.fields {
-                assert!(
-                    json.contains(&format!("\"{field}\":")),
-                    "field {field} of {} not in {json}",
-                    spec.tag
-                );
-            }
         }
     }
 

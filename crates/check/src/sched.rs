@@ -155,7 +155,7 @@ pub fn classify(exec: &Execution) -> Option<(&'static str, String)> {
         } => {
             let who: Vec<String> = blocked
                 .iter()
-                .map(|(t, op)| format!("thread {} on {}", t, op.kind.tag()))
+                .map(|(t, op)| format!("thread {} on {}", t, op.kind.name()))
                 .collect();
             if *any_condvar {
                 Some((
@@ -491,7 +491,7 @@ impl SchedCounterexample {
                 "{{\"step\":{},\"thread\":{},\"op\":\"{}\",\"obj\":{},\"obj2\":{}}}\n",
                 i,
                 c.thread,
-                c.kind.tag(),
+                c.kind.name(),
                 c.obj,
                 c.obj2
             ));
@@ -586,7 +586,7 @@ impl SchedCounterexample {
                 .get("op")
                 .and_then(Json::as_str)
                 .ok_or_else(|| bad(no, "step missing string \"op\"".to_string()))?;
-            let kind = OpKind::from_tag(tag)
+            let kind = OpKind::from_name(tag)
                 .ok_or_else(|| bad(no, format!("unknown op tag \"{tag}\"")))?;
             schedule.push(SchedChoice {
                 thread: num("thread")? as usize,

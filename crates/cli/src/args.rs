@@ -6,6 +6,8 @@ use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::str::FromStr;
 
+use wbsim_types::wire::or_list;
+
 use crate::commands::CmdResult;
 use table::COMMANDS;
 
@@ -22,6 +24,8 @@ pub struct Opt {
     pub default: Option<&'static str>,
     /// One help line.
     pub help: &'static str,
+    /// Wire-name tables whose names end the help line (`a, b or c`).
+    pub choices: &'static [&'static [&'static str]],
     /// `check` only: the `CheckSpec` manifest fields the option sets.
     pub fields: &'static [&'static str],
 }
@@ -59,9 +63,12 @@ impl Command {
 mod table {
     use super::{Command, Group, Opt, Parsed};
     use crate::commands::*;
+    use wbsim_jobs::sched::SchedFault;
+    use wbsim_jobs::MachineSel;
+    use wbsim_types::{FaultInjection, LoadHazardPolicy};
 
     const fn flag(name: &'static str, help: &'static str) -> Opt {
-        Opt { name, metavar: None, default: None, help, fields: &[] }
+        Opt { name, metavar: None, default: None, help, choices: &[], fields: &[] }
     }
 
     /// A valued option; an empty `default` means there is no constant one.
@@ -74,6 +81,10 @@ mod table {
     impl Opt {
         const fn sets(self, fields: &'static [&'static str]) -> Opt {
             Opt { fields, ..self }
+        }
+
+        const fn choices(self, choices: &'static [&'static [&'static str]]) -> Opt {
+            Opt { choices, ..self }
         }
     }
 
@@ -88,7 +99,8 @@ mod table {
     const JOBS: Opt = opt("jobs", "N", "0", "worker threads (0: one per core)");
     const MSHRS: Opt = opt("mshrs", "N", "0", "non-blocking machine with N MSHRs (0: blocking)");
     const PROP: Opt = opt("prop", "[FILE.wbp]", "builtin", "temporal properties");
-    const HAZARDS: &str = "flush-full, flush-partial, flush-item-only or read-from-wb";
+    const HAZARD: Opt = opt("hazard", "P", LoadHazardPolicy::FlushFull.name(), "")
+        .choices(&[LoadHazardPolicy::NAMES]);
     const TRACE_OUT: Opt = opt("out", "FILE", "", "the trace file");
     const BINARY: Opt = flag("binary", "binary codec");
 
@@ -108,7 +120,7 @@ mod table {
         opt("config", "FILE.wbcfg", "", "start from this file; the flags below apply on top"),
         opt("depth", "N", "4", "write-buffer depth"),
         opt("retire-at", "N", "2", "occupancy at which retirement starts"),
-        opt("hazard", "P", "flush-full", HAZARDS),
+        HAZARD,
         opt("l1-kb", "N", "8", "L1 size in KiB"),
         opt("l2-latency", "N", "6", "L2 latency in cycles"),
         opt("l2-kb", "N", "", "switch to a real L2 of N KiB (default: a perfect L2)"),
@@ -174,7 +186,7 @@ mod table {
         ], &[&WORKLOAD, &CONFIG]),
         cmd("trace validate", "<FILE.jsonl|->", cmd_trace, "re-parse an event stream (-: stdin)", &[
             PROP,
-            opt("machine", "M", "", "bind `machine`: blocking or nonblocking"),
+            opt("machine", "M", "", "bind `machine`: ").choices(&[MachineSel::NAMES]),
             opt("depth", "N", "", "bind `depth`"),
             opt("mshrs", "N", "", "bind `mshrs` (at least 1)"),
             opt("hazard", "P", "", "bind `hazard`"),
@@ -184,17 +196,18 @@ mod table {
             opt("config", "FILE.wbcfg", "", "lint this file as written").sets(&["config"]),
             opt("depth", "N", "4", "write-buffer depth").sets(&["depth"]),
             opt("retire-at", "N", "2", "occupancy at which retirement starts").sets(&["retire_at"]),
-            opt("hazard", "P", "flush-full", HAZARDS).sets(&["hazard"]),
+            HAZARD.sets(&["hazard"]),
             flag("exhaustive", "bounded exhaustive model check").sets(&["exhaustive"]),
             flag("reach", "unbounded reachability, with livelock analysis").sets(&["reach"]),
             PROP.sets(&["props", "props_file"]),
             flag("refine", "event-driven vs reference engine refinement").sets(&["refine"]),
             flag("sched", "every host-thread interleaving within the bound").sets(&["sched"]),
-            opt("machine", "M", "blocking", "blocking or nonblocking").sets(&["machine"]),
+            opt("machine", "M", MachineSel::Blocking.name(), "").choices(&[MachineSel::NAMES])
+                .sets(&["machine"]),
             opt("mshrs", "N", "", "pin one MSHR count (default: 1-4)").sets(&["mshrs"]),
             opt("max-ops", "N", "5", "--exhaustive's longest op sequence").sets(&["max_ops"]),
-            opt("fault", "F", "", "inject skip-wb-forwarding, starve-retirement, overshoot-skip, \
-                lost-wakeup or dup-execute").sets(&["fault", "sched_fault"]),
+            opt("fault", "F", "", "inject ").choices(&[FaultInjection::NAMES, SchedFault::NAMES])
+                .sets(&["fault", "sched_fault"]),
             opt("preemptions", "N", "2", "--sched's preemption bound").sets(&["sched_preemptions"]),
             opt("out", "FILE", "", "the first failing pass's counterexample (-: stdout)"),
             opt("replay", "FILE", "", "with --sched alone: re-execute a recorded schedule"),
@@ -386,7 +399,9 @@ fn rows(s: &mut String, opts: &[Opt]) {
         let spec = (!o.fields.is_empty()).then(|| format!(" [spec: {}]", o.fields.join(", ")));
         let (default, spec) = (default.unwrap_or_default(), spec.unwrap_or_default());
         let flag = format!("--{}{meta}", o.name);
-        let _ = writeln!(s, "  {flag:<28}{}{default}{spec}", o.help);
+        let choices: Vec<&str> = o.choices.iter().flat_map(|c| c.iter().copied()).collect();
+        let help = format!("{}{}", o.help, or_list(&choices, " or "));
+        let _ = writeln!(s, "  {flag:<28}{help}{default}{spec}");
     }
 }
 

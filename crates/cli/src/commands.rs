@@ -10,24 +10,25 @@ use wbsim_check::{
 use wbsim_experiments::ablations::{self, ABLATIONS};
 use wbsim_experiments::harness::{pool_cells_jobs, Harness};
 use wbsim_experiments::{figures, render, tables};
-use wbsim_jobs::manifest::{fault_from_name, hazard_from_name, hazard_name};
 use wbsim_jobs::passes::{self, Evidence};
 use wbsim_jobs::sched::{replay_mismatch, replay_sched, SchedFault};
 use wbsim_jobs::{
     CheckConfig, CheckSpec, Executor, FigureFormat, JobKind, MachineSel, Manifest,
     Options as JobOptions, Store,
 };
-use wbsim_sim::{Event, Machine, Observer};
+use wbsim_sim::{Event, JsonlObserver, Machine, Observer};
 use wbsim_trace::bench_models::BenchmarkModel;
 use wbsim_trace::file as trace_file;
 use wbsim_trace::stats::TraceStats;
 use wbsim_types::config::{L2Config, MachineConfig};
 use wbsim_types::diagnostics::any_errors;
+use wbsim_types::divergence::FaultInjection;
 use wbsim_types::file_config::{parse_machine_config, to_config_string};
 use wbsim_types::op::Op;
 use wbsim_types::policy::{LoadHazardPolicy, RetirementPolicy};
 use wbsim_types::stall::StallKind::{self, BufferFull, L2ReadAccess, LoadHazard};
 use wbsim_types::stats::SimStats;
+use wbsim_types::wire::or_list;
 
 use crate::args::{help, parse, sweep_keys, ArgError, Parsed};
 
@@ -150,9 +151,11 @@ pub(crate) fn cmd_ablation(p: &Parsed) -> CmdResult {
     Ok(())
 }
 
+/// `--hazard`, by wire name in any case.
 fn hazard_from(name: &str) -> Result<LoadHazardPolicy, ArgError> {
-    let msg = format!("unknown hazard policy {:?}", name.to_ascii_lowercase());
-    hazard_from_name(name).ok_or(ArgError(msg))
+    let name = name.to_ascii_lowercase();
+    let msg = format!("unknown hazard policy {name:?}");
+    LoadHazardPolicy::from_name(&name).ok_or(ArgError(msg))
 }
 
 /// Fails the command with `msg`.
@@ -221,10 +224,10 @@ pub(crate) fn cmd_run(p: &Parsed) -> CmdResult {
         let (name, n) = (bench.name(), summary.seeds);
         println!("benchmark: {name}  ({n} seeds, mean ± sd, % of execution time)");
         for (name, (m, sd)) in [
-            ("L2-read-access", summary.r),
-            ("buffer-full", summary.f),
-            ("load-hazard", summary.l),
-            ("total", summary.total),
+            (L2ReadAccess.to_string(), summary.r),
+            (BufferFull.to_string(), summary.f),
+            (LoadHazard.to_string(), summary.l),
+            ("total".to_string(), summary.total),
         ] {
             println!("{name:<16} {m:>7.3} ± {sd:.3}");
         }
@@ -270,12 +273,12 @@ pub(crate) fn cmd_predict(p: &Parsed) -> CmdResult {
         inputs.hazard_load_frac * 100.0
     );
     println!("{:<18} {:>10} {:>10}", "", "model", "simulated");
-    let total = ("total", pred.total_pct(), sim.total_stall_pct());
+    let (label, sim_pct) = (StallKind::to_string, |kind| sim.stall_pct(kind));
     for (name, model, simulated) in [
-        ("buffer-full", pred.f_pct, sim.stall_pct(BufferFull)),
-        ("L2-read-access", pred.r_pct, sim.stall_pct(L2ReadAccess)),
-        ("load-hazard", pred.l_pct, sim.stall_pct(LoadHazard)),
-        total,
+        (label(&BufferFull), pred.f_pct, sim_pct(BufferFull)),
+        (label(&L2ReadAccess), pred.r_pct, sim_pct(L2ReadAccess)),
+        (label(&LoadHazard), pred.l_pct, sim_pct(LoadHazard)),
+        ("total".into(), pred.total_pct(), sim.total_stall_pct()),
     ] {
         println!("{name:<18} {model:>9.3}% {simulated:>9.3}%");
     }
@@ -466,37 +469,6 @@ pub(crate) fn cmd_report(p: &Parsed) -> CmdResult {
     Ok(())
 }
 
-/// An [`Observer`] that writes every event as one JSON line. I/O errors
-/// are latched rather than panicking mid-simulation; callers check
-/// [`JsonlWriter::finish`] after the run.
-struct JsonlWriter<W: io::Write> {
-    w: W,
-    count: u64,
-    err: Option<io::Error>,
-}
-
-impl<W: io::Write> JsonlWriter<W> {
-    fn finish(mut self) -> Result<u64, io::Error> {
-        if let Some(e) = self.err.take() {
-            return Err(e);
-        }
-        self.w.flush()?;
-        Ok(self.count)
-    }
-}
-
-impl<W: io::Write> Observer for JsonlWriter<W> {
-    fn event(&mut self, ev: &Event) {
-        if self.err.is_some() {
-            return;
-        }
-        match writeln!(self.w, "{}", ev.to_json()) {
-            Ok(()) => self.count += 1,
-            Err(e) => self.err = Some(e),
-        }
-    }
-}
-
 /// Writes `ops` to `--out` in the codec `--binary` picks.
 fn write_trace(p: &Parsed, ops: &[Op]) -> Result<String, Box<dyn Error>> {
     let out = p.required("out")?;
@@ -574,16 +546,14 @@ pub(crate) fn cmd_trace(p: &Parsed) -> CmdResult {
             let cfg = machine_from(p)?;
             let ops = bench.stream(seed, instructions);
             let mshrs = p.get_or_default("mshrs")?;
-            let sink: Box<dyn io::Write> = match p.value("out") {
-                Some(path) => Box::new(BufWriter::new(File::create(path)?)),
+            // `--out -` streams to stdout, as no `--out` does.
+            let out = p.value("out").filter(|&path| path != "-");
+            let sink: Box<dyn io::Write> = match out {
+                Some(path) => Box::new(File::create(path)?),
                 None => Box::new(io::stdout().lock()),
             };
-            let (count, err) = (0, None);
-            let mut w = JsonlWriter {
-                w: sink,
-                count,
-                err,
-            };
+            // Stdout is line-buffered: buffer it too, not one write per event.
+            let mut w = JsonlObserver::new(BufWriter::new(sink));
             // Drain the buffer after the stream ends so the capture is a
             // *complete* execution — every accepted store's retirement is
             // on the record, which the liveness monitors of
@@ -597,8 +567,8 @@ pub(crate) fn cmd_trace(p: &Parsed) -> CmdResult {
                 m.run_observed(ops, &mut w);
                 while m.drain_step(&mut w) {}
             }
-            match (w.finish(), p.value("out")) {
-                (Ok(count), Some(path)) => println!("wrote {count} events to {path}"),
+            match (w.finish(), out) {
+                (Ok((_, count)), Some(path)) => println!("wrote {count} events to {path}"),
                 // A reader that closed stdout early wanted no more events.
                 (Err(e), None) if e.kind() == io::ErrorKind::BrokenPipe => {}
                 (Err(e), _) => return Err(e.into()),
@@ -727,8 +697,11 @@ fn load_trace(path: &str) -> Result<Vec<Op>, Box<dyn Error>> {
 /// default), by the manifest's names.
 fn check_machine_from(p: &Parsed) -> Result<MachineSel, ArgError> {
     let name: String = p.get_or_default("machine")?;
-    let msg = format!("unknown machine {name:?} (try blocking or nonblocking)");
-    MachineSel::from_name(&name).ok_or(ArgError(msg))
+    let msg = format!(
+        "unknown machine {name:?} (try {})",
+        or_list(MachineSel::NAMES, " or ")
+    );
+    MachineSel::parse(&name).ok_or(ArgError(msg))
 }
 
 /// `--mshrs`, which the checkers need to be a count of at least one.
@@ -747,6 +720,21 @@ fn check_mshrs_from(p: &Parsed) -> Result<Option<usize>, ArgError> {
 /// stderr. Either way the first failing pass's counterexample (in table
 /// order) goes to `--out`, and the first failure is the command's error.
 pub(crate) fn cmd_check(p: &Parsed) -> CmdResult {
+    // An option only one pass or machine reads is refused without it,
+    // never ignored. `--machine` stays free: the linter reads it.
+    let owners = [
+        ("replay", "sched"),
+        ("max-ops", "exhaustive"),
+        ("preemptions", "sched"),
+    ];
+    for (opt, owner) in owners {
+        if p.has(opt) && !p.has(owner) {
+            return fail(format!("--{opt} needs --{owner}"));
+        }
+    }
+    if p.has("mshrs") && check_machine_from(p)? != MachineSel::NonBlocking {
+        return fail("--mshrs needs --machine nonblocking");
+    }
     if let Some(path) = p.value("replay") {
         return cmd_check_replay(p, path);
     }
@@ -879,14 +867,15 @@ fn check_spec_from(p: &Parsed) -> Result<CheckSpec, Box<dyn Error>> {
     // `--sched`, a machine fault to the grid checkers. A name no selected
     // pass takes is an error.
     let grid = spec.exhaustive || spec.reach || spec.props || spec.refine;
-    match (SchedFault::from_name(name), fault_from_name(name)) {
+    match (SchedFault::from_name(name), FaultInjection::from_name(name)) {
         (Some(f), _) if spec.sched => spec.sched_fault = Some(f),
         (_, Some(f)) if grid => spec.fault = Some(f),
         _ => {
             return fail(format!(
                 "--fault {name:?} fits no selected pass (--exhaustive, --reach, --prop and \
-                 --refine take skip-wb-forwarding, starve-retirement or overshoot-skip; \
-                 --sched takes lost-wakeup or dup-execute)"
+                 --refine take {}; --sched takes {})",
+                or_list(FaultInjection::NAMES, " or "),
+                or_list(SchedFault::NAMES, " or ")
             ))
         }
     }
@@ -894,14 +883,13 @@ fn check_spec_from(p: &Parsed) -> Result<CheckSpec, Box<dyn Error>> {
 }
 
 /// `wbsim check --sched --replay FILE`: re-execute a recorded schedule.
-/// A replay runs nothing else, so the other passes, `--json`, `--fault`
-/// and `--out` are refused rather than ignored.
+/// A replay runs nothing else, so the other passes, `--json`, `--fault`,
+/// `--out` and the options only the linter reads are refused rather than
+/// ignored.
 fn cmd_check_replay(p: &Parsed, path: &str) -> CmdResult {
-    if !p.has("sched") {
-        return fail("--replay needs --sched");
-    }
     let passes = passes::PASSES.iter().map(|pass| pass.flag);
-    for f in passes.chain(["json", "fault", "out"]) {
+    let lint = ["config", "depth", "retire-at", "hazard", "machine", "mshrs"];
+    for f in passes.chain(["json", "fault", "out"]).chain(lint) {
         if f != "sched" && p.has(f) {
             let why = "a replay re-executes the recorded schedule and nothing else";
             return fail(format!("--replay conflicts with --{f}: {why}"));
@@ -978,7 +966,7 @@ fn prop_env_from(p: &Parsed) -> Result<PropEnv, Box<dyn Error>> {
     env.depth = p.get("depth")?;
     env.mshrs = check_mshrs_from(p)?.map(|m| m as u64);
     if let Some(v) = p.value("hazard") {
-        env.hazard = Some(hazard_name(hazard_from(v)?));
+        env.hazard = Some(hazard_from(v)?.name());
     }
     Ok(env)
 }

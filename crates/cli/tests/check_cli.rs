@@ -174,6 +174,7 @@ fn replay_is_honoured_or_refused_never_ignored() {
         "conflicts with --fault",
     );
     refused(&["--sched", "--out", "x.jsonl"], "conflicts with --out");
+    refused(&["--sched", "--depth", "9"], "conflicts with --depth");
     // Alone with --sched it replays: a missing file is an I/O error.
     let run = wbsim(&["check", "--sched", "--replay", file]);
     assert!(!run.status.success());
@@ -227,4 +228,67 @@ fn a_closed_stdout_is_a_clean_exit() {
         assert!(run.status.success(), "{args:?}: {:?}: {err}", run.status);
         assert!(err.is_empty(), "{args:?}: {err}");
     }
+}
+
+/// `trace events --out -` streams to stdout, so the documented pipe into
+/// `trace validate - --prop` passes and no file named `-` appears.
+#[test]
+fn trace_events_out_dash_pipes_into_validate() {
+    let dir = scratch("events-pipe");
+    let dash = dir.join("-");
+    let _ = std::fs::remove_file(&dash);
+    let mut events = Command::new(env!("CARGO_BIN_EXE_wbsim"))
+        .args(["trace", "events", "--bench", "compress"])
+        .args(["--instructions", "600", "--out", "-"])
+        .current_dir(&dir)
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn trace events");
+    let validate = Command::new(env!("CARGO_BIN_EXE_wbsim"))
+        .args(["trace", "validate", "-", "--prop"])
+        .current_dir(&dir)
+        .stdin(events.stdout.take().expect("piped stdout"))
+        .output()
+        .expect("spawn trace validate");
+    assert!(events.wait().expect("trace events exits").success());
+    assert!(validate.status.success(), "{}", text(&validate.stderr));
+    assert!(!dash.exists(), "trace events wrote a file named -");
+}
+
+/// Runs `check` with `args` and asserts it is refused before any pass
+/// runs, with an error naming the flag that would make the option apply.
+fn refused_without(args: &[&str], needs: &str) {
+    let run = wbsim(&[&["check"], args].concat());
+    assert!(!run.status.success(), "{args:?} was accepted");
+    assert!(run.stdout.is_empty(), "{args:?}: {}", text(&run.stdout));
+    let err = text(&run.stderr);
+    assert!(err.contains(needs), "{args:?}: {err}");
+}
+
+#[test]
+fn max_ops_needs_exhaustive() {
+    refused_without(
+        &["--reach", "--max-ops", "3"],
+        "--max-ops needs --exhaustive",
+    );
+}
+
+#[test]
+fn preemptions_need_sched() {
+    refused_without(
+        &["--exhaustive", "--max-ops", "1", "--preemptions", "9"],
+        "--preemptions needs --sched",
+    );
+}
+
+/// `--mshrs` needs the non-blocking machine, which the linter alone
+/// already reads (LNT006), so that pairing needs no pass.
+#[test]
+fn mshrs_need_the_nonblocking_machine() {
+    refused_without(
+        &["--reach", "--mshrs", "2"],
+        "--mshrs needs --machine nonblocking",
+    );
+    let lint_only = wbsim(&["check", "--machine", "nonblocking", "--mshrs", "2"]);
+    assert!(lint_only.status.success(), "{}", text(&lint_only.stderr));
 }

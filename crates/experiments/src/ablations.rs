@@ -165,10 +165,9 @@ pub fn datapath(h: &Harness) -> FigureResult {
             ..WriteBufferConfig::baseline()
         })
     };
-    let configs = vec![
-        ("full-line".to_string(), mk(DatapathWidth::FullLine)),
-        ("half-line".to_string(), mk(DatapathWidth::HalfLine)),
-    ];
+    let configs = [DatapathWidth::FullLine, DatapathWidth::HalfLine]
+        .map(|d| (d.to_string(), mk(d)))
+        .to_vec();
     h.sweep(
         "Ablation A6",
         "Datapath width between write buffer and L2",

@@ -14,6 +14,8 @@
 
 use std::fmt::Write as _;
 
+use wbsim_types::stall::StallKind::{BufferFull, L2ReadAccess, LoadHazard};
+
 use crate::harness::FigureResult;
 
 /// Colors per stall category, echoing the paper's black/grey/white split
@@ -125,9 +127,9 @@ pub fn render_figure_svg(f: &FigureResult) -> String {
             let x = gx + c as f64 * (BAR_W + BAR_GAP);
             let mut acc = 0.0;
             for (pct, color, label) in [
-                (cell.r_pct, COLOR_R, "L2-read-access"),
-                (cell.f_pct, COLOR_F, "buffer-full"),
-                (cell.l_pct, COLOR_L, "load-hazard"),
+                (cell.r_pct, COLOR_R, L2ReadAccess),
+                (cell.f_pct, COLOR_F, BufferFull),
+                (cell.l_pct, COLOR_L, LoadHazard),
             ] {
                 if pct <= 0.0 {
                     continue;
@@ -165,11 +167,12 @@ pub fn render_figure_svg(f: &FigureResult) -> String {
     // Legend: stall categories + configuration order note.
     let mut lx = MARGIN_L;
     let ly = height - LEGEND_H;
-    for (color, label) in [
-        (COLOR_R, "L2-read-access"),
-        (COLOR_F, "buffer-full"),
-        (COLOR_L, "load-hazard"),
+    for (color, kind) in [
+        (COLOR_R, L2ReadAccess),
+        (COLOR_F, BufferFull),
+        (COLOR_L, LoadHazard),
     ] {
+        let label = kind.to_string();
         let _ = writeln!(
             out,
             r##"<rect x="{lx:.1}" y="{:.1}" width="10" height="10" fill="{color}" stroke="#333" stroke-width="0.4"/>"##,

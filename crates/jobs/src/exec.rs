@@ -15,7 +15,7 @@ use std::sync::Arc;
 use wbsim_check::Counterexample;
 use wbsim_experiments::harness::FigureResult;
 use wbsim_experiments::{figures, render, tables};
-use wbsim_sim::{Event, Machine, NonBlockingMachine, Observer};
+use wbsim_sim::{JsonlObserver, Machine, NonBlockingMachine};
 use wbsim_trace::bench_models::BenchmarkModel;
 use wbsim_types::config::MachineConfig;
 use wbsim_types::diagnostics::{any_errors, Diagnostic};
@@ -288,20 +288,6 @@ fn run_bench(samples: u64, opts: &Options) -> JobOutcome {
     }
 }
 
-/// Captures every event as one JSON line in memory.
-struct JsonlBuffer {
-    bytes: Vec<u8>,
-    count: u64,
-}
-
-impl Observer for JsonlBuffer {
-    fn event(&mut self, ev: &Event) {
-        self.bytes.extend_from_slice(ev.to_json().as_bytes());
-        self.bytes.push(b'\n');
-        self.count += 1;
-    }
-}
-
 fn run_trace(bench: &str, config: &str, mshrs: usize, opts: &Options) -> JobOutcome {
     let fail = |msg: String| JobOutcome {
         failed: Some(msg),
@@ -322,10 +308,7 @@ fn run_trace(bench: &str, config: &str, mshrs: usize, opts: &Options) -> JobOutc
         return fail(e.to_string());
     }
     let ops = model.stream(opts.seed, opts.instructions);
-    let mut w = JsonlBuffer {
-        bytes: Vec::new(),
-        count: 0,
-    };
+    let mut w = JsonlObserver::new(Vec::new());
     if mshrs > 0 {
         let mut m = match NonBlockingMachine::new(cfg, mshrs) {
             Ok(m) => m,
@@ -344,7 +327,7 @@ fn run_trace(bench: &str, config: &str, mshrs: usize, opts: &Options) -> JobOutc
     JobOutcome {
         artifacts: vec![Artifact {
             name: "events.jsonl".to_string(),
-            bytes: w.bytes,
+            bytes: w.finish().expect("writing to memory cannot fail").0,
         }],
         cells: 1,
         failed: None,

@@ -19,6 +19,7 @@ use wbsim_types::diagnostics::{Diagnostic, Severity};
 use wbsim_types::divergence::FaultInjection;
 use wbsim_types::json::{escape, parse, Json};
 use wbsim_types::policy::LoadHazardPolicy;
+use wbsim_types::wire::or_list;
 use wbsim_types::{CacheKey, KeyHasher};
 
 use wbsim_sim::Engine;
@@ -37,87 +38,17 @@ pub enum MachineSel {
     NonBlocking,
 }
 
+wbsim_types::wire_names!(MachineSel { Blocking => "blocking", NonBlocking => "nonblocking" });
+
 impl MachineSel {
-    /// Wire token (`blocking` / `nonblocking`).
+    /// A wire name, or the CLI's `non-blocking` spelling.
     #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            MachineSel::Blocking => "blocking",
-            MachineSel::NonBlocking => "nonblocking",
-        }
-    }
-
-    /// Parses a wire token, accepting the CLI's `non-blocking` spelling.
-    #[must_use]
-    pub fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "blocking" => Some(MachineSel::Blocking),
-            "nonblocking" | "non-blocking" => Some(MachineSel::NonBlocking),
-            _ => None,
-        }
-    }
-}
-
-/// Wire token for an [`Engine`] variant.
-#[must_use]
-pub fn engine_name(e: Engine) -> &'static str {
-    match e {
-        Engine::EventDriven => "event-driven",
-        Engine::Reference => "reference",
-    }
-}
-
-/// Parses an [`Engine`] wire token.
-#[must_use]
-pub fn engine_from_name(s: &str) -> Option<Engine> {
-    match s {
-        "event-driven" => Some(Engine::EventDriven),
-        "reference" => Some(Engine::Reference),
-        _ => None,
-    }
-}
-
-/// Wire token for a [`FaultInjection`].
-#[must_use]
-pub fn fault_name(f: FaultInjection) -> &'static str {
-    match f {
-        FaultInjection::SkipWbForwarding => "skip-wb-forwarding",
-        FaultInjection::StarveRetirement => "starve-retirement",
-        FaultInjection::OvershootSkip => "overshoot-skip",
-    }
-}
-
-/// Parses a [`FaultInjection`] wire token.
-#[must_use]
-pub fn fault_from_name(s: &str) -> Option<FaultInjection> {
-    match s {
-        "skip-wb-forwarding" => Some(FaultInjection::SkipWbForwarding),
-        "starve-retirement" => Some(FaultInjection::StarveRetirement),
-        "overshoot-skip" => Some(FaultInjection::OvershootSkip),
-        _ => None,
-    }
-}
-
-/// Wire token for a [`LoadHazardPolicy`] (same names as the CLI flag).
-#[must_use]
-pub fn hazard_name(h: LoadHazardPolicy) -> &'static str {
-    match h {
-        LoadHazardPolicy::FlushFull => "flush-full",
-        LoadHazardPolicy::FlushPartial => "flush-partial",
-        LoadHazardPolicy::FlushItemOnly => "flush-item-only",
-        LoadHazardPolicy::ReadFromWb => "read-from-wb",
-    }
-}
-
-/// Parses a [`LoadHazardPolicy`] wire token (case-insensitive, as the CLI).
-#[must_use]
-pub fn hazard_from_name(s: &str) -> Option<LoadHazardPolicy> {
-    match s.to_ascii_lowercase().as_str() {
-        "flush-full" => Some(LoadHazardPolicy::FlushFull),
-        "flush-partial" => Some(LoadHazardPolicy::FlushPartial),
-        "flush-item-only" => Some(LoadHazardPolicy::FlushItemOnly),
-        "read-from-wb" => Some(LoadHazardPolicy::ReadFromWb),
-        _ => None,
+    pub fn parse(s: &str) -> Option<Self> {
+        Self::from_name(if s == "non-blocking" {
+            "nonblocking"
+        } else {
+            s
+        })
     }
 }
 
@@ -203,28 +134,7 @@ pub enum FigureFormat {
     Svg,
 }
 
-impl FigureFormat {
-    /// Wire token.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            FigureFormat::Text => "text",
-            FigureFormat::Csv => "csv",
-            FigureFormat::Svg => "svg",
-        }
-    }
-
-    /// Parses a wire token.
-    #[must_use]
-    pub fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "text" => Some(FigureFormat::Text),
-            "csv" => Some(FigureFormat::Csv),
-            "svg" => Some(FigureFormat::Svg),
-            _ => None,
-        }
-    }
-}
+wbsim_types::wire_names!(FigureFormat { Text => "text", Csv => "csv", Svg => "svg" });
 
 /// The kind-specific part of a manifest.
 #[derive(Debug, Clone, PartialEq)]
@@ -358,7 +268,7 @@ impl Manifest {
                         &spec.mshrs.map_or("auto".to_string(), |m| m.to_string()),
                     )
                     .field("max_ops", &spec.max_ops.to_string())
-                    .field("fault", spec.fault.map_or("none", fault_name))
+                    .field("fault", spec.fault.map_or("none", FaultInjection::name))
                     .field("props", if spec.props { "true" } else { "false" })
                     .field(
                         "props_file",
@@ -396,7 +306,12 @@ impl Manifest {
                                 .retire_at
                                 .map_or("baseline".to_string(), |r| r.to_string()),
                         )
-                        .field("hazard", spec.config.hazard.map_or("baseline", hazard_name));
+                        .field(
+                            "hazard",
+                            spec.config
+                                .hazard
+                                .map_or("baseline", LoadHazardPolicy::name),
+                        );
                     }
                 }
             }
@@ -418,7 +333,7 @@ impl Manifest {
             .field("warmup", &o.warmup.to_string())
             .field("seed", &o.seed.to_string())
             .field("check_data", if o.check_data { "true" } else { "false" })
-            .field("engine", engine_name(o.engine));
+            .field("engine", o.engine.name());
         h.finish()
     }
 
@@ -539,8 +454,7 @@ impl Manifest {
                     escape(spec.machine.name()),
                     opt_num(spec.mshrs),
                     spec.max_ops,
-                    spec.fault
-                        .map_or("null".to_string(), |f| escape(fault_name(f))),
+                    spec.fault.map_or("null".to_string(), |f| escape(f.name())),
                     spec.props,
                     spec.props_file
                         .as_deref()
@@ -557,7 +471,7 @@ impl Manifest {
                     opt_num(spec.config.retire_at),
                     spec.config
                         .hazard
-                        .map_or("null".to_string(), |z| escape(hazard_name(z))),
+                        .map_or("null".to_string(), |z| escape(z.name())),
                 )
             }
             JobKind::Bench { samples } => format!("{{\"samples\":{samples}}}"),
@@ -585,7 +499,7 @@ impl Manifest {
             o.seed,
             o.check_data,
             o.jobs,
-            escape(engine_name(o.engine)),
+            escape(o.engine.name()),
         )
     }
 
@@ -773,7 +687,10 @@ fn parse_spec(tag: &str, spec: Option<&Json>, errs: &mut Vec<Diagnostic>) -> Opt
                         errs.push(diag(
                             "JOB005",
                             "spec.format",
-                            format!("unknown figure format {s:?} (text | csv | svg)"),
+                            format!(
+                                "unknown figure format {s:?} ({})",
+                                FigureFormat::NAMES.join(" | ")
+                            ),
                         ));
                         FigureFormat::Text
                     }
@@ -805,12 +722,15 @@ fn parse_spec(tag: &str, spec: Option<&Json>, errs: &mut Vec<Diagnostic>) -> Opt
                 ..CheckSpec::default()
             };
             if let Some(m) = str_of("machine", errs) {
-                match MachineSel::from_name(&m) {
+                match MachineSel::parse(&m) {
                     Some(sel) => s.machine = sel,
                     None => errs.push(diag(
                         "JOB005",
                         "spec.machine",
-                        format!("unknown machine {m:?} (try blocking or nonblocking)"),
+                        format!(
+                            "unknown machine {m:?} (try {})",
+                            or_list(MachineSel::NAMES, " or ")
+                        ),
                     )),
                 }
             }
@@ -819,14 +739,14 @@ fn parse_spec(tag: &str, spec: Option<&Json>, errs: &mut Vec<Diagnostic>) -> Opt
                 s.max_ops = n as u32;
             }
             if let Some(f) = str_of("fault", errs) {
-                match fault_from_name(&f) {
+                match FaultInjection::from_name(&f) {
                     Some(fi) => s.fault = Some(fi),
                     None => errs.push(diag(
                         "JOB005",
                         "spec.fault",
                         format!(
-                            "unknown fault {f:?} (try skip-wb-forwarding, \
-                             starve-retirement, or overshoot-skip)"
+                            "unknown fault {f:?} (try {})",
+                            or_list(FaultInjection::NAMES, ", or ")
                         ),
                     )),
                 }
@@ -840,7 +760,10 @@ fn parse_spec(tag: &str, spec: Option<&Json>, errs: &mut Vec<Diagnostic>) -> Opt
                     None => errs.push(diag(
                         "JOB005",
                         "spec.sched_fault",
-                        format!("unknown sched fault {f:?} (try lost-wakeup or dup-execute)"),
+                        format!(
+                            "unknown sched fault {f:?} (try {})",
+                            or_list(SchedFault::NAMES, " or ")
+                        ),
                     )),
                 }
             }
@@ -850,7 +773,8 @@ fn parse_spec(tag: &str, spec: Option<&Json>, errs: &mut Vec<Diagnostic>) -> Opt
             s.config.depth = opt_usize(fields, "depth", "spec.depth", errs);
             s.config.retire_at = opt_usize(fields, "retire_at", "spec.retire_at", errs);
             if let Some(z) = str_of("hazard", errs) {
-                match hazard_from_name(&z) {
+                // Case-insensitive, as the CLI's `--hazard`.
+                match LoadHazardPolicy::from_name(&z.to_ascii_lowercase()) {
                     Some(h) => s.config.hazard = Some(h),
                     None => errs.push(diag(
                         "JOB005",
@@ -918,13 +842,14 @@ fn parse_options(v: &Json, errs: &mut Vec<Diagnostic>) -> Options {
                 Some(b) => o.check_data = b,
                 None => errs.push(diag("JOB006", &path, "check_data must be a boolean".into())),
             },
-            "engine" => match value.as_str().and_then(engine_from_name) {
+            "engine" => match value.as_str().and_then(Engine::from_name) {
                 Some(e) => o.engine = e,
-                None => errs.push(diag(
-                    "JOB006",
-                    &path,
-                    "engine must be \"event-driven\" or \"reference\"".into(),
-                )),
+                None => {
+                    let quoted: Vec<String> =
+                        Engine::NAMES.iter().map(|n| format!("{n:?}")).collect();
+                    let msg = format!("engine must be {}", or_list(&quoted, " or "));
+                    errs.push(diag("JOB006", &path, msg));
+                }
             },
             other => errs.push(diag(
                 "JOB006",

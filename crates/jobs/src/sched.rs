@@ -48,26 +48,9 @@ pub enum SchedFault {
     DupExecute,
 }
 
+wbsim_types::wire_names!(SchedFault { LostWakeup => "lost-wakeup", DupExecute => "dup-execute" });
+
 impl SchedFault {
-    /// Wire token (`lost-wakeup` / `dup-execute`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedFault::LostWakeup => "lost-wakeup",
-            SchedFault::DupExecute => "dup-execute",
-        }
-    }
-
-    /// Parses a wire token.
-    #[must_use]
-    pub fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "lost-wakeup" => Some(SchedFault::LostWakeup),
-            "dup-execute" => Some(SchedFault::DupExecute),
-            _ => None,
-        }
-    }
-
     /// The harness that exposes this fault.
     #[must_use]
     pub fn harness_name(self) -> &'static str {
@@ -291,16 +274,17 @@ pub fn replay_sched(
         None => None,
         Some(name) => Some(SchedFault::from_name(name).ok_or_else(|| {
             Diagnostic::new("SCH002", Severity::Error, "schedule.fault".to_string()).with_message(
-                format!("unknown fault {name:?} (lost-wakeup | dup-execute)"),
+                format!("unknown fault {name:?} ({})", SchedFault::NAMES.join(" | ")),
             )
         })?),
     };
     let h = make_harness(&cex.harness, fault).ok_or_else(|| {
         Diagnostic::new("SCH002", Severity::Error, "schedule.harness".to_string()).with_message(
             format!(
-                "no harness {:?} with fault {:?} (store-race | serve-drain | pool-steal)",
+                "no harness {:?} with fault {:?} ({})",
                 cex.harness,
-                fault.map(SchedFault::name)
+                fault.map(SchedFault::name),
+                HARNESSES.join(" | ")
             ),
         )
     })?;

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use wbsim_sim::{Event, Machine, NonBlockingMachine, Observer};
+use wbsim_sim::{Event, Machine, NonBlockingMachine, Observer, SimMachine};
 use wbsim_types::addr::Addr;
 use wbsim_types::config::{ConfigError, IcacheConfig, L2Config, MachineConfig};
 use wbsim_types::divergence::{Divergence, LoadSource};
@@ -29,11 +29,18 @@ pub struct DiffReport {
     pub words_checked: u64,
 }
 
-/// Records every architecturally visible load, plus per-cycle coverage,
-/// from the structured event stream.
+/// Records each load's terminal event in program order, plus per-cycle
+/// coverage, from the structured event stream. A load ends in
+/// [`Event::LoadResolved`] (value known at issue) or, on the non-blocking
+/// machine only, [`Event::LoadMiss`] (it went to an MSHR: there is no
+/// architecturally returned value to compare, and the fill is verified
+/// when later hits re-read it).
 #[derive(Debug, Default)]
 struct Recorder {
-    loads: Vec<(Addr, u64, LoadSource)>,
+    /// `(program-order ordinal, addr, value, source)` of resolved loads.
+    resolved: Vec<(usize, Addr, u64, LoadSource)>,
+    /// Terminal events seen (resolved + missed) = loads issued.
+    loads: usize,
     cycles_seen: u64,
 }
 
@@ -46,9 +53,39 @@ impl Observer for Recorder {
                 value,
                 source,
                 ..
-            } => self.loads.push((addr, value, source)),
+            } => {
+                self.resolved.push((self.loads, addr, value, source));
+                self.loads += 1;
+            }
+            Event::LoadMiss { .. } => self.loads += 1,
             _ => {}
         }
+    }
+}
+
+impl Recorder {
+    /// Checks 1 and 2 of [`diff_run`]: each resolved load against the
+    /// model's value at its program-order ordinal, then the number of
+    /// terminal events (an extra one is a count divergence).
+    fn check_loads(&self, expected: &[u64]) -> Result<(), Divergence> {
+        for &(index, addr, machine, source) in &self.resolved {
+            if let Some(&oracle) = expected.get(index).filter(|&&v| v != machine) {
+                return Err(Divergence::LoadValue {
+                    index,
+                    addr,
+                    machine,
+                    oracle,
+                    source,
+                });
+            }
+        }
+        if self.loads != expected.len() {
+            return Err(Divergence::LoadCount {
+                machine: self.loads,
+                oracle: expected.len(),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -81,39 +118,68 @@ impl Observer for Recorder {
 /// Panics if `cfg` fails [`MachineConfig::validate`] — the harness checks
 /// behavior, not configuration validation.
 pub fn diff_run(cfg: &MachineConfig, ops: &[Op]) -> Result<DiffReport, Divergence> {
-    let mut cfg = cfg.clone();
-    cfg.check_data = false;
-    let g = cfg.geometry;
+    let cfg = unchecked(cfg);
+    let machine = Machine::new(cfg.clone()).expect("diff_run requires a valid configuration");
+    compare(machine, &cfg, true, ops)
+}
 
-    let mut machine = Machine::new(cfg.clone()).expect("diff_run requires a valid configuration");
+/// [`diff_run`] for the non-blocking machine (paper §4.3).
+///
+/// Loads that resolve at issue (L1 or write-buffer hits) are checked
+/// against the model at their program-order position; loads that go to an
+/// MSHR have no architecturally returned value in a trace-driven model,
+/// so they are checked through **final memory** and through every later
+/// hit to the filled line instead. The load *count* (resolved + missed)
+/// must still match the stream exactly, and the conservation identities
+/// hold minus cycle accounting (overlap is the whole point) and the ideal
+/// bound (read-from-WB only).
+///
+/// # Errors
+///
+/// Returns the configuration error when `cfg`/`mshrs` are rejected by
+/// [`NonBlockingMachine::new`] (notably: the hazard policy must be
+/// read-from-WB), so property harnesses can skip invalid combinations;
+/// behavioral divergences are reported in the inner `Result`.
+pub fn diff_run_nonblocking(
+    cfg: &MachineConfig,
+    mshrs: usize,
+    ops: &[Op],
+) -> Result<Result<DiffReport, Divergence>, ConfigError> {
+    let cfg = unchecked(cfg);
+    let machine = NonBlockingMachine::new(cfg.clone(), mshrs)?;
+    Ok(compare(machine, &cfg, false, ops))
+}
+
+/// `cfg` with the machine's inline shadow check off: the oracle replaces
+/// it, and must outlive injected faults in order to report them.
+fn unchecked(cfg: &MachineConfig) -> MachineConfig {
+    MachineConfig {
+        check_data: false,
+        ..cfg.clone()
+    }
+}
+
+/// The one differential body of [`diff_run`] and
+/// [`diff_run_nonblocking`] (`blocking` tells which): `machine` runs
+/// `ops` continuously, as users run it, and the checks follow in
+/// [`diff_run`]'s order.
+fn compare<M: SimMachine>(
+    mut machine: M,
+    cfg: &MachineConfig,
+    blocking: bool,
+    ops: &[Op],
+) -> Result<DiffReport, Divergence> {
+    let g = cfg.geometry;
     let mut rec = Recorder::default();
     let stats = machine.run_observed(ops.iter().copied(), &mut rec);
-
-    // 1 + 2: load values in program order, then the load count.
     let mut oracle = ArchModel::new(g);
     let expected = oracle.run(ops);
-    for (index, (&(addr, machine_v, source), &oracle_v)) in
-        rec.loads.iter().zip(expected.iter()).enumerate()
-    {
-        if machine_v != oracle_v {
-            return Err(Divergence::LoadValue {
-                index,
-                addr,
-                machine: machine_v,
-                oracle: oracle_v,
-                source,
-            });
-        }
-    }
-    if rec.loads.len() != expected.len() {
-        return Err(Divergence::LoadCount {
-            machine: rec.loads.len(),
-            oracle: expected.len(),
-        });
-    }
+
+    rec.check_loads(&expected)?;
 
     // 3: final memory over every word the stream touched.
-    for (&addr, &oracle_v) in final_words(&g, ops, &oracle).iter() {
+    let words = final_words(&g, ops, &oracle);
+    for (&addr, &oracle_v) in &words {
         let machine_v = machine.read_word_architectural(addr);
         if machine_v != oracle_v {
             return Err(Divergence::FinalMemory {
@@ -124,21 +190,23 @@ pub fn diff_run(cfg: &MachineConfig, ops: &[Op]) -> Result<DiffReport, Divergenc
         }
     }
 
-    // 4: conservation identities.
+    // 4: conservation identities; cycle accounting on the blocking
+    // machine only (non-blocking misses overlap execution, so a cycle
+    // may be an instruction *and* a miss wait).
     check_conservation(
-        &cfg,
+        cfg,
         &stats,
         machine.wb_victim_allocs(),
         machine.wb_occupancy() as u64,
         rec.cycles_seen,
-        true,
+        blocking,
     )?;
 
     // 5: ideal bounds, where the configuration admits them.
     let flush_policy = cfg.write_buffer.hazard != LoadHazardPolicy::ReadFromWb;
     let perfect_substrate =
         matches!(cfg.l2, L2Config::Perfect { .. }) && matches!(cfg.icache, IcacheConfig::Perfect);
-    let ideal = if flush_policy && perfect_substrate {
+    let ideal = if blocking && flush_policy && perfect_substrate {
         let ideal = Machine::new(cfg.clone())
             .expect("validated above")
             .run_ideal(ops.iter().copied());
@@ -161,139 +229,12 @@ pub fn diff_run(cfg: &MachineConfig, ops: &[Op]) -> Result<DiffReport, Divergenc
         None
     };
 
-    let words = final_words(&g, ops, &oracle).len() as u64;
     Ok(DiffReport {
         stats,
         ideal,
-        loads_checked: expected.len() as u64,
-        words_checked: words,
-    })
-}
-
-/// Program-order load recorder for the non-blocking machine: a load's
-/// terminal event is either [`Event::LoadResolved`] (value known at issue)
-/// or [`Event::LoadMiss`] (went to an MSHR; no architectural value to
-/// compare, the fill is verified when later hits re-read it).
-#[derive(Debug, Default)]
-struct NbRecorder {
-    /// `(program-order ordinal, addr, value, source)` of resolved loads.
-    resolved: Vec<(usize, Addr, u64, LoadSource)>,
-    /// Terminal events seen (resolved + missed) = loads issued.
-    total_loads: usize,
-    cycles_seen: u64,
-}
-
-impl Observer for NbRecorder {
-    fn event(&mut self, ev: &Event) {
-        match *ev {
-            Event::CycleEnd { .. } => self.cycles_seen += 1,
-            Event::LoadResolved {
-                addr,
-                value,
-                source,
-                ..
-            } => {
-                self.resolved.push((self.total_loads, addr, value, source));
-                self.total_loads += 1;
-            }
-            Event::LoadMiss { .. } => {
-                self.total_loads += 1;
-            }
-            _ => {}
-        }
-    }
-}
-
-/// [`diff_run`] for the non-blocking machine (paper §4.3).
-///
-/// Loads that resolve at issue (L1 or write-buffer hits) are checked
-/// against the model at their program-order position; loads that go to an
-/// MSHR have no architecturally returned value in a trace-driven model,
-/// so they are checked through **final memory** and through every later
-/// hit to the filled line instead. The load *count* (resolved + missed)
-/// must still match the stream exactly, and the conservation identities
-/// hold minus cycle accounting (overlap is the whole point) and the ideal
-/// bound (read-from-WB only).
-///
-/// # Errors
-///
-/// Returns the configuration error when `cfg`/`mshrs` are rejected by
-/// [`NonBlockingMachine::new`] (notably: the hazard policy must be
-/// read-from-WB), so property harnesses can skip invalid combinations;
-/// behavioral divergences are reported in the inner `Result`.
-#[allow(clippy::missing_panics_doc)] // the inner expect is unreachable: new() validated
-pub fn diff_run_nonblocking(
-    cfg: &MachineConfig,
-    mshrs: usize,
-    ops: &[Op],
-) -> Result<Result<DiffReport, Divergence>, ConfigError> {
-    let mut cfg = cfg.clone();
-    cfg.check_data = false;
-    let g = cfg.geometry;
-
-    let mut machine = NonBlockingMachine::new(cfg.clone(), mshrs)?;
-    let mut rec = NbRecorder::default();
-    let stats = machine.run_observed(ops.iter().copied(), &mut rec);
-
-    let mut oracle = ArchModel::new(g);
-    let expected = oracle.run(ops);
-
-    // 1: resolved loads at their program-order ordinal.
-    for &(index, addr, machine_v, source) in &rec.resolved {
-        let oracle_v = expected
-            .get(index)
-            .copied()
-            .expect("ordinal bounded by the load-count check below");
-        if machine_v != oracle_v {
-            return Ok(Err(Divergence::LoadValue {
-                index,
-                addr,
-                machine: machine_v,
-                oracle: oracle_v,
-                source,
-            }));
-        }
-    }
-    // 2: every load got exactly one terminal event.
-    if rec.total_loads != expected.len() {
-        return Ok(Err(Divergence::LoadCount {
-            machine: rec.total_loads,
-            oracle: expected.len(),
-        }));
-    }
-
-    // 3: final memory.
-    for (&addr, &oracle_v) in final_words(&g, ops, &oracle).iter() {
-        let machine_v = machine.read_word_architectural(addr);
-        if machine_v != oracle_v {
-            return Ok(Err(Divergence::FinalMemory {
-                addr,
-                machine: machine_v,
-                oracle: oracle_v,
-            }));
-        }
-    }
-
-    // 4: conservation (no cycle accounting: misses overlap execution, so
-    // a cycle may be an instruction *and* a miss wait).
-    if let Err(d) = check_conservation(
-        &cfg,
-        &stats,
-        0, // the non-blocking machine has no victim path
-        machine.wb_occupancy() as u64,
-        rec.cycles_seen,
-        false,
-    ) {
-        return Ok(Err(d));
-    }
-
-    let words = final_words(&g, ops, &oracle).len() as u64;
-    Ok(Ok(DiffReport {
-        stats,
-        ideal: None,
         loads_checked: rec.resolved.len() as u64,
-        words_checked: words,
-    }))
+        words_checked: words.len() as u64,
+    })
 }
 
 /// Every word the stream touched, with the model's final value. Keyed by
@@ -581,5 +522,34 @@ mod tests {
             }
             other => panic!("expected a load-value divergence, got {other}"),
         }
+    }
+
+    /// A terminal load event past the stream's last load is a count
+    /// divergence on either machine, never a panic.
+    #[test]
+    fn an_extra_terminal_load_is_a_count_divergence() {
+        let mut rec = Recorder::default();
+        for ev in [
+            Event::LoadMiss {
+                now: 1,
+                addr: a(0, 0),
+            },
+            Event::LoadResolved {
+                now: 2,
+                addr: a(0, 1),
+                value: 0,
+                source: LoadSource::L1,
+            },
+        ] {
+            rec.event(&ev);
+        }
+        assert_eq!(rec.resolved, [(1, a(0, 1), 0, LoadSource::L1)]);
+        assert_eq!(
+            rec.check_loads(&[0]),
+            Err(Divergence::LoadCount {
+                machine: 2,
+                oracle: 1
+            })
+        );
     }
 }

@@ -1,4 +1,5 @@
-//! The structured event taxonomy emitted by the simulated machines.
+//! The structured event taxonomy emitted by the simulated machines, and
+//! its one wire schema.
 //!
 //! Every architecturally or microarchitecturally interesting moment in the
 //! hierarchy datapath is described by one [`Event`] value: stores entering
@@ -9,15 +10,19 @@
 //! [`crate::observer`]), and every event carries the cycle (`now`) it was
 //! emitted on.
 //!
-//! Events serialize to single-line JSON objects ([`Event::to_json`]) and
-//! parse back losslessly ([`Event::from_json`]) — the `wbsim trace events`
-//! subcommand streams them as JSONL, and CI validates the round trip. The
-//! encoding is hand-rolled (no serde in the dependency tree) on top of the
-//! workspace's shared [`wbsim_types::json`] module: every field is an
-//! unsigned integer, a boolean, or one of a small closed set of string
-//! tokens.
+//! [`SCHEMA`] spells the wire format once: each variant's tag, its field
+//! names in wire order, and each field's [`FieldKind`] (an unsigned
+//! integer, a boolean, or one of an enum's wire names). Everything else
+//! derives from it: the JSON codec ([`Event::to_json`], parsed back
+//! losslessly by [`Event::from_json`]) that `wbsim trace events` streams
+//! as JSONL through [`crate::JsonlObserver`], the `.wbp` property
+//! language's alphabet, and the property monitors' field reads
+//! ([`Event::tag_index`], [`Event::field`]), so a field or variant added
+//! here reaches the wire, the alphabet and the monitors with no edit
+//! elsewhere. The encoding is hand-rolled (no serde in the dependency
+//! tree) on top of the workspace's shared [`wbsim_types::json`] module.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use wbsim_types::addr::Addr;
 use wbsim_types::divergence::LoadSource;
@@ -37,6 +42,12 @@ pub enum PortUse {
     /// An instruction fetch.
     IFetch,
 }
+
+wbsim_types::wire_names!(PortUse {
+    WbWrite => "wb-write",
+    CpuRead => "cpu-read",
+    IFetch => "ifetch",
+});
 
 /// One observable step of the memory hierarchy. See the module docs for
 /// the taxonomy; [`crate::observer::Observer`] receives these.
@@ -157,75 +168,94 @@ pub enum Event {
     },
 }
 
-fn stall_kind_token(kind: StallKind) -> &'static str {
-    match kind {
-        StallKind::BufferFull => "buffer-full",
-        StallKind::L2ReadAccess => "l2-read-access",
-        StallKind::LoadHazard => "load-hazard",
-    }
+/// How a field's values are typed, on the wire and in `.wbp` comparisons.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldKind {
+    /// Unsigned integer.
+    U64,
+    /// Boolean.
+    Bool,
+    /// One of a closed set of string tokens: an enum's wire names.
+    Token(&'static [&'static str]),
 }
 
-fn stall_kind_from(token: &str) -> Option<StallKind> {
-    Some(match token {
-        "buffer-full" => StallKind::BufferFull,
-        "l2-read-access" => StallKind::L2ReadAccess,
-        "load-hazard" => StallKind::LoadHazard,
-        _ => return None,
-    })
+/// One field's value, of its [`FieldKind`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldVal {
+    /// Unsigned integer.
+    U64(u64),
+    /// Boolean.
+    Bool(bool),
+    /// A token.
+    Token(&'static str),
 }
 
-fn source_token(source: LoadSource) -> &'static str {
-    match source {
-        LoadSource::L1 => "l1",
-        LoadSource::WriteBuffer => "write-buffer",
-        LoadSource::L2Fill => "l2-fill",
-    }
+/// One [`Event`] variant on the wire: its tag, its own fields, and how
+/// [`Event::from_json`] builds it from them.
+#[derive(Debug, Clone, Copy)]
+pub struct TagSpec {
+    /// The `"event"` value.
+    pub tag: &'static str,
+    /// The variant's fields in wire order; [`NOW`] precedes them.
+    pub fields: &'static [(&'static str, FieldKind)],
+    build: fn(Cycle, &Fields<'_>) -> Result<Event, EventParseError>,
 }
 
-fn source_from(token: &str) -> Option<LoadSource> {
-    Some(match token {
-        "l1" => LoadSource::L1,
-        "write-buffer" => LoadSource::WriteBuffer,
-        "l2-fill" => LoadSource::L2Fill,
-        _ => return None,
-    })
-}
+/// The cycle stamp every event carries first, after its tag.
+pub const NOW: (&str, FieldKind) = ("now", FieldKind::U64);
 
-fn policy_token(policy: LoadHazardPolicy) -> &'static str {
-    match policy {
-        LoadHazardPolicy::FlushFull => "flush-full",
-        LoadHazardPolicy::FlushPartial => "flush-partial",
-        LoadHazardPolicy::FlushItemOnly => "flush-item-only",
-        LoadHazardPolicy::ReadFromWb => "read-from-wb",
-    }
-}
-
-fn policy_from(token: &str) -> Option<LoadHazardPolicy> {
-    Some(match token {
-        "flush-full" => LoadHazardPolicy::FlushFull,
-        "flush-partial" => LoadHazardPolicy::FlushPartial,
-        "flush-item-only" => LoadHazardPolicy::FlushItemOnly,
-        "read-from-wb" => LoadHazardPolicy::ReadFromWb,
-        _ => return None,
-    })
-}
-
-fn port_use_token(owner: PortUse) -> &'static str {
-    match owner {
-        PortUse::WbWrite => "wb-write",
-        PortUse::CpuRead => "cpu-read",
-        PortUse::IFetch => "ifetch",
-    }
-}
-
-fn port_use_from(token: &str) -> Option<PortUse> {
-    Some(match token {
-        "wb-write" => PortUse::WbWrite,
-        "cpu-read" => PortUse::CpuRead,
-        "ifetch" => PortUse::IFetch,
-        _ => return None,
-    })
-}
+/// The event schema: one row per [`Event`] variant, in declaration order.
+/// A row's builder reads field `i` of the row with `f.<kind>(i)`.
+#[rustfmt::skip]
+pub static SCHEMA: [TagSpec; 11] = {
+    use Event::*;
+    use FieldKind::{Bool, Token, U64};
+    [
+        TagSpec { tag: "store-accepted", fields: &[("addr", U64), ("merged", Bool)],
+            build: |now, f| Ok(StoreAccepted { now, addr: f.addr(0)?, merged: f.bool(1)? }) },
+        TagSpec { tag: "retire-start", fields: &[("id", U64), ("flush", Bool)],
+            build: |now, f| Ok(RetireStart { now, id: f.u64(0)?, flush: f.bool(1)? }) },
+        TagSpec { tag: "retire-complete", fields: &[
+                ("id", U64), ("line", U64), ("lifetime", U64), ("valid_words", U64),
+                ("flush", Bool),
+            ],
+            build: |now, f| Ok(RetireComplete {
+                now, id: f.u64(0)?, line: f.u64(1)?, lifetime: f.u64(2)?, valid_words: f.u32(3)?,
+                flush: f.bool(4)?,
+            }) },
+        TagSpec { tag: "hazard-triggered", fields: &[
+                ("addr", U64), ("policy", Token(LoadHazardPolicy::NAMES)), ("flush_entries", U64),
+            ],
+            build: |now, f| Ok(HazardTriggered {
+                now, addr: f.addr(0)?, policy: f.token(1, LoadHazardPolicy::from_name)?,
+                flush_entries: f.u64(2)?,
+            }) },
+        TagSpec { tag: "stall-cycle", fields: &[("kind", Token(StallKind::NAMES))],
+            build: |now, f| Ok(StallCycle { now, kind: f.token(0, StallKind::from_name)? }) },
+        TagSpec { tag: "fill-installed", fields: &[
+                ("line", U64), ("for_store", Bool), ("merged_wb", Bool),
+            ],
+            build: |now, f| Ok(FillInstalled {
+                now, line: f.u64(0)?, for_store: f.bool(1)?, merged_wb: f.bool(2)?,
+            }) },
+        TagSpec { tag: "victim-writeback", fields: &[("line", U64), ("merged", Bool)],
+            build: |now, f| Ok(VictimWriteback { now, line: f.u64(0)?, merged: f.bool(1)? }) },
+        TagSpec { tag: "port-granted", fields: &[("owner", Token(PortUse::NAMES)), ("until", U64)],
+            build: |now, f| Ok(PortGranted {
+                now, owner: f.token(0, PortUse::from_name)?, until: f.u64(1)?,
+            }) },
+        TagSpec { tag: "load-resolved", fields: &[
+                ("addr", U64), ("value", U64), ("source", Token(LoadSource::NAMES)),
+            ],
+            build: |now, f| Ok(LoadResolved {
+                now, addr: f.addr(0)?, value: f.u64(1)?, source: f.token(2, LoadSource::from_name)?,
+            }) },
+        TagSpec { tag: "load-miss", fields: &[("addr", U64)],
+            build: |now, f| Ok(LoadMiss { now, addr: f.addr(0)? }) },
+        TagSpec { tag: "cycle-end", fields: &[("occupancy", U64)],
+            build: |now, f| Ok(CycleEnd { now, occupancy: f.u64(0)? }) },
+    ]
+};
 
 impl Event {
     /// The cycle the event was emitted on (every variant carries one).
@@ -246,75 +276,97 @@ impl Event {
         }
     }
 
-    /// Serializes the event as a single-line JSON object. The `"event"`
-    /// key identifies the variant; the remaining keys are its fields.
+    /// The index of the event's row in [`SCHEMA`].
     #[must_use]
-    pub fn to_json(&self) -> String {
+    pub const fn tag_index(&self) -> usize {
+        match self {
+            Event::StoreAccepted { .. } => 0,
+            Event::RetireStart { .. } => 1,
+            Event::RetireComplete { .. } => 2,
+            Event::HazardTriggered { .. } => 3,
+            Event::StallCycle { .. } => 4,
+            Event::FillInstalled { .. } => 5,
+            Event::VictimWriteback { .. } => 6,
+            Event::PortGranted { .. } => 7,
+            Event::LoadResolved { .. } => 8,
+            Event::LoadMiss { .. } => 9,
+            Event::CycleEnd { .. } => 10,
+        }
+    }
+
+    /// The event's tag (`"store-accepted"`, …).
+    #[must_use]
+    pub fn tag(&self) -> &'static str {
+        SCHEMA[self.tag_index()].tag
+    }
+
+    /// The value of field `i` of the event's [`SCHEMA`] row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row has no field `i`.
+    #[must_use]
+    pub fn field(&self, i: usize) -> FieldVal {
+        use FieldVal::{Bool as B, Token as T, U64 as U};
+        // Each variant's fields in wire order, as its SCHEMA row names them.
         match *self {
-            Event::StoreAccepted { now, addr, merged } => format!(
-                r#"{{"event":"store-accepted","now":{now},"addr":{},"merged":{merged}}}"#,
-                addr.as_u64()
-            ),
-            Event::RetireStart { now, id, flush } => {
-                format!(r#"{{"event":"retire-start","now":{now},"id":{id},"flush":{flush}}}"#)
-            }
+            Event::StoreAccepted { addr, merged, .. } => [U(addr.as_u64()), B(merged)][i],
+            Event::RetireStart { id, flush, .. } => [U(id), B(flush)][i],
             Event::RetireComplete {
-                now,
                 id,
                 line,
                 lifetime,
                 valid_words,
                 flush,
-            } => format!(
-                r#"{{"event":"retire-complete","now":{now},"id":{id},"line":{line},"lifetime":{lifetime},"valid_words":{valid_words},"flush":{flush}}}"#
-            ),
+                ..
+            } => [U(id), U(line), U(lifetime), U(valid_words.into()), B(flush)][i],
             Event::HazardTriggered {
-                now,
                 addr,
                 policy,
                 flush_entries,
-            } => format!(
-                r#"{{"event":"hazard-triggered","now":{now},"addr":{},"policy":"{}","flush_entries":{flush_entries}}}"#,
-                addr.as_u64(),
-                policy_token(policy)
-            ),
-            Event::StallCycle { now, kind } => format!(
-                r#"{{"event":"stall-cycle","now":{now},"kind":"{}"}}"#,
-                stall_kind_token(kind)
-            ),
+                ..
+            } => [U(addr.as_u64()), T(policy.name()), U(flush_entries)][i],
+            Event::StallCycle { kind, .. } => [T(kind.name())][i],
             Event::FillInstalled {
-                now,
                 line,
                 for_store,
                 merged_wb,
-            } => format!(
-                r#"{{"event":"fill-installed","now":{now},"line":{line},"for_store":{for_store},"merged_wb":{merged_wb}}}"#
-            ),
-            Event::VictimWriteback { now, line, merged } => format!(
-                r#"{{"event":"victim-writeback","now":{now},"line":{line},"merged":{merged}}}"#
-            ),
-            Event::PortGranted { now, owner, until } => format!(
-                r#"{{"event":"port-granted","now":{now},"owner":"{}","until":{until}}}"#,
-                port_use_token(owner)
-            ),
+                ..
+            } => [U(line), B(for_store), B(merged_wb)][i],
+            Event::VictimWriteback { line, merged, .. } => [U(line), B(merged)][i],
+            Event::PortGranted { owner, until, .. } => [T(owner.name()), U(until)][i],
             Event::LoadResolved {
-                now,
                 addr,
                 value,
                 source,
-            } => format!(
-                r#"{{"event":"load-resolved","now":{now},"addr":{},"value":{value},"source":"{}"}}"#,
-                addr.as_u64(),
-                source_token(source)
-            ),
-            Event::LoadMiss { now, addr } => format!(
-                r#"{{"event":"load-miss","now":{now},"addr":{}}}"#,
-                addr.as_u64()
-            ),
-            Event::CycleEnd { now, occupancy } => {
-                format!(r#"{{"event":"cycle-end","now":{now},"occupancy":{occupancy}}}"#)
-            }
+                ..
+            } => [U(addr.as_u64()), U(value), T(source.name())][i],
+            Event::LoadMiss { addr, .. } => [U(addr.as_u64())][i],
+            Event::CycleEnd { occupancy, .. } => [U(occupancy)][i],
         }
+    }
+
+    /// Serializes the event as a single-line JSON object: the `"event"`
+    /// key holds the tag, then come `now` and the [`SCHEMA`] row's fields.
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        let mut s = String::with_capacity(96);
+        self.write_json(&mut s);
+        s
+    }
+
+    /// Appends [`Event::to_json`]'s text to `out`.
+    pub fn write_json(&self, out: &mut String) {
+        let spec = &SCHEMA[self.tag_index()];
+        out.push_str("{\"event\":\"");
+        out.push_str(spec.tag);
+        out.push_str("\",");
+        push_member(out, NOW.0, FieldVal::U64(self.now()));
+        for (i, (name, _)) in spec.fields.iter().enumerate() {
+            out.push(',');
+            push_member(out, name, self.field(i));
+        }
+        out.push('}');
     }
 
     /// Parses a single-line JSON object produced by [`Event::to_json`].
@@ -326,82 +378,36 @@ impl Event {
     pub fn from_json(text: &str) -> Result<Self, EventParseError> {
         let doc =
             wbsim_types::json::parse(text).map_err(|e| EventParseError::new(e.to_string()))?;
-        let fields = doc
-            .entries()
+        doc.entries()
             .ok_or_else(|| EventParseError::new("not a JSON object"))?;
-        let tag = get_str(fields, "event")?;
-        let now = get_u64(fields, "now")?;
-        let ev = match tag {
-            "store-accepted" => Event::StoreAccepted {
-                now,
-                addr: Addr::new(get_u64(fields, "addr")?),
-                merged: get_bool(fields, "merged")?,
-            },
-            "retire-start" => Event::RetireStart {
-                now,
-                id: get_u64(fields, "id")?,
-                flush: get_bool(fields, "flush")?,
-            },
-            "retire-complete" => Event::RetireComplete {
-                now,
-                id: get_u64(fields, "id")?,
-                line: get_u64(fields, "line")?,
-                lifetime: get_u64(fields, "lifetime")?,
-                valid_words: u32::try_from(get_u64(fields, "valid_words")?)
-                    .map_err(|_| EventParseError::field("valid_words", "exceeds u32"))?,
-                flush: get_bool(fields, "flush")?,
-            },
-            "hazard-triggered" => Event::HazardTriggered {
-                now,
-                addr: Addr::new(get_u64(fields, "addr")?),
-                policy: policy_from(get_str(fields, "policy")?)
-                    .ok_or_else(|| EventParseError::field("policy", "unknown token"))?,
-                flush_entries: get_u64(fields, "flush_entries")?,
-            },
-            "stall-cycle" => Event::StallCycle {
-                now,
-                kind: stall_kind_from(get_str(fields, "kind")?)
-                    .ok_or_else(|| EventParseError::field("kind", "unknown token"))?,
-            },
-            "fill-installed" => Event::FillInstalled {
-                now,
-                line: get_u64(fields, "line")?,
-                for_store: get_bool(fields, "for_store")?,
-                merged_wb: get_bool(fields, "merged_wb")?,
-            },
-            "victim-writeback" => Event::VictimWriteback {
-                now,
-                line: get_u64(fields, "line")?,
-                merged: get_bool(fields, "merged")?,
-            },
-            "port-granted" => Event::PortGranted {
-                now,
-                owner: port_use_from(get_str(fields, "owner")?)
-                    .ok_or_else(|| EventParseError::field("owner", "unknown token"))?,
-                until: get_u64(fields, "until")?,
-            },
-            "load-resolved" => Event::LoadResolved {
-                now,
-                addr: Addr::new(get_u64(fields, "addr")?),
-                value: get_u64(fields, "value")?,
-                source: source_from(get_str(fields, "source")?)
-                    .ok_or_else(|| EventParseError::field("source", "unknown token"))?,
-            },
-            "load-miss" => Event::LoadMiss {
-                now,
-                addr: Addr::new(get_u64(fields, "addr")?),
-            },
-            "cycle-end" => Event::CycleEnd {
-                now,
-                occupancy: get_u64(fields, "occupancy")?,
-            },
-            other => {
-                return Err(EventParseError {
-                    msg: format!("unknown event tag {other:?}"),
-                })
-            }
+        let tag = get_str(&doc, "event")?;
+        let now = get_u64(&doc, NOW.0)?;
+        let Some(spec) = SCHEMA.iter().find(|s| s.tag == tag) else {
+            return Err(EventParseError::new(format!("unknown event tag {tag:?}")));
         };
-        Ok(ev)
+        let fields = Fields {
+            doc: &doc,
+            names: spec.fields,
+        };
+        (spec.build)(now, &fields)
+    }
+}
+
+/// Appends one JSON member, `"name":value`.
+fn push_member(out: &mut String, name: &str, value: FieldVal) {
+    out.push('"');
+    out.push_str(name);
+    out.push_str("\":");
+    match value {
+        FieldVal::U64(n) => {
+            let _ = write!(out, "{n}");
+        }
+        FieldVal::Bool(b) => out.push_str(if b { "true" } else { "false" }),
+        FieldVal::Token(t) => {
+            out.push('"');
+            out.push_str(t);
+            out.push('"');
+        }
     }
 }
 
@@ -431,16 +437,48 @@ impl fmt::Display for EventParseError {
 
 impl std::error::Error for EventParseError {}
 
-fn get<'a>(fields: &'a [(String, Json)], name: &str) -> Result<&'a Json, EventParseError> {
-    fields
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
+/// One event's JSON object, its members read by the index of their
+/// field in the event's [`SCHEMA`] row.
+#[derive(Debug)]
+struct Fields<'a> {
+    doc: &'a Json,
+    names: &'static [(&'static str, FieldKind)],
+}
+
+impl Fields<'_> {
+    fn u64(&self, i: usize) -> Result<u64, EventParseError> {
+        get_u64(self.doc, self.names[i].0)
+    }
+
+    fn u32(&self, i: usize) -> Result<u32, EventParseError> {
+        u32::try_from(self.u64(i)?)
+            .map_err(|_| EventParseError::field(self.names[i].0, "exceeds u32"))
+    }
+
+    fn addr(&self, i: usize) -> Result<Addr, EventParseError> {
+        self.u64(i).map(Addr::new)
+    }
+
+    fn bool(&self, i: usize) -> Result<bool, EventParseError> {
+        let name = self.names[i].0;
+        let value = member(self.doc, name)?.as_bool();
+        value.ok_or_else(|| EventParseError::field(name, "expected a boolean"))
+    }
+
+    fn token<T>(&self, i: usize, from_name: fn(&str) -> Option<T>) -> Result<T, EventParseError> {
+        let name = self.names[i].0;
+        from_name(get_str(self.doc, name)?)
+            .ok_or_else(|| EventParseError::field(name, "unknown token"))
+    }
+}
+
+fn member<'a>(doc: &'a Json, name: &str) -> Result<&'a Json, EventParseError> {
+    doc.get(name)
         .ok_or_else(|| EventParseError::field(name, "missing"))
 }
 
-fn get_u64(fields: &[(String, Json)], name: &str) -> Result<u64, EventParseError> {
-    match get(fields, name)? {
+fn get_u64(doc: &Json, name: &str) -> Result<u64, EventParseError> {
+    match member(doc, name)? {
         n @ Json::Num(_) => n
             .as_u64()
             .ok_or_else(|| EventParseError::field(name, "number out of range")),
@@ -448,18 +486,9 @@ fn get_u64(fields: &[(String, Json)], name: &str) -> Result<u64, EventParseError
     }
 }
 
-fn get_bool(fields: &[(String, Json)], name: &str) -> Result<bool, EventParseError> {
-    match get(fields, name)? {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(EventParseError::field(name, "expected a boolean")),
-    }
-}
-
-fn get_str<'a>(fields: &'a [(String, Json)], name: &str) -> Result<&'a str, EventParseError> {
-    match get(fields, name)? {
-        Json::Str(s) => Ok(s),
-        _ => Err(EventParseError::field(name, "expected a string")),
-    }
+fn get_str<'a>(doc: &'a Json, name: &str) -> Result<&'a str, EventParseError> {
+    let value = member(doc, name)?.as_str();
+    value.ok_or_else(|| EventParseError::field(name, "expected a string"))
 }
 
 #[cfg(test)]
@@ -538,20 +567,58 @@ mod tests {
         }
     }
 
+    /// Each schema row describes its variant: `all_variants` is in row
+    /// order, and every field's value has the row's kind.
     #[test]
-    fn every_token_round_trips() {
-        for kind in StallKind::ALL {
-            assert_eq!(stall_kind_from(stall_kind_token(kind)), Some(kind));
+    fn schema_rows_type_every_field() {
+        let samples = all_variants();
+        assert_eq!(samples.len(), SCHEMA.len(), "one sample per row");
+        for (i, ev) in samples.iter().enumerate() {
+            assert_eq!(ev.tag_index(), i, "{ev:?}");
+            for (j, &(name, kind)) in SCHEMA[i].fields.iter().enumerate() {
+                let ok = match (kind, ev.field(j)) {
+                    (FieldKind::U64, FieldVal::U64(_)) | (FieldKind::Bool, FieldVal::Bool(_)) => {
+                        true
+                    }
+                    (FieldKind::Token(names), FieldVal::Token(t)) => names.contains(&t),
+                    _ => false,
+                };
+                assert!(ok, "{} field {name} is not {kind:?}", ev.tag());
+            }
         }
-        for policy in LoadHazardPolicy::ALL {
-            assert_eq!(policy_from(policy_token(policy)), Some(policy));
+    }
+
+    /// Every wire-name table: each value's name parses back to it, in
+    /// table order.
+    #[test]
+    fn every_name_table_round_trips() {
+        use crate::Engine;
+        use wbsim_types::divergence::FaultInjection;
+        use wbsim_types::policy::{DatapathWidth, L1WritePolicy, RetirementOrder};
+        macro_rules! round_trip {
+            ($ty:ident: $($v:ident),+) => {{
+                let values = [$($ty::$v),+];
+                assert_eq!($ty::NAMES.len(), values.len(), stringify!($ty));
+                for (v, &name) in values.into_iter().zip($ty::NAMES) {
+                    assert_eq!(v.name(), name);
+                    assert_eq!($ty::from_name(name), Some(v), "{name}");
+                }
+            }};
         }
-        for source in [LoadSource::L1, LoadSource::WriteBuffer, LoadSource::L2Fill] {
-            assert_eq!(source_from(source_token(source)), Some(source));
-        }
-        for owner in [PortUse::WbWrite, PortUse::CpuRead, PortUse::IFetch] {
-            assert_eq!(port_use_from(port_use_token(owner)), Some(owner));
-        }
+        round_trip!(LoadHazardPolicy: FlushFull, FlushPartial, FlushItemOnly, ReadFromWb);
+        round_trip!(StallKind: BufferFull, L2ReadAccess, LoadHazard);
+        round_trip!(LoadSource: L1, WriteBuffer, L2Fill);
+        round_trip!(FaultInjection: SkipWbForwarding, StarveRetirement, OvershootSkip);
+        round_trip!(L1WritePolicy: WriteThrough, WriteBack);
+        round_trip!(RetirementOrder: Fifo, Lru);
+        round_trip!(DatapathWidth: FullLine, HalfLine);
+        round_trip!(PortUse: WbWrite, CpuRead, IFetch);
+        round_trip!(Engine: EventDriven, Reference);
+        assert_eq!(
+            LoadHazardPolicy::from_name("read-from-WB"),
+            None,
+            "exact match only"
+        );
     }
 
     #[test]
@@ -582,5 +649,20 @@ mod tests {
             ev.to_json(),
             r#"{"event":"load-resolved","now":10,"addr":32,"value":1,"source":"l1"}"#
         );
+        let expected = [
+            r#"{"event":"store-accepted","now":3,"addr":64,"merged":true}"#,
+            r#"{"event":"retire-start","now":5,"id":7,"flush":false}"#,
+            r#"{"event":"retire-complete","now":11,"id":7,"line":2,"lifetime":8,"valid_words":3,"flush":true}"#,
+            r#"{"event":"hazard-triggered","now":4,"addr":32,"policy":"flush-partial","flush_entries":2}"#,
+            r#"{"event":"stall-cycle","now":6,"kind":"l2-read-access"}"#,
+            r#"{"event":"fill-installed","now":9,"line":1,"for_store":false,"merged_wb":true}"#,
+            r#"{"event":"victim-writeback","now":9,"line":3,"merged":false}"#,
+            r#"{"event":"port-granted","now":5,"owner":"ifetch","until":11}"#,
+            r#"{"event":"load-resolved","now":4,"addr":40,"value":17,"source":"write-buffer"}"#,
+            r#"{"event":"load-miss","now":4,"addr":48}"#,
+            r#"{"event":"cycle-end","now":4,"occupancy":2}"#,
+        ];
+        let got: Vec<String> = all_variants().iter().map(Event::to_json).collect();
+        assert_eq!(got, expected);
     }
 }

@@ -63,6 +63,6 @@ pub use machine::{
     Engine, LineSnapshot, Machine, MachineSnapshot, MshrSnapshot, SkipSpan, WbEntrySnapshot,
 };
 pub use nonblocking::NonBlockingMachine;
-pub use observer::{HistogramObserver, NullObserver, Observer, Tee};
+pub use observer::{HistogramObserver, JsonlObserver, NullObserver, Observer, Tee};
 pub use port::{L2Port, PortOwner};
 pub use sim_machine::SimMachine;

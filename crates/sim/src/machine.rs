@@ -73,6 +73,8 @@ pub enum Engine {
     Reference,
 }
 
+wbsim_types::wire_names!(Engine { EventDriven => "event-driven", Reference => "reference" });
+
 /// The per-cycle statistics charge of one skipped wait cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SkipTick {
@@ -1620,6 +1622,14 @@ impl SimMachine for Machine {
 
     /// Retirement completion, optional write-priority retirement, one CPU
     /// step, autonomous retirement, and the closing [`Event::CycleEnd`].
+    fn run_observed<I, O>(&mut self, ops: I, obs: &mut O) -> SimStats
+    where
+        I: IntoIterator<Item = Op>,
+        O: Observer,
+    {
+        Machine::run_observed(self, ops, obs)
+    }
+
     fn step<I, O>(&mut self, iter: &mut I, obs: &mut O) -> bool
     where
         I: Iterator<Item = Op>,

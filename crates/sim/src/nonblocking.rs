@@ -643,6 +643,14 @@ impl SimMachine for NonBlockingMachine {
 
     /// Fill completion, retirement completion, one CPU step, read issue,
     /// autonomous retirement, then the cycle close (`close_cycle`).
+    fn run_observed<I, O>(&mut self, ops: I, obs: &mut O) -> SimStats
+    where
+        I: IntoIterator<Item = Op>,
+        O: Observer,
+    {
+        NonBlockingMachine::run_observed(self, ops, obs)
+    }
+
     fn step<I, O>(&mut self, iter: &mut I, obs: &mut O) -> bool
     where
         I: Iterator<Item = Op>,

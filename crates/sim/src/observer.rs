@@ -7,8 +7,10 @@
 //! the observability layer existed. [`HistogramObserver`] aggregates the
 //! stream into the paper's design-guidance distributions (occupancy,
 //! high-water mark and headroom, retirement latency, stall-burst
-//! lengths); the differential oracle and the `wbsim trace` subcommand
-//! bring their own implementations.
+//! lengths); [`JsonlObserver`] writes the stream as JSON lines, and the
+//! differential oracle brings its own implementation.
+
+use std::io;
 
 use crate::event::Event;
 
@@ -30,6 +32,55 @@ pub trait Observer {
 
     /// Receives one event.
     fn event(&mut self, ev: &Event);
+}
+
+/// Writes every event as one JSON line ([`Event::to_json`]) to a sink:
+/// a file or stdout for `wbsim trace events`, memory for trace jobs. An
+/// I/O error is latched rather than panicking mid-simulation; later
+/// events are dropped and [`JsonlObserver::finish`] returns the error.
+#[derive(Debug)]
+pub struct JsonlObserver<W: io::Write> {
+    out: W,
+    line: String,
+    /// Events written so far, or the first write error.
+    written: io::Result<u64>,
+}
+
+impl<W: io::Write> JsonlObserver<W> {
+    /// An observer writing to `out`.
+    pub fn new(out: W) -> Self {
+        JsonlObserver {
+            out,
+            line: String::new(),
+            written: Ok(0),
+        }
+    }
+
+    /// Flushes the sink and returns it with the number of events written.
+    ///
+    /// # Errors
+    ///
+    /// The first write error, or the flush's.
+    pub fn finish(mut self) -> io::Result<(W, u64)> {
+        let count = self.written?;
+        self.out.flush()?;
+        Ok((self.out, count))
+    }
+}
+
+impl<W: io::Write> Observer for JsonlObserver<W> {
+    fn event(&mut self, ev: &Event) {
+        let Ok(count) = &mut self.written else {
+            return;
+        };
+        self.line.clear();
+        ev.write_json(&mut self.line);
+        self.line.push('\n');
+        match self.out.write_all(self.line.as_bytes()) {
+            Ok(()) => *count += 1,
+            Err(e) => self.written = Err(e),
+        }
+    }
 }
 
 /// The zero-cost observer: ignores everything. [`crate::Machine::run`]

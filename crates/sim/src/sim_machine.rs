@@ -14,8 +14,9 @@ use crate::observer::Observer;
 /// monomorphized per machine.
 ///
 /// Every entry point single-steps the machine except
-/// [`SimMachine::run_op_skipping`] and [`SimMachine::run_to_end_bounded`],
-/// which run under the selected [`Engine`].
+/// [`SimMachine::run_observed`], [`SimMachine::run_op_skipping`] and
+/// [`SimMachine::run_to_end_bounded`], which run under the selected
+/// [`Engine`].
 pub trait SimMachine: Clone + Send {
     /// Builds the machine from its configuration: `mshrs` is the
     /// non-blocking machine's miss-register count, and `None` for the
@@ -26,6 +27,14 @@ pub trait SimMachine: Clone + Send {
     /// A [`ConfigError`] when the configuration is invalid for this
     /// machine, or `mshrs` does not fit it.
     fn build(cfg: MachineConfig, mshrs: Option<usize>) -> Result<Self, ConfigError>;
+
+    /// The continuous run users run: every op of `ops` under the selected
+    /// [`Engine`], with the cycle count finalized (each machine's inherent
+    /// `run_observed`).
+    fn run_observed<I, O>(&mut self, ops: I, obs: &mut O) -> SimStats
+    where
+        I: IntoIterator<Item = Op>,
+        O: Observer;
 
     /// Advances the machine by exactly one cycle, closing it with an
     /// [`crate::Event::CycleEnd`]. Returns `false` once the stream is

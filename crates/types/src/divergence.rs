@@ -40,15 +40,11 @@ pub enum FaultInjection {
     OvershootSkip,
 }
 
-impl fmt::Display for FaultInjection {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::SkipWbForwarding => f.write_str("skip-wb-forwarding"),
-            Self::StarveRetirement => f.write_str("starve-retirement"),
-            Self::OvershootSkip => f.write_str("overshoot-skip"),
-        }
-    }
-}
+crate::wire_names!(FaultInjection: Display {
+    SkipWbForwarding => "skip-wb-forwarding",
+    StarveRetirement => "starve-retirement",
+    OvershootSkip => "overshoot-skip",
+});
 
 /// Where the machine architecturally resolved a load's value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,6 +56,12 @@ pub enum LoadSource {
     /// An L2 (or main-memory) fill.
     L2Fill,
 }
+
+crate::wire_names!(LoadSource {
+    L1 => "l1",
+    WriteBuffer => "write-buffer",
+    L2Fill => "l2-fill",
+});
 
 impl fmt::Display for LoadSource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -165,11 +165,8 @@ fn apply_line(
         "l1.size_kb" => cfg.l1.size_bytes = int("l1.size_kb")? as u32 * 1024,
         "l1.assoc" => cfg.l1.assoc = int("l1.assoc")? as u32,
         "l1.write_policy" => {
-            cfg.l1.write_policy = match value {
-                "write-through" => L1WritePolicy::WriteThrough,
-                "write-back" => L1WritePolicy::WriteBack,
-                _ => return Err(err(n, format!("unknown L1 write policy {value:?}"))),
-            }
+            cfg.l1.write_policy = L1WritePolicy::from_name(value)
+                .ok_or_else(|| err(n, format!("unknown L1 write policy {value:?}")))?;
         }
         "l2" => match value {
             "perfect" => l2.real = false,
@@ -200,11 +197,8 @@ fn apply_line(
         "wb.depth" => cfg.write_buffer.depth = int("wb.depth")? as usize,
         "wb.width_words" => cfg.write_buffer.width_words = int("wb.width_words")? as usize,
         "wb.order" => {
-            cfg.write_buffer.order = match value {
-                "fifo" => RetirementOrder::Fifo,
-                "lru" => RetirementOrder::Lru,
-                _ => return Err(err(n, format!("unknown retirement order {value:?}"))),
-            }
+            cfg.write_buffer.order = RetirementOrder::from_name(value)
+                .ok_or_else(|| err(n, format!("unknown retirement order {value:?}")))?;
         }
         "wb.retirement" => {
             cfg.write_buffer.retirement = if let Some(rest) = value.strip_prefix("retire-at-") {
@@ -222,13 +216,8 @@ fn apply_line(
             }
         }
         "wb.hazard" => {
-            cfg.write_buffer.hazard = match value {
-                "flush-full" => LoadHazardPolicy::FlushFull,
-                "flush-partial" => LoadHazardPolicy::FlushPartial,
-                "flush-item-only" => LoadHazardPolicy::FlushItemOnly,
-                "read-from-wb" => LoadHazardPolicy::ReadFromWb,
-                _ => return Err(err(n, format!("unknown hazard policy {value:?}"))),
-            }
+            cfg.write_buffer.hazard = LoadHazardPolicy::from_name(value)
+                .ok_or_else(|| err(n, format!("unknown hazard policy {value:?}")))?;
         }
         "wb.priority" => {
             cfg.write_buffer.priority = if value == "read-bypass" {
@@ -250,11 +239,8 @@ fn apply_line(
             }
         }
         "wb.datapath" => {
-            cfg.write_buffer.datapath = match value {
-                "full-line" => DatapathWidth::FullLine,
-                "half-line" => DatapathWidth::HalfLine,
-                _ => return Err(err(n, format!("unknown datapath width {value:?}"))),
-            }
+            cfg.write_buffer.datapath = DatapathWidth::from_name(value)
+                .ok_or_else(|| err(n, format!("unknown datapath width {value:?}")))?;
         }
         _ => return Err(err(n, format!("unknown key {key:?}"))),
     }
@@ -278,14 +264,7 @@ pub fn to_config_string(cfg: &MachineConfig) -> String {
     let _ = writeln!(s, "issue_width = {}", cfg.issue_width);
     let _ = writeln!(s, "l1.size_kb = {}", cfg.l1.size_bytes / 1024);
     let _ = writeln!(s, "l1.assoc = {}", cfg.l1.assoc);
-    let _ = writeln!(
-        s,
-        "l1.write_policy = {}",
-        match cfg.l1.write_policy {
-            L1WritePolicy::WriteThrough => "write-through",
-            L1WritePolicy::WriteBack => "write-back",
-        }
-    );
+    let _ = writeln!(s, "l1.write_policy = {}", cfg.l1.write_policy.name());
     match cfg.l2 {
         L2Config::Perfect { latency } => {
             let _ = writeln!(s, "l2 = perfect");
@@ -314,25 +293,9 @@ pub fn to_config_string(cfg: &MachineConfig) -> String {
     let wb = &cfg.write_buffer;
     let _ = writeln!(s, "wb.depth = {}", wb.depth);
     let _ = writeln!(s, "wb.width_words = {}", wb.width_words);
-    let _ = writeln!(
-        s,
-        "wb.order = {}",
-        match wb.order {
-            RetirementOrder::Fifo => "fifo",
-            RetirementOrder::Lru => "lru",
-        }
-    );
+    let _ = writeln!(s, "wb.order = {}", wb.order.name());
     let _ = writeln!(s, "wb.retirement = {}", wb.retirement);
-    let _ = writeln!(
-        s,
-        "wb.hazard = {}",
-        match wb.hazard {
-            LoadHazardPolicy::FlushFull => "flush-full",
-            LoadHazardPolicy::FlushPartial => "flush-partial",
-            LoadHazardPolicy::FlushItemOnly => "flush-item-only",
-            LoadHazardPolicy::ReadFromWb => "read-from-wb",
-        }
-    );
+    let _ = writeln!(s, "wb.hazard = {}", wb.hazard.name());
     let _ = writeln!(s, "wb.priority = {}", wb.priority);
     match wb.max_age {
         None => {
@@ -342,7 +305,7 @@ pub fn to_config_string(cfg: &MachineConfig) -> String {
             let _ = writeln!(s, "wb.max_age = {a}");
         }
     }
-    let _ = writeln!(s, "wb.datapath = {}", wb.datapath);
+    let _ = writeln!(s, "wb.datapath = {}", wb.datapath.name());
     s
 }
 
@@ -412,12 +375,39 @@ wb.priority = write-priority-above-10
             "l2 = real\nl2.size_kb = 128\nwb.retirement = fixed-rate-16",
             "l1.write_policy = write-back",
             "icache = miss-every:50\nwb.max_age = 256",
+            "wb.order = lru\nwb.datapath = half-line",
+            "wb.hazard = flush-full",
+            "wb.hazard = flush-partial",
+            "wb.hazard = flush-item-only",
         ] {
             let cfg: MachineConfig = doc.parse().unwrap();
             let text = to_config_string(&cfg);
             let back: MachineConfig = text.parse().unwrap();
             assert_eq!(back, cfg, "roundtrip failed for {doc:?}\n{text}");
         }
+        let cfg: MachineConfig = "wb.hazard = flush-item-only\nwb.order = lru\n\
+                                  wb.datapath = half-line\nl1.write_policy = write-back"
+            .parse()
+            .unwrap();
+        assert_eq!(
+            to_config_string(&cfg),
+            "# wbsim machine configuration\n\
+             issue_width = 1\n\
+             l1.size_kb = 8\n\
+             l1.assoc = 1\n\
+             l1.write_policy = write-back\n\
+             l2 = perfect\n\
+             l2.latency = 6\n\
+             icache = perfect\n\
+             wb.depth = 4\n\
+             wb.width_words = 4\n\
+             wb.order = lru\n\
+             wb.retirement = retire-at-2\n\
+             wb.hazard = flush-item-only\n\
+             wb.priority = read-bypass\n\
+             wb.max_age = none\n\
+             wb.datapath = half-line\n"
+        );
     }
 
     #[test]

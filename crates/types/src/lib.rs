@@ -19,7 +19,9 @@
 //!   and deliberate fault injection;
 //! * [`json`] — the one hand-rolled JSON parser/escaper shared by every
 //!   emitter in the workspace (events, snapshots, diagnostics, manifests);
-//! * [`cachekey`] — content-addressed cache keys for the job layer.
+//! * [`cachekey`] — content-addressed cache keys for the job layer;
+//! * [`wire`] — [`wire_names!`], the one table of wire names each
+//!   enum that crosses a wire declares beside its definition.
 //!
 //! The paper reproduced throughout this workspace is Kevin Skadron and
 //! Douglas W. Clark, *Design Issues and Tradeoffs for Write Buffers*,
@@ -57,6 +59,7 @@ pub mod stall;
 pub mod stats;
 pub mod sync;
 pub mod testutil;
+pub mod wire;
 
 pub use addr::{Addr, Geometry, LineAddr, WordMask};
 pub use cachekey::{CacheKey, KeyHasher, ENGINE_VERSION};

@@ -79,12 +79,12 @@ pub enum RetirementOrder {
     Lru,
 }
 
+crate::wire_names!(RetirementOrder { Fifo => "fifo", Lru => "lru" });
+
 impl fmt::Display for RetirementOrder {
+    /// The acronym, upper-case (`FIFO`).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Fifo => f.write_str("FIFO"),
-            Self::Lru => f.write_str("LRU"),
-        }
+        f.write_str(&self.name().to_ascii_uppercase())
     }
 }
 
@@ -122,15 +122,20 @@ impl LoadHazardPolicy {
     }
 }
 
+crate::wire_names!(LoadHazardPolicy {
+    FlushFull => "flush-full",
+    FlushPartial => "flush-partial",
+    FlushItemOnly => "flush-item-only",
+    ReadFromWb => "read-from-wb",
+});
+
 impl fmt::Display for LoadHazardPolicy {
+    /// The wire name, except the paper's `read-from-WB`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Self::FlushFull => "flush-full",
-            Self::FlushPartial => "flush-partial",
-            Self::FlushItemOnly => "flush-item-only",
-            Self::ReadFromWb => "read-from-WB",
-        };
-        f.write_str(s)
+        match self {
+            Self::ReadFromWb => f.write_str("read-from-WB"),
+            _ => f.write_str(self.name()),
+        }
     }
 }
 
@@ -176,14 +181,10 @@ pub enum L1WritePolicy {
     WriteBack,
 }
 
-impl fmt::Display for L1WritePolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::WriteThrough => f.write_str("write-through"),
-            Self::WriteBack => f.write_str("write-back"),
-        }
-    }
-}
+crate::wire_names!(L1WritePolicy: Display {
+    WriteThrough => "write-through",
+    WriteBack => "write-back",
+});
 
 /// Width of the datapath between the write buffer and L2 (paper §4.3).
 ///
@@ -210,14 +211,7 @@ impl DatapathWidth {
     }
 }
 
-impl fmt::Display for DatapathWidth {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::FullLine => f.write_str("full-line"),
-            Self::HalfLine => f.write_str("half-line"),
-        }
-    }
-}
+crate::wire_names!(DatapathWidth: Display { FullLine => "full-line", HalfLine => "half-line" });
 
 #[cfg(test)]
 mod tests {

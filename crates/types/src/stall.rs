@@ -45,14 +45,19 @@ impl StallKind {
     }
 }
 
+crate::wire_names!(StallKind {
+    BufferFull => "buffer-full",
+    L2ReadAccess => "l2-read-access",
+    LoadHazard => "load-hazard",
+});
+
 impl fmt::Display for StallKind {
+    /// The wire name, except the paper's `L2-read-access`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Self::BufferFull => "buffer-full",
-            Self::L2ReadAccess => "L2-read-access",
-            Self::LoadHazard => "load-hazard",
-        };
-        f.write_str(s)
+        match self {
+            Self::L2ReadAccess => f.write_str("L2-read-access"),
+            _ => f.write_str(self.name()),
+        }
     }
 }
 

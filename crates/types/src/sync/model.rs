@@ -47,46 +47,22 @@ pub enum OpKind {
     JoinChildren,
 }
 
-impl OpKind {
-    /// Stable string tag used by the JSONL schedule format.
-    pub fn tag(self) -> &'static str {
-        match self {
-            OpKind::Start => "start",
-            OpKind::Yield => "yield",
-            OpKind::MutexLock => "lock",
-            OpKind::MutexUnlock => "unlock",
-            OpKind::CvWait => "cv-wait",
-            OpKind::CvResume => "cv-resume",
-            OpKind::CvNotifyOne => "notify-one",
-            OpKind::CvNotifyAll => "notify-all",
-            OpKind::AtomicLoad => "atomic-load",
-            OpKind::AtomicStore => "atomic-store",
-            OpKind::AtomicRmw => "atomic-rmw",
-            OpKind::Spawn => "spawn",
-            OpKind::JoinChildren => "join",
-        }
-    }
-
-    /// Inverse of [`OpKind::tag`].
-    pub fn from_tag(tag: &str) -> Option<OpKind> {
-        const ALL: [OpKind; 13] = [
-            OpKind::Start,
-            OpKind::Yield,
-            OpKind::MutexLock,
-            OpKind::MutexUnlock,
-            OpKind::CvWait,
-            OpKind::CvResume,
-            OpKind::CvNotifyOne,
-            OpKind::CvNotifyAll,
-            OpKind::AtomicLoad,
-            OpKind::AtomicStore,
-            OpKind::AtomicRmw,
-            OpKind::Spawn,
-            OpKind::JoinChildren,
-        ];
-        ALL.into_iter().find(|k| k.tag() == tag)
-    }
-}
+// The tags of the JSONL schedule format.
+crate::wire_names!(OpKind {
+    Start => "start",
+    Yield => "yield",
+    MutexLock => "lock",
+    MutexUnlock => "unlock",
+    CvWait => "cv-wait",
+    CvResume => "cv-resume",
+    CvNotifyOne => "notify-one",
+    CvNotifyAll => "notify-all",
+    AtomicLoad => "atomic-load",
+    AtomicStore => "atomic-store",
+    AtomicRmw => "atomic-rmw",
+    Spawn => "spawn",
+    JoinChildren => "join",
+});
 
 /// A recorded operation: kind plus the session-scoped ids of the objects it
 /// touches (`0` = none). `CvWait`/`CvResume` carry the condvar in `obj` and

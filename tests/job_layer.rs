@@ -11,13 +11,14 @@
 use std::sync::Arc;
 
 use wbsim::bench::BenchSnapshot;
-use wbsim::jobs::manifest::{engine_from_name, CheckConfig, CheckSpec};
+use wbsim::jobs::manifest::{CheckConfig, CheckSpec};
 use wbsim::jobs::{
     execute, merged_check_json, Executor, FigureFormat, JobKind, Manifest, Options, Store,
 };
 use wbsim::types::cachekey::KeyHasher;
 use wbsim::types::config::MachineConfig;
 use wbsim::types::file_config::to_config_string;
+use wbsim::types::{FaultInjection, LoadHazardPolicy};
 
 fn table(which: &str) -> Manifest {
     Manifest {
@@ -60,7 +61,7 @@ fn every_option_field_is_in_the_key_except_jobs() {
     assert_ne!(key, with(&|o| o.check_data = true), "check_data");
     assert_ne!(
         key,
-        with(&|o| o.engine = engine_from_name("reference").unwrap()),
+        with(&|o| o.engine = wbsim::sim::Engine::from_name("reference").unwrap()),
         "engine variant"
     );
     // Pool width never changes results, so it must never change the key.
@@ -166,7 +167,7 @@ fn check_spec_fields_are_in_the_key() {
     assert_ne!(key, check(&|s| s.max_ops = 3), "max_ops");
     assert_ne!(
         key,
-        check(&|s| s.fault = wbsim::jobs::manifest::fault_from_name("starve-retirement")),
+        check(&|s| s.fault = FaultInjection::from_name("starve-retirement")),
         "fault"
     );
     assert_ne!(key, check(&|s| s.config.depth = Some(4)), "config depth");
@@ -177,7 +178,7 @@ fn check_spec_fields_are_in_the_key() {
     );
     assert_ne!(
         key,
-        check(&|s| s.config.hazard = wbsim::jobs::manifest::hazard_from_name("flush-full")),
+        check(&|s| s.config.hazard = LoadHazardPolicy::from_name("flush-full")),
         "config hazard"
     );
     assert_ne!(

@@ -150,7 +150,7 @@ proptest! {
     #[test]
     fn any_mangled_op_tag_is_rejected(cex in arb_cex(), victim in any::<u64>()) {
         let victim = (victim % cex.schedule.len() as u64) as usize;
-        let tag = cex.schedule[victim].kind.tag();
+        let tag = cex.schedule[victim].kind.name();
         let text = cex.to_jsonl();
         // Rewrite exactly the victim step's op field; tags only appear as
         // `"op":"<tag>"` values, so occurrence counting is exact.

@@ -4,5 +4,6 @@
 pub mod snapshot;
 
 pub use snapshot::{
-    compare, git_rev, measure, BenchSnapshot, Comparison, MeasureScale, TargetStats, SCHEMA,
+    compare, compare_engine_ratio, git_rev, measure, BenchSnapshot, Comparison, MeasureScale,
+    TargetStats, SCHEMA,
 };

@@ -358,6 +358,21 @@ fn mean_stddev(xs: &[f64]) -> (f64, f64) {
     (mean, var.sqrt())
 }
 
+impl BenchSnapshot {
+    /// The event-driven engine's mean cells/s over the reference engine's,
+    /// when the snapshot measured both.
+    #[must_use]
+    pub fn engine_ratio(&self) -> Option<f64> {
+        let mean = |e: Engine| {
+            self.targets
+                .iter()
+                .find(|t| t.engine == e.name())
+                .map(|t| t.mean_cells_per_sec)
+        };
+        Some(mean(Engine::EventDriven)? / mean(Engine::Reference)?)
+    }
+}
+
 /// Outcome of a snapshot-vs-snapshot regression check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Comparison {
@@ -428,6 +443,41 @@ pub fn compare(
                 ));
             }
         }
+    }
+    cmp
+}
+
+/// The same-run engine gate: fails when `current`'s
+/// [`BenchSnapshot::engine_ratio`] fell more than `tolerance_pct` below
+/// `baseline`'s. Both engines run on the same host in the same run, so
+/// host drift, which moves them together, cancels out of the ratio; the
+/// absolute gate of [`compare`] cannot tell drift from a regression.
+#[must_use]
+pub fn compare_engine_ratio(
+    baseline: &BenchSnapshot,
+    current: &BenchSnapshot,
+    tolerance_pct: f64,
+) -> Comparison {
+    let mut cmp = Comparison {
+        lines: Vec::new(),
+        failures: Vec::new(),
+    };
+    let (Some(b), Some(c)) = (baseline.engine_ratio(), current.engine_ratio()) else {
+        cmp.failures
+            .push("engine ratio: both snapshots need both engines".to_string());
+        return cmp;
+    };
+    cmp.lines.push(format!(
+        "{:24} {c:.3}× ({:+6.1}% vs {b:.3}×)",
+        "event-driven/reference",
+        (c / b - 1.0) * 100.0
+    ));
+    if c < b * (1.0 - tolerance_pct / 100.0) {
+        cmp.failures.push(format!(
+            "event-driven/reference ratio regressed {:.1}% (from {b:.3}× to {c:.3}×, \
+             tolerance {tolerance_pct}%)",
+            (1.0 - c / b) * 100.0,
+        ));
     }
     cmp
 }
@@ -546,6 +596,44 @@ mod tests {
         other.instructions = 10;
         let bad = compare(&base, &other, 20.0);
         assert!(bad.failures[0].contains("workload mismatch"));
+    }
+
+    #[test]
+    fn engine_ratio_gate_cancels_drift_and_catches_one_engine_slowing() {
+        let base = sample();
+        let ratio = base.engine_ratio().unwrap();
+        assert!((ratio - 13.074_521_3 / (9.2 + 0.000_000_1)).abs() < 1e-12);
+        // Host drift slows both engines alike: the absolute gate fails,
+        // the ratio gate does not.
+        let mut drift = sample();
+        for t in &mut drift.targets {
+            t.mean_cells_per_sec *= 0.7;
+        }
+        assert!(!compare(&base, &drift, 20.0).failures.is_empty());
+        let same = compare_engine_ratio(&base, &drift, 20.0);
+        assert!(same.failures.is_empty(), "{:?}", same.failures);
+        assert_eq!(same.lines.len(), 1);
+        // The event-driven engine alone 10% slower: inside a 20% gate,
+        // outside a 5% one, whatever the host did meanwhile.
+        let mut slow = drift.clone();
+        slow.targets[0].mean_cells_per_sec *= 0.9;
+        assert!(compare_engine_ratio(&base, &slow, 20.0).failures.is_empty());
+        let bad = compare_engine_ratio(&base, &slow, 5.0);
+        assert_eq!(bad.failures.len(), 1);
+        assert!(
+            bad.failures[0].contains("ratio regressed 10.0%"),
+            "{:?}",
+            bad.failures
+        );
+        // A faster event-driven engine never fails.
+        let mut fast = sample();
+        fast.targets[0].mean_cells_per_sec *= 2.0;
+        assert!(compare_engine_ratio(&base, &fast, 5.0).failures.is_empty());
+        // A snapshot without the reference engine cannot be gated.
+        let mut one = sample();
+        one.targets.truncate(1);
+        assert_eq!(one.engine_ratio(), None);
+        assert_eq!(compare_engine_ratio(&base, &one, 20.0).failures.len(), 1);
     }
 
     /// An end-to-end measurement at toy scale: sane fields, both engines

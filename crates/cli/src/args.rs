@@ -344,13 +344,32 @@ impl Parsed {
 
     /// Option `key` parsed as `T`, or `None` when absent.
     pub fn get<T: FromStr>(&self, key: &str) -> Result<Option<T>, ArgError> {
-        self.value(key).map(|v| parse_value(key, v)).transpose()
+        self.value(key)
+            .map(|v| self.parse_value(key, v))
+            .transpose()
     }
 
     /// Option `key` parsed as `T`: the value given, else the table's default.
     pub fn get_or_default<T: FromStr>(&self, key: &str) -> Result<T, ArgError> {
         let v = self.value(key).or(self.row(key).and_then(|o| o.default));
-        parse_value(key, v.expect("a row with a default"))
+        self.parse_value(key, v.expect("a row with a default"))
+    }
+
+    /// `v` parsed as `T`; the error names the option and, when its row
+    /// lists choices, them.
+    fn parse_value<T: FromStr>(&self, key: &str, v: &str) -> Result<T, ArgError> {
+        v.parse().map_err(|_| {
+            let choices: Vec<&str> = self
+                .row(key)
+                .into_iter()
+                .flat_map(|o| o.choices.iter().flat_map(|c| c.iter().copied()))
+                .collect();
+            let expected = match choices.as_slice() {
+                [] => String::new(),
+                names => format!(", expected {}", or_list(names, " or ")),
+            };
+            ArgError(format!("invalid value for --{key}: {v:?}{expected}"))
+        })
     }
 
     /// A copy with `key` set to `value` (one cell of a sweep).
@@ -360,11 +379,6 @@ impl Parsed {
         cell.given.insert(key, value.to_string());
         cell
     }
-}
-
-fn parse_value<T: FromStr>(key: &str, v: &str) -> Result<T, ArgError> {
-    v.parse()
-        .map_err(|_| ArgError(format!("invalid value for --{key}: {v:?}")))
 }
 
 /// `wbsim help`: every command with its own options, then each shared

@@ -16,7 +16,7 @@ use wbsim_jobs::{
     CheckConfig, CheckSpec, Executor, FigureFormat, JobKind, MachineSel, Manifest,
     Options as JobOptions, Store,
 };
-use wbsim_sim::{Event, JsonlObserver, Machine, Observer};
+use wbsim_sim::{capture_events, Engine, Event, Machine, Observer};
 use wbsim_trace::bench_models::BenchmarkModel;
 use wbsim_trace::file as trace_file;
 use wbsim_trace::stats::TraceStats;
@@ -151,13 +151,6 @@ pub(crate) fn cmd_ablation(p: &Parsed) -> CmdResult {
     Ok(())
 }
 
-/// `--hazard`, by wire name in any case.
-fn hazard_from(name: &str) -> Result<LoadHazardPolicy, ArgError> {
-    let name = name.to_ascii_lowercase();
-    let msg = format!("unknown hazard policy {name:?}");
-    LoadHazardPolicy::from_name(&name).ok_or(ArgError(msg))
-}
-
 /// Fails the command with `msg`.
 fn fail<T>(msg: impl Into<String>) -> Result<T, Box<dyn Error>> {
     Err(ArgError(msg.into()).into())
@@ -178,7 +171,7 @@ fn machine_from(p: &Parsed) -> Result<MachineConfig, Box<dyn Error>> {
     wb.retirement = p
         .get("retire-at")?
         .map_or(wb.retirement, RetirementPolicy::RetireAt);
-    wb.hazard = p.value("hazard").map_or(Ok(wb.hazard), hazard_from)?;
+    wb.hazard = p.get("hazard")?.unwrap_or(wb.hazard);
     cfg.issue_width = p.get("issue")?.unwrap_or(cfg.issue_width);
     cfg.l1.size_bytes = p
         .get("l1-kb")?
@@ -553,20 +546,7 @@ pub(crate) fn cmd_trace(p: &Parsed) -> CmdResult {
                 None => Box::new(io::stdout().lock()),
             };
             // Stdout is line-buffered: buffer it too, not one write per event.
-            let mut w = JsonlObserver::new(BufWriter::new(sink));
-            // Drain the buffer after the stream ends so the capture is a
-            // *complete* execution — every accepted store's retirement is
-            // on the record, which the liveness monitors of
-            // `trace validate --prop` require at end-of-stream.
-            if mshrs > 0 {
-                let mut m = wbsim_sim::NonBlockingMachine::new(cfg, mshrs)?;
-                m.run_observed(ops, &mut w);
-                while m.drain_step(&mut w) {}
-            } else {
-                let mut m = Machine::new(cfg)?;
-                m.run_observed(ops, &mut w);
-                while m.drain_step(&mut w) {}
-            }
+            let w = capture_events(cfg, mshrs, Engine::default(), ops, BufWriter::new(sink))?;
             match (w.finish(), out) {
                 (Ok((_, count)), Some(path)) => println!("wrote {count} events to {path}"),
                 // A reader that closed stdout early wanted no more events.
@@ -933,7 +913,7 @@ fn check_config_from(p: &Parsed) -> Result<CheckConfig, Box<dyn Error>> {
         file: p.value("config").map(std::fs::read_to_string).transpose()?,
         depth: p.get("depth")?,
         retire_at: p.get("retire-at")?,
-        hazard: p.value("hazard").map(hazard_from).transpose()?,
+        hazard: p.get("hazard")?,
     })
 }
 
@@ -965,9 +945,9 @@ fn prop_env_from(p: &Parsed) -> Result<PropEnv, Box<dyn Error>> {
     }
     env.depth = p.get("depth")?;
     env.mshrs = check_mshrs_from(p)?.map(|m| m as u64);
-    if let Some(v) = p.value("hazard") {
-        env.hazard = Some(hazard_from(v)?.name());
-    }
+    env.hazard = p
+        .get::<LoadHazardPolicy>("hazard")?
+        .map(LoadHazardPolicy::name);
     Ok(env)
 }
 
@@ -1033,15 +1013,21 @@ pub(crate) fn cmd_bench(p: &Parsed) -> CmdResult {
         let baseline = wbsim_bench::BenchSnapshot::from_json(&text)
             .map_err(|e| ArgError(format!("bench: {baseline_path}: {e}")))?;
         let tolerance: f64 = p.get_or_default("tolerance")?;
-        let cmp = wbsim_bench::compare(&baseline, &snap, tolerance);
-        for line in &cmp.lines {
-            println!("{line}");
+        // The absolute gate per target, then the same-run engine ratio.
+        let mut n = 0;
+        for cmp in [
+            wbsim_bench::compare(&baseline, &snap, tolerance),
+            wbsim_bench::compare_engine_ratio(&baseline, &snap, tolerance),
+        ] {
+            for line in &cmp.lines {
+                println!("{line}");
+            }
+            for f in &cmp.failures {
+                eprintln!("REGRESSION: {f}");
+            }
+            n += cmp.failures.len();
         }
-        for f in &cmp.failures {
-            eprintln!("REGRESSION: {f}");
-        }
-        if !cmp.failures.is_empty() {
-            let n = cmp.failures.len();
+        if n > 0 {
             return fail(format!(
                 "bench: {n} regression(s) vs {baseline_path} (tolerance {tolerance}%)"
             ));
@@ -1209,9 +1195,17 @@ mod tests {
 
     #[test]
     fn hazard_parsing() {
-        assert!(hazard_from("read-from-wb").is_ok());
-        assert!(hazard_from("FLUSH-PARTIAL").is_ok());
-        assert!(hazard_from("whatever").is_err());
+        let run =
+            |h: &str| machine_from(&parse(&v(&["run", "--bench", "li", "--hazard", h])).unwrap());
+        assert_eq!(
+            run("read-from-wb").unwrap().write_buffer.hazard,
+            LoadHazardPolicy::ReadFromWb
+        );
+        assert_eq!(
+            run("FLUSH-PARTIAL").unwrap().write_buffer.hazard,
+            LoadHazardPolicy::FlushPartial
+        );
+        assert!(run("whatever").is_err());
     }
 
     #[test]

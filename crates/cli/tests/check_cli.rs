@@ -255,6 +255,54 @@ fn trace_events_out_dash_pipes_into_validate() {
     assert!(!dash.exists(), "trace events wrote a file named -");
 }
 
+/// A trace job captures what `wbsim trace events` writes, byte for byte:
+/// both drain the buffer after the stream, so the job's `events.jsonl`
+/// ends with the final retirements and passes `trace validate --prop`.
+#[test]
+fn a_trace_job_writes_what_trace_events_writes() {
+    let cli = wbsim(&[
+        "trace",
+        "events",
+        "--bench",
+        "compress",
+        "--instructions",
+        "600",
+        "--seed",
+        "42",
+        "--out",
+        "-",
+    ]);
+    assert!(cli.status.success(), "{}", text(&cli.stderr));
+    let manifest = wbsim_jobs::Manifest::from_json(
+        r#"{"schema":"wbsim-job/1","kind":"trace","spec":{"bench":"compress","config":"wb.depth = 4"},"options":{"instructions":600,"seed":42}}"#,
+    )
+    .expect("a valid trace manifest");
+    let out = wbsim_jobs::execute(&manifest);
+    assert_eq!(out.failed, None);
+    let job = &out.artifact("events.jsonl").expect("events.jsonl").bytes;
+    assert_eq!(job.iter().filter(|&&b| b == b'\n').count(), 1480);
+    assert!(
+        *job == cli.stdout,
+        "the job and the CLI captured different streams"
+    );
+
+    let mut validate = Command::new(env!("CARGO_BIN_EXE_wbsim"))
+        .args(["trace", "validate", "-", "--prop"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn trace validate");
+    std::io::Write::write_all(&mut validate.stdin.take().unwrap(), job).unwrap();
+    let run = validate.wait_with_output().expect("trace validate exits");
+    assert!(run.status.success(), "{}", text(&run.stderr));
+    assert!(
+        text(&run.stdout).contains("1480 events"),
+        "{}",
+        text(&run.stdout)
+    );
+}
+
 /// Runs `check` with `args` and asserts it is refused before any pass
 /// runs, with an error naming the flag that would make the option apply.
 fn refused_without(args: &[&str], needs: &str) {

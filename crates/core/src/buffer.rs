@@ -63,6 +63,10 @@ pub struct WriteBuffer {
     depth: usize,
     width_words: usize,
     blocks_per_line: usize,
+    /// `log2(width_words)` and `log2(blocks_per_line)`: both are powers
+    /// of two (configuration validation), so tag math is shifts and masks.
+    width_shift: u32,
+    blocks_shift: u32,
     order: RetirementOrder,
     geometry: Geometry,
 }
@@ -77,6 +81,8 @@ wbsim_types::clone_fields!(WriteBuffer {
     depth,
     width_words,
     blocks_per_line,
+    width_shift,
+    blocks_shift,
     order,
     geometry
 });
@@ -110,6 +116,8 @@ impl WriteBuffer {
             depth: cfg.depth,
             width_words: cfg.width_words,
             blocks_per_line: geometry.words_per_line() / cfg.width_words,
+            width_shift: cfg.width_words.trailing_zeros(),
+            blocks_shift: (geometry.words_per_line() / cfg.width_words).trailing_zeros(),
             order: cfg.order,
             geometry: *geometry,
         })
@@ -150,12 +158,12 @@ impl WriteBuffer {
     #[inline]
     #[must_use]
     pub fn block_of(&self, a: Addr) -> u64 {
-        self.geometry.word_addr(a) / self.width_words as u64
+        self.geometry.word_addr(a) >> self.width_shift
     }
 
     #[inline]
     fn word_in_block(&self, a: Addr) -> usize {
-        (self.geometry.word_addr(a) % self.width_words as u64) as usize
+        (self.geometry.word_addr(a) as usize) & (self.width_words - 1)
     }
 
     /// Slot index of the non-retiring entry for `block`, if one exists
@@ -293,7 +301,7 @@ impl WriteBuffer {
 
     #[inline]
     fn block_range_of_line(&self, line: LineAddr) -> (u64, u64) {
-        let first = line.as_u64() * self.blocks_per_line as u64;
+        let first = line.as_u64() << self.blocks_shift;
         (first, first + self.blocks_per_line as u64)
     }
 
@@ -476,18 +484,12 @@ impl WriteBuffer {
             .expect("occupied slot missing from FIFO order");
         self.order_fifo.remove(pos);
         let e = &self.slots[i];
-        let words_per_line = self.geometry.words_per_line();
-        let first_word = e.block * self.width_words as u64;
-        let line = LineAddr::new(first_word / words_per_line as u64);
-        let base = (first_word % words_per_line as u64) as usize;
+        let line = LineAddr::new(e.block >> self.blocks_shift);
+        let base = ((e.block as usize) & (self.blocks_per_line - 1)) << self.width_shift;
         self.retired[base..base + self.width_words].copy_from_slice(&e.data);
-        let mut mask = WordMask::empty();
-        for w in e.mask.iter() {
-            mask.set(base + w);
-        }
         Some(RetiredBlock {
             line,
-            mask,
+            mask: e.mask.shifted(base),
             data: &self.retired,
             alloc_cycle: e.alloc_cycle,
         })
@@ -654,6 +656,38 @@ mod tests {
         assert_eq!(r.data[3], 73);
         assert_eq!(b.occupancy(), 0);
         assert!(b.take_retired(id).is_none(), "already taken");
+
+        // Every entry width of 4- and 8-word lines, every block of the
+        // line: the retired mask and words land at the block's offset.
+        for line_bytes in [32u32, 64] {
+            let g = Geometry::new(line_bytes, 8).unwrap();
+            let wpl = g.words_per_line();
+            for width in [1, 2, 4, 8].into_iter().filter(|&w| w <= wpl) {
+                let cfg = WriteBufferConfig {
+                    width_words: width,
+                    retirement: RetirementPolicy::RetireAt(1),
+                    ..WriteBufferConfig::baseline()
+                };
+                for block in 0..wpl / width {
+                    let mut b = WriteBuffer::new(&cfg, &g).unwrap();
+                    // The block's first and last words (one when width is 1).
+                    let mut words = vec![block * width, block * width + width - 1];
+                    words.dedup();
+                    for (t, &w) in words.iter().enumerate() {
+                        let addr = Addr::new(7 * u64::from(line_bytes) + w as u64 * 8);
+                        b.store(addr, 100 + w as u64, t as u64);
+                    }
+                    let id = b.next_retirement().unwrap();
+                    b.begin_retire(id);
+                    let r = b.take_retired(id).unwrap();
+                    assert_eq!(r.line, LineAddr::new(7), "width {width} block {block}");
+                    assert_eq!(r.mask.iter().collect::<Vec<_>>(), words);
+                    for &w in &words {
+                        assert_eq!(r.data[w], 100 + w as u64);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

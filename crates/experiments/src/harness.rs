@@ -3,14 +3,16 @@
 //! whole suite in parallel.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
+use std::sync::Arc;
 
-use wbsim_sim::{Engine, HistogramObserver, Machine};
+use wbsim_sim::{foldable, Engine, HistogramObserver, L1Fold, Machine, NullObserver};
 use wbsim_trace::bench_models::BenchmarkModel;
-use wbsim_types::config::MachineConfig;
+use wbsim_types::addr::Geometry;
+use wbsim_types::config::{L1Config, MachineConfig};
 use wbsim_types::op::Op;
 use wbsim_types::stall::StallKind;
 use wbsim_types::stats::SimStats;
+use wbsim_types::sync::Mutex;
 
 /// Runs `n` independent sweep cells on a shared worker pool sized to the
 /// machine ([`wbsim_check::default_jobs`]), reusing the checker's
@@ -43,40 +45,92 @@ pub fn pool_cells_jobs<T: Send>(n: usize, jobs: usize, work: impl Fn(usize) -> T
     }
 }
 
-/// Lazily generated, shared op streams for a sweep: one slot per
-/// (benchmark, seed) pair, filled by whichever pooled cell needs it first
-/// and reused by every later cell of the same pair. Generation panics are
-/// cached too, so every dependent cell reports the same message.
+/// A (benchmark, seed) pair's op stream, or its generation panic.
+type Stream = Arc<Result<Vec<Op>, String>>;
+
+/// A (benchmark, seed) pair's L1 folds: one per L1 shape, each built by
+/// the first cell that needs it.
+type Folds = Vec<((L1Config, Geometry), Arc<L1Fold>)>;
+
+/// What one (benchmark, seed) pair shares across a grid run.
+struct Slot {
+    stream: Option<Stream>,
+    folds: Folds,
+    /// Cells of the pair not yet finished; the last one frees the slot.
+    cells_left: usize,
+}
+
+/// Lazily generated, shared op streams and L1 folds for a grid run: one
+/// slot per (benchmark, seed) pair, filled by whichever pooled cell needs
+/// it first, reused by every later cell of the pair, and emptied when the
+/// pair's last cell finishes. Cells are dispensed in grid order, so only
+/// the pairs in flight hold memory. Generation panics are cached too, so
+/// every dependent cell reports the same message.
 struct StreamCache<'a> {
     benches: &'a [BenchmarkModel],
     base_seed: u64,
     length: u64,
-    slots: Vec<OnceLock<Result<Vec<Op>, String>>>,
+    warmup: u64,
+    n_seeds: usize,
+    slots: Vec<Mutex<Slot>>,
 }
 
 impl<'a> StreamCache<'a> {
-    fn new(benches: &'a [BenchmarkModel], base_seed: u64, length: u64, n_seeds: usize) -> Self {
+    fn new(h: &Harness, benches: &'a [BenchmarkModel], n_seeds: usize, n_configs: usize) -> Self {
         Self {
             benches,
-            base_seed,
-            length,
+            base_seed: h.seed,
+            length: h.instructions + h.warmup,
+            warmup: h.warmup,
+            n_seeds,
             slots: (0..benches.len() * n_seeds)
-                .map(|_| OnceLock::new())
+                .map(|_| {
+                    Mutex::new(Slot {
+                        stream: None,
+                        folds: Vec::new(),
+                        cells_left: n_configs,
+                    })
+                })
                 .collect(),
         }
     }
 
-    /// The stream for benchmark index `b` under seed offset `s`.
-    fn get(&self, b: usize, s: usize) -> Result<&[Op], String> {
-        let n_seeds = self.slots.len() / self.benches.len();
+    /// The stream of slot `k` (benchmark `k / n_seeds`, seed offset
+    /// `k % n_seeds`).
+    fn stream(&self, k: usize) -> Stream {
+        let (b, s) = (k / self.n_seeds, k % self.n_seeds);
         let seed = self.base_seed + s as u64;
-        self.slots[b * n_seeds + s]
-            .get_or_init(|| {
+        let mut slot = self.slots[k].lock();
+        let stream = slot.stream.get_or_insert_with(|| {
+            Arc::new(
                 catch_unwind(|| self.benches[b].stream(seed, self.length))
-                    .map_err(|p| format!("stream generation: {}", panic_message(p)))
-            })
-            .as_deref()
-            .map_err(Clone::clone)
+                    .map_err(|p| format!("stream generation: {}", panic_message(p))),
+            )
+        });
+        Arc::clone(stream)
+    }
+
+    /// Slot `k`'s fold of `ops` for `cfg`'s L1 shape, built on first use.
+    fn fold(&self, k: usize, ops: &[Op], cfg: &MachineConfig) -> Arc<L1Fold> {
+        let key = (cfg.l1, cfg.geometry);
+        let mut slot = self.slots[k].lock();
+        if let Some((_, fold)) = slot.folds.iter().find(|(k, _)| *k == key) {
+            return Arc::clone(fold);
+        }
+        let fold = Arc::new(L1Fold::new(ops, cfg, self.warmup));
+        slot.folds.push((key, Arc::clone(&fold)));
+        fold
+    }
+
+    /// Marks one of slot `k`'s cells finished; the last one frees the
+    /// slot's stream and folds.
+    fn done(&self, k: usize) {
+        let mut slot = self.slots[k].lock();
+        slot.cells_left -= 1;
+        if slot.cells_left == 0 {
+            slot.stream = None;
+            slot.folds.clear();
+        }
     }
 }
 
@@ -223,12 +277,83 @@ impl Harness {
         m.run_ideal_with_warmup(ops, self.warmup)
     }
 
-    /// Sweeps `configs` over `benches` on the shared cell pool
-    /// ([`pool_cells`]): the (benchmark × config) grid is flattened into
-    /// independent cells so the pool stays saturated even when one
-    /// benchmark's column is much slower than the rest. Each benchmark's
-    /// stream is generated once — by whichever cell needs it first — and
-    /// reused across configurations.
+    /// Runs every (benchmark × configuration × seed) cell on the shared
+    /// cell pool ([`pool_cells_jobs`]) and returns each cell's statistics,
+    /// or its failure message, in that order: cell
+    /// `(b * configs.len() + c) * n_seeds + s` runs `configs[c]` on
+    /// `benches[b]` with seed `self.seed + s`. Flattening the whole grid
+    /// keeps the pool saturated even when one benchmark's cells are much
+    /// slower than the rest.
+    ///
+    /// Each (benchmark, seed) stream is generated once, by whichever cell
+    /// needs it first, and shared across the configurations, together
+    /// with one [`L1Fold`] per L1 shape for the configurations that are
+    /// [`foldable`]; both are freed after the pair's last cell. A folded
+    /// cell's statistics are bit-identical to [`Harness::run`]'s.
+    ///
+    /// A cell that panics (an invalid configuration, a machine assertion)
+    /// yields its panic message; the other cells still run.
+    #[must_use]
+    pub fn run_grid(
+        &self,
+        benches: &[BenchmarkModel],
+        configs: &[MachineConfig],
+        n_seeds: usize,
+    ) -> Vec<Result<SimStats, String>> {
+        let (nc, n) = (configs.len(), n_seeds.max(1));
+        let streams = StreamCache::new(self, benches, n, nc);
+        pool_cells_jobs(benches.len() * nc * n, self.jobs, |i| {
+            let (b, c, s) = (i / (nc * n), (i / n) % nc, i % n);
+            let k = b * n + s;
+            let stats = self.run_cell(&streams, k, &configs[c]);
+            streams.done(k);
+            stats
+        })
+    }
+
+    /// [`Harness::run_grid`] with each failure message naming its seed.
+    fn seeded_grid(
+        &self,
+        benches: &[BenchmarkModel],
+        configs: &[MachineConfig],
+        n: usize,
+    ) -> Vec<Result<SimStats, String>> {
+        let mut runs = self.run_grid(benches, configs, n);
+        for (i, run) in runs.iter_mut().enumerate() {
+            if let Err(msg) = run {
+                *msg = format!("seed {}: {msg}", self.seed + (i % n) as u64);
+            }
+        }
+        runs
+    }
+
+    /// One cell of [`Harness::run_grid`]: `cfg` on slot `k`'s stream,
+    /// folded when the configuration allows.
+    fn run_cell(
+        &self,
+        streams: &StreamCache<'_>,
+        k: usize,
+        cfg: &MachineConfig,
+    ) -> Result<SimStats, String> {
+        let stream = streams.stream(k);
+        let ops = stream.as_deref().map_err(Clone::clone)?;
+        let cfg = MachineConfig {
+            check_data: self.check_data,
+            ..cfg.clone()
+        };
+        catch_unwind(AssertUnwindSafe(|| {
+            let mut m = Machine::new(cfg.clone()).expect("experiment configuration rejected");
+            m.set_engine(self.engine);
+            if foldable::<NullObserver>(&cfg) {
+                m.run_fold(&streams.fold(k, ops, &cfg))
+            } else {
+                m.run_with_warmup(ops.iter().copied(), self.warmup)
+            }
+        }))
+        .map_err(panic_message)
+    }
+
+    /// Sweeps `configs` over `benches` through [`Harness::run_grid`].
     ///
     /// A cell that panics (an invalid configuration, a machine assertion)
     /// does not abort the sweep: the cell is zeroed and the failure is
@@ -256,24 +381,9 @@ impl Harness {
                 errors: lint,
             };
         }
-        let nc = configs.len();
-        let streams = StreamCache::new(benches, self.seed, self.instructions + self.warmup, 1);
-        let flat: Vec<Result<StallCell, String>> =
-            pool_cells_jobs(benches.len() * nc, self.jobs, |i| {
-                let (b, c) = (i / nc, i % nc);
-                let ops = streams.get(b, 0)?;
-                let mut cfg = configs[c].1.clone();
-                cfg.check_data = self.check_data;
-                catch_unwind(AssertUnwindSafe(|| {
-                    let mut m = Machine::new(cfg).expect("experiment configuration rejected");
-                    m.set_engine(self.engine);
-                    let stats = m.run_with_warmup(ops.iter().copied(), self.warmup);
-                    StallCell::from_stats(&stats)
-                }))
-                .map_err(panic_message)
-            });
+        let grid: Vec<MachineConfig> = configs.iter().map(|(_, c)| c.clone()).collect();
+        let mut flat = self.run_grid(benches, &grid, 1).into_iter();
         let mut errors = Vec::new();
-        let mut flat = flat.into_iter();
         let cells = benches
             .iter()
             .map(|bench| {
@@ -282,6 +392,7 @@ impl Harness {
                     .map(|(label, _)| {
                         flat.next()
                             .expect("one pooled result per cell")
+                            .map(|stats| StallCell::from_stats(&stats))
                             .unwrap_or_else(|message| {
                                 errors.push(SweepError {
                                     bench: bench.name(),
@@ -344,8 +455,11 @@ impl SeedSummary {
 /// Folds one cell's seed replicas into a [`SeedSummary`], or the first
 /// failing seed's message (seeds are in base-seed order, so "first" is
 /// deterministic regardless of pool scheduling).
-fn summarize_seeds(n: u64, runs: Vec<Result<StallCell, String>>) -> Result<SeedSummary, String> {
-    let cells = runs.into_iter().collect::<Result<Vec<_>, _>>()?;
+fn summarize_seeds(n: u64, runs: Vec<Result<SimStats, String>>) -> Result<SeedSummary, String> {
+    let cells = runs
+        .into_iter()
+        .map(|r| r.map(|stats| StallCell::from_stats(&stats)))
+        .collect::<Result<Vec<_>, _>>()?;
     let pick = |f: fn(&StallCell) -> f64| {
         let xs: Vec<f64> = cells.iter().map(f).collect();
         mean_sd(&xs)
@@ -401,17 +515,7 @@ impl Harness {
         n_seeds: u64,
     ) -> Result<SeedSummary, String> {
         let n = n_seeds.max(1);
-        let runs = pool_cells_jobs(n as usize, self.jobs, |i| {
-            let h = Harness {
-                seed: self.seed + i as u64,
-                ..*self
-            };
-            catch_unwind(AssertUnwindSafe(|| {
-                StallCell::from_stats(&h.run(bench, cfg.clone()))
-            }))
-            .map_err(|p| format!("seed {}: {}", h.seed, panic_message(p)))
-        });
-        summarize_seeds(n, runs)
+        summarize_seeds(n, self.seeded_grid(&[bench], &[cfg], n as usize))
     }
 }
 
@@ -512,31 +616,10 @@ impl Harness {
                 errors: lint,
             };
         }
-        // Flatten all three axes — (benchmark × config × seed) — into one
-        // cell index space so the pool balances across the whole grid:
-        // i = ((b * nc) + c) * n + s. Streams are shared per (bench, seed).
         let n = n_seeds.max(1) as usize;
-        let nc = configs.len();
-        let streams = StreamCache::new(benches, self.seed, self.instructions + self.warmup, n);
-        let flat: Vec<Result<StallCell, String>> =
-            pool_cells_jobs(benches.len() * nc * n, self.jobs, |i| {
-                let (b, c, s) = (i / (nc * n), (i / n) % nc, i % n);
-                let seed = self.seed + s as u64;
-                let ops = streams
-                    .get(b, s)
-                    .map_err(|msg| format!("seed {seed}: {msg}"))?;
-                let mut cfg = configs[c].1.clone();
-                cfg.check_data = self.check_data;
-                catch_unwind(AssertUnwindSafe(|| {
-                    let mut m = Machine::new(cfg).expect("experiment configuration rejected");
-                    m.set_engine(self.engine);
-                    let stats = m.run_with_warmup(ops.iter().copied(), self.warmup);
-                    StallCell::from_stats(&stats)
-                }))
-                .map_err(|p| format!("seed {seed}: {}", panic_message(p)))
-            });
+        let grid: Vec<MachineConfig> = configs.iter().map(|(_, c)| c.clone()).collect();
+        let mut runs = self.seeded_grid(benches, &grid, n).into_iter();
         let mut errors = Vec::new();
-        let mut runs = flat.into_iter();
         let summaries = benches
             .iter()
             .map(|bench| {

@@ -8,6 +8,7 @@ use wbsim_trace::bench_models::BenchmarkModel;
 use wbsim_trace::stats::TraceStats;
 use wbsim_types::config::{L2Config, MachineConfig};
 use wbsim_types::stall::StallKind;
+use wbsim_types::stats::SimStats;
 
 use crate::harness::Harness;
 
@@ -177,17 +178,25 @@ pub struct HitRateRow {
 /// baseline model.
 #[must_use]
 pub fn table5_rows(h: &Harness) -> Vec<HitRateRow> {
-    // One pooled cell per benchmark on the shared scheduler (respecting the
-    // harness's `--jobs` width) instead of one unbounded thread each.
-    crate::harness::pool_cells_jobs(BenchmarkModel::ALL.len(), h.jobs, |b| {
-        let m = BenchmarkModel::ALL[b];
-        let stats = h.run(m, MachineConfig::baseline());
-        HitRateRow {
-            bench: m,
+    let stats = grid_stats(h, &BenchmarkModel::ALL, &[MachineConfig::baseline()]);
+    BenchmarkModel::ALL
+        .iter()
+        .zip(stats)
+        .map(|(&bench, stats)| HitRateRow {
+            bench,
             l1_hit: stats.l1_load_hit_rate(),
             wb_hit: stats.wb_store_hit_rate(),
-        }
-    })
+        })
+        .collect()
+}
+
+/// [`Harness::run_grid`] with one seed, panicking on a failed cell as
+/// [`Harness::run`] does: a table has no place for a failure.
+fn grid_stats(h: &Harness, benches: &[BenchmarkModel], configs: &[MachineConfig]) -> Vec<SimStats> {
+    h.run_grid(benches, configs, 1)
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|msg| panic!("{msg}")))
+        .collect()
 }
 
 /// Table 5: L1 load hit rate and write-buffer store hit rate in the
@@ -225,14 +234,16 @@ pub fn table5(h: &Harness) -> TableResult {
 /// (loop interchange for gmtry, array transposition for cholsky).
 #[must_use]
 pub fn table6(h: &Harness) -> TableResult {
-    let pairs = [
-        (BenchmarkModel::Gmtry, BenchmarkModel::GmtryTransformed),
-        (BenchmarkModel::Cholsky, BenchmarkModel::CholskyTransformed),
+    let benches = [
+        BenchmarkModel::Gmtry,
+        BenchmarkModel::GmtryTransformed,
+        BenchmarkModel::Cholsky,
+        BenchmarkModel::CholskyTransformed,
     ];
+    let stats = grid_stats(h, &benches, &[MachineConfig::baseline()]);
     let mut rows = Vec::new();
-    for (before, after) in pairs {
-        let sb = h.run(before, MachineConfig::baseline());
-        let sa = h.run(after, MachineConfig::baseline());
+    for (pair, runs) in benches.chunks(2).zip(stats.chunks(2)) {
+        let (before, after, sb, sa) = (pair[0], pair[1], &runs[0], &runs[1]);
         let pb = before.paper();
         let pa = after.paper();
         rows.push(vec![
@@ -280,18 +291,12 @@ pub struct L2HitRow {
 #[must_use]
 pub fn table7_rows(h: &Harness) -> Vec<L2HitRow> {
     let sizes = [128u32, 512, 1024];
-    // One pooled cell per (benchmark × L2 size): 51 independent cells on
-    // the shared scheduler, instead of one long-lived thread per benchmark
-    // serializing its three sizes.
-    let stats =
-        crate::harness::pool_cells_jobs(BenchmarkModel::ALL.len() * sizes.len(), h.jobs, |i| {
-            let (b, si) = (i / sizes.len(), i % sizes.len());
-            let cfg = MachineConfig {
-                l2: L2Config::real_with_size(sizes[si] * 1024),
-                ..MachineConfig::baseline()
-            };
-            h.run(BenchmarkModel::ALL[b], cfg)
-        });
+    // 51 pooled cells, one stream per benchmark shared by its three sizes.
+    let configs = sizes.map(|kb| MachineConfig {
+        l2: L2Config::real_with_size(kb * 1024),
+        ..MachineConfig::baseline()
+    });
+    let stats = grid_stats(h, &BenchmarkModel::ALL, &configs);
     BenchmarkModel::ALL
         .iter()
         .enumerate()

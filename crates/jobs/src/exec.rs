@@ -15,7 +15,7 @@ use std::sync::Arc;
 use wbsim_check::Counterexample;
 use wbsim_experiments::harness::FigureResult;
 use wbsim_experiments::{figures, render, tables};
-use wbsim_sim::{JsonlObserver, Machine, NonBlockingMachine};
+use wbsim_sim::capture_events;
 use wbsim_trace::bench_models::BenchmarkModel;
 use wbsim_types::config::MachineConfig;
 use wbsim_types::diagnostics::{any_errors, Diagnostic};
@@ -308,22 +308,10 @@ fn run_trace(bench: &str, config: &str, mshrs: usize, opts: &Options) -> JobOutc
         return fail(e.to_string());
     }
     let ops = model.stream(opts.seed, opts.instructions);
-    let mut w = JsonlObserver::new(Vec::new());
-    if mshrs > 0 {
-        let mut m = match NonBlockingMachine::new(cfg, mshrs) {
-            Ok(m) => m,
-            Err(e) => return fail(e.to_string()),
-        };
-        m.set_engine(opts.engine);
-        let _stats = m.run_observed(ops, &mut w);
-    } else {
-        let mut m = match Machine::new(cfg) {
-            Ok(m) => m,
-            Err(e) => return fail(e.to_string()),
-        };
-        m.set_engine(opts.engine);
-        let _stats = m.run_observed(ops, &mut w);
-    }
+    let w = match capture_events(cfg, mshrs, opts.engine, ops, Vec::new()) {
+        Ok(w) => w,
+        Err(e) => return fail(e.to_string()),
+    };
     JobOutcome {
         artifacts: vec![Artifact {
             name: "events.jsonl".to_string(),

@@ -774,9 +774,9 @@ fn parse_spec(tag: &str, spec: Option<&Json>, errs: &mut Vec<Diagnostic>) -> Opt
             s.config.retire_at = opt_usize(fields, "retire_at", "spec.retire_at", errs);
             if let Some(z) = str_of("hazard", errs) {
                 // Case-insensitive, as the CLI's `--hazard`.
-                match LoadHazardPolicy::from_name(&z.to_ascii_lowercase()) {
-                    Some(h) => s.config.hazard = Some(h),
-                    None => errs.push(diag(
+                match z.parse::<LoadHazardPolicy>() {
+                    Ok(h) => s.config.hazard = Some(h),
+                    Err(_) => errs.push(diag(
                         "JOB005",
                         "spec.hazard",
                         format!("unknown hazard policy {z:?}"),

@@ -18,6 +18,10 @@ use wbsim_types::config::{ConfigError, L1Config};
 pub struct L1Cache {
     sets: usize,
     assoc: usize,
+    /// `log2(sets)` and `log2(assoc)`: both are powers of two
+    /// (configuration validation), so set/tag math is shifts and masks.
+    set_shift: u32,
+    assoc_shift: u32,
     words_per_line: usize,
     /// Tag per way, `u64::MAX` = invalid. Indexed `set * assoc + way`.
     tags: Vec<u64>,
@@ -35,6 +39,8 @@ const INVALID: u64 = u64::MAX;
 wbsim_types::clone_fields!(L1Cache {
     sets,
     assoc,
+    set_shift,
+    assoc_shift,
     words_per_line,
     tags,
     stamps,
@@ -59,6 +65,8 @@ impl L1Cache {
         Ok(Self {
             sets,
             assoc,
+            set_shift: sets.trailing_zeros(),
+            assoc_shift: assoc.trailing_zeros(),
             words_per_line,
             tags: vec![INVALID; lines],
             stamps: vec![0; lines],
@@ -83,12 +91,12 @@ impl L1Cache {
     #[inline]
     fn set_and_tag(&self, line: LineAddr) -> (usize, u64) {
         let l = line.as_u64();
-        ((l as usize) & (self.sets - 1), l / self.sets as u64)
+        ((l as usize) & (self.sets - 1), l >> self.set_shift)
     }
 
     #[inline]
     fn find_way(&self, set: usize, tag: u64) -> Option<usize> {
-        let base = set * self.assoc;
+        let base = set << self.assoc_shift;
         (0..self.assoc).find(|&w| self.tags[base + w] == tag)
     }
 
@@ -112,7 +120,7 @@ impl L1Cache {
     pub fn peek_line(&self, line: LineAddr) -> Option<&[u64]> {
         let (set, tag) = self.set_and_tag(line);
         let way = self.find_way(set, tag)?;
-        Some(self.line(set * self.assoc + way))
+        Some(self.line((set << self.assoc_shift) + way))
     }
 
     /// The data words of way slot `idx`.
@@ -132,7 +140,7 @@ impl L1Cache {
         debug_assert!(word < self.words_per_line);
         let (set, tag) = self.set_and_tag(line);
         let way = self.find_way(set, tag)?;
-        let idx = set * self.assoc + way;
+        let idx = (set << self.assoc_shift) + way;
         self.stamps[idx] = self.next_stamp;
         self.next_stamp += 1;
         Some(self.data[idx * self.words_per_line + word])
@@ -146,7 +154,7 @@ impl L1Cache {
         let (set, tag) = self.set_and_tag(line);
         match self.find_way(set, tag) {
             Some(way) => {
-                let idx = set * self.assoc + way;
+                let idx = (set << self.assoc_shift) + way;
                 self.stamps[idx] = self.next_stamp;
                 self.next_stamp += 1;
                 self.data[idx * self.words_per_line + word] = value;
@@ -184,7 +192,7 @@ impl L1Cache {
             self.find_way(set, tag).is_none(),
             "fill of a line that is already present"
         );
-        let base = set * self.assoc;
+        let base = set << self.assoc_shift;
         // Choose an invalid way if one exists, else the LRU way.
         let way = (0..self.assoc)
             .find(|&w| self.tags[base + w] == INVALID)
@@ -196,7 +204,7 @@ impl L1Cache {
         let idx = base + way;
         let victim = (self.tags[idx] != INVALID).then(|| {
             (
-                LineAddr::new(self.tags[idx] * self.sets as u64 + set as u64),
+                LineAddr::new((self.tags[idx] << self.set_shift) | set as u64),
                 self.dirty[idx],
             )
         });
@@ -213,7 +221,7 @@ impl L1Cache {
         if self.store_word(line, word, value) {
             let (set, tag) = self.set_and_tag(line);
             let way = self.find_way(set, tag).expect("store_word just hit");
-            self.dirty[set * self.assoc + way] = true;
+            self.dirty[(set << self.assoc_shift) + way] = true;
             true
         } else {
             false
@@ -225,7 +233,7 @@ impl L1Cache {
     #[must_use]
     pub fn peek_victim(&self, line: LineAddr) -> Option<(LineAddr, bool)> {
         let (set, _) = self.set_and_tag(line);
-        let base = set * self.assoc;
+        let base = set << self.assoc_shift;
         if (0..self.assoc).any(|w| self.tags[base + w] == INVALID) {
             return None;
         }
@@ -234,7 +242,7 @@ impl L1Cache {
             .expect("assoc >= 1");
         let idx = base + way;
         Some((
-            LineAddr::new(self.tags[idx] * self.sets as u64 + set as u64),
+            LineAddr::new((self.tags[idx] << self.set_shift) | set as u64),
             self.dirty[idx],
         ))
     }
@@ -267,8 +275,8 @@ impl L1Cache {
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
         let (set, tag) = self.set_and_tag(line);
         if let Some(way) = self.find_way(set, tag) {
-            self.tags[set * self.assoc + way] = INVALID;
-            self.dirty[set * self.assoc + way] = false;
+            self.tags[(set << self.assoc_shift) + way] = INVALID;
+            self.dirty[(set << self.assoc_shift) + way] = false;
             true
         } else {
             false

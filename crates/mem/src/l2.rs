@@ -144,6 +144,10 @@ impl L2Cache {
 pub struct RealL2 {
     sets: usize,
     assoc: usize,
+    /// `log2(sets)` and `log2(assoc)`: both are powers of two
+    /// (configuration validation), so set/tag math is shifts and masks.
+    set_shift: u32,
+    assoc_shift: u32,
     words_per_line: usize,
     tags: Vec<u64>,
     dirty: Vec<bool>,
@@ -162,6 +166,8 @@ impl RealL2 {
         Self {
             sets,
             assoc,
+            set_shift: sets.trailing_zeros(),
+            assoc_shift: assoc.trailing_zeros(),
             words_per_line,
             tags: vec![INVALID; lines],
             dirty: vec![false; lines],
@@ -180,12 +186,12 @@ impl RealL2 {
     #[inline]
     fn set_and_tag(&self, line: LineAddr) -> (usize, u64) {
         let l = line.as_u64();
-        ((l as usize) & (self.sets - 1), l / self.sets as u64)
+        ((l as usize) & (self.sets - 1), l >> self.set_shift)
     }
 
     #[inline]
     fn find_way(&self, set: usize, tag: u64) -> Option<usize> {
-        let base = set * self.assoc;
+        let base = set << self.assoc_shift;
         (0..self.assoc).find(|&w| self.tags[base + w] == tag)
     }
 
@@ -203,7 +209,7 @@ impl RealL2 {
         debug_assert!(word < self.words_per_line);
         let (set, tag) = self.set_and_tag(line);
         let way = self.find_way(set, tag)?;
-        Some(self.data[(set * self.assoc + way) * self.words_per_line + word])
+        Some(self.data[((set << self.assoc_shift) + way) * self.words_per_line + word])
     }
 
     /// Allocates a way in `set`, evicting if necessary.
@@ -214,7 +220,7 @@ impl RealL2 {
         set: usize,
         mem: &mut MainMemory,
     ) -> (usize, Option<LineAddr>, bool) {
-        let base = set * self.assoc;
+        let base = set << self.assoc_shift;
         if let Some(way) = (0..self.assoc).find(|&w| self.tags[base + w] == INVALID) {
             return (way, None, false);
         }
@@ -222,7 +228,7 @@ impl RealL2 {
             .min_by_key(|&w| self.stamps[base + w])
             .expect("assoc >= 1");
         let idx = base + way;
-        let victim = LineAddr::new(self.tags[idx] * self.sets as u64 + set as u64);
+        let victim = LineAddr::new((self.tags[idx] << self.set_shift) | set as u64);
         let mut wrote_back = false;
         if self.dirty[idx] {
             let full = WordMask::full(self.words_per_line);
@@ -253,7 +259,7 @@ impl RealL2 {
     ) -> L2ReadOutcome<'_> {
         let (set, tag) = self.set_and_tag(line);
         if let Some(way) = self.find_way(set, tag) {
-            let idx = set * self.assoc + way;
+            let idx = (set << self.assoc_shift) + way;
             self.stamps[idx] = self.next_stamp;
             self.next_stamp += 1;
             return L2ReadOutcome {
@@ -264,7 +270,7 @@ impl RealL2 {
             };
         }
         let (way, evicted, wrote_back) = self.allocate(geometry, set, mem);
-        let idx = set * self.assoc + way;
+        let idx = (set << self.assoc_shift) + way;
         self.tags[idx] = tag;
         self.dirty[idx] = false;
         self.stamps[idx] = self.next_stamp;
@@ -289,7 +295,7 @@ impl RealL2 {
     ) -> L2WriteOutcome {
         let (set, tag) = self.set_and_tag(line);
         if let Some(way) = self.find_way(set, tag) {
-            let idx = set * self.assoc + way;
+            let idx = (set << self.assoc_shift) + way;
             self.stamps[idx] = self.next_stamp;
             self.next_stamp += 1;
             self.dirty[idx] = true;
@@ -306,7 +312,7 @@ impl RealL2 {
         // Write-allocate: fetch the rest of the line if the write is
         // partial, so L2 lines are never partially valid.
         let (way, evicted, wrote_back) = self.allocate(geometry, set, mem);
-        let idx = set * self.assoc + way;
+        let idx = (set << self.assoc_shift) + way;
         let fetched = !mask.is_full(self.words_per_line);
         self.tags[idx] = tag;
         self.dirty[idx] = true;

@@ -50,6 +50,7 @@
 #![warn(missing_docs)]
 
 pub mod event;
+pub mod fold;
 mod hierarchy;
 pub mod machine;
 pub mod nonblocking;
@@ -59,10 +60,11 @@ mod sim_machine;
 pub mod testutil;
 
 pub use event::{Event, EventParseError, PortUse};
+pub use fold::{foldable, L1Fold};
 pub use machine::{
     Engine, LineSnapshot, Machine, MachineSnapshot, MshrSnapshot, SkipSpan, WbEntrySnapshot,
 };
 pub use nonblocking::NonBlockingMachine;
 pub use observer::{HistogramObserver, JsonlObserver, NullObserver, Observer, Tee};
 pub use port::{L2Port, PortOwner};
-pub use sim_machine::SimMachine;
+pub use sim_machine::{capture_events, SimMachine};

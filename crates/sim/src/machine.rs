@@ -46,6 +46,7 @@ use wbsim_types::stats::SimStats;
 use wbsim_types::Cycle;
 
 use crate::event::{Event, PortUse};
+use crate::fold::{foldable, L1Fold};
 use crate::hierarchy::{Hierarchy, Pending};
 use crate::observer::{NullObserver, Observer};
 use crate::port::PortOwner;
@@ -450,6 +451,45 @@ impl Machine {
         O: Observer,
     {
         self.run_loop(&mut ops.into_iter(), warmup_instructions, obs);
+        self.hier.stats
+    }
+
+    /// Runs an [`L1Fold`]'s shorter stream with the fold's warmup and
+    /// returns the statistics the unfolded stream gives, bit for bit: the
+    /// folded hits are restored into `loads` and `l1_load_hits`. The
+    /// machine must be fresh, and its configuration [`foldable`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is not foldable under a no-op
+    /// observer, the fold was made for another L1 shape, or the machine
+    /// has already run.
+    pub fn run_fold(&mut self, fold: &L1Fold) -> SimStats {
+        assert!(
+            foldable::<NullObserver>(&self.hier.cfg),
+            "this configuration is not foldable"
+        );
+        assert!(
+            fold.fits(&self.hier.cfg),
+            "the fold was made for another L1"
+        );
+        self.run_fold_unchecked(fold)
+    }
+
+    /// [`Machine::run_fold`] without the eligibility checks, for tests
+    /// that show what a fold does to an ineligible configuration.
+    pub(crate) fn run_fold_unchecked(&mut self, fold: &L1Fold) -> SimStats {
+        assert_eq!(
+            self.hier.now, 0,
+            "a fold replays a run from a fresh machine"
+        );
+        self.run_loop(
+            &mut fold.ops().iter().copied(),
+            fold.warmup(),
+            &mut NullObserver,
+        );
+        self.hier.stats.loads += fold.carried_hits();
+        self.hier.stats.l1_load_hits += fold.carried_hits();
         self.hier.stats
     }
 

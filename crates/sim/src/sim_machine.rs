@@ -1,12 +1,15 @@
 //! The interface the model checkers drive both machines through.
 
+use std::io;
+
 use wbsim_types::addr::{Addr, LineAddr};
 use wbsim_types::config::{ConfigError, MachineConfig};
 use wbsim_types::op::Op;
 use wbsim_types::stats::SimStats;
 
-use crate::machine::{Engine, MachineSnapshot, SkipSpan};
-use crate::observer::Observer;
+use crate::machine::{Engine, Machine, MachineSnapshot, SkipSpan};
+use crate::nonblocking::NonBlockingMachine;
+use crate::observer::{JsonlObserver, Observer};
 
 /// The blocking [`crate::Machine`] and the [`crate::NonBlockingMachine`]
 /// seen through one interface: everything the model checkers
@@ -124,4 +127,42 @@ pub trait SimMachine: Clone + Send {
 
     /// Drains the [`SkipSpan`]s recorded since the last call.
     fn take_skips(&mut self) -> Vec<SkipSpan>;
+}
+
+/// Records one complete execution as JSON lines into `out`: `ops` on the
+/// blocking machine when `mshrs` is 0, else on the non-blocking machine
+/// with `mshrs` miss registers, under `engine`; then the write buffer
+/// drains ([`SimMachine::drain_step`]), so every accepted store's
+/// retirement is on the record, as the liveness monitors of
+/// `wbsim trace validate --prop` require at the end of a stream.
+/// `wbsim trace events` and trace jobs both capture through here, so they
+/// write the same bytes. Call [`JsonlObserver::finish`] on the result.
+///
+/// # Errors
+///
+/// A [`ConfigError`] when `cfg` (with `mshrs`) is invalid for the machine.
+pub fn capture_events<W: io::Write>(
+    cfg: MachineConfig,
+    mshrs: usize,
+    engine: Engine,
+    ops: impl IntoIterator<Item = Op>,
+    out: W,
+) -> Result<JsonlObserver<W>, ConfigError> {
+    fn capture<M: SimMachine, W: io::Write>(
+        mut m: M,
+        engine: Engine,
+        ops: impl IntoIterator<Item = Op>,
+        out: W,
+    ) -> JsonlObserver<W> {
+        m.set_engine(engine);
+        let mut w = JsonlObserver::new(out);
+        m.run_observed(ops, &mut w);
+        while m.drain_step(&mut w) {}
+        w
+    }
+    Ok(if mshrs > 0 {
+        capture(NonBlockingMachine::new(cfg, mshrs)?, engine, ops, out)
+    } else {
+        capture(Machine::new(cfg)?, engine, ops, out)
+    })
 }

@@ -172,10 +172,29 @@ impl WordMask {
         *self == Self::full(words_per_line)
     }
 
-    /// Iterates over the indices of valid words, in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        let bits = self.0;
-        (0..64).filter(move |i| (bits >> i) & 1 == 1)
+    /// Iterates over the indices of valid words, in increasing order. The
+    /// walk visits set bits only (`trailing_zeros`, then clear the lowest
+    /// bit), so a sparse mask costs its word count, not 64 tests.
+    pub fn iter(&self) -> impl Iterator<Item = usize> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some(i)
+        })
+    }
+
+    /// The mask with every valid word moved up by `offset` positions: an
+    /// entry's block-relative bits at their offset within the line.
+    ///
+    /// Words shifted past position 63 are dropped; callers keep
+    /// `offset + width <= 64`.
+    #[must_use]
+    pub const fn shifted(self, offset: usize) -> Self {
+        Self(self.0 << offset)
     }
 
     /// Returns the raw bit pattern.
@@ -340,6 +359,32 @@ mod tests {
         m.set(1);
         m.set(3);
         assert!(m.is_full(4));
+    }
+
+    proptest::proptest! {
+        /// The bit walk yields exactly the set bits, ascending, for dense
+        /// and sparse masks alike.
+        #[test]
+        fn word_mask_iter_yields_exactly_the_set_bits_in_order(
+            a in proptest::prelude::any::<u64>(),
+            b in proptest::prelude::any::<u64>(),
+            sparse in proptest::prelude::any::<bool>(),
+        ) {
+            let bits = if sparse { a & b & b.rotate_left(17) } else { a };
+            let want: Vec<usize> = (0..64).filter(|&i| (bits >> i) & 1 == 1).collect();
+            let got: Vec<usize> = WordMask(bits).iter().collect();
+            proptest::prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn word_mask_shifted_moves_every_bit() {
+        let mut m = WordMask::empty();
+        m.set(0);
+        m.set(2);
+        assert_eq!(m.shifted(4).iter().collect::<Vec<_>>(), vec![4, 6]);
+        assert_eq!(m.shifted(0), m);
+        assert_eq!(WordMask::full(4).shifted(60), WordMask(0xf << 60));
     }
 
     #[test]

@@ -165,8 +165,9 @@ fn apply_line(
         "l1.size_kb" => cfg.l1.size_bytes = int("l1.size_kb")? as u32 * 1024,
         "l1.assoc" => cfg.l1.assoc = int("l1.assoc")? as u32,
         "l1.write_policy" => {
-            cfg.l1.write_policy = L1WritePolicy::from_name(value)
-                .ok_or_else(|| err(n, format!("unknown L1 write policy {value:?}")))?;
+            cfg.l1.write_policy = value
+                .parse::<L1WritePolicy>()
+                .map_err(|_| err(n, format!("unknown L1 write policy {value:?}")))?;
         }
         "l2" => match value {
             "perfect" => l2.real = false,
@@ -197,8 +198,9 @@ fn apply_line(
         "wb.depth" => cfg.write_buffer.depth = int("wb.depth")? as usize,
         "wb.width_words" => cfg.write_buffer.width_words = int("wb.width_words")? as usize,
         "wb.order" => {
-            cfg.write_buffer.order = RetirementOrder::from_name(value)
-                .ok_or_else(|| err(n, format!("unknown retirement order {value:?}")))?;
+            cfg.write_buffer.order = value
+                .parse::<RetirementOrder>()
+                .map_err(|_| err(n, format!("unknown retirement order {value:?}")))?;
         }
         "wb.retirement" => {
             cfg.write_buffer.retirement = if let Some(rest) = value.strip_prefix("retire-at-") {
@@ -216,8 +218,9 @@ fn apply_line(
             }
         }
         "wb.hazard" => {
-            cfg.write_buffer.hazard = LoadHazardPolicy::from_name(value)
-                .ok_or_else(|| err(n, format!("unknown hazard policy {value:?}")))?;
+            cfg.write_buffer.hazard = value
+                .parse::<LoadHazardPolicy>()
+                .map_err(|_| err(n, format!("unknown hazard policy {value:?}")))?;
         }
         "wb.priority" => {
             cfg.write_buffer.priority = if value == "read-bypass" {
@@ -239,8 +242,9 @@ fn apply_line(
             }
         }
         "wb.datapath" => {
-            cfg.write_buffer.datapath = DatapathWidth::from_name(value)
-                .ok_or_else(|| err(n, format!("unknown datapath width {value:?}")))?;
+            cfg.write_buffer.datapath = value
+                .parse::<DatapathWidth>()
+                .map_err(|_| err(n, format!("unknown datapath width {value:?}")))?;
         }
         _ => return Err(err(n, format!("unknown key {key:?}"))),
     }
@@ -408,6 +412,62 @@ wb.priority = write-priority-above-10
              wb.max_age = none\n\
              wb.datapath = half-line\n"
         );
+    }
+
+    /// Every spelling wbsim prints for a value (`Display`: `read-from-WB`,
+    /// `FIFO`, …), its wire name and an upper-cased copy are all accepted
+    /// in the key that takes the value.
+    #[test]
+    fn accepts_every_printed_spelling() {
+        fn each<T: Copy + std::fmt::Display + PartialEq + std::fmt::Debug>(
+            names: &[&str],
+            from: fn(&str) -> Option<T>,
+            key: &str,
+            read: fn(&MachineConfig) -> T,
+        ) {
+            for name in names {
+                let v = from(name).unwrap();
+                for text in [v.to_string(), name.to_string(), name.to_ascii_uppercase()] {
+                    let cfg = parse_machine_config(&format!("{key} = {text}"))
+                        .unwrap_or_else(|e| panic!("{key} = {text}: {e}"));
+                    assert_eq!(read(&cfg), v, "{key} = {text}");
+                }
+            }
+        }
+        each(
+            LoadHazardPolicy::NAMES,
+            LoadHazardPolicy::from_name,
+            "wb.hazard",
+            |c| c.write_buffer.hazard,
+        );
+        each(
+            RetirementOrder::NAMES,
+            RetirementOrder::from_name,
+            "wb.order",
+            |c| c.write_buffer.order,
+        );
+        each(
+            DatapathWidth::NAMES,
+            DatapathWidth::from_name,
+            "wb.datapath",
+            |c| c.write_buffer.datapath,
+        );
+        each(
+            L1WritePolicy::NAMES,
+            L1WritePolicy::from_name,
+            "l1.write_policy",
+            |c| c.l1.write_policy,
+        );
+        assert_eq!(LoadHazardPolicy::ReadFromWb.to_string(), "read-from-WB");
+        assert_eq!(RetirementOrder::Fifo.to_string(), "FIFO");
+        // The policies with a parameter print their own key syntax.
+        for doc in [
+            format!("wb.retirement = {}", RetirementPolicy::FixedRate(7)),
+            format!("wb.priority = {}", L2Priority::WritePriorityAbove(3)),
+        ] {
+            assert!(parse_machine_config(&doc).is_ok(), "{doc}");
+        }
+        assert!(parse_machine_config("wb.hazard = read-from-WBX").is_err());
     }
 
     #[test]

@@ -5,8 +5,12 @@
 //! by the same lowercase tokens. Each such enum declares its tokens once,
 //! with [`wire_names!`](crate::wire_names) beside its definition; every
 //! reader and writer goes through the generated `name`, `from_name` and
-//! `NAMES`. Human `Display` labels (`read-from-WB`, `L1 hit`) are
-//! separate and may differ.
+//! `NAMES`. Human `Display` labels (`read-from-WB`, `FIFO`) are separate
+//! and may differ in case only, so what people type (`.wbcfg` files,
+//! manifests, CLI flags) goes through the one case-insensitive lookup,
+//! the generated `FromStr`, which takes every wire name and every such
+//! label. Machine-written streams (the event codec) keep the exact
+//! `from_name`.
 
 use std::fmt::{Display, Write as _};
 
@@ -17,6 +21,8 @@ use std::fmt::{Display, Write as _};
 /// * `const fn name(self)`, the value's token (a missing row does not
 ///   compile);
 /// * `fn from_name(&str)`, the value a token spells, by exact match;
+/// * `FromStr`, the same lookup ignoring ASCII case, its error listing
+///   the names;
 /// * with `: Display` after the type, a `Display` that prints the token.
 ///
 /// ```
@@ -29,6 +35,8 @@ use std::fmt::{Display, Write as _};
 /// assert_eq!(Side::Right.name(), "right");
 /// assert_eq!(Side::from_name("left"), Some(Side::Left));
 /// assert_eq!(Side::from_name("Left"), None);
+/// assert_eq!("LEFT".parse::<Side>(), Ok(Side::Left));
+/// assert!("up".parse::<Side>().unwrap_err().contains("left or right"));
 /// ```
 #[macro_export]
 macro_rules! wire_names {
@@ -61,6 +69,19 @@ macro_rules! wire_names {
                     $($name => Some(Self::$variant),)+
                     _ => None,
                 }
+            }
+        }
+
+        impl ::std::str::FromStr for $ty {
+            type Err = String;
+
+            /// The value a wire name spells in any ASCII case, or a
+            /// message listing the names.
+            fn from_str(s: &str) -> Result<Self, String> {
+                $(if s.eq_ignore_ascii_case($name) {
+                    return Ok(Self::$variant);
+                })+
+                Err(format!("unknown name {s:?}, expected {}", $crate::wire::or_list(Self::NAMES, " or ")))
             }
         }
     };

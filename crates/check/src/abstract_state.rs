@@ -34,12 +34,12 @@
 //!
 //! # The packed key
 //!
-//! A state is keyed by a byte string written straight from the
-//! [`MachineSnapshot`], once per line permutation; the canonical key is
-//! the smaller string. Lines are named by their index in the universe
-//! (0 or 1) under the permutation, and a word by its class byte: 0
-//! Invalid, 1 Fresh, 2 Stale. Counts and line indices take one byte,
-//! countdowns an unsigned LEB128 varint. In order:
+//! A state is keyed by a byte string written straight from the machine's
+//! [`StateView`] — no snapshot is built — once per line permutation; the
+//! canonical key is the smaller string. Lines are named by their index in
+//! the universe (0 or 1) under the permutation, and a word by its class
+//! byte: 0 Invalid, 1 Fresh, 2 Stale. Counts and line indices take one
+//! byte, countdowns an unsigned LEB128 varint. In order:
 //!
 //! 1. **Write buffer.** The entry count, then per entry in FIFO order:
 //!    its line; which aligned `width_words` block of the line it covers
@@ -62,8 +62,8 @@
 //! states share a key exactly when their abstractions coincide under one
 //! of the permutations.
 
-use wbsim_sim::MachineSnapshot;
-use wbsim_types::addr::{Geometry, LineAddr};
+use wbsim_sim::StateView;
+use wbsim_types::addr::LineAddr;
 
 /// The value-blind classification of one word in one component; the
 /// discriminant is its byte in the packed key.
@@ -153,143 +153,189 @@ fn put_countdown(out: &mut Vec<u8>, countdown: Option<u64>) {
 
 /// The packed canonical key of a state (see the module docs), built
 /// under both line permutations side by side. The buffers are reused
-/// from key to key: once they have grown to a key's length, encoding
+/// from key to key: once they have grown to a key's length, writing a key
 /// allocates nothing.
 #[derive(Debug, Default)]
-pub(crate) struct StateKey {
+pub struct StateKey {
     /// The encoding under the identity.
     id: Vec<u8>,
     /// The encoding under the line swap.
     swap: Vec<u8>,
-    /// Scratch for sorting the issued misses: `(countdown, line)`.
+    /// Scratch: where `id` holds the line index of a write-buffer entry.
+    renamed: Vec<usize>,
+    /// Scratch: the outstanding misses in issue order, as (countdown,
+    /// line index), and the issued ones to sort.
+    misses: Vec<(Option<u64>, u8)>,
     issued: Vec<(u64, u8)>,
+    /// Scratch: the two lines' components, one after the other.
+    lines: Vec<u8>,
+    /// Scratch: the freshest value of every word of the two lines.
+    fresh: Vec<u64>,
 }
 
 impl StateKey {
     /// Empties both encodings for the next key.
-    pub(crate) fn clear(&mut self) {
+    pub fn clear(&mut self) {
         self.id.clear();
         self.swap.clear();
     }
 
-    /// Appends the abstraction of `snap` under each permutation. The
-    /// refinement checker pushes both machines of a pair, so the one
-    /// permutation renames both halves.
+    /// Appends the abstraction of the machine `view` shows, over the two
+    /// universe `lines`, under each permutation. The refinement checker
+    /// pushes both machines of a pair, so the one permutation renames both
+    /// halves. The view is read once: the swap renames and reorders what
+    /// the identity wrote.
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot does not cover exactly two lines, or if a
-    /// write-buffer entry or an outstanding miss lies outside them.
-    pub(crate) fn push(&mut self, g: &Geometry, snap: &MachineSnapshot, shadow: &ShadowTracker) {
-        assert_eq!(snap.lines.len(), 2, "the bounded universe has two lines");
-        let Self { id, swap, issued } = self;
-        encode(g, snap, shadow, false, id, issued);
-        encode(g, snap, shadow, true, swap, issued);
+    /// Panics if `lines` is not two lines, or if a write-buffer entry or an
+    /// outstanding miss lies outside them.
+    pub fn push(&mut self, view: &StateView<'_>, lines: &[LineAddr], shadow: &ShadowTracker) {
+        assert_eq!(lines.len(), 2, "the bounded universe has two lines");
+        let Self {
+            id,
+            swap,
+            renamed,
+            misses,
+            issued,
+            lines: components,
+            fresh,
+        } = self;
+        let g = view.geometry();
+        let wpl = g.words_per_line();
+        fresh.clear();
+        for &line in lines {
+            fresh.extend((0..wpl).map(|w| shadow.expected(g.word_addr_in_line(line, w))));
+        }
+        // The class of `value` as word `w` of universe line `i`.
+        let class = |i: u8, w: usize, value: u64| {
+            let abs = if value == fresh[usize::from(i) * wpl + w] {
+                WordAbs::Fresh
+            } else {
+                WordAbs::Stale
+            };
+            abs as u8
+        };
+        let line_index = |line: u64, what: &str| {
+            let i = lines
+                .iter()
+                .position(|l| l.as_u64() == line)
+                .unwrap_or_else(|| panic!("{what} outside the bounded universe"));
+            i as u8
+        };
+
+        // The write buffer, the retirement and the port, written once; the
+        // swap copies them with every entry's line renamed.
+        let start = id.len();
+        renamed.clear();
+        put_small(id, view.wb_len());
+        for e in view.wb_entries() {
+            // Blocks are aligned `width`-word groups: block b covers word
+            // addresses b·width .. (b+1)·width, so with sub-line entries the
+            // owning line is b / blocks_per_line.
+            let width = e.data.len();
+            let bpl = (wpl / width) as u64;
+            let line = line_index(e.block / bpl, "write-buffer entry");
+            let first = (e.block % bpl) as usize;
+            renamed.push(id.len() - start);
+            id.push(line);
+            put_small(id, first);
+            id.push(u8::from(e.retiring));
+            put_small(id, width);
+            for (w, &v) in e.data.iter().enumerate() {
+                id.push(if e.mask.get(w) {
+                    class(line, first * width + w, v)
+                } else {
+                    WordAbs::Invalid as u8
+                });
+            }
+        }
+        put_countdown(id, view.retire_countdown());
+        put_varint(id, view.port_countdown());
+        let at = swap.len();
+        swap.extend_from_slice(&id[start..]);
+        for &i in renamed.iter() {
+            swap[at + i] ^= 1;
+        }
+
+        // The misses. Renaming perturbs the issued misses' sort key, so
+        // each permutation sorts its own.
+        misses.clear();
+        misses.extend(
+            view.mshrs()
+                .map(|m| (m.countdown, line_index(m.line, "outstanding miss"))),
+        );
+        for (out, rename) in [(&mut *id, 0), (&mut *swap, 1)] {
+            put_small(out, misses.len());
+            issued.clear();
+            for &(countdown, line) in misses.iter() {
+                match countdown {
+                    None => {
+                        put_countdown(out, None);
+                        out.push(line ^ rename);
+                    }
+                    Some(c) => issued.push((c, line ^ rename)),
+                }
+            }
+            issued.sort_unstable();
+            for &(c, line) in issued.iter() {
+                put_countdown(out, Some(c));
+                out.push(line);
+            }
+        }
+
+        // The lines, each written once, in permuted order.
+        components.clear();
+        let mut second = 0;
+        for (i, &line) in (0..).zip(lines) {
+            if i == 1 {
+                second = components.len();
+            }
+            let put_words = |out: &mut Vec<u8>, words: &[u64]| {
+                put_small(out, words.len());
+                for (w, &v) in words.iter().enumerate() {
+                    out.push(class(i, w, v));
+                }
+            };
+            match view.l1_line(line) {
+                None => components.push(0),
+                Some(words) => {
+                    components.push(1);
+                    put_words(components, words);
+                }
+            }
+            put_words(components, view.mem_line(line));
+        }
+        let (first, last) = components.split_at(second);
+        id.extend_from_slice(first);
+        id.extend_from_slice(last);
+        swap.extend_from_slice(last);
+        swap.extend_from_slice(first);
     }
 
     /// Appends `write(out, swapped)` to each encoding: a key component
     /// that the line swap renames too (the monitors' bound addresses).
-    pub(crate) fn push_with(&mut self, mut write: impl FnMut(&mut Vec<u8>, bool)) {
+    pub fn push_with(&mut self, mut write: impl FnMut(&mut Vec<u8>, bool)) {
         write(&mut self.id, false);
         write(&mut self.swap, true);
     }
 
     /// The canonical key: the lexicographically smaller encoding.
-    pub(crate) fn canonical(&self) -> &[u8] {
+    #[must_use]
+    pub fn canonical(&self) -> &[u8] {
         std::cmp::min(&self.id, &self.swap)
     }
 
-    /// Clears, pushes `snap` and returns the canonical key.
-    pub(crate) fn of(
+    /// Clears, pushes `view` and returns the canonical key.
+    pub fn of(
         &mut self,
-        g: &Geometry,
-        snap: &MachineSnapshot,
+        view: &StateView<'_>,
+        lines: &[LineAddr],
         shadow: &ShadowTracker,
     ) -> &[u8] {
         self.clear();
-        self.push(g, snap, shadow);
+        self.push(view, lines, shadow);
         self.canonical()
-    }
-}
-
-/// Writes the abstraction of `snap` under the identity, or under the line
-/// swap when `swap` is set.
-fn encode(
-    g: &Geometry,
-    snap: &MachineSnapshot,
-    shadow: &ShadowTracker,
-    swap: bool,
-    out: &mut Vec<u8>,
-    issued: &mut Vec<(u64, u8)>,
-) {
-    let line_index = |line: u64, what: &str| {
-        let i = snap
-            .lines
-            .iter()
-            .position(|l| l.line == line)
-            .unwrap_or_else(|| panic!("{what} outside the bounded universe"));
-        i as u8 ^ u8::from(swap)
-    };
-    let put_words = |out: &mut Vec<u8>, line: u64, words: &[u64]| {
-        put_small(out, words.len());
-        let la = LineAddr::new(line);
-        for (w, &v) in words.iter().enumerate() {
-            out.push(shadow.classify(g.word_addr_in_line(la, w), v) as u8);
-        }
-    };
-
-    put_small(out, snap.wb.len());
-    for e in &snap.wb {
-        // Blocks are aligned `width`-word groups: block b covers word
-        // addresses b·width .. (b+1)·width, so with sub-line entries the
-        // owning line is b / blocks_per_line.
-        let width = e.words.len();
-        let bpl = (g.words_per_line() / width) as u64;
-        out.push(line_index(e.block / bpl, "write-buffer entry"));
-        put_small(out, (e.block % bpl) as usize);
-        out.push(u8::from(e.retiring));
-        put_small(out, width);
-        for (w, v) in e.words.iter().enumerate() {
-            let class = match *v {
-                None => WordAbs::Invalid,
-                Some(v) => shadow.classify(e.block * width as u64 + w as u64, v),
-            };
-            out.push(class as u8);
-        }
-    }
-    put_countdown(out, snap.retire_countdown);
-    put_varint(out, snap.port_countdown);
-
-    put_small(out, snap.mshrs.len());
-    issued.clear();
-    for m in &snap.mshrs {
-        let line = line_index(m.line, "outstanding miss");
-        match m.countdown {
-            None => {
-                put_countdown(out, None);
-                out.push(line);
-            }
-            Some(c) => issued.push((c, line)),
-        }
-    }
-    // Renaming perturbs the issued misses' sort key, so each permutation
-    // sorts its own.
-    issued.sort_unstable();
-    for &(c, line) in issued.iter() {
-        put_countdown(out, Some(c));
-        out.push(line);
-    }
-
-    let order = if swap { [1, 0] } else { [0, 1] };
-    for ls in order.map(|i| &snap.lines[i]) {
-        match &ls.l1 {
-            None => out.push(0),
-            Some(words) => {
-                out.push(1);
-                put_words(out, ls.line, words);
-            }
-        }
-        put_words(out, ls.line, &ls.mem);
     }
 }
 
@@ -318,7 +364,7 @@ mod tests {
             }
         }
         StateKey::default()
-            .of(&g, &m.snapshot(&lines()), &shadow)
+            .of(&m.view(), &lines(), &shadow)
             .to_vec()
     }
 

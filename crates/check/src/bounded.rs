@@ -8,9 +8,10 @@
 //! × depths 1–4 × every retire-at mark 1..=depth on the blocking machine,
 //! and the same depths × MSHR counts 1–4 on the non-blocking one.
 //!
-//! Each run drives the cycle machine one [`SimMachine::step`] at a time
-//! under an observer that asserts the paper's invariants from the event
-//! stream:
+//! Each run drives the cycle machine one cycle at a time
+//! ([`SimMachine::step_op`], then [`SimMachine::step`] for the end of the
+//! stream) under an observer that asserts the paper's invariants from the
+//! event stream:
 //!
 //! * occupancy never exceeds depth, and the recorded high-water mark (hence
 //!   headroom = depth − high-water) matches the maximum observed occupancy;
@@ -20,6 +21,11 @@
 //!   final memory image match the untimed [`ArchModel`];
 //! * the conservation identities shared with `wbsim-oracle`
 //!   ([`check_conservation`]).
+//!
+//! Sequences that share a prefix share its run: the checker walks the
+//! prefix tree depth first, forking each prefix's run for each next op
+//! (`least_violation`), and keeps the violation the odometer
+//! (`first_violation`) would have met first.
 //!
 //! On a violation the failing sequence is minimized by greedy op deletion
 //! and re-run under a trace-collecting observer; the resulting
@@ -473,95 +479,164 @@ pub(crate) fn sequence<M: SimMachine>(
     mshrs: Option<usize>,
     ops: &[Op],
 ) -> Result<(), String> {
-    sequence_on(&mut build::<M>(cfg, mshrs), cfg, mshrs, ops)
+    let cfg = &unchecked(cfg);
+    let mut run = Run::<M>::new(cfg, mshrs);
+    for &op in ops {
+        run.op(op, mshrs)?;
+    }
+    run.finish(cfg, mshrs, ops)
 }
 
-/// [`sequence`] on `machine`: a machine as [`build`] returns it for
-/// `cfg` and `mshrs`, or a fork of one.
-fn sequence_on<M: SimMachine>(
-    machine: &mut M,
-    cfg: &MachineConfig,
-    mshrs: Option<usize>,
-    ops: &[Op],
-) -> Result<(), String> {
-    let cfg = &unchecked(cfg);
-    let mut obs = InvariantObserver::new(cfg, mshrs);
-    let mut iter = ops.iter().copied();
-    while machine.step(&mut iter, &mut obs) {
-        mshr_invariants(machine, mshrs).map_err(|e| format!("cycle {}: {e}", machine.now()))?;
-        if machine.now() >= CYCLE_BUDGET {
+/// The invariants asserted after every cycle of a sequence run: the
+/// structural MSHR invariants and the liveness budget.
+fn cycle_checks(m: &impl SimMachine, mshrs: Option<usize>) -> Result<(), String> {
+    mshr_invariants(m, mshrs).map_err(|e| format!("cycle {}: {e}", m.now()))?;
+    if m.now() >= CYCLE_BUDGET {
+        return Err(format!(
+            "run exceeded the {CYCLE_BUDGET}-cycle liveness budget"
+        ));
+    }
+    Ok(())
+}
+
+/// A sequence run stopped at an op boundary: the machine, the invariant
+/// observer that has watched it, and the untimed [`ArchModel`] fed the
+/// same ops. [`sequence`] runs one op by op from a fresh build; the
+/// prefix walk of [`exhaustive`] forks one per prefix and extends each
+/// fork by one op, so every distinct prefix runs once.
+struct Run<M> {
+    machine: M,
+    obs: InvariantObserver,
+    arch: ArchModel,
+    /// The architectural value of every load so far, in program order.
+    expected: Vec<u64>,
+}
+
+wbsim_types::clone_fields!(impl<M> Run<M> { machine, obs, arch, expected });
+
+impl<M: SimMachine> Run<M> {
+    /// A run of no ops on `cfg`'s machine (`mshrs` selects it).
+    fn new(cfg: &MachineConfig, mshrs: Option<usize>) -> Self {
+        Run {
+            machine: build(cfg, mshrs),
+            obs: InvariantObserver::new(cfg, mshrs),
+            arch: ArchModel::new(cfg.geometry),
+            expected: Vec::new(),
+        }
+    }
+
+    /// Runs `op` one cycle at a time to the next op boundary, asserting
+    /// the per-cycle invariants ([`cycle_checks`]) after every cycle. An
+    /// error ends the run: every sequence that extends this one fails the
+    /// same way.
+    fn op(&mut self, op: Op, mshrs: Option<usize>) -> Result<(), String> {
+        self.expected.extend(self.arch.step(op));
+        let mut next = std::iter::once(op);
+        while self.machine.step_op(&mut next, &mut self.obs) {
+            cycle_checks(&self.machine, mshrs)?;
+        }
+        Ok(())
+    }
+
+    /// Ends the stream and checks the run as the finished sequence `ops`:
+    /// the end-of-stream tail under the per-cycle invariants, then the
+    /// invariant observer's verdict, the architectural comparison
+    /// (resolved-load values at their program-order ordinal, one terminal
+    /// event per load, and final memory — which also proves the
+    /// non-blocking machine's merge-on-fill: an unmerged fill installs a
+    /// stale line that the final architectural read exposes), the
+    /// high-water identity, and the conservation identities (cycle
+    /// accounting only on the blocking machine: the other overlaps misses
+    /// with execution by design).
+    fn finish(
+        &mut self,
+        cfg: &MachineConfig,
+        mshrs: Option<usize>,
+        ops: &[Op],
+    ) -> Result<(), String> {
+        let Run {
+            machine,
+            obs,
+            arch,
+            expected,
+        } = self;
+        while machine.step(&mut std::iter::empty(), obs) {
+            cycle_checks(machine, mshrs)?;
+        }
+        if let Some(v) = obs.violation.take() {
+            return Err(v);
+        }
+        let mut stats = *machine.stats();
+        stats.cycles = machine.now();
+
+        // No store lost or staled: loads and final memory vs the untimed model.
+        for (i, (terminal, &want)) in obs.loads.iter().zip(expected.iter()).enumerate() {
+            if let Some((addr, got)) = *terminal {
+                if got != want {
+                    return Err(format!(
+                        "load #{i} at {addr:?} observed {got:#x}, architectural model \
+                         says {want:#x} (stale or lost store)"
+                    ));
+                }
+            }
+        }
+        if obs.loads.len() != expected.len() {
+            let terminated = if mshrs.is_some() {
+                "terminated"
+            } else {
+                "resolved"
+            };
             return Err(format!(
-                "run exceeded the {CYCLE_BUDGET}-cycle liveness budget"
+                "machine {terminated} {} loads, stream has {}",
+                obs.loads.len(),
+                expected.len()
             ));
         }
-    }
-    if let Some(v) = obs.violation {
-        return Err(v);
-    }
-    let mut stats = *machine.stats();
-    stats.cycles = machine.now();
-
-    // No store lost or staled: loads and final memory vs the untimed model.
-    let mut oracle = ArchModel::new(cfg.geometry);
-    let expected = oracle.run(ops);
-    for (i, (terminal, &want)) in obs.loads.iter().zip(&expected).enumerate() {
-        if let Some((addr, got)) = *terminal {
-            if got != want {
-                return Err(format!(
-                    "load #{i} at {addr:?} observed {got:#x}, architectural model \
-                     says {want:#x} (stale or lost store)"
-                ));
+        for (i, op) in ops.iter().enumerate() {
+            if let Op::Load(addr) | Op::Store(addr) = *op {
+                // An address the loop has compared already compares the
+                // same again.
+                if ops[..i]
+                    .iter()
+                    .any(|o| matches!(*o, Op::Load(a) | Op::Store(a) if a == addr))
+                {
+                    continue;
+                }
+                let got = machine.read_word_architectural(addr);
+                let want = arch.read_word(addr);
+                if got != want {
+                    return Err(format!(
+                        "final memory at {addr:?}: machine reads {got:#x}, \
+                         architectural model says {want:#x}"
+                    ));
+                }
             }
         }
-    }
-    if obs.loads.len() != expected.len() {
-        let terminated = if mshrs.is_some() {
-            "terminated"
-        } else {
-            "resolved"
-        };
-        return Err(format!(
-            "machine {terminated} {} loads, stream has {}",
-            obs.loads.len(),
-            expected.len()
-        ));
-    }
-    for op in ops {
-        if let Op::Load(addr) | Op::Store(addr) = *op {
-            let got = machine.read_word_architectural(addr);
-            let want = oracle.read_word(addr);
-            if got != want {
-                return Err(format!(
-                    "final memory at {addr:?}: machine reads {got:#x}, \
-                     architectural model says {want:#x}"
-                ));
-            }
+
+        // Headroom identity: the recorded high-water mark is exactly the
+        // maximum occupancy the event stream saw, so headroom(depth) is
+        // depth − max occupancy.
+        let depth = cfg.write_buffer.depth as u64;
+        let hw = stats.wb_detail.high_water;
+        if hw != obs.max_occupancy || hw > depth {
+            return Err(format!(
+                "high-water mark {hw} disagrees with the event stream's maximum \
+                 occupancy {} (depth {depth})",
+                obs.max_occupancy
+            ));
         }
-    }
 
-    // Headroom identity: the recorded high-water mark is exactly the
-    // maximum occupancy the event stream saw, so headroom(depth) is
-    // depth − max occupancy.
-    let depth = cfg.write_buffer.depth as u64;
-    let hw = stats.wb_detail.high_water;
-    if hw != obs.max_occupancy || hw > depth {
-        return Err(format!(
-            "high-water mark {hw} disagrees with the event stream's maximum \
-             occupancy {} (depth {depth})",
-            obs.max_occupancy
-        ));
+        // The conservation identities shared with the differential oracle.
+        check_conservation(
+            cfg,
+            &stats,
+            machine.wb_victim_allocs(),
+            machine.wb_occupancy() as u64,
+            obs.cycles_seen,
+            mshrs.is_none(),
+        )
+        .map_err(|d| format!("conservation identity violated: {d}"))
     }
-
-    // The conservation identities shared with the differential oracle.
-    check_conservation(
-        cfg,
-        &stats,
-        machine.wb_victim_allocs(),
-        machine.wb_occupancy() as u64,
-        obs.cycles_seen,
-        mshrs.is_none(),
-    )
-    .map_err(|d| format!("conservation identity violated: {d}"))
 }
 
 /// Collects the event stream as JSONL for counterexample replay.
@@ -759,6 +834,7 @@ pub(crate) fn check_grid<E: Send>(
         ..CheckReport::default()
     };
     for e in explored.into_iter().flatten() {
+        report.runs += e.runs;
         report.states_explored += e.states;
         report.edges += e.edges;
         report.sccs += e.sccs;
@@ -820,23 +896,207 @@ fn exhaustive<M: SimMachine>(
     max_ops: u32,
     jobs: usize,
 ) -> Result<CheckReport, Box<Counterexample>> {
+    let universe = points.first().map_or(0, |(cfg, _)| op_universe(cfg).len());
+    let sequences = sequence_count(universe as u64, max_ops);
     let mut report = check_grid(points, jobs, |cfg, mshrs, abort| {
+        let machine_cfg = &unchecked(cfg);
         let universe = op_universe(cfg);
-        // Every run forks one pristine machine instead of building and
-        // validating its own; the fork reuses the last run's buffers.
-        let pristine: M = build(cfg, mshrs);
-        let mut run = None;
-        match first_violation(&universe, max_ops, abort, |ops| {
-            sequence_on(fork(&mut run, &pristine), cfg, mshrs, ops).err()
-        }) {
-            None => Ok(Some(Explored::default())),
-            Some((ops, violation)) => Err(counterexample::<M>(cfg, mshrs, ops, violation)),
+        let walked = least_violation(
+            Run::<M>::new(machine_cfg, mshrs),
+            &universe,
+            max_ops,
+            abort,
+            |run, op| run.op(op, mshrs),
+            |run, ops| run.finish(machine_cfg, mshrs, ops),
+        );
+        match walked {
+            None => Ok(None),
+            Some(Ok(runs)) => {
+                assert_eq!(
+                    runs,
+                    sequences,
+                    "the exhaustive check of {} ran {runs} sequences, not every one of \
+                     length 1..={max_ops}",
+                    point_label(cfg, mshrs)
+                );
+                Ok(Some(Explored {
+                    runs,
+                    ..Explored::default()
+                }))
+            }
+            Some(Err((ops, violation))) => Err(counterexample::<M>(cfg, mshrs, ops, violation)),
         }
     })?;
-    let universe = points.first().map_or(0, |(cfg, _)| op_universe(cfg).len());
-    report.sequences = sequence_count(universe as u64, max_ops);
-    report.runs = report.configs * report.sequences;
+    report.sequences = sequences;
     Ok(report)
+}
+
+/// A grid point for a message: its hazard policy, depth and retirement
+/// mark, and on the non-blocking machine its MSHR count.
+fn point_label(cfg: &MachineConfig, mshrs: Option<usize>) -> String {
+    let wb = &cfg.write_buffer;
+    let machine = mshrs.map_or(String::new(), |m| format!(", {m} MSHRs"));
+    format!(
+        "hazard {}, depth {}, {}{machine}",
+        wb.hazard, wb.depth, wb.retirement
+    )
+}
+
+/// The node slots of a [`least_violation`] walk.
+struct Walk<'a, N, W> {
+    universe: &'a [Op],
+    abort: &'a dyn Fn() -> bool,
+    /// Slot `d` holds the node of the current path's length-`d` prefix
+    /// (slot 0 the root); a child forks into the slot after its parent's.
+    slots: Vec<Option<N>>,
+    /// Where a node that still has children checks itself as a finished
+    /// sequence (the check may advance it).
+    scratch: Option<N>,
+    /// The current path, as ops and as universe indices.
+    ops: Vec<Op>,
+    digits: Vec<usize>,
+    /// The longest sequence still worth running: `max_ops`, then the
+    /// length of the least violation so far.
+    bound: usize,
+    /// The least violation so far, as universe indices, with its witness.
+    best: Option<(Vec<usize>, W)>,
+    /// Sequences checked.
+    checked: u64,
+}
+
+impl<N: Clone, W> Walk<'_, N, W> {
+    /// Whether a sequence of the current path plus `digit`, as long as
+    /// the least violation so far, would precede it in odometer order:
+    /// the last position is the most significant digit.
+    fn could_precede(&self, digit: usize) -> bool {
+        let Some((best, _)) = &self.best else {
+            return true;
+        };
+        let (best_last, best_rest) = best.split_last().expect("violations are non-empty");
+        digit
+            .cmp(best_last)
+            .then_with(|| self.digits.iter().rev().cmp(best_rest.iter().rev()))
+            .is_lt()
+    }
+
+    /// Keeps `w`, the violation of the current path, if the path precedes
+    /// the least violation so far in odometer order: shorter first, then
+    /// by the last position, then the one before, and so on.
+    fn found(&mut self, w: W) {
+        let precedes = self.best.as_ref().is_none_or(|(best, _)| {
+            let len = self.digits.len();
+            len.cmp(&best.len())
+                .then_with(|| self.digits.iter().rev().cmp(best.iter().rev()))
+                .is_lt()
+        });
+        if precedes {
+            self.bound = self.digits.len();
+            self.best = Some((self.digits.clone(), w));
+        }
+    }
+
+    /// Runs every child of the node in slot `depth`, then their subtrees,
+    /// depth first. `false` once `abort` fired.
+    fn descend(
+        &mut self,
+        depth: usize,
+        step: &mut impl FnMut(&mut N, Op) -> Result<(), W>,
+        finish: &mut impl FnMut(&mut N, &[Op]) -> Result<(), W>,
+    ) -> bool {
+        let len = depth + 1;
+        let universe = self.universe;
+        for (digit, &op) in universe.iter().enumerate() {
+            if len > self.bound {
+                break;
+            }
+            if len == self.bound && !self.could_precede(digit) {
+                continue;
+            }
+            if (self.abort)() {
+                return false;
+            }
+            if self.slots.len() <= len {
+                self.slots.push(None);
+            }
+            if digit + 1 == universe.len() {
+                // The last child needs its parent no more: take it.
+                self.slots.swap(depth, len);
+            } else {
+                let (parents, children) = self.slots.split_at_mut(len);
+                let parent = parents[depth].as_ref().expect("the parent is in its slot");
+                fork(&mut children[0], parent);
+            }
+            self.ops.push(op);
+            self.digits.push(digit);
+            let node = self.slots[len].as_mut().expect("the child is in its slot");
+            let leaf = len == self.bound;
+            let verdict = step(node, op).and_then(|()| {
+                if leaf {
+                    finish(node, &self.ops)
+                } else {
+                    finish(fork(&mut self.scratch, node), &self.ops)
+                }
+            });
+            self.checked += 1;
+            let go_on = match verdict {
+                Err(w) => {
+                    self.found(w);
+                    true
+                }
+                Ok(()) => leaf || self.descend(len, step, finish),
+            };
+            self.ops.pop();
+            self.digits.pop();
+            if !go_on {
+                return false;
+            }
+        }
+        true
+    }
+}
+
+/// Checks every sequence of length 1..=`max_ops` over `universe` once,
+/// sharing prefixes, and returns what [`first_violation`] returns for the
+/// same per-sequence verdict: the least violating sequence in odometer
+/// order — length first, then the first position changing fastest — with
+/// its witness; or, when nothing violates, the number of sequences
+/// checked. `None` when `abort` fired (polled once per sequence).
+///
+/// The walk is depth first over the prefix tree. A child forks its
+/// parent's node and `step`s it by its last op; a step failure is that
+/// sequence's verdict. Otherwise `finish` checks the child as a finished
+/// sequence — on a fork when the child has children of its own, since
+/// `finish` may advance it. A violating sequence's extensions, and every
+/// sequence longer than the least violation so far, follow it in
+/// odometer order, so the walk skips them.
+pub(crate) fn least_violation<N: Clone, W>(
+    root: N,
+    universe: &[Op],
+    max_ops: u32,
+    abort: &dyn Fn() -> bool,
+    mut step: impl FnMut(&mut N, Op) -> Result<(), W>,
+    mut finish: impl FnMut(&mut N, &[Op]) -> Result<(), W>,
+) -> Option<Result<u64, (Vec<Op>, W)>> {
+    let bound = max_ops as usize;
+    let mut walk = Walk {
+        universe,
+        abort,
+        slots: Vec::with_capacity(bound + 1),
+        scratch: None,
+        ops: Vec::with_capacity(bound),
+        digits: Vec::with_capacity(bound),
+        bound,
+        best: None,
+        checked: 0,
+    };
+    walk.slots.push(Some(root));
+    if !walk.descend(0, &mut step, &mut finish) {
+        return None;
+    }
+    Some(match walk.best {
+        None => Ok(walk.checked),
+        Some((digits, w)) => Err((digits.into_iter().map(|d| universe[d]).collect(), w)),
+    })
 }
 
 #[cfg(test)]
@@ -1053,6 +1313,204 @@ mod tests {
             "wall_ms",
         ] {
             assert!(j.contains(&format!("\"{key}\":")), "missing {key} in {j}");
+        }
+    }
+
+    /// A violating sequence and its witness, if any.
+    type Found = Option<(Vec<Op>, String)>;
+
+    /// Planted digit strings.
+    type Digits = &'static [&'static [usize]];
+
+    /// A synthetic per-sequence verdict with planted violations, as digit
+    /// strings over the universe: `mid_op` fail while their last op runs
+    /// (so every extension fails the same way), `finished` fail only as
+    /// finished sequences.
+    struct Planted {
+        mid_op: Vec<Vec<usize>>,
+        finished: Vec<Vec<usize>>,
+    }
+
+    impl Planted {
+        fn digits(universe: &[Op], ops: &[Op]) -> Vec<usize> {
+            ops.iter()
+                .map(|op| {
+                    universe
+                        .iter()
+                        .position(|u| u == op)
+                        .expect("in the universe")
+                })
+                .collect()
+        }
+
+        /// What a run of `ops` from scratch reports: the first prefix
+        /// that fails mid-op, else the finished sequence's verdict.
+        fn verdict(&self, universe: &[Op], ops: &[Op]) -> Option<String> {
+            let d = Self::digits(universe, ops);
+            (1..=d.len())
+                .find(|&n| self.mid_op.contains(&d[..n].to_vec()))
+                .map(|n| format!("mid-op {:?}", &d[..n]))
+                .or_else(|| {
+                    self.finished
+                        .contains(&d)
+                        .then(|| format!("finished {d:?}"))
+                })
+        }
+
+        /// `least_violation` and `first_violation` on this verdict.
+        fn both(&self, max_ops: u32) -> (Found, Found) {
+            let universe = op_universe(&MachineConfig::baseline());
+            let walked = least_violation(
+                Vec::new(),
+                &universe,
+                max_ops,
+                &|| false,
+                |path: &mut Vec<Op>, op| {
+                    path.push(op);
+                    let d = Self::digits(&universe, path);
+                    if self.mid_op.contains(&d) {
+                        return Err(format!("mid-op {d:?}"));
+                    }
+                    Ok(())
+                },
+                |path, ops| {
+                    assert_eq!(path.as_slice(), ops, "a node is its sequence");
+                    let d = Self::digits(&universe, ops);
+                    match self.finished.contains(&d) {
+                        true => Err(format!("finished {d:?}")),
+                        false => Ok(()),
+                    }
+                },
+            )
+            .expect("never aborted");
+            let oracle = first_violation(&universe, max_ops, &|| false, |ops| {
+                self.verdict(&universe, ops)
+            });
+            if walked.is_ok() {
+                assert_eq!(
+                    walked,
+                    Ok(sequence_count(8, max_ops)),
+                    "a clean walk runs all"
+                );
+            }
+            (walked.err(), oracle)
+        }
+    }
+
+    #[test]
+    fn the_prefix_walk_returns_the_odometers_first_violation() {
+        let cases: &[(Digits, Digits, &[usize])] = &[
+            // Nothing planted: clean, every sequence checked.
+            (&[], &[], &[]),
+            // Several lengths: the shortest wins.
+            (&[], &[&[3, 5, 1], &[2, 2], &[7, 0, 0, 1]], &[2, 2]),
+            // One length, several positions: the last position is the most
+            // significant digit, then the one before it.
+            (&[], &[&[1, 3, 1], &[0, 0, 2], &[5, 2, 1]], &[5, 2, 1]),
+            (&[], &[&[4, 1, 2], &[0, 3, 2], &[7, 0, 2]], &[7, 0, 2]),
+            (
+                &[],
+                &[&[6, 6, 6, 6], &[7, 6, 6, 6], &[5, 7, 6, 6]],
+                &[6, 6, 6, 6],
+            ),
+            // Mid-op failures cut their subtrees and compete like the rest.
+            (&[&[3]], &[&[5]], &[3]),
+            (&[&[6]], &[&[5]], &[5]),
+            (&[&[1, 4]], &[&[0, 0, 0]], &[1, 4]),
+            (&[&[0, 0]], &[&[0, 0, 1]], &[0, 0]),
+            (&[&[2, 0, 0]], &[&[1, 0, 0, 0], &[3, 0, 0]], &[2, 0, 0]),
+            // A violation at the deepest level only.
+            (&[], &[&[7, 7, 7, 7]], &[7, 7, 7, 7]),
+        ];
+        let universe = op_universe(&MachineConfig::baseline());
+        for &(mid_op, finished, want) in cases {
+            let planted = Planted {
+                mid_op: mid_op.iter().map(|d| d.to_vec()).collect(),
+                finished: finished.iter().map(|d| d.to_vec()).collect(),
+            };
+            let (walked, oracle) = planted.both(4);
+            assert_eq!(walked, oracle, "planted {mid_op:?} / {finished:?}");
+            let want = (!want.is_empty()).then(|| want.iter().map(|&d| universe[d]).collect());
+            assert_eq!(walked.map(|(ops, _)| ops), want);
+        }
+    }
+
+    #[test]
+    fn the_prefix_walk_agrees_with_the_odometer_on_random_plantings() {
+        // xorshift64*: a fixed, dependency-free stream of plantings.
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |n: usize| {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            (x.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize % n
+        };
+        let mut plant = |count: usize| -> Vec<Vec<usize>> {
+            let mut out = Vec::new();
+            for _ in 0..count {
+                let len = 1 + next(4);
+                out.push((0..len).map(|_| next(8)).collect());
+            }
+            out
+        };
+        for round in 0..300 {
+            let planted = Planted {
+                mid_op: plant(round % 3),
+                finished: plant(round % 7),
+            };
+            let (walked, oracle) = planted.both(4);
+            assert_eq!(
+                walked, oracle,
+                "{:?} / {:?}",
+                planted.mid_op, planted.finished
+            );
+        }
+    }
+
+    #[test]
+    fn an_aborted_walk_reports_nothing() {
+        let universe = op_universe(&MachineConfig::baseline());
+        let none = least_violation(
+            (),
+            &universe,
+            3,
+            &|| true,
+            |(), _| Ok::<(), ()>(()),
+            |(), _| Ok(()),
+        );
+        assert_eq!(none, None);
+    }
+
+    /// The walk over real runs finds exactly the sequence and violation
+    /// the odometer finds by replaying each sequence from scratch, on
+    /// every point of both grids under each machine fault.
+    #[test]
+    fn the_prefix_walk_matches_replayed_sequences_under_every_fault() {
+        fn agree<M: SimMachine>(points: &[Point], max_ops: u32) {
+            for (cfg, mshrs) in points {
+                let universe = op_universe(cfg);
+                let machine_cfg = &unchecked(cfg);
+                let walked = least_violation(
+                    Run::<M>::new(machine_cfg, *mshrs),
+                    &universe,
+                    max_ops,
+                    &|| false,
+                    |run, op| run.op(op, *mshrs),
+                    |run, ops| run.finish(machine_cfg, *mshrs, ops),
+                )
+                .expect("never aborted");
+                let replayed = first_violation(&universe, max_ops, &|| false, |ops| {
+                    sequence::<M>(cfg, *mshrs, ops).err()
+                });
+                assert_eq!(walked.err(), replayed, "{}", point_label(cfg, *mshrs));
+            }
+        }
+        for fault in [
+            FaultInjection::SkipWbForwarding,
+            FaultInjection::StarveRetirement,
+        ] {
+            agree::<Machine>(&blocking_grid(Some(fault)), 3);
+            agree::<NonBlockingMachine>(&mshr_grid(Some(fault), Some(2)), 3);
         }
     }
 

@@ -29,6 +29,8 @@ use crate::abstract_state::StateKey;
 /// What one configuration's exploration covered.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Explored {
+    /// Op sequences checked (`exhaustive` only).
+    pub(crate) runs: u64,
     /// Distinct states discovered, the initial one included.
     pub(crate) states: u64,
     /// Transitions counted (see [`Edge`]).
@@ -136,7 +138,7 @@ pub(crate) fn explore<N: Clone, F>(
     Ok(Some(Explored {
         states: parents.len() as u64,
         edges,
-        sccs: 0,
+        ..Explored::default()
     }))
 }
 

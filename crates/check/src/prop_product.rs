@@ -82,7 +82,7 @@ impl PropReport {
 /// abstract state followed by the monitor key under the *same* line
 /// permutation.
 fn joint_key<M: SimMachine>(g: &Geometry, lines: &[LineAddr; 2], s: &PState<M>, k: &mut StateKey) {
-    k.push(g, &s.machine.snapshot(lines), &s.shadow);
+    k.push(&s.machine.view(), lines, &s.shadow);
     let swap_mask = u64::from(g.line_bytes());
     k.push_with(|out, swapped| s.mons.key(swapped.then_some(swap_mask)).encode(out));
 }

@@ -325,7 +325,6 @@ fn boundary_checks(
 /// spuriously).
 fn drain_livelocked<M: SimMachine>(
     m: &M,
-    g: &Geometry,
     lines: &[LineAddr; 2],
     shadow: &ShadowTracker,
     memo: &mut DrainMemo<bool, M>,
@@ -338,7 +337,7 @@ fn drain_livelocked<M: SimMachine>(
     let m = fork(walker, m);
     let mut path: Vec<Box<[u8]>> = Vec::new();
     let verdict = loop {
-        let s = key.of(g, &m.snapshot(lines.as_slice()), shadow);
+        let s = key.of(&m.view(), lines, shadow);
         if let Some(&v) = verdicts.get(s) {
             break v;
         }
@@ -473,7 +472,7 @@ fn explore_reach<M: SimMachine>(
         root,
         &universe,
         abort,
-        |s, k| k.push(&g, &s.machine.snapshot(&lines), s.obs.shadow()),
+        |s, k| k.push(&s.machine.view(), &lines, s.obs.shadow()),
         |s, op| {
             s.obs.begin_transition();
             let completed = s.machine.run_op_bounded(op, OP_CYCLE_BUDGET, &mut s.obs);
@@ -497,7 +496,7 @@ fn explore_reach<M: SimMachine>(
             Ok(Edge::To)
         },
         |s| {
-            if drain_livelocked(&s.machine, &g, &lines, s.obs.shadow(), &mut drain_memo) {
+            if drain_livelocked(&s.machine, &lines, s.obs.shadow(), &mut drain_memo) {
                 Err(Finding::DrainCycle)
             } else {
                 Ok(())

@@ -66,7 +66,7 @@
 //! event) instead of panicking.
 
 use wbsim_sim::{Engine, Event, Machine, NonBlockingMachine, Observer, SimMachine, SkipSpan};
-use wbsim_types::addr::{Geometry, LineAddr};
+use wbsim_types::addr::LineAddr;
 use wbsim_types::config::MachineConfig;
 use wbsim_types::diagnostics::Diagnostic;
 use wbsim_types::divergence::FaultInjection;
@@ -387,9 +387,9 @@ wbsim_types::clone_fields!(impl<M> Pair<M> { ed, rf, shadow });
 
 /// Writes the joint visited key of a pair into `k`: the reference half,
 /// then the event-driven half, each under the same line permutation.
-fn joint_key<M: SimMachine>(g: &Geometry, lines: &[LineAddr], p: &Pair<M>, k: &mut StateKey) {
-    k.push(g, &p.rf.snapshot(lines), &p.shadow);
-    k.push(g, &p.ed.snapshot(lines), &p.shadow);
+fn joint_key<M: SimMachine>(lines: &[LineAddr], p: &Pair<M>, k: &mut StateKey) {
+    k.push(&p.rf.view(), lines, &p.shadow);
+    k.push(&p.ed.view(), lines, &p.shadow);
 }
 
 fn explore_refine<M: SimMachine>(
@@ -413,7 +413,7 @@ fn explore_refine<M: SimMachine>(
         root,
         &refine_universe(cfg),
         abort,
-        |p, k| joint_key(&g, &lines, p, k),
+        |p, k| joint_key(&lines, p, k),
         |p, op| match product_op(&mut p.ed, &mut p.rf, op, &mut streams) {
             OpVerdict::Diverged(d) => Err(d),
             OpVerdict::Wedged => Ok(Edge::Wedged),

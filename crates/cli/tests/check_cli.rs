@@ -340,3 +340,165 @@ fn mshrs_need_the_nonblocking_machine() {
     let lint_only = wbsim(&["check", "--machine", "nonblocking", "--mshrs", "2"]);
     assert!(lint_only.status.success(), "{}", text(&lint_only.stderr));
 }
+
+/// The exact output of `wbsim check --exhaustive` for every `--fault` on
+/// both machines: exit code, the `--json` document's `exhaustive`
+/// section (`wall_ms` zeroed), the minimized sequence, the human report
+/// on stdout (length and FNV-1a hash, with the `--out` path and the run
+/// time normalized) and the `--out` trace (lines, bytes and FNV-1a hash).
+/// How the checker enumerates sequences is its own business; which
+/// counterexample it reports is not.
+struct Pin {
+    machine: &'static str,
+    fault: Option<&'static str>,
+    max_ops: u32,
+    code: i32,
+    exhaustive: &'static str,
+    sequence: Option<&'static str>,
+    report: (usize, u64),
+    trace: Option<(usize, usize, u64)>,
+}
+
+#[rustfmt::skip]
+const EXHAUSTIVE_PINS: [Pin; 16] = [
+    Pin { machine: "blocking", fault: None, max_ops: 2, code: 0,
+        exhaustive: r#"{"status":"clean","report":{"configs":40,"sequences":72,"runs":2880,"states_explored":0,"edges":0,"sccs":0,"wall_ms":0}}"#,
+        sequence: None,
+        report: (148, 0xdf21f1ef9f29fa3b), trace: None },
+    Pin { machine: "blocking", fault: None, max_ops: 3, code: 0,
+        exhaustive: r#"{"status":"clean","report":{"configs":40,"sequences":584,"runs":23360,"states_explored":0,"edges":0,"sccs":0,"wall_ms":0}}"#,
+        sequence: None,
+        report: (150, 0x11188e99a776e44a), trace: None },
+    Pin { machine: "blocking", fault: Some("skip-wb-forwarding"), max_ops: 2, code: 1,
+        exhaustive: r#"{"status":"violation","violation":"load #0 at Addr(0) observed 0x0, architectural model says 0x1 (stale or lost store)"}"#,
+        sequence: Some("[Store(Addr(0)), Load(Addr(0))]"),
+        report: (576, 0xeb74b7a295aab622), trace: Some((12, 625, 0x870801ffd51eb146)) },
+    Pin { machine: "blocking", fault: Some("skip-wb-forwarding"), max_ops: 3, code: 1,
+        exhaustive: r#"{"status":"violation","violation":"load #0 at Addr(0) observed 0x1, architectural model says 0x2 (stale or lost store)"}"#,
+        sequence: Some("[Store(Addr(0)), Store(Addr(0)), Load(Addr(0))]"),
+        report: (592, 0xa1527af5ecda76d4), trace: Some((23, 1244, 0x6ea0b2329a9ee388)) },
+    Pin { machine: "blocking", fault: Some("starve-retirement"), max_ops: 2, code: 1,
+        exhaustive: r#"{"status":"violation","violation":"run exceeded the 10000-cycle liveness budget"}"#,
+        sequence: Some("[Store(Addr(32)), Store(Addr(0))]"),
+        report: (540, 0xd68acdc6a7af9418), trace: Some((20000, 1027787, 0x1be565c8415160cc)) },
+    Pin { machine: "blocking", fault: Some("starve-retirement"), max_ops: 3, code: 1,
+        exhaustive: r#"{"status":"violation","violation":"run exceeded the 10000-cycle liveness budget"}"#,
+        sequence: Some("[Store(Addr(32)), Store(Addr(0))]"),
+        report: (540, 0xd68acdc6a7af9418), trace: Some((20000, 1027787, 0x1be565c8415160cc)) },
+    Pin { machine: "blocking", fault: Some("overshoot-skip"), max_ops: 2, code: 0,
+        exhaustive: r#"{"status":"clean","report":{"configs":40,"sequences":72,"runs":2880,"states_explored":0,"edges":0,"sccs":0,"wall_ms":0}}"#,
+        sequence: None,
+        report: (148, 0xdf21f1ef9f29fa3b), trace: None },
+    Pin { machine: "blocking", fault: Some("overshoot-skip"), max_ops: 3, code: 0,
+        exhaustive: r#"{"status":"clean","report":{"configs":40,"sequences":584,"runs":23360,"states_explored":0,"edges":0,"sccs":0,"wall_ms":0}}"#,
+        sequence: None,
+        report: (150, 0x11188e99a776e44a), trace: None },
+    Pin { machine: "nonblocking", fault: None, max_ops: 2, code: 0,
+        exhaustive: r#"{"status":"clean","report":{"configs":40,"sequences":72,"runs":2880,"states_explored":0,"edges":0,"sccs":0,"wall_ms":0}}"#,
+        sequence: None,
+        report: (163, 0xd1fd8110fe4243fa), trace: None },
+    Pin { machine: "nonblocking", fault: None, max_ops: 3, code: 0,
+        exhaustive: r#"{"status":"clean","report":{"configs":40,"sequences":584,"runs":23360,"states_explored":0,"edges":0,"sccs":0,"wall_ms":0}}"#,
+        sequence: None,
+        report: (165, 0xad438ff30b744f07), trace: None },
+    Pin { machine: "nonblocking", fault: Some("skip-wb-forwarding"), max_ops: 2, code: 1,
+        exhaustive: r#"{"status":"violation","violation":"final memory at Addr(0): machine reads 0x0, architectural model says 0x1"}"#,
+        sequence: Some("[Load(Addr(0)), Store(Addr(0))]"),
+        report: (596, 0xaab4b86640940577), trace: Some((19, 984, 0xd423e75c78f719e0)) },
+    Pin { machine: "nonblocking", fault: Some("skip-wb-forwarding"), max_ops: 3, code: 1,
+        exhaustive: r#"{"status":"violation","violation":"final memory at Addr(0): machine reads 0x0, architectural model says 0x1"}"#,
+        sequence: Some("[Load(Addr(0)), Store(Addr(0))]"),
+        report: (596, 0xaab4b86640940577), trace: Some((19, 984, 0xd423e75c78f719e0)) },
+    Pin { machine: "nonblocking", fault: Some("starve-retirement"), max_ops: 2, code: 1,
+        exhaustive: r#"{"status":"violation","violation":"run exceeded the 10000-cycle liveness budget"}"#,
+        sequence: Some("[Store(Addr(32)), Store(Addr(0))]"),
+        report: (573, 0xc3392570840fabe7), trace: Some((20000, 1027787, 0x1be565c8415160cc)) },
+    Pin { machine: "nonblocking", fault: Some("starve-retirement"), max_ops: 3, code: 1,
+        exhaustive: r#"{"status":"violation","violation":"run exceeded the 10000-cycle liveness budget"}"#,
+        sequence: Some("[Store(Addr(32)), Store(Addr(0))]"),
+        report: (573, 0xc3392570840fabe7), trace: Some((20000, 1027787, 0x1be565c8415160cc)) },
+    Pin { machine: "nonblocking", fault: Some("overshoot-skip"), max_ops: 2, code: 0,
+        exhaustive: r#"{"status":"clean","report":{"configs":40,"sequences":72,"runs":2880,"states_explored":0,"edges":0,"sccs":0,"wall_ms":0}}"#,
+        sequence: None,
+        report: (163, 0xd1fd8110fe4243fa), trace: None },
+    Pin { machine: "nonblocking", fault: Some("overshoot-skip"), max_ops: 3, code: 0,
+        exhaustive: r#"{"status":"clean","report":{"configs":40,"sequences":584,"runs":23360,"states_explored":0,"edges":0,"sccs":0,"wall_ms":0}}"#,
+        sequence: None,
+        report: (165, 0xad438ff30b744f07), trace: None },
+];
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// `text` with every `{key}<digits>{end}` rewritten to `{key}0{end}`.
+fn zero_number(text: &str, key: &str, end: &str) -> String {
+    let mut out = String::new();
+    let mut rest = text;
+    while let Some(i) = rest.find(key) {
+        out.push_str(&rest[..i + key.len()]);
+        rest = &rest[i + key.len()..];
+        let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+        if digits > 0 && rest[digits..].starts_with(end) {
+            out.push('0');
+            rest = &rest[digits..];
+        }
+    }
+    out + rest
+}
+
+#[test]
+fn exhaustive_reports_and_counterexamples_are_pinned() {
+    let dir = scratch("exhaustive-pins");
+    for pin in &EXHAUSTIVE_PINS {
+        let out = dir.join(format!("{}-{}.jsonl", pin.machine, pin.max_ops));
+        let out_s = out.to_str().unwrap();
+        let max_ops = pin.max_ops.to_string();
+        let mut args = vec!["check", "--exhaustive", "--machine", pin.machine];
+        args.extend(["--max-ops", &max_ops]);
+        args.extend(pin.fault.iter().flat_map(|f| ["--fault", *f]));
+        args.extend(["--out", out_s]);
+        let what = format!("{args:?}");
+        for json in [false, true] {
+            let _ = std::fs::remove_file(&out);
+            let run = wbsim(&[&args[..], if json { &["--json"][..] } else { &[] }].concat());
+            assert_eq!(
+                run.status.code(),
+                Some(pin.code),
+                "{what}: {}",
+                text(&run.stderr)
+            );
+            let stdout = text(&run.stdout);
+            if json {
+                let doc = zero_number(&stdout, "\"wall_ms\":", "}");
+                let want = format!(
+                    "{{\"linter\":{{\"diagnostics\":[],\"errors\":false}},\"exhaustive\":{},\
+                     \"reach\":null,\"properties\":null,\"refine\":null,\"sched\":null}}\n",
+                    pin.exhaustive
+                );
+                assert_eq!(doc, want, "{what}");
+            } else {
+                let report = zero_number(&stdout.replace(out_s, "{out}"), " in ", " ms,");
+                let sequence = report
+                    .lines()
+                    .find_map(|l| l.strip_prefix("minimized sequence ("))
+                    .and_then(|l| l.split_once("): "))
+                    .map(|(_, ops)| ops);
+                assert_eq!(sequence, pin.sequence, "{what}");
+                assert_eq!(
+                    (report.len(), fnv1a(report.as_bytes())),
+                    pin.report,
+                    "{what}: {report}"
+                );
+            }
+            let trace = std::fs::read(&out).ok();
+            let got = trace
+                .as_ref()
+                .map(|t| (t.iter().filter(|&&b| b == b'\n').count(), t.len(), fnv1a(t)));
+            assert_eq!(got, pin.trace, "{what}");
+        }
+    }
+}

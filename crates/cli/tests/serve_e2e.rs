@@ -400,3 +400,48 @@ fn shutdown_with_queued_jobs_drains_and_exits_cleanly() {
     };
     assert!(status.success(), "clean exit, got {status:?}");
 }
+
+/// A request head over the daemon's caps (8 KiB a line, 100 lines) is
+/// answered `431` with the usual JSON error body, and the daemon goes on
+/// answering. The long line is far longer than the daemon reads, so the
+/// refusal arrives only because the daemon drains the rest before it
+/// closes: a close with input unread resets the connection.
+#[test]
+fn an_overlong_header_gets_431_and_the_daemon_still_answers() {
+    let daemon = spawn_daemon();
+    let port = daemon.port;
+    let refused = |head: String| {
+        let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream.write_all(head.as_bytes()).expect("send");
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).expect("response");
+        raw
+    };
+    let long_line = format!(
+        "GET /v1/health HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+        "a".repeat(64 * 1024)
+    );
+    let many_lines = format!(
+        "GET /v1/health HTTP/1.1\r\n{}\r\n",
+        "X-Pad: a\r\n".repeat(101)
+    );
+    for (head, problem) in [
+        (long_line, "header line longer than 8192 bytes"),
+        (many_lines, "more than 100 header lines"),
+    ] {
+        let raw = refused(head);
+        assert!(
+            raw.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"),
+            "{raw}"
+        );
+        assert!(
+            raw.ends_with(&format!("\r\n\r\n{{\"error\":\"{problem}\"}}")),
+            "{raw}"
+        );
+        let (code, body) = http_text(port, "GET", "/v1/health", "");
+        assert_eq!((code, body.as_str()), (200, "{\"ok\":true}"));
+    }
+}

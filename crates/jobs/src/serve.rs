@@ -25,10 +25,10 @@
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use wbsim_types::diagnostics::{Diagnostic, Severity};
 use wbsim_types::json::escape;
@@ -47,6 +47,17 @@ pub const TEST_PANIC_ENV: &str = "WBSIM_TEST_PANIC_KIND";
 /// Largest accepted request body (a manifest, possibly carrying a config
 /// file's text).
 const MAX_BODY: usize = 4 * 1024 * 1024;
+
+/// Longest request line or header line accepted, terminator included.
+const MAX_HEAD_LINE: usize = 8 * 1024;
+
+/// Most header lines accepted in one request.
+const MAX_HEADERS: usize = 100;
+
+/// How long, and for how many bytes, a refused connection is drained
+/// before it closes (see [`linger`]).
+const LINGER: Duration = Duration::from_secs(1);
+const LINGER_BYTES: u64 = (MAX_HEAD_LINE * MAX_HEADERS) as u64;
 
 /// How long a connection may dawdle before the accept loop moves on.
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
@@ -185,37 +196,117 @@ struct Request {
     body: Vec<u8>,
 }
 
-/// Reads one HTTP/1.1 request (request line, headers, `Content-Length`
-/// body). Returns a human-readable problem for anything malformed.
-fn read_request(r: &mut impl BufRead) -> Result<Request, String> {
+/// Why a request could not be read: the status that answers it and a
+/// human-readable problem.
+#[derive(Debug)]
+struct Refusal {
+    code: u16,
+    reason: &'static str,
+    problem: String,
+}
+
+impl Refusal {
+    /// A malformed request: `400`.
+    fn bad(problem: impl Into<String>) -> Self {
+        Refusal {
+            code: 400,
+            reason: "Bad Request",
+            problem: problem.into(),
+        }
+    }
+
+    /// A request head over [`MAX_HEAD_LINE`] or [`MAX_HEADERS`]: `431`.
+    fn head_too_large(problem: String) -> Self {
+        Refusal {
+            code: 431,
+            reason: "Request Header Fields Too Large",
+            problem,
+        }
+    }
+}
+
+/// Reads one line of the request head, of at most [`MAX_HEAD_LINE`]
+/// bytes: a longer line is refused unread past the limit, so one client
+/// cannot grow the accept thread's buffer without bound.
+fn read_head_line(r: &mut impl BufRead, what: &str) -> Result<String, Refusal> {
     let mut line = String::new();
-    r.read_line(&mut line).map_err(|e| e.to_string())?;
+    let n = io::Read::take(&mut *r, MAX_HEAD_LINE as u64)
+        .read_line(&mut line)
+        .map_err(|e| Refusal::bad(e.to_string()))?;
+    if n == MAX_HEAD_LINE && !line.ends_with('\n') {
+        return Err(Refusal::head_too_large(format!(
+            "{what} longer than {MAX_HEAD_LINE} bytes"
+        )));
+    }
+    Ok(line)
+}
+
+/// Reads one HTTP/1.1 request (request line, headers, `Content-Length`
+/// body). Anything malformed is refused with `400`, a request head past
+/// [`MAX_HEAD_LINE`] or [`MAX_HEADERS`] with `431`.
+fn read_request(r: &mut impl BufRead) -> Result<Request, Refusal> {
+    let line = read_head_line(r, "request line")?;
     let mut parts = line.split_whitespace();
-    let method = parts.next().ok_or("empty request line")?.to_string();
-    let path = parts.next().ok_or("request line has no path")?.to_string();
+    let method = parts
+        .next()
+        .ok_or_else(|| Refusal::bad("empty request line"))?
+        .to_string();
+    let path = parts
+        .next()
+        .ok_or_else(|| Refusal::bad("request line has no path"))?
+        .to_string();
     let mut content_length = 0usize;
-    loop {
-        let mut h = String::new();
-        r.read_line(&mut h).map_err(|e| e.to_string())?;
+    for headers in 0.. {
+        let h = read_head_line(r, "header line")?;
         let h = h.trim_end();
         if h.is_empty() {
             break;
+        }
+        if headers == MAX_HEADERS {
+            return Err(Refusal::head_too_large(format!(
+                "more than {MAX_HEADERS} header lines"
+            )));
         }
         if let Some((name, value)) = h.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
                 content_length = value
                     .trim()
                     .parse()
-                    .map_err(|_| format!("bad content-length {value:?}"))?;
+                    .map_err(|_| Refusal::bad(format!("bad content-length {value:?}")))?;
             }
         }
     }
     if content_length > MAX_BODY {
-        return Err(format!("body too large ({content_length} bytes)"));
+        return Err(Refusal::bad(format!(
+            "body too large ({content_length} bytes)"
+        )));
     }
     let mut body = vec![0u8; content_length];
-    r.read_exact(&mut body).map_err(|e| e.to_string())?;
+    r.read_exact(&mut body)
+        .map_err(|e| Refusal::bad(e.to_string()))?;
     Ok(Request { method, path, body })
+}
+
+/// Reads and drops what a refused client may still be sending — at most
+/// a maximal request head, for at most [`LINGER`] in all — after closing
+/// our side. Closing a socket with input unread resets the connection,
+/// and a reset can discard the refusal before the client reads it.
+fn linger(stream: &TcpStream, reader: &mut impl io::Read) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + LINGER;
+    let mut buf = [0u8; 4096];
+    let mut left = LINGER_BYTES;
+    while left > 0 {
+        let wait = deadline.saturating_duration_since(Instant::now());
+        if wait.is_zero() || stream.set_read_timeout(Some(wait)).is_err() {
+            return;
+        }
+        let chunk = buf.len().min(usize::try_from(left).unwrap_or(usize::MAX));
+        match reader.read(&mut buf[..chunk]) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => left -= n as u64,
+        }
+    }
 }
 
 /// Writes a complete response. Every response goes through one
@@ -465,7 +556,8 @@ impl Daemon {
         let req = match read_request(&mut reader) {
             Ok(r) => r,
             Err(e) => {
-                let _ = respond(stream, 400, "Bad Request", &error_body(&e));
+                let _ = respond(stream, e.code, e.reason, &error_body(&e.problem));
+                linger(stream, &mut reader);
                 return false;
             }
         };
@@ -575,7 +667,52 @@ mod tests {
             MAX_BODY + 1
         );
         let err = read_request(&mut Cursor::new(raw.as_bytes())).expect_err("too large");
-        assert!(err.contains("too large"), "{err}");
+        assert_eq!(err.code, 400);
+        assert!(err.problem.contains("too large"), "{err:?}");
+    }
+
+    /// A request with `headers` lines of `len` bytes each (CRLF included).
+    fn head_with(headers: usize, len: usize) -> String {
+        let line = format!("X-Pad: {}\r\n", "a".repeat(len - 9));
+        assert_eq!(line.len(), len);
+        format!("GET /v1/health HTTP/1.1\r\n{}\r\n", line.repeat(headers))
+    }
+
+    #[test]
+    fn accepts_a_head_at_its_limits() {
+        let raw = head_with(MAX_HEADERS, MAX_HEAD_LINE);
+        let req = read_request(&mut Cursor::new(raw.as_bytes())).expect("at the limits");
+        assert_eq!(req.path, "/v1/health");
+    }
+
+    #[test]
+    fn rejects_an_overlong_header_line_with_431() {
+        let raw = head_with(1, MAX_HEAD_LINE + 1);
+        let err = read_request(&mut Cursor::new(raw.as_bytes())).expect_err("too long");
+        assert_eq!(
+            (err.code, err.reason),
+            (431, "Request Header Fields Too Large")
+        );
+        assert!(err.problem.contains("header line longer than"), "{err:?}");
+    }
+
+    #[test]
+    fn rejects_an_overlong_request_line_with_431() {
+        let raw = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_HEAD_LINE));
+        let err = read_request(&mut Cursor::new(raw.as_bytes())).expect_err("too long");
+        assert_eq!(err.code, 431);
+        assert!(err.problem.contains("request line longer than"), "{err:?}");
+    }
+
+    #[test]
+    fn rejects_too_many_headers_with_431() {
+        let raw = head_with(MAX_HEADERS + 1, 16);
+        let err = read_request(&mut Cursor::new(raw.as_bytes())).expect_err("too many");
+        assert_eq!(err.code, 431);
+        assert!(
+            err.problem.contains("more than 100 header lines"),
+            "{err:?}"
+        );
     }
 
     #[test]

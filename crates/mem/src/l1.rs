@@ -27,27 +27,75 @@ pub struct L1Cache {
     tags: Vec<u64>,
     /// LRU stamp per way; larger = more recently used.
     stamps: Vec<u64>,
-    /// Dirty bit per way (used only under a write-back policy).
-    dirty: Vec<bool>,
     /// Flat data store, `(set * assoc + way) * words_per_line + word`.
     data: Vec<u64>,
+    /// Two bitmaps of `bitmap_words` words, one bit per way: first the
+    /// live bits, set exactly while the way's tag is valid (the ways a
+    /// fork copies, see `clone_from`), then the dirty bits (used only
+    /// under a write-back policy).
+    bits: Vec<u64>,
+    bitmap_words: usize,
     next_stamp: u64,
 }
 
 const INVALID: u64 = u64::MAX;
 
-wbsim_types::clone_fields!(L1Cache {
-    sets,
-    assoc,
-    set_shift,
-    assoc_shift,
-    words_per_line,
-    tags,
-    stamps,
-    dirty,
-    data,
-    next_stamp
-});
+impl Clone for L1Cache {
+    fn clone(&self) -> Self {
+        Self {
+            sets: self.sets,
+            assoc: self.assoc,
+            set_shift: self.set_shift,
+            assoc_shift: self.assoc_shift,
+            words_per_line: self.words_per_line,
+            tags: self.tags.clone(),
+            stamps: self.stamps.clone(),
+            data: self.data.clone(),
+            bits: self.bits.clone(),
+            bitmap_words: self.bitmap_words,
+            next_stamp: self.next_stamp,
+        }
+    }
+
+    /// Forks `src` into `self`, reusing its buffers. Between caches of one
+    /// shape only the live ways move: those valid in `src` or in `self`.
+    /// An invalid way is never read — `claim_way` takes it without looking
+    /// at its stamp, and a fill overwrites its tag, stamp, dirty bit and
+    /// data — so what it held before does not matter. The live bits name
+    /// those ways, so a fork of a cache holding a few lines copies a few
+    /// lines and the bitmaps, not the whole array.
+    fn clone_from(&mut self, src: &Self) {
+        if (self.sets, self.assoc, self.words_per_line) != (src.sets, src.assoc, src.words_per_line)
+        {
+            self.sets = src.sets;
+            self.assoc = src.assoc;
+            self.set_shift = src.set_shift;
+            self.assoc_shift = src.assoc_shift;
+            self.words_per_line = src.words_per_line;
+            self.tags.clone_from(&src.tags);
+            self.stamps.clone_from(&src.stamps);
+            self.data.clone_from(&src.data);
+            self.bits.clone_from(&src.bits);
+            self.bitmap_words = src.bitmap_words;
+            self.next_stamp = src.next_stamp;
+            return;
+        }
+        let n = self.words_per_line;
+        let live = src.bits[..src.bitmap_words].iter().zip(&self.bits);
+        for (w, (&from, &to)) in live.enumerate() {
+            let mut ways = from | to;
+            while ways != 0 {
+                let i = (w << 6) | ways.trailing_zeros() as usize;
+                ways &= ways - 1;
+                self.tags[i] = src.tags[i];
+                self.stamps[i] = src.stamps[i];
+                self.data[i * n..(i + 1) * n].copy_from_slice(&src.data[i * n..(i + 1) * n]);
+            }
+        }
+        self.bits.copy_from_slice(&src.bits);
+        self.next_stamp = src.next_stamp;
+    }
+}
 
 impl L1Cache {
     /// Builds an empty cache.
@@ -70,8 +118,9 @@ impl L1Cache {
             words_per_line,
             tags: vec![INVALID; lines],
             stamps: vec![0; lines],
-            dirty: vec![false; lines],
             data: vec![0; lines * words_per_line],
+            bits: vec![0; 2 * lines.div_ceil(64)],
+            bitmap_words: lines.div_ceil(64),
             next_stamp: 1,
         })
     }
@@ -98,6 +147,24 @@ impl L1Cache {
     fn find_way(&self, set: usize, tag: u64) -> Option<usize> {
         let base = set << self.assoc_shift;
         (0..self.assoc).find(|&w| self.tags[base + w] == tag)
+    }
+
+    /// Sets or clears way `idx`'s bit in the bitmap starting at word
+    /// `first` (0: live, `bitmap_words`: dirty).
+    #[inline]
+    fn set_bit(&mut self, first: usize, idx: usize, on: bool) {
+        let (word, bit) = (first + (idx >> 6), 1 << (idx & 63));
+        if on {
+            self.bits[word] |= bit;
+        } else {
+            self.bits[word] &= !bit;
+        }
+    }
+
+    /// Whether way `idx` is dirty.
+    #[inline]
+    fn dirty(&self, idx: usize) -> bool {
+        self.bits[self.bitmap_words + (idx >> 6)] & (1 << (idx & 63)) != 0
     }
 
     /// Returns whether `line` is present, without touching LRU state.
@@ -205,11 +272,12 @@ impl L1Cache {
         let victim = (self.tags[idx] != INVALID).then(|| {
             (
                 LineAddr::new((self.tags[idx] << self.set_shift) | set as u64),
-                self.dirty[idx],
+                self.dirty(idx),
             )
         });
         self.tags[idx] = tag;
-        self.dirty[idx] = false;
+        self.set_bit(0, idx, true);
+        self.set_bit(self.bitmap_words, idx, false);
         self.stamps[idx] = self.next_stamp;
         self.next_stamp += 1;
         (idx, victim)
@@ -221,7 +289,7 @@ impl L1Cache {
         if self.store_word(line, word, value) {
             let (set, tag) = self.set_and_tag(line);
             let way = self.find_way(set, tag).expect("store_word just hit");
-            self.dirty[(set << self.assoc_shift) + way] = true;
+            self.set_bit(self.bitmap_words, (set << self.assoc_shift) + way, true);
             true
         } else {
             false
@@ -243,7 +311,7 @@ impl L1Cache {
         let idx = base + way;
         Some((
             LineAddr::new((self.tags[idx] << self.set_shift) | set as u64),
-            self.dirty[idx],
+            self.dirty(idx),
         ))
     }
 
@@ -275,8 +343,10 @@ impl L1Cache {
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
         let (set, tag) = self.set_and_tag(line);
         if let Some(way) = self.find_way(set, tag) {
-            self.tags[(set << self.assoc_shift) + way] = INVALID;
-            self.dirty[(set << self.assoc_shift) + way] = false;
+            let idx = (set << self.assoc_shift) + way;
+            self.tags[idx] = INVALID;
+            self.set_bit(0, idx, false);
+            self.set_bit(self.bitmap_words, idx, false);
             true
         } else {
             false
@@ -286,7 +356,15 @@ impl L1Cache {
     /// Number of valid lines (for tests).
     #[must_use]
     pub fn valid_lines(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != INVALID).count()
+        let valid = self.tags.iter().filter(|&&t| t != INVALID).count();
+        debug_assert_eq!(
+            valid,
+            self.bits[..self.bitmap_words]
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>()
+        );
+        valid
     }
 }
 
@@ -450,6 +528,40 @@ mod tests {
     fn store_word_dirty_misses_like_store_word() {
         let mut c = cache();
         assert!(!c.store_word_dirty(LineAddr::new(3), 0, 1));
+    }
+
+    /// A fork into a cache that held other lines — valid, dirty, in the
+    /// sets the source uses and in others — reads exactly like the source.
+    #[test]
+    fn a_fork_holds_the_sources_lines_and_no_others() {
+        let cfg = L1Config {
+            assoc: 2,
+            ..L1Config::baseline()
+        };
+        let mut src = L1Cache::new(&cfg, &g()).unwrap();
+        src.fill(LineAddr::new(3), &[1; 4]);
+        let mut dst = L1Cache::new(&cfg, &g()).unwrap();
+        for l in [3 + 128, 3 + 256, 9, 200] {
+            dst.fill(LineAddr::new(l), &[2; 4]);
+            dst.store_word_dirty(LineAddr::new(l), 0, 5);
+        }
+        dst.clone_from(&src);
+        assert_eq!(dst.valid_lines(), 1);
+        for l in [3, 3 + 128, 3 + 256, 9, 200] {
+            assert_eq!(
+                dst.peek_line(LineAddr::new(l)),
+                src.peek_line(LineAddr::new(l))
+            );
+        }
+        // The set the fork shares with its old lines fills like the source's.
+        for c in [&mut src, &mut dst] {
+            assert_eq!(c.peek_victim(LineAddr::new(3 + 384)), None, "a way is free");
+            c.fill(LineAddr::new(3 + 384), &[4; 4]);
+            assert_eq!(
+                c.peek_victim(LineAddr::new(3 + 512)),
+                Some((LineAddr::new(3), false))
+            );
+        }
     }
 
     #[test]

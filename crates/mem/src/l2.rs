@@ -137,6 +137,15 @@ impl L2Cache {
             Self::Real(r) => r.peek_word(line, word),
         }
     }
+
+    /// [`L2Cache::peek_word`] for every word of `line` at once.
+    #[must_use]
+    pub fn peek_line(&self, line: LineAddr) -> Option<&[u64]> {
+        match self {
+            Self::Perfect => None,
+            Self::Real(r) => r.peek_line(line),
+        }
+    }
 }
 
 /// The finite write-back L2 (see the module docs for its policies).
@@ -210,6 +219,15 @@ impl RealL2 {
         let (set, tag) = self.set_and_tag(line);
         let way = self.find_way(set, tag)?;
         Some(self.data[((set << self.assoc_shift) + way) * self.words_per_line + word])
+    }
+
+    /// Returns the words of `line` if present, without touching LRU state.
+    #[must_use]
+    pub fn peek_line(&self, line: LineAddr) -> Option<&[u64]> {
+        let (set, tag) = self.set_and_tag(line);
+        let way = self.find_way(set, tag)?;
+        let at = ((set << self.assoc_shift) + way) * self.words_per_line;
+        Some(&self.data[at..at + self.words_per_line])
     }
 
     /// Allocates a way in `set`, evicting if necessary.

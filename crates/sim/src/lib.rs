@@ -58,6 +58,7 @@ pub mod observer;
 pub mod port;
 mod sim_machine;
 pub mod testutil;
+mod view;
 
 pub use event::{Event, EventParseError, PortUse};
 pub use fold::{foldable, L1Fold};
@@ -68,3 +69,4 @@ pub use nonblocking::NonBlockingMachine;
 pub use observer::{HistogramObserver, JsonlObserver, NullObserver, Observer, Tee};
 pub use port::{L2Port, PortOwner};
 pub use sim_machine::{capture_events, SimMachine};
+pub use view::StateView;

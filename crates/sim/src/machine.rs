@@ -51,6 +51,7 @@ use crate::hierarchy::{Hierarchy, Pending};
 use crate::observer::{NullObserver, Observer};
 use crate::port::PortOwner;
 use crate::sim_machine::SimMachine;
+use crate::view::StateView;
 
 /// Which run-loop the `run_*` entry points use.
 ///
@@ -259,7 +260,8 @@ pub struct MshrSnapshot {
 /// and the state of a chosen set of cache lines. Everything is expressed
 /// relative to `now`, so two machines that differ only by a time shift
 /// snapshot identically — the property the reachability checker's
-/// canonical state abstraction is built on.
+/// canonical state abstraction is built on. It is the owned copy of a
+/// [`crate::StateView`], which the checkers' state keys read directly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineSnapshot {
     /// Write-buffer entries in buffer (FIFO) order.
@@ -276,57 +278,6 @@ pub struct MachineSnapshot {
     pub lines: Vec<LineSnapshot>,
     /// Whether the CPU sits at an op boundary (no instruction mid-flight).
     pub at_op_boundary: bool,
-}
-
-/// Builds the hierarchy-owned part of a [`MachineSnapshot`] (write buffer,
-/// countdowns, lines); the caller fills in machine-specific components
-/// (`mshrs` for the non-blocking machine).
-pub(crate) fn hier_snapshot(
-    hier: &Hierarchy,
-    lines: &[LineAddr],
-    at_op_boundary: bool,
-) -> MachineSnapshot {
-    let g = &hier.g;
-    let wpl = g.words_per_line();
-    let mut entries: Vec<_> = hier.wb.iter().collect();
-    entries.sort_by_key(|e| e.id);
-    let wb = entries
-        .into_iter()
-        .map(|e| WbEntrySnapshot {
-            block: e.block,
-            retiring: e.retiring,
-            words: (0..e.data.len())
-                .map(|w| e.mask.get(w).then(|| e.data[w]))
-                .collect(),
-        })
-        .collect();
-    let lines = lines
-        .iter()
-        .map(|&line| {
-            let l1 = hier.l1.peek_line(line).map(<[u64]>::to_vec);
-            let mem = (0..wpl)
-                .map(|w| {
-                    hier.l2
-                        .peek_word(line, w)
-                        .unwrap_or_else(|| hier.mem.read_word(g.word_addr_in_line(line, w)))
-                })
-                .collect();
-            LineSnapshot {
-                line: line.as_u64(),
-                l1,
-                mem,
-            }
-        })
-        .collect();
-    let now = hier.now;
-    MachineSnapshot {
-        wb,
-        retire_countdown: hier.wb_retire.map(|p| p.done_at.saturating_sub(now)),
-        port_countdown: hier.port.free_at().saturating_sub(now),
-        mshrs: Vec::new(),
-        lines,
-        at_op_boundary,
-    }
 }
 
 impl Machine {
@@ -923,6 +874,14 @@ impl Machine {
         matches!(self.cpu, CpuState::NeedOp | CpuState::Finished)
     }
 
+    /// Resumes a machine whose stream ran dry at its op boundary: the
+    /// next `step` fetches an op instead of reporting the end.
+    fn resume(&mut self) {
+        if matches!(self.cpu, CpuState::Finished) {
+            self.cpu = CpuState::NeedOp;
+        }
+    }
+
     /// Runs one op from an op boundary to the next, with the event-driven
     /// engine's span skips and op fast lane when `fast` is set; see
     /// [`SimMachine::run_op_bounded`].
@@ -934,9 +893,7 @@ impl Machine {
         obs: &mut O,
     ) -> Option<u64> {
         debug_assert!(self.at_op_boundary(), "run_op mid-op");
-        if matches!(self.cpu, CpuState::Finished) {
-            self.cpu = CpuState::NeedOp;
-        }
+        self.resume();
         let deadline = self.hier.now + max_cycles;
         let lane = fast && self.icache.is_perfect();
         let mut inner = std::iter::empty();
@@ -960,7 +917,7 @@ impl Machine {
                     }
                 }
             }
-            if !self.step(&mut it, obs) {
+            if !SimMachine::step_op(self, &mut it, obs) {
                 return Some(self.hier.now);
             }
             if self.hier.now >= deadline {
@@ -1695,6 +1652,17 @@ impl SimMachine for Machine {
         true
     }
 
+    /// [`SimMachine::step`] after resuming at the op boundary: the
+    /// blocking machine's `step` already stops there once `iter` is dry.
+    fn step_op<I, O>(&mut self, iter: &mut I, obs: &mut O) -> bool
+    where
+        I: Iterator<Item = Op>,
+        O: Observer,
+    {
+        self.resume();
+        SimMachine::step(self, iter, obs)
+    }
+
     fn run_op_bounded<O: Observer>(&mut self, op: Op, max_cycles: u64, obs: &mut O) -> Option<u64> {
         self.run_op(op, max_cycles, false, obs)
     }
@@ -1730,8 +1698,8 @@ impl SimMachine for Machine {
         Machine::drain_step(self, obs)
     }
 
-    fn snapshot(&self, lines: &[LineAddr]) -> MachineSnapshot {
-        hier_snapshot(&self.hier, lines, self.at_op_boundary())
+    fn view(&self) -> StateView<'_> {
+        StateView::new(&self.hier, &[], self.at_op_boundary())
     }
 
     fn mshr_lines(&self) -> impl Iterator<Item = LineAddr> + Clone + '_ {

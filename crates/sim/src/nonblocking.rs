@@ -43,21 +43,22 @@ use wbsim_types::Cycle;
 
 use crate::event::{Event, PortUse};
 use crate::hierarchy::Hierarchy;
-use crate::machine::{hier_snapshot, Engine, MachineSnapshot, MshrSnapshot, SkipSpan, SkipTick};
+use crate::machine::{Engine, SkipSpan, SkipTick};
 use crate::observer::{NullObserver, Observer};
 use crate::port::PortOwner;
 use crate::sim_machine::SimMachine;
+use crate::view::StateView;
 
 /// One miss-status-holding register.
 #[derive(Debug, Clone, Copy)]
-struct Mshr {
-    line: LineAddr,
+pub(crate) struct Mshr {
+    pub(crate) line: LineAddr,
     /// `None` while queued for the port; completion cycle once issued.
-    done_at: Option<Cycle>,
+    pub(crate) done_at: Option<Cycle>,
     /// Whether the read missed L2 (decided at issue).
-    miss: bool,
+    pub(crate) miss: bool,
     /// Queue order (FIFO among waiting MSHRs).
-    seq: u64,
+    pub(crate) seq: u64,
 }
 
 /// The CPU's (much smaller) blocking reasons.
@@ -345,29 +346,27 @@ impl NonBlockingMachine {
         obs: &mut O,
     ) -> Option<u64> {
         debug_assert!(self.at_op_boundary(), "run_op mid-op");
-        if matches!(self.cpu, CpuState::Finished) {
-            self.cpu = CpuState::NeedOp;
-        }
+        self.resume();
         let deadline = self.hier.now + max_cycles;
         let mut iter = std::iter::once(op);
         loop {
             if skip {
                 self.try_skip(obs);
             }
-            self.complete_mshrs(obs);
-            self.hier.complete_retirement(obs);
-            if !self.cpu_step(&mut iter, obs) {
-                // Front end idle again: stop *before* this timestamp's
-                // issue/retire phase, which belongs to the next op's first
-                // cycle (or the end-of-stream drain).
+            if !SimMachine::step_op(self, &mut iter, obs) {
                 return Some(self.hier.now);
             }
-            self.issue_reads(obs);
-            self.wb_try_retire(obs);
-            self.close_cycle(obs);
             if self.hier.now >= deadline {
                 return None;
             }
+        }
+    }
+
+    /// Resumes a machine whose stream ran dry at its op boundary: the
+    /// next step fetches an op instead of draining for the end.
+    fn resume(&mut self) {
+        if matches!(self.cpu, CpuState::Finished) {
+            self.cpu = CpuState::NeedOp;
         }
     }
 
@@ -668,6 +667,28 @@ impl SimMachine for NonBlockingMachine {
         true
     }
 
+    /// Fill and retirement completion, one CPU step, read issue,
+    /// autonomous retirement and the cycle close, as in `step` — but once
+    /// the front end is idle and `iter` is dry it stops *before* this
+    /// timestamp's issue/retire phase, which belongs to the next op's
+    /// first cycle (or the end-of-stream drain).
+    fn step_op<I, O>(&mut self, iter: &mut I, obs: &mut O) -> bool
+    where
+        I: Iterator<Item = Op>,
+        O: Observer,
+    {
+        self.resume();
+        self.complete_mshrs(obs);
+        self.hier.complete_retirement(obs);
+        if !self.cpu_step(iter, obs) {
+            return false;
+        }
+        self.issue_reads(obs);
+        self.wb_try_retire(obs);
+        self.close_cycle(obs);
+        true
+    }
+
     fn run_op_bounded<O: Observer>(&mut self, op: Op, max_cycles: u64, obs: &mut O) -> Option<u64> {
         self.run_op(op, max_cycles, false, obs)
     }
@@ -703,21 +724,9 @@ impl SimMachine for NonBlockingMachine {
         NonBlockingMachine::drain_step(self, obs)
     }
 
-    /// The hierarchy's components plus one [`MshrSnapshot`] per
-    /// outstanding miss, in allocation order.
-    fn snapshot(&self, lines: &[LineAddr]) -> MachineSnapshot {
-        let mut snap = hier_snapshot(&self.hier, lines, self.at_op_boundary());
-        let mut ms: Vec<_> = self.mshrs.iter().collect();
-        ms.sort_by_key(|m| m.seq);
-        snap.mshrs = ms
-            .into_iter()
-            .map(|m| MshrSnapshot {
-                line: m.line.as_u64(),
-                countdown: m.done_at.map(|d| d.saturating_sub(self.hier.now)),
-                miss: m.miss,
-            })
-            .collect();
-        snap
+    /// The hierarchy's components plus the outstanding misses.
+    fn view(&self) -> StateView<'_> {
+        StateView::new(&self.hier, &self.mshrs, self.at_op_boundary())
     }
 
     fn mshr_lines(&self) -> impl Iterator<Item = LineAddr> + Clone + '_ {

@@ -10,6 +10,7 @@ use wbsim_types::stats::SimStats;
 use crate::machine::{Engine, Machine, MachineSnapshot, SkipSpan};
 use crate::nonblocking::NonBlockingMachine;
 use crate::observer::{JsonlObserver, Observer};
+use crate::view::StateView;
 
 /// The blocking [`crate::Machine`] and the [`crate::NonBlockingMachine`]
 /// seen through one interface: everything the model checkers
@@ -45,6 +46,20 @@ pub trait SimMachine: Clone + Send {
     /// consumes no cycle. Statistics accumulate as in a full run, except
     /// `cycles`, which only the `run_*` wrappers finalize.
     fn step<I, O>(&mut self, iter: &mut I, obs: &mut O) -> bool
+    where
+        I: Iterator<Item = Op>,
+        O: Observer;
+
+    /// One cycle toward the next op boundary: [`SimMachine::step`], except
+    /// that a machine whose stream ran dry first resumes at its op
+    /// boundary, and that once the CPU is ready for an op `iter` no
+    /// longer has, the call returns `false` — consuming no cycle — with
+    /// outstanding misses and retirements left in flight, where
+    /// [`SimMachine::run_op_bounded`] leaves them. Stepping `once(op)` to
+    /// `false` therefore runs `op` one cycle at a time, and ops fed this
+    /// way, followed by `step` with no ops, replay one continuous run
+    /// cycle for cycle and event for event.
+    fn step_op<I, O>(&mut self, iter: &mut I, obs: &mut O) -> bool
     where
         I: Iterator<Item = Op>,
         O: Observer;
@@ -94,10 +109,15 @@ pub trait SimMachine: Clone + Send {
     /// Debug-asserts that no instruction is mid-flight.
     fn drain_step<O: Observer>(&mut self, obs: &mut O) -> bool;
 
-    /// A value-level structural snapshot with every countdown relative to
-    /// `now`, so time-shifted machines snapshot identically; see
-    /// [`MachineSnapshot`].
-    fn snapshot(&self, lines: &[LineAddr]) -> MachineSnapshot;
+    /// The borrowed view of the state the checkers abstract, every
+    /// countdown relative to `now`; see [`StateView`].
+    fn view(&self) -> StateView<'_>;
+
+    /// The [`StateView`] copied into a [`MachineSnapshot`] covering
+    /// `lines`, so time-shifted machines snapshot identically.
+    fn snapshot(&self, lines: &[LineAddr]) -> MachineSnapshot {
+        self.view().snapshot(lines)
+    }
 
     /// The lines with an outstanding miss, in no particular order — always
     /// empty on the blocking machine. Borrowed, so a per-cycle structural

@@ -21,12 +21,17 @@
 //! Forking is allocation-free too, in the model checkers' setting: a
 //! machine at an op boundary over a perfect L2, forked with `clone_from`
 //! into a machine of the same configuration that touched as many pages.
+//! So is writing a state key from a machine's view, once the key's
+//! buffers have grown to the key's length: for one machine, and for the
+//! two machines of a refinement pair.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use wbsim::sim::{Machine, NonBlockingMachine, NullObserver, SimMachine};
+use wbsim::check::{ShadowTracker, StateKey};
+use wbsim::sim::{Engine, Machine, NonBlockingMachine, NullObserver, SimMachine};
 use wbsim::trace::bench_models::BenchmarkModel;
+use wbsim::types::addr::LineAddr;
 use wbsim::types::config::{L2Config, MachineConfig};
 use wbsim::types::op::Op;
 use wbsim::types::policy::LoadHazardPolicy;
@@ -153,4 +158,66 @@ fn forking_into_a_machine_of_the_same_configuration_allocates_nothing() {
     assert_eq!(fork_after(blocking), 0, "blocking machine");
     let nonblocking = NonBlockingMachine::new(cfg, 2).expect("valid configuration");
     assert_eq!(fork_after(nonblocking), 0, "non-blocking machine");
+}
+
+/// Runs the ops over the checkers' two lines that leave a store buffered,
+/// both lines in L1 and, on the non-blocking machine, a miss outstanding;
+/// returns the machine and the shadow map of its stores.
+fn keyed_state<M: SimMachine>(mut m: M) -> (M, ShadowTracker) {
+    let word = |line: u64, w: u64| Addr::new(line * 32 + w * 8);
+    let mut shadow = ShadowTracker::default();
+    for op in [
+        Op::Load(word(0, 1)),
+        Op::Store(word(0, 0)),
+        Op::Store(word(1, 1)),
+        Op::Load(word(1, 0)),
+    ] {
+        m.run_op_bounded(op, 10_000, &mut NullObserver)
+            .expect("the op completes");
+        if let Op::Store(addr) = op {
+            shadow.record_store(addr.as_u64() / 8);
+        }
+    }
+    (m, shadow)
+}
+
+/// Heap allocations of a second `write` into one key, the first having
+/// grown its buffers.
+fn key_allocations(mut write: impl FnMut(&mut StateKey)) -> u64 {
+    let mut key = StateKey::default();
+    write(&mut key);
+    key.clear();
+    let before = ALLOCATIONS.with(Cell::get);
+    write(&mut key);
+    let after = ALLOCATIONS.with(Cell::get);
+    assert!(!key.canonical().is_empty());
+    after - before
+}
+
+#[test]
+fn writing_a_state_key_allocates_nothing() {
+    let lines = [LineAddr::new(0), LineAddr::new(1)];
+    let cfg = read_from_wb(L2Config::baseline());
+
+    let (m, shadow) = keyed_state(Machine::new(cfg.clone()).expect("valid configuration"));
+    let one = key_allocations(|k| k.push(&m.view(), &lines, &shadow));
+    assert_eq!(one, 0, "blocking machine");
+
+    let nb = NonBlockingMachine::new(cfg.clone(), 2).expect("valid configuration");
+    let (m, shadow) = keyed_state(nb);
+    assert!(m.mshr_lines().count() > 0, "a miss is outstanding");
+    let one = key_allocations(|k| k.push(&m.view(), &lines, &shadow));
+    assert_eq!(one, 0, "non-blocking machine");
+
+    // A refinement pair: the reference engine and the event-driven one,
+    // pushed into one key under one permutation.
+    let mut reference = Machine::new(cfg.clone()).expect("valid configuration");
+    reference.set_engine(Engine::Reference);
+    let (rf, shadow) = keyed_state(reference);
+    let (ed, _) = keyed_state(Machine::new(cfg).expect("valid configuration"));
+    let pair = key_allocations(|k| {
+        k.push(&rf.view(), &lines, &shadow);
+        k.push(&ed.view(), &lines, &shadow);
+    });
+    assert_eq!(pair, 0, "refinement pair");
 }

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use wbsim::sim::{Event, Machine, NonBlockingMachine, NullObserver, Observer, SimMachine};
 use wbsim::trace::strategies::{arb_l2, arb_machine_config, arb_op, arb_write_buffer};
 use wbsim::types::addr::LineAddr;
-use wbsim::types::config::{MachineConfig, WriteBufferConfig};
+use wbsim::types::config::{L1Config, MachineConfig, WriteBufferConfig};
 use wbsim::types::op::Op;
 use wbsim::types::policy::{L1WritePolicy, LoadHazardPolicy, RetirementPolicy};
 use wbsim::types::Addr;
@@ -102,6 +102,54 @@ fn nb_config(depth: usize, width: usize, l2: wbsim::types::config::L2Config) -> 
         },
         l2,
         ..MachineConfig::baseline()
+    }
+}
+
+/// Runs `ops` from a fresh machine on `cfg`.
+fn ran(cfg: &MachineConfig, ops: &[Op]) -> Machine {
+    let mut m = Machine::new(cfg.clone()).expect("valid configuration");
+    assert!(
+        run(&mut m, ops, &mut NullObserver),
+        "the ops outran their budget"
+    );
+    m
+}
+
+/// A load and a store to word 0 of each line: the load fills L1, and
+/// under a write-back L1 the store dirties the filled way.
+fn touch(lines: &[u64]) -> Vec<Op> {
+    lines
+        .iter()
+        .flat_map(|&l| [Op::Load(Addr::new(l * 32)), Op::Store(Addr::new(l * 32))])
+        .collect()
+}
+
+/// A 1 KiB 2-way L1 (16 sets) under `policy`, so lines 5, 21, 37 and 53
+/// share a set inside the 64-line footprint.
+fn small_two_way(policy: L1WritePolicy) -> MachineConfig {
+    let mut cfg = MachineConfig::baseline();
+    cfg.l1 = L1Config {
+        size_bytes: 1024,
+        assoc: 2,
+        write_policy: policy,
+        ..L1Config::baseline()
+    };
+    cfg.write_buffer.hazard = LoadHazardPolicy::ReadFromWb;
+    cfg
+}
+
+/// A fork drops every L1 line the target held and the source never
+/// touched: in a 2-way set the source filled too, in a set it left
+/// empty, and — under a write-back L1 — with the target's ways dirty, so
+/// a stale dirty bit would write back a victim the source never had.
+#[test]
+fn a_fork_forgets_the_targets_own_l1_lines() {
+    for policy in [L1WritePolicy::WriteThrough, L1WritePolicy::WriteBack] {
+        let cfg = small_two_way(policy);
+        let src = ran(&cfg, &touch(&[0, 1, 5]));
+        let dst = ran(&cfg, &touch(&[21, 37, 53, 9, 25, 40]));
+        let suffix = touch(&[5, 21, 37, 53, 9, 25, 40, 0]);
+        assert_fork_exact(&src, dst, &suffix).expect("the fork is exact");
     }
 }
 

@@ -15,7 +15,10 @@
 //!   *preemption bound* (schedules with more than `preemption_bound`
 //!   involuntary context switches are skipped — the standard
 //!   context-bounding under-approximation, catching the overwhelming
-//!   majority of real concurrency bugs at a fraction of the cost).
+//!   majority of real concurrency bugs at a fraction of the cost). The
+//!   subtrees below the first schedule run on [`SchedOptions::jobs`]
+//!   workers and merge in DFS order, so the report is the same for every
+//!   worker count.
 //! * [`classify`] — maps a recorded [`Execution`] to an `SCH` verdict:
 //!   `SCH100` safety (invariant violation or panic), `SCH101` deadlock,
 //!   `SCH102` liveness (lost wakeup, job never terminal), `SCH004` budget.
@@ -31,6 +34,8 @@ use std::collections::BTreeSet;
 
 use wbsim_types::diagnostics::{Diagnostic, Severity};
 use wbsim_types::json::{self, Json};
+
+use crate::bounded::{default_jobs, run_indexed_until};
 pub use wbsim_types::sync::model::{
     run_one, ExecOutcome, ExecStep, Execution, OpDesc, OpKind, Violation,
 };
@@ -84,6 +89,9 @@ pub struct SchedOptions {
     pub max_schedules: u64,
     /// Per-execution decision-point budget (guards runaway schedules).
     pub max_steps: usize,
+    /// Worker threads exploring subtrees (default: one per core). Every
+    /// value explores and reports exactly the same.
+    pub jobs: usize,
 }
 
 impl Default for SchedOptions {
@@ -92,6 +100,7 @@ impl Default for SchedOptions {
             preemption_bound: 2,
             max_schedules: 20_000,
             max_steps: 2_000,
+            jobs: default_jobs(),
         }
     }
 }
@@ -199,6 +208,7 @@ fn independent(a: &OpDesc, b: &OpDesc) -> bool {
     }
 }
 
+#[derive(Clone)]
 struct Frame {
     enabled: Vec<(usize, OpDesc)>,
     chosen: usize,
@@ -225,66 +235,26 @@ impl Frame {
             _ => 0,
         }
     }
-}
 
-/// Run one schedule: follow `prefix`, then the default policy (stay on the
-/// current thread while it is enabled, else the lowest enabled id — a policy
-/// that never adds preemptions).
-fn run_with_prefix(h: &dyn SchedHarness, prefix: &[usize], max_steps: usize) -> Execution {
-    let mut last: Option<usize> = None;
-    let mut decider = |i: usize, enabled: &[(usize, OpDesc)]| -> usize {
-        let wanted = if i < prefix.len() {
-            prefix[i]
-        } else {
-            last.unwrap_or(usize::MAX)
+    /// Makes the next alternative DFS would try here the frame's choice,
+    /// or returns `false` if none is left.
+    fn advance(&mut self, bound: usize) -> bool {
+        let Some(alt) = pick_alternative(self, bound) else {
+            return false;
         };
-        let pick = if enabled.iter().any(|(t, _)| *t == wanted) {
-            wanted
-        } else {
-            enabled[0].0
-        };
-        last = Some(pick);
-        pick
-    };
-    run_one(h.body(), &mut decider, max_steps)
-}
-
-fn pick_alternative(f: &Frame, bound: usize) -> Option<usize> {
-    for (t, _) in &f.enabled {
-        if f.tried.contains(t) || f.sleep.contains(t) {
-            continue;
-        }
-        if f.preempt_before + f.preempt_cost_of(*t) > bound {
-            continue;
-        }
-        return Some(*t);
+        self.tried.insert(alt);
+        self.chosen = alt;
+        true
     }
-    None
 }
 
-/// Exhaustively (up to the preemption bound) explores `h`'s interleavings.
-#[must_use]
-pub fn explore(h: &dyn SchedHarness, opts: &SchedOptions) -> HarnessResult {
-    let mut stats = HarnessStats {
-        harness: h.name().to_string(),
-        schedules: 0,
-        max_depth: 0,
-        verdict: "clean".to_string(),
-    };
-    let mut frames: Vec<Frame> = Vec::new();
-    let mut keep = 0usize;
-    let mut exec = run_with_prefix(h, &[], opts.max_steps);
-    stats.schedules += 1;
-
-    loop {
-        stats.max_depth = stats.max_depth.max(exec.steps.len());
-        frames.truncate(keep);
-        for i in keep..exec.steps.len() {
-            let step = &exec.steps[i];
-            let (sleep, preempt_before, last) = if i == 0 {
-                (BTreeSet::new(), 0, None)
-            } else {
-                let prev = &frames[i - 1];
+/// Appends a frame for every step of `exec` past the prefix `frames`
+/// already holds.
+fn extend(frames: &mut Vec<Frame>, exec: &Execution) {
+    for step in &exec.steps[frames.len()..] {
+        let (sleep, preempt_before, last) = match frames.last() {
+            None => (BTreeSet::new(), 0, None),
+            Some(prev) => {
                 let prev_op = prev.chosen_op();
                 let mut sleep = BTreeSet::new();
                 for &u in prev.sleep.iter().chain(prev.tried.iter()) {
@@ -302,70 +272,222 @@ pub fn explore(h: &dyn SchedHarness, opts: &SchedOptions) -> HarnessResult {
                     prev.preempt_before + prev.preempt_cost_of(prev.chosen),
                     Some(prev.chosen),
                 )
-            };
-            frames.push(Frame {
-                enabled: step.enabled.clone(),
-                chosen: step.thread,
-                tried: BTreeSet::from([step.thread]),
-                sleep,
-                preempt_before,
-                last,
-            });
-        }
+            }
+        };
+        frames.push(Frame {
+            enabled: step.enabled.clone(),
+            chosen: step.thread,
+            tried: BTreeSet::from([step.thread]),
+            sleep,
+            preempt_before,
+            last,
+        });
+    }
+}
 
+fn pick_alternative(f: &Frame, bound: usize) -> Option<usize> {
+    for (t, _) in &f.enabled {
+        if f.tried.contains(t) || f.sleep.contains(t) {
+            continue;
+        }
+        if f.preempt_before + f.preempt_cost_of(*t) > bound {
+            continue;
+        }
+        return Some(*t);
+    }
+    None
+}
+
+/// The subtrees below the schedule `frames` record, in the order DFS
+/// visits them: deepest frame first, then each frame's alternatives in pick
+/// order. Each is the prefix that roots it: the frame it branches at has
+/// the alternative as its choice, and the schedule's choice plus the
+/// alternatives tried before it in its tried set, so its sleep sets are the
+/// ones the sequential DFS would carry into it.
+fn subtrees(frames: &[Frame], bound: usize) -> Vec<Vec<Frame>> {
+    let mut out = Vec::new();
+    for j in (0..frames.len()).rev() {
+        let mut at = frames[j].clone();
+        while at.advance(bound) {
+            let mut prefix = frames[..j].to_vec();
+            prefix.push(at.clone());
+            out.push(prefix);
+        }
+    }
+    out
+}
+
+/// How a stretch of the DFS ended.
+enum End {
+    /// It ran out of schedules: every one it ran was clean.
+    Clean,
+    /// Its last schedule violated `code`; the schedule's full choices.
+    Violation(&'static str, Vec<usize>),
+    /// Its last schedule exceeded the per-execution step budget.
+    StepLimit,
+    /// It ran its schedule budget and had more to run.
+    OutOfBudget,
+    /// It stopped because an earlier stretch failed.
+    Abandoned,
+}
+
+/// A stretch of the DFS: the depth of each schedule it ran, in order, and
+/// how it ended.
+struct Walk {
+    depths: Vec<usize>,
+    end: End,
+}
+
+impl Walk {
+    /// Runs the schedule `frames` choose (then the default policy) and
+    /// records its depth. Returns it if it ran clean; otherwise records how
+    /// it ended the walk.
+    fn run(
+        &mut self,
+        h: &dyn SchedHarness,
+        frames: &[Frame],
+        max_steps: usize,
+    ) -> Option<Execution> {
+        let prefix: Vec<usize> = frames.iter().map(|f| f.chosen).collect();
+        let exec = run_one(h.body(), &prefix, max_steps);
+        self.depths.push(exec.steps.len());
         match classify(&exec) {
-            Some(("SCH004", _)) => {
-                stats.verdict = "SCH004".to_string();
-                return HarnessResult {
-                    stats,
-                    counterexample: None,
-                    budget_exceeded: true,
-                };
-            }
+            None => return Some(exec),
+            Some(("SCH004", _)) => self.end = End::StepLimit,
             Some((code, _)) => {
-                let full: Vec<usize> = exec.steps.iter().map(|s| s.thread).collect();
-                let (cex, extra_runs) = minimize(h, opts, &full, code);
-                stats.schedules += extra_runs;
-                stats.max_depth = stats.max_depth.max(cex.schedule.len());
-                stats.verdict = code.to_string();
-                return HarnessResult {
-                    stats,
-                    counterexample: Some(cex),
-                    budget_exceeded: false,
-                };
+                self.end = End::Violation(code, exec.steps.iter().map(|s| s.thread).collect());
             }
-            None => {}
         }
+        None
+    }
+}
 
-        let mut found = None;
-        while let Some(f) = frames.last() {
-            if let Some(alt) = pick_alternative(f, opts.preemption_bound) {
-                found = Some((frames.len() - 1, alt));
+/// DFS over the subtree whose prefix is `frames`: every schedule that
+/// starts with those choices, in the sequential explorer's order. It never
+/// backtracks into `frames`, runs at most `limit` schedules, and stops
+/// early once `abort` says an earlier subtree failed.
+fn walk(
+    h: &dyn SchedHarness,
+    opts: &SchedOptions,
+    mut frames: Vec<Frame>,
+    limit: u64,
+    abort: &dyn Fn() -> bool,
+) -> Walk {
+    let floor = frames.len();
+    let mut w = Walk {
+        depths: Vec::new(),
+        end: End::Clean,
+    };
+    loop {
+        if abort() {
+            w.end = End::Abandoned;
+            return w;
+        }
+        if w.depths.len() as u64 >= limit {
+            w.end = End::OutOfBudget;
+            return w;
+        }
+        let Some(exec) = w.run(h, &frames, opts.max_steps) else {
+            return w;
+        };
+        extend(&mut frames, &exec);
+        loop {
+            if frames.len() == floor {
+                return w;
+            }
+            if frames
+                .last_mut()
+                .is_some_and(|f| f.advance(opts.preemption_bound))
+            {
                 break;
             }
             frames.pop();
         }
-        let Some((i, alt)) = found else {
-            return HarnessResult {
-                stats,
-                counterexample: None,
-                budget_exceeded: false,
-            };
-        };
-        if stats.schedules >= opts.max_schedules {
-            stats.verdict = "SCH004".to_string();
-            return HarnessResult {
-                stats,
-                counterexample: None,
-                budget_exceeded: true,
-            };
+    }
+}
+
+/// Exhaustively (up to the preemption bound) explores `h`'s interleavings.
+///
+/// After the first schedule, each of its alternatives roots an independent
+/// subtree; they run on `opts.jobs` workers
+/// ([`run_indexed_earliest`](crate::run_indexed_earliest)'s pool) and
+/// merge in DFS order, replaying the sequential explorer's bookkeeping:
+/// its schedule budget is checked before every schedule but the first, and
+/// the first failure in DFS order is the verdict. So every `jobs` value
+/// reports the schedules, depth, verdict and counterexample the sequential
+/// DFS would.
+#[must_use]
+pub fn explore(h: &dyn SchedHarness, opts: &SchedOptions) -> HarnessResult {
+    let mut stats = HarnessStats {
+        harness: h.name().to_string(),
+        schedules: 1,
+        max_depth: 0,
+        verdict: "clean".to_string(),
+    };
+    let mut root = Walk {
+        depths: Vec::new(),
+        end: End::Clean,
+    };
+    let mut frames = Vec::new();
+    if let Some(exec) = root.run(h, &frames, opts.max_steps) {
+        extend(&mut frames, &exec);
+    }
+    stats.max_depth = root.depths[0];
+    if !matches!(root.end, End::Clean) {
+        return finish(h, opts, stats, root.end);
+    }
+    let tasks = subtrees(&frames, opts.preemption_bound);
+    let limit = opts.max_schedules.saturating_sub(1);
+    let walks = run_indexed_until(tasks.len(), opts.jobs, |k, abort| {
+        let w = walk(h, opts, tasks[k].clone(), limit, abort);
+        if matches!(w.end, End::Clean) {
+            Ok(w)
+        } else {
+            Err(w)
         }
-        frames[i].tried.insert(alt);
-        frames[i].chosen = alt;
-        keep = i + 1;
-        let prefix: Vec<usize> = frames[..=i].iter().map(|f| f.chosen).collect();
-        exec = run_with_prefix(h, &prefix, opts.max_steps);
-        stats.schedules += 1;
+    });
+    for w in walks {
+        let w = w.unwrap_or_else(|w| w);
+        for d in w.depths {
+            if stats.schedules >= opts.max_schedules {
+                return finish(h, opts, stats, End::OutOfBudget);
+            }
+            stats.schedules += 1;
+            stats.max_depth = stats.max_depth.max(d);
+        }
+        if !matches!(w.end, End::Clean) {
+            return finish(h, opts, stats, w.end);
+        }
+    }
+    finish(h, opts, stats, End::Clean)
+}
+
+/// The result of an exploration that ended with `end`.
+fn finish(
+    h: &dyn SchedHarness,
+    opts: &SchedOptions,
+    mut stats: HarnessStats,
+    end: End,
+) -> HarnessResult {
+    let (counterexample, budget_exceeded) = match end {
+        End::Clean => (None, false),
+        End::StepLimit | End::OutOfBudget => {
+            stats.verdict = "SCH004".to_string();
+            (None, true)
+        }
+        End::Violation(code, full) => {
+            let (cex, extra_runs) = minimize(h, opts, &full, code);
+            stats.schedules += extra_runs;
+            stats.max_depth = stats.max_depth.max(cex.schedule.len());
+            stats.verdict = code.to_string();
+            (Some(cex), false)
+        }
+        End::Abandoned => unreachable!("a walk is abandoned only after an earlier failure"),
+    };
+    HarnessResult {
+        stats,
+        counterexample,
+        budget_exceeded,
     }
 }
 
@@ -381,7 +503,7 @@ fn minimize(
 ) -> (SchedCounterexample, u64) {
     let mut runs = 0;
     for p in 0..=full.len() {
-        let exec = run_with_prefix(h, &full[..p], opts.max_steps);
+        let exec = run_one(h.body(), &full[..p], opts.max_steps);
         runs += 1;
         if let Some((c, detail)) = classify(&exec) {
             if c == code {
@@ -391,7 +513,7 @@ fn minimize(
     }
     // Determinism guarantees p == full.len() reproduces; this is unreachable
     // in practice but degrade gracefully rather than panic.
-    let exec = run_with_prefix(h, full, opts.max_steps);
+    let exec = run_one(h.body(), full, opts.max_steps);
     runs += 1;
     let detail = classify(&exec).map_or_else(String::new, |(_, d)| d);
     (
@@ -641,7 +763,7 @@ pub fn replay(
     opts: &SchedOptions,
 ) -> ReplayOutcome {
     let prefix: Vec<usize> = cex.schedule.iter().map(|c| c.thread).collect();
-    let exec = run_with_prefix(h, &prefix, opts.max_steps);
+    let exec = run_one(h.body(), &prefix, opts.max_steps);
     let mut diverged_at = None;
     for (i, c) in cex.schedule.iter().enumerate() {
         let ok = exec.steps.get(i).is_some_and(|s| {
@@ -847,6 +969,66 @@ mod tests {
         assert!(r.budget_exceeded);
         assert_eq!(r.stats.verdict, "SCH004");
         assert!(r.counterexample.is_none());
+    }
+
+    /// What an exploration reports, in comparable form: the stats line,
+    /// the budget flag and the serialized counterexample.
+    fn report(r: &HarnessResult) -> (String, bool, Option<String>) {
+        (
+            r.stats.to_json(),
+            r.budget_exceeded,
+            r.counterexample.as_ref().map(SchedCounterexample::to_jsonl),
+        )
+    }
+
+    /// Subtrees explored on 1, 2 or 3 workers merge into one report: the
+    /// sequential DFS's schedules, depth, verdict and counterexample
+    /// (pinned below as recorded before the explorer was split), and
+    /// under every schedule budget the same `SCH004` cut point.
+    #[test]
+    fn every_jobs_value_reports_what_the_sequential_dfs_does() {
+        let (counter, abba) = (counter_harness(), abba_harness());
+        let (lost, race) = (lost_wakeup_harness(), check_then_act_harness());
+        // (harness, schedules, max depth, verdict, largest budget that
+        // still ends in SCH004), at the default preemption bound.
+        type Pin<'a> = (&'a dyn SchedHarness, u64, usize, &'a str, Option<u64>);
+        let pins: [Pin; 4] = [
+            (&counter, 7, 12, "clean", Some(6)),
+            (&abba, 12, 14, "SCH101", Some(4)),
+            (&lost, 2, 16, "SCH102", None),
+            (&race, 11, 15, "SCH100", Some(2)),
+        ];
+        for (h, schedules, depth, verdict, cut) in pins {
+            for max_schedules in (1..=12).chain([SchedOptions::default().max_schedules]) {
+                let opts = |jobs| SchedOptions {
+                    max_schedules,
+                    jobs,
+                    ..SchedOptions::default()
+                };
+                let r = explore(h, &opts(1));
+                let what = format!("{} under a budget of {max_schedules}", h.name());
+                if cut.is_some_and(|c| max_schedules <= c) {
+                    assert!(r.budget_exceeded, "{what}");
+                    assert_eq!(r.stats.verdict, "SCH004", "{what}");
+                    assert_eq!(r.stats.schedules, max_schedules, "{what}");
+                } else {
+                    let got = (
+                        r.stats.schedules,
+                        r.stats.max_depth,
+                        r.stats.verdict.as_str(),
+                    );
+                    assert_eq!(got, (schedules, depth, verdict), "{what}");
+                    assert_eq!(r.counterexample.is_some(), verdict != "clean", "{what}");
+                }
+                for jobs in [2, 3] {
+                    assert_eq!(
+                        report(&explore(h, &opts(jobs))),
+                        report(&r),
+                        "{what} on {jobs} workers"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

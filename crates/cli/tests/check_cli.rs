@@ -502,3 +502,83 @@ fn exhaustive_reports_and_counterexamples_are_pinned() {
         }
     }
 }
+
+/// The exact output of `wbsim check --sched` at preemption bounds 1 and 2,
+/// clean and under each `--fault`: exit code, the `--json` document's
+/// `sched` section, and the `--out` schedule (lines, bytes and FNV-1a
+/// hash). Each holds at every `--jobs` value: how the explorer splits its
+/// work is its own business; what it reports is not.
+struct SchedPin {
+    fault: Option<&'static str>,
+    preemptions: u32,
+    code: i32,
+    sched: &'static str,
+    schedule: Option<(usize, usize, u64)>,
+}
+
+#[rustfmt::skip]
+const SCHED_PINS: [SchedPin; 6] = [
+    SchedPin { fault: None, preemptions: 1, code: 0,
+        sched: r#"{"harnesses":[{"harness":"store-race","schedules":11,"max_depth":25,"verdict":"clean"},{"harness":"serve-drain","schedules":102,"max_depth":34,"verdict":"clean"},{"harness":"pool-steal","schedules":14,"max_depth":22,"verdict":"clean"}],"clean":true}"#,
+        schedule: None },
+    SchedPin { fault: None, preemptions: 2, code: 0,
+        sched: r#"{"harnesses":[{"harness":"store-race","schedules":36,"max_depth":25,"verdict":"clean"},{"harness":"serve-drain","schedules":707,"max_depth":34,"verdict":"clean"},{"harness":"pool-steal","schedules":62,"max_depth":22,"verdict":"clean"}],"clean":true}"#,
+        schedule: None },
+    SchedPin { fault: Some("lost-wakeup"), preemptions: 1, code: 1,
+        sched: r#"{"harnesses":[{"harness":"serve-drain","schedules":28,"max_depth":31,"verdict":"SCH102"}],"clean":false}"#,
+        schedule: Some((31, 1826, 0xcd14df70d65f7a37)) },
+    SchedPin { fault: Some("lost-wakeup"), preemptions: 2, code: 1,
+        sched: r#"{"harnesses":[{"harness":"serve-drain","schedules":37,"max_depth":31,"verdict":"SCH102"}],"clean":false}"#,
+        schedule: Some((31, 1826, 0xcd14df70d65f7a37)) },
+    SchedPin { fault: Some("dup-execute"), preemptions: 1, code: 1,
+        sched: r#"{"harnesses":[{"harness":"store-race","schedules":14,"max_depth":26,"verdict":"SCH100"}],"clean":false}"#,
+        schedule: Some((27, 1585, 0xd945484f675ad836)) },
+    SchedPin { fault: Some("dup-execute"), preemptions: 2, code: 1,
+        sched: r#"{"harnesses":[{"harness":"store-race","schedules":14,"max_depth":26,"verdict":"SCH100"}],"clean":false}"#,
+        schedule: Some((27, 1585, 0xd945484f675ad836)) },
+];
+
+#[test]
+fn sched_reports_and_schedules_are_pinned_at_every_jobs_value() {
+    let dir = scratch("sched-pins");
+    for pin in &SCHED_PINS {
+        let name = format!("{}-{}", pin.fault.unwrap_or("clean"), pin.preemptions);
+        let out = dir.join(format!("{name}.jsonl"));
+        let out_s = out.to_str().unwrap();
+        let bound = pin.preemptions.to_string();
+        let mut args = vec!["check", "--sched", "--preemptions", &bound, "--json"];
+        args.extend(pin.fault.iter().flat_map(|f| ["--fault", *f]));
+        args.extend(["--out", out_s]);
+        for jobs in ["1", "2", "3"] {
+            let what = format!("{args:?} --jobs {jobs}");
+            let _ = std::fs::remove_file(&out);
+            let run = Command::new(env!("CARGO_BIN_EXE_wbsim"))
+                .args(&args)
+                .args(["--jobs", jobs])
+                .output()
+                .expect("spawn wbsim");
+            assert_eq!(
+                run.status.code(),
+                Some(pin.code),
+                "{what}: {}",
+                text(&run.stderr)
+            );
+            let want = format!(
+                "{{\"linter\":{{\"diagnostics\":[],\"errors\":false}},\"exhaustive\":null,\
+                 \"reach\":null,\"properties\":null,\"refine\":null,\"sched\":{}}}\n",
+                pin.sched
+            );
+            assert_eq!(text(&run.stdout), want, "{what}");
+            let schedule = std::fs::read(&out).ok();
+            let got = schedule
+                .as_ref()
+                .map(|t| (t.iter().filter(|&&b| b == b'\n').count(), t.len(), fnv1a(t)));
+            assert_eq!(got, pin.schedule, "{what}");
+            if schedule.is_some() {
+                let replay = wbsim(&["check", "--sched", "--replay", out_s]);
+                assert!(replay.status.success(), "{what}: {}", text(&replay.stderr));
+                assert!(text(&replay.stdout).contains("replay ok"), "{what}");
+            }
+        }
+    }
+}

@@ -445,3 +445,33 @@ fn an_overlong_header_gets_431_and_the_daemon_still_answers() {
         assert_eq!((code, body.as_str()), (200, "{\"ok\":true}"));
     }
 }
+
+/// A declared body over the daemon's 4 MiB cap is answered `413` with the
+/// usual JSON error body before any of it is read, and the daemon goes on
+/// answering.
+#[test]
+fn an_oversized_body_gets_413_and_the_daemon_still_answers() {
+    let daemon = spawn_daemon();
+    let port = daemon.port;
+    let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let too_long = 4 * 1024 * 1024 + 1;
+    let head = format!("POST /v1/jobs HTTP/1.1\r\nContent-Length: {too_long}\r\n\r\n");
+    stream.write_all(head.as_bytes()).expect("send");
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("response");
+    assert!(
+        raw.starts_with("HTTP/1.1 413 Content Too Large\r\n"),
+        "{raw}"
+    );
+    assert!(
+        raw.ends_with(&format!(
+            "\r\n\r\n{{\"error\":\"body too large ({too_long} bytes, at most 4194304)\"}}"
+        )),
+        "{raw}"
+    );
+    let (code, body) = http_text(port, "GET", "/v1/health", "");
+    assert_eq!((code, body.as_str()), (200, "{\"ok\":true}"));
+}

@@ -215,6 +215,15 @@ impl Refusal {
         }
     }
 
+    /// A declared body over [`MAX_BODY`]: `413`.
+    fn too_large(problem: String) -> Self {
+        Refusal {
+            code: 413,
+            reason: "Content Too Large",
+            problem,
+        }
+    }
+
     /// A request head over [`MAX_HEAD_LINE`] or [`MAX_HEADERS`]: `431`.
     fn head_too_large(problem: String) -> Self {
         Refusal {
@@ -242,8 +251,9 @@ fn read_head_line(r: &mut impl BufRead, what: &str) -> Result<String, Refusal> {
 }
 
 /// Reads one HTTP/1.1 request (request line, headers, `Content-Length`
-/// body). Anything malformed is refused with `400`, a request head past
-/// [`MAX_HEAD_LINE`] or [`MAX_HEADERS`] with `431`.
+/// body). Anything malformed is refused with `400`, a body over
+/// [`MAX_BODY`] with `413` (before any of it is read), and a request head
+/// past [`MAX_HEAD_LINE`] or [`MAX_HEADERS`] with `431`.
 fn read_request(r: &mut impl BufRead) -> Result<Request, Refusal> {
     let line = read_head_line(r, "request line")?;
     let mut parts = line.split_whitespace();
@@ -277,8 +287,8 @@ fn read_request(r: &mut impl BufRead) -> Result<Request, Refusal> {
         }
     }
     if content_length > MAX_BODY {
-        return Err(Refusal::bad(format!(
-            "body too large ({content_length} bytes)"
+        return Err(Refusal::too_large(format!(
+            "body too large ({content_length} bytes, at most {MAX_BODY})"
         )));
     }
     let mut body = vec![0u8; content_length];
@@ -667,7 +677,7 @@ mod tests {
             MAX_BODY + 1
         );
         let err = read_request(&mut Cursor::new(raw.as_bytes())).expect_err("too large");
-        assert_eq!(err.code, 400);
+        assert_eq!((err.code, err.reason), (413, "Content Too Large"));
         assert!(err.problem.contains("too large"), "{err:?}");
     }
 

@@ -18,9 +18,9 @@
 //! cannot wedge its siblings). With the feature enabled, each operation first
 //! checks a thread-local: if the current thread is registered with a
 //! [`model::Session`], the operation becomes a *decision point* — the thread
-//! announces what it is about to do, parks, and only proceeds once the
-//! session's controller grants it the single run token. The controller thereby
-//! observes and sequences every lock acquire/release, atomic access, condvar
+//! announces what it is about to do and only proceeds once the session's
+//! scheduler grants it the single run token. The scheduler thereby observes
+//! and sequences every lock acquire/release, atomic access, condvar
 //! wait/notify, spawn, and join, which is what lets the DFS explorer in
 //! `wbsim-check` enumerate interleavings deterministically.
 //!

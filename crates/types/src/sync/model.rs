@@ -3,12 +3,17 @@
 //! A model run executes a harness body on real OS threads but under a
 //! single-token protocol: every operation the [`super`] shim routes here is a
 //! *decision point* — the thread records what it is about to do in the
-//! session's shared state, parks, and resumes only when the controller grants
-//! it the token. The controller (the thread that called [`run_one`]) waits
-//! until every unfinished thread is parked at a decision point, computes the
-//! enabled set, asks the `decider` which thread to run, and grants exactly
-//! one. The result is a deterministic, replayable serialization of the
-//! execution — the raw material for the DFS explorer in `wbsim-check`.
+//! session's shared state and proceeds only once it holds the token. There
+//! is no controller thread. Whichever event makes the session *quiescent*
+//! (every unfinished thread parked at a decision point) runs the decision
+//! step on the spot: a thread parking, or a thread finishing. The step
+//! computes the enabled set, picks one thread by the session's policy
+//! (follow the prefix, then stay on the last granted thread, else the lowest
+//! enabled id), and grants it. A thread that grants itself continues
+//! without parking; any other grantee is woken alone (`unpark`), and only
+//! an abort wakes every thread. The result is a deterministic, replayable
+//! serialization of the execution — the raw material for the DFS explorer
+//! in `wbsim-check`.
 //!
 //! Modeling choices (documented here, pinned by `wbsim-check` tests):
 //!
@@ -26,7 +31,8 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex};
+use std::sync::{Arc, Mutex as StdMutex, MutexGuard};
+use std::thread::Thread;
 
 /// The kind of a shim operation, as observed by the scheduler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -158,15 +164,20 @@ struct ThreadState {
     granted: bool,
     finished: bool,
     panic_msg: Option<String>,
+    /// The OS thread to wake on a grant or an abort; set when it checks in.
+    handle: Option<Thread>,
 }
 
 impl ThreadState {
-    fn new() -> ThreadState {
+    /// A thread about to run: its `Start` is announced from the moment it
+    /// exists, so no decision waits for its OS thread to check in.
+    fn starting() -> ThreadState {
         ThreadState {
-            pending: None,
+            pending: Some(simple(OpKind::Start, 0, 0)),
             granted: false,
             finished: false,
             panic_msg: None,
+            handle: None,
         }
     }
 }
@@ -176,37 +187,45 @@ struct SessState {
     mutex_held: HashMap<u64, usize>,
     cv_waiters: BTreeMap<u64, BTreeSet<usize>>,
     notified: BTreeSet<usize>,
-    /// Spawns granted whose child thread has not yet checked in.
-    expected_registrations: usize,
-    aborting: bool,
     next_obj: u64,
     violations: Vec<Violation>,
+    /// The choices to follow before the default policy takes over.
+    prefix: Vec<usize>,
+    /// The thread granted at the previous step.
+    last: Option<usize>,
+    max_steps: usize,
+    steps: Vec<ExecStep>,
+    /// Set by the step that ends the execution. A thread that finds it set
+    /// while parked unwinds: every thread has finished by the time a
+    /// `Completed` outcome is set, so only an abort is ever seen.
+    outcome: Option<ExecOutcome>,
 }
 
 /// A model-checking session: shared scheduler state for one execution.
 pub struct Session {
     state: StdMutex<SessState>,
-    cv: StdCondvar,
 }
 
 impl Session {
-    fn new() -> Session {
+    fn new(prefix: &[usize], max_steps: usize) -> Session {
         Session {
             state: StdMutex::new(SessState {
-                threads: Vec::new(),
+                threads: vec![ThreadState::starting()],
                 mutex_held: HashMap::new(),
                 cv_waiters: BTreeMap::new(),
                 notified: BTreeSet::new(),
-                expected_registrations: 0,
-                aborting: false,
                 next_obj: 0,
                 violations: Vec::new(),
+                prefix: prefix.to_vec(),
+                last: None,
+                max_steps,
+                steps: Vec::new(),
+                outcome: None,
             }),
-            cv: StdCondvar::new(),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, SessState> {
+    fn lock(&self) -> MutexGuard<'_, SessState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
@@ -244,7 +263,7 @@ fn install_hook() {
 }
 
 // ---------------------------------------------------------------------------
-// Decision points
+// The decision step
 // ---------------------------------------------------------------------------
 
 fn is_enabled(st: &SessState, tid: usize, p: &Pending) -> bool {
@@ -253,6 +272,106 @@ fn is_enabled(st: &SessState, tid: usize, p: &Pending) -> bool {
         OpKind::CvResume => st.notified.contains(&tid) && !st.mutex_held.contains_key(&p.desc.obj2),
         OpKind::JoinChildren => p.children.iter().all(|&c| st.threads[c].finished),
         _ => true,
+    }
+}
+
+/// Ends the execution with a verdict that tears it down: every thread
+/// still parked wakes and unwinds with [`SchedAbort`].
+fn abort(st: &mut SessState, outcome: ExecOutcome) {
+    st.outcome = Some(outcome);
+    for t in &st.threads {
+        if let Some(h) = &t.handle {
+            h.unpark();
+        }
+    }
+}
+
+/// The decision step, run by thread `me` after it parked or finished. It
+/// does nothing unless the session is quiescent: every unfinished thread
+/// parked at a decision point. (A granted thread still owns the token, its
+/// pending op lingering until it wakes and consumes it, so it does not
+/// count as parked.) Then it checks for a panic, for every thread
+/// finished, for a deadlock and for the step budget, in that order, and
+/// otherwise grants one enabled thread, waking it unless it is `me`.
+fn settle(st: &mut SessState, me: usize) {
+    if st.outcome.is_some()
+        || !st
+            .threads
+            .iter()
+            .all(|t| t.finished || (t.pending.is_some() && !t.granted))
+    {
+        return;
+    }
+    if let Some((thread, message)) = st
+        .threads
+        .iter()
+        .enumerate()
+        .find_map(|(i, t)| t.panic_msg.clone().map(|m| (i, m)))
+    {
+        return abort(st, ExecOutcome::Panicked { thread, message });
+    }
+    if st.threads.iter().all(|t| t.finished) {
+        let violations = std::mem::take(&mut st.violations);
+        st.outcome = Some(ExecOutcome::Completed { violations });
+        return;
+    }
+
+    let mut enabled = Vec::new();
+    for (i, t) in st.threads.iter().enumerate() {
+        if let Some(p) = t.pending.as_ref().filter(|_| !t.finished) {
+            if is_enabled(st, i, p) {
+                enabled.push((i, p.desc));
+            }
+        }
+    }
+    if enabled.is_empty() {
+        let blocked: Vec<(usize, OpDesc)> = st
+            .threads
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| !t.finished)
+            .filter_map(|(i, t)| t.pending.as_ref().map(|p| (i, p.desc)))
+            .collect();
+        let any_condvar = blocked
+            .iter()
+            .any(|(i, d)| d.kind == OpKind::CvResume && !st.notified.contains(i));
+        return abort(
+            st,
+            ExecOutcome::Deadlock {
+                blocked,
+                any_condvar,
+            },
+        );
+    }
+    if st.steps.len() >= st.max_steps {
+        return abort(st, ExecOutcome::StepLimit);
+    }
+
+    // The policy: follow the prefix, then stay on the last granted thread,
+    // else the lowest enabled id (a choice that never adds a preemption).
+    let i = st.steps.len();
+    let wanted = st.prefix.get(i).copied().or(st.last);
+    let choice = match wanted {
+        Some(w) if enabled.iter().any(|(t, _)| *t == w) => w,
+        _ => enabled[0].0,
+    };
+    st.last = Some(choice);
+    let op = st.threads[choice]
+        .pending
+        .as_ref()
+        .expect("enabled thread has a pending op")
+        .desc;
+    st.steps.push(ExecStep {
+        thread: choice,
+        op,
+        enabled,
+    });
+    let granted = &mut st.threads[choice];
+    granted.granted = true;
+    if choice != me {
+        if let Some(h) = &granted.handle {
+            h.unpark();
+        }
     }
 }
 
@@ -288,8 +407,7 @@ fn apply_effect(st: &mut SessState, tid: usize, p: &Pending) -> Option<usize> {
         }
         OpKind::Spawn => {
             let child = st.threads.len();
-            st.threads.push(ThreadState::new());
-            st.expected_registrations += 1;
+            st.threads.push(ThreadState::starting());
             return Some(child);
         }
         _ => {}
@@ -297,26 +415,42 @@ fn apply_effect(st: &mut SessState, tid: usize, p: &Pending) -> Option<usize> {
     None
 }
 
-/// Announce `p`, park until granted, apply its state effect, and return the
-/// spawned child tid for `Spawn` ops.
+// ---------------------------------------------------------------------------
+// Decision points
+// ---------------------------------------------------------------------------
+
+/// Announce `p`, park until granted, apply its state effect, and return
+/// the spawned child tid for `Spawn` ops.
 fn decision_point(ctx: &Ctx, p: Pending) -> Option<usize> {
-    let sess = &*ctx.session;
-    let mut st = sess.lock();
-    if st.aborting {
-        drop(st);
-        std::panic::panic_any(SchedAbort);
-    }
+    let mut st = ctx.session.lock();
     st.threads[ctx.tid].pending = Some(p);
-    sess.cv.notify_all();
+    park_until_granted(ctx, st)
+}
+
+/// A thread's first act: record the OS thread to wake, then park at the
+/// `Start` announced when it was spawned.
+fn check_in(ctx: &Ctx) {
+    let mut st = ctx.session.lock();
+    st.threads[ctx.tid].handle = Some(std::thread::current());
+    park_until_granted(ctx, st);
+}
+
+/// Run the decision step (a no-op unless this thread made the session
+/// quiescent), park until granted, then take the pending op and apply its
+/// effect.
+fn park_until_granted<'a>(ctx: &'a Ctx, mut st: MutexGuard<'a, SessState>) -> Option<usize> {
+    settle(&mut st, ctx.tid);
     loop {
-        if st.aborting {
+        if st.outcome.is_some() {
             drop(st);
             std::panic::panic_any(SchedAbort);
         }
         if st.threads[ctx.tid].granted {
             break;
         }
-        st = sess.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+        drop(st);
+        std::thread::park();
+        st = ctx.session.lock();
     }
     st.threads[ctx.tid].granted = false;
     let p = st.threads[ctx.tid]
@@ -439,180 +573,64 @@ fn finish_thread(session: &Session, tid: usize, payload: Option<Box<dyn Any + Se
             ts.panic_msg = Some(panic_message(p.as_ref()));
         }
     }
-    session.cv.notify_all();
+    settle(&mut st, tid);
 }
 
-/// Entry point for spawned model threads: check in, announce `Start`, run.
-pub(super) fn run_child<F: FnOnce()>(session: Arc<Session>, tid: usize, f: F) {
-    {
-        let mut st = session.lock();
-        st.expected_registrations -= 1;
-        session.cv.notify_all();
-    }
+/// Runs `f` as model thread `tid` on the current OS thread: check in,
+/// then run. Returns `f`'s value; if `f` unwinds (a real panic,
+/// or [`SchedAbort`] on teardown), finishes the thread and returns `None`.
+fn run_as<T>(session: &Arc<Session>, tid: usize, f: impl FnOnce() -> T) -> Option<T> {
     let ctx = Ctx {
         session: session.clone(),
         tid,
     };
-    CTX.with(|c| *c.borrow_mut() = Some(ctx.clone()));
+    let outer = CTX.with(|c| c.replace(Some(ctx.clone())));
     let result = catch_unwind(AssertUnwindSafe(|| {
-        decision_point(&ctx, simple(OpKind::Start, 0, 0));
-        f();
+        check_in(&ctx);
+        f()
     }));
-    CTX.with(|c| *c.borrow_mut() = None);
-    finish_thread(&session, tid, result.err());
-}
-
-// ---------------------------------------------------------------------------
-// Controller
-// ---------------------------------------------------------------------------
-
-/// Scheduling policy: given the step index and the enabled `(thread, op)`
-/// set (sorted by thread id), returns the thread id to grant next.
-pub type Decider<'a> = dyn FnMut(usize, &[(usize, OpDesc)]) -> usize + 'a;
-
-fn controller(
-    session: &Session,
-    decider: &mut Decider<'_>,
-    max_steps: usize,
-    steps: &mut Vec<ExecStep>,
-) -> ExecOutcome {
-    let mut st = session.lock();
-    loop {
-        // Wait for quiescence: every unfinished thread parked at a decision
-        // point and every granted spawn checked in.
-        loop {
-            if let Some((tid, msg)) = st
-                .threads
-                .iter()
-                .enumerate()
-                .find_map(|(i, t)| t.panic_msg.clone().map(|m| (i, m)))
-            {
-                st.aborting = true;
-                session.cv.notify_all();
-                return ExecOutcome::Panicked {
-                    thread: tid,
-                    message: msg,
-                };
-            }
-            if st.threads.iter().all(|t| t.finished) {
-                return ExecOutcome::Completed {
-                    violations: std::mem::take(&mut st.violations),
-                };
-            }
-            // A granted thread still owns the token (its pending op lingers
-            // until it wakes and consumes it), so it does not count as
-            // parked.
-            let quiescent = st.expected_registrations == 0
-                && st
-                    .threads
-                    .iter()
-                    .all(|t| t.finished || (t.pending.is_some() && !t.granted));
-            if quiescent {
-                break;
-            }
-            st = session.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+    CTX.with(|c| *c.borrow_mut() = outer);
+    match result {
+        Ok(v) => Some(v),
+        Err(payload) => {
+            finish_thread(session, tid, Some(payload));
+            None
         }
-
-        let mut enabled = Vec::new();
-        for i in 0..st.threads.len() {
-            if st.threads[i].finished {
-                continue;
-            }
-            if let Some(p) = &st.threads[i].pending {
-                if is_enabled(&st, i, p) {
-                    enabled.push((i, p.desc));
-                }
-            }
-        }
-        if enabled.is_empty() {
-            let mut blocked = Vec::new();
-            for i in 0..st.threads.len() {
-                if !st.threads[i].finished {
-                    if let Some(p) = &st.threads[i].pending {
-                        blocked.push((i, p.desc));
-                    }
-                }
-            }
-            let any_condvar = blocked
-                .iter()
-                .any(|(i, d)| d.kind == OpKind::CvResume && !st.notified.contains(i));
-            st.aborting = true;
-            session.cv.notify_all();
-            return ExecOutcome::Deadlock {
-                blocked,
-                any_condvar,
-            };
-        }
-        if steps.len() >= max_steps {
-            st.aborting = true;
-            session.cv.notify_all();
-            return ExecOutcome::StepLimit;
-        }
-
-        let wanted = decider(steps.len(), &enabled);
-        let choice = if enabled.iter().any(|(t, _)| *t == wanted) {
-            wanted
-        } else {
-            enabled[0].0
-        };
-        let op = st.threads[choice]
-            .pending
-            .as_ref()
-            .expect("enabled thread has a pending op")
-            .desc;
-        steps.push(ExecStep {
-            thread: choice,
-            op,
-            enabled,
-        });
-        st.threads[choice].granted = true;
-        session.cv.notify_all();
     }
 }
 
-/// Run `body` as thread 0 of a fresh session, letting `decider` pick the
-/// granted thread at every decision point. Returns the recorded execution.
-///
-/// `decider` receives the step index and the enabled `(thread, op)` set
-/// (sorted by thread id) and must return one of the enabled thread ids
-/// (out-of-set answers fall back to the lowest enabled id). `max_steps`
-/// bounds a single execution; exceeding it yields [`ExecOutcome::StepLimit`].
+/// Entry point for spawned model threads.
+pub(super) fn run_child<F: FnOnce()>(session: Arc<Session>, tid: usize, f: F) {
+    if run_as(&session, tid, f).is_some() {
+        finish_thread(&session, tid, None);
+    }
+}
+
+/// Run `body` as thread 0 of a fresh session, on the calling thread, and
+/// return the recorded execution. The schedule follows `prefix` (one
+/// thread id per decision point), then the default policy: stay on the
+/// last granted thread while it is enabled, else the lowest enabled id.
+/// A prefix entry that is not enabled falls back the same way.
+/// `max_steps` bounds a single execution; exceeding it yields
+/// [`ExecOutcome::StepLimit`].
 pub fn run_one<'a>(
     body: Box<dyn FnOnce() -> Vec<Violation> + Send + 'a>,
-    decider: &mut Decider<'_>,
+    prefix: &[usize],
     max_steps: usize,
 ) -> Execution {
     install_hook();
-    let session = Arc::new(Session::new());
-    session.lock().threads.push(ThreadState::new());
-    let mut steps = Vec::new();
-    let outcome = std::thread::scope(|s| {
-        let sess = session.clone();
-        s.spawn(move || {
-            let ctx = Ctx {
-                session: sess.clone(),
-                tid: 0,
-            };
-            CTX.with(|c| *c.borrow_mut() = Some(ctx.clone()));
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                decision_point(&ctx, simple(OpKind::Start, 0, 0));
-                body()
-            }));
-            CTX.with(|c| *c.borrow_mut() = None);
-            match result {
-                Ok(violations) => {
-                    sess.lock().violations = violations;
-                    finish_thread(&sess, 0, None);
-                }
-                Err(payload) => finish_thread(&sess, 0, Some(payload)),
-            }
-        });
-        controller(&session, decider, max_steps, &mut steps)
-    });
-    let threads = session.lock().threads.len();
+    let session = Arc::new(Session::new(prefix, max_steps));
+    if let Some(violations) = run_as(&session, 0, body) {
+        session.lock().violations = violations;
+        finish_thread(&session, 0, None);
+    }
+    // Thread 0 finishes last: every other thread was spawned in one of its
+    // scopes, which joined it. So its finish, or the abort it unwound
+    // from, has ended the execution.
+    let mut st = session.lock();
     Execution {
-        steps,
-        outcome,
-        threads,
+        steps: std::mem::take(&mut st.steps),
+        outcome: st.outcome.take().expect("thread 0 finished the execution"),
+        threads: st.threads.len(),
     }
 }

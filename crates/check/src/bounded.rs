@@ -776,28 +776,6 @@ where
     T: Send,
     E: Send,
 {
-    let mut out = Vec::with_capacity(n);
-    for (i, r) in run_indexed_until(n, jobs, work).into_iter().enumerate() {
-        match r {
-            Ok(t) => out.push(t),
-            Err(e) => return Err((i, e)),
-        }
-    }
-    Ok(out)
-}
-
-/// [`run_indexed_earliest`]'s pool, returning every result in index order
-/// up to and including the lowest-index failure: a serial in-order scan
-/// that stops at its first failure would see exactly these.
-pub(crate) fn run_indexed_until<T, E>(
-    n: usize,
-    jobs: usize,
-    work: impl Fn(usize, &dyn Fn() -> bool) -> Result<T, E> + Sync,
-) -> Vec<Result<T, E>>
-where
-    T: Send,
-    E: Send,
-{
     let jobs = jobs.clamp(1, n.max(1));
     let next = AtomicUsize::new(0);
     let earliest = AtomicUsize::new(usize::MAX);
@@ -821,21 +799,17 @@ where
             });
         }
     });
-    // Up to the first non-Ok slot in index order. A `None` (abandoned) slot
-    // can only follow a failed lower index, so the scan hits the failure
-    // first.
+    // First non-Ok slot in index order. A `None` (abandoned) slot can only
+    // follow a failed lower index, so the scan hits the failure first.
     let mut out = Vec::with_capacity(n);
     for (i, slot) in slots.into_iter().enumerate() {
-        let r = slot
-            .into_inner()
-            .unwrap_or_else(|| unreachable!("index {i} abandoned without an earlier failure"));
-        let failed = r.is_err();
-        out.push(r);
-        if failed {
-            break;
+        match slot.into_inner() {
+            Some(Ok(t)) => out.push(t),
+            Some(Err(e)) => return Err((i, e)),
+            None => unreachable!("index {i} abandoned without an earlier failure"),
         }
     }
-    out
+    Ok(out)
 }
 
 /// Runs `check` on every grid point on `jobs` worker threads

@@ -15,10 +15,7 @@
 //!   *preemption bound* (schedules with more than `preemption_bound`
 //!   involuntary context switches are skipped — the standard
 //!   context-bounding under-approximation, catching the overwhelming
-//!   majority of real concurrency bugs at a fraction of the cost). The
-//!   subtrees below the first schedule run on [`SchedOptions::jobs`]
-//!   workers and merge in DFS order, so the report is the same for every
-//!   worker count.
+//!   majority of real concurrency bugs at a fraction of the cost).
 //! * [`classify`] — maps a recorded [`Execution`] to an `SCH` verdict:
 //!   `SCH100` safety (invariant violation or panic), `SCH101` deadlock,
 //!   `SCH102` liveness (lost wakeup, job never terminal), `SCH004` budget.
@@ -34,8 +31,6 @@ use std::collections::BTreeSet;
 
 use wbsim_types::diagnostics::{Diagnostic, Severity};
 use wbsim_types::json::{self, Json};
-
-use crate::bounded::{default_jobs, run_indexed_until};
 pub use wbsim_types::sync::model::{
     run_one, ExecOutcome, ExecStep, Execution, OpDesc, OpKind, Violation,
 };
@@ -89,9 +84,6 @@ pub struct SchedOptions {
     pub max_schedules: u64,
     /// Per-execution decision-point budget (guards runaway schedules).
     pub max_steps: usize,
-    /// Worker threads exploring subtrees (default: one per core). Every
-    /// value explores and reports exactly the same.
-    pub jobs: usize,
 }
 
 impl Default for SchedOptions {
@@ -100,7 +92,6 @@ impl Default for SchedOptions {
             preemption_bound: 2,
             max_schedules: 20_000,
             max_steps: 2_000,
-            jobs: default_jobs(),
         }
     }
 }
@@ -208,7 +199,6 @@ fn independent(a: &OpDesc, b: &OpDesc) -> bool {
     }
 }
 
-#[derive(Clone)]
 struct Frame {
     enabled: Vec<(usize, OpDesc)>,
     chosen: usize,
@@ -298,180 +288,61 @@ fn pick_alternative(f: &Frame, bound: usize) -> Option<usize> {
     None
 }
 
-/// The subtrees below the schedule `frames` record, in the order DFS
-/// visits them: deepest frame first, then each frame's alternatives in pick
-/// order. Each is the prefix that roots it: the frame it branches at has
-/// the alternative as its choice, and the schedule's choice plus the
-/// alternatives tried before it in its tried set, so its sleep sets are the
-/// ones the sequential DFS would carry into it.
-fn subtrees(frames: &[Frame], bound: usize) -> Vec<Vec<Frame>> {
-    let mut out = Vec::new();
-    for j in (0..frames.len()).rev() {
-        let mut at = frames[j].clone();
-        while at.advance(bound) {
-            let mut prefix = frames[..j].to_vec();
-            prefix.push(at.clone());
-            out.push(prefix);
-        }
-    }
-    out
-}
-
-/// How a stretch of the DFS ended.
+/// How an exploration ended.
 enum End {
-    /// It ran out of schedules: every one it ran was clean.
+    /// Every schedule within the preemption bound ran clean.
     Clean,
-    /// Its last schedule violated `code`; the schedule's full choices.
-    Violation(&'static str, Vec<usize>),
-    /// Its last schedule exceeded the per-execution step budget.
-    StepLimit,
-    /// It ran its schedule budget and had more to run.
+    /// A schedule exceeded the per-execution step budget, or the
+    /// exploration its schedule budget with schedules left to run.
     OutOfBudget,
-    /// It stopped because an earlier stretch failed.
-    Abandoned,
+    /// A schedule violated `code`; that schedule's full choices.
+    Violation(&'static str, Vec<usize>),
 }
 
-/// A stretch of the DFS: the depth of each schedule it ran, in order, and
-/// how it ended.
-struct Walk {
-    depths: Vec<usize>,
-    end: End,
-}
-
-impl Walk {
-    /// Runs the schedule `frames` choose (then the default policy) and
-    /// records its depth. Returns it if it ran clean; otherwise records how
-    /// it ended the walk.
-    fn run(
-        &mut self,
-        h: &dyn SchedHarness,
-        frames: &[Frame],
-        max_steps: usize,
-    ) -> Option<Execution> {
-        let prefix: Vec<usize> = frames.iter().map(|f| f.chosen).collect();
-        let exec = run_one(h.body(), &prefix, max_steps);
-        self.depths.push(exec.steps.len());
-        match classify(&exec) {
-            None => return Some(exec),
-            Some(("SCH004", _)) => self.end = End::StepLimit,
-            Some((code, _)) => {
-                self.end = End::Violation(code, exec.steps.iter().map(|s| s.thread).collect());
-            }
-        }
-        None
-    }
-}
-
-/// DFS over the subtree whose prefix is `frames`: every schedule that
-/// starts with those choices, in the sequential explorer's order. It never
-/// backtracks into `frames`, runs at most `limit` schedules, and stops
-/// early once `abort` says an earlier subtree failed.
-fn walk(
-    h: &dyn SchedHarness,
-    opts: &SchedOptions,
-    mut frames: Vec<Frame>,
-    limit: u64,
-    abort: &dyn Fn() -> bool,
-) -> Walk {
-    let floor = frames.len();
-    let mut w = Walk {
-        depths: Vec::new(),
-        end: End::Clean,
-    };
-    loop {
-        if abort() {
-            w.end = End::Abandoned;
-            return w;
-        }
-        if w.depths.len() as u64 >= limit {
-            w.end = End::OutOfBudget;
-            return w;
-        }
-        let Some(exec) = w.run(h, &frames, opts.max_steps) else {
-            return w;
-        };
-        extend(&mut frames, &exec);
-        loop {
-            if frames.len() == floor {
-                return w;
-            }
-            if frames
-                .last_mut()
-                .is_some_and(|f| f.advance(opts.preemption_bound))
-            {
-                break;
-            }
-            frames.pop();
-        }
-    }
-}
-
-/// Exhaustively (up to the preemption bound) explores `h`'s interleavings.
-///
-/// After the first schedule, each of its alternatives roots an independent
-/// subtree; they run on `opts.jobs` workers
-/// ([`run_indexed_earliest`](crate::run_indexed_earliest)'s pool) and
-/// merge in DFS order, replaying the sequential explorer's bookkeeping:
-/// its schedule budget is checked before every schedule but the first, and
-/// the first failure in DFS order is the verdict. So every `jobs` value
-/// reports the schedules, depth, verdict and counterexample the sequential
-/// DFS would.
+/// Exhaustively (up to the preemption bound) explores `h`'s interleavings:
+/// a depth-first walk that runs each schedule from its choice prefix and
+/// then backtracks to the deepest frame with an alternative left. The
+/// schedule budget is checked before every schedule but the first, so an
+/// exploration runs at most `opts.max_schedules` schedules (plus the
+/// minimization replays of a counterexample).
 #[must_use]
 pub fn explore(h: &dyn SchedHarness, opts: &SchedOptions) -> HarnessResult {
     let mut stats = HarnessStats {
         harness: h.name().to_string(),
-        schedules: 1,
+        schedules: 0,
         max_depth: 0,
         verdict: "clean".to_string(),
     };
-    let mut root = Walk {
-        depths: Vec::new(),
-        end: End::Clean,
-    };
-    let mut frames = Vec::new();
-    if let Some(exec) = root.run(h, &frames, opts.max_steps) {
-        extend(&mut frames, &exec);
-    }
-    stats.max_depth = root.depths[0];
-    if !matches!(root.end, End::Clean) {
-        return finish(h, opts, stats, root.end);
-    }
-    let tasks = subtrees(&frames, opts.preemption_bound);
-    let limit = opts.max_schedules.saturating_sub(1);
-    let walks = run_indexed_until(tasks.len(), opts.jobs, |k, abort| {
-        let w = walk(h, opts, tasks[k].clone(), limit, abort);
-        if matches!(w.end, End::Clean) {
-            Ok(w)
-        } else {
-            Err(w)
-        }
-    });
-    for w in walks {
-        let w = w.unwrap_or_else(|w| w);
-        for d in w.depths {
-            if stats.schedules >= opts.max_schedules {
-                return finish(h, opts, stats, End::OutOfBudget);
+    let mut frames: Vec<Frame> = Vec::new();
+    let end = loop {
+        let prefix: Vec<usize> = frames.iter().map(|f| f.chosen).collect();
+        let exec = run_one(h.body(), &prefix, opts.max_steps);
+        stats.schedules += 1;
+        stats.max_depth = stats.max_depth.max(exec.steps.len());
+        match classify(&exec) {
+            None => {}
+            Some(("SCH004", _)) => break End::OutOfBudget,
+            Some((code, _)) => {
+                break End::Violation(code, exec.steps.iter().map(|s| s.thread).collect())
             }
-            stats.schedules += 1;
-            stats.max_depth = stats.max_depth.max(d);
         }
-        if !matches!(w.end, End::Clean) {
-            return finish(h, opts, stats, w.end);
+        extend(&mut frames, &exec);
+        while frames
+            .last_mut()
+            .is_some_and(|f| !f.advance(opts.preemption_bound))
+        {
+            frames.pop();
         }
-    }
-    finish(h, opts, stats, End::Clean)
-}
-
-/// The result of an exploration that ended with `end`.
-fn finish(
-    h: &dyn SchedHarness,
-    opts: &SchedOptions,
-    mut stats: HarnessStats,
-    end: End,
-) -> HarnessResult {
+        if frames.is_empty() {
+            break End::Clean;
+        }
+        if stats.schedules >= opts.max_schedules {
+            break End::OutOfBudget;
+        }
+    };
     let (counterexample, budget_exceeded) = match end {
         End::Clean => (None, false),
-        End::StepLimit | End::OutOfBudget => {
+        End::OutOfBudget => {
             stats.verdict = "SCH004".to_string();
             (None, true)
         }
@@ -482,7 +353,6 @@ fn finish(
             stats.verdict = code.to_string();
             (Some(cex), false)
         }
-        End::Abandoned => unreachable!("a walk is abandoned only after an earlier failure"),
     };
     HarnessResult {
         stats,
@@ -971,46 +841,64 @@ mod tests {
         assert!(r.counterexample.is_none());
     }
 
-    /// What an exploration reports, in comparable form: the stats line,
-    /// the budget flag and the serialized counterexample.
-    fn report(r: &HarnessResult) -> (String, bool, Option<String>) {
-        (
-            r.stats.to_json(),
-            r.budget_exceeded,
-            r.counterexample.as_ref().map(SchedCounterexample::to_jsonl),
-        )
+    /// Wraps a harness and counts the executions it starts.
+    struct Counted {
+        inner: Box<dyn SchedHarness>,
+        runs: std::sync::atomic::AtomicU64,
     }
 
-    /// Subtrees explored on 1, 2 or 3 workers merge into one report: the
-    /// sequential DFS's schedules, depth, verdict and counterexample
-    /// (pinned below as recorded before the explorer was split), and
-    /// under every schedule budget the same `SCH004` cut point.
+    impl SchedHarness for Counted {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn body(&self) -> Box<dyn FnOnce() -> Vec<Violation> + Send + '_> {
+            self.runs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.body()
+        }
+    }
+
+    /// The toy harnesses' schedules, depth and verdict, and the `SCH004`
+    /// cut under every small schedule budget. The budget caps the work,
+    /// not just the report: every exploration starts exactly the
+    /// executions it counts, so a cut one runs `max_schedules` of them.
     #[test]
-    fn every_jobs_value_reports_what_the_sequential_dfs_does() {
-        let (counter, abba) = (counter_harness(), abba_harness());
-        let (lost, race) = (lost_wakeup_harness(), check_then_act_harness());
+    fn results_and_budget_cuts_are_pinned() {
         // (harness, schedules, max depth, verdict, largest budget that
         // still ends in SCH004), at the default preemption bound.
-        type Pin<'a> = (&'a dyn SchedHarness, u64, usize, &'a str, Option<u64>);
+        type Pin = (Box<dyn SchedHarness>, u64, usize, &'static str, Option<u64>);
         let pins: [Pin; 4] = [
-            (&counter, 7, 12, "clean", Some(6)),
-            (&abba, 12, 14, "SCH101", Some(4)),
-            (&lost, 2, 16, "SCH102", None),
-            (&race, 11, 15, "SCH100", Some(2)),
+            (Box::new(counter_harness()), 7, 12, "clean", Some(6)),
+            (Box::new(abba_harness()), 12, 14, "SCH101", Some(4)),
+            (Box::new(lost_wakeup_harness()), 2, 16, "SCH102", None),
+            (
+                Box::new(check_then_act_harness()),
+                11,
+                15,
+                "SCH100",
+                Some(2),
+            ),
         ];
-        for (h, schedules, depth, verdict, cut) in pins {
+        for (inner, schedules, depth, verdict, cut) in pins {
+            let h = Counted {
+                inner,
+                runs: std::sync::atomic::AtomicU64::new(0),
+            };
             for max_schedules in (1..=12).chain([SchedOptions::default().max_schedules]) {
-                let opts = |jobs| SchedOptions {
+                let opts = SchedOptions {
                     max_schedules,
-                    jobs,
                     ..SchedOptions::default()
                 };
-                let r = explore(h, &opts(1));
+                h.runs.store(0, std::sync::atomic::Ordering::Relaxed);
+                let r = explore(&h, &opts);
                 let what = format!("{} under a budget of {max_schedules}", h.name());
+                let runs = h.runs.load(std::sync::atomic::Ordering::Relaxed);
+                assert_eq!(runs, r.stats.schedules, "{what}: executions started");
                 if cut.is_some_and(|c| max_schedules <= c) {
                     assert!(r.budget_exceeded, "{what}");
                     assert_eq!(r.stats.verdict, "SCH004", "{what}");
                     assert_eq!(r.stats.schedules, max_schedules, "{what}");
+                    assert!(r.counterexample.is_none(), "{what}");
                 } else {
                     let got = (
                         r.stats.schedules,
@@ -1018,14 +906,8 @@ mod tests {
                         r.stats.verdict.as_str(),
                     );
                     assert_eq!(got, (schedules, depth, verdict), "{what}");
+                    assert!(!r.budget_exceeded, "{what}");
                     assert_eq!(r.counterexample.is_some(), verdict != "clean", "{what}");
-                }
-                for jobs in [2, 3] {
-                    assert_eq!(
-                        report(&explore(h, &opts(jobs))),
-                        report(&r),
-                        "{what} on {jobs} workers"
-                    );
                 }
             }
         }

@@ -506,8 +506,8 @@ fn exhaustive_reports_and_counterexamples_are_pinned() {
 /// The exact output of `wbsim check --sched` at preemption bounds 1 and 2,
 /// clean and under each `--fault`: exit code, the `--json` document's
 /// `sched` section, and the `--out` schedule (lines, bytes and FNV-1a
-/// hash). Each holds at every `--jobs` value: how the explorer splits its
-/// work is its own business; what it reports is not.
+/// hash). How the scheduler runtime reaches each decision is its own
+/// business; which schedules it explores and reports is not.
 struct SchedPin {
     fault: Option<&'static str>,
     preemptions: u32,
@@ -539,7 +539,7 @@ const SCHED_PINS: [SchedPin; 6] = [
 ];
 
 #[test]
-fn sched_reports_and_schedules_are_pinned_at_every_jobs_value() {
+fn sched_reports_and_schedules_are_pinned() {
     let dir = scratch("sched-pins");
     for pin in &SCHED_PINS {
         let name = format!("{}-{}", pin.fault.unwrap_or("clean"), pin.preemptions);
@@ -549,36 +549,30 @@ fn sched_reports_and_schedules_are_pinned_at_every_jobs_value() {
         let mut args = vec!["check", "--sched", "--preemptions", &bound, "--json"];
         args.extend(pin.fault.iter().flat_map(|f| ["--fault", *f]));
         args.extend(["--out", out_s]);
-        for jobs in ["1", "2", "3"] {
-            let what = format!("{args:?} --jobs {jobs}");
-            let _ = std::fs::remove_file(&out);
-            let run = Command::new(env!("CARGO_BIN_EXE_wbsim"))
-                .args(&args)
-                .args(["--jobs", jobs])
-                .output()
-                .expect("spawn wbsim");
-            assert_eq!(
-                run.status.code(),
-                Some(pin.code),
-                "{what}: {}",
-                text(&run.stderr)
-            );
-            let want = format!(
-                "{{\"linter\":{{\"diagnostics\":[],\"errors\":false}},\"exhaustive\":null,\
-                 \"reach\":null,\"properties\":null,\"refine\":null,\"sched\":{}}}\n",
-                pin.sched
-            );
-            assert_eq!(text(&run.stdout), want, "{what}");
-            let schedule = std::fs::read(&out).ok();
-            let got = schedule
-                .as_ref()
-                .map(|t| (t.iter().filter(|&&b| b == b'\n').count(), t.len(), fnv1a(t)));
-            assert_eq!(got, pin.schedule, "{what}");
-            if schedule.is_some() {
-                let replay = wbsim(&["check", "--sched", "--replay", out_s]);
-                assert!(replay.status.success(), "{what}: {}", text(&replay.stderr));
-                assert!(text(&replay.stdout).contains("replay ok"), "{what}");
-            }
+        let what = format!("{args:?}");
+        let _ = std::fs::remove_file(&out);
+        let run = wbsim(&args);
+        assert_eq!(
+            run.status.code(),
+            Some(pin.code),
+            "{what}: {}",
+            text(&run.stderr)
+        );
+        let want = format!(
+            "{{\"linter\":{{\"diagnostics\":[],\"errors\":false}},\"exhaustive\":null,\
+             \"reach\":null,\"properties\":null,\"refine\":null,\"sched\":{}}}\n",
+            pin.sched
+        );
+        assert_eq!(text(&run.stdout), want, "{what}");
+        let schedule = std::fs::read(&out).ok();
+        let got = schedule
+            .as_ref()
+            .map(|t| (t.iter().filter(|&&b| b == b'\n').count(), t.len(), fnv1a(t)));
+        assert_eq!(got, pin.schedule, "{what}");
+        if schedule.is_some() {
+            let replay = wbsim(&["check", "--sched", "--replay", out_s]);
+            assert!(replay.status.success(), "{what}: {}", text(&replay.stderr));
+            assert!(text(&replay.stdout).contains("replay ok"), "{what}");
         }
     }
 }

@@ -407,11 +407,8 @@ fn refine(spec: &CheckSpec, jobs: usize) -> PassRun {
 /// Explores the host-concurrency harnesses. A violating schedule fails
 /// the pass; so does a fault run that did not catch its injected fault
 /// (the checker itself is broken).
-fn sched(spec: &CheckSpec, jobs: usize) -> PassRun {
-    let mut opts = SchedOptions {
-        jobs,
-        ..SchedOptions::default()
-    };
+fn sched(spec: &CheckSpec, _jobs: usize) -> PassRun {
+    let mut opts = SchedOptions::default();
     opts.preemption_bound = spec.sched_preemptions.unwrap_or(opts.preemption_bound);
     let report = run_sched(spec.sched_fault, &opts);
     let mut summary: Vec<String> = report

@@ -23,16 +23,19 @@
 //! the paper's claims and is the default property set for
 //! `wbsim check --prop`.
 
-use wbsim_sim::{Event, Machine, MachineSnapshot, NonBlockingMachine, Observer, SimMachine};
+use std::collections::HashSet;
+
+use wbsim_sim::{Event, Machine, NonBlockingMachine, Observer, SimMachine};
 use wbsim_types::addr::LineAddr;
 use wbsim_types::config::MachineConfig;
 use wbsim_types::diagnostics::{Diagnostic, Severity};
 use wbsim_types::op::Op;
 
+use crate::abstract_state::StateKey;
 use crate::bounded::{build, first_violation, minimize, op_universe, Counterexample};
 use crate::prop_automaton::{compile_property, MonViolation, Monitors};
 use crate::prop_parse::{parse_props, CmpOp, PropSet, ValueExpr, WhereClause};
-use crate::reach::{probe, replay, replay_trace, universe_lines, DRAIN_WALK_BOUND};
+use crate::reach::{drain_key, probe, replay, replay_trace, universe_lines, DRAIN_WALK_BOUND};
 
 /// Version of the built-in property library. Part of the check-job cache
 /// key: bump it whenever `props/paper.wbp` changes so cached check results
@@ -338,7 +341,9 @@ impl Observer for PropRunner {
 /// # Panics
 ///
 /// Panics if the machine rejects `cfg`/`mshrs` — like the other checkers,
-/// this explores behavior of valid configurations only.
+/// this explores behavior of valid configurations only — or if `ops`
+/// touch a line outside the bounded universe's two ([`op_universe`]),
+/// which the drain walk keys states over.
 pub fn check_props_sequence(
     cfg: &MachineConfig,
     mshrs: Option<usize>,
@@ -372,9 +377,8 @@ fn props_sequence<M: SimMachine>(
     settle_drain(&mut runner, &mut m, &universe_lines(cfg))
 }
 
-/// Walks the terminal fair-drain schedule under the monitors. Snapshots
-/// are time-shift invariant and frozen during a drain, so a repeat is a
-/// cycle: obligations pending there never discharge.
+/// Walks the terminal fair-drain schedule under the monitors. A repeated
+/// [`drain_key`] is a cycle: obligations pending there never discharge.
 fn settle_drain<M: SimMachine>(
     runner: &mut PropRunner,
     m: &mut M,
@@ -383,9 +387,9 @@ fn settle_drain<M: SimMachine>(
     if let Some(v) = runner.take_violation() {
         return Err(v);
     }
-    let mut seen: Vec<MachineSnapshot> = Vec::new();
+    let (mut key, mut seen) = (StateKey::default(), HashSet::new());
     loop {
-        let s = m.snapshot(lines);
+        let s = drain_key(m, lines, &mut key);
         let stepped = m.drain_step(runner);
         if let Some(v) = runner.take_violation() {
             return Err(v);
@@ -396,7 +400,7 @@ fn settle_drain<M: SimMachine>(
         if !stepped || seen.contains(&s) || seen.len() > DRAIN_WALK_BOUND {
             return runner.pending_violation().map_or(Ok(()), Err);
         }
-        seen.push(s);
+        seen.insert(s);
     }
 }
 

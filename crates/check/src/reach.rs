@@ -35,9 +35,9 @@
 //! The module also holds the replay helpers the property and refinement
 //! checkers share: op-by-op replay, the wedged-op probe, and the drain walk.
 
-use wbsim_sim::{
-    Event, Machine, MachineSnapshot, NonBlockingMachine, NullObserver, Observer, SimMachine,
-};
+use std::collections::HashSet;
+
+use wbsim_sim::{Event, Machine, NonBlockingMachine, NullObserver, Observer, SimMachine};
 use wbsim_types::addr::{Addr, Geometry, LineAddr};
 use wbsim_types::config::{IcacheConfig, L2Config, MachineConfig};
 use wbsim_types::diagnostics::{Diagnostic, Severity};
@@ -45,7 +45,7 @@ use wbsim_types::divergence::FaultInjection;
 use wbsim_types::op::Op;
 use wbsim_types::policy::{L1WritePolicy, RetirementOrder, RetirementPolicy};
 
-use crate::abstract_state::ShadowTracker;
+use crate::abstract_state::{ShadowTracker, StateKey};
 use crate::bounded::{
     blocking_grid, build, check_grid, counterexample, minimize, mshr_grid, mshr_invariants,
     op_universe, sequence, trace_run, unchecked, CheckReport, Counterexample, InvariantObserver,
@@ -230,22 +230,41 @@ pub(crate) fn probe<M: SimMachine>(m: &mut M, obs: &mut impl Observer) {
     }
 }
 
+/// The key of a state on a drain walk over the universe `lines`: the
+/// explorer's state key plus the op-boundary bit, which the first drain
+/// step clears. Keys are time-shift invariant, and a drain stores
+/// nothing: a value moves only as a miss fills (one miss fewer, perhaps
+/// one victim entry more) or an entry retires (one entry fewer), so two
+/// states of one drain with the same miss and entry counts, which the key
+/// holds, have the same values. Value classes against an empty shadow
+/// therefore suffice, and a repeated key is a repeated state.
+///
+/// # Panics
+///
+/// Panics if a write-buffer entry or a miss lies outside `lines`.
+pub(crate) fn drain_key(m: &impl SimMachine, lines: &[LineAddr], key: &mut StateKey) -> Vec<u8> {
+    let view = m.view();
+    key.clear();
+    key.push(&view, lines, &ShadowTracker::default());
+    key.push_with(|out, _| out.push(u8::from(view.at_op_boundary())));
+    key.canonical().to_vec()
+}
+
 /// Walks the fair drain schedule from `m` under `obs`: `false` once it
-/// terminates, `true` when it closes a cycle (or outruns
-/// [`DRAIN_WALK_BOUND`]). Snapshots are time-shift invariant and frozen
-/// during a drain, so a repeat is exactly an abstract cycle.
+/// terminates, `true` when it closes a cycle (a [`drain_key`] repeats)
+/// or outruns [`DRAIN_WALK_BOUND`].
 pub(crate) fn drain_cycles<M: SimMachine>(
     m: &mut M,
     lines: &[LineAddr],
     obs: &mut impl Observer,
 ) -> bool {
-    let mut seen: Vec<MachineSnapshot> = Vec::new();
+    let (mut key, mut seen) = (StateKey::default(), HashSet::new());
     loop {
-        let s = m.snapshot(lines);
-        if seen.contains(&s) || seen.len() > DRAIN_WALK_BOUND {
+        let k = drain_key(m, lines, &mut key);
+        if seen.contains(&k) || seen.len() > DRAIN_WALK_BOUND {
             return true;
         }
-        seen.push(s);
+        seen.insert(k);
         if !m.drain_step(obs) {
             return false;
         }
@@ -370,7 +389,9 @@ fn drain_livelocked<M: SimMachine>(
 ///
 /// # Panics
 ///
-/// Panics if the machine rejects `cfg`/`mshrs` — callers validate first.
+/// Panics if the machine rejects `cfg`/`mshrs` — callers validate first —
+/// or if `ops` touch a line outside the bounded universe's two
+/// ([`op_universe`]), which the drain walk keys states over.
 #[must_use]
 pub fn check_liveness_sequence(cfg: &MachineConfig, mshrs: Option<usize>, ops: &[Op]) -> bool {
     match mshrs {

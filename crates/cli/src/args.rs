@@ -290,7 +290,9 @@ pub fn parse(argv: &[String]) -> Result<Parsed, ArgError> {
             (Some(m), Some(default)) if m.starts_with('[') && bare => default.into(),
             _ => rest.next().cloned().ok_or_else(missing)?,
         };
-        given.insert(o.name, value);
+        if given.insert(o.name, value).is_some() {
+            return Err(ArgError(format!("{name}: --{key} is given twice")));
+        }
     }
     Ok(Parsed {
         command,
@@ -442,6 +444,29 @@ mod tests {
         assert!(parse(&v(&["run", "--bench"])).is_err());
     }
 
+    /// A second occurrence is refused by name, never silently overwrites
+    /// the first: flags and valued options alike.
+    #[test]
+    fn a_repeated_option_is_an_error() {
+        for argv in [
+            &[
+                "check",
+                "--depth",
+                "12",
+                "--depth",
+                "4",
+                "--retire-at",
+                "12",
+            ][..],
+            &["check", "--json", "--reach", "--json"][..],
+            &["check", "--prop", "--prop", "my.wbp"][..],
+        ] {
+            let err = parse(&v(argv)).map(|_| ()).unwrap_err();
+            let twice = argv[1].to_string() + " is given twice";
+            assert!(err.0.contains(&twice), "{argv:?}: {}", err.0);
+        }
+    }
+
     #[test]
     fn prop_takes_an_optional_value() {
         // Bare, trailing, and followed by another flag → the built-in set.
@@ -555,7 +580,7 @@ mod tests {
     /// `check`'s rows set exactly the `check` manifest's spec keys.
     #[test]
     fn check_rows_name_every_check_spec_key() {
-        use wbsim_jobs::manifest::CHECK_SPEC_KEYS;
+        let keys = wbsim_jobs::manifest::spec_keys("check");
         let fields: Vec<&str> = COMMANDS
             .iter()
             .flat_map(|c| c.all_opts().flat_map(|o| o.fields.iter().copied()))
@@ -567,14 +592,11 @@ mod tests {
             fields.len(),
             "only check's rows name spec keys"
         );
-        for key in CHECK_SPEC_KEYS {
+        for key in &keys {
             assert!(fields.contains(key), "no check option sets {key}");
         }
         for field in &fields {
-            assert!(
-                CHECK_SPEC_KEYS.contains(field),
-                "{field} is no check spec key"
-            );
+            assert!(keys.contains(field), "{field} is no check spec key");
         }
     }
 }

@@ -822,13 +822,17 @@ fn write_counterexample(out: &str, ev: &Evidence, say: &dyn Fn(&str)) -> CmdResu
 /// carries a property file's *text* (like `--config`'s); the bare flag or
 /// `builtin` selects the built-in library.
 fn check_spec_from(p: &Parsed) -> Result<CheckSpec, Box<dyn Error>> {
+    let max_ops = p.get_or_default("max-ops")?;
+    if max_ops == 0 {
+        return fail("--max-ops 0 checks nothing (need a sequence length >= 1)");
+    }
     let mut spec = CheckSpec {
         exhaustive: p.has("exhaustive"),
         reach: p.has("reach"),
         refine: p.has("refine"),
         machine: check_machine_from(p)?,
         mshrs: check_mshrs_from(p)?,
-        max_ops: p.get_or_default("max-ops")?,
+        max_ops,
         fault: None,
         props: p.has("prop"),
         props_file: match p.value("prop") {

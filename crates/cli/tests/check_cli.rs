@@ -321,6 +321,22 @@ fn max_ops_needs_exhaustive() {
     );
 }
 
+/// A bounded check of length 0 checks nothing, so both modes refuse it
+/// instead of reporting zero runs clean.
+#[test]
+fn max_ops_zero_is_refused() {
+    for mode in [&[][..], &["--json"][..]] {
+        let run = wbsim(&[&["check", "--exhaustive", "--max-ops", "0"], mode].concat());
+        assert!(!run.status.success(), "{mode:?} was accepted");
+        assert!(run.stdout.is_empty(), "{mode:?}: {}", text(&run.stdout));
+        let err = text(&run.stderr);
+        assert!(
+            err.contains("--max-ops 0 checks nothing"),
+            "{mode:?}: {err}"
+        );
+    }
+}
+
 #[test]
 fn preemptions_need_sched() {
     refused_without(
@@ -498,6 +514,106 @@ fn exhaustive_reports_and_counterexamples_are_pinned() {
             let got = trace
                 .as_ref()
                 .map(|t| (t.iter().filter(|&&b| b == b'\n').count(), t.len(), fnv1a(t)));
+            assert_eq!(got, pin.trace, "{what}");
+        }
+    }
+}
+
+/// The exact output of every failing `--reach`, `--prop` and `--refine`
+/// run under a `--fault`, on both machines: exit code, the pass's `--json`
+/// section and the `--out` trace (lines, bytes and FNV-1a hash), which
+/// both output modes must write alike. How a checker replays and
+/// minimizes is its own business; which counterexample it reports, event
+/// by event, is not.
+struct UnboundedPin {
+    pass: &'static str,
+    fault: &'static str,
+    machine: &'static str,
+    code: i32,
+    section: &'static str,
+    trace: (usize, usize, u64),
+}
+
+#[rustfmt::skip]
+const UNBOUNDED_PINS: [UnboundedPin; 9] = [
+    UnboundedPin { pass: "reach", fault: "skip-wb-forwarding", machine: "blocking", code: 1,
+        section: r#"{"status":"violation","diagnostic":{"code":"RCH001","severity":"error","field_path":"machine","message":"safety invariant violated at a reachable state: cycle 12: load of Addr(0) via L2 fill observed 0x1, freshest store is 0x2 (stale or lost store)"}}"#,
+        trace: (23, 1244, 0x6ea0b2329a9ee388) },
+    UnboundedPin { pass: "reach", fault: "skip-wb-forwarding", machine: "nonblocking", code: 1,
+        section: r#"{"status":"violation","diagnostic":{"code":"RCH001","severity":"error","field_path":"machine","message":"safety invariant violated at a reachable state: architectural read of Addr(0) is 0x0, freshest store is 0x1 (lost or stale store)"}}"#,
+        trace: (19, 984, 0xd423e75c78f719e0) },
+    UnboundedPin { pass: "reach", fault: "starve-retirement", machine: "blocking", code: 1,
+        section: r#"{"status":"violation","diagnostic":{"code":"RCH002","severity":"error","field_path":"write_buffer","message":"livelock: a reachable state cycles under the fair drain schedule without retiring anything (1 ops reach it)"}}"#,
+        trace: (4, 191, 0xc355aa306f4eb31b) },
+    UnboundedPin { pass: "reach", fault: "starve-retirement", machine: "nonblocking", code: 1,
+        section: r#"{"status":"violation","diagnostic":{"code":"RCH002","severity":"error","field_path":"write_buffer","message":"livelock: a reachable state cycles under the fair drain schedule without retiring anything (1 ops reach it)"}}"#,
+        trace: (4, 191, 0xc355aa306f4eb31b) },
+    UnboundedPin { pass: "prop", fault: "skip-wb-forwarding", machine: "blocking", code: 1,
+        section: r#"{"status":"violation","diagnostic":{"code":"PRP100","severity":"error","field_path":"props.no-stale-forward","message":"safety property 'no-stale-forward' (while a store is buffered, a load of it is answered by L1 or the buffer, never by a raw L2 fill) violated: banned event {\"event\":\"load-resolved\",\"now\":12,\"addr\":0,\"value\":1,\"source\":\"l2-fill\"} occurred inside an open store-accepted window"}}"#,
+        trace: (32, 1730, 0x307fb126427aa04f) },
+    UnboundedPin { pass: "prop", fault: "starve-retirement", machine: "blocking", code: 1,
+        section: r#"{"status":"violation","diagnostic":{"code":"PRP101","severity":"error","field_path":"props.eventual-drain","message":"liveness property 'eventual-drain' (every accepted store is eventually followed by a retirement) violated: an obligation is still awaiting a retire-complete event"}}"#,
+        trace: (4, 191, 0xc355aa306f4eb31b) },
+    UnboundedPin { pass: "prop", fault: "starve-retirement", machine: "nonblocking", code: 1,
+        section: r#"{"status":"violation","diagnostic":{"code":"PRP101","severity":"error","field_path":"props.eventual-drain","message":"liveness property 'eventual-drain' (every accepted store is eventually followed by a retirement) violated: an obligation is still awaiting a retire-complete event"}}"#,
+        trace: (4, 191, 0xc355aa306f4eb31b) },
+    UnboundedPin { pass: "refine", fault: "overshoot-skip", machine: "blocking", code: 1,
+        section: r#"{"status":"violation","diagnostic":{"code":"REF100","severity":"error","field_path":"engine","message":"event streams diverge at event #8 (cycle 7, inside a claimed wait-span skip): event-driven emitted {\"event\":\"cycle-end\",\"now\":7,\"occupancy\":0}, reference emitted {\"event\":\"fill-installed\",\"now\":7,\"line\":0,\"for_store\":false,\"merged_wb\":false}"}}"#,
+        trace: (10, 522, 0x867e53b7f1fe5a9b) },
+    UnboundedPin { pass: "refine", fault: "overshoot-skip", machine: "nonblocking", code: 1,
+        section: r#"{"status":"violation","diagnostic":{"code":"REF100","severity":"error","field_path":"engine","message":"end-of-stream drain: event streams diverge at event #5 (cycle 6, inside a claimed wait-span skip): event-driven emitted {\"event\":\"cycle-end\",\"now\":6,\"occupancy\":1}, reference emitted {\"event\":\"retire-complete\",\"now\":6,\"id\":0,\"line\":0,\"lifetime\":6,\"valid_words\":1,\"flush\":false}"}}"#,
+        trace: (10, 534, 0x2cc0a9118e03e053) },
+];
+
+#[test]
+fn unbounded_reports_and_counterexamples_are_pinned() {
+    let dir = scratch("unbounded-pins");
+    for pin in &UNBOUNDED_PINS {
+        let out = dir.join(format!("{}-{}-{}.jsonl", pin.pass, pin.fault, pin.machine));
+        let out_s = out.to_str().unwrap();
+        let flag = format!("--{}", pin.pass);
+        let args = [
+            "check",
+            &flag,
+            "--fault",
+            pin.fault,
+            "--machine",
+            pin.machine,
+        ];
+        let args = [&args[..], &["--out", out_s]].concat();
+        let what = format!("{args:?}");
+        let section = if pin.pass == "prop" {
+            "properties"
+        } else {
+            pin.pass
+        };
+        let [reach, properties, refine] =
+            ["reach", "properties", "refine"]
+                .map(|s| if s == section { pin.section } else { "null" });
+        for json in [false, true] {
+            let _ = std::fs::remove_file(&out);
+            let run = wbsim(&[&args[..], if json { &["--json"][..] } else { &[] }].concat());
+            assert_eq!(
+                run.status.code(),
+                Some(pin.code),
+                "{what}: {}",
+                text(&run.stderr)
+            );
+            if json {
+                let want = format!(
+                    "{{\"linter\":{{\"diagnostics\":[],\"errors\":false}},\"exhaustive\":null,\
+                     \"reach\":{reach},\"properties\":{properties},\"refine\":{refine},\
+                     \"sched\":null}}\n"
+                );
+                let doc = zero_number(&text(&run.stdout), "\"wall_ms\":", "}");
+                assert_eq!(doc, want, "{what}");
+            }
+            let trace = std::fs::read(&out).unwrap_or_else(|e| panic!("{what}: {e}"));
+            let got = (
+                trace.iter().filter(|&&b| b == b'\n').count(),
+                trace.len(),
+                fnv1a(&trace),
+            );
             assert_eq!(got, pin.trace, "{what}");
         }
     }

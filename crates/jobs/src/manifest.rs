@@ -9,10 +9,18 @@
 //! uses — so `wbsim serve` can answer a bad submission with a machine-
 //! readable 4xx body instead of a bare string.
 //!
-//! A manifest also knows its [`CacheKey`]: the FNV-1a hash of exactly the
-//! fields that determine its results (kind, spec, workload, seed, engine
-//! variant and version). Pool width (`jobs`) is deliberately excluded —
-//! it changes wall-clock, never results.
+//! Each wire member is spelled once: every object has one list of
+//! `(wire key, field)` rows in wire order (`OPTION_FIELDS`, and one per
+//! job kind in `KINDS`), each field read and written through its type's
+//! `Wire` codec. Parsing, [`Manifest::to_json`], [`spec_keys`] and the
+//! cache key all walk those lists.
+//!
+//! A manifest also knows its [`CacheKey`]: the FNV-1a hash of its wire
+//! form without the one member that never changes results, the pool
+//! width (`jobs`), under the engine version (and, for a check, the
+//! property library's and sched report's versions).
+
+use std::fmt::Write as _;
 
 use wbsim_trace::bench_models::BenchmarkModel;
 use wbsim_types::diagnostics::{Diagnostic, Severity};
@@ -41,14 +49,13 @@ pub enum MachineSel {
 wbsim_types::wire_names!(MachineSel { Blocking => "blocking", NonBlocking => "nonblocking" });
 
 impl MachineSel {
-    /// A wire name, or the CLI's `non-blocking` spelling.
+    /// A wire name in any case, or the CLI's `non-blocking` spelling.
     #[must_use]
     pub fn parse(s: &str) -> Option<Self> {
-        Self::from_name(if s == "non-blocking" {
-            "nonblocking"
-        } else {
-            s
-        })
+        if s.eq_ignore_ascii_case("non-blocking") {
+            return Some(Self::NonBlocking);
+        }
+        s.parse().ok()
     }
 }
 
@@ -239,101 +246,285 @@ pub struct Manifest {
     pub options: Options,
 }
 
+/// How a field type reads from and writes to the wire. `read` never sees
+/// `null`: a `null` member reads as an absent one.
+trait Wire: Sized {
+    /// The value `v` spells, or what it must be (`"must be a boolean"`).
+    fn read(v: &Json) -> Result<Self, String>;
+    /// Appends the value as JSON.
+    fn write(&self, out: &mut String);
+}
+
+impl Wire for bool {
+    fn read(v: &Json) -> Result<Self, String> {
+        v.as_bool().ok_or_else(|| "must be a boolean".into())
+    }
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+}
+
+/// Integers are range-checked: a number the field cannot hold is refused,
+/// never truncated.
+macro_rules! wire_ints {
+    ($($ty:ty),+) => {$(
+        impl Wire for $ty {
+            fn read(v: &Json) -> Result<Self, String> {
+                let n = v.as_u64().ok_or("must be an integer")?;
+                Self::try_from(n).map_err(|_| format!("must be at most {}", Self::MAX))
+            }
+            fn write(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )+};
+}
+
+wire_ints!(u32, u64, usize);
+
+impl Wire for String {
+    fn read(v: &Json) -> Result<Self, String> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| "must be a string".into())
+    }
+    fn write(&self, out: &mut String) {
+        out.push_str(&escape(self));
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn read(v: &Json) -> Result<Self, String> {
+        T::read(v).map(Some)
+    }
+    fn write(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+/// `wire_names!` enums write their wire name and read through `lookup`,
+/// which takes any case; a miss lists the names.
+macro_rules! wire_enums {
+    ($($ty:ty => $lookup:expr),+ $(,)?) => {$(
+        impl Wire for $ty {
+            fn read(v: &Json) -> Result<Self, String> {
+                v.as_str().and_then($lookup).ok_or_else(|| {
+                    let quoted: Vec<String> = Self::NAMES.iter().map(|n| format!("{n:?}")).collect();
+                    format!("must be {}", or_list(&quoted, " or "))
+                })
+            }
+            fn write(&self, out: &mut String) {
+                out.push_str(&escape(self.name()));
+            }
+        }
+    )+};
+}
+
+wire_enums! {
+    MachineSel => MachineSel::parse,
+    FigureFormat => |s| s.parse().ok(),
+    FaultInjection => |s| s.parse().ok(),
+    SchedFault => |s| s.parse().ok(),
+    LoadHazardPolicy => |s| s.parse().ok(),
+    Engine => |s| s.parse().ok(),
+}
+
+/// One member of a manifest object: its wire key and the field it fills.
+struct Field<T> {
+    key: &'static str,
+    /// Whether the member can change a job's results, and so enters the
+    /// cache key.
+    keyed: bool,
+    read: fn(&mut T, &Json) -> Result<(), String>,
+    write: fn(&T, &mut String),
+}
+
+/// `fields!(Type: pattern => { "key" => place, … })`: a field list in wire
+/// order, each `place` a field of what `pattern` binds in a `Type`. A row
+/// ending `; unkeyed` stays out of the cache key.
+macro_rules! fields {
+    ($ty:ty: $bind:pat => { $($key:literal => $place:expr $(; $unkeyed:ident)?),+ $(,)? }) => {
+        &[$(Field {
+            key: $key,
+            keyed: fields!(@keyed $($unkeyed)?),
+            read: |target: &mut $ty, v| {
+                #[allow(irrefutable_let_patterns, unused_variables)]
+                let $bind = target else { unreachable!("a kind reads its own fields") };
+                $place = Wire::read(v)?;
+                Ok(())
+            },
+            write: |target: &$ty, out| {
+                #[allow(irrefutable_let_patterns, unused_variables)]
+                let $bind = target else { unreachable!("a kind writes its own fields") };
+                Wire::write(&$place, out);
+            },
+        }),+]
+    };
+    (@keyed) => { true };
+    (@keyed unkeyed) => { false };
+}
+
+/// The `options` members.
+const OPTION_FIELDS: &[Field<Options>] = fields!(Options: o => {
+    "instructions" => o.instructions,
+    "warmup" => o.warmup,
+    "seed" => o.seed,
+    "check_data" => o.check_data,
+    "jobs" => o.jobs; unkeyed,
+    "engine" => o.engine,
+});
+
+/// One job kind's `spec`: its value before any member is read (every
+/// optional member at its default), the members it requires, and its
+/// fields. The kind's tag is its value's [`JobKind::tag`].
+struct Kind {
+    blank: fn() -> JobKind,
+    required: &'static [&'static str],
+    fields: &'static [Field<JobKind>],
+}
+
+const KINDS: &[Kind] = &[
+    Kind {
+        blank: || JobKind::Table {
+            which: String::new(),
+        },
+        required: &["which"],
+        fields: fields!(JobKind: JobKind::Table { which } => { "which" => *which }),
+    },
+    Kind {
+        blank: || JobKind::Figure {
+            which: String::new(),
+            format: FigureFormat::Text,
+        },
+        required: &["which"],
+        fields: fields!(JobKind: JobKind::Figure { which, format } => {
+            "which" => *which,
+            "format" => *format,
+        }),
+    },
+    Kind {
+        blank: || JobKind::Check(CheckSpec::default()),
+        required: &[],
+        fields: fields!(JobKind: JobKind::Check(s) => {
+            "exhaustive" => s.exhaustive,
+            "reach" => s.reach,
+            "refine" => s.refine,
+            "machine" => s.machine,
+            "mshrs" => s.mshrs,
+            "max_ops" => s.max_ops,
+            "fault" => s.fault,
+            "props" => s.props,
+            "props_file" => s.props_file,
+            "sched" => s.sched,
+            "sched_fault" => s.sched_fault,
+            "sched_preemptions" => s.sched_preemptions,
+            "config" => s.config.file,
+            "depth" => s.config.depth,
+            "retire_at" => s.config.retire_at,
+            "hazard" => s.config.hazard,
+        }),
+    },
+    Kind {
+        blank: || JobKind::Bench { samples: 3 },
+        required: &[],
+        fields: fields!(JobKind: JobKind::Bench { samples } => { "samples" => *samples }),
+    },
+    Kind {
+        blank: || JobKind::Trace {
+            bench: String::new(),
+            config: String::new(),
+            mshrs: 0,
+        },
+        required: &["bench"],
+        fields: fields!(JobKind: JobKind::Trace { bench, config, mshrs } => {
+            "bench" => *bench,
+            "config" => *config,
+            "mshrs" => *mshrs,
+        }),
+    },
+];
+
+/// The kind whose tag is `tag`.
+fn kind_named(tag: &str) -> Option<&'static Kind> {
+    KINDS.iter().find(|k| (k.blank)().tag() == tag)
+}
+
+/// The `spec` keys a manifest of kind `tag` takes, in wire order (none
+/// for an unknown kind). `docs/serving.md` lists the check keys, and each
+/// `wbsim check` option names the ones it sets.
+#[must_use]
+pub fn spec_keys(tag: &str) -> Vec<&'static str> {
+    kind_named(tag).map_or_else(Vec::new, |k| k.fields.iter().map(|f| f.key).collect())
+}
+
+/// Reads object `v` into `target` through `fields`, pushing each problem
+/// as a `code` diagnostic at `path` (or `path.key`). A `null` member reads
+/// as an absent one. Of a repeated key, the first member counts when
+/// `first_wins`, else the last, as `wbsim-job/1` has always read `spec`
+/// and `options`.
+fn read_object<T>(
+    target: &mut T,
+    fields: &[Field<T>],
+    v: &Json,
+    (code, path, what): (&'static str, &str, &str),
+    first_wins: bool,
+    errs: &mut Vec<Diagnostic>,
+) {
+    let Some(members) = v.entries() else {
+        errs.push(diag(code, path, format!("{path} must be an object")));
+        return;
+    };
+    for (i, (key, value)) in members.iter().enumerate() {
+        let Some(field) = fields.iter().find(|f| f.key == key) else {
+            errs.push(diag(code, path, format!("unknown {what} key {key:?}")));
+            continue;
+        };
+        let repeated = first_wins && members[..i].iter().any(|(k, _)| k == key);
+        if value.is_null() || repeated {
+            continue;
+        }
+        if let Err(why) = (field.read)(target, value) {
+            errs.push(diag(code, &format!("{path}.{key}"), format!("{key} {why}")));
+        }
+    }
+}
+
+/// Appends `target` as a JSON object of `fields`, in order; `all: false`
+/// leaves out the unkeyed ones.
+fn write_object<T>(target: &T, fields: &[Field<T>], all: bool, out: &mut String) {
+    out.push('{');
+    for (i, field) in fields.iter().filter(|f| all || f.keyed).enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        // Keys are plain identifiers (see the tests), written unescaped.
+        let _ = write!(out, "\"{}\":", field.key);
+        (field.write)(target, out);
+    }
+    out.push('}');
+}
+
 fn diag(code: &'static str, path: &str, message: String) -> Diagnostic {
     Diagnostic::new(code, Severity::Error, path.to_string()).with_message(message)
 }
 
 impl Manifest {
-    /// The content-addressed key of this manifest's results: kind, spec,
-    /// workload, seed, and engine (variant and version, via
-    /// [`KeyHasher::new`]). `options.jobs` is excluded by design.
+    /// The content-addressed key of this manifest's results: its wire
+    /// form without the unkeyed members (pool width), hashed under the
+    /// engine version ([`KeyHasher::new`]) and, for a check, the property
+    /// library's and the sched report's versions. Every keyed member on
+    /// the wire is in the key.
     #[must_use]
     pub fn cache_key(&self) -> CacheKey {
         let mut h = KeyHasher::new();
-        h.field("kind", self.kind.tag());
-        match &self.kind {
-            JobKind::Table { which } => {
-                h.field("which", which);
-            }
-            JobKind::Figure { which, format } => {
-                h.field("which", which).field("format", format.name());
-            }
-            JobKind::Check(spec) => {
-                h.field("exhaustive", if spec.exhaustive { "true" } else { "false" })
-                    .field("reach", if spec.reach { "true" } else { "false" })
-                    .field("refine", if spec.refine { "true" } else { "false" })
-                    .field("machine", spec.machine.name())
-                    .field(
-                        "mshrs",
-                        &spec.mshrs.map_or("auto".to_string(), |m| m.to_string()),
-                    )
-                    .field("max_ops", &spec.max_ops.to_string())
-                    .field("fault", spec.fault.map_or("none", FaultInjection::name))
-                    .field("props", if spec.props { "true" } else { "false" })
-                    .field(
-                        "props_file",
-                        spec.props_file.as_deref().unwrap_or("builtin"),
-                    )
-                    .field("prop_library_version", wbsim_check::PROP_LIBRARY_VERSION)
-                    .field("sched", if spec.sched { "true" } else { "false" })
-                    .field(
-                        "sched_fault",
-                        spec.sched_fault.map_or("none", SchedFault::name),
-                    )
-                    .field(
-                        "sched_preemptions",
-                        &spec
-                            .sched_preemptions
-                            .map_or("default".to_string(), |p| p.to_string()),
-                    )
-                    .field("sched_schema", wbsim_check::sched::SCHED_SCHEMA);
-                match &spec.config.file {
-                    Some(text) => {
-                        h.field("config", text);
-                    }
-                    None => {
-                        h.field(
-                            "depth",
-                            &spec
-                                .config
-                                .depth
-                                .map_or("baseline".to_string(), |d| d.to_string()),
-                        )
-                        .field(
-                            "retire_at",
-                            &spec
-                                .config
-                                .retire_at
-                                .map_or("baseline".to_string(), |r| r.to_string()),
-                        )
-                        .field(
-                            "hazard",
-                            spec.config
-                                .hazard
-                                .map_or("baseline", LoadHazardPolicy::name),
-                        );
-                    }
-                }
-            }
-            JobKind::Bench { samples } => {
-                h.field("samples", &samples.to_string());
-            }
-            JobKind::Trace {
-                bench,
-                config,
-                mshrs,
-            } => {
-                h.field("bench", bench)
-                    .field("config", config)
-                    .field("mshrs", &mshrs.to_string());
-            }
+        h.field("manifest", &self.wire(false));
+        if let JobKind::Check(_) = self.kind {
+            h.field("prop_library_version", wbsim_check::PROP_LIBRARY_VERSION)
+                .field("sched_schema", wbsim_check::sched::SCHED_SCHEMA);
         }
-        let o = &self.options;
-        h.field("instructions", &o.instructions.to_string())
-            .field("warmup", &o.warmup.to_string())
-            .field("seed", &o.seed.to_string())
-            .field("check_data", if o.check_data { "true" } else { "false" })
-            .field("engine", o.engine.name());
         h.finish()
     }
 
@@ -343,20 +534,18 @@ impl Manifest {
     #[must_use]
     pub fn validate(&self) -> Vec<Diagnostic> {
         let mut out = Vec::new();
+        let mut err = |code, path, message: &str| out.push(diag(code, path, message.into()));
         match &self.kind {
             JobKind::Table { which } => {
                 if !matches!(
                     which.as_str(),
                     "1" | "2" | "3" | "4" | "5" | "6" | "7" | "wb" | "all"
                 ) {
-                    out.push(diag(
-                        "JOB010",
-                        "spec.which",
-                        format!(
-                            "no table {which} (the paper has 1..7; `wb` is the event-derived \
-                             utilization table)"
-                        ),
-                    ));
+                    let msg = format!(
+                        "no table {which} (the paper has 1..7; `wb` is the event-derived \
+                         utilization table)"
+                    );
+                    err("JOB010", "spec.which", &msg);
                 }
             }
             JobKind::Figure { which, .. } => {
@@ -365,65 +554,56 @@ impl Manifest {
                         .parse::<u32>()
                         .is_ok_and(|n| (3..=13).contains(&n) && *which == n.to_string());
                 if !known {
-                    out.push(diag(
-                        "JOB011",
-                        "spec.which",
-                        format!("no figure {which} (the paper has 3..13)"),
-                    ));
+                    let msg = format!("no figure {which} (the paper has 3..13)");
+                    err("JOB011", "spec.which", &msg);
                 }
             }
             JobKind::Check(spec) => {
-                if spec.config.file.is_some()
-                    && (spec.config.depth.is_some()
-                        || spec.config.retire_at.is_some()
-                        || spec.config.hazard.is_some())
+                let c = &spec.config;
+                if c.file.is_some()
+                    && (c.depth.is_some() || c.retire_at.is_some() || c.hazard.is_some())
                 {
-                    out.push(diag(
-                        "JOB012",
-                        "spec.config",
-                        "a config file and override fields are mutually exclusive".to_string(),
-                    ));
+                    let msg = "a config file and override fields are mutually exclusive";
+                    err("JOB012", "spec.config", msg);
                 }
                 if spec.mshrs == Some(0) {
-                    out.push(diag(
+                    err(
                         "JOB013",
                         "spec.mshrs",
-                        "mshrs must be >= 1 (omit to sweep 1-4)".to_string(),
-                    ));
+                        "mshrs must be >= 1 (omit to sweep 1-4)",
+                    );
+                }
+                if spec.exhaustive && spec.max_ops == 0 {
+                    let msg =
+                        "max_ops must be >= 1 (an exhaustive check of length 0 checks nothing)";
+                    err("JOB018", "spec.max_ops", msg);
                 }
             }
             JobKind::Bench { samples } => {
                 if *samples == 0 {
-                    out.push(diag(
-                        "JOB014",
-                        "spec.samples",
-                        "samples must be >= 1".to_string(),
-                    ));
+                    err("JOB014", "spec.samples", "samples must be >= 1");
                 }
             }
             JobKind::Trace { bench, config, .. } => {
                 if BenchmarkModel::from_name(bench).is_none() {
-                    out.push(diag(
+                    err(
                         "JOB015",
                         "spec.bench",
-                        format!("unknown benchmark {bench:?}"),
-                    ));
+                        &format!("unknown benchmark {bench:?}"),
+                    );
                 }
                 if config.trim().is_empty() {
-                    out.push(diag(
-                        "JOB016",
-                        "spec.config",
-                        "trace jobs need the machine configuration text".to_string(),
-                    ));
+                    let msg = "trace jobs need the machine configuration text";
+                    err("JOB016", "spec.config", msg);
                 }
             }
         }
         if self.options.instructions == 0 {
-            out.push(diag(
+            err(
                 "JOB017",
                 "options.instructions",
-                "instructions must be >= 1".to_string(),
-            ));
+                "instructions must be >= 1",
+            );
         }
         out
     }
@@ -432,75 +612,23 @@ impl Manifest {
     /// field order, so identical manifests serialize identically).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let spec = match &self.kind {
-            JobKind::Table { which } => format!("{{\"which\":{}}}", escape(which)),
-            JobKind::Figure { which, format } => format!(
-                "{{\"which\":{},\"format\":{}}}",
-                escape(which),
-                escape(format.name())
-            ),
-            JobKind::Check(spec) => {
-                let opt_num = |v: Option<usize>| v.map_or("null".to_string(), |n| n.to_string());
-                format!(
-                    "{{\"exhaustive\":{},\"reach\":{},\"refine\":{},\"machine\":{},\
-                     \"mshrs\":{},\
-                     \"max_ops\":{},\"fault\":{},\"props\":{},\"props_file\":{},\
-                     \"sched\":{},\"sched_fault\":{},\"sched_preemptions\":{},\
-                     \"config\":{},\"depth\":{},\
-                     \"retire_at\":{},\"hazard\":{}}}",
-                    spec.exhaustive,
-                    spec.reach,
-                    spec.refine,
-                    escape(spec.machine.name()),
-                    opt_num(spec.mshrs),
-                    spec.max_ops,
-                    spec.fault.map_or("null".to_string(), |f| escape(f.name())),
-                    spec.props,
-                    spec.props_file
-                        .as_deref()
-                        .map_or("null".to_string(), escape),
-                    spec.sched,
-                    spec.sched_fault
-                        .map_or("null".to_string(), |f| escape(f.name())),
-                    opt_num(spec.sched_preemptions),
-                    spec.config
-                        .file
-                        .as_deref()
-                        .map_or("null".to_string(), escape),
-                    opt_num(spec.config.depth),
-                    opt_num(spec.config.retire_at),
-                    spec.config
-                        .hazard
-                        .map_or("null".to_string(), |z| escape(z.name())),
-                )
-            }
-            JobKind::Bench { samples } => format!("{{\"samples\":{samples}}}"),
-            JobKind::Trace {
-                bench,
-                config,
-                mshrs,
-            } => format!(
-                "{{\"bench\":{},\"config\":{},\"mshrs\":{}}}",
-                escape(bench),
-                escape(config),
-                mshrs
-            ),
-        };
-        let o = &self.options;
-        format!(
-            "{{\"schema\":{},\"kind\":{},\"spec\":{},\"options\":{{\
-             \"instructions\":{},\"warmup\":{},\"seed\":{},\"check_data\":{},\
-             \"jobs\":{},\"engine\":{}}}}}",
+        self.wire(true)
+    }
+
+    /// The wire form; `all: false` leaves out the unkeyed members.
+    fn wire(&self, all: bool) -> String {
+        let tag = self.kind.tag();
+        let mut out = format!(
+            "{{\"schema\":{},\"kind\":{},\"spec\":",
             escape(SCHEMA),
-            escape(self.kind.tag()),
-            spec,
-            o.instructions,
-            o.warmup,
-            o.seed,
-            o.check_data,
-            o.jobs,
-            escape(o.engine.name()),
-        )
+            escape(tag)
+        );
+        let kind = kind_named(tag).expect("every kind has a field list");
+        write_object(&self.kind, kind.fields, all, &mut out);
+        out.push_str(",\"options\":");
+        write_object(&self.options, OPTION_FIELDS, all, &mut out);
+        out.push('}');
+        out
     }
 
     /// Parses and validates a manifest. All problems are reported at once
@@ -509,20 +637,17 @@ impl Manifest {
     pub fn from_json(text: &str) -> Result<Manifest, Vec<Diagnostic>> {
         let doc = parse(text)
             .map_err(|e| vec![diag("JOB001", "manifest", format!("not valid JSON: {e}"))])?;
-        let fields = doc
+        let members = doc
             .entries()
             .ok_or_else(|| vec![diag("JOB001", "manifest", "expected a JSON object".into())])?;
         let mut errs = Vec::new();
-        let mut schema = None;
-        let mut kind_tag = None;
-        let mut spec: Option<&Json> = None;
-        let mut options_json: Option<&Json> = None;
-        for (key, value) in fields {
+        let (mut schema, mut tag, mut spec, mut options) = (None, None, None, None);
+        for (key, value) in members {
             match key.as_str() {
                 "schema" => schema = value.as_str(),
-                "kind" => kind_tag = value.as_str(),
+                "kind" => tag = value.as_str(),
                 "spec" => spec = Some(value),
-                "options" => options_json = Some(value),
+                "options" => options = Some(value),
                 other => errs.push(diag(
                     "JOB002",
                     "manifest",
@@ -543,20 +668,52 @@ impl Manifest {
                 format!("missing schema (expected {SCHEMA:?})"),
             )),
         }
-        let options = match options_json {
-            Some(v) => parse_options(v, &mut errs),
-            None => Options::default(),
-        };
-        let kind = match kind_tag {
+        let mut o = Options::default();
+        if let Some(v) = options {
+            let at = ("JOB006", "options", "options");
+            read_object(&mut o, OPTION_FIELDS, v, at, false, &mut errs);
+            // The CLI's default warmup tracks instructions; so does an
+            // absent one here.
+            if v.get("warmup").is_none_or(Json::is_null) {
+                o.warmup = o.instructions / 3;
+            }
+        }
+        let kind = match tag.map(|t| (t, kind_named(t))) {
             None => {
                 errs.push(diag("JOB004", "kind", "missing job kind".to_string()));
                 None
             }
-            Some(tag) => parse_spec(tag, spec, &mut errs),
+            Some((t, None)) => {
+                let tags: Vec<&str> = KINDS.iter().map(|k| (k.blank)().tag()).collect();
+                let msg = format!("unknown job kind {t:?} ({})", tags.join(" | "));
+                errs.push(diag("JOB004", "kind", msg));
+                None
+            }
+            Some((t, Some(k))) => {
+                let empty = Json::Obj(Vec::new());
+                let spec = spec.unwrap_or(&empty);
+                let mut kind = (k.blank)();
+                let what = format!("{t} spec");
+                read_object(
+                    &mut kind,
+                    k.fields,
+                    spec,
+                    ("JOB005", "spec", &what),
+                    true,
+                    &mut errs,
+                );
+                for key in k.required {
+                    if spec.get(key).is_none_or(Json::is_null) {
+                        let msg = format!("{key} is required");
+                        errs.push(diag("JOB005", &format!("spec.{key}"), msg));
+                    }
+                }
+                Some(kind)
+            }
         };
         match kind {
             Some(kind) if errs.is_empty() => {
-                let m = Manifest { kind, options };
+                let m = Manifest { kind, options: o };
                 let semantic = m.validate();
                 if semantic.is_empty() {
                     Ok(m)
@@ -567,303 +724,6 @@ impl Manifest {
             _ => Err(errs),
         }
     }
-}
-
-fn get_field<'a>(fields: &'a [(String, Json)], name: &str) -> Option<&'a Json> {
-    fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-}
-
-fn opt_usize(
-    fields: &[(String, Json)],
-    name: &str,
-    path: &str,
-    errs: &mut Vec<Diagnostic>,
-) -> Option<usize> {
-    match get_field(fields, name) {
-        None => None,
-        Some(v) if v.is_null() => None,
-        Some(v) => match v.as_u64().and_then(|n| usize::try_from(n).ok()) {
-            Some(n) => Some(n),
-            None => {
-                errs.push(diag("JOB005", path, format!("{name} must be an integer")));
-                None
-            }
-        },
-    }
-}
-
-/// The `spec` keys a `check` manifest accepts (`docs/serving.md` lists
-/// each one, and each `wbsim check` option names the keys it sets).
-pub const CHECK_SPEC_KEYS: &[&str] = &[
-    "exhaustive",
-    "reach",
-    "refine",
-    "machine",
-    "mshrs",
-    "max_ops",
-    "fault",
-    "props",
-    "props_file",
-    "sched",
-    "sched_fault",
-    "sched_preemptions",
-    "config",
-    "depth",
-    "retire_at",
-    "hazard",
-];
-
-fn parse_spec(tag: &str, spec: Option<&Json>, errs: &mut Vec<Diagnostic>) -> Option<JobKind> {
-    let empty: &[(String, Json)] = &[];
-    let fields = match spec {
-        None => empty,
-        Some(v) => match v.entries() {
-            Some(f) => f,
-            None => {
-                errs.push(diag("JOB005", "spec", "spec must be an object".to_string()));
-                empty
-            }
-        },
-    };
-    let str_of = |name: &str, errs: &mut Vec<Diagnostic>| -> Option<String> {
-        match get_field(fields, name) {
-            None => None,
-            Some(v) if v.is_null() => None,
-            Some(v) => match v.as_str() {
-                Some(s) => Some(s.to_string()),
-                None => {
-                    errs.push(diag(
-                        "JOB005",
-                        &format!("spec.{name}"),
-                        format!("{name} must be a string"),
-                    ));
-                    None
-                }
-            },
-        }
-    };
-    let known_keys: &[&str] = match tag {
-        "table" => &["which"],
-        "figure" => &["which", "format"],
-        "check" => CHECK_SPEC_KEYS,
-        "bench" => &["samples"],
-        "trace" => &["bench", "config", "mshrs"],
-        other => {
-            errs.push(diag(
-                "JOB004",
-                "kind",
-                format!("unknown job kind {other:?} (table | figure | check | bench | trace)"),
-            ));
-            return None;
-        }
-    };
-    for (k, _) in fields {
-        if !known_keys.contains(&k.as_str()) {
-            errs.push(diag(
-                "JOB005",
-                "spec",
-                format!("unknown {tag} spec key {k:?}"),
-            ));
-        }
-    }
-    match tag {
-        "table" => {
-            let which = str_of("which", errs).unwrap_or_else(|| {
-                errs.push(diag("JOB005", "spec.which", "which is required".into()));
-                String::new()
-            });
-            Some(JobKind::Table { which })
-        }
-        "figure" => {
-            let which = str_of("which", errs).unwrap_or_else(|| {
-                errs.push(diag("JOB005", "spec.which", "which is required".into()));
-                String::new()
-            });
-            let format = match str_of("format", errs) {
-                None => FigureFormat::Text,
-                Some(s) => match FigureFormat::from_name(&s) {
-                    Some(f) => f,
-                    None => {
-                        errs.push(diag(
-                            "JOB005",
-                            "spec.format",
-                            format!(
-                                "unknown figure format {s:?} ({})",
-                                FigureFormat::NAMES.join(" | ")
-                            ),
-                        ));
-                        FigureFormat::Text
-                    }
-                },
-            };
-            Some(JobKind::Figure { which, format })
-        }
-        "check" => {
-            let bool_of = |name: &str, errs: &mut Vec<Diagnostic>| -> bool {
-                match get_field(fields, name) {
-                    None => false,
-                    Some(v) => match v.as_bool() {
-                        Some(b) => b,
-                        None => {
-                            errs.push(diag(
-                                "JOB005",
-                                &format!("spec.{name}"),
-                                format!("{name} must be a boolean"),
-                            ));
-                            false
-                        }
-                    },
-                }
-            };
-            let mut s = CheckSpec {
-                exhaustive: bool_of("exhaustive", errs),
-                reach: bool_of("reach", errs),
-                refine: bool_of("refine", errs),
-                ..CheckSpec::default()
-            };
-            if let Some(m) = str_of("machine", errs) {
-                match MachineSel::parse(&m) {
-                    Some(sel) => s.machine = sel,
-                    None => errs.push(diag(
-                        "JOB005",
-                        "spec.machine",
-                        format!(
-                            "unknown machine {m:?} (try {})",
-                            or_list(MachineSel::NAMES, " or ")
-                        ),
-                    )),
-                }
-            }
-            s.mshrs = opt_usize(fields, "mshrs", "spec.mshrs", errs);
-            if let Some(n) = opt_usize(fields, "max_ops", "spec.max_ops", errs) {
-                s.max_ops = n as u32;
-            }
-            if let Some(f) = str_of("fault", errs) {
-                match FaultInjection::from_name(&f) {
-                    Some(fi) => s.fault = Some(fi),
-                    None => errs.push(diag(
-                        "JOB005",
-                        "spec.fault",
-                        format!(
-                            "unknown fault {f:?} (try {})",
-                            or_list(FaultInjection::NAMES, ", or ")
-                        ),
-                    )),
-                }
-            }
-            s.props = bool_of("props", errs);
-            s.props_file = str_of("props_file", errs);
-            s.sched = bool_of("sched", errs);
-            if let Some(f) = str_of("sched_fault", errs) {
-                match SchedFault::from_name(&f) {
-                    Some(sf) => s.sched_fault = Some(sf),
-                    None => errs.push(diag(
-                        "JOB005",
-                        "spec.sched_fault",
-                        format!(
-                            "unknown sched fault {f:?} (try {})",
-                            or_list(SchedFault::NAMES, " or ")
-                        ),
-                    )),
-                }
-            }
-            s.sched_preemptions =
-                opt_usize(fields, "sched_preemptions", "spec.sched_preemptions", errs);
-            s.config.file = str_of("config", errs);
-            s.config.depth = opt_usize(fields, "depth", "spec.depth", errs);
-            s.config.retire_at = opt_usize(fields, "retire_at", "spec.retire_at", errs);
-            if let Some(z) = str_of("hazard", errs) {
-                // Case-insensitive, as the CLI's `--hazard`.
-                match z.parse::<LoadHazardPolicy>() {
-                    Ok(h) => s.config.hazard = Some(h),
-                    Err(_) => errs.push(diag(
-                        "JOB005",
-                        "spec.hazard",
-                        format!("unknown hazard policy {z:?}"),
-                    )),
-                }
-            }
-            Some(JobKind::Check(s))
-        }
-        "bench" => {
-            let samples = match opt_usize(fields, "samples", "spec.samples", errs) {
-                Some(n) => n as u64,
-                None => 3,
-            };
-            Some(JobKind::Bench { samples })
-        }
-        "trace" => {
-            let bench = str_of("bench", errs).unwrap_or_else(|| {
-                errs.push(diag("JOB005", "spec.bench", "bench is required".into()));
-                String::new()
-            });
-            let config = str_of("config", errs).unwrap_or_default();
-            let mshrs = opt_usize(fields, "mshrs", "spec.mshrs", errs).unwrap_or(0);
-            Some(JobKind::Trace {
-                bench,
-                config,
-                mshrs,
-            })
-        }
-        _ => unreachable!("tag checked above"),
-    }
-}
-
-fn parse_options(v: &Json, errs: &mut Vec<Diagnostic>) -> Options {
-    let mut o = Options::default();
-    let fields = match v.entries() {
-        Some(f) => f,
-        None => {
-            errs.push(diag(
-                "JOB006",
-                "options",
-                "options must be an object".to_string(),
-            ));
-            return o;
-        }
-    };
-    let mut explicit_warmup = false;
-    for (key, value) in fields {
-        let path = format!("options.{key}");
-        match key.as_str() {
-            "instructions" | "warmup" | "seed" | "jobs" => match value.as_u64() {
-                Some(n) => match key.as_str() {
-                    "instructions" => o.instructions = n,
-                    "warmup" => {
-                        o.warmup = n;
-                        explicit_warmup = true;
-                    }
-                    "seed" => o.seed = n,
-                    _ => o.jobs = n as usize,
-                },
-                None => errs.push(diag("JOB006", &path, format!("{key} must be an integer"))),
-            },
-            "check_data" => match value.as_bool() {
-                Some(b) => o.check_data = b,
-                None => errs.push(diag("JOB006", &path, "check_data must be a boolean".into())),
-            },
-            "engine" => match value.as_str().and_then(Engine::from_name) {
-                Some(e) => o.engine = e,
-                None => {
-                    let quoted: Vec<String> =
-                        Engine::NAMES.iter().map(|n| format!("{n:?}")).collect();
-                    let msg = format!("engine must be {}", or_list(&quoted, " or "));
-                    errs.push(diag("JOB006", &path, msg));
-                }
-            },
-            other => errs.push(diag(
-                "JOB006",
-                "options",
-                format!("unknown options key {other:?}"),
-            )),
-        }
-    }
-    // The CLI's default warmup tracks instructions; mirror that when the
-    // manifest sets instructions but not warmup.
-    if !explicit_warmup {
-        o.warmup = o.instructions / 3;
-    }
-    o
 }
 
 #[cfg(test)]
@@ -884,6 +744,41 @@ mod tests {
                 engine: Engine::EventDriven,
             },
         }
+    }
+
+    /// A check with every field away from its default.
+    fn every_check_field() -> Manifest {
+        Manifest {
+            kind: JobKind::Check(CheckSpec {
+                exhaustive: true,
+                reach: true,
+                refine: true,
+                machine: MachineSel::NonBlocking,
+                mshrs: Some(2),
+                max_ops: 3,
+                fault: Some(FaultInjection::OvershootSkip),
+                props: true,
+                props_file: Some("prop p { desc \"d\"; always cycle-end; }\n".to_string()),
+                sched: true,
+                sched_fault: Some(SchedFault::LostWakeup),
+                sched_preemptions: Some(3),
+                config: CheckConfig {
+                    file: Some("wb.depth = 4\n".to_string()),
+                    depth: Some(6),
+                    retire_at: Some(2),
+                    hazard: Some(LoadHazardPolicy::ReadFromWb),
+                },
+            }),
+            options: Options {
+                engine: Engine::Reference,
+                jobs: 3,
+                ..Options::default()
+            },
+        }
+    }
+
+    fn parse_err(text: &str) -> Vec<Diagnostic> {
+        Manifest::from_json(text).expect_err(text)
     }
 
     #[test]
@@ -936,6 +831,64 @@ mod tests {
         }
     }
 
+    /// The `wbsim-job/1` bytes of a manifest of every kind, and of a check
+    /// with every field set, as the format has always written them.
+    #[test]
+    fn to_json_bytes_are_pinned() {
+        let default_check = Manifest {
+            kind: JobKind::Check(CheckSpec::default()),
+            options: Options::default(),
+        };
+        let figure = Manifest {
+            kind: JobKind::Figure {
+                which: "3".into(),
+                format: FigureFormat::Csv,
+            },
+            options: Options::default(),
+        };
+        let bench = Manifest {
+            kind: JobKind::Bench { samples: 2 },
+            options: Options::default(),
+        };
+        let trace = Manifest {
+            kind: JobKind::Trace {
+                bench: "compress".into(),
+                config: "wb.depth = 4\n".into(),
+                mshrs: 2,
+            },
+            options: Options::default(),
+        };
+        let defaults = r#""options":{"instructions":1000000,"warmup":333333,"seed":42,"check_data":false,"jobs":0,"engine":"event-driven"}}"#;
+        for (m, want) in [
+            (
+                table4(),
+                r#"{"schema":"wbsim-job/1","kind":"table","spec":{"which":"4"},"options":{"instructions":5000,"warmup":1000,"seed":1,"check_data":true,"jobs":2,"engine":"event-driven"}}"#.to_string(),
+            ),
+            (
+                figure,
+                format!(r#"{{"schema":"wbsim-job/1","kind":"figure","spec":{{"which":"3","format":"csv"}},{defaults}"#),
+            ),
+            (
+                every_check_field(),
+                r#"{"schema":"wbsim-job/1","kind":"check","spec":{"exhaustive":true,"reach":true,"refine":true,"machine":"nonblocking","mshrs":2,"max_ops":3,"fault":"overshoot-skip","props":true,"props_file":"prop p { desc \"d\"; always cycle-end; }\n","sched":true,"sched_fault":"lost-wakeup","sched_preemptions":3,"config":"wb.depth = 4\n","depth":6,"retire_at":2,"hazard":"read-from-wb"},"options":{"instructions":1000000,"warmup":333333,"seed":42,"check_data":false,"jobs":3,"engine":"reference"}}"#.to_string(),
+            ),
+            (
+                default_check,
+                format!(r#"{{"schema":"wbsim-job/1","kind":"check","spec":{{"exhaustive":false,"reach":false,"refine":false,"machine":"blocking","mshrs":null,"max_ops":5,"fault":null,"props":false,"props_file":null,"sched":false,"sched_fault":null,"sched_preemptions":null,"config":null,"depth":null,"retire_at":null,"hazard":null}},{defaults}"#),
+            ),
+            (
+                bench,
+                format!(r#"{{"schema":"wbsim-job/1","kind":"bench","spec":{{"samples":2}},{defaults}"#),
+            ),
+            (
+                trace,
+                format!(r#"{{"schema":"wbsim-job/1","kind":"trace","spec":{{"bench":"compress","config":"wb.depth = 4\n","mshrs":2}},{defaults}"#),
+            ),
+        ] {
+            assert_eq!(m.to_json(), want);
+        }
+    }
+
     #[test]
     fn malformed_manifests_yield_structured_diagnostics() {
         for (text, needle) in [
@@ -968,7 +921,7 @@ mod tests {
                 "engine must be",
             ),
         ] {
-            let errs = Manifest::from_json(text).expect_err(text);
+            let errs = parse_err(text);
             assert!(!errs.is_empty(), "{text}");
             assert!(
                 errs.iter().any(|d| d.message.contains(needle)),
@@ -976,6 +929,158 @@ mod tests {
             );
             assert!(errs.iter().all(|d| d.severity == Severity::Error));
         }
+    }
+
+    /// Each bad member is named by its code, its path and its field, and an
+    /// enum's message lists the names it takes.
+    #[test]
+    fn a_bad_member_names_its_field() {
+        let check = |spec: &str| {
+            format!("{{\"schema\":\"wbsim-job/1\",\"kind\":\"check\",\"spec\":{{{spec}}}}}")
+        };
+        for (text, code, path, message) in [
+            (
+                check("\"max_ops\":4294967296"),
+                "JOB005",
+                "spec.max_ops",
+                "max_ops must be at most 4294967295",
+            ),
+            (
+                check("\"mshrs\":\"2\""),
+                "JOB005",
+                "spec.mshrs",
+                "mshrs must be an integer",
+            ),
+            (
+                check("\"reach\":1"),
+                "JOB005",
+                "spec.reach",
+                "reach must be a boolean",
+            ),
+            (
+                check("\"props_file\":false"),
+                "JOB005",
+                "spec.props_file",
+                "props_file must be a string",
+            ),
+            (
+                check("\"hazard\":\"sometimes\""),
+                "JOB005",
+                "spec.hazard",
+                "hazard must be \"flush-full\"",
+            ),
+            (
+                check("\"machine\":\"mshr\""),
+                "JOB005",
+                "spec.machine",
+                "machine must be \"blocking\" or \"nonblocking\"",
+            ),
+            (
+                check("\"frobs\":true"),
+                "JOB005",
+                "spec",
+                "unknown check spec key \"frobs\"",
+            ),
+            (
+                check("\"exhaustive\":true,\"max_ops\":0"),
+                "JOB018",
+                "spec.max_ops",
+                "max_ops must be >= 1",
+            ),
+            (
+                "{\"schema\":\"wbsim-job/1\",\"kind\":\"table\"}".to_string(),
+                "JOB005",
+                "spec.which",
+                "which is required",
+            ),
+            (
+                "{\"schema\":\"wbsim-job/1\",\"kind\":\"bench\",\"spec\":[]}".to_string(),
+                "JOB005",
+                "spec",
+                "spec must be an object",
+            ),
+            (
+                "{\"schema\":\"wbsim-job/1\",\"kind\":\"bench\",\"options\":{\"seed\":-1}}"
+                    .to_string(),
+                "JOB006",
+                "options.seed",
+                "seed must be an integer",
+            ),
+            (
+                "{\"schema\":\"wbsim-job/1\",\"kind\":\"bench\",\"options\":{\"speed\":1}}"
+                    .to_string(),
+                "JOB006",
+                "options",
+                "unknown options key \"speed\"",
+            ),
+        ] {
+            let errs = parse_err(&text);
+            assert!(
+                errs.iter().any(|d| d.code == code
+                    && d.field_path == path
+                    && d.message.starts_with(message)),
+                "{text}: wanted {code} at {path} saying {message:?} in {errs:?}"
+            );
+        }
+    }
+
+    /// What people type: an enum member in any case, the CLI's
+    /// `non-blocking`, and `null` for an absent member.
+    #[test]
+    fn members_read_as_people_write_them() {
+        let check = |spec: &str| {
+            let text =
+                format!("{{\"schema\":\"wbsim-job/1\",\"kind\":\"check\",\"spec\":{{{spec}}}}}");
+            match Manifest::from_json(&text)
+                .unwrap_or_else(|e| panic!("{text}: {e:?}"))
+                .kind
+            {
+                JobKind::Check(s) => s,
+                other => panic!("{other:?}"),
+            }
+        };
+        let s = check(
+            "\"exhaustive\":true,\"fault\":\"SKIP-WB-FORWARDING\",\"hazard\":\"Read-From-WB\",\
+             \"sched_fault\":\"Lost-Wakeup\"",
+        );
+        assert_eq!(s.fault, Some(FaultInjection::SkipWbForwarding));
+        assert_eq!(s.config.hazard, Some(LoadHazardPolicy::ReadFromWb));
+        assert_eq!(s.sched_fault, Some(SchedFault::LostWakeup));
+        for machine in ["non-blocking", "nonblocking", "NonBlocking"] {
+            let s = check(&format!("\"machine\":\"{machine}\""));
+            assert_eq!(s.machine, MachineSel::NonBlocking, "{machine}");
+        }
+        let nulls: Vec<String> = spec_keys("check")
+            .iter()
+            .map(|k| format!("\"{k}\":null"))
+            .collect();
+        assert_eq!(check(&nulls.join(",")), CheckSpec::default());
+        let m = Manifest::from_json(
+            "{\"schema\":\"wbsim-job/1\",\"kind\":\"figure\",\
+             \"spec\":{\"which\":\"3\",\"format\":\"SVG\"},\"options\":{\"engine\":\"Reference\"}}",
+        )
+        .unwrap();
+        assert_eq!(
+            m.kind,
+            JobKind::Figure {
+                which: "3".into(),
+                format: FigureFormat::Svg
+            }
+        );
+        assert_eq!(m.options.engine, Engine::Reference);
+    }
+
+    /// A repeated `spec` key counts at its first member and a repeated
+    /// option at its last, as the format has always read them.
+    #[test]
+    fn a_repeated_key_reads_as_it_always_has() {
+        let m = Manifest::from_json(
+            "{\"schema\":\"wbsim-job/1\",\"kind\":\"table\",\
+             \"spec\":{\"which\":\"4\",\"which\":5},\"options\":{\"seed\":1,\"seed\":2}}",
+        )
+        .unwrap();
+        assert_eq!(m.kind, JobKind::Table { which: "4".into() });
+        assert_eq!(m.options.seed, 2);
     }
 
     #[test]
@@ -995,12 +1100,29 @@ mod tests {
             .lines()
             .find(|l| l.trim_start().starts_with("| `check` |"))
             .expect("docs/serving.md has a check row");
-        for key in CHECK_SPEC_KEYS {
+        for key in spec_keys("check") {
             assert!(
                 row.contains(&format!("`{key}`")),
                 "{key} missing from {row}"
             );
         }
+    }
+
+    #[test]
+    fn every_field_list_names_each_key_once() {
+        let lists = KINDS
+            .iter()
+            .map(|k| k.fields.iter().map(|f| f.key).collect::<Vec<_>>())
+            .chain([OPTION_FIELDS.iter().map(|f| f.key).collect()]);
+        for keys in lists {
+            for (i, key) in keys.iter().enumerate() {
+                assert!(!keys[..i].contains(key), "{key} twice in {keys:?}");
+                let plain = key.bytes().all(|b| b.is_ascii_lowercase() || b == b'_');
+                assert!(plain, "{key} would need escaping on the wire");
+            }
+        }
+        assert_eq!(spec_keys("check").len(), 16);
+        assert!(spec_keys("frobnicate").is_empty());
     }
 
     #[test]

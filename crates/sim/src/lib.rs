@@ -62,9 +62,7 @@ mod view;
 
 pub use event::{Event, EventParseError, PortUse};
 pub use fold::{foldable, L1Fold};
-pub use machine::{
-    Engine, LineSnapshot, Machine, MachineSnapshot, MshrSnapshot, SkipSpan, WbEntrySnapshot,
-};
+pub use machine::{Engine, Machine, MshrSnapshot, SkipSpan};
 pub use nonblocking::NonBlockingMachine;
 pub use observer::{HistogramObserver, JsonlObserver, NullObserver, Observer, Tee};
 pub use port::{L2Port, PortOwner};

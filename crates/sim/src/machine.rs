@@ -216,34 +216,8 @@ wbsim_types::clone_fields!(Machine {
     skip_log
 });
 
-/// One write-buffer entry in a [`MachineSnapshot`]: the block tag plus the
-/// per-word values (`None` = word invalid), in buffer order (allocation
-/// order, which is also FIFO retirement order).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WbEntrySnapshot {
-    /// Block tag (for line-wide entries, the line address).
-    pub block: u64,
-    /// Whether a retirement or flush transaction for this entry is
-    /// underway.
-    pub retiring: bool,
-    /// Concrete word values; `None` where the valid-bit is clear.
-    pub words: Vec<Option<u64>>,
-}
-
-/// The memory-system state of one cache line in a [`MachineSnapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LineSnapshot {
-    /// The line address.
-    pub line: u64,
-    /// L1 contents (`None` when the line is not resident).
-    pub l1: Option<Vec<u64>>,
-    /// The memory-side value of each word: L2 if resident there, else main
-    /// memory (zero for never-written words).
-    pub mem: Vec<u64>,
-}
-
-/// One miss-status-holding register in a [`MachineSnapshot`], expressed
-/// relative to `now` like every other snapshot component.
+/// One outstanding miss-status-holding register as [`crate::StateView`]
+/// reads it, relative to `now`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MshrSnapshot {
     /// The outstanding line address.
@@ -253,31 +227,6 @@ pub struct MshrSnapshot {
     pub countdown: Option<u64>,
     /// Whether the issued read missed L2 (meaningless while queued).
     pub miss: bool,
-}
-
-/// A value-level structural snapshot of the machine at (or between) op
-/// boundaries: write-buffer entries, in-flight retirement/port countdowns,
-/// and the state of a chosen set of cache lines. Everything is expressed
-/// relative to `now`, so two machines that differ only by a time shift
-/// snapshot identically — the property the reachability checker's
-/// canonical state abstraction is built on. It is the owned copy of a
-/// [`crate::StateView`], which the checkers' state keys read directly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MachineSnapshot {
-    /// Write-buffer entries in buffer (FIFO) order.
-    pub wb: Vec<WbEntrySnapshot>,
-    /// Cycles until the in-flight autonomous retirement completes
-    /// (`None` when no retirement is underway).
-    pub retire_countdown: Option<u64>,
-    /// Cycles until the L2 port frees (0 = free now).
-    pub port_countdown: u64,
-    /// Outstanding miss-status registers in issue (seq) order — always
-    /// empty for the blocking [`Machine`].
-    pub mshrs: Vec<MshrSnapshot>,
-    /// State of the requested lines, in request order.
-    pub lines: Vec<LineSnapshot>,
-    /// Whether the CPU sits at an op boundary (no instruction mid-flight).
-    pub at_op_boundary: bool,
 }
 
 impl Machine {
@@ -2436,27 +2385,39 @@ mod tests {
 
     #[test]
     fn snapshot_captures_buffer_and_is_time_shift_invariant() {
+        // What the view shows of the buffer, its countdowns and line 1.
+        let read = |m: &Machine| {
+            let v = m.view();
+            let wb: Vec<_> = v
+                .wb_entries()
+                .map(|e| (e.block, e.retiring, e.mask, e.data.clone()))
+                .collect();
+            let line = LineAddr::new(1);
+            let l1 = v.l1_line(line).map(<[u64]>::to_vec);
+            let times = (v.retire_countdown(), v.port_countdown());
+            (wb, times, l1, v.mem_line(line).to_vec(), v.at_op_boundary())
+        };
         let mut obs = NullObserver;
         let mut m = Machine::new(MachineConfig::baseline()).unwrap();
         m.run_op_bounded(Op::Store(a(1, 0)), 100, &mut obs).unwrap();
-        let s = m.snapshot(&[LineAddr::new(1), LineAddr::new(2)]);
-        assert_eq!(s.wb.len(), 1);
-        assert_eq!(s.wb[0].block, 1);
-        assert!(!s.wb[0].retiring);
-        assert_eq!(s.wb[0].words, vec![Some(1), None, None, None]);
+        let s = read(&m);
+        let [(block, retiring, mask, data)] = &s.0[..] else {
+            panic!("one entry: {:?}", s.0)
+        };
+        assert_eq!((*block, *retiring), (1, false));
         assert_eq!(
-            s.retire_countdown, None,
-            "lone entry sits below retire-at-2"
+            (0..4).map(|w| mask.get(w)).collect::<Vec<_>>(),
+            [true, false, false, false]
         );
-        assert_eq!(s.port_countdown, 0);
-        assert!(s.at_op_boundary);
-        assert_eq!(s.lines.len(), 2);
-        assert_eq!(s.lines[0].l1, None, "write-around store does not fill L1");
-        assert_eq!(s.lines[0].mem, vec![0; 4]);
-        // Idle cycles move `now` but nothing else: the snapshot — built on
+        assert_eq!(data[0], 1);
+        assert_eq!(s.1, (None, 0), "lone entry sits below retire-at-2");
+        assert_eq!(s.2, None, "write-around store does not fill L1");
+        assert_eq!(s.3, vec![0; 4]);
+        assert!(s.4);
+        // Idle cycles move `now` but nothing else: the view — read as
         // countdowns, not absolute timestamps — must not change.
         m.run_op_bounded(Op::Compute(10), 100, &mut obs).unwrap();
-        assert_eq!(m.snapshot(&[LineAddr::new(1), LineAddr::new(2)]), s);
+        assert_eq!(read(&m), s);
     }
 
     #[test]

@@ -936,16 +936,13 @@ mod tests {
         assert!(m
             .run_op_bounded(Op::Load(a(1, 0)), 1_000, &mut obs)
             .is_some());
-        let s = m.snapshot(&[wbsim_types::addr::LineAddr::new(1)]);
-        assert_eq!(s.mshrs.len(), 1);
-        assert_eq!(s.mshrs[0].line, 1);
+        let mshrs: Vec<_> = m.view().mshrs().collect();
+        assert_eq!(mshrs.len(), 1);
+        assert_eq!(mshrs[0].line, 1);
         assert!(m.mshr_lines().eq([wbsim_types::addr::LineAddr::new(1)]));
-        // Draining completes the fill; the snapshot empties.
+        // Draining completes the fill; the view shows no miss.
         while m.drain_step(&mut obs) {}
-        assert!(m
-            .snapshot(&[wbsim_types::addr::LineAddr::new(1)])
-            .mshrs
-            .is_empty());
+        assert_eq!(m.view().mshrs().count(), 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use wbsim_types::config::{ConfigError, MachineConfig};
 use wbsim_types::op::Op;
 use wbsim_types::stats::SimStats;
 
-use crate::machine::{Engine, Machine, MachineSnapshot, SkipSpan};
+use crate::machine::{Engine, Machine, SkipSpan};
 use crate::nonblocking::NonBlockingMachine;
 use crate::observer::{JsonlObserver, Observer};
 use crate::view::StateView;
@@ -112,12 +112,6 @@ pub trait SimMachine: Clone + Send {
     /// The borrowed view of the state the checkers abstract, every
     /// countdown relative to `now`; see [`StateView`].
     fn view(&self) -> StateView<'_>;
-
-    /// The [`StateView`] copied into a [`MachineSnapshot`] covering
-    /// `lines`, so time-shifted machines snapshot identically.
-    fn snapshot(&self, lines: &[LineAddr]) -> MachineSnapshot {
-        self.view().snapshot(lines)
-    }
 
     /// The lines with an outstanding miss, in no particular order — always
     /// empty on the blocking machine. Borrowed, so a per-cycle structural

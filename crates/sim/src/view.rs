@@ -6,14 +6,13 @@
 //! and reads them relative to `now`, so two machines that differ only by
 //! a time shift read identically. The checkers' packed state keys
 //! (`wbsim-check`'s `abstract_state`) are written straight from a view,
-//! without building anything; [`MachineSnapshot`] is a view copied into
-//! owned values ([`StateView::snapshot`]).
+//! without building anything.
 
 use wbsim_core::entry::Entry;
 use wbsim_types::addr::{Geometry, LineAddr};
 
 use crate::hierarchy::Hierarchy;
-use crate::machine::{LineSnapshot, MachineSnapshot, MshrSnapshot, WbEntrySnapshot};
+use crate::machine::MshrSnapshot;
 use crate::nonblocking::Mshr;
 
 /// A borrowed, read-only view of a machine's abstractable state; see the
@@ -32,6 +31,12 @@ impl<'a> StateView<'a> {
             mshrs,
             at_op_boundary,
         }
+    }
+
+    /// Whether the CPU sits at an op boundary (no instruction mid-flight).
+    #[must_use]
+    pub fn at_op_boundary(&self) -> bool {
+        self.at_op_boundary
     }
 
     /// The machine's address geometry.
@@ -99,35 +104,5 @@ impl<'a> StateView<'a> {
         let h = self.hier;
         h.l2.peek_line(line)
             .unwrap_or_else(|| h.mem.read_line(&h.g, line))
-    }
-
-    /// This view copied into owned values, covering `lines` in the order
-    /// given.
-    #[must_use]
-    pub fn snapshot(&self, lines: &[LineAddr]) -> MachineSnapshot {
-        MachineSnapshot {
-            wb: self
-                .wb_entries()
-                .map(|e| WbEntrySnapshot {
-                    block: e.block,
-                    retiring: e.retiring,
-                    words: (0..e.data.len())
-                        .map(|w| e.mask.get(w).then(|| e.data[w]))
-                        .collect(),
-                })
-                .collect(),
-            retire_countdown: self.retire_countdown(),
-            port_countdown: self.port_countdown(),
-            mshrs: self.mshrs().collect(),
-            lines: lines
-                .iter()
-                .map(|&line| LineSnapshot {
-                    line: line.as_u64(),
-                    l1: self.l1_line(line).map(<[u64]>::to_vec),
-                    mem: self.mem_line(line).to_vec(),
-                })
-                .collect(),
-            at_op_boundary: self.at_op_boundary,
-        }
     }
 }

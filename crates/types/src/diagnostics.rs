@@ -275,6 +275,11 @@ pub static REGISTRY: &[CodeEntry] = &[
         summary: "instruction budget must be >= 1",
     },
     CodeEntry {
+        code: "JOB018",
+        family: "jobs",
+        summary: "an exhaustive check's max_ops must be >= 1",
+    },
+    CodeEntry {
         code: "JOB020",
         family: "jobs",
         summary: "job execution panicked; worker recovered",

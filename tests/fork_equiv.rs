@@ -5,11 +5,13 @@
 //! allocating (`wbsim_types::clone_fields`). Whatever the target held
 //! before — another op prefix, another write-buffer depth or entry
 //! width, another MSHR count — the fork must be indistinguishable from a
-//! fresh `clone()`: the same clock, statistics and snapshot, and on any
+//! fresh `clone()`: the same clock, statistics and state view, and on any
 //! common suffix the same typed event stream and the same final
 //! architectural memory. (That a field added to a machine later is not
 //! forgotten by `clone_from` is a compile-time matter: the impls
 //! destructure every field by name.)
+
+use std::fmt::Debug;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -46,6 +48,21 @@ fn footprint() -> Vec<LineAddr> {
     (0..64).map(LineAddr::new).collect()
 }
 
+/// Everything `m.view()` shows over `lines`: the write-buffer entries,
+/// the retirement and port countdowns, the misses, each line's L1 and
+/// memory-side words, and whether the CPU sits at an op boundary.
+fn view_of<'a, M: SimMachine>(m: &'a M, lines: &[LineAddr]) -> impl PartialEq + Debug + 'a {
+    let v = m.view();
+    let words: Vec<_> = lines
+        .iter()
+        .map(|&l| (v.l1_line(l), v.mem_line(l)))
+        .collect();
+    let entries: Vec<_> = v.wb_entries().collect();
+    let misses: Vec<_> = v.mshrs().collect();
+    let times = (v.retire_countdown(), v.port_countdown());
+    (entries, times, misses, words, v.at_op_boundary())
+}
+
 /// Forks `src` into `dst` and checks the fork against `src.clone()`.
 fn assert_fork_exact<M: SimMachine>(
     src: &M,
@@ -57,7 +74,7 @@ fn assert_fork_exact<M: SimMachine>(
     let lines = footprint();
     prop_assert_eq!(dst.now(), fresh.now());
     prop_assert_eq!(dst.stats(), fresh.stats());
-    prop_assert_eq!(dst.snapshot(&lines), fresh.snapshot(&lines));
+    prop_assert_eq!(view_of(&dst, &lines), view_of(&fresh, &lines));
 
     let (mut forked, mut cloned) = (Tape::default(), Tape::default());
     let done =

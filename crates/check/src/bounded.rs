@@ -40,7 +40,7 @@ use wbsim_types::sync::atomic::AtomicUsize;
 use wbsim_types::sync::{Mutex, Ordering};
 
 use wbsim_oracle::{check_conservation, ArchModel};
-use wbsim_sim::{Event, Machine, NonBlockingMachine, Observer, SimMachine};
+use wbsim_sim::{Engine, Event, Machine, NonBlockingMachine, Observer, SimMachine};
 use wbsim_types::addr::Geometry;
 use wbsim_types::config::MachineConfig;
 use wbsim_types::divergence::FaultInjection;
@@ -240,14 +240,19 @@ pub(crate) fn unchecked(cfg: &MachineConfig) -> MachineConfig {
     cfg
 }
 
-/// Builds the machine a grid point selects, unchecked.
+/// Builds the machine a grid point selects, unchecked, under the
+/// reference engine: every checker single-steps the machine it explores,
+/// and only the refinement checker switches one side to the event-driven
+/// engine.
 ///
 /// # Panics
 ///
 /// Panics if the machine rejects the point — the checkers explore the
 /// behavior of valid configurations; the linter owns validation.
 pub(crate) fn build<M: SimMachine>(cfg: &MachineConfig, mshrs: Option<usize>) -> M {
-    M::build(unchecked(cfg), mshrs).expect("checked configurations are valid")
+    let mut m = M::build(unchecked(cfg), mshrs).expect("checked configurations are valid");
+    m.set_engine(Engine::Reference);
+    m
 }
 
 /// The paper's per-event invariants, asserted on either machine's event

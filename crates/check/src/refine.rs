@@ -13,22 +13,21 @@
 //! of the BFS carries a **pair** of machines built from the same
 //! configuration — one `Engine::EventDriven` (with skip recording
 //! enabled, so the engine's claimed spans are captured), one
-//! `Engine::Reference` — and every edge runs one op on both sides:
-//! the fast side through [`SimMachine::run_op_skipping`] (which exercises
-//! `try_skip` and the fast lane exactly as a production `run` would),
-//! the reference side through the same entry point (which, under
-//! `Engine::Reference`, degenerates to plain single-stepping). The two
-//! [`Event`] streams must be **identical, event for event**, and both
-//! sides must land on the same cycle. The streams are recorded and
-//! compared as typed events: events are `Copy + Eq` and the JSON codec
-//! round-trips, so this is the comparison of their rendered lines, and
-//! JSON is rendered only for a divergence message and the
-//! counterexample trace. Because the reference engine
-//! emits the full per-cycle record, stream equality *is* the
-//! cross-validation of the claimed horizon: any event the fast engine
-//! skipped past shows up as a reference event inside a recorded
-//! [`SkipSpan`], and the divergence is classified by where its cycle
-//! falls:
+//! `Engine::Reference` — and every edge runs one op on both sides
+//! through [`SimMachine::run_op_bounded`]. Like every run-to-boundary
+//! entry point it runs under the machine's engine: the machine's one run
+//! loop jumps spans and takes the fast lane on the event-driven side,
+//! exactly as a production `run` would, and single-steps on the
+//! reference side. The two [`Event`] streams must be **identical, event
+//! for event**, and both sides must land on the same cycle. The streams
+//! are recorded and compared as typed events: events are `Copy + Eq` and
+//! the JSON codec round-trips, so this is the comparison of their
+//! rendered lines, and JSON is rendered only for a divergence message and
+//! the counterexample trace. Because the reference engine emits the full
+//! per-cycle record, stream equality *is* the cross-validation of the
+//! claimed horizon: any event the fast engine skipped past shows up as a
+//! reference event inside a recorded [`SkipSpan`], and the divergence is
+//! classified by where its cycle falls:
 //!
 //! * `REF100` — the divergent cycle lies inside a claimed *wait-span*
 //!   skip: the horizon overshot a pending event.
@@ -294,23 +293,20 @@ fn verdict(
     }
 }
 
+/// The event-driven side, recording its claims, and the reference side
+/// ([`build`]'s engine).
 fn build_pair<M: SimMachine>(cfg: &MachineConfig, mshrs: Option<usize>) -> (M, M) {
     let mut ed: M = build(cfg, mshrs);
     ed.set_engine(Engine::EventDriven);
     ed.set_record_skips(true);
-    let mut rf: M = build(cfg, mshrs);
-    rf.set_engine(Engine::Reference);
-    (ed, rf)
+    (ed, build(cfg, mshrs))
 }
 
-/// Run one op on both sides and compare. Both sides go through
-/// [`SimMachine::run_op_skipping`]: under `Engine::Reference` it
-/// degenerates to plain single-stepping, under `Engine::EventDriven` it
-/// exercises the skip machinery exactly as a production run would. The
+/// Run one op on both sides, each under its own engine, and compare. The
 /// streams stay in `streams`; the reference side's accepted stores feed
 /// the shadow.
 fn product_op<M: SimMachine>(ed: &mut M, rf: &mut M, op: Op, streams: &mut Streams) -> OpVerdict {
-    streams.compare(ed, rf, |m, s| m.run_op_skipping(op, OP_CYCLE_BUDGET, s))
+    streams.compare(ed, rf, |m, s| m.run_op_bounded(op, OP_CYCLE_BUDGET, s))
 }
 
 /// Drain both sides to quiescence and compare those streams — the only
@@ -353,7 +349,6 @@ fn reference_trace<M: SimMachine>(
     ops: &[Op],
 ) -> Vec<String> {
     let mut rf: M = build(cfg, mshrs);
-    rf.set_engine(Engine::Reference);
     let mut obs = TraceObserver::default();
     replay(&mut rf, ops, &mut obs);
     let _ = rf.run_to_end_bounded(OP_CYCLE_BUDGET, &mut obs);

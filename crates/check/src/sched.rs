@@ -829,6 +829,34 @@ mod tests {
         assert!(!out.matches(&cex));
     }
 
+    /// A scope body that panics while its child waits for a grant ends
+    /// the execution as `Panicked`. The run happens on a helper thread
+    /// behind a timeout, so a regression (the join waiting forever on a
+    /// child no one grants) fails the test instead of hanging it; the
+    /// helper is then left behind, stuck.
+    #[test]
+    fn a_panicking_scope_body_ends_the_execution() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let body = Box::new(|| {
+                let m = Mutex::new(0u32);
+                scope(|s| {
+                    s.spawn(|| *m.lock() += 1);
+                    panic!("scope body failed");
+                });
+                vec![]
+            });
+            let _ = tx.send(run_one(body, &[], 1_000).outcome);
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(ExecOutcome::Panicked { thread, message }) => {
+                assert_eq!((thread, message.as_str()), (0, "scope body failed"));
+            }
+            Ok(other) => panic!("expected a panicked execution, got {other:?}"),
+            Err(e) => panic!("the execution did not end: {e}"),
+        }
+    }
+
     #[test]
     fn schedule_budget_exhaustion_reports_sch004_not_a_counterexample() {
         let opts = SchedOptions {

@@ -1074,9 +1074,10 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
-    /// `wbsim bench` at toy scale: snapshot emission, a passing self-check
-    /// against its own output, and a hard failure against an incompatible
-    /// baseline.
+    /// `wbsim bench` at toy scale: snapshot emission, the gate against two
+    /// baselines made from that snapshot — one the run cannot miss and one
+    /// it cannot meet, so host timing decides neither — and a hard failure
+    /// against an incompatible or unreadable baseline.
     #[test]
     fn bench_snapshot_and_gate() {
         let dir = std::env::temp_dir().join("wbsim-bench-cli-test");
@@ -1099,11 +1100,35 @@ mod tests {
         assert_eq!(snap.cells, 51);
         assert_eq!(snap.targets.len(), 2);
 
-        // Re-measuring the same workload passes its own gate at a generous
-        // tolerance (the only variance is wall-clock noise).
-        let mut check = v(&["bench", "--check", out, "--tolerance", "95"]);
-        check.extend(scale.iter().map(|s| s.to_string()));
-        dispatch(&check).unwrap();
+        // The snapshot with every cells/s figure and the engine ratio
+        // scaled by `f` (the event-driven figures by f², the reference
+        // figures by f), gating a fresh run of the same workload.
+        let gate = |f: f64, name: &str| {
+            let mut baseline = snap.clone();
+            for t in &mut baseline.targets {
+                let by = if t.engine == Engine::EventDriven.name() {
+                    f * f
+                } else {
+                    f
+                };
+                t.mean_cells_per_sec *= by;
+                t.stddev_cells_per_sec *= by;
+                t.p99_cells_per_sec *= by;
+            }
+            let ratio = baseline.engine_ratio().unwrap() / snap.engine_ratio().unwrap();
+            assert!((ratio / f - 1.0).abs() < 1e-9, "{ratio} vs {f}");
+            let path = dir.join(name);
+            std::fs::write(&path, baseline.to_json()).unwrap();
+            let mut check = v(&["bench", "--check", path.to_str().unwrap()]);
+            check.extend(scale.iter().map(|s| s.to_string()));
+            dispatch(&check)
+        };
+        // A baseline 1,000 times slower passes.
+        gate(1e-3, "BENCH_slow.json").unwrap();
+        // One 1,000 times faster fails every gate: both targets' mean and
+        // p99, and the ratio.
+        let err = gate(1e3, "BENCH_fast.json").unwrap_err().to_string();
+        assert!(err.contains("5 regression(s)"), "{err}");
 
         // A baseline from a different workload shape is rejected.
         let mut other = v(&["bench", "--check", out, "--instructions", "2000"]);

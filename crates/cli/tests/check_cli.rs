@@ -692,3 +692,35 @@ fn sched_reports_and_schedules_are_pinned() {
         }
     }
 }
+
+/// The non-blocking machine refuses a configuration asking for what it
+/// does not model, naming the field, instead of running without it.
+#[test]
+fn run_on_the_nonblocking_machine_refuses_what_it_does_not_model() {
+    let dir = scratch("nb-refusals");
+    for (line, field) in [
+        (
+            "l1.write_policy = write-back\nwb.width_words = 4",
+            "l1.write_policy",
+        ),
+        ("icache = miss-every:50", "icache"),
+        ("wb.priority = write-priority-above-2", "wb.priority"),
+    ] {
+        let path = dir.join(format!("{field}.wbcfg"));
+        std::fs::write(&path, format!("wb.hazard = read-from-wb\n{line}\n")).unwrap();
+        let blocking = [
+            "run",
+            "--bench",
+            "li",
+            "--instructions",
+            "2000",
+            "--config",
+            path.to_str().unwrap(),
+        ];
+        let run = wbsim(&[&blocking[..], &["--mshrs", "4"]].concat());
+        let err = text(&run.stderr);
+        assert!(!run.status.success(), "{line}: {}", text(&run.stdout));
+        assert!(err.contains(field), "{line}: {err}");
+        assert!(wbsim(&blocking).status.success(), "{line}");
+    }
+}

@@ -492,6 +492,18 @@ fn read_object<T>(
     }
 }
 
+/// The top-level string member `key` (`Ok(None)` when absent or `null`,
+/// as [`Wire`] reads a member), or what a value of another type must be.
+fn str_member<'a>(key: &str, v: Option<&'a Json>) -> Result<Option<&'a str>, String> {
+    match v.filter(|v| !v.is_null()) {
+        None => Ok(None),
+        Some(v) => v
+            .as_str()
+            .map(Some)
+            .ok_or_else(|| format!("{key} must be a string, got {}", v.render())),
+    }
+}
+
 /// Appends `target` as a JSON object of `fields`, in order; `all: false`
 /// leaves out the unkeyed ones.
 fn write_object<T>(target: &T, fields: &[Field<T>], all: bool, out: &mut String) {
@@ -644,8 +656,8 @@ impl Manifest {
         let (mut schema, mut tag, mut spec, mut options) = (None, None, None, None);
         for (key, value) in members {
             match key.as_str() {
-                "schema" => schema = value.as_str(),
-                "kind" => tag = value.as_str(),
+                "schema" => schema = Some(value),
+                "kind" => tag = Some(value),
                 "spec" => spec = Some(value),
                 "options" => options = Some(value),
                 other => errs.push(diag(
@@ -655,18 +667,19 @@ impl Manifest {
                 )),
             }
         }
-        match schema {
-            Some(s) if s == SCHEMA => {}
-            Some(s) => errs.push(diag(
+        match str_member("schema", schema) {
+            Ok(Some(s)) if s == SCHEMA => {}
+            Ok(Some(s)) => errs.push(diag(
                 "JOB003",
                 "schema",
                 format!("schema mismatch: manifest says {s:?}, this server understands {SCHEMA:?}"),
             )),
-            None => errs.push(diag(
+            Ok(None) => errs.push(diag(
                 "JOB003",
                 "schema",
                 format!("missing schema (expected {SCHEMA:?})"),
             )),
+            Err(msg) => errs.push(diag("JOB003", "schema", msg)),
         }
         let mut o = Options::default();
         if let Some(v) = options {
@@ -678,18 +691,22 @@ impl Manifest {
                 o.warmup = o.instructions / 3;
             }
         }
-        let kind = match tag.map(|t| (t, kind_named(t))) {
-            None => {
+        let kind = match str_member("kind", tag).map(|t| t.map(|t| (t, kind_named(t)))) {
+            Err(msg) => {
+                errs.push(diag("JOB004", "kind", msg));
+                None
+            }
+            Ok(None) => {
                 errs.push(diag("JOB004", "kind", "missing job kind".to_string()));
                 None
             }
-            Some((t, None)) => {
+            Ok(Some((t, None))) => {
                 let tags: Vec<&str> = KINDS.iter().map(|k| (k.blank)().tag()).collect();
                 let msg = format!("unknown job kind {t:?} ({})", tags.join(" | "));
                 errs.push(diag("JOB004", "kind", msg));
                 None
             }
-            Some((t, Some(k))) => {
+            Ok(Some((t, Some(k)))) => {
                 let empty = Json::Obj(Vec::new());
                 let spec = spec.unwrap_or(&empty);
                 let mut kind = (k.blank)();
@@ -928,6 +945,33 @@ mod tests {
                 "{text}: wanted {needle:?} in {errs:?}"
             );
             assert!(errs.iter().all(|d| d.severity == Severity::Error));
+        }
+    }
+
+    /// A `schema` or `kind` of another JSON type is refused as such,
+    /// naming the value, not read as an absent member.
+    #[test]
+    fn a_mistyped_schema_or_kind_names_the_value() {
+        for (text, code, path, message) in [
+            (
+                r#"{"schema":"wbsim-job/1","kind":5}"#,
+                "JOB004",
+                "kind",
+                "kind must be a string, got 5",
+            ),
+            (
+                r#"{"schema":5,"kind":"table","spec":{"which":"4"}}"#,
+                "JOB003",
+                "schema",
+                "schema must be a string, got 5",
+            ),
+        ] {
+            let errs = parse_err(text);
+            let got: Vec<_> = errs
+                .iter()
+                .map(|d| (d.code, d.field_path.as_str(), d.message.as_str()))
+                .collect();
+            assert_eq!(got, [(code, path, message)], "{text}");
         }
     }
 

@@ -13,6 +13,13 @@
 //! it did as [`Event`]s; under [`crate::NullObserver`] the emission
 //! compiles away.
 //!
+//! The clock lives here too, and with it the two ways time advances: the
+//! close of a stepped cycle ([`Hierarchy::close_cycle`]) and the
+//! event-driven engine's jump across a span of cycles
+//! ([`Hierarchy::jump`]), which charges the span exactly as the stepped
+//! cycles would have. Each machine decides only *when* a span is a pure
+//! wait and where it ends.
+//!
 //! Line data moves between the levels without touching the heap: L2 and
 //! memory lend a fetched line as a borrowed slice, a fill is assembled in
 //! the one line buffer the hierarchy owns, and a retiring entry leaves the
@@ -34,6 +41,68 @@ use wbsim_types::Cycle;
 use crate::event::Event;
 use crate::observer::Observer;
 use crate::port::{L2Port, PortOwner};
+
+/// Which run loop a machine's run-to-boundary entry points use: every
+/// `run*` method, [`crate::SimMachine::run_op_bounded`] and
+/// [`crate::SimMachine::run_to_end_bounded`]. The one-cycle entry points
+/// ([`crate::SimMachine::step`], `step_op`, `drain_step`) are the same
+/// under both.
+///
+/// Both engines drive the same single-cycle transition
+/// ([`crate::SimMachine::step`]) for every cycle in which something
+/// happens; the event-driven engine additionally recognizes *pure-wait
+/// spans* — maximal runs of cycles in which the CPU repeats one blocked
+/// state and nothing else in the machine can act — and jumps `now` across
+/// them in one step, charging the span's stall cycles in bulk and
+/// replaying the per-cycle events so statistics and the [`Observer`]
+/// stream stay bit-identical.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Engine {
+    /// Time-skipping run loop (the default).
+    #[default]
+    EventDriven,
+    /// The original strictly cycle-stepped loop, kept as the oracle the
+    /// equivalence suite compares against.
+    Reference,
+}
+
+wbsim_types::wire_names!(Engine { EventDriven => "event-driven", Reference => "reference" });
+
+/// The per-cycle statistics charge of one skipped wait cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SkipTick {
+    /// No counter advances (in-flight reads, batched compute).
+    Nothing,
+    /// A Table-3 stall cycle, with its [`Event::StallCycle`] emission.
+    Stall(StallKind),
+    /// `miss_wait_cycles` (the load's own L2/memory read).
+    MissWait,
+    /// `barrier_stall_cycles` (a barrier drain).
+    BarrierStall,
+    /// `ifetch_stall_cycles` (an I-fetch waiting for the port).
+    IFetchStall,
+    /// `mshr_stall_cycles` (the non-blocking machine out of MSHRs).
+    MshrStall,
+}
+
+/// One claimed time jump of the event-driven engine: the half-open cycle
+/// range `[from, to)` the engine asserted nothing observable could happen
+/// in, either as a pure-wait span skip (`lane == false`) or as a fast-lane
+/// compute batch between retirement events (`lane == true`).
+///
+/// Recording is off by default; the cross-engine refinement checker
+/// (`wbsim check --refine`) switches it on
+/// ([`crate::SimMachine::set_record_skips`]) to cross-validate every
+/// claimed horizon against the reference engine's event stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SkipSpan {
+    /// First skipped cycle.
+    pub from: Cycle,
+    /// First cycle *not* covered by the claim (the landing timestamp).
+    pub to: Cycle,
+    /// `true` for a fast-lane compute batch, `false` for a wait-span skip.
+    pub lane: bool,
+}
 
 /// An L2 write transaction in flight (autonomous retirement or flush).
 #[derive(Debug, Clone, Copy)]
@@ -76,6 +145,11 @@ pub(crate) struct Hierarchy {
     pub(crate) read_time: u64,
     pub(crate) write_time: u64,
     pub(crate) mm_latency: u64,
+    /// The run loop the machine's run-to-boundary entry points use.
+    pub(crate) engine: Engine,
+    /// Whether [`Hierarchy::jump`] logs its spans into `skip_log`.
+    pub(crate) record_skips: bool,
+    pub(crate) skip_log: Vec<SkipSpan>,
 }
 
 wbsim_types::clone_fields!(Hierarchy {
@@ -96,7 +170,10 @@ wbsim_types::clone_fields!(Hierarchy {
     line_buf,
     read_time,
     write_time,
-    mm_latency
+    mm_latency,
+    engine,
+    record_skips,
+    skip_log
 });
 
 impl Hierarchy {
@@ -132,6 +209,9 @@ impl Hierarchy {
             read_time: latency,
             write_time: latency * txns,
             mm_latency,
+            engine: Engine::default(),
+            record_skips: false,
+            skip_log: Vec::new(),
         })
     }
 
@@ -150,6 +230,98 @@ impl Hierarchy {
             now: self.now,
             kind,
         });
+    }
+
+    /// The close of every stepped cycle, after the CPU and the retirement
+    /// engine acted: the non-blocking machine's overlapped L2-read-access
+    /// stall when `overlapped` (a queued read sits behind an underway
+    /// write), the occupancy record, [`Event::CycleEnd`] and the clock
+    /// advance.
+    // Forced inline, as is `jump`: both sit on every run loop's per-cycle
+    // or per-op path, where an out-of-line call measurably slowed the
+    // fast lane.
+    #[inline(always)]
+    pub(crate) fn close_cycle<O: Observer>(&mut self, overlapped: bool, obs: &mut O) {
+        if overlapped {
+            self.stall(StallKind::L2ReadAccess, obs);
+        }
+        let occupancy = self.wb.occupancy();
+        self.stats.wb_detail.record_occupancy(occupancy);
+        obs.event(&Event::CycleEnd {
+            now: self.now,
+            occupancy: occupancy as u64,
+        });
+        self.now += 1;
+    }
+
+    /// The event-driven engine's jump from `now` to `to`: the cycles in
+    /// between are charged exactly as that many stepped cycles that each
+    /// record `tick` (plus the overlapped stall when `overlapped`) and
+    /// close with nothing else happening — the counters in bulk, the
+    /// occupancy as one span, and the per-cycle [`Event::StallCycle`]s and
+    /// [`Event::CycleEnd`]s replayed unless the observer is a no-op. The
+    /// claim is logged as a [`SkipSpan`] when recording is on; `lane`
+    /// marks a fast-lane compute batch. Returns the cycles jumped: none
+    /// when `to` is not past `now` or is `u64::MAX` (only an external
+    /// event could end the wait, which is the reference engine's livelock
+    /// and must stay one).
+    #[inline(always)]
+    pub(crate) fn jump<O: Observer>(
+        &mut self,
+        to: Cycle,
+        tick: SkipTick,
+        overlapped: bool,
+        lane: bool,
+        obs: &mut O,
+    ) -> u64 {
+        let from = self.now;
+        if to == u64::MAX || to <= from {
+            return 0;
+        }
+        // Injected off-by-one in the skip horizon: a wait-span skip lands
+        // one cycle past the earliest pending event. Invisible to every
+        // single-stepping checker; exists to prove `check --refine` fires.
+        let to = if !lane && self.cfg.fault == Some(FaultInjection::OvershootSkip) {
+            to + 1
+        } else {
+            to
+        };
+        if self.record_skips {
+            self.skip_log.push(SkipSpan { from, to, lane });
+        }
+        let k = to - from;
+        match tick {
+            SkipTick::Nothing => {}
+            SkipTick::Stall(kind) => self.stats.stalls.record(kind, k),
+            SkipTick::MissWait => self.stats.miss_wait_cycles += k,
+            SkipTick::BarrierStall => self.stats.barrier_stall_cycles += k,
+            SkipTick::IFetchStall => self.stats.ifetch_stall_cycles += k,
+            SkipTick::MshrStall => self.stats.mshr_stall_cycles += k,
+        }
+        if overlapped {
+            self.stats.stalls.record(StallKind::L2ReadAccess, k);
+        }
+        let occupancy = self.wb.occupancy();
+        self.stats.wb_detail.record_occupancy_span(occupancy, k);
+        if !O::IS_NOOP {
+            for now in from..to {
+                if let SkipTick::Stall(kind) = tick {
+                    obs.event(&Event::StallCycle { now, kind });
+                }
+                if overlapped {
+                    obs.event(&Event::StallCycle {
+                        now,
+                        kind: StallKind::L2ReadAccess,
+                    });
+                }
+                obs.event(&Event::CycleEnd {
+                    now,
+                    occupancy: occupancy as u64,
+                });
+            }
+        }
+        self.now = to;
+        k
     }
 
     /// Completes an autonomous retirement whose transaction ends now.
@@ -333,6 +505,23 @@ impl Hierarchy {
                 true
             }
         }
+    }
+
+    /// A store's write-back L1 hit: the word is dirtied in place, with no
+    /// buffer traffic. Returns `false`, changing nothing, when the line is
+    /// absent (the store must write-allocate).
+    pub(crate) fn l1_store_hit(&mut self, addr: Addr) -> bool {
+        let value = self.store_seq + 1;
+        let (line, word) = (self.g.line_of(addr), self.g.word_index(addr));
+        if !self.l1.store_word_dirty(line, word, value) {
+            return false;
+        }
+        self.store_seq = value;
+        self.stats.l1_store_hits += 1;
+        if self.cfg.check_data {
+            self.shadow.insert(self.g.word_addr(addr), value);
+        }
+        true
     }
 
     /// The 1-cycle load probes both machines share: L1 first, then (under

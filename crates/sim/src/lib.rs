@@ -62,7 +62,8 @@ mod view;
 
 pub use event::{Event, EventParseError, PortUse};
 pub use fold::{foldable, L1Fold};
-pub use machine::{Engine, Machine, MshrSnapshot, SkipSpan};
+pub use hierarchy::{Engine, SkipSpan};
+pub use machine::{Machine, MshrSnapshot};
 pub use nonblocking::NonBlockingMachine;
 pub use observer::{HistogramObserver, JsonlObserver, NullObserver, Observer, Tee};
 pub use port::{L2Port, PortOwner};

@@ -39,7 +39,6 @@ use wbsim_core::entry::EntryId;
 use wbsim_mem::Icache;
 use wbsim_types::addr::{Addr, LineAddr};
 use wbsim_types::config::{ConfigError, MachineConfig};
-use wbsim_types::divergence::FaultInjection;
 use wbsim_types::op::Op;
 use wbsim_types::policy::{L1WritePolicy, L2Priority, LoadHazardPolicy};
 use wbsim_types::stats::SimStats;
@@ -47,71 +46,11 @@ use wbsim_types::Cycle;
 
 use crate::event::{Event, PortUse};
 use crate::fold::{foldable, L1Fold};
-use crate::hierarchy::{Hierarchy, Pending};
+use crate::hierarchy::{Engine, Hierarchy, Pending, SkipSpan, SkipTick};
 use crate::observer::{NullObserver, Observer};
 use crate::port::PortOwner;
 use crate::sim_machine::SimMachine;
 use crate::view::StateView;
-
-/// Which run-loop the `run_*` entry points use.
-///
-/// Both engines drive the same single-cycle transition ([`SimMachine::step`])
-/// for every cycle in which something happens; the event-driven engine
-/// additionally recognizes *pure-wait spans* — maximal runs of cycles in
-/// which the CPU repeats one blocked state and nothing else in the machine
-/// can act — and jumps `now` across them in one step, charging the span's
-/// stall cycles in bulk and replaying the per-cycle events so statistics
-/// and the [`Observer`] stream stay bit-identical. The checker entry
-/// points ([`SimMachine`]) single-step and are unaffected by the
-/// selection, except the two that exist to exercise it
-/// ([`SimMachine::run_op_skipping`], [`SimMachine::run_to_end_bounded`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Time-skipping run loop (the default).
-    #[default]
-    EventDriven,
-    /// The original strictly cycle-stepped loop, kept as the oracle the
-    /// equivalence suite compares against.
-    Reference,
-}
-
-wbsim_types::wire_names!(Engine { EventDriven => "event-driven", Reference => "reference" });
-
-/// The per-cycle statistics charge of one skipped wait cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SkipTick {
-    /// No counter advances (in-flight reads, batched compute).
-    Nothing,
-    /// A Table-3 stall cycle, with its [`Event::StallCycle`] emission.
-    Stall(wbsim_types::stall::StallKind),
-    /// `miss_wait_cycles` (the load's own L2/memory read).
-    MissWait,
-    /// `barrier_stall_cycles` (a barrier drain).
-    BarrierStall,
-    /// `ifetch_stall_cycles` (an I-fetch waiting for the port).
-    IFetchStall,
-    /// `mshr_stall_cycles` (the non-blocking machine out of MSHRs).
-    MshrStall,
-}
-
-/// One claimed time jump of the event-driven engine: the half-open cycle
-/// range `[from, to)` the engine asserted nothing observable could happen
-/// in, either as a pure-wait span skip (`lane == false`) or as a fast-lane
-/// compute batch between retirement events (`lane == true`).
-///
-/// Recording is off by default; the cross-engine refinement checker
-/// (`wbsim check --refine`) switches it on
-/// ([`Machine::set_record_skips`]) to cross-validate every claimed
-/// horizon against the reference engine's event stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SkipSpan {
-    /// First skipped cycle.
-    pub from: Cycle,
-    /// First cycle *not* covered by the claim (the landing timestamp).
-    pub to: Cycle,
-    /// `true` for a fast-lane compute batch, `false` for a wait-span skip.
-    pub lane: bool,
-}
 
 /// A one-slot pushback wrapper over the op stream: the fast lane pops an
 /// op to inspect it and, when the op needs the reference path, returns it
@@ -126,6 +65,34 @@ impl<I: Iterator<Item = Op>> Iterator for PushBack<'_, I> {
 
     fn next(&mut self) -> Option<Op> {
         self.slot.take().or_else(|| self.inner.next())
+    }
+}
+
+/// The warmup reset: statistics restart, and `cycles` counts from, the
+/// first op-issue cycle at which `instructions` reaches the threshold.
+/// Only an op-issue cycle can cross it, so the fast lane checks once per
+/// issued op and the run loop once per step.
+struct Warmup {
+    threshold: u64,
+    done: bool,
+    base: Cycle,
+}
+
+impl Warmup {
+    fn new(threshold: u64) -> Self {
+        Warmup {
+            threshold,
+            done: threshold == 0,
+            base: 0,
+        }
+    }
+
+    fn check(&mut self, hier: &mut Hierarchy) {
+        if !self.done && hier.stats.instructions >= self.threshold {
+            self.done = true;
+            hier.stats = SimStats::default();
+            self.base = hier.now;
+        }
     }
 }
 
@@ -191,7 +158,7 @@ enum CpuState {
 }
 
 /// The simulated machine. Build one with [`Machine::new`], then drive it
-/// with [`Machine::run`] (or [`Machine::run_observed`] to receive the
+/// with [`Machine::run`] (or [`SimMachine::run_observed`] to receive the
 /// structured event stream). `Clone` forks the complete machine state —
 /// the model checkers fork a machine at every explored state and step
 /// each copy independently. `clone_from` reuses the target's buffers and
@@ -202,19 +169,9 @@ pub struct Machine {
     hier: Hierarchy,
     icache: Icache,
     cpu: CpuState,
-    engine: Engine,
-    record_skips: bool,
-    skip_log: Vec<SkipSpan>,
 }
 
-wbsim_types::clone_fields!(Machine {
-    hier,
-    icache,
-    cpu,
-    engine,
-    record_skips,
-    skip_log
-});
+wbsim_types::clone_fields!(Machine { hier, icache, cpu });
 
 /// One outstanding miss-status-holding register as [`crate::StateView`]
 /// reads it, relative to `now`.
@@ -252,39 +209,32 @@ impl Machine {
             hier,
             icache,
             cpu: CpuState::NeedOp,
-            engine: Engine::default(),
-            record_skips: false,
-            skip_log: Vec::new(),
         })
     }
 
-    /// Selects the run-loop [`Engine`] for subsequent `run_*` calls.
+    /// Selects the run-loop [`Engine`] for subsequent run-to-boundary
+    /// calls.
     pub fn set_engine(&mut self, engine: Engine) {
-        self.engine = engine;
-    }
-
-    /// The currently selected run-loop [`Engine`].
-    #[must_use]
-    pub fn engine(&self) -> Engine {
-        self.engine
+        self.hier.engine = engine;
     }
 
     /// Switches recording of the event-driven engine's claimed time jumps
     /// ([`SkipSpan`]s) on or off. Off by default; the refinement checker
     /// enables it to audit every claimed horizon.
     pub fn set_record_skips(&mut self, record: bool) {
-        self.record_skips = record;
+        self.hier.record_skips = record;
     }
 
     /// Drains and returns the [`SkipSpan`]s recorded since the last call
     /// (empty unless [`Machine::set_record_skips`] enabled recording).
     pub fn take_skips(&mut self) -> Vec<SkipSpan> {
-        std::mem::take(&mut self.skip_log)
+        std::mem::take(&mut self.hier.skip_log)
     }
 
     /// Runs the reference stream to completion and returns the statistics.
     /// The machine stays alive for post-run architectural queries
-    /// ([`Machine::read_word_architectural`], [`Machine::wb_occupancy`]).
+    /// ([`SimMachine::read_word_architectural`],
+    /// [`SimMachine::wb_occupancy`]).
     ///
     /// # Panics
     ///
@@ -316,30 +266,17 @@ impl Machine {
     }
 
     /// Runs the reference stream to completion under an [`Observer`]
-    /// receiving the structured [`Event`] stream. No warmup (the
-    /// differential oracle needs every cycle accounted); see
-    /// [`Machine::run_observed_with_warmup`].
+    /// receiving the structured [`Event`] stream, with the warmup
+    /// semantics of [`Machine::run_with_warmup`]. The observer sees the
+    /// *entire* run, warmup included — only the returned statistics are
+    /// reset. [`SimMachine::run_observed`] is this with no warmup (the
+    /// differential oracle needs every cycle accounted).
     ///
     /// # Panics
     ///
     /// Panics on a data-freshness violation when `check_data` is enabled,
     /// as in [`Machine::run`]. Differential harnesses should disable
     /// `check_data` and compare against their own model instead.
-    pub fn run_observed<I, O>(&mut self, ops: I, obs: &mut O) -> SimStats
-    where
-        I: IntoIterator<Item = Op>,
-        O: Observer,
-    {
-        self.run_observed_with_warmup(ops, 0, obs)
-    }
-
-    /// [`Machine::run_observed`] with the warmup semantics of
-    /// [`Machine::run_with_warmup`]. The observer sees the *entire* run,
-    /// warmup included — only the returned statistics are reset.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a data-freshness violation when `check_data` is enabled.
     pub fn run_observed_with_warmup<I, O>(
         &mut self,
         ops: I,
@@ -350,7 +287,7 @@ impl Machine {
         I: IntoIterator<Item = Op>,
         O: Observer,
     {
-        self.run_loop(&mut ops.into_iter(), warmup_instructions, obs);
+        self.run_loop(&mut ops.into_iter(), warmup_instructions, u64::MAX, obs);
         self.hier.stats
     }
 
@@ -386,6 +323,7 @@ impl Machine {
         self.run_loop(
             &mut fold.ops().iter().copied(),
             fold.warmup(),
+            u64::MAX,
             &mut NullObserver,
         );
         self.hier.stats.loads += fold.carried_hits();
@@ -393,109 +331,94 @@ impl Machine {
         self.hier.stats
     }
 
-    fn run_loop<I, O>(&mut self, iter: &mut I, warmup_instructions: u64, obs: &mut O)
+    /// The one run loop, behind every run-to-boundary entry point: steps
+    /// the machine under the selected [`Engine`] — with span jumps and the
+    /// op fast lane under [`Engine::EventDriven`] — until the CPU is ready
+    /// for an op `iter` no longer has, and finalizes `cycles` (counted
+    /// from the warmup reset). Returns the landing timestamp, or `None`
+    /// once `deadline` is reached first, with the machine left mid-op.
+    fn run_loop<I, O>(
+        &mut self,
+        iter: &mut I,
+        warmup_instructions: u64,
+        deadline: Cycle,
+        obs: &mut O,
+    ) -> Option<u64>
     where
         I: Iterator<Item = Op>,
         O: Observer,
     {
-        let fast = self.engine == Engine::EventDriven;
+        let fast = self.hier.engine == Engine::EventDriven;
         let lane = fast && self.icache.is_perfect();
         let mut it = PushBack {
             slot: None,
             inner: iter,
         };
-        let mut warm = warmup_instructions == 0;
-        let mut cycle_base = 0;
+        let mut warm = Warmup::new(warmup_instructions);
         loop {
             if fast {
                 self.try_skip(obs);
                 if lane && matches!(self.cpu, CpuState::NeedOp) {
-                    self.fast_ops(
-                        &mut it,
-                        warmup_instructions,
-                        &mut warm,
-                        &mut cycle_base,
-                        obs,
-                    );
+                    self.fast_ops(&mut it, &mut warm, obs);
                     if !matches!(self.cpu, CpuState::NeedOp) {
                         // The lane parked the CPU in a wait state (e.g. a
                         // store spinning on a full buffer): let `try_skip`
                         // jump the span before the next reference step.
+                        if self.hier.now >= deadline {
+                            return None;
+                        }
                         continue;
                     }
                 }
             }
-            if !self.step(&mut it, obs) {
+            if !SimMachine::step(self, &mut it, obs) {
                 break;
             }
-            if !warm && self.hier.stats.instructions >= warmup_instructions {
-                warm = true;
-                self.hier.stats = SimStats::default();
-                cycle_base = self.hier.now;
+            warm.check(&mut self.hier);
+            if self.hier.now >= deadline {
+                return None;
             }
         }
-        self.hier.stats.cycles = self.hier.now - cycle_base;
+        self.hier.stats.cycles = self.hier.now - warm.base;
+        Some(self.hier.now)
     }
 
-    /// The cycle-opening retirement work [`SimMachine::step`] performs before
-    /// the CPU acts: completing a due retirement transaction and, under
-    /// write-priority, starting one ahead of the CPU.
-    fn lane_cycle_start<O: Observer>(&mut self, obs: &mut O) {
+    /// The cycle-opening retirement work, before the CPU acts: completing
+    /// a due retirement transaction and, under write-priority, starting
+    /// one ahead of the CPU.
+    fn open_cycle<O: Observer>(&mut self, obs: &mut O) {
         self.hier.complete_retirement(obs);
         if self.write_priority_active() {
-            self.hier.wb_try_retire(false, obs);
+            self.wb_try_retire(obs);
         }
     }
 
-    /// The cycle-closing work [`SimMachine::step`] performs after the CPU
-    /// acts in a non-hazard state: the autonomous retirement attempt, the
-    /// occupancy tick, [`Event::CycleEnd`], and the clock advance.
-    fn lane_cycle_end<O: Observer>(&mut self, obs: &mut O) {
-        self.hier.wb_try_retire(false, obs);
-        let occupancy = self.hier.wb.occupancy();
-        self.hier.stats.wb_detail.record_occupancy(occupancy);
-        obs.event(&Event::CycleEnd {
-            now: self.hier.now,
-            occupancy: occupancy as u64,
-        });
-        self.hier.now += 1;
-    }
-
-    /// The warmup reset [`Machine::run_loop`] performs after a step: only
-    /// an op-issue cycle can cross the threshold, so the lane checks once
-    /// per issued op rather than once per cycle.
-    fn lane_warm_check(&mut self, warmup_instructions: u64, warm: &mut bool, cycle_base: &mut u64) {
-        if !*warm && self.hier.stats.instructions >= warmup_instructions {
-            *warm = true;
-            self.hier.stats = SimStats::default();
-            *cycle_base = self.hier.now;
+    /// The cycle-closing work, after the CPU acts: the autonomous
+    /// retirement attempt (none runs during a hazard), then the datapath's
+    /// [`Hierarchy::close_cycle`].
+    fn close_cycle<O: Observer>(&mut self, obs: &mut O) {
+        if !matches!(self.cpu, CpuState::HazardWait { .. }) {
+            self.wb_try_retire(obs);
         }
+        self.hier.close_cycle(false, obs);
     }
 
     /// The event-driven engine's op-grained fast lane. From an op
     /// boundary, executes the ops whose entire per-cycle behavior it can
     /// reproduce exactly — hit loads, accepted (or newly stalled) stores,
-    /// and compute runs, with the cycle-opening and cycle-closing
-    /// retirement work of each executed cycle performed by the same
-    /// `Hierarchy` calls [`SimMachine::step`] makes — and returns as soon as
+    /// and compute runs, each executed cycle opened and closed as
+    /// [`SimMachine::step`] opens and closes it — and returns as soon as
     /// an op needs the reference path (pushing it back for `step` to
     /// consume), the CPU enters a wait state, or the stream ends.
     ///
     /// Compute runs additionally batch the cycles *between* retirement
     /// events: within such a span the buffer occupancy is constant and
-    /// both per-cycle retirement calls are no-ops, so the span's occupancy
-    /// ticks are recorded in bulk (per-cycle [`Event::CycleEnd`]s are
-    /// replayed unless the observer is a no-op). Requires a perfect
-    /// I-cache — a statistical front end draws from its RNG every issue
-    /// cycle — which the caller guarantees.
-    fn fast_ops<I, O>(
-        &mut self,
-        it: &mut PushBack<'_, I>,
-        warmup_instructions: u64,
-        warm: &mut bool,
-        cycle_base: &mut u64,
-        obs: &mut O,
-    ) where
+    /// both per-cycle retirement calls are no-ops, so the span is one
+    /// [`Hierarchy::jump`]. Requires a perfect I-cache — a statistical
+    /// front end draws from its RNG every issue cycle — which the caller
+    /// guarantees.
+    fn fast_ops<I, O>(&mut self, it: &mut PushBack<'_, I>, warm: &mut Warmup, obs: &mut O)
+    where
         I: Iterator<Item = Op>,
         O: Observer,
     {
@@ -520,65 +443,40 @@ impl Machine {
                     // The issue cycle is the run's first execute cycle; it
                     // is the only cycle of the op that can cross the
                     // warmup threshold.
-                    self.lane_cycle_start(obs);
+                    self.open_cycle(obs);
                     let mut left = u64::from(n).saturating_sub(w);
-                    self.lane_cycle_end(obs);
-                    self.lane_warm_check(warmup_instructions, warm, cycle_base);
+                    self.close_cycle(obs);
+                    warm.check(&mut self.hier);
                     while left > 0 {
+                        let now = self.hier.now;
                         let event = if let Some(p) = self.hier.wb_retire {
                             Some(p.done_at)
                         } else if batch {
                             self.hier.retire_start_candidate(false)
                         } else {
-                            Some(self.hier.now)
+                            Some(now)
                         };
-                        match event {
-                            Some(t) if t <= self.hier.now => {
-                                // A retirement completes or may start this
-                                // cycle: run it exactly.
-                                self.lane_cycle_start(obs);
-                                left = left.saturating_sub(w);
-                                self.lane_cycle_end(obs);
+                        let k = match event {
+                            // A retirement completes or may start this
+                            // cycle: run it exactly.
+                            Some(t) if t <= now => {
+                                self.open_cycle(obs);
+                                self.close_cycle(obs);
+                                1
                             }
+                            // Nothing can happen before `event`: batch the
+                            // span in one jump.
                             event => {
-                                // Nothing can happen before `event`: batch
-                                // the span in one jump.
-                                let cycles_left = left.div_ceil(w);
-                                let k = match event {
-                                    Some(t) => cycles_left.min(t - self.hier.now),
-                                    None => cycles_left,
-                                };
-                                if self.record_skips {
-                                    self.skip_log.push(SkipSpan {
-                                        from: self.hier.now,
-                                        to: self.hier.now + k,
-                                        lane: true,
-                                    });
-                                }
-                                left = left.saturating_sub(k * w);
-                                let occ = self.hier.wb.occupancy();
-                                self.hier.stats.wb_detail.record_occupancy_span(occ, k);
-                                if !O::IS_NOOP {
-                                    for t in self.hier.now..self.hier.now + k {
-                                        obs.event(&Event::CycleEnd {
-                                            now: t,
-                                            occupancy: occ as u64,
-                                        });
-                                    }
-                                }
-                                self.hier.now += k;
+                                let k = left.div_ceil(w).min(event.map_or(u64::MAX, |t| t - now));
+                                self.hier.jump(now + k, SkipTick::Nothing, false, true, obs)
                             }
-                        }
+                        };
+                        left = left.saturating_sub(k * w);
                     }
                 }
                 Op::Load(addr) => {
-                    self.lane_cycle_start(obs);
-                    if self.hier.probe_load_fast(addr, obs).is_some() {
-                        self.hier.stats.loads += 1;
-                        self.hier.stats.instructions += 1;
-                        self.lane_cycle_end(obs);
-                        self.lane_warm_check(warmup_instructions, warm, cycle_base);
-                    } else {
+                    self.open_cycle(obs);
+                    if self.hier.probe_load_fast(addr, obs).is_none() {
                         // Miss or hazard: replay the whole cycle through
                         // the reference path. The failed probe mutated
                         // nothing, and the cycle-opening retirement work
@@ -586,45 +484,33 @@ impl Machine {
                         it.slot = Some(op);
                         return;
                     }
+                    self.hier.stats.loads += 1;
+                    self.hier.stats.instructions += 1;
+                    self.close_cycle(obs);
+                    warm.check(&mut self.hier);
                 }
                 Op::Store(addr) => {
-                    self.lane_cycle_start(obs);
+                    self.open_cycle(obs);
                     if self.hier.cfg.l1.write_policy == L1WritePolicy::WriteBack {
-                        let line = self.hier.g.line_of(addr);
-                        let word = self.hier.g.word_index(addr);
-                        let value = self.hier.store_seq + 1;
-                        if self.hier.l1.store_word_dirty(line, word, value) {
-                            self.hier.stats.stores += 1;
-                            self.hier.stats.instructions += 1;
-                            self.hier.store_seq = value;
-                            self.hier.stats.l1_store_hits += 1;
-                            if self.hier.cfg.check_data {
-                                self.hier.shadow.insert(self.hier.g.word_addr(addr), value);
-                            }
-                            self.lane_cycle_end(obs);
-                            self.lane_warm_check(warmup_instructions, warm, cycle_base);
-                        } else {
+                        if !self.hier.l1_store_hit(addr) {
                             // Write-allocate miss: replay through the
-                            // reference path (the failed dirty-store probe
-                            // mutated nothing).
+                            // reference path (the failed probe mutated
+                            // nothing).
                             it.slot = Some(op);
                             return;
                         }
-                    } else {
-                        self.hier.stats.stores += 1;
-                        self.hier.stats.instructions += 1;
-                        let accepted = self.hier.try_store(addr, obs);
-                        if !accepted {
-                            // `try_store` charged this cycle's buffer-full
-                            // stall; park the CPU retrying the store and
-                            // let `try_skip` jump the rest of the span.
-                            self.cpu = CpuState::StoreTry { addr };
-                        }
-                        self.lane_cycle_end(obs);
-                        self.lane_warm_check(warmup_instructions, warm, cycle_base);
-                        if !accepted {
-                            return;
-                        }
+                    } else if !self.hier.try_store(addr, obs) {
+                        // `try_store` charged this cycle's buffer-full
+                        // stall; park the CPU retrying the store and let
+                        // `try_skip` jump the rest of the span.
+                        self.cpu = CpuState::StoreTry { addr };
+                    }
+                    self.hier.stats.stores += 1;
+                    self.hier.stats.instructions += 1;
+                    self.close_cycle(obs);
+                    warm.check(&mut self.hier);
+                    if !matches!(self.cpu, CpuState::NeedOp) {
+                        return;
                     }
                 }
                 Op::Barrier => {
@@ -634,7 +520,6 @@ impl Machine {
             }
         }
     }
-
     /// Classifies the CPU's current state as a pure wait, returning the
     /// per-cycle statistics tick, the cycle at which the wait itself ends
     /// (`u64::MAX` when only external events can end it), whether the
@@ -736,17 +621,13 @@ impl Machine {
     }
 
     /// The event-driven jump: if the machine sits in a pure-wait state,
-    /// advances `now` to the next cycle at which anything can happen,
-    /// charging the skipped cycles' statistics in bulk and replaying the
-    /// per-cycle events. A no-op (leaving the next `step` to run normally)
-    /// whenever the current cycle does real work — including when every
-    /// bound is infinite, which is exactly the reference engine's livelock
-    /// and must stay one.
+    /// [`Hierarchy::jump`]s to the next cycle at which anything can
+    /// happen. A no-op (leaving the next `step` to run normally) whenever
+    /// the current cycle does real work.
     fn try_skip<O: Observer>(&mut self, obs: &mut O) {
         let Some((tick, deadline, retire_allowed, barrier)) = self.classify_wait() else {
             return;
         };
-        let now = self.hier.now;
         let mut bound = deadline;
         if let Some(p) = self.hier.wb_retire {
             bound = bound.min(p.done_at);
@@ -756,56 +637,14 @@ impl Machine {
                 bound = bound.min(t);
             }
         }
-        if bound == u64::MAX || bound <= now {
-            return;
-        }
-        // Injected off-by-one in the skip horizon: the jump lands one
-        // cycle past the earliest pending event. Invisible to every
-        // single-stepping checker; exists to prove `check --refine` fires.
-        let bound = if self.hier.cfg.fault == Some(FaultInjection::OvershootSkip) {
-            bound + 1
-        } else {
-            bound
-        };
-        if self.record_skips {
-            self.skip_log.push(SkipSpan {
-                from: now,
-                to: bound,
-                lane: false,
-            });
-        }
-        let k = bound - now;
-        match tick {
-            SkipTick::Nothing => {}
-            SkipTick::Stall(kind) => self.hier.stats.stalls.record(kind, k),
-            SkipTick::MissWait => self.hier.stats.miss_wait_cycles += k,
-            SkipTick::BarrierStall => self.hier.stats.barrier_stall_cycles += k,
-            SkipTick::IFetchStall => self.hier.stats.ifetch_stall_cycles += k,
-            SkipTick::MshrStall => self.hier.stats.mshr_stall_cycles += k,
-        }
-        let occupancy = self.hier.wb.occupancy();
-        self.hier
-            .stats
-            .wb_detail
-            .record_occupancy_span(occupancy, k);
-        if !O::IS_NOOP {
-            for t in now..bound {
-                if let SkipTick::Stall(kind) = tick {
-                    obs.event(&Event::StallCycle { now: t, kind });
-                }
-                obs.event(&Event::CycleEnd {
-                    now: t,
-                    occupancy: occupancy as u64,
-                });
-            }
-        }
-        self.hier.now = bound;
-        if let CpuState::Computing { left, fetched } = &mut self.cpu {
+        let k = self.hier.jump(bound, tick, false, false, obs);
+        if let CpuState::Computing { left, .. } = &mut self.cpu {
             // The batch consumed `issue_width` instructions per cycle;
-            // the final (possibly partial) chunk saturates to zero.
+            // the final (possibly partial) chunk saturates to zero. A
+            // batched run sits behind a perfect I-cache, so it has no
+            // fetch to redo.
             let w = u64::from(self.hier.cfg.issue_width);
             *left = u64::from(*left).saturating_sub(k * w) as u32;
-            *fetched = false;
         }
     }
 
@@ -829,77 +668,6 @@ impl Machine {
         if matches!(self.cpu, CpuState::Finished) {
             self.cpu = CpuState::NeedOp;
         }
-    }
-
-    /// Runs one op from an op boundary to the next, with the event-driven
-    /// engine's span skips and op fast lane when `fast` is set; see
-    /// [`SimMachine::run_op_bounded`].
-    fn run_op<O: Observer>(
-        &mut self,
-        op: Op,
-        max_cycles: u64,
-        fast: bool,
-        obs: &mut O,
-    ) -> Option<u64> {
-        debug_assert!(self.at_op_boundary(), "run_op mid-op");
-        self.resume();
-        let deadline = self.hier.now + max_cycles;
-        let lane = fast && self.icache.is_perfect();
-        let mut inner = std::iter::empty();
-        let mut it = PushBack {
-            slot: Some(op),
-            inner: &mut inner,
-        };
-        // No warmup in per-op mode: `warm` starts true, so the lane's
-        // warm-check is a no-op and `cycle_base` is never read.
-        let (mut warm, mut cycle_base) = (true, 0);
-        loop {
-            if fast {
-                self.try_skip(obs);
-                if lane && matches!(self.cpu, CpuState::NeedOp) {
-                    self.fast_ops(&mut it, 0, &mut warm, &mut cycle_base, obs);
-                    if !matches!(self.cpu, CpuState::NeedOp) {
-                        if self.hier.now >= deadline {
-                            return None;
-                        }
-                        continue;
-                    }
-                }
-            }
-            if !SimMachine::step_op(self, &mut it, obs) {
-                return Some(self.hier.now);
-            }
-            if self.hier.now >= deadline {
-                return None;
-            }
-        }
-    }
-
-    /// Advances one cycle of a forced drain: retirement runs at the
-    /// maximum rate (as under a barrier) and no new ops issue. Returns
-    /// `false` — consuming no cycle — once the buffer is empty and no
-    /// retirement is in flight. The reachability checker's liveness
-    /// analysis walks this deterministic drain schedule from every
-    /// reachable state: a state cycle without retirement progress under it
-    /// is a livelock.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that no instruction is mid-flight (op boundary or an
-    /// earlier `drain_step`).
-    pub fn drain_step<O: Observer>(&mut self, obs: &mut O) -> bool {
-        debug_assert!(
-            matches!(
-                self.cpu,
-                CpuState::NeedOp | CpuState::Finished | CpuState::BarrierDrain
-            ),
-            "drain_step mid-op"
-        );
-        if self.hier.wb.occupancy() == 0 && self.hier.wb_retire.is_none() {
-            return false;
-        }
-        self.cpu = CpuState::BarrierDrain;
-        self.step(&mut std::iter::empty(), obs)
     }
 
     /// Simulates the paper's implicit lower bound: "a perfect buffer that
@@ -1193,35 +961,21 @@ impl Machine {
                 }
                 CpuState::StoreTry { addr } => {
                     if self.hier.cfg.l1.write_policy == L1WritePolicy::WriteBack {
-                        let line = self.hier.g.line_of(addr);
-                        let word = self.hier.g.word_index(addr);
-                        let value = self.hier.store_seq + 1;
-                        if self.hier.l1.store_word_dirty(line, word, value) {
-                            self.hier.store_seq = value;
-                            self.hier.stats.l1_store_hits += 1;
-                            if self.hier.cfg.check_data {
-                                self.hier.shadow.insert(self.hier.g.word_addr(addr), value);
-                            }
-                            self.cpu = CpuState::NeedOp;
-                        } else {
+                        if !self.hier.l1_store_hit(addr) {
                             // Write-allocate: fetch the line like a load
                             // miss (the fetch is charged to the miss), then
                             // perform the store at fill time. The line may
                             // be sitting in the victim buffer awaiting
                             // write-back — the fill must merge those words
                             // or it would install stale L2 data.
-                            let merge_wb = self.hier.wb.has_line(line);
+                            let merge_wb = self.hier.wb.has_line(self.hier.g.line_of(addr));
                             self.cpu = CpuState::LoadPortWait {
                                 addr,
                                 merge_wb,
                                 for_store: true,
                             };
                         }
-                        return true;
-                    }
-                    if self.hier.try_store(addr, obs) {
-                        self.cpu = CpuState::NeedOp;
-                    } else {
+                    } else if !self.hier.try_store(addr, obs) {
                         self.cpu = CpuState::StoreTry { addr };
                     }
                     return true;
@@ -1521,38 +1275,6 @@ impl Machine {
             for_store: false,
         };
     }
-
-    /// Read-only view of the accumulated statistics (useful mid-run in
-    /// tests; [`Machine::run`] returns them by value).
-    #[must_use]
-    pub fn stats(&self) -> &SimStats {
-        &self.hier.stats
-    }
-
-    /// Current write-buffer occupancy in entries, including one that is
-    /// mid-retirement. After a run this is the residual occupancy term of
-    /// the entry-conservation identity.
-    #[must_use]
-    pub fn wb_occupancy(&self) -> usize {
-        self.hier.wb.occupancy()
-    }
-
-    /// Dirty L1 victims that *allocated* a write-buffer entry (victims
-    /// merging into an existing entry for the same block are not counted).
-    /// Always zero under a write-through L1.
-    #[must_use]
-    pub fn wb_victim_allocs(&self) -> u64 {
-        self.hier.victim_inserts
-    }
-
-    /// The architecturally visible value of the word at `addr`: the value
-    /// a magically instantaneous load would observe, probing L1, then the
-    /// write buffer, then L2, then main memory. Touches no LRU or timing
-    /// state.
-    #[must_use]
-    pub fn read_word_architectural(&self, addr: Addr) -> u64 {
-        self.hier.read_word_architectural(addr)
-    }
 }
 
 impl SimMachine for Machine {
@@ -1566,38 +1288,26 @@ impl SimMachine for Machine {
         }
     }
 
-    /// Retirement completion, optional write-priority retirement, one CPU
-    /// step, autonomous retirement, and the closing [`Event::CycleEnd`].
     fn run_observed<I, O>(&mut self, ops: I, obs: &mut O) -> SimStats
     where
         I: IntoIterator<Item = Op>,
         O: Observer,
     {
-        Machine::run_observed(self, ops, obs)
+        self.run_observed_with_warmup(ops, 0, obs)
     }
 
+    /// Retirement completion, optional write-priority retirement, one CPU
+    /// step, autonomous retirement, and the closing [`Event::CycleEnd`].
     fn step<I, O>(&mut self, iter: &mut I, obs: &mut O) -> bool
     where
         I: Iterator<Item = Op>,
         O: Observer,
     {
-        self.hier.complete_retirement(obs);
-        if self.write_priority_active() {
-            self.wb_try_retire(obs);
-        }
+        self.open_cycle(obs);
         if !self.cpu_step(iter, obs) {
             return false;
         }
-        if !matches!(self.cpu, CpuState::HazardWait { .. }) {
-            self.wb_try_retire(obs);
-        }
-        let occupancy = self.hier.wb.occupancy();
-        self.hier.stats.wb_detail.record_occupancy(occupancy);
-        obs.event(&Event::CycleEnd {
-            now: self.hier.now,
-            occupancy: occupancy as u64,
-        });
-        self.hier.now += 1;
+        self.close_cycle(obs);
         true
     }
 
@@ -1613,38 +1323,31 @@ impl SimMachine for Machine {
     }
 
     fn run_op_bounded<O: Observer>(&mut self, op: Op, max_cycles: u64, obs: &mut O) -> Option<u64> {
-        self.run_op(op, max_cycles, false, obs)
-    }
-
-    fn run_op_skipping<O: Observer>(
-        &mut self,
-        op: Op,
-        max_cycles: u64,
-        obs: &mut O,
-    ) -> Option<u64> {
-        let fast = self.engine == Engine::EventDriven;
-        self.run_op(op, max_cycles, fast, obs)
+        debug_assert!(self.at_op_boundary(), "run_op_bounded mid-op");
+        self.resume();
+        let deadline = self.hier.now.saturating_add(max_cycles);
+        self.run_loop(&mut std::iter::once(op), 0, deadline, obs)
     }
 
     fn run_to_end_bounded<O: Observer>(&mut self, max_cycles: u64, obs: &mut O) -> Option<u64> {
-        let deadline = self.hier.now + max_cycles;
-        let fast = self.engine == Engine::EventDriven;
-        let mut iter = std::iter::empty();
-        loop {
-            if fast {
-                self.try_skip(obs);
-            }
-            if !self.step(&mut iter, obs) {
-                return Some(self.hier.now);
-            }
-            if self.hier.now >= deadline {
-                return None;
-            }
-        }
+        let deadline = self.hier.now.saturating_add(max_cycles);
+        self.run_loop(&mut std::iter::empty(), 0, deadline, obs)
     }
 
+    /// Retirement runs at the maximum rate, as under a barrier.
     fn drain_step<O: Observer>(&mut self, obs: &mut O) -> bool {
-        Machine::drain_step(self, obs)
+        debug_assert!(
+            matches!(
+                self.cpu,
+                CpuState::NeedOp | CpuState::Finished | CpuState::BarrierDrain
+            ),
+            "drain_step mid-op"
+        );
+        if self.hier.wb.occupancy() == 0 && self.hier.wb_retire.is_none() {
+            return false;
+        }
+        self.cpu = CpuState::BarrierDrain;
+        SimMachine::step(self, &mut std::iter::empty(), obs)
     }
 
     fn view(&self) -> StateView<'_> {
@@ -1660,19 +1363,19 @@ impl SimMachine for Machine {
     }
 
     fn stats(&self) -> &SimStats {
-        Machine::stats(self)
+        &self.hier.stats
     }
 
     fn wb_occupancy(&self) -> usize {
-        Machine::wb_occupancy(self)
+        self.hier.wb.occupancy()
     }
 
     fn wb_victim_allocs(&self) -> u64 {
-        Machine::wb_victim_allocs(self)
+        self.hier.victim_inserts
     }
 
     fn read_word_architectural(&self, addr: Addr) -> u64 {
-        Machine::read_word_architectural(self, addr)
+        self.hier.read_word_architectural(addr)
     }
 
     fn set_engine(&mut self, engine: Engine) {

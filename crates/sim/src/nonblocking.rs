@@ -18,7 +18,10 @@
 //!   contention the blocking machine charges, now overlapped;
 //! * the load-hazard policy must be read-from-WB (out-of-order machines
 //!   read their store queues; flush semantics under concurrent misses are
-//!   ill-defined), enforced at construction.
+//!   ill-defined), enforced at construction;
+//! * the machine models a write-through L1, a perfect I-cache and
+//!   read-bypassing port arbitration only, and refuses a configuration
+//!   asking for a write-back L1, an I-cache front end or write priority.
 //!
 //! Since loads have no consumers in a trace-driven model, dependence
 //! stalls are not modeled: this machine is the paper's *upper bound* on
@@ -33,17 +36,15 @@
 //! small non-blocking CPU state machine.
 
 use wbsim_types::addr::{Addr, LineAddr};
-use wbsim_types::config::{ConfigError, MachineConfig};
-use wbsim_types::divergence::FaultInjection;
+use wbsim_types::config::{ConfigError, IcacheConfig, MachineConfig};
 use wbsim_types::op::Op;
-use wbsim_types::policy::LoadHazardPolicy;
+use wbsim_types::policy::{L1WritePolicy, L2Priority, LoadHazardPolicy};
 use wbsim_types::stall::StallKind;
 use wbsim_types::stats::SimStats;
 use wbsim_types::Cycle;
 
 use crate::event::{Event, PortUse};
-use crate::hierarchy::Hierarchy;
-use crate::machine::{Engine, SkipSpan, SkipTick};
+use crate::hierarchy::{Engine, Hierarchy, SkipSpan, SkipTick};
 use crate::observer::{NullObserver, Observer};
 use crate::port::PortOwner;
 use crate::sim_machine::SimMachine;
@@ -91,9 +92,6 @@ pub struct NonBlockingMachine {
     max_mshrs: usize,
     mshr_seq: u64,
     cpu: CpuState,
-    engine: Engine,
-    record_skips: bool,
-    skip_log: Vec<SkipSpan>,
 }
 
 wbsim_types::clone_fields!(NonBlockingMachine {
@@ -101,10 +99,7 @@ wbsim_types::clone_fields!(NonBlockingMachine {
     mshrs,
     max_mshrs,
     mshr_seq,
-    cpu,
-    engine,
-    record_skips,
-    skip_log
+    cpu
 });
 
 impl NonBlockingMachine {
@@ -113,20 +108,38 @@ impl NonBlockingMachine {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] when the configuration is invalid, when
-    /// `mshrs` is zero, or when the hazard policy is not read-from-WB.
+    /// `mshrs` is zero, or when the configuration asks for what this
+    /// machine does not model: a hazard policy other than read-from-WB, a
+    /// write-back L1, an I-cache front end or write-priority arbitration.
     pub fn new(cfg: MachineConfig, mshrs: usize) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        if mshrs == 0 {
-            return Err(ConfigError::OutOfRange {
-                what: "MSHR count",
-                constraint: "must be at least 1",
-            });
-        }
-        if cfg.write_buffer.hazard != LoadHazardPolicy::ReadFromWb {
-            return Err(ConfigError::OutOfRange {
-                what: "load-hazard policy",
-                constraint: "the non-blocking machine requires read-from-WB",
-            });
+        let wb = &cfg.write_buffer;
+        for (refused, what, constraint) in [
+            (mshrs == 0, "MSHR count", "must be at least 1"),
+            (
+                wb.hazard != LoadHazardPolicy::ReadFromWb,
+                "load-hazard policy",
+                "the non-blocking machine requires read-from-WB",
+            ),
+            (
+                cfg.l1.write_policy != L1WritePolicy::WriteThrough,
+                "l1.write_policy",
+                "the non-blocking machine models a write-through L1 only",
+            ),
+            (
+                cfg.icache != IcacheConfig::Perfect,
+                "icache",
+                "the non-blocking machine has no I-cache front end (perfect only)",
+            ),
+            (
+                wb.priority != L2Priority::ReadBypass,
+                "wb.priority",
+                "the non-blocking machine arbitrates the L2 port read-bypass only",
+            ),
+        ] {
+            if refused {
+                return Err(ConfigError::OutOfRange { what, constraint });
+            }
         }
         let hier = Hierarchy::new(cfg)?;
         Ok(Self {
@@ -135,69 +148,71 @@ impl NonBlockingMachine {
             max_mshrs: mshrs,
             mshr_seq: 0,
             cpu: CpuState::NeedOp,
-            engine: Engine::default(),
-            record_skips: false,
-            skip_log: Vec::new(),
         })
     }
 
-    /// Selects the run-loop [`Engine`] for subsequent `run_*` calls; see
-    /// [`crate::Machine::set_engine`].
+    /// Selects the run-loop [`Engine`] for subsequent run-to-boundary
+    /// calls; see [`crate::Machine::set_engine`].
     pub fn set_engine(&mut self, engine: Engine) {
-        self.engine = engine;
-    }
-
-    /// The currently selected run-loop [`Engine`].
-    #[must_use]
-    pub fn engine(&self) -> Engine {
-        self.engine
+        self.hier.engine = engine;
     }
 
     /// Switches recording of claimed [`SkipSpan`]s on or off; see
     /// [`crate::Machine::set_record_skips`].
     pub fn set_record_skips(&mut self, record: bool) {
-        self.record_skips = record;
+        self.hier.record_skips = record;
     }
 
     /// Drains and returns the [`SkipSpan`]s recorded since the last call.
     pub fn take_skips(&mut self) -> Vec<SkipSpan> {
-        std::mem::take(&mut self.skip_log)
+        std::mem::take(&mut self.hier.skip_log)
     }
 
     /// Runs the stream to completion (including draining outstanding
     /// misses and retirements at the end) and returns statistics. Cycles
     /// the CPU spent blocked on MSHR exhaustion are reported in
     /// `SimStats::mshr_stall_cycles`. The machine stays alive for
-    /// post-run architectural queries.
+    /// post-run architectural queries. Under an observer
+    /// ([`SimMachine::run_observed`]), a load that goes to an MSHR (newly
+    /// allocated or merged into an outstanding one) is reported as
+    /// [`Event::LoadMiss`]; its fill arrives later as
+    /// [`Event::FillInstalled`].
     pub fn run<I>(&mut self, ops: I) -> SimStats
     where
         I: IntoIterator<Item = Op>,
     {
-        self.run_observed(ops, &mut NullObserver)
+        SimMachine::run_observed(self, ops, &mut NullObserver)
     }
 
-    /// [`NonBlockingMachine::run`] under an [`Observer`] receiving the
-    /// structured [`Event`] stream. A load that goes to an MSHR (newly
-    /// allocated or merged into an outstanding one) is reported as
-    /// [`Event::LoadMiss`]; its fill arrives later as
-    /// [`Event::FillInstalled`].
-    pub fn run_observed<I, O>(&mut self, ops: I, obs: &mut O) -> SimStats
+    /// The one run loop, behind every run-to-boundary entry point: one
+    /// [`NonBlockingMachine::cycle`] after another under the selected
+    /// [`Engine`] — with span jumps under [`Engine::EventDriven`] — until
+    /// `cycle` reports the end, finalizing `cycles`. Returns the landing
+    /// timestamp, or `None` once `deadline` is reached first.
+    fn run_loop<I, O>(
+        &mut self,
+        iter: &mut I,
+        to_boundary: bool,
+        deadline: Cycle,
+        obs: &mut O,
+    ) -> Option<u64>
     where
-        I: IntoIterator<Item = Op>,
+        I: Iterator<Item = Op>,
         O: Observer,
     {
-        let skip = self.engine == Engine::EventDriven;
-        let mut iter = ops.into_iter();
+        let skip = self.hier.engine == Engine::EventDriven;
         loop {
             if skip {
                 self.try_skip(obs);
             }
-            if !self.step(&mut iter, obs) {
-                break;
+            if !self.cycle(iter, to_boundary, obs) {
+                self.hier.stats.cycles = self.hier.now;
+                return Some(self.hier.now);
+            }
+            if self.hier.now >= deadline {
+                return None;
             }
         }
-        self.hier.stats.cycles = self.hier.now;
-        self.hier.stats
     }
 
     /// Classifies the CPU's current state as a pure wait; the non-blocking
@@ -254,8 +269,8 @@ impl NonBlockingMachine {
         if let Some(p) = self.hier.wb_retire {
             bound = bound.min(p.done_at);
         }
-        let any_queued = self.mshrs.iter().any(|m| m.done_at.is_none());
-        if any_queued {
+        let queued = self.reads_queued();
+        if queued {
             if self.hier.port.is_free(now) {
                 // A queued read issues this very cycle: real work.
                 return;
@@ -264,62 +279,11 @@ impl NonBlockingMachine {
         } else if let Some(t) = self.hier.retire_start_candidate(barrier) {
             bound = bound.min(t);
         }
-        if bound == u64::MAX || bound <= now {
-            return;
-        }
-        // Injected off-by-one in the skip horizon (see the blocking
-        // machine's `try_skip`): the jump lands one cycle past the
-        // earliest pending event.
-        let bound = if self.hier.cfg.fault == Some(FaultInjection::OvershootSkip) {
-            bound + 1
-        } else {
-            bound
-        };
-        if self.record_skips {
-            self.skip_log.push(SkipSpan {
-                from: now,
-                to: bound,
-                lane: false,
-            });
-        }
-        let k = bound - now;
         // The overlapped contention charge is constant across the span:
         // the port's owner cannot change before `free_at`, and the span is
         // bounded by `free_at` whenever a read is queued.
-        let overlapped = self.hier.port.busy_with_write(now) && any_queued;
-        match tick {
-            SkipTick::Nothing => {}
-            SkipTick::Stall(kind) => self.hier.stats.stalls.record(kind, k),
-            SkipTick::MshrStall => self.hier.stats.mshr_stall_cycles += k,
-            SkipTick::BarrierStall => self.hier.stats.barrier_stall_cycles += k,
-            SkipTick::MissWait | SkipTick::IFetchStall => unreachable!(),
-        }
-        if overlapped {
-            self.hier.stats.stalls.record(StallKind::L2ReadAccess, k);
-        }
-        let occupancy = self.hier.wb.occupancy();
-        self.hier
-            .stats
-            .wb_detail
-            .record_occupancy_span(occupancy, k);
-        if !O::IS_NOOP {
-            for t in now..bound {
-                if let SkipTick::Stall(kind) = tick {
-                    obs.event(&Event::StallCycle { now: t, kind });
-                }
-                if overlapped {
-                    obs.event(&Event::StallCycle {
-                        now: t,
-                        kind: StallKind::L2ReadAccess,
-                    });
-                }
-                obs.event(&Event::CycleEnd {
-                    now: t,
-                    occupancy: occupancy as u64,
-                });
-            }
-        }
-        self.hier.now = bound;
+        let overlapped = self.hier.port.busy_with_write(now) && queued;
+        let k = self.hier.jump(bound, tick, overlapped, false, obs);
         if let CpuState::Computing { left } = &mut self.cpu {
             let w = u64::from(self.hier.cfg.issue_width);
             *left = u64::from(*left).saturating_sub(k * w) as u32;
@@ -334,34 +298,6 @@ impl NonBlockingMachine {
         matches!(self.cpu, CpuState::NeedOp | CpuState::Finished)
     }
 
-    /// Runs one op from an op boundary until the front end is ready for
-    /// the next op, skipping wait spans when `skip` is set; see
-    /// [`SimMachine::run_op_bounded`]. Outstanding misses and retirements
-    /// deliberately stay in flight across the boundary.
-    fn run_op<O: Observer>(
-        &mut self,
-        op: Op,
-        max_cycles: u64,
-        skip: bool,
-        obs: &mut O,
-    ) -> Option<u64> {
-        debug_assert!(self.at_op_boundary(), "run_op mid-op");
-        self.resume();
-        let deadline = self.hier.now + max_cycles;
-        let mut iter = std::iter::once(op);
-        loop {
-            if skip {
-                self.try_skip(obs);
-            }
-            if !SimMachine::step_op(self, &mut iter, obs) {
-                return Some(self.hier.now);
-            }
-            if self.hier.now >= deadline {
-                return None;
-            }
-        }
-    }
-
     /// Resumes a machine whose stream ran dry at its op boundary: the
     /// next step fetches an op instead of draining for the end.
     fn resume(&mut self) {
@@ -370,49 +306,39 @@ impl NonBlockingMachine {
         }
     }
 
-    /// The end of every cycle: the overlapped L2-read-access charge (a
-    /// cycle in which some queued read sits behind an underway write is
-    /// L2-read-access contention, overlapped or not), the occupancy record
-    /// and the closing [`Event::CycleEnd`].
-    fn close_cycle<O: Observer>(&mut self, obs: &mut O) {
-        if self.hier.port.busy_with_write(self.hier.now)
-            && self.mshrs.iter().any(|m| m.done_at.is_none())
-        {
-            self.hier.stall(StallKind::L2ReadAccess, obs);
-        }
-        let occupancy = self.hier.wb.occupancy();
-        self.hier.stats.wb_detail.record_occupancy(occupancy);
-        obs.event(&Event::CycleEnd {
-            now: self.hier.now,
-            occupancy: occupancy as u64,
-        });
-        self.hier.now += 1;
+    /// Whether some MSHR is queued for the L2 port.
+    fn reads_queued(&self) -> bool {
+        self.mshrs.iter().any(|m| m.done_at.is_none())
     }
 
-    /// Advances one cycle of a forced drain: retirement runs at the
-    /// maximum rate and outstanding misses complete, but no new ops issue
-    /// (barrier semantics). Returns `false` — consuming no cycle — once
-    /// the buffer is empty, no retirement is in flight, and every MSHR has
-    /// filled. The reachability checker's liveness analysis walks this
-    /// deterministic drain schedule from every reachable state.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that no instruction is mid-flight (op boundary or an
-    /// earlier `drain_step`).
-    pub fn drain_step<O: Observer>(&mut self, obs: &mut O) -> bool {
-        debug_assert!(
-            matches!(
-                self.cpu,
-                CpuState::NeedOp | CpuState::Finished | CpuState::BarrierDrain
-            ),
-            "drain_step mid-op"
-        );
-        if self.hier.wb.occupancy() == 0 && self.hier.wb_retire.is_none() && self.mshrs.is_empty() {
+    /// One cycle: fill and retirement completion, one CPU step, read
+    /// issue, autonomous retirement, and the datapath's
+    /// [`Hierarchy::close_cycle`], overlapped when a queued read sits
+    /// behind an underway write (L2-read-access contention, overlapped or
+    /// not). Once the front end is idle and `iter` is dry, returns `false`
+    /// — consuming no cycle — either at once when `to_boundary` (this
+    /// timestamp's issue/retire phase belongs to the next op's first cycle
+    /// or the end-of-stream drain), or once no miss or retirement is left
+    /// in flight.
+    fn cycle<I, O>(&mut self, iter: &mut I, to_boundary: bool, obs: &mut O) -> bool
+    where
+        I: Iterator<Item = Op>,
+        O: Observer,
+    {
+        self.complete_mshrs(obs);
+        self.hier.complete_retirement(obs);
+        let advanced = self.cpu_step(iter, obs);
+        if !advanced && to_boundary {
             return false;
         }
-        self.cpu = CpuState::BarrierDrain;
-        self.step(&mut std::iter::empty(), obs)
+        self.issue_reads(obs);
+        self.wb_try_retire(obs);
+        if !advanced && self.mshrs.is_empty() && self.hier.wb_retire.is_none() {
+            return false;
+        }
+        let overlapped = self.hier.port.busy_with_write(self.hier.now) && self.reads_queued();
+        self.hier.close_cycle(overlapped, obs);
+        true
     }
 
     fn complete_mshrs<O: Observer>(&mut self, obs: &mut O) {
@@ -466,7 +392,7 @@ impl NonBlockingMachine {
     fn wb_try_retire<O: Observer>(&mut self, obs: &mut O) {
         // Reads first (read-bypassing): if any MSHR is queued, it will take
         // the port next cycle.
-        if self.mshrs.iter().any(|m| m.done_at.is_none()) {
+        if self.reads_queued() {
             return;
         }
         let barrier = matches!(self.cpu, CpuState::BarrierDrain);
@@ -598,39 +524,11 @@ impl NonBlockingMachine {
         true
     }
 
-    /// Read-only view of the accumulated statistics.
-    #[must_use]
-    pub fn stats(&self) -> &SimStats {
-        &self.hier.stats
-    }
-
     /// The current simulation timestamp: how many cycles have elapsed
     /// since the machine was constructed.
     #[must_use]
     pub fn now(&self) -> u64 {
         self.hier.now
-    }
-
-    /// Dirty L1 victims that allocated a write-buffer entry; always zero
-    /// under a write-through L1 (the only L1 this machine's required
-    /// read-from-WB policy is verified with).
-    #[must_use]
-    pub fn wb_victim_allocs(&self) -> u64 {
-        self.hier.victim_inserts
-    }
-
-    /// Current write-buffer occupancy in entries (zero after a completed
-    /// run: the end-of-trace drain empties the buffer).
-    #[must_use]
-    pub fn wb_occupancy(&self) -> usize {
-        self.hier.wb.occupancy()
-    }
-
-    /// The architecturally visible value of the word at `addr`; see
-    /// [`crate::Machine::read_word_architectural`].
-    #[must_use]
-    pub fn read_word_architectural(&self, addr: Addr) -> u64 {
-        self.hier.read_word_architectural(addr)
     }
 }
 
@@ -640,14 +538,13 @@ impl SimMachine for NonBlockingMachine {
         NonBlockingMachine::new(cfg, mshrs.unwrap_or(0))
     }
 
-    /// Fill completion, retirement completion, one CPU step, read issue,
-    /// autonomous retirement, then the cycle close (`close_cycle`).
     fn run_observed<I, O>(&mut self, ops: I, obs: &mut O) -> SimStats
     where
         I: IntoIterator<Item = Op>,
         O: Observer,
     {
-        NonBlockingMachine::run_observed(self, ops, obs)
+        self.run_loop(&mut ops.into_iter(), false, u64::MAX, obs);
+        self.hier.stats
     }
 
     fn step<I, O>(&mut self, iter: &mut I, obs: &mut O) -> bool
@@ -655,73 +552,46 @@ impl SimMachine for NonBlockingMachine {
         I: Iterator<Item = Op>,
         O: Observer,
     {
-        self.complete_mshrs(obs);
-        self.hier.complete_retirement(obs);
-        let advanced = self.cpu_step(iter, obs);
-        self.issue_reads(obs);
-        self.wb_try_retire(obs);
-        if !advanced && self.mshrs.is_empty() && self.hier.wb_retire.is_none() {
-            return false;
-        }
-        self.close_cycle(obs);
-        true
+        self.cycle(iter, false, obs)
     }
 
-    /// Fill and retirement completion, one CPU step, read issue,
-    /// autonomous retirement and the cycle close, as in `step` — but once
-    /// the front end is idle and `iter` is dry it stops *before* this
-    /// timestamp's issue/retire phase, which belongs to the next op's
-    /// first cycle (or the end-of-stream drain).
     fn step_op<I, O>(&mut self, iter: &mut I, obs: &mut O) -> bool
     where
         I: Iterator<Item = Op>,
         O: Observer,
     {
         self.resume();
-        self.complete_mshrs(obs);
-        self.hier.complete_retirement(obs);
-        if !self.cpu_step(iter, obs) {
-            return false;
-        }
-        self.issue_reads(obs);
-        self.wb_try_retire(obs);
-        self.close_cycle(obs);
-        true
+        self.cycle(iter, true, obs)
     }
 
+    /// Outstanding misses and retirements deliberately stay in flight
+    /// across the boundary.
     fn run_op_bounded<O: Observer>(&mut self, op: Op, max_cycles: u64, obs: &mut O) -> Option<u64> {
-        self.run_op(op, max_cycles, false, obs)
-    }
-
-    fn run_op_skipping<O: Observer>(
-        &mut self,
-        op: Op,
-        max_cycles: u64,
-        obs: &mut O,
-    ) -> Option<u64> {
-        let skip = self.engine == Engine::EventDriven;
-        self.run_op(op, max_cycles, skip, obs)
+        debug_assert!(self.at_op_boundary(), "run_op_bounded mid-op");
+        self.resume();
+        let deadline = self.hier.now.saturating_add(max_cycles);
+        self.run_loop(&mut std::iter::once(op), true, deadline, obs)
     }
 
     fn run_to_end_bounded<O: Observer>(&mut self, max_cycles: u64, obs: &mut O) -> Option<u64> {
-        let deadline = self.hier.now + max_cycles;
-        let skip = self.engine == Engine::EventDriven;
-        let mut iter = std::iter::empty();
-        loop {
-            if skip {
-                self.try_skip(obs);
-            }
-            if !self.step(&mut iter, obs) {
-                return Some(self.hier.now);
-            }
-            if self.hier.now >= deadline {
-                return None;
-            }
-        }
+        let deadline = self.hier.now.saturating_add(max_cycles);
+        self.run_loop(&mut std::iter::empty(), false, deadline, obs)
     }
 
+    /// Barrier semantics: every MSHR fills too.
     fn drain_step<O: Observer>(&mut self, obs: &mut O) -> bool {
-        NonBlockingMachine::drain_step(self, obs)
+        debug_assert!(
+            matches!(
+                self.cpu,
+                CpuState::NeedOp | CpuState::Finished | CpuState::BarrierDrain
+            ),
+            "drain_step mid-op"
+        );
+        if self.hier.wb.occupancy() == 0 && self.hier.wb_retire.is_none() && self.mshrs.is_empty() {
+            return false;
+        }
+        self.cpu = CpuState::BarrierDrain;
+        self.cycle(&mut std::iter::empty(), false, obs)
     }
 
     /// The hierarchy's components plus the outstanding misses.
@@ -738,19 +608,19 @@ impl SimMachine for NonBlockingMachine {
     }
 
     fn stats(&self) -> &SimStats {
-        NonBlockingMachine::stats(self)
+        &self.hier.stats
     }
 
     fn wb_occupancy(&self) -> usize {
-        NonBlockingMachine::wb_occupancy(self)
+        self.hier.wb.occupancy()
     }
 
     fn wb_victim_allocs(&self) -> u64 {
-        NonBlockingMachine::wb_victim_allocs(self)
+        self.hier.victim_inserts
     }
 
     fn read_word_architectural(&self, addr: Addr) -> u64 {
-        NonBlockingMachine::read_word_architectural(self, addr)
+        self.hier.read_word_architectural(addr)
     }
 
     fn set_engine(&mut self, engine: Engine) {
@@ -777,6 +647,36 @@ mod tests {
         assert!(NonBlockingMachine::new(MachineConfig::baseline(), 4).is_err());
         assert!(NonBlockingMachine::new(nb_cfg(), 0).is_err());
         assert!(NonBlockingMachine::new(nb_cfg(), 4).is_ok());
+    }
+
+    /// The error a read-from-WB configuration edited by `edit` is refused
+    /// with.
+    fn refused(edit: impl FnOnce(&mut MachineConfig)) -> String {
+        let mut cfg = nb_cfg();
+        edit(&mut cfg);
+        cfg.validate().expect("a valid configuration");
+        NonBlockingMachine::new(cfg, 4).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn refuses_a_write_back_l1() {
+        let e = refused(|c| {
+            c.l1.write_policy = L1WritePolicy::WriteBack;
+            c.write_buffer.width_words = c.geometry.words_per_line();
+        });
+        assert!(e.starts_with("l1.write_policy out of range"), "{e}");
+    }
+
+    #[test]
+    fn refuses_an_icache_front_end() {
+        let e = refused(|c| c.icache = IcacheConfig::MissEvery { interval: 50 });
+        assert!(e.starts_with("icache out of range"), "{e}");
+    }
+
+    #[test]
+    fn refuses_write_priority() {
+        let e = refused(|c| c.write_buffer.priority = L2Priority::WritePriorityAbove(2));
+        assert!(e.starts_with("wb.priority out of range"), "{e}");
     }
 
     #[test]

@@ -7,20 +7,27 @@ use wbsim_types::config::{ConfigError, MachineConfig};
 use wbsim_types::op::Op;
 use wbsim_types::stats::SimStats;
 
-use crate::machine::{Engine, Machine, SkipSpan};
+use crate::hierarchy::{Engine, SkipSpan};
+use crate::machine::Machine;
 use crate::nonblocking::NonBlockingMachine;
 use crate::observer::{JsonlObserver, Observer};
 use crate::view::StateView;
 
 /// The blocking [`crate::Machine`] and the [`crate::NonBlockingMachine`]
 /// seen through one interface: everything the model checkers
-/// (`wbsim-check`) call, so each checker is written once and
-/// monomorphized per machine.
+/// (`wbsim-check`) and the other crates call, so each checker is written
+/// once and monomorphized per machine. A machine's inherent methods are
+/// only its constructors, the runs this trait has no form of (plain,
+/// warmup, ideal and folded runs) and what the benchmark package
+/// (`perfbench/`) calls.
 ///
-/// Every entry point single-steps the machine except
-/// [`SimMachine::run_observed`], [`SimMachine::run_op_skipping`] and
-/// [`SimMachine::run_to_end_bounded`], which run under the selected
-/// [`Engine`].
+/// One engine rule: every entry point that runs to a boundary
+/// ([`SimMachine::run_observed`], [`SimMachine::run_op_bounded`],
+/// [`SimMachine::run_to_end_bounded`]) runs under the machine's
+/// [`Engine`], and the one-cycle entry points ([`SimMachine::step`],
+/// [`SimMachine::step_op`], [`SimMachine::drain_step`]) step under
+/// either. A checker that must single-step builds its machines with
+/// [`Engine::Reference`].
 pub trait SimMachine: Clone + Send {
     /// Builds the machine from its configuration: `mshrs` is the
     /// non-blocking machine's miss-register count, and `None` for the
@@ -32,9 +39,16 @@ pub trait SimMachine: Clone + Send {
     /// machine, or `mshrs` does not fit it.
     fn build(cfg: MachineConfig, mshrs: Option<usize>) -> Result<Self, ConfigError>;
 
-    /// The continuous run users run: every op of `ops` under the selected
-    /// [`Engine`], with the cycle count finalized (each machine's inherent
-    /// `run_observed`).
+    /// The continuous run users run: every op of `ops`, with the cycle
+    /// count finalized. The blocking machine stops at the last op's
+    /// boundary; the non-blocking machine also lands its outstanding
+    /// misses and retirements.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `check_data` is enabled and a load observes a value other
+    /// than the freshest store — a simulator bug, never a property of a
+    /// configuration.
     fn run_observed<I, O>(&mut self, ops: I, obs: &mut O) -> SimStats
     where
         I: IntoIterator<Item = Op>,
@@ -66,8 +80,9 @@ pub trait SimMachine: Clone + Send {
 
     /// Runs exactly one op from an op boundary until the CPU is ready for
     /// the next op, giving up after `max_cycles` more cycles (`None`, with
-    /// the machine left mid-op — a livelock probe). On completion returns
-    /// the new timestamp.
+    /// the machine left mid-op — a livelock probe; a span jump may carry
+    /// the event-driven engine past the limit). On completion returns the
+    /// new timestamp.
     ///
     /// Feeding ops one at a time this way is equivalent to one continuous
     /// run over the concatenated stream: the same cycles elapse and the
@@ -80,29 +95,19 @@ pub trait SimMachine: Clone + Send {
     /// Debug-asserts that the machine is at an op boundary.
     fn run_op_bounded<O: Observer>(&mut self, op: Op, max_cycles: u64, obs: &mut O) -> Option<u64>;
 
-    /// [`SimMachine::run_op_bounded`] through the engine-selected run
-    /// loop: under [`Engine::EventDriven`] the op runs with the span skips
-    /// (and, on the blocking machine, the op fast lane) of a full run;
-    /// under [`Engine::Reference`] this is `run_op_bounded`. The
-    /// refinement checker drives one machine of each engine through it and
-    /// compares the event streams.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that the machine is at an op boundary.
-    fn run_op_skipping<O: Observer>(&mut self, op: Op, max_cycles: u64, obs: &mut O)
-        -> Option<u64>;
-
-    /// Runs the end-of-stream tail under the engine-selected loop with no
-    /// further ops, giving up after `max_cycles` more cycles. The blocking
-    /// machine stops at the op boundary (buffered entries stay resident,
-    /// as in a full run), so it returns at once; the non-blocking machine
-    /// lands its outstanding fills and retirements.
+    /// Runs the end-of-stream tail with no further ops, giving up after
+    /// `max_cycles` more cycles. The blocking machine stops at the op
+    /// boundary (buffered entries stay resident, as in a full run), so it
+    /// returns at once; the non-blocking machine lands its outstanding
+    /// fills and retirements.
     fn run_to_end_bounded<O: Observer>(&mut self, max_cycles: u64, obs: &mut O) -> Option<u64>;
 
     /// One cycle of a forced drain: retirement runs at the maximum rate
     /// and outstanding misses complete, but no op issues. Returns `false`
-    /// — consuming no cycle — once nothing is left to drain.
+    /// — consuming no cycle — once nothing is left to drain. The
+    /// reachability checker's liveness analysis walks this deterministic
+    /// drain schedule from every reachable state: a state cycle without
+    /// retirement progress under it is a livelock.
     ///
     /// # Panics
     ///
@@ -124,16 +129,23 @@ pub trait SimMachine: Clone + Send {
     /// The accumulated statistics.
     fn stats(&self) -> &SimStats;
 
-    /// The write-buffer occupancy in entries.
+    /// The write-buffer occupancy in entries, one mid-retirement included.
+    /// After a run this is the residual occupancy term of the
+    /// entry-conservation identity.
     fn wb_occupancy(&self) -> usize;
 
-    /// Dirty L1 victims that allocated a write-buffer entry.
+    /// Dirty L1 victims that *allocated* a write-buffer entry (victims
+    /// merging into an existing entry for the same block are not
+    /// counted). Always zero under a write-through L1.
     fn wb_victim_allocs(&self) -> u64;
 
-    /// The architecturally visible value of the word at `addr`.
+    /// The architecturally visible value of the word at `addr`: the value
+    /// a magically instantaneous load would observe, probing L1, then the
+    /// write buffer, then L2, then main memory. Touches no LRU or timing
+    /// state.
     fn read_word_architectural(&self, addr: Addr) -> u64;
 
-    /// Selects the run-loop [`Engine`].
+    /// Selects the [`Engine`] of the run-to-boundary entry points.
     fn set_engine(&mut self, engine: Engine);
 
     /// Switches recording of the event-driven engine's [`SkipSpan`]s.

@@ -5,7 +5,7 @@
 //! pin the observer against the machine itself, so a change to either
 //! side of the event contract shows up here.
 
-use wbsim_sim::{HistogramObserver, Machine};
+use wbsim_sim::{HistogramObserver, Machine, SimMachine};
 use wbsim_types::config::MachineConfig;
 use wbsim_types::op::Op;
 use wbsim_types::testutil::a;

@@ -160,10 +160,26 @@ fn apply_line(
             .parse::<u64>()
             .map_err(|_| err(n, format!("{what} must be an integer, got {value:?}")))
     };
+    // A value its field cannot hold is refused on its own line, never
+    // truncated; a size in KiB must fit the field in bytes.
+    let too_big =
+        |what: &str, max: u64, v: u64| err(n, format!("{what} must be at most {max}, got {v}"));
+    let small = |what: &str, max: u32| -> Result<u32, ConfigParseError> {
+        let v = int(what)?;
+        u32::try_from(v)
+            .ok()
+            .filter(|&x| x <= max)
+            .ok_or_else(|| too_big(what, max.into(), v))
+    };
+    let count = |what: &str| -> Result<usize, ConfigParseError> {
+        let v = int(what)?;
+        usize::try_from(v).map_err(|_| too_big(what, usize::MAX as u64, v))
+    };
+    const MAX_KB: u32 = u32::MAX / 1024;
     match key {
-        "issue_width" => cfg.issue_width = int("issue_width")? as u32,
-        "l1.size_kb" => cfg.l1.size_bytes = int("l1.size_kb")? as u32 * 1024,
-        "l1.assoc" => cfg.l1.assoc = int("l1.assoc")? as u32,
+        "issue_width" => cfg.issue_width = small("issue_width", u32::MAX)?,
+        "l1.size_kb" => cfg.l1.size_bytes = small("l1.size_kb", MAX_KB)? * 1024,
+        "l1.assoc" => cfg.l1.assoc = small("l1.assoc", u32::MAX)?,
         "l1.write_policy" => {
             cfg.l1.write_policy = value
                 .parse::<L1WritePolicy>()
@@ -180,7 +196,7 @@ fn apply_line(
             }
         },
         "l2.latency" => l2.latency = int("l2.latency")?,
-        "l2.size_kb" => l2.size_kb = int("l2.size_kb")? as u32,
+        "l2.size_kb" => l2.size_kb = small("l2.size_kb", MAX_KB)?,
         "l2.mm_latency" => l2.mm = int("l2.mm_latency")?,
         "icache" => {
             cfg.icache = if value == "perfect" {
@@ -195,8 +211,8 @@ fn apply_line(
                 return Err(err(n, format!("unknown icache model {value:?}")));
             }
         }
-        "wb.depth" => cfg.write_buffer.depth = int("wb.depth")? as usize,
-        "wb.width_words" => cfg.write_buffer.width_words = int("wb.width_words")? as usize,
+        "wb.depth" => cfg.write_buffer.depth = count("wb.depth")?,
+        "wb.width_words" => cfg.write_buffer.width_words = count("wb.width_words")?,
         "wb.order" => {
             cfg.write_buffer.order = value
                 .parse::<RetirementOrder>()
@@ -484,6 +500,34 @@ wb.priority = write-priority-above-10
         assert!(e.message.contains("unknown key"));
         let e = "wb.depth = four".parse::<MachineConfig>().unwrap_err();
         assert!(e.message.contains("integer"));
+    }
+
+    /// A value its field cannot hold is refused on its own line, never
+    /// truncated: each of these once parsed as a small valid value (or,
+    /// for the KiB sizes, overflowed the byte count).
+    #[test]
+    fn refuses_integers_their_field_cannot_hold() {
+        for (line, max) in [
+            ("issue_width = 4294967297", 4_294_967_295u64),
+            ("l1.assoc = 4294967297", 4_294_967_295),
+            ("l1.size_kb = 4294967304", 4_194_303),
+            ("l1.size_kb = 4194304", 4_194_303),
+            ("l2.size_kb = 4294967424", 4_194_303),
+            ("l2.size_kb = 4194304", 4_194_303),
+        ] {
+            let errs = parse_machine_config(&format!("l2 = real\n{line}")).unwrap_err();
+            let (key, value) = line.split_once(" = ").unwrap();
+            assert_eq!(
+                errs.0,
+                [err(2, format!("{key} must be at most {max}, got {value}"))],
+                "{line}"
+            );
+        }
+        // The largest value that fits is read as written.
+        let cfg = parse_machine_config("issue_width = 4294967295").unwrap();
+        assert_eq!(cfg.issue_width, u32::MAX);
+        let e = parse_machine_config("l1.size_kb = 4194303").unwrap_err();
+        assert_eq!(e.0[0].line, 0, "the whole configuration is invalid: {e}");
     }
 
     #[test]

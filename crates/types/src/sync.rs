@@ -382,9 +382,13 @@ where
                     return v;
                 }
                 Err(payload) => {
-                    // Unwinding (SchedAbort or a real panic): skip the
-                    // join decision point — the session is tearing this
-                    // execution down and will release the children.
+                    // Unwinding: skip the join decision point. A real
+                    // panic ends the execution here, before the unwind
+                    // reaches the OS-level join: a child parked at a
+                    // decision point would otherwise wait for a grant no
+                    // thread is left to make. On a scheduler abort the
+                    // session is already tearing the execution down.
+                    model::abort_on_panic(&ctx, payload.as_ref());
                     std::panic::resume_unwind(payload);
                 }
             }

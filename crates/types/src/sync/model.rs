@@ -563,6 +563,21 @@ fn panic_message(p: &(dyn Any + Send)) -> String {
     }
 }
 
+/// Ends the execution as [`ExecOutcome::Panicked`] when `payload` is a
+/// real panic of thread `ctx` (not a [`SchedAbort`]) and no verdict is in
+/// yet, waking every parked thread to unwind. For a thread that must
+/// reach a join before it finishes, which a parked child would block.
+pub(super) fn abort_on_panic(ctx: &Ctx, payload: &(dyn Any + Send)) {
+    let mut st = ctx.session.lock();
+    if payload.downcast_ref::<SchedAbort>().is_some() || st.outcome.is_some() {
+        return;
+    }
+    let message = panic_message(payload);
+    st.threads[ctx.tid].panic_msg = Some(message.clone());
+    let thread = ctx.tid;
+    abort(&mut st, ExecOutcome::Panicked { thread, message });
+}
+
 fn finish_thread(session: &Session, tid: usize, payload: Option<Box<dyn Any + Send>>) {
     let mut st = session.lock();
     let ts = &mut st.threads[tid];

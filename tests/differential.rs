@@ -27,7 +27,7 @@ use wbsim::trace::strategies::{arb_machine_config, arb_op};
 use wbsim::types::config::MachineConfig;
 use wbsim::types::divergence::{Divergence, FaultInjection};
 use wbsim::types::op::Op;
-use wbsim::types::policy::{L1WritePolicy, LoadHazardPolicy, RetirementPolicy};
+use wbsim::types::policy::{L1WritePolicy, L2Priority, LoadHazardPolicy, RetirementPolicy};
 use wbsim::types::Addr;
 
 /// A load- and store-only reference over 8 lines: maximal hazard density,
@@ -74,11 +74,13 @@ proptest! {
 }
 
 /// Rewrites an arbitrary valid configuration into one the non-blocking
-/// machine accepts: read-from-WB hazards over a write-through L1. Every
-/// other generated dimension (depth, retirement, L2, ages, priorities)
+/// machine accepts: read-from-WB hazards over a write-through L1, with
+/// read-bypassing port arbitration (the only arbitration the machine
+/// runs). Every other generated dimension (depth, retirement, L2, ages)
 /// passes through untouched.
 fn nb_variant(mut cfg: MachineConfig) -> MachineConfig {
     cfg.write_buffer.hazard = LoadHazardPolicy::ReadFromWb;
+    cfg.write_buffer.priority = L2Priority::ReadBypass;
     cfg.l1.write_policy = L1WritePolicy::WriteThrough;
     cfg
 }

@@ -21,7 +21,7 @@
 
 use proptest::prelude::*;
 
-use wbsim::sim::{Engine, Event, Machine, NonBlockingMachine, NullObserver, Observer};
+use wbsim::sim::{Engine, Event, Machine, NonBlockingMachine, NullObserver, Observer, SimMachine};
 use wbsim::trace::strategies::{arb_machine_config, arb_op};
 use wbsim::types::config::{IcacheConfig, MachineConfig, WriteBufferConfig};
 use wbsim::types::op::Op;

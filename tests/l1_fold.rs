@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 
-use wbsim::sim::{foldable, Engine, Event, L1Fold, Machine, NullObserver, Observer};
+use wbsim::sim::{foldable, Engine, Event, L1Fold, Machine, NullObserver, Observer, SimMachine};
 use wbsim::trace::strategies::{arb_flush_hazard, arb_op};
 use wbsim::types::config::{L1Config, L2Config, MachineConfig, WriteBufferConfig};
 use wbsim::types::divergence::LoadSource;

@@ -23,8 +23,6 @@
 //! the paper's claims and is the default property set for
 //! `wbsim check --prop`.
 
-use std::collections::HashSet;
-
 use wbsim_sim::{Event, Machine, NonBlockingMachine, Observer, SimMachine};
 use wbsim_types::addr::LineAddr;
 use wbsim_types::config::MachineConfig;
@@ -33,6 +31,7 @@ use wbsim_types::op::Op;
 
 use crate::abstract_state::StateKey;
 use crate::bounded::{build, first_violation, minimize, op_universe, Counterexample};
+use crate::explore::DrainPath;
 use crate::prop_automaton::{compile_property, MonViolation, Monitors};
 use crate::prop_parse::{parse_props, CmpOp, PropSet, ValueExpr, WhereClause};
 use crate::reach::{drain_key, probe, replay, replay_trace, universe_lines, DRAIN_WALK_BOUND};
@@ -387,7 +386,7 @@ fn settle_drain<M: SimMachine>(
     if let Some(v) = runner.take_violation() {
         return Err(v);
     }
-    let (mut key, mut seen) = (StateKey::default(), HashSet::new());
+    let (mut key, mut path) = (StateKey::default(), DrainPath::default());
     loop {
         let s = drain_key(m, lines, &mut key);
         let stepped = m.drain_step(runner);
@@ -397,10 +396,10 @@ fn settle_drain<M: SimMachine>(
         // A terminated drain ends the (complete, finite) run; a cycling
         // one never discharges anything: either way, whatever is still
         // pending is a violation.
-        if !stepped || seen.contains(&s) || seen.len() > DRAIN_WALK_BOUND {
+        if !stepped || path.contains(s) || path.len() > DRAIN_WALK_BOUND {
             return runner.pending_violation().map_or(Ok(()), Err);
         }
-        seen.insert(s);
+        path.push(s);
     }
 }
 

@@ -12,15 +12,14 @@
 //! and wedged states, and `trace validate --prop` asks at end of trace.
 //!
 //! For the unbounded product with the reach.rs abstract state graph, a
-//! bundle summarizes into a canonical [`MonKey`]: bound addresses are
-//! renamed under the same line swap the abstract state uses (`addr ^
-//! line_bytes`) and re-sorted, so the joint (abstract state, monitor)
-//! visited key respects the machine's line symmetry. `increasing` state is
+//! bundle writes a canonical key ([`Monitors::write_key`]): bound
+//! addresses are renamed under the same line swap the abstract state uses
+//! (`addr ^ line_bytes`) and re-sorted, so the joint (abstract state,
+//! monitor) visited key respects the machine's line symmetry. `increasing` state is
 //! path-local bookkeeping (like the reach checker's `last_retire_id`) and
 //! the ambient occupancy is derivable from the abstract state at op
 //! boundaries, so both are excluded from the key.
 
-use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use wbsim_sim::event::{FieldVal, NOW, SCHEMA};
@@ -278,17 +277,33 @@ pub fn compile_property(
 // Monitor state
 
 /// Scope state: a flag, or (under `for_each addr`) the set of open
-/// parameter bindings.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// parameter bindings, ascending. `clone_from` reuses the set's buffer.
+#[derive(Debug, PartialEq, Eq)]
 enum ScopeState {
     Flat(bool),
-    Param(BTreeSet<u64>),
+    Param(Vec<u64>),
+}
+
+impl Clone for ScopeState {
+    fn clone(&self) -> Self {
+        match self {
+            ScopeState::Flat(b) => ScopeState::Flat(*b),
+            ScopeState::Param(s) => ScopeState::Param(s.clone()),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        match (self, src) {
+            (ScopeState::Param(to), ScopeState::Param(from)) => to.clone_from(from),
+            (to, from) => *to = from.clone(),
+        }
+    }
 }
 
 impl ScopeState {
     fn new(per_addr: bool) -> Self {
         if per_addr {
-            ScopeState::Param(BTreeSet::new())
+            ScopeState::Param(Vec::new())
         } else {
             ScopeState::Flat(false)
         }
@@ -300,9 +315,47 @@ impl ScopeState {
             ScopeState::Param(s) => !s.is_empty(),
         }
     }
+
+    /// Whether the window for binding `v` is open (any window, for an
+    /// event that binds nothing).
+    fn is_open(&self, v: Option<u64>) -> bool {
+        match (self, v) {
+            (ScopeState::Flat(b), _) => *b,
+            (ScopeState::Param(s), Some(v)) => s.binary_search(&v).is_ok(),
+            (ScopeState::Param(s), None) => !s.is_empty(),
+        }
+    }
+
+    /// Opens the window for binding `v`; an event that binds nothing
+    /// opens no per-address window.
+    fn open(&mut self, v: Option<u64>) {
+        match (self, v) {
+            (ScopeState::Flat(b), _) => *b = true,
+            (ScopeState::Param(s), Some(v)) => {
+                if let Err(i) = s.binary_search(&v) {
+                    s.insert(i, v);
+                }
+            }
+            (ScopeState::Param(_), None) => {}
+        }
+    }
+
+    /// Closes the window for binding `v` (every window, for an event that
+    /// binds nothing).
+    fn close(&mut self, v: Option<u64>) {
+        match (self, v) {
+            (ScopeState::Flat(b), _) => *b = false,
+            (ScopeState::Param(s), Some(v)) => {
+                if let Ok(i) = s.binary_search(&v) {
+                    s.remove(i);
+                }
+            }
+            (ScopeState::Param(s), None) => s.clear(),
+        }
+    }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 enum MonState {
     Stateless,
     Scope(ScopeState),
@@ -310,6 +363,28 @@ enum MonState {
     Pending(ScopeState),
     Count { open: bool, n: u64 },
     Last(Option<u64>),
+}
+
+impl Clone for MonState {
+    fn clone(&self) -> Self {
+        match self {
+            MonState::Stateless => MonState::Stateless,
+            MonState::Scope(sc) => MonState::Scope(sc.clone()),
+            MonState::Done(b) => MonState::Done(*b),
+            MonState::Pending(sc) => MonState::Pending(sc.clone()),
+            MonState::Count { open, n } => MonState::Count { open: *open, n: *n },
+            MonState::Last(v) => MonState::Last(*v),
+        }
+    }
+
+    /// Reuses the target's binding set when both hold one.
+    fn clone_from(&mut self, src: &Self) {
+        match (self, src) {
+            (MonState::Scope(to), MonState::Scope(from))
+            | (MonState::Pending(to), MonState::Pending(from)) => to.clone_from(from),
+            (to, from) => *to = from.clone(),
+        }
+    }
 }
 
 /// A safety violation raised while stepping.
@@ -328,51 +403,6 @@ pub struct MonObligation {
     pub prop: usize,
     /// What is still owed, for the diagnostic message.
     pub detail: String,
-}
-
-/// One canonical-key component per monitor (see [`Monitors::key`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MonKeyItem {
-    /// Path-local or stateless: excluded from canonicalization.
-    Unit,
-    /// A scope/obligation/done flag.
-    Flag(bool),
-    /// Open parameter bindings, renamed and sorted.
-    Set(Vec<u64>),
-    /// Bounded-count window state.
-    Count(bool, u64),
-}
-
-/// Canonical summary of a monitor bundle's state, usable as (part of) a
-/// visited-set key in the product BFS (see [`MonKey::encode`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MonKey(pub Vec<MonKeyItem>);
-
-impl MonKey {
-    /// Appends a prefix-free byte encoding of the key: the item count,
-    /// then per item a tag byte (0 unit, 1 flag, 2 set, 3 count) and its
-    /// fields, with flags as one byte and numbers as LEB128 varints. The
-    /// product checker appends it to the machine's packed key.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.0.len() as u64);
-        for item in &self.0 {
-            match item {
-                MonKeyItem::Unit => out.push(0),
-                MonKeyItem::Flag(b) => out.extend([1, u8::from(*b)]),
-                MonKeyItem::Set(addrs) => {
-                    out.push(2);
-                    put_varint(out, addrs.len() as u64);
-                    for &a in addrs {
-                        put_varint(out, a);
-                    }
-                }
-                MonKeyItem::Count(open, n) => {
-                    out.extend([3, u8::from(*open)]);
-                    put_varint(out, *n);
-                }
-            }
-        }
-    }
 }
 
 /// A bundle of compiled monitors plus their per-run state. `clone_from`
@@ -455,10 +485,7 @@ impl Monitors {
                 (MonState::Pending(sc), CompiledKind::Leads { goal, .. }) if sc.any_open() => {
                     let what = match sc {
                         ScopeState::Flat(_) => "an obligation is".to_string(),
-                        ScopeState::Param(s) => format!(
-                            "obligations for addr(s) {:?} are",
-                            s.iter().collect::<Vec<_>>()
-                        ),
+                        ScopeState::Param(s) => format!("obligations for addr(s) {s:?} are"),
                     };
                     out.push(MonObligation {
                         prop: i,
@@ -471,31 +498,50 @@ impl Monitors {
         out
     }
 
-    /// Canonical state summary. `xor_mask` renames parameter bindings
-    /// under the abstract line swap (`Some(line_bytes)`), matching the
-    /// renaming the packed abstract state applies to the machine half of
-    /// a product-BFS key.
-    #[must_use]
-    pub fn key(&self, xor_mask: Option<u64>) -> MonKey {
-        let items = self
-            .states
-            .iter()
-            .map(|st| match st {
-                MonState::Stateless | MonState::Last(_) => MonKeyItem::Unit,
-                MonState::Done(b) => MonKeyItem::Flag(*b),
-                MonState::Scope(sc) | MonState::Pending(sc) => match sc {
-                    ScopeState::Flat(b) => MonKeyItem::Flag(*b),
-                    ScopeState::Param(s) => {
-                        let mut v: Vec<u64> =
-                            s.iter().map(|&a| xor_mask.map_or(a, |m| a ^ m)).collect();
-                        v.sort_unstable();
-                        MonKeyItem::Set(v)
+    /// Appends the bundle's canonical state summary to `out`, renaming
+    /// parameter bindings by `xor_mask` — the abstract line swap
+    /// (`Some(line_bytes)`), matching the renaming the packed abstract
+    /// state applies to the machine half of a product-BFS key.
+    ///
+    /// The encoding is prefix-free: the monitor count, then per monitor a
+    /// tag byte and its fields, with flags as one byte and numbers as
+    /// LEB128 varints — 0 for a stateless or path-local monitor
+    /// (`increasing`), 1 and a flag for a scope, obligation or done flag,
+    /// 2, the count and the ascending renamed bindings for a binding set,
+    /// 3, the open flag and the count for a bounded-count window.
+    pub fn write_key(&self, xor_mask: Option<u64>, out: &mut Vec<u8>) {
+        put_varint(out, self.states.len() as u64);
+        for st in &self.states {
+            match st {
+                MonState::Stateless | MonState::Last(_) => out.push(0),
+                MonState::Done(b)
+                | MonState::Scope(ScopeState::Flat(b))
+                | MonState::Pending(ScopeState::Flat(b)) => out.extend([1, u8::from(*b)]),
+                MonState::Scope(ScopeState::Param(s)) | MonState::Pending(ScopeState::Param(s)) => {
+                    out.push(2);
+                    put_varint(out, s.len() as u64);
+                    // Renaming reorders the set: pick the renamed bindings
+                    // smallest first instead of sorting a copy. Quadratic,
+                    // but a set holds a few addresses of the two lines.
+                    let rename = |a: u64| xor_mask.map_or(a, |m| a ^ m);
+                    let mut last = None;
+                    for _ in s {
+                        let next = s
+                            .iter()
+                            .map(|&a| rename(a))
+                            .filter(|&a| last.is_none_or(|l| a > l))
+                            .min()
+                            .expect("renaming is a bijection");
+                        put_varint(out, next);
+                        last = Some(next);
                     }
-                },
-                MonState::Count { open, n } => MonKeyItem::Count(*open, *n),
-            })
-            .collect();
-        MonKey(items)
+                }
+                MonState::Count { open, n } => {
+                    out.extend([3, u8::from(*open)]);
+                    put_varint(out, *n);
+                }
+            }
+        }
     }
 }
 
@@ -521,37 +567,18 @@ fn step_one(p: &CompiledProp, st: &mut MonState, ev: &Event, occ: u64) -> Option
             // Ban first (an event may both close a window and be banned in
             // it), then close, then open.
             let mut hit = None;
-            if ban.matches_nonparam(ev, occ) {
-                let banned = match (sc as &ScopeState, ban.param_value(ev)) {
-                    (ScopeState::Flat(b), _) => *b,
-                    (ScopeState::Param(s), Some(v)) => s.contains(&v),
-                    (ScopeState::Param(s), None) => !s.is_empty(),
-                };
-                if banned {
-                    hit = Some(format!(
-                        "banned event {} occurred inside an open {} window",
-                        ev.to_json(),
-                        open.tag()
-                    ));
-                }
+            if ban.matches_nonparam(ev, occ) && sc.is_open(ban.param_value(ev)) {
+                hit = Some(format!(
+                    "banned event {} occurred inside an open {} window",
+                    ev.to_json(),
+                    open.tag()
+                ));
             }
             if close.matches_nonparam(ev, occ) {
-                match (&mut *sc, close.param_value(ev)) {
-                    (ScopeState::Flat(b), _) => *b = false,
-                    (ScopeState::Param(s), Some(v)) => {
-                        s.remove(&v);
-                    }
-                    (ScopeState::Param(s), None) => s.clear(),
-                }
+                sc.close(close.param_value(ev));
             }
             if open.matches_nonparam(ev, occ) {
-                match (&mut *sc, open.param_value(ev)) {
-                    (ScopeState::Flat(b), _) => *b = true,
-                    (ScopeState::Param(s), Some(v)) => {
-                        s.insert(v);
-                    }
-                    (ScopeState::Param(_), None) => {}
-                }
+                sc.open(open.param_value(ev));
             }
             hit
         }
@@ -565,22 +592,10 @@ fn step_one(p: &CompiledProp, st: &mut MonState, ev: &Event, occ: u64) -> Option
             // Goal discharges before open raises, so an event matching both
             // settles existing debts and then re-obligates.
             if goal.matches_nonparam(ev, occ) {
-                match (&mut *sc, goal.param_value(ev)) {
-                    (ScopeState::Flat(b), _) => *b = false,
-                    (ScopeState::Param(s), Some(v)) => {
-                        s.remove(&v);
-                    }
-                    (ScopeState::Param(s), None) => s.clear(),
-                }
+                sc.close(goal.param_value(ev));
             }
             if open.matches_nonparam(ev, occ) {
-                match (&mut *sc, open.param_value(ev)) {
-                    (ScopeState::Flat(b), _) => *b = true,
-                    (ScopeState::Param(s), Some(v)) => {
-                        s.insert(v);
-                    }
-                    (ScopeState::Param(_), None) => {}
-                }
+                sc.open(open.param_value(ev));
             }
             None
         }
@@ -821,19 +836,24 @@ mod tests {
         let mut a = compiled(text, 4);
         let mut b = compiled(text, 4);
         // a opens addr 0 (line 0); b opens addr 8 (line 1, line_bytes=8).
+        let key = |m: &Monitors, xor_mask| {
+            let mut out = Vec::new();
+            m.write_key(xor_mask, &mut out);
+            out
+        };
         a.step(&store(1, 0));
         b.step(&store(1, 8));
-        assert_ne!(a.key(None), b.key(None));
-        assert_eq!(a.key(None), b.key(Some(8)), "swap makes them coincide");
+        assert_ne!(key(&a, None), key(&b, None));
+        assert_eq!(key(&a, None), key(&b, Some(8)), "swap makes them coincide");
         // Increasing state is excluded from keys.
         let mut c = compiled("prop fifo { increasing retire-start.id; }", 4);
-        let k0 = c.key(None);
+        let k0 = key(&c, None);
         c.step(&Event::RetireStart {
             now: 1,
             id: 3,
             flush: false,
         });
-        assert_eq!(k0, c.key(None));
+        assert_eq!(k0, key(&c, None));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! incompatible permutations could be glued into one key. The key is
 //! therefore the packed machine key with the encoded monitor key appended
 //! under each of the two permutations (identity, swapped), and the smaller
-//! of the two — see `abstract_state::StateKey` and [`Monitors::key`].
+//! of the two — see `abstract_state::StateKey` and [`Monitors::write_key`].
 
 use wbsim_sim::{Event, Machine, NonBlockingMachine, Observer, SimMachine};
 use wbsim_types::addr::{Geometry, LineAddr};
@@ -84,7 +84,7 @@ impl PropReport {
 fn joint_key<M: SimMachine>(g: &Geometry, lines: &[LineAddr; 2], s: &PState<M>, k: &mut StateKey) {
     k.push(&s.machine.view(), lines, &s.shadow);
     let swap_mask = u64::from(g.line_bytes());
-    k.push_with(|out, swapped| s.mons.key(swapped.then_some(swap_mask)).encode(out));
+    k.push_with(|out, swapped| s.mons.write_key(swapped.then_some(swap_mask), out));
 }
 
 /// Steps the monitors on every event, latching the first violation, and
@@ -151,9 +151,10 @@ fn drain_walk<M: SimMachine>(
         verdicts,
         walker,
         key,
+        path,
     } = memo;
     let w = fork(walker, s);
-    let mut path: Vec<Box<[u8]>> = Vec::new();
+    path.clear();
     let verdict = loop {
         key.clear();
         joint_key(g, lines, w, key);
@@ -161,10 +162,10 @@ fn drain_walk<M: SimMachine>(
         if let Some(v) = verdicts.get(k) {
             break v.clone();
         }
-        if path.iter().any(|p| **p == *k) || path.len() > DRAIN_WALK_BOUND {
+        if path.contains(k) || path.len() > DRAIN_WALK_BOUND {
             break pending_violation_of(&w.mons);
         }
-        path.push(k.into());
+        path.push(k);
         let mut obs = MonitorObserver {
             g: *g,
             shadow: None,
@@ -181,9 +182,7 @@ fn drain_walk<M: SimMachine>(
             break pending_violation_of(&w.mons);
         }
     };
-    for k in path {
-        verdicts.insert(k, verdict.clone());
-    }
+    memo.memoize(&verdict);
     verdict
 }
 

@@ -4,8 +4,8 @@
 //! The bounded checker (`bounded.rs`) enumerates op *sequences* up to a
 //! small length, so its guarantees stop at short traces. This module
 //! explores the canonical abstract *state graph* instead: a visited-set
-//! BFS over `state × op-universe` ([`crate::explore`]), where a state is
-//! the value-blind, time-shifted, line-renamed quotient of
+//! BFS over `state × op-universe` (the explorer of `explore.rs`), where
+//! a state is the value-blind, time-shifted, line-renamed quotient of
 //! [`crate::abstract_state`] — finite, so the closure proves every
 //! per-state invariant for op sequences of **arbitrary length** over the
 //! same universe. Safety violations are reconstructed from BFS parent
@@ -35,8 +35,6 @@
 //! The module also holds the replay helpers the property and refinement
 //! checkers share: op-by-op replay, the wedged-op probe, and the drain walk.
 
-use std::collections::HashSet;
-
 use wbsim_sim::{Event, Machine, NonBlockingMachine, NullObserver, Observer, SimMachine};
 use wbsim_types::addr::{Addr, Geometry, LineAddr};
 use wbsim_types::config::{IcacheConfig, L2Config, MachineConfig};
@@ -51,7 +49,7 @@ use crate::bounded::{
     op_universe, sequence, trace_run, unchecked, CheckReport, Counterexample, InvariantObserver,
     TraceObserver,
 };
-use crate::explore::{explore, fork, DrainMemo, Edge, Explored};
+use crate::explore::{explore, fork, DrainMemo, DrainPath, Edge, Explored};
 
 /// Cycle budget for one op during expansion. Every legitimate op in the
 /// gated configuration class completes in well under 100 cycles (worst
@@ -230,24 +228,29 @@ pub(crate) fn probe<M: SimMachine>(m: &mut M, obs: &mut impl Observer) {
     }
 }
 
-/// The key of a state on a drain walk over the universe `lines`: the
-/// explorer's state key plus the op-boundary bit, which the first drain
-/// step clears. Keys are time-shift invariant, and a drain stores
-/// nothing: a value moves only as a miss fills (one miss fewer, perhaps
-/// one victim entry more) or an entry retires (one entry fewer), so two
-/// states of one drain with the same miss and entry counts, which the key
-/// holds, have the same values. Value classes against an empty shadow
-/// therefore suffice, and a repeated key is a repeated state.
+/// Writes the key of a state on a drain walk over the universe `lines`
+/// into `key`: the explorer's state key plus the op-boundary bit, which
+/// the first drain step clears. Keys are time-shift invariant, and a
+/// drain stores nothing: a value moves only as a miss fills (one miss
+/// fewer, perhaps one victim entry more) or an entry retires (one entry
+/// fewer), so two states of one drain with the same miss and entry
+/// counts, which the key holds, have the same values. Value classes
+/// against an empty shadow therefore suffice, and a repeated key is a
+/// repeated state.
 ///
 /// # Panics
 ///
 /// Panics if a write-buffer entry or a miss lies outside `lines`.
-pub(crate) fn drain_key(m: &impl SimMachine, lines: &[LineAddr], key: &mut StateKey) -> Vec<u8> {
+pub(crate) fn drain_key<'k>(
+    m: &impl SimMachine,
+    lines: &[LineAddr],
+    key: &'k mut StateKey,
+) -> &'k [u8] {
     let view = m.view();
     key.clear();
     key.push(&view, lines, &ShadowTracker::default());
     key.push_with(|out, _| out.push(u8::from(view.at_op_boundary())));
-    key.canonical().to_vec()
+    key.canonical()
 }
 
 /// Walks the fair drain schedule from `m` under `obs`: `false` once it
@@ -258,13 +261,13 @@ pub(crate) fn drain_cycles<M: SimMachine>(
     lines: &[LineAddr],
     obs: &mut impl Observer,
 ) -> bool {
-    let (mut key, mut seen) = (StateKey::default(), HashSet::new());
+    let (mut key, mut path) = (StateKey::default(), DrainPath::default());
     loop {
         let k = drain_key(m, lines, &mut key);
-        if seen.contains(&k) || seen.len() > DRAIN_WALK_BOUND {
+        if path.contains(k) || path.len() > DRAIN_WALK_BOUND {
             return true;
         }
-        seen.insert(k);
+        path.push(k);
         if !m.drain_step(obs) {
             return false;
         }
@@ -352,21 +355,22 @@ fn drain_livelocked<M: SimMachine>(
         verdicts,
         walker,
         key,
+        path,
     } = memo;
     let m = fork(walker, m);
-    let mut path: Vec<Box<[u8]>> = Vec::new();
+    path.clear();
     let verdict = loop {
         let s = key.of(&m.view(), lines, shadow);
         if let Some(&v) = verdicts.get(s) {
             break v;
         }
-        if path.iter().any(|p| **p == *s) {
+        if path.contains(s) {
             // A cycle under the fair drain schedule. No progress is
             // possible along it: occupancy is non-increasing during a
             // drain, so a cycle retires nothing — livelock.
             break true;
         }
-        path.push(s.into());
+        path.push(s);
         if !m.drain_step(&mut NullObserver) {
             break false;
         }
@@ -374,9 +378,7 @@ fn drain_livelocked<M: SimMachine>(
             break true;
         }
     };
-    for s in path {
-        verdicts.insert(s, verdict);
-    }
+    memo.memoize(&verdict);
     verdict
 }
 

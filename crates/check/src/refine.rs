@@ -199,8 +199,9 @@ impl Streams {
         self.rf.0.clear();
         let ed_end = run(ed, &mut self.ed);
         let rf_end = run(rf, &mut self.rf);
-        let spans = ed.take_skips();
-        verdict(ed_end, rf_end, &self.ed.0, &self.rf.0, &spans)
+        let v = verdict(ed_end, rf_end, &self.ed.0, &self.rf.0, ed.skips());
+        ed.clear_skips();
+        v
     }
 }
 

@@ -693,6 +693,47 @@ fn sched_reports_and_schedules_are_pinned() {
     }
 }
 
+/// A cycle count past `u32::MAX` is refused, naming its field, by the
+/// linter and by a run: such a latency wraps the clock (a run reports
+/// fewer cycles than the baseline) and such an interval never ends.
+#[test]
+fn cycle_counts_past_u32_are_refused() {
+    let dir = scratch("cycle-bounds");
+    for (line, field) in [
+        ("l2.latency = 18446744073709551615", "l2.latency"),
+        (
+            "l2 = real\nl2.mm_latency = 18446744073709551615",
+            "l2.mm_latency",
+        ),
+        (
+            "wb.retirement = fixed-rate-18446744073709551615",
+            "fixed-rate interval",
+        ),
+        ("wb.max_age = 18446744073709551615", "wb.max_age"),
+    ] {
+        let path = dir.join(format!("{field}.wbcfg"));
+        std::fs::write(&path, format!("{line}\n")).unwrap();
+        let path = path.to_str().unwrap();
+        for args in [
+            &["check", "--config", path][..],
+            &[
+                "run",
+                "--bench",
+                "li",
+                "--instructions",
+                "2000",
+                "--config",
+                path,
+            ],
+        ] {
+            let out = wbsim(args);
+            let all = text(&out.stdout) + &text(&out.stderr);
+            assert!(!out.status.success(), "{args:?}: {all}");
+            assert!(all.contains(field), "{args:?}: {all}");
+        }
+    }
+}
+
 /// The non-blocking machine refuses a configuration asking for what it
 /// does not model, naming the field, instead of running without it.
 #[test]

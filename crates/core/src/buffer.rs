@@ -495,26 +495,26 @@ impl WriteBuffer {
         })
     }
 
-    /// The FIFO-ordered list of entries a load hazard on `line` must flush
-    /// under `policy`, excluding any entry already mid-retirement (the
-    /// simulator waits for that transaction separately). Empty for
-    /// read-from-WB and for policies whose plan is already satisfied.
-    #[must_use]
-    pub fn flush_plan(&self, policy: LoadHazardPolicy, line: LineAddr) -> Vec<EntryId> {
+    /// Fills `plan` with the FIFO-ordered list of entries a load hazard on
+    /// `line` must flush under `policy`, excluding any entry already
+    /// mid-retirement (the simulator waits for that transaction
+    /// separately). Empty for read-from-WB and for policies whose plan is
+    /// already satisfied. `plan` is cleared first and its buffer reused, so
+    /// a hazard allocates nothing once the buffer has held a plan as long.
+    pub fn flush_plan(&self, policy: LoadHazardPolicy, line: LineAddr, plan: &mut Vec<EntryId>) {
+        plan.clear();
         let (first, last) = self.block_range_of_line(line);
         let in_line = |e: &Entry| e.block >= first && e.block < last;
         if !self.has_line(line) {
-            return Vec::new();
+            return;
         }
+        let pending = self.iter().filter(|e| !e.retiring);
         match policy {
-            LoadHazardPolicy::ReadFromWb => Vec::new(),
+            LoadHazardPolicy::ReadFromWb => {}
             LoadHazardPolicy::FlushItemOnly => {
                 // All entries of the hazard line (usually one), FIFO order,
                 // so a duplicate pair drains oldest-first.
-                self.iter()
-                    .filter(|e| in_line(e) && !e.retiring)
-                    .map(|e| e.id)
-                    .collect()
+                plan.extend(pending.filter(|e| in_line(e)).map(|e| e.id));
             }
             LoadHazardPolicy::FlushPartial => {
                 // Front of the FIFO through the newest matching entry.
@@ -524,7 +524,6 @@ impl WriteBuffer {
                     .last()
                     .expect("has_line")
                     .id;
-                let mut plan = Vec::new();
                 for e in self.iter() {
                     if !e.retiring {
                         plan.push(e.id);
@@ -533,11 +532,8 @@ impl WriteBuffer {
                         break;
                     }
                 }
-                plan
             }
-            LoadHazardPolicy::FlushFull => {
-                self.iter().filter(|e| !e.retiring).map(|e| e.id).collect()
-            }
+            LoadHazardPolicy::FlushFull => plan.extend(pending.map(|e| e.id)),
         }
     }
 }
@@ -758,14 +754,19 @@ mod tests {
             b.store(a(*l, 0), i as u64, i as u64);
         }
         let hit_line = LineAddr::new(12); // third entry
-        let full = b.flush_plan(LoadHazardPolicy::FlushFull, hit_line);
+        let plan = |policy| {
+            let mut plan = Vec::new();
+            b.flush_plan(policy, hit_line, &mut plan);
+            plan
+        };
+        let full = plan(LoadHazardPolicy::FlushFull);
         assert_eq!(full.len(), 4, "flush-full: 1,2,3,4");
-        let partial = b.flush_plan(LoadHazardPolicy::FlushPartial, hit_line);
+        let partial = plan(LoadHazardPolicy::FlushPartial);
         assert_eq!(partial.len(), 3, "flush-partial: 1,2,3");
-        let item = b.flush_plan(LoadHazardPolicy::FlushItemOnly, hit_line);
+        let item = plan(LoadHazardPolicy::FlushItemOnly);
         assert_eq!(item.len(), 1, "flush-item-only: 3 only");
         assert_eq!(item[0], full[2]);
-        let rd = b.flush_plan(LoadHazardPolicy::ReadFromWb, hit_line);
+        let rd = plan(LoadHazardPolicy::ReadFromWb);
         assert!(rd.is_empty(), "read-from-WB: (none)");
     }
 
@@ -776,7 +777,8 @@ mod tests {
         b.store(a(2, 0), 2, 1);
         let id = b.next_retirement().unwrap();
         b.begin_retire(id); // entry for line 1 is mid-flight
-        let plan = b.flush_plan(LoadHazardPolicy::FlushFull, LineAddr::new(2));
+        let mut plan = Vec::new();
+        b.flush_plan(LoadHazardPolicy::FlushFull, LineAddr::new(2), &mut plan);
         assert_eq!(plan.len(), 1);
         assert_ne!(plan[0], id);
     }
@@ -785,9 +787,9 @@ mod tests {
     fn flush_plan_empty_when_no_hazard() {
         let mut b = wb();
         b.store(a(1, 0), 1, 0);
-        assert!(b
-            .flush_plan(LoadHazardPolicy::FlushFull, LineAddr::new(99))
-            .is_empty());
+        let mut plan = vec![7];
+        b.flush_plan(LoadHazardPolicy::FlushFull, LineAddr::new(99), &mut plan);
+        assert!(plan.is_empty());
     }
 
     #[test]

@@ -128,10 +128,15 @@ fn run_model(cfg: &WriteBufferConfig, cmds: &[Cmd]) -> Result<(), TestCaseError>
                 // exceed the occupancy, and flush-partial is a superset of
                 // flush-item-only and a subset of flush-full.
                 let l = LineAddr::new(*line);
-                let full = wb.flush_plan(LoadHazardPolicy::FlushFull, l);
-                let partial = wb.flush_plan(LoadHazardPolicy::FlushPartial, l);
-                let item = wb.flush_plan(LoadHazardPolicy::FlushItemOnly, l);
-                let none = wb.flush_plan(LoadHazardPolicy::ReadFromWb, l);
+                let plan = |policy| {
+                    let mut plan = Vec::new();
+                    wb.flush_plan(policy, l, &mut plan);
+                    plan
+                };
+                let full = plan(LoadHazardPolicy::FlushFull);
+                let partial = plan(LoadHazardPolicy::FlushPartial);
+                let item = plan(LoadHazardPolicy::FlushItemOnly);
+                let none = plan(LoadHazardPolicy::ReadFromWb);
                 prop_assert!(none.is_empty());
                 if matches.is_empty() {
                     prop_assert!(full.is_empty() && partial.is_empty() && item.is_empty());

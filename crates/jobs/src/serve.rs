@@ -881,3 +881,189 @@ mod tests {
         assert!(sink.bytes.ends_with(&body));
     }
 }
+
+/// Property fuzzing for [`read_request`], the parser of every byte a
+/// client sends the daemon:
+///
+/// * a generated well-formed request — up to [`MAX_HEADERS`] header lines
+///   of up to [`MAX_HEAD_LINE`] bytes and a `Content-Length` body of up to
+///   [`MAX_BODY`] — reads back as its method, path and body;
+/// * a request cut short anywhere, one byte of it replaced, and arbitrary
+///   bytes never panic the reader: they read, or they are refused with
+///   `400`, `413` or `431` only.
+#[cfg(test)]
+mod request_fuzz {
+    use std::io::Cursor;
+
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// A request, described by what it is built from rather than by its
+    /// bytes, so a failing case prints short.
+    #[derive(Debug, Clone)]
+    struct Shape {
+        method: usize,
+        /// Characters of the path after its `/`, by index into `PATH`.
+        path: Vec<usize>,
+        /// Per header line other than `Content-Length`: its length in
+        /// bytes (CRLF included) and the byte its value repeats.
+        headers: Vec<(usize, u8)>,
+        /// Where the `Content-Length` line goes among the others, and
+        /// which spelling of its name it uses.
+        length_at: usize,
+        length_name: usize,
+        /// The body's length and the byte it starts counting up from.
+        body: (usize, u8),
+    }
+
+    const METHODS: [&str; 5] = ["GET", "POST", "PUT", "DELETE", "PATCH"];
+    const PATH: &[u8] = b"abcxyzABC0189-._~/%?=&";
+    const LENGTH_NAMES: [&str; 3] = ["Content-Length", "content-length", "CONTENT-LENGTH"];
+    /// Bytes HTTP framing is made of, drawn often into junk.
+    const FRAMING: &[u8] = b"\r\n: 09aZ-\t";
+    /// `X-Hnn: ` plus CRLF: the shortest header line the shapes make.
+    const HEADER_OVERHEAD: usize = 9;
+
+    impl Shape {
+        fn path(&self) -> String {
+            let rest: String = self.path.iter().map(|&i| char::from(PATH[i])).collect();
+            format!("/{rest}")
+        }
+
+        fn body(&self) -> Vec<u8> {
+            let (len, first) = self.body;
+            (0..len).map(|i| first.wrapping_add(i as u8)).collect()
+        }
+
+        /// The request's bytes.
+        fn bytes(&self) -> Vec<u8> {
+            let body = self.body();
+            let mut head = format!("{} {} HTTP/1.1\r\n", METHODS[self.method], self.path());
+            let length = format!("{}: {}\r\n", LENGTH_NAMES[self.length_name], body.len());
+            for (i, &(len, fill)) in self.headers.iter().enumerate() {
+                if i == self.length_at {
+                    head.push_str(&length);
+                }
+                let value = char::from(fill).to_string().repeat(len - HEADER_OVERHEAD);
+                head.push_str(&format!("X-H{:02}: {value}\r\n", i % 100));
+            }
+            if self.length_at >= self.headers.len() {
+                head.push_str(&length);
+            }
+            head.push_str("\r\n");
+            [head.into_bytes(), body].concat()
+        }
+    }
+
+    /// Requests with up to `headers` other header lines of up to
+    /// `line` bytes, a path of up to `path` characters and a body of up
+    /// to `body` bytes.
+    fn arb_shape(
+        headers: usize,
+        line: usize,
+        path: usize,
+        body: usize,
+    ) -> impl Strategy<Value = Shape> {
+        let header = (HEADER_OVERHEAD + 1..=line, b'!'..=b'~');
+        (
+            0..METHODS.len(),
+            vec(0..PATH.len(), 0..=path),
+            vec(header, 0..=headers),
+            0..=headers,
+            0..LENGTH_NAMES.len(),
+            (0..=body, any::<u8>()),
+        )
+            .prop_map(
+                |(method, path, headers, length_at, length_name, body)| Shape {
+                    method,
+                    path,
+                    headers,
+                    length_at,
+                    length_name,
+                    body,
+                },
+            )
+    }
+
+    /// Reads `bytes`: a request, or a refusal with `400`, `413` or `431`.
+    fn reads_or_refuses(bytes: &[u8]) -> Result<(), TestCaseError> {
+        if let Err(refusal) = read_request(&mut Cursor::new(bytes)) {
+            prop_assert!(
+                matches!(refusal.code, 400 | 413 | 431),
+                "refused with {}: {:?}",
+                refusal.code,
+                refusal
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A well-formed request at any size up to every limit reads back
+        /// as itself. The `Content-Length` line counts among the
+        /// [`MAX_HEADERS`] lines, so the others number one fewer.
+        #[test]
+        fn any_well_formed_request_reads_back(
+            shape in arb_shape(MAX_HEADERS - 1, MAX_HEAD_LINE, 4096, MAX_BODY),
+        ) {
+            let req = read_request(&mut Cursor::new(shape.bytes()))
+                .map_err(|r| TestCaseError::fail(format!("refused: {r:?}")))?;
+            prop_assert_eq!(req.method, METHODS[shape.method]);
+            prop_assert_eq!(req.path, shape.path());
+            prop_assert!(req.body == shape.body(), "the body reads back");
+        }
+    }
+
+    proptest! {
+        /// A request cut short anywhere reads, or is refused with a client
+        /// error: never a panic, never another status.
+        #[test]
+        fn any_truncation_reads_or_is_refused(
+            shape in arb_shape(6, 200, 64, 300),
+            cut in any::<usize>(),
+        ) {
+            let bytes = shape.bytes();
+            reads_or_refuses(&bytes[..cut % (bytes.len() + 1)])?;
+        }
+
+        /// One byte of a request replaced anywhere reads, or is refused
+        /// with a client error.
+        #[test]
+        fn any_mangled_byte_reads_or_is_refused(
+            shape in arb_shape(6, 200, 64, 300),
+            at in any::<usize>(),
+            with in any::<u8>(),
+        ) {
+            let mut bytes = shape.bytes();
+            let at = at % bytes.len();
+            bytes[at] = with;
+            reads_or_refuses(&bytes)?;
+        }
+
+        /// Arbitrary bytes — bare, or after a valid request line, drawn
+        /// often from the bytes HTTP framing is made of — read, or are
+        /// refused with a client error.
+        #[test]
+        fn arbitrary_junk_reads_or_is_refused(
+            junk in vec(
+                prop_oneof![
+                    any::<u8>(),
+                    (0..FRAMING.len()).prop_map(|i| FRAMING[i]),
+                ],
+                0..2048,
+            ),
+            after_request_line in any::<bool>(),
+        ) {
+            let bytes = if after_request_line {
+                [&b"POST /v1/jobs HTTP/1.1\r\n"[..], &junk].concat()
+            } else {
+                junk
+            };
+            reads_or_refuses(&bytes)?;
+        }
+    }
+}

@@ -13,7 +13,8 @@
 //! legal line, and lines are aligned, so every line lies inside one page:
 //! a line read or masked line write is one index lookup, and a read hands
 //! out a borrowed slice of the page (or of a static zero page) instead of
-//! a copy. Cloning copies only the pages that were written.
+//! a copy. Cloning copies only the pages that were written, and a fork with
+//! `clone_from` reuses the target's index and pages.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -69,7 +70,26 @@ pub struct MainMemory {
     pages: Vec<[u64; PAGE_WORDS]>,
 }
 
-wbsim_types::clone_fields!(MainMemory { index, pages });
+impl Clone for MainMemory {
+    fn clone(&self) -> Self {
+        Self {
+            index: self.index.clone(),
+            pages: self.pages.clone(),
+        }
+    }
+
+    /// Forks `src` into `self`, refilling the index in place: a map's own
+    /// `clone_from` reallocates its table whenever the two bucket counts
+    /// differ, and frees it when `src` is empty, so a model checker's fork
+    /// into a memory that touched other pages would allocate.
+    fn clone_from(&mut self, src: &Self) {
+        self.index.clear();
+        self.index.extend(&src.index);
+        self.pages.clear();
+        self.pages.reserve_exact(src.pages.len());
+        self.pages.extend_from_slice(&src.pages);
+    }
+}
 
 /// Splits a global word address into its page number and offset.
 #[inline]
@@ -96,9 +116,15 @@ impl MainMemory {
     }
 
     /// Allocates page `page_no`, zeroed; the caller has checked it is new.
+    /// The slab doubles from one page, not from a `Vec`'s minimum of four:
+    /// most model-checker states hold one page, and a fork keeps the
+    /// capacity its target had.
     fn alloc_page(&mut self, page_no: u64) -> &mut [u64; PAGE_WORDS] {
         let slot = u32::try_from(self.pages.len()).expect("fewer than 2^32 pages");
         self.index.insert(page_no, slot);
+        if self.pages.len() == self.pages.capacity() {
+            self.pages.reserve_exact(self.pages.len().max(1));
+        }
         self.pages.push([0; PAGE_WORDS]);
         self.pages.last_mut().expect("just pushed")
     }

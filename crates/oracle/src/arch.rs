@@ -1,7 +1,5 @@
 //! The untimed architectural reference model.
 
-use std::collections::BTreeMap;
-
 use wbsim_types::addr::{Addr, Geometry};
 use wbsim_types::op::Op;
 
@@ -14,18 +12,30 @@ use wbsim_types::op::Op;
 /// never-written words observe 0. The model reproduces that from the op
 /// stream alone; everything else is plain sequential semantics. Barriers
 /// are ordering-only and do not change memory.
-#[derive(Debug, Clone)]
+///
+/// `clone_from` reuses the target's word list, so the bounded checker
+/// forks a model per op-sequence prefix without allocating.
+#[derive(Debug)]
 pub struct ArchModel {
     g: Geometry,
-    /// Freshest value of each written word, keyed by global word address.
-    /// A `BTreeMap` so [`ArchModel::written_words`] iterates
-    /// deterministically.
-    mem: BTreeMap<u64, u64>,
+    /// Freshest value of each written word, as (global word address,
+    /// value) sorted by address: a lookup is a binary search, and
+    /// [`ArchModel::written_words`] iterates in address order.
+    mem: Vec<(u64, u64)>,
     store_seq: u64,
     loads: u64,
     stores: u64,
     barriers: u64,
 }
+
+wbsim_types::clone_fields!(ArchModel {
+    g,
+    mem,
+    store_seq,
+    loads,
+    stores,
+    barriers
+});
 
 impl ArchModel {
     /// An empty model over the given geometry.
@@ -33,7 +43,7 @@ impl ArchModel {
     pub fn new(g: Geometry) -> Self {
         Self {
             g,
-            mem: BTreeMap::new(),
+            mem: Vec::new(),
             store_seq: 0,
             loads: 0,
             stores: 0,
@@ -52,7 +62,11 @@ impl ArchModel {
             Op::Store(addr) => {
                 self.stores += 1;
                 self.store_seq += 1;
-                self.mem.insert(self.g.word_addr(addr), self.store_seq);
+                let word = self.g.word_addr(addr);
+                match self.mem.binary_search_by_key(&word, |&(w, _)| w) {
+                    Ok(i) => self.mem[i].1 = self.store_seq,
+                    Err(i) => self.mem.insert(i, (word, self.store_seq)),
+                }
                 None
             }
             Op::Barrier => {
@@ -75,12 +89,15 @@ impl ArchModel {
     /// The current value of the word at `addr` (0 if never written).
     #[must_use]
     pub fn read_word(&self, addr: Addr) -> u64 {
-        self.mem.get(&self.g.word_addr(addr)).copied().unwrap_or(0)
+        let word = self.g.word_addr(addr);
+        self.mem
+            .binary_search_by_key(&word, |&(w, _)| w)
+            .map_or(0, |i| self.mem[i].1)
     }
 
     /// Global word addresses written so far, ascending.
     pub fn written_words(&self) -> impl Iterator<Item = u64> + '_ {
-        self.mem.keys().copied()
+        self.mem.iter().map(|&(w, _)| w)
     }
 
     /// Loads executed.

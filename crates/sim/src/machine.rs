@@ -33,8 +33,6 @@
 //! the plain entry points run under the zero-cost
 //! [`crate::NullObserver`].
 
-use std::collections::VecDeque;
-
 use wbsim_core::entry::EntryId;
 use wbsim_mem::Icache;
 use wbsim_types::addr::{Addr, LineAddr};
@@ -105,7 +103,7 @@ enum PendingExec {
 }
 
 /// The CPU's blocking state machine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum CpuState {
     /// Fetch the next trace event.
     NeedOp,
@@ -116,10 +114,10 @@ enum CpuState {
     /// A store is (re)trying to enter the write buffer.
     StoreTry { addr: Addr },
     /// Handling a load hazard: waiting out an underway retirement, then
-    /// issuing the flush plan entry by entry.
+    /// issuing the machine's flush plan entry by entry, `next` first.
     HazardWait {
         addr: Addr,
-        plan: VecDeque<EntryId>,
+        next: usize,
         flushing: Option<Pending>,
     },
     /// A load (or a write-back store allocate) miss wants the L2 port.
@@ -169,9 +167,17 @@ pub struct Machine {
     hier: Hierarchy,
     icache: Icache,
     cpu: CpuState,
+    /// The flush plan of the load hazard `CpuState::HazardWait` handles:
+    /// one buffer, refilled by every hazard.
+    plan: Vec<EntryId>,
 }
 
-wbsim_types::clone_fields!(Machine { hier, icache, cpu });
+wbsim_types::clone_fields!(Machine {
+    hier,
+    icache,
+    cpu,
+    plan
+});
 
 /// One outstanding miss-status-holding register as [`crate::StateView`]
 /// reads it, relative to `now`.
@@ -209,6 +215,7 @@ impl Machine {
             hier,
             icache,
             cpu: CpuState::NeedOp,
+            plan: Vec::new(),
         })
     }
 
@@ -982,7 +989,7 @@ impl Machine {
                 }
                 CpuState::HazardWait {
                     addr,
-                    mut plan,
+                    next,
                     flushing,
                 } => {
                     if let Some(p) = flushing {
@@ -990,7 +997,7 @@ impl Machine {
                             self.hier.write_entry_to_l2(p.id, true, obs);
                             self.cpu = CpuState::HazardWait {
                                 addr,
-                                plan,
+                                next,
                                 flushing: None,
                             };
                             continue;
@@ -999,7 +1006,7 @@ impl Machine {
                             .stall(wbsim_types::stall::StallKind::LoadHazard, obs);
                         self.cpu = CpuState::HazardWait {
                             addr,
-                            plan,
+                            next,
                             flushing: Some(p),
                         };
                         return true;
@@ -1010,12 +1017,12 @@ impl Machine {
                             .stall(wbsim_types::stall::StallKind::LoadHazard, obs);
                         self.cpu = CpuState::HazardWait {
                             addr,
-                            plan,
+                            next,
                             flushing: None,
                         };
                         return true;
                     }
-                    if let Some(id) = plan.pop_front() {
+                    if let Some(&id) = self.plan.get(next) {
                         let began = self.hier.wb.begin_retire(id);
                         debug_assert!(began, "flush plan entry vanished");
                         let done_at = self.hier.port.acquire(
@@ -1037,7 +1044,7 @@ impl Machine {
                             .stall(wbsim_types::stall::StallKind::LoadHazard, obs);
                         self.cpu = CpuState::HazardWait {
                             addr,
-                            plan,
+                            next: next + 1,
                             flushing: Some(Pending { id, done_at }),
                         };
                         return true;
@@ -1255,16 +1262,16 @@ impl Machine {
         // line is active in the buffer (§2.2).
         if self.hier.wb.has_line(line) {
             self.hier.stats.load_hazards += 1;
-            let plan: VecDeque<EntryId> = self.hier.wb.flush_plan(hazard, line).into();
+            self.hier.wb.flush_plan(hazard, line, &mut self.plan);
             obs.event(&Event::HazardTriggered {
                 now: self.hier.now,
                 addr,
                 policy: hazard,
-                flush_entries: plan.len() as u64,
+                flush_entries: self.plan.len() as u64,
             });
             self.cpu = CpuState::HazardWait {
                 addr,
-                plan,
+                next: 0,
                 flushing: None,
             };
             return;
@@ -1386,8 +1393,12 @@ impl SimMachine for Machine {
         Machine::set_record_skips(self, record);
     }
 
-    fn take_skips(&mut self) -> Vec<SkipSpan> {
-        Machine::take_skips(self)
+    fn skips(&self) -> &[SkipSpan] {
+        &self.hier.skip_log
+    }
+
+    fn clear_skips(&mut self) {
+        self.hier.skip_log.clear();
     }
 }
 

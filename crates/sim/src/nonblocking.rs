@@ -631,8 +631,12 @@ impl SimMachine for NonBlockingMachine {
         NonBlockingMachine::set_record_skips(self, record);
     }
 
-    fn take_skips(&mut self) -> Vec<SkipSpan> {
-        NonBlockingMachine::take_skips(self)
+    fn skips(&self) -> &[SkipSpan] {
+        &self.hier.skip_log
+    }
+
+    fn clear_skips(&mut self) {
+        self.hier.skip_log.clear();
     }
 }
 

@@ -28,7 +28,7 @@ use crate::view::StateView;
 /// [`SimMachine::step_op`], [`SimMachine::drain_step`]) step under
 /// either. A checker that must single-step builds its machines with
 /// [`Engine::Reference`].
-pub trait SimMachine: Clone + Send {
+pub trait SimMachine: Clone + Send + 'static {
     /// Builds the machine from its configuration: `mshrs` is the
     /// non-blocking machine's miss-register count, and `None` for the
     /// blocking machine.
@@ -151,8 +151,12 @@ pub trait SimMachine: Clone + Send {
     /// Switches recording of the event-driven engine's [`SkipSpan`]s.
     fn set_record_skips(&mut self, record: bool);
 
-    /// Drains the [`SkipSpan`]s recorded since the last call.
-    fn take_skips(&mut self) -> Vec<SkipSpan>;
+    /// The [`SkipSpan`]s recorded since the last
+    /// [`SimMachine::clear_skips`], borrowed from the machine's log.
+    fn skips(&self) -> &[SkipSpan];
+
+    /// Empties the log of recorded [`SkipSpan`]s, keeping its buffer.
+    fn clear_skips(&mut self);
 }
 
 /// Records one complete execution as JSON lines into `out`: `ops` on the

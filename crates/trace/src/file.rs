@@ -92,41 +92,14 @@ pub fn write_text<W: Write>(mut w: W, ops: &[Op]) -> Result<(), TraceFileError> 
     Ok(())
 }
 
-/// Reads a text trace.
+/// Reads a text trace: [`TextReader`], collected.
 ///
 /// # Errors
 ///
 /// Returns [`TraceFileError::Parse`] on the first malformed line, or an
 /// I/O error.
 pub fn read_text<R: BufRead>(r: R) -> Result<Vec<Op>, TraceFileError> {
-    let mut ops = Vec::new();
-    for (i, line) in r.lines().enumerate() {
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') {
-            continue;
-        }
-        let bad = || TraceFileError::Parse {
-            line: i + 1,
-            content: line.clone(),
-        };
-        let (tag, rest) = t.split_once(' ').ok_or_else(bad)?;
-        let rest = rest.trim();
-        let value = if let Some(hex) = rest.strip_prefix("0x") {
-            u64::from_str_radix(hex, 16).map_err(|_| bad())?
-        } else {
-            rest.parse::<u64>().map_err(|_| bad())?
-        };
-        let op = match tag {
-            "C" => Op::Compute(u32::try_from(value).map_err(|_| bad())?),
-            "L" => Op::Load(Addr::new(value)),
-            "S" => Op::Store(Addr::new(value)),
-            "B" => Op::Barrier,
-            _ => return Err(bad()),
-        };
-        ops.push(op);
-    }
-    Ok(ops)
+    TextReader::new(r).collect()
 }
 
 /// Writes a binary trace.
@@ -151,45 +124,14 @@ pub fn write_binary<W: Write>(mut w: W, ops: &[Op]) -> Result<(), TraceFileError
     Ok(())
 }
 
-/// Reads a binary trace.
+/// Reads a binary trace: [`BinaryReader`], collected.
 ///
 /// # Errors
 ///
 /// Returns [`TraceFileError::BadMagic`] or [`TraceFileError::Corrupt`] on
-/// malformed input, or an I/O error.
-pub fn read_binary<R: Read>(mut r: R) -> Result<Vec<Op>, TraceFileError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)
-        .map_err(|_| TraceFileError::BadMagic)?;
-    if &magic != BINARY_MAGIC {
-        return Err(TraceFileError::BadMagic);
-    }
-    let mut ops = Vec::new();
-    let mut buf = [0u8; 9];
-    loop {
-        match r.read_exact(&mut buf) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                // Distinguish clean EOF from a truncated record: read_exact
-                // leaves no way to see partial progress, so probe one byte.
-                break;
-            }
-            Err(e) => return Err(e.into()),
-        }
-        let value = u64::from_le_bytes(buf[1..].try_into().expect("slice is 8 bytes"));
-        let op = match buf[0] {
-            0 => Op::Compute(
-                u32::try_from(value)
-                    .map_err(|_| TraceFileError::Corrupt("compute run too long"))?,
-            ),
-            1 => Op::Load(Addr::new(value)),
-            2 => Op::Store(Addr::new(value)),
-            3 => Op::Barrier,
-            _ => return Err(TraceFileError::Corrupt("unknown tag")),
-        };
-        ops.push(op);
-    }
-    Ok(ops)
+/// malformed input (a partial trailing record included), or an I/O error.
+pub fn read_binary<R: Read>(r: R) -> Result<Vec<Op>, TraceFileError> {
+    BinaryReader::new(r)?.collect()
 }
 
 /// A streaming text-trace reader: yields one event at a time without
@@ -293,12 +235,24 @@ impl<R: Read> BinaryReader<R> {
 impl<R: Read> Iterator for BinaryReader<R> {
     type Item = Result<Op, TraceFileError>;
 
+    /// The next record. The stream must end on a record boundary: a
+    /// partial trailing record is [`TraceFileError::Corrupt`], not a clean
+    /// end.
     fn next(&mut self) -> Option<Self::Item> {
         let mut buf = [0u8; 9];
-        match self.inner.read_exact(&mut buf) {
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return None,
-            Err(e) => return Some(Err(e.into())),
-            Ok(()) => {}
+        let mut got = 0;
+        while got < buf.len() {
+            match self.inner.read(&mut buf[got..]) {
+                Ok(0) => break,
+                Ok(n) => got += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Some(Err(e.into())),
+            }
+        }
+        match got {
+            0 => return None,
+            9 => {}
+            _ => return Some(Err(TraceFileError::Corrupt("truncated record"))),
         }
         let value = u64::from_le_bytes(buf[1..].try_into().expect("slice is 8 bytes"));
         Some(match buf[0] {
@@ -382,6 +336,24 @@ mod tests {
             read_binary(&buf[..]),
             Err(TraceFileError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn binary_refuses_a_truncated_record() {
+        let mut buf = Vec::new();
+        write_binary(&mut buf, &sample()).unwrap();
+        for cut in [buf.len() - 1, buf.len() - 7, BINARY_MAGIC.len() + 1] {
+            assert!(
+                matches!(
+                    read_binary(&buf[..cut]),
+                    Err(TraceFileError::Corrupt("truncated record"))
+                ),
+                "cut at {cut}"
+            );
+        }
+        // A cut on a record boundary is a shorter trace.
+        let back = read_binary(&buf[..buf.len() - 9]).unwrap();
+        assert_eq!(back, sample()[..sample().len() - 1]);
     }
 
     #[test]

@@ -13,6 +13,14 @@ use crate::policy::{
     DatapathWidth, L1WritePolicy, L2Priority, LoadHazardPolicy, RetirementOrder, RetirementPolicy,
 };
 
+/// The largest cycle count a configuration may give a latency, an entry
+/// age or a retirement interval: `u32::MAX`. The simulator adds such
+/// counts to the clock and multiplies a latency by the transactions of a
+/// line, so a whole-`u64` count would wrap the clock (a run reporting
+/// fewer cycles than with a 1-cycle latency) or wait forever; a 32-bit
+/// count keeps every sum far inside a `u64`.
+pub const MAX_CYCLES: u64 = u32::MAX as u64;
+
 /// An invalid configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
@@ -202,10 +210,24 @@ impl WriteBufferConfig {
                 constraint: "interval must be at least 1 cycle",
             });
         }
+        if let RetirementPolicy::FixedRate(n) = self.retirement {
+            if n > MAX_CYCLES {
+                return Err(ConfigError::OutOfRange {
+                    what: "fixed retirement rate",
+                    constraint: "interval must be at most 4294967295 cycles",
+                });
+            }
+        }
         if let Some(0) = self.max_age {
             return Err(ConfigError::OutOfRange {
                 what: "max entry age",
                 constraint: "must be at least 1 cycle when set",
+            });
+        }
+        if self.max_age.is_some_and(|a| a > MAX_CYCLES) {
+            return Err(ConfigError::OutOfRange {
+                what: "max entry age",
+                constraint: "must be at most 4294967295 cycles",
             });
         }
         if let L2Priority::WritePriorityAbove(0) = self.priority {
@@ -446,12 +468,19 @@ impl L2Config {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] for zero latencies or bad cache shapes.
+    /// Returns a [`ConfigError`] for a latency of zero or above
+    /// [`MAX_CYCLES`], or a bad cache shape.
     pub fn validate(&self, geometry: &Geometry) -> Result<(), ConfigError> {
         if self.latency() == 0 {
             return Err(ConfigError::OutOfRange {
                 what: "L2 latency",
                 constraint: "must be at least 1 cycle",
+            });
+        }
+        if self.latency() > MAX_CYCLES {
+            return Err(ConfigError::OutOfRange {
+                what: "L2 latency",
+                constraint: "must be at most 4294967295 cycles",
             });
         }
         if let Self::Real {
@@ -465,6 +494,12 @@ impl L2Config {
                 return Err(ConfigError::OutOfRange {
                     what: "main-memory latency",
                     constraint: "must be at least 1 cycle",
+                });
+            }
+            if *mm_latency > MAX_CYCLES {
+                return Err(ConfigError::OutOfRange {
+                    what: "main-memory latency",
+                    constraint: "must be at most 4294967295 cycles",
                 });
             }
             validate_cache_shape("L2", *size_bytes, *assoc, geometry)?;
@@ -636,6 +671,59 @@ fn validate_cache_shape(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Each cycle count is bounded at `u32::MAX` in `validate`, which the
+    /// CLI flags and manifests reach without the `.wbcfg` parser.
+    #[test]
+    fn cycle_counts_past_u32_are_out_of_range() {
+        let over = MAX_CYCLES + 1;
+        let mut cfg = MachineConfig::baseline();
+        cfg.l2 = L2Config::baseline().with_latency(over);
+        assert!(matches!(
+            cfg.validate(),
+            Err(ConfigError::OutOfRange {
+                what: "L2 latency",
+                ..
+            })
+        ));
+        cfg.l2 = L2Config::Real {
+            size_bytes: 128 * 1024,
+            assoc: 1,
+            latency: 6,
+            mm_latency: over,
+        };
+        assert!(matches!(
+            cfg.validate(),
+            Err(ConfigError::OutOfRange {
+                what: "main-memory latency",
+                ..
+            })
+        ));
+        let mut cfg = MachineConfig::baseline();
+        cfg.write_buffer.retirement = RetirementPolicy::FixedRate(over);
+        assert!(matches!(
+            cfg.validate(),
+            Err(ConfigError::OutOfRange {
+                what: "fixed retirement rate",
+                ..
+            })
+        ));
+        let mut cfg = MachineConfig::baseline();
+        cfg.write_buffer.max_age = Some(over);
+        assert!(matches!(
+            cfg.validate(),
+            Err(ConfigError::OutOfRange {
+                what: "max entry age",
+                ..
+            })
+        ));
+        // The bound itself is valid.
+        let mut cfg = MachineConfig::baseline();
+        cfg.l2 = L2Config::baseline().with_latency(MAX_CYCLES);
+        cfg.write_buffer.retirement = RetirementPolicy::FixedRate(MAX_CYCLES);
+        cfg.write_buffer.max_age = Some(MAX_CYCLES);
+        assert_eq!(cfg.validate(), Ok(()));
+    }
 
     #[test]
     fn baseline_matches_paper_tables() {

@@ -30,7 +30,7 @@
 use std::fmt::Write as _;
 use std::str::FromStr;
 
-use crate::config::{IcacheConfig, L2Config, MachineConfig};
+use crate::config::{IcacheConfig, L2Config, MachineConfig, MAX_CYCLES};
 use crate::policy::{
     DatapathWidth, L1WritePolicy, L2Priority, LoadHazardPolicy, RetirementOrder, RetirementPolicy,
 };
@@ -171,6 +171,13 @@ fn apply_line(
             .filter(|&x| x <= max)
             .ok_or_else(|| too_big(what, max.into(), v))
     };
+    let bounded = |what: &str, v: u64| -> Result<u64, ConfigParseError> {
+        if v > MAX_CYCLES {
+            return Err(too_big(what, MAX_CYCLES, v));
+        }
+        Ok(v)
+    };
+    let cycles = |what: &str| bounded(what, int(what)?);
     let count = |what: &str| -> Result<usize, ConfigParseError> {
         let v = int(what)?;
         usize::try_from(v).map_err(|_| too_big(what, usize::MAX as u64, v))
@@ -195,9 +202,9 @@ fn apply_line(
                 ))
             }
         },
-        "l2.latency" => l2.latency = int("l2.latency")?,
+        "l2.latency" => l2.latency = cycles("l2.latency")?,
         "l2.size_kb" => l2.size_kb = small("l2.size_kb", MAX_KB)?,
-        "l2.mm_latency" => l2.mm = int("l2.mm_latency")?,
+        "l2.mm_latency" => l2.mm = cycles("l2.mm_latency")?,
         "icache" => {
             cfg.icache = if value == "perfect" {
                 IcacheConfig::Perfect
@@ -225,10 +232,10 @@ fn apply_line(
                         .map_err(|_| err(n, format!("bad retire-at high-water mark {rest:?}")))?,
                 )
             } else if let Some(rest) = value.strip_prefix("fixed-rate-") {
-                RetirementPolicy::FixedRate(
-                    rest.parse()
-                        .map_err(|_| err(n, format!("bad fixed-rate interval {rest:?}")))?,
-                )
+                let interval = rest
+                    .parse()
+                    .map_err(|_| err(n, format!("bad fixed-rate interval {rest:?}")))?;
+                RetirementPolicy::FixedRate(bounded("fixed-rate interval", interval)?)
             } else {
                 return Err(err(n, format!("unknown retirement policy {value:?}")));
             }
@@ -254,7 +261,7 @@ fn apply_line(
             cfg.write_buffer.max_age = if value == "none" {
                 None
             } else {
-                Some(int("wb.max_age")?)
+                Some(cycles("wb.max_age")?)
             }
         }
         "wb.datapath" => {
@@ -528,6 +535,43 @@ wb.priority = write-priority-above-10
         assert_eq!(cfg.issue_width, u32::MAX);
         let e = parse_machine_config("l1.size_kb = 4194303").unwrap_err();
         assert_eq!(e.0[0].line, 0, "the whole configuration is invalid: {e}");
+    }
+
+    /// A cycle count past `u32::MAX` is refused on its own line: such a
+    /// latency wraps the clock, and such a fixed-rate interval never
+    /// retires anything.
+    #[test]
+    fn refuses_cycle_counts_past_u32() {
+        let big = "18446744073709551615";
+        for (line, field) in [
+            (format!("l2.latency = {big}"), "l2.latency"),
+            (format!("l2.mm_latency = {big}"), "l2.mm_latency"),
+            (format!("wb.max_age = {big}"), "wb.max_age"),
+            ("wb.max_age = 4294967296".to_string(), "wb.max_age"),
+            (
+                format!("wb.retirement = fixed-rate-{big}"),
+                "fixed-rate interval",
+            ),
+        ] {
+            let value = line.rsplit(['=', '-']).next().unwrap().trim();
+            let errs = parse_machine_config(&format!("l2 = real\n{line}")).unwrap_err();
+            assert_eq!(
+                errs.0,
+                [err(
+                    2,
+                    format!("{field} must be at most 4294967295, got {value}")
+                )],
+                "{line}"
+            );
+        }
+        // The largest count is read as written.
+        let cfg = parse_machine_config(
+            "l2 = real\nl2.latency = 4294967295\nl2.mm_latency = 4294967295\n\
+             wb.retirement = fixed-rate-4294967295\nwb.max_age = 4294967295",
+        )
+        .unwrap();
+        assert_eq!(cfg.l2.latency(), MAX_CYCLES);
+        assert_eq!(cfg.write_buffer.max_age, Some(MAX_CYCLES));
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! reaches the daemon inside check and trace manifests.
 //!
 //! * a generated valid configuration, with whole-domain values in every
-//!   field the format writes, round-trips through `to_config_string`;
+//!   field the format writes (a cycle count's domain ends at `u32::MAX`),
+//!   round-trips through `to_config_string`;
 //! * an integer its field cannot hold is refused on its own line, never
-//!   truncated into range;
+//!   truncated into range, and so is a cycle count past `u32::MAX`;
 //! * a document cut short, with one character replaced, or made of
 //!   arbitrary bytes never panics the parser: it parses, or it is refused
 //!   with errors whose line numbers lie inside the document (0 for the
@@ -15,7 +16,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use wbsim::trace::strategies::arb_machine_config;
-use wbsim::types::config::{IcacheConfig, L2Config, MachineConfig};
+use wbsim::types::config::{IcacheConfig, L2Config, MachineConfig, MAX_CYCLES};
 use wbsim::types::file_config::{parse_machine_config, to_config_string};
 
 /// A cache size of whole KiB, a power of two up to the largest a `u32`
@@ -34,8 +35,8 @@ fn arb_config() -> impl Strategy<Value = MachineConfig> {
         (Just(size), (0..=ways).prop_map(|j| 1u32 << j))
     });
     let l2 = prop_oneof![
-        (1..=u64::MAX).prop_map(|latency| L2Config::Perfect { latency }),
-        (arb_cache_bytes(), 1..=u64::MAX, 1..=u64::MAX).prop_map(
+        (1..=MAX_CYCLES).prop_map(|latency| L2Config::Perfect { latency }),
+        (arb_cache_bytes(), 1..=MAX_CYCLES, 1..=MAX_CYCLES).prop_map(
             |(size_bytes, latency, mm_latency)| L2Config::Real {
                 size_bytes,
                 assoc: 1,
@@ -102,6 +103,22 @@ proptest! {
             ("l2.size_kb", u64::from(u32::MAX / 1024)),
         ][key];
         let text = format!("{}{key} = {}\n", to_config_string(&cfg), max + excess);
+        let errs = parse_machine_config(&text).map(|_| ()).expect_err(&text);
+        let lines: Vec<usize> = errs.0.iter().map(|e| e.line).collect();
+        prop_assert_eq!(lines, vec![text.lines().count()], "{}", text);
+    }
+
+    /// A cycle count past `u32::MAX` — a latency, an entry age or a
+    /// fixed-rate interval, anywhere in the rest of the `u64` range —
+    /// appended to a valid document is refused on that line alone.
+    #[test]
+    fn any_whole_u64_cycle_count_is_refused_on_its_line(
+        cfg in arb_config(),
+        key in 0..4usize,
+        excess in 1..=u64::MAX - u64::from(u32::MAX),
+    ) {
+        let key = ["l2.latency = ", "l2.mm_latency = ", "wb.max_age = ", "wb.retirement = fixed-rate-"][key];
+        let text = format!("{}{key}{}\n", to_config_string(&cfg), u64::from(u32::MAX) + excess);
         let errs = parse_machine_config(&text).map(|_| ()).expect_err(&text);
         let lines: Vec<usize> = errs.0.iter().map(|e| e.line).collect();
         prop_assert_eq!(lines, vec![text.lines().count()], "{}", text);
